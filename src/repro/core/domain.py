@@ -9,8 +9,15 @@ with each item."*
 :func:`split_weighted` performs the serial splitting primitive —
 choosing key-space boundaries so each piece carries an equal share of
 the total work — and :func:`decompose` applies it to particle sets.
-:func:`sample_splitters` is the sampling step of the parallel sort the
-parallel treecode runs over SimMPI.  :func:`morton_traversal_order_2d`
+The rank-local halves of the parallel sample sort the treecode runs
+over SimMPI live here too: :func:`key_sort` orders a rank's columns
+along the curve, :func:`sample_splitters` draws its splitter sample,
+:func:`pick_splitters` turns the allgathered samples into the
+key-space boundaries every rank agrees on, and :func:`piece_bounds`
+cuts a rank's sorted keys at them for the exchange (the collectives
+themselves stay in :mod:`repro.core.parallel`).  :func:`splitter_candidates` and
+:func:`merge_splitter_candidates` move those boundaries between
+timesteps from measured work.  :func:`morton_traversal_order_2d`
 produces the self-similar load-balancing curve of Figure 6.
 """
 
@@ -26,11 +33,19 @@ __all__ = [
     "split_weighted",
     "DomainDecomposition",
     "decompose",
+    "key_sort",
     "sample_splitters",
+    "pick_splitters",
+    "piece_bounds",
     "splitter_candidates",
     "merge_splitter_candidates",
     "morton_traversal_order_2d",
 ]
+
+#: Key-space sentinels of a splitter list: every particle key has the
+#: placeholder bit 63 set, so ``[MIN_PKEY, END_PKEY)`` covers them all.
+MIN_PKEY = 1 << 63
+END_PKEY = 1 << 64
 
 
 def split_weighted(work: np.ndarray, n_pieces: int) -> np.ndarray:
@@ -143,27 +158,55 @@ def decompose(
     return DomainDecomposition(boundaries, order, sorted_keys, sorted_work)
 
 
-def sample_splitters(
-    local_keys: np.ndarray,
-    local_work: np.ndarray,
-    n_pieces: int,
-    oversample: int = 32,
-    seed: int = 0,
-) -> np.ndarray:
-    """Candidate splitter keys from a local sample (parallel-sort step).
+def key_sort(keys: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``keys`` and every column reordered by a stable sort on ``keys``."""
+    order = np.argsort(keys, kind="stable")
+    return (keys[order], *(c[order] for c in columns))
 
-    Each rank calls this on its local data; gathering and merging the
-    samples, then splitting the merged sample with
-    :func:`split_weighted`, yields global splitter keys without moving
-    the full particle set — the classic sample-sort construction.
+
+def sample_splitters(sorted_keys: np.ndarray, n_pieces: int, oversample: int = 32) -> np.ndarray:
+    """This rank's splitter sample: evenly spaced picks from its sorted keys.
+
+    Each rank calls this on its local (sorted) keys; allgathering the
+    samples and handing them to :func:`pick_splitters` yields global
+    splitter keys without moving the full particle set — the classic
+    sample-sort construction.  At most ``n_pieces * oversample`` keys
+    are drawn, deterministically, so SimMPI replays are bit-identical.
     """
-    local_keys = np.asarray(local_keys, dtype=np.uint64)
-    if local_keys.size == 0:
+    n = sorted_keys.shape[0]
+    if n == 0:
         return np.empty(0, dtype=np.uint64)
-    rng = np.random.default_rng(seed)
-    k = min(local_keys.size, n_pieces * oversample)
-    idx = rng.choice(local_keys.size, size=k, replace=False)
-    return np.sort(local_keys[idx])
+    k = min(n, oversample * n_pieces)
+    return sorted_keys[np.linspace(0, n - 1, k).astype(np.int64)]
+
+
+def _clamp_monotone(splitters: list[int]) -> list[int]:
+    """Force a splitter list non-decreasing (an inversion becomes an empty range)."""
+    for i in range(1, len(splitters)):
+        splitters[i] = max(splitters[i], splitters[i - 1])
+    return splitters
+
+
+def pick_splitters(samples: list[np.ndarray], n_pieces: int) -> list[int]:
+    """Agreed key-space boundaries from every rank's :func:`sample_splitters`.
+
+    Returns the length ``n_pieces + 1`` monotone list
+    ``[MIN_PKEY, s_1, …, END_PKEY]``; piece ``p`` owns keys in
+    ``[s_p, s_{p+1})``.  Duplicate samples give empty ranges.
+    """
+    merged = np.sort(np.concatenate(samples))
+    if merged.size == 0:
+        raise ValueError("no particles anywhere")
+    picks = (np.arange(1, n_pieces) * merged.size) // n_pieces
+    return _clamp_monotone([MIN_PKEY, *(int(merged[p]) for p in picks), END_PKEY])
+
+
+def piece_bounds(sorted_keys: np.ndarray, splitters: list[int]) -> np.ndarray:
+    """Indices cutting ``sorted_keys`` at the splitters: piece ``p`` of a
+    rank's sorted particles is ``[b[p], b[p+1])``, bound for rank ``p``."""
+    cuts = np.array([min(s, END_PKEY - 1) for s in splitters[1:-1]], dtype=np.uint64)
+    inner = np.searchsorted(sorted_keys, cuts, side="left")
+    return np.concatenate([[0], inner, [sorted_keys.shape[0]]]).astype(np.int64)
 
 
 def splitter_candidates(
@@ -250,10 +293,7 @@ def merge_splitter_candidates(
         for b, key in prop.items():
             if 0 < b < len(new) - 1:
                 new[b] = int(key)
-    for i in range(1, len(new)):
-        if new[i] < new[i - 1]:
-            new[i] = new[i - 1]
-    return new
+    return _clamp_monotone(new)
 
 
 def morton_traversal_order_2d(positions: np.ndarray, box: BoundingBox | None = None) -> np.ndarray:

@@ -71,6 +71,17 @@ state, the recovered accelerations are **bit-for-bit identical** to the
 fault-free run's — the property ``tests/test_cross_consistency.py``
 pins.
 
+One rank program: :func:`parallel_tree_accelerations` and
+:func:`parallel_nbody_run` run the *same* program
+(:func:`_make_program`).  What differs is derived from the particle
+columns it is handed — without a velocity column nothing can move, so
+there is no drift padding of the box, no fingerprint allgather, no
+kick, and the loop ends after one force evaluation.  The rank-local
+halves of the sample sort live in :mod:`repro.core.domain`; here
+:func:`_key_and_sort` + :func:`_exchange` are steps 1–2 of the anatomy
+in ``docs/ARCHITECTURE.md``, :func:`_global_tree` steps 3–4, and
+:class:`_Traversal` steps 6–9.
+
 Multiple timesteps: :func:`parallel_nbody_run` integrates the system
 through ``n_steps`` kick–drift steps inside one SimMPI run, reusing the
 remote-cell cache across steps (entries are invalidated by branch
@@ -85,8 +96,10 @@ weights.
 from __future__ import annotations
 
 import bisect
+import math
 import tempfile
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -107,7 +120,14 @@ from .abm import ABMChannel
 from .backend import get_backend
 from .cellcache import CellCache
 from .cellserver import CellRecord, CellServer, combine_records, cover_interval, key_interval
-from .domain import merge_splitter_candidates, splitter_candidates
+from .domain import (
+    key_sort,
+    merge_splitter_candidates,
+    pick_splitters,
+    piece_bounds,
+    sample_splitters,
+    splitter_candidates,
+)
 from .keys import ROOT_KEY, BoundingBox, key_level, keys_from_positions
 from .mac import OpeningAngleMAC
 from ..obs.wallclock import bucket as _wall_bucket
@@ -125,9 +145,6 @@ __all__ = [
     "parallel_tree_accelerations",
     "parallel_nbody_run",
 ]
-
-_MIN_PKEY = 1 << 63
-_END_PKEY = 1 << 64
 
 #: Modeled flop cost of one MAC evaluation during list construction.
 FLOPS_PER_MAC_TEST = 12.0
@@ -204,8 +221,14 @@ class ParallelConfig:
     cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if self.eps < 0 or self.bucket_size < 1 or self.oversample < 1:
-            raise ValueError("invalid configuration")
+        OpeningAngleMAC(self.theta)  # the MAC owns the rule for theta
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not math.isfinite(self.G):
+            raise ValueError(f"G must be finite, got {self.G}")
+        for name in ("bucket_size", "oversample", "max_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.kernel_efficiency <= 1:
             raise ValueError("kernel_efficiency must be in (0, 1]")
         if self.eval not in ("batched", "pergroup"):
@@ -287,16 +310,9 @@ def _rec_from_wire(w: tuple) -> CellRecord:
     )
 
 
-#: Identity-keyed memo for :func:`_frame_from_wires`.  Entries keep a
-#: strong reference to their wire batches, so a cached id can never be
-#: recycled by a new object; collective semantics bound the number of
-#: wire sets live at once (ranks cannot run more than one step apart),
-#: hence the tiny capacity.
-_FRAME_MEMO: dict[tuple, tuple] = {}
-_FRAME_MEMO_CAP = 4
-
-
-def _frame_from_wires(all_wires: list) -> tuple[dict[int, int], dict[int, CellRecord]]:
+def _frame_from_wires(
+    all_wires: list, memo: dict
+) -> tuple[dict[int, int], dict[int, CellRecord]]:
     """Owners map + aggregated frame for one allgathered wire set.
 
     On a real machine every rank assembles the frame from its own copy
@@ -307,26 +323,29 @@ def _frame_from_wires(all_wires: list) -> tuple[dict[int, int], dict[int, CellRe
     are read-only after construction (the traversal only looks cells
     up), and it turns an O(P) replicated build into O(1) per rank —
     the difference between minutes and hours at P = 2560.
+
+    ``memo`` is the one-slot, identity-keyed memo the program builder
+    owns, so it dies with the run.  It keeps a strong reference to its
+    wire batches, so the cached ids cannot be recycled by new objects.
+    One slot is enough: the allgather that produces the next wire set
+    completes only after every rank has entered it, i.e. after every
+    rank has already looked this one up.
     """
     memo_key = tuple(map(id, all_wires))
-    hit = _FRAME_MEMO.get(memo_key)
-    if hit is not None:
-        return hit[1], hit[2]
-    owners: dict[int, int] = {}
-    branch_records: list[CellRecord] = []
-    for owner_rank, batch in enumerate(all_wires):
-        for w in batch:
-            rec = _rec_from_wire(w)
-            owners[rec.key] = owner_rank
-            branch_records.append(rec)
-    frame = _build_frame(branch_records, owners)
-    _FRAME_MEMO[memo_key] = (list(all_wires), owners, frame)
-    while len(_FRAME_MEMO) > _FRAME_MEMO_CAP:
-        del _FRAME_MEMO[next(iter(_FRAME_MEMO))]
-    return owners, frame
+    if memo.get("key") != memo_key:
+        owners: dict[int, int] = {}
+        branch_records: list[CellRecord] = []
+        for owner_rank, batch in enumerate(all_wires):
+            for w in batch:
+                rec = _rec_from_wire(w)
+                owners[rec.key] = owner_rank
+                branch_records.append(rec)
+        memo.update(key=memo_key, wires=list(all_wires), owners=owners,
+                    frame=_build_frame(branch_records))
+    return memo["owners"], memo["frame"]
 
 
-def _build_frame(branch_records: list[CellRecord], owners: dict[int, int]) -> dict[int, CellRecord]:
+def _build_frame(branch_records: list[CellRecord]) -> dict[int, CellRecord]:
     """Aggregate branch cells upward to the root; returns key -> record.
 
     Branch keys themselves are included; their ``children`` stay empty
@@ -367,10 +386,7 @@ def _build_frame(branch_records: list[CellRecord], owners: dict[int, int]) -> di
 class _GroupWalk:
     """One sink group's traversal state (the deferral-queue entry)."""
 
-    __slots__ = (
-        "key", "start", "stop", "com", "bmax",
-        "frontier", "waiting", "cells", "direct", "mac_tests",
-    )
+    __slots__ = ("key", "start", "stop", "com", "bmax", "frontier", "waiting", "cells", "direct")
 
     def __init__(self, key: int, start: int, stop: int, positions: np.ndarray):
         self.key = key
@@ -383,23 +399,15 @@ class _GroupWalk:
         self.waiting: list[int] = []
         self.cells: list[CellRecord] = []
         self.direct: list[CellRecord] = []
-        self.mac_tests = 0
 
-    @property
-    def blocked(self) -> bool:
-        return bool(self.waiting)
-
-    @property
-    def finished(self) -> bool:
-        return not self.frontier and not self.waiting
-
-    def advance(self, resolve, mac) -> list[int]:
-        """Walk until the frontier drains; returns keys that missed.
+    def advance(self, resolve, mac) -> int:
+        """Walk until the frontier drains; returns the MAC tests made.
 
         ``resolve(key)`` returns a CellRecord or None (non-local miss);
-        missed keys move to ``waiting`` and are retried on the next
+        missed keys are left in ``waiting`` and retried on the next
         advance (after a request round fills the cache).
         """
+        mac_tests = 0
         self.frontier.extend(self.waiting)
         self.waiting = []
         while self.frontier:
@@ -423,7 +431,7 @@ class _GroupWalk:
             bmaxes = np.array([r.bmax for r in records])
             masses = np.array([r.mass for r in records])
             ok = mac.accept(dist, bmaxes, self.bmax, masses)
-            self.mac_tests += len(records)
+            mac_tests += len(records)
             cells, direct, frontier, waiting = (
                 self.cells, self.direct, self.frontier, self.waiting
             )
@@ -439,28 +447,40 @@ class _GroupWalk:
                     # MAC wants to open it, so its real record (children
                     # or particles) must be fetched — park on it.
                     waiting.append(rec.key)
-        return list(self.waiting)
+        return mac_tests
+
+    def cell_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(com, mass, quad) of the accepted cells, in key order — the
+        order that fixes the evaluation's float sums."""
+        self.cells.sort(key=attrgetter("key"))
+        return (np.array([r.com for r in self.cells]),
+                np.array([r.mass for r in self.cells]),
+                np.array([r.quad for r in self.cells]))
+
+    def direct_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, masses) of the opened leaves' particles, in key order."""
+        self.direct.sort(key=attrgetter("key"))
+        return (np.concatenate([r.positions for r in self.direct]),
+                np.concatenate([r.masses for r in self.direct]))
 
 
-def _run_traversal(
-    comm,
-    config: ParallelConfig,
-    kb,
-    server: CellServer,
-    frame: dict[int, CellRecord],
-    owners: dict[int, int],
-    branch_keys_mine: list[int],
-    splitters: list[int],
-    pos: np.ndarray,
-    mass: np.ndarray,
-    remote_cache: CellCache,
-    branch_fps: dict[int, bytes] | None = None,
-):
-    """Tree traversal + force evaluation for one rank's particles.
+def _csr(runs: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sink starts, sink counts, source offsets) of a list of
+    ``(first sink row, sink count, source count)`` rectangles."""
+    starts, lengths, widths = np.array(list(zip(*runs)), dtype=np.int64)
+    offs = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(widths, out=offs[1:])
+    return starts, lengths, offs
 
-    A generator to be delegated from a rank program.  Returns
-    ``(acc, pot, counts, work, stats)`` where ``work`` is the measured
-    per-particle interaction flops (the weight the next step's
+
+class _Traversal:
+    """One rank's tree traversal + force evaluation over one particle set.
+
+    Construction sets up the per-rank state once (cell lookup, cache
+    admission, owner lookup, counters, one walk per sink group);
+    :meth:`run` is the generator a rank program delegates to.  It
+    returns ``(acc, pot, counts, work, stats)`` where ``work`` is the
+    measured per-particle interaction flops (the weight the next step's
     incremental rebalancing consumes) and ``stats`` the rank-local
     communication counters.
 
@@ -470,242 +490,271 @@ def _run_traversal(
     ``"blocking"`` schedules (and any cache state) produce bit-identical
     ``acc``/``pot``/``counts``.
     """
-    rank, size = comm.rank, comm.size
-    n_owned = pos.shape[0]
-    my_lo, my_hi = splitters[rank], splitters[rank + 1]
-    mac = OpeningAngleMAC(config.theta)
-    eps2 = config.eps * config.eps
-    local_records: dict[int, CellRecord] = {}
-    prefetched: set[int] = set()
-    stats: dict[str, float] = {
-        "rounds": 0, "requests": 0, "batches": 0,
-        "prefetch_rounds": 0, "prefetch_fetched": 0, "prefetch_used": 0,
-    }
 
-    # Covering-branch lookup, for stamping cache entries with the
-    # branch whose fingerprint governs their cross-step validity.
-    all_branch_keys = sorted(owners.keys(), key=lambda k: key_interval(k)[0])
-    branch_los = [key_interval(k)[0] for k in all_branch_keys]
+    def __init__(
+        self,
+        comm,
+        config: ParallelConfig,
+        kb,
+        server: CellServer,
+        frame: dict[int, CellRecord],
+        owners: dict[int, int],
+        branch_keys_mine: list[int],
+        splitters: list[int],
+        pos: np.ndarray,
+        mass: np.ndarray,
+        cache: CellCache,
+        branch_fps: dict[int, bytes] | None,
+    ):
+        self.comm = comm
+        self.config = config
+        self.kb = kb
+        self.server = server
+        self.frame = frame
+        self.owners = owners
+        self.splitters = splitters
+        self.pos = pos
+        self.mass = mass
+        self.cache = cache
+        self.branch_fps = branch_fps or {}
+        self.mac = OpeningAngleMAC(config.theta)
+        self.eps2 = config.eps * config.eps
+        # Covering-branch lookup, for stamping cache entries with the
+        # branch whose fingerprint governs their cross-step validity.
+        self.branch_keys = sorted(owners, key=lambda k: key_interval(k)[0])
+        self.branch_los = [key_interval(k)[0] for k in self.branch_keys]
+        self.prefetched: set[int] = set()
+        self.stats: dict[str, float] = {
+            "rounds": 0, "requests": 0, "batches": 0,
+            "prefetch_rounds": 0, "prefetch_fetched": 0, "prefetch_used": 0,
+        }
+        n_owned = pos.shape[0]
+        self.acc = np.zeros((n_owned, 3))
+        self.pot = np.zeros(n_owned)
+        self.work = np.zeros(n_owned)
+        self.pos3 = np.ascontiguousarray(pos.T) if n_owned else np.zeros((3, 0))
+        self.counts = InteractionCounts()
+        self.walks = [
+            _GroupWalk(k, s, e, pos) for (k, s, e) in server.leaf_groups(branch_keys_mine)
+        ]
+        self.resolve = self._make_resolve()
 
-    def covering_branch(key: int) -> int:
+    def _make_resolve(self):
+        """The walks' cell lookup: the hot inner call, so a plain closure
+        over locals rather than a method reading attributes."""
+        server, frame, owners, cache = self.server, self.frame, self.owners, self.cache
+        stats, prefetched, rank = self.stats, self.prefetched, self.comm.rank
+        my_lo, my_hi = self.splitters[rank], self.splitters[rank + 1]
+        local_records: dict[int, CellRecord] = {}
+        # Step-local alias of remote-cache hits, valid only while the cache
+        # cannot evict (unbounded).  A memo hit logs the same cache hit a
+        # direct ask would, so hit/miss counters — which benches gate on —
+        # are unchanged; only the OrderedDict/LRU bookkeeping is skipped.
+        remote_memo: dict[int, CellRecord] = {}
+        memo_remote = cache.capacity is None
+
+        def resolve(key: int) -> CellRecord | None:
+            rec = local_records.get(key)
+            if rec is not None:
+                return rec
+            rec = remote_memo.get(key)
+            if rec is not None:
+                cache.stats["hits"] += 1
+                return rec
+            ilo, ihi = key_interval(key)
+            if my_lo <= ilo and ihi <= my_hi:
+                rec = server.record(key)
+                local_records[key] = rec
+                return rec
+            if key in frame and key not in owners:
+                rec = frame[key]  # shared top: aggregated locally
+                local_records[key] = rec  # memoize: every walk re-asks
+                return rec
+            rec = cache.get(key)
+            if rec is not None:
+                if memo_remote:
+                    remote_memo[key] = rec
+                if key in prefetched:
+                    stats["prefetch_used"] += 1
+                    prefetched.discard(key)
+                return rec
+            if key in frame and owners.get(key) == rank:
+                rec = server.record(key)
+                local_records[key] = rec
+                return rec
+            if key in frame:
+                # Remote branch: its multipole is known from the
+                # allgather; if the MAC opens it, the walk will park on
+                # it and its real record arrives by request into the cache.
+                return frame[key]
+            return None
+
+        return resolve
+
+    # -- remote cells: who owns a key, serving, requesting, admitting -----
+    def owner_of(self, key: int) -> int:
         ilo, _ = key_interval(key)
-        i = bisect.bisect_right(branch_los, ilo) - 1
-        return all_branch_keys[max(i, 0)]
+        return min(bisect.bisect_right(self.splitters, ilo) - 1, self.comm.size - 1)
 
-    def admit(w: tuple) -> CellRecord:
-        rec = _rec_from_wire(w)
-        bkey = covering_branch(rec.key)
-        fp = b"" if branch_fps is None else branch_fps.get(bkey, b"")
-        remote_cache.insert(rec.key, rec, branch_key=bkey, fingerprint=fp)
-        return rec
-
-    # Step-local alias of remote-cache hits, valid only while the cache
-    # cannot evict (unbounded).  A memo hit logs the same cache hit a
-    # direct ask would, so hit/miss counters — which benches gate on —
-    # are unchanged; only the OrderedDict/LRU bookkeeping is skipped.
-    remote_memo: dict[int, CellRecord] = {}
-    memo_remote = remote_cache.capacity is None
-
-    def resolve(key: int) -> CellRecord | None:
-        rec = local_records.get(key)
-        if rec is not None:
-            return rec
-        rec = remote_memo.get(key)
-        if rec is not None:
-            remote_cache.stats["hits"] += 1
-            return rec
-        ilo, ihi = key_interval(key)
-        if my_lo <= ilo and ihi <= my_hi:
-            rec = server.record(key)
-            local_records[key] = rec
-            return rec
-        if key in frame and key not in owners:
-            rec = frame[key]  # shared top: aggregated locally
-            local_records[key] = rec  # memoize: every walk re-asks
-            return rec
-        rec = remote_cache.get(key)
-        if rec is not None:
-            if memo_remote:
-                remote_memo[key] = rec
-            if key in prefetched:
-                stats["prefetch_used"] += 1
-                prefetched.discard(key)
-            return rec
-        if key in frame and owners.get(key) == rank:
-            rec = server.record(key)
-            local_records[key] = rec
-            return rec
-        if key in frame:
-            # Remote branch: its multipole is known from the
-            # allgather; if the MAC opens it, the walk will park on
-            # it and its real record arrives by request into the cache.
-            return frame[key]
-        return None
-
-    def owner_of(key: int) -> int:
-        ilo, _ = key_interval(key)
-        return min(bisect.bisect_right(splitters, ilo) - 1, size - 1)
-
-    def serve_batch(requester: int, items: list[Any]) -> list[Any]:
+    def serve_batch(self, requester: int, items: list[Any]) -> list[Any]:
         with _wall_bucket("serialization"):
-            return [_rec_to_wire(server.record(int(k))) for k in items]
+            return [_rec_to_wire(self.server.record(int(k))) for k in items]
 
-    acc = np.zeros((n_owned, 3))
-    pot = np.zeros(n_owned)
-    work = np.zeros(n_owned)
-    counts = InteractionCounts()
-    walks = [
-        _GroupWalk(k, s, e, pos) for (k, s, e) in server.leaf_groups(branch_keys_mine)
-    ]
+    def request_lists(self, keys: set[int]) -> list[list[int]]:
+        """One sorted request batch per owner for the deduplicated
+        ``keys``, counted into the request/batch statistics."""
+        need: dict[int, list[int]] = {}
+        for k in keys:
+            need.setdefault(self.owner_of(k), []).append(k)
+        reqs: list[list[int]] = [[] for _ in range(self.comm.size)]
+        for owner, ks in need.items():
+            reqs[owner] = sorted(ks)
+        self.stats["requests"] += len(keys)
+        self.stats["batches"] += len(need)
+        return reqs
 
-    def evaluate(walk: _GroupWalk) -> tuple[float, float]:
-        """Evaluate a completed walk's interaction lists; returns the
+    def admit(self, replies: list) -> list[CellRecord]:
+        """Insert every replied wire record into the cache, stamped with
+        its covering branch's fingerprint; returns the records."""
+        admitted = []
+        for batch in replies:
+            for w in batch or ():
+                rec = _rec_from_wire(w)
+                ilo, _ = key_interval(rec.key)
+                i = bisect.bisect_right(self.branch_los, ilo) - 1
+                bkey = self.branch_keys[max(i, 0)]
+                self.cache.insert(rec.key, rec, branch_key=bkey,
+                                  fingerprint=self.branch_fps.get(bkey, b""))
+                admitted.append(rec)
+        return admitted
+
+    def charge(self, label: str, flops: float, mem_bytes: float = 0.0):
+        """One labeled compute span at the kernel efficiency."""
+        return self.comm.compute(
+            flops=flops, mem_bytes=mem_bytes,
+            flop_efficiency=self.config.kernel_efficiency, label=label,
+        )
+
+    # -- force evaluation of completed walks ---------------------------------
+    def tally(self, walk: _GroupWalk, n_cells: int, n_direct: int) -> tuple[float, float]:
+        """Book one completed walk against ``n_cells`` cell and
+        ``n_direct`` particle sources: interaction counts, per-particle
+        work, and the potential's self-energy correction.  Returns the
         (flops, bytes) to charge the cost model."""
-        sinks = pos[walk.start:walk.stop]
-        ns = sinks.shape[0]
-        counts.groups += 1
-        flops = 0.0
-        mem = 0.0
-        if walk.cells:
-            walk.cells.sort(key=lambda r: r.key)
-            c_com = np.array([r.com for r in walk.cells])
-            c_mass = np.array([r.mass for r in walk.cells])
-            c_quad = np.array([r.quad for r in walk.cells])
-            a, p = kb.eval_cells_dense(sinks, c_com, c_mass, c_quad, eps2, config.G)
-            acc[walk.start:walk.stop] += a
-            pot[walk.start:walk.stop] += p
-            counts.p2c += ns * len(walk.cells)
-            work[walk.start:walk.stop] += len(walk.cells) * FLOPS_PER_CELL_INTERACTION
-            flops += ns * len(walk.cells) * FLOPS_PER_CELL_INTERACTION
-            mem += ns * len(walk.cells) * 80.0
-        if walk.direct:
-            walk.direct.sort(key=lambda r: r.key)
-            src_pos = np.concatenate([r.positions for r in walk.direct])
-            src_mass = np.concatenate([r.masses for r in walk.direct])
-            a, p = kb.eval_direct_dense(sinks, src_pos, src_mass, eps2, config.G)
-            acc[walk.start:walk.stop] += a
-            pot[walk.start:walk.stop] += p
-            counts.p2p += ns * src_pos.shape[0]
-            work[walk.start:walk.stop] += src_pos.shape[0] * FLOPS_PER_INTERACTION
-            flops += ns * src_pos.shape[0] * FLOPS_PER_INTERACTION
-            mem += ns * src_pos.shape[0] * 32.0
-            if eps2 > 0:
-                pot[walk.start:walk.stop] += config.G * mass[walk.start:walk.stop] / config.eps
+        ns = walk.stop - walk.start
+        own = slice(walk.start, walk.stop)
+        self.counts.groups += 1
+        self.counts.p2c += ns * n_cells
+        self.counts.p2p += ns * n_direct
+        per_sink = n_cells * FLOPS_PER_CELL_INTERACTION + n_direct * FLOPS_PER_INTERACTION
+        self.work[own] += per_sink
+        if n_direct and self.eps2 > 0:
+            # The direct kernels include each sink's softened self-pair;
+            # remove the self-energy -G m / eps it adds to the potential.
+            self.pot[own] += self.config.G * self.mass[own] / self.config.eps
+        return ns * per_sink, ns * (n_cells * 80.0 + n_direct * 32.0)
+
+    def evaluate_pergroup(self, ready: list[_GroupWalk]) -> tuple[float, float]:
+        """The historical one-dense-call-per-group evaluator, kept as the
+        differential reference for :meth:`evaluate_batch`."""
+        kb, eps2, G = self.kb, self.eps2, self.config.G
+        flops = mem = 0.0
+        for walk in ready:
+            own = slice(walk.start, walk.stop)
+            sinks = self.pos[own]
+            n_direct = 0
+            if walk.cells:
+                a, p = kb.eval_cells_dense(sinks, *walk.cell_sources(), eps2, G)
+                self.acc[own] += a
+                self.pot[own] += p
+            if walk.direct:
+                src_pos, src_mass = walk.direct_sources()
+                n_direct = src_pos.shape[0]
+                a, p = kb.eval_direct_dense(sinks, src_pos, src_mass, eps2, G)
+                self.acc[own] += a
+                self.pot[own] += p
+            f, m = self.tally(walk, len(walk.cells), n_direct)
+            flops += f
+            mem += m
         return flops, mem
 
-    pos3_owned = np.ascontiguousarray(pos.T) if n_owned else np.zeros((3, 0))
-
-    def evaluate_batch(ready: list[_GroupWalk]) -> tuple[float, float]:
+    def evaluate_batch(self, ready: list[_GroupWalk]) -> tuple[float, float]:
         """Evaluate a batch of completed walks as flat CSR rectangles:
         one cell and one direct kernel call for the whole batch.
 
-        Identical bookkeeping (counts, per-particle work, flop/byte
-        charges) to the per-group path.  A rectangle's per-sink result
-        is independent of the batch it is evaluated in (backend
-        contract), and each sink group completes in exactly one batch,
-        so accelerations stay bit-identical across comm schedules,
-        cache states, and round boundaries — the same invariant the
-        per-group path has.
+        A rectangle's per-sink result is independent of the batch it is
+        evaluated in (backend contract), and each sink group completes
+        in exactly one batch, so accelerations stay bit-identical across
+        comm schedules, cache states, and round boundaries — the same
+        invariant the per-group path has.
         """
-        flops = 0.0
-        mem = 0.0
-        c_starts: list[int] = []
-        c_counts: list[int] = []
-        c_widths: list[int] = []
-        com_parts: list[np.ndarray] = []
-        mass_parts: list[np.ndarray] = []
-        quad_parts: list[np.ndarray] = []
-        d_starts: list[int] = []
-        d_counts: list[int] = []
-        d_widths: list[int] = []
-        src_pos_parts: list[np.ndarray] = []
-        src_mass_parts: list[np.ndarray] = []
+        flops = mem = 0.0
+        # One (first sink row, sink count, source count) run per rectangle.
+        cell_runs: list[tuple[int, int, int]] = []
+        direct_runs: list[tuple[int, int, int]] = []
+        cell_parts: list[tuple] = []
+        direct_parts: list[tuple] = []
         for walk in ready:
             ns = walk.stop - walk.start
-            counts.groups += 1
+            n_direct = 0
             if walk.cells:
-                walk.cells.sort(key=lambda r: r.key)
-                nc = len(walk.cells)
-                com_parts.append(np.array([r.com for r in walk.cells]))
-                mass_parts.append(np.array([r.mass for r in walk.cells]))
-                quad_parts.append(np.array([r.quad for r in walk.cells]))
-                c_starts.append(walk.start)
-                c_counts.append(ns)
-                c_widths.append(nc)
-                counts.p2c += ns * nc
-                work[walk.start:walk.stop] += nc * FLOPS_PER_CELL_INTERACTION
-                flops += ns * nc * FLOPS_PER_CELL_INTERACTION
-                mem += ns * nc * 80.0
+                cell_parts.append(walk.cell_sources())
+                cell_runs.append((walk.start, ns, len(walk.cells)))
             if walk.direct:
-                walk.direct.sort(key=lambda r: r.key)
-                sp = np.concatenate([r.positions for r in walk.direct])
-                sm = np.concatenate([r.masses for r in walk.direct])
-                src_pos_parts.append(sp)
-                src_mass_parts.append(sm)
-                d_starts.append(walk.start)
-                d_counts.append(ns)
-                d_widths.append(sp.shape[0])
-                counts.p2p += ns * sp.shape[0]
-                work[walk.start:walk.stop] += sp.shape[0] * FLOPS_PER_INTERACTION
-                flops += ns * sp.shape[0] * FLOPS_PER_INTERACTION
-                mem += ns * sp.shape[0] * 32.0
-                if eps2 > 0:
-                    # The rectangle includes each sink's softened
-                    # self-pair (same as the dense kernel); remove the
-                    # self-energy -G m / eps it adds to the potential.
-                    pot[walk.start:walk.stop] += config.G * mass[walk.start:walk.stop] / config.eps
-        if c_starts:
-            com3 = np.ascontiguousarray(np.concatenate(com_parts).T)
-            cmass = np.ascontiguousarray(np.concatenate(mass_parts))
-            quad6 = np.ascontiguousarray(np.concatenate(quad_parts).T)
-            offs = np.zeros(len(c_widths) + 1, dtype=np.int64)
-            np.cumsum(c_widths, out=offs[1:])
-            kb.eval_cell_rects(
-                pos3_owned,
-                np.asarray(c_starts, dtype=np.int64),
-                np.asarray(c_counts, dtype=np.int64),
-                offs, np.arange(offs[-1], dtype=np.int64),
-                com3, cmass, quad6, eps2, config.G, acc, pot, DEFAULT_PAIR_CHUNK,
+                direct_parts.append(walk.direct_sources())
+                n_direct = direct_parts[-1][0].shape[0]
+                direct_runs.append((walk.start, ns, n_direct))
+            f, m = self.tally(walk, len(walk.cells), n_direct)
+            flops += f
+            mem += m
+        tail = (self.eps2, self.config.G, self.acc, self.pot, DEFAULT_PAIR_CHUNK)
+        if cell_parts:
+            com, cmass, quad = (np.concatenate(part) for part in zip(*cell_parts))
+            starts, lengths, offs = _csr(cell_runs)
+            self.kb.eval_cell_rects(
+                self.pos3, starts, lengths, offs, np.arange(offs[-1], dtype=np.int64),
+                np.ascontiguousarray(com.T), np.ascontiguousarray(cmass),
+                np.ascontiguousarray(quad.T), *tail,
             )
-        if d_starts:
-            spool = np.concatenate(src_pos_parts)
+        if direct_parts:
+            src_pos, src_mass = (np.concatenate(part) for part in zip(*direct_parts))
+            starts, lengths, offs = _csr(direct_runs)
             # Sources live after the rank's own particles in the pool;
             # sink rows stay < n_owned, so writes into acc/pot are safe.
-            pos3_all = np.ascontiguousarray(np.concatenate([pos, spool]).T)
-            mass_all = np.concatenate([mass, np.concatenate(src_mass_parts)])
-            offs = np.zeros(len(d_widths) + 1, dtype=np.int64)
-            np.cumsum(d_widths, out=offs[1:])
-            src_ids = n_owned + np.arange(offs[-1], dtype=np.int64)
-            kb.eval_direct_rects(
-                pos3_all, mass_all,
-                np.asarray(d_starts, dtype=np.int64),
-                np.asarray(d_counts, dtype=np.int64),
-                offs, src_ids, eps2, config.G, acc, pot, DEFAULT_PAIR_CHUNK,
+            src_ids = self.pos.shape[0] + np.arange(offs[-1], dtype=np.int64)
+            self.kb.eval_direct_rects(
+                np.ascontiguousarray(np.concatenate([self.pos, src_pos]).T),
+                np.concatenate([self.mass, src_mass]),
+                starts, lengths, offs, src_ids, *tail,
             )
         return flops, mem
 
-    def evaluate_many(ready: list[_GroupWalk]):
+    def evaluate_many(self, ready: list[_GroupWalk]):
         """Generator charging one labeled compute span for a batch of
         completed walks — the overlap work of an async round."""
-        if config.eval == "batched":
-            flops, mem = evaluate_batch(ready)
-        else:
-            flops = 0.0
-            mem = 0.0
-            for walk in ready:
-                f, m = evaluate(walk)
-                flops += f
-                mem += m
+        evaluate = self.evaluate_batch if self.config.eval == "batched" else self.evaluate_pergroup
+        flops, mem = evaluate(ready)
         if flops:
-            yield comm.compute(
-                flops=flops,
-                mem_bytes=mem,
-                flop_efficiency=config.kernel_efficiency,
-                label="force",
-            )
-        return None
+            yield self.charge("force", flops, mem)
 
-    def prefetch_boundary():
+    # -- schedules -----------------------------------------------------------
+    def advance_round(self, pending: list[_GroupWalk]):
+        """Advance every pending walk as far as local data allows and
+        charge the MAC tests; returns ``(still, ready)`` — the walks now
+        parked on missing keys (their ``waiting`` lists) and the walks
+        that completed."""
+        still: list[_GroupWalk] = []
+        ready: list[_GroupWalk] = []
+        mac_tests = 0
+        resolve, mac = self.resolve, self.mac
+        for walk in pending:
+            mac_tests += walk.advance(resolve, mac)
+            (still if walk.waiting else ready).append(walk)
+        if mac_tests:
+            yield self.charge("traversal", mac_tests * FLOPS_PER_MAC_TEST)
+        return still, ready
+
+    def prefetch_boundary(self):
         """Locally-essential-tree prefetch (async schedule only).
 
         MAC-tests remote cells against the *whole local domain* —
@@ -719,18 +768,17 @@ def _run_traversal(
         anything it misses is fetched by the main loop, so accuracy
         affects only timing, never results.
         """
-        if n_owned:
+        comm, cache, stats, pos = self.comm, self.cache, self.stats, self.pos
+        if pos.shape[0]:
             center = pos.mean(axis=0)
             radius = float(np.linalg.norm(pos - center, axis=1).max())
         else:
             center = np.zeros(3)
             radius = 0.0
-        inv_theta = 1.0 / config.theta
-        frontier = [frame[k] for k in all_branch_keys if owners[k] != rank]
-        wave = 0
-        while wave < config.prefetch_rounds:
-            need: dict[int, list[int]] = {}
-            seen: set[int] = set()
+        inv_theta = 1.0 / self.config.theta
+        frontier = [self.frame[k] for k in self.branch_keys if self.owners[k] != comm.rank]
+        for wave in range(1, self.config.prefetch_rounds + 1):
+            want: set[int] = set()
             tests = 0
             next_frontier: list[CellRecord] = []
             for rec in frontier:
@@ -741,250 +789,220 @@ def _run_traversal(
                 if dist - radius > rec.bmax * inv_theta:
                     continue  # every local group's MAC accepts it
                 if rec.is_leaf:
-                    if rec.positions is None and remote_cache.peek(rec.key) is None:
-                        if rec.key not in seen:
-                            seen.add(rec.key)
-                            need.setdefault(owner_of(rec.key), []).append(rec.key)
+                    if rec.positions is None and cache.peek(rec.key) is None:
+                        want.add(rec.key)
                     continue
                 for ck in rec.children:
-                    crec = remote_cache.peek(ck)
+                    crec = cache.peek(ck)
                     if crec is not None:
                         next_frontier.append(crec)
-                    elif ck not in seen:
-                        seen.add(ck)
-                        need.setdefault(owner_of(ck), []).append(ck)
+                    else:
+                        want.add(ck)
             if tests:
-                yield comm.compute(
-                    flops=tests * FLOPS_PER_MAC_TEST,
-                    flop_efficiency=config.kernel_efficiency,
-                    label="prefetch",
-                )
-            n_need = sum(len(v) for v in need.values())
-            total = yield from mpi_patterns.allreduce(comm, n_need)
+                yield self.charge("prefetch", tests * FLOPS_PER_MAC_TEST)
+            total = yield from mpi_patterns.allreduce(comm, len(want))
             if total == 0:
                 break
-            reqs: list[list[int]] = [[] for _ in range(size)]
-            for owner, ks in need.items():
-                reqs[owner] = sorted(ks)
-            stats["requests"] += len(seen)
-            stats["batches"] += sum(1 for r in reqs if r)
             replies, _ = yield from batched_request_reply(
-                comm, reqs, serve_batch, tag=_FETCH_TAG + 10
+                comm, self.request_lists(want), self.serve_batch, tag=_FETCH_TAG + 10
             )
-            for batch in replies:
-                if batch:
-                    for w in batch:
-                        rec = admit(w)
-                        prefetched.add(rec.key)
-                        stats["prefetch_fetched"] += 1
-                        next_frontier.append(rec)
-            frontier = next_frontier
-            wave += 1
+            fetched = self.admit(replies)
+            self.prefetched.update(rec.key for rec in fetched)
+            stats["prefetch_fetched"] += len(fetched)
+            frontier = next_frontier + fetched
             stats["prefetch_rounds"] = wave
 
-    def traverse_async():
+    def traverse_async(self):
         """Latency-hiding main loop: per-owner deduplicated request
         batches in flight while completed walks evaluate their forces."""
-        pending = list(walks)
-        ready: list[_GroupWalk] = []
-        rounds = 0
-        while True:
-            still: list[_GroupWalk] = []
-            walk_flops = 0.0
-            need: dict[int, list[int]] = {}
-            requested: set[int] = set()
-            for walk in pending:
-                missing = walk.advance(resolve, mac)
-                walk_flops += walk.mac_tests * FLOPS_PER_MAC_TEST
-                walk.mac_tests = 0
-                if missing:
-                    for k in missing:
-                        if k not in requested:
-                            requested.add(k)
-                            need.setdefault(owner_of(k), []).append(k)
-                    still.append(walk)
-                else:
-                    ready.append(walk)
-            if walk_flops:
-                yield comm.compute(
-                    flops=walk_flops,
-                    flop_efficiency=config.kernel_efficiency,
-                    label="traversal",
-                )
-            blocked = yield from mpi_patterns.allreduce(comm, len(still))
+        pending = self.walks
+        for rounds in range(1, self.config.max_rounds + 2):
+            pending, ready = yield from self.advance_round(pending)
+            blocked = yield from mpi_patterns.allreduce(self.comm, len(pending))
             if blocked == 0:
-                yield from evaluate_many(ready)
-                break
-            reqs: list[list[int]] = [[] for _ in range(size)]
-            for owner, ks in need.items():
-                reqs[owner] = sorted(ks)
-            stats["requests"] += len(requested)
-            stats["batches"] += sum(1 for r in reqs if r)
+                yield from self.evaluate_many(ready)
+                return
+            missing = {k for walk in pending for k in walk.waiting}
             replies, _ = yield from batched_request_reply(
-                comm, reqs, serve_batch,
-                overlap=evaluate_many(ready), tag=_FETCH_TAG,
+                self.comm, self.request_lists(missing), self.serve_batch,
+                overlap=self.evaluate_many(ready), tag=_FETCH_TAG,
             )
-            ready = []
-            for batch in replies:
-                if batch:
-                    for w in batch:
-                        admit(w)
-            pending = still
-            rounds += 1
-            stats["rounds"] = rounds
-            if rounds > config.max_rounds:
-                raise RuntimeError(
-                    "traversal did not converge; request round limit hit"
-                )
+            self.admit(replies)
+            self.stats["rounds"] = rounds
+        raise RuntimeError("traversal did not converge; request round limit hit")
 
-    def traverse_blocking():
+    def traverse_blocking(self):
         """Bulk-synchronous ABM reference: alltoall request/reply rounds
         with all force evaluation after the exchange (the pre-PR-5
         schedule, kept for differential testing)."""
-        abm = ABMChannel(comm, serve_batch)
-        pending = list(walks)
-        rounds = 0
-        while True:
-            still: list[_GroupWalk] = []
-            walk_flops = 0.0
-            ready: list[_GroupWalk] = []
+        abm = ABMChannel(self.comm, self.serve_batch)
+        pending = self.walks
+        for _ in range(self.config.max_rounds + 1):
+            pending, ready = yield from self.advance_round(pending)
             for walk in pending:
-                missing = walk.advance(resolve, mac)
-                walk_flops += walk.mac_tests * FLOPS_PER_MAC_TEST
-                walk.mac_tests = 0
-                if missing:
-                    for k in set(missing):
-                        abm.request(owner_of(k), k)
-                    still.append(walk)
-                else:
-                    ready.append(walk)
-            if walk_flops:
-                yield comm.compute(
-                    flops=walk_flops,
-                    flop_efficiency=config.kernel_efficiency,
-                    label="traversal",
-                )
-            yield from evaluate_many(ready)
-            done = yield from abm.globally_done(len(still))
+                # Per walk, not deduplicated across walks: the reference
+                # sends what the pre-PR-5 code sent, byte for byte.
+                for k in set(walk.waiting):
+                    abm.request(self.owner_of(k), k)
+            yield from self.evaluate_many(ready)
+            done = yield from abm.globally_done(len(pending))
             if done:
-                break
-            replies = yield from abm.exchange()
-            for batch in replies:
-                for w in batch:
-                    admit(w)
-            pending = still
-            rounds += 1
-            if rounds > config.max_rounds:
-                raise RuntimeError("traversal did not converge; ABM round limit hit")
-        stats["rounds"] = abm.rounds
-        stats["requests"] = abm.requests_sent
+                self.stats["rounds"] = abm.rounds
+                self.stats["requests"] = abm.requests_sent
+                return
+            self.admit((yield from abm.exchange()))
+        raise RuntimeError("traversal did not converge; ABM round limit hit")
 
-    if config.comm == "async":
-        if config.prefetch and size > 1:
-            yield from prefetch_boundary()
-        yield from traverse_async()
-    else:
-        yield from traverse_blocking()
-    return acc, pot, counts, work, stats
+    def run(self):
+        if self.config.comm == "async":
+            if self.config.prefetch and self.comm.size > 1:
+                yield from self.prefetch_boundary()
+            yield from self.traverse_async()
+        else:
+            yield from self.traverse_blocking()
+        return self.acc, self.pot, self.counts, self.work, self.stats
 
 
-def _cache_stats(remote_cache: CellCache) -> dict[str, int]:
-    return {f"cache_{k}": v for k, v in remote_cache.snapshot_stats().items()}
+def _sort_cost(comm, n: int, label: str):
+    """Modeled cost of sorting ``n`` keyed particles."""
+    return comm.compute(flops=30.0 * n * max(np.log2(max(n, 2)), 1.0),
+                        mem_bytes=48.0 * n, label=label)
+
+
+def _bounding_box(comm, cols: dict[str, np.ndarray], n_steps: int, dt: float):
+    """Global bounding box by reduction, fixed for the whole run.
+
+    Keys from different steps must live in one namespace (the cache is
+    keyed by them), so when the particles can move the box is padded
+    for the expected drift.  A particle escaping the padded box raises
+    from key assignment — enlarge the pad via shorter runs or smaller
+    dt rather than silently re-keying.
+    """
+    pos = cols["pos"]
+    n_local = pos.shape[0]
+    lo = pos.min(axis=0) if n_local else np.full(3, np.inf)
+    hi = pos.max(axis=0) if n_local else np.full(3, -np.inf)
+    glo = yield from mpi_patterns.allreduce(comm, lo, op=MPI_MIN)
+    ghi = yield from mpi_patterns.allreduce(comm, hi, op=MPI_MAX)
+    span = float((ghi - glo).max())
+    span = span if span > 0 else 1.0
+    if "vel" not in cols:
+        return BoundingBox(glo - 1e-6 * span, span * (1.0 + 2e-6))
+    vmax_l = float(np.linalg.norm(cols["vel"], axis=1).max()) if n_local else 0.0
+    vmax = yield from mpi_patterns.allreduce(comm, vmax_l, op=MPI_MAX)
+    pad = 2.0 * vmax * abs(dt) * n_steps + 0.125 * span
+    return BoundingBox(glo - pad, span + 2.0 * pad)
+
+
+def _key_and_sort(comm, cols: dict[str, np.ndarray], box: BoundingBox):
+    """Step 1: key this rank's particles in ``box`` and sort every
+    column along the curve.  Returns the columns, ``keys`` first."""
+    pos = cols["pos"]
+    n_local = pos.shape[0]
+    keys = keys_from_positions(pos, box) if n_local else np.empty(0, dtype=np.uint64)
+    names = [name for name in cols if name != "keys"]
+    columns = key_sort(keys, *(cols[name] for name in names))
+    yield _sort_cost(comm, n_local, "key-sort")
+    return dict(zip(("keys", *names), columns))
+
+
+def _exchange(comm, cols: dict[str, np.ndarray], splitters: list[int]):
+    """Step 2: alltoall every particle to the rank owning its key, then
+    restore key order.  ``cols`` must be sorted by key."""
+    size = comm.size
+    bounds = piece_bounds(cols["keys"], splitters)
+    sendbuf = [
+        {name: a[bounds[d]:bounds[d + 1]] for name, a in cols.items()} for d in range(size)
+    ]
+    received = yield comm.alltoall(
+        sendbuf, nbytes=sum(a.nbytes for a in cols.values()) + 8 * (len(cols) + 1) * size
+    )
+    names = list(cols)
+    columns = key_sort(*(np.concatenate([r[name] for r in received]) for name in names))
+    yield _sort_cost(comm, columns[0].shape[0], "exchange-sort")
+    return dict(zip(names, columns))
+
+
+def _global_tree(comm, config: ParallelConfig, cols, box, splitters, frame_memo: dict):
+    """Steps 3–4: this rank's :class:`CellServer` and branch cells, then
+    the allgather that gives every rank the shared frame.
+
+    Returns ``(server, my branch keys, owners, frame, branch_fps)``;
+    ``branch_fps`` (branch key -> data fingerprint, the cache's validity
+    stamps) is gathered only when the particles can move, else ``None``.
+    """
+    rank = comm.rank
+    n_owned = cols["keys"].shape[0]
+    server = CellServer(cols["keys"], cols["pos"], cols["mass"], box,
+                        bucket_size=config.bucket_size)
+    my_lo, my_hi = splitters[rank], splitters[rank + 1]
+    branches = []
+    if my_hi > my_lo:
+        for bk in cover_interval(my_lo, my_hi):
+            rec = server.record(bk, with_particles=False)
+            if rec.count > 0:
+                branches.append(rec)
+    yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned, label="tree-build")
+    all_wires = yield from mpi_patterns.allgather(comm, [_rec_to_wire(b) for b in branches])
+    branch_fps = None
+    if "vel" in cols:
+        fps_mine = [(b.key, server.branch_fingerprint(b.key)) for b in branches]
+        all_fps = yield from mpi_patterns.allgather(comm, fps_mine)
+        branch_fps = {k: fp for batch in all_fps for (k, fp) in batch}
+    owners, frame = _frame_from_wires(all_wires, frame_memo)
+    return server, [b.key for b in branches], owners, frame, branch_fps
 
 
 def _make_program(
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    chunks: list[dict[str, np.ndarray]],
     config: ParallelConfig,
+    n_steps: int = 1,
+    dt: float = 0.0,
+    cache_across_steps: bool = True,
+    rebalance: bool = True,
     ckpt: "Checkpointer | None" = None,
 ):
     """Build the SPMD rank program closure over the scattered input.
+
+    One SimMPI program covers all steps, so the remote-cell cache, the
+    splitters, and the virtual clocks persist across timesteps — the
+    regime the HOT cache and incremental rebalancing were built for.
+    Chunks without a ``vel`` column cannot move: the program then is
+    the single force evaluation (see the module docstring).
 
     With a checkpointer, the program dumps its post-exchange particle
     state (the recovery point) and, when handed a restored snapshot,
     skips straight past decomposition to the traversal.
     """
+    frame_memo: dict = {}
 
     def program(comm):
         rank, size = comm.rank, comm.size
         kb = get_backend(config.backend)
+        cols = chunks[rank]
         snap = ckpt.restored(rank) if ckpt is not None else None
         if snap is not None:
-            # -- restart: resume the step from the committed checkpoint --
-            keys = snap["keys"]
-            pos = snap["pos"]
-            mass = snap["mass"]
-            ids = snap["ids"]
-            n_owned = keys.shape[0]
+            # -- restart: resume from the committed checkpoint ------------
+            cols = {name: snap[name] for name in ("keys", *cols)}
             splitters = [int(s) for s in snap.meta["splitters"]]
             box = BoundingBox(np.asarray(snap.meta["box_corner"]), snap.meta["box_size"])
-            nbytes = keys.nbytes + pos.nbytes + mass.nbytes + ids.nbytes
             # Reading the dump back from local disk costs real time.
+            nbytes = sum(a.nbytes for a in cols.values())
             yield comm.elapse(ckpt.dump_time_s(nbytes), label="checkpoint-restore")
         else:
-            my_pos, my_mass, my_ids = chunks[rank]
-            n_local = my_pos.shape[0]
-
-            # -- global bounding box by reduction --------------------------
-            lo = my_pos.min(axis=0) if n_local else np.full(3, np.inf)
-            hi = my_pos.max(axis=0) if n_local else np.full(3, -np.inf)
-            glo = yield from mpi_patterns.allreduce(comm, lo, op=MPI_MIN)
-            ghi = yield from mpi_patterns.allreduce(comm, hi, op=MPI_MAX)
-            span = float((ghi - glo).max())
-            span = span if span > 0 else 1.0
-            box = BoundingBox(glo - 1e-6 * span, span * (1.0 + 2e-6))
-
-            # -- key assignment and local sort ------------------------------
-            keys = keys_from_positions(my_pos, box) if n_local else np.empty(0, dtype=np.uint64)
-            order = np.argsort(keys, kind="stable")
-            keys, pos, mass, ids = keys[order], my_pos[order], my_mass[order], my_ids[order]
-            yield comm.compute(flops=30.0 * n_local * max(np.log2(max(n_local, 2)), 1.0),
-                               mem_bytes=48.0 * n_local, label="key-sort")
-
-            # -- splitter agreement (sample sort) ---------------------------
-            if n_local:
-                k = min(n_local, config.oversample * size)
-                sample = keys[np.linspace(0, n_local - 1, k).astype(np.int64)]
-            else:
-                sample = np.empty(0, dtype=np.uint64)
-            all_samples = yield from mpi_patterns.allgather(comm, sample)
-            merged = np.sort(np.concatenate([s for s in all_samples if s.size]))
-            if merged.size == 0:
-                raise RuntimeError("no particles anywhere")
-            picks = (np.arange(1, size) * merged.size) // size
-            splitters = [int(_MIN_PKEY)] + [int(merged[p]) for p in picks] + [int(_END_PKEY)]
-            # Enforce monotonicity (duplicate samples give empty ranges).
-            for i in range(1, len(splitters)):
-                splitters[i] = max(splitters[i], splitters[i - 1])
-
-            # -- particle exchange ------------------------------------------
-            bounds = np.searchsorted(keys, np.array(splitters[1:-1], dtype=np.uint64), side="left")
-            bounds = np.concatenate([[0], bounds, [n_local]]).astype(np.int64)
-            sendbuf = [
-                (keys[bounds[d]:bounds[d + 1]], pos[bounds[d]:bounds[d + 1]],
-                 mass[bounds[d]:bounds[d + 1]], ids[bounds[d]:bounds[d + 1]])
-                for d in range(size)
-            ]
-            received = yield comm.alltoall(
-                sendbuf,
-                nbytes=keys.nbytes + pos.nbytes + mass.nbytes + ids.nbytes + 40 * size,
-            )
-            keys = np.concatenate([r[0] for r in received])
-            pos = np.concatenate([r[1] for r in received]) if keys.size else np.empty((0, 3))
-            mass = np.concatenate([r[2] for r in received])
-            ids = np.concatenate([r[3] for r in received])
-            order = np.argsort(keys, kind="stable")
-            keys, pos, mass, ids = keys[order], pos[order], mass[order], ids[order]
-            n_owned = keys.shape[0]
-            yield comm.compute(flops=30.0 * n_owned * max(np.log2(max(n_owned, 2)), 1.0),
-                               mem_bytes=48.0 * n_owned, label="exchange-sort")
-
+            # -- initial decomposition: sample sort + exchange ------------
+            box = yield from _bounding_box(comm, cols, n_steps, dt)
+            cols = yield from _key_and_sort(comm, cols, box)
+            sample = sample_splitters(cols["keys"], size, config.oversample)
+            splitters = pick_splitters((yield from mpi_patterns.allgather(comm, sample)), size)
+            cols = yield from _exchange(comm, cols, splitters)
             if ckpt is not None:
                 # The decomposition is the state worth protecting: dump
                 # it the moment it exists (gated by the configured
                 # interval), so a crash only ever repeats the traversal.
                 yield from ckpt.save(
                     comm,
-                    {"keys": keys, "pos": pos, "mass": mass, "ids": ids},
+                    cols,
                     meta={
                         "phase": "post-exchange",
                         "splitters": [int(s) for s in splitters],
@@ -993,52 +1011,153 @@ def _make_program(
                     },
                 )
 
-        # -- server, branches, frame -------------------------------------
-        server = CellServer(keys, pos, mass, box, bucket_size=config.bucket_size)
-        my_lo, my_hi = splitters[rank], splitters[rank + 1]
-        branches = []
-        if my_hi > my_lo:
-            for bk in cover_interval(my_lo, my_hi):
-                rec = server.record(bk, with_particles=False)
-                if rec.count > 0:
-                    branches.append(rec)
-        yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned,
-                           label="tree-build")
-
-        wires = [_rec_to_wire(b) for b in branches]
-        all_wires = yield from mpi_patterns.allgather(comm, wires)
-        branch_keys_mine: list[int] = [b.key for b in branches]
-        owners, frame = _frame_from_wires(all_wires)
-
-        # -- traversal + evaluation ---------------------------------------
         remote_cache = CellCache(config.cache_capacity)
-        acc, pot, counts, _work, stats = yield from _run_traversal(
-            comm, config, kb, server, frame, owners, branch_keys_mine,
-            splitters, pos, mass, remote_cache,
-        )
-        stats.update(_cache_stats(remote_cache))
+        counts_total = InteractionCounts()
+        stats_total: dict[str, float] = {}
+        step_outs: list[dict[str, np.ndarray]] = []
+        step_work: list[float] = []
+        for step in range(n_steps):
+            server, branch_keys_mine, owners, frame, branch_fps = yield from _global_tree(
+                comm, config, cols, box, splitters, frame_memo)
+            if branch_fps is not None:
+                # -- step 5: cache carry-over ------------------------------
+                if cache_across_steps:
+                    remote_cache.retain_valid(branch_fps)
+                else:
+                    remote_cache.clear()
+            acc, pot, counts, work, stats = yield from _Traversal(
+                comm, config, kb, server, frame, owners, branch_keys_mine, splitters,
+                cols["pos"], cols["mass"], remote_cache, branch_fps,
+            ).run()
+            counts_total = counts_total.merged(counts)
+            for k, v in stats.items():
+                stats_total[k] = stats_total.get(k, 0.0) + float(v)
+            step_outs.append({"ids": cols["ids"], "acc": acc, "pot": pot})
+            step_work.append(float(work.sum()))
+            if "vel" not in cols:
+                break  # nothing can move: one force evaluation is the run
+
+            # -- kick + drift (symplectic Euler) --------------------------
+            n_owned = cols["keys"].shape[0]
+            cols["vel"] = cols["vel"] + acc * dt
+            cols["pos"] = cols["pos"] + cols["vel"] * dt
+            yield comm.compute(flops=12.0 * n_owned, mem_bytes=96.0 * n_owned,
+                               label="integrate")
+            if step == n_steps - 1:
+                break
+
+            # -- incremental work-weighted rebalancing --------------------
+            # Uses the interaction work just measured, while keys are
+            # still the pre-drift ones the work was measured against.
+            if rebalance and size > 1:
+                totals = yield from mpi_patterns.allgather(comm, float(work.sum()))
+                props = splitter_candidates(cols["keys"], work, float(sum(totals[:rank])),
+                                            float(sum(totals)), size)
+                all_props = yield from mpi_patterns.allgather(comm, props)
+                splitters = merge_splitter_candidates(splitters, list(all_props))
+
+            # -- re-key (fixed box) and migrate to owners -----------------
+            cols = yield from _key_and_sort(comm, cols, box)
+            cols = yield from _exchange(comm, cols, splitters)
+
+        for k, v in remote_cache.snapshot_stats().items():
+            stats_total[f"cache_{k}"] = v
         return {
-            "ids": ids,
-            "acc": acc,
-            "pot": pot,
-            "counts": (counts.p2p, counts.p2c, counts.groups),
-            "comm": stats,
+            "ids": cols["ids"],
+            "pos": cols["pos"],
+            "vel": cols.get("vel"),
+            "steps": step_outs,
+            "counts": (counts_total.p2p, counts_total.p2c, counts_total.groups),
+            "comm": stats_total,
+            "step_work": step_work,
         }
 
     return program
 
 
-def _aggregate_comm(returns, observer: "Recorder | None" = None) -> dict[str, float]:
-    """Sum the per-rank ``comm`` stat dicts; optionally publish them as
-    ``treecode.comm.*`` counters on the observer."""
-    total: dict[str, float] = {}
-    for ret in returns:
-        for k, v in (ret.get("comm") or {}).items():
-            total[k] = total.get(k, 0.0) + float(v)
+def _scatter_input(positions, masses, velocities, n_ranks: int, n_steps: int = 1,
+                   dt: float = 0.0) -> tuple[int, list[dict[str, np.ndarray]]]:
+    """Validate an entry point's arguments and scatter the particles
+    block-wise; returns ``(N, chunks)``, one column dict per rank.
+
+    Every refusal is a ``ValueError`` naming the argument, raised before
+    any rank starts.  ``velocities=None`` means the particles cannot
+    move: the chunks then carry no ``vel`` column.
+    """
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions must be (N, 3)")
+    n = positions.shape[0]
+    if n_ranks < 1:
+        raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
+    if n < n_ranks:
+        raise ValueError(
+            f"positions: need at least one particle per rank, got N={n} for n_ranks={n_ranks}")
+    if masses is None:
+        masses = np.full(n, 1.0 / n)
+    masses = np.ascontiguousarray(masses, dtype=np.float64)
+    if masses.shape != (n,):
+        raise ValueError("masses must be (N,)")
+    columns = {"pos": positions, "mass": masses}
+    if velocities is not None:
+        columns["vel"] = np.ascontiguousarray(velocities, dtype=np.float64)
+        if columns["vel"].shape != (n, 3):
+            raise ValueError("velocities must be (N, 3)")
+    for arg, a in zip(("positions", "masses", "velocities"), columns.values()):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{arg} must be finite")
+    columns["ids"] = np.arange(n, dtype=np.int64)
+    bounds = np.linspace(0, n, n_ranks + 1).astype(np.int64)
+    return n, [
+        {name: a[bounds[r]:bounds[r + 1]] for name, a in columns.items()}
+        for r in range(n_ranks)
+    ]
+
+
+def _gather(
+    sim: SimResult, n: int, observer: "Recorder | None"
+) -> tuple[ParallelRunResult, np.ndarray]:
+    """Assemble the per-rank returns of :func:`_make_program` in input
+    order: the run result, plus the potentials of the last force
+    evaluation.  Sums the ranks' ``comm`` stat dicts and optionally
+    publishes them as ``treecode.comm.*`` counters on the observer."""
+    n_steps = len(sim.returns[0]["steps"])
+    pos = np.zeros((n, 3))
+    vel = np.zeros((n, 3))
+    pot = np.zeros(n)
+    step_acc = [np.zeros((n, 3)) for _ in range(n_steps)]
+    work = np.zeros((n_steps, len(sim.returns)))
+    counts = InteractionCounts()
+    comm_stats: dict[str, float] = {}
+    for r, ret in enumerate(sim.returns):
+        pos[ret["ids"]] = ret["pos"]
+        if ret["vel"] is not None:
+            vel[ret["ids"]] = ret["vel"]
+        for s, out in enumerate(ret["steps"]):
+            step_acc[s][out["ids"]] = out["acc"]
+        pot[out["ids"]] = out["pot"]
+        work[:, r] = ret["step_work"]
+        counts = counts.merged(InteractionCounts(*ret["counts"]))
+        for k, v in ret["comm"].items():
+            comm_stats[k] = comm_stats.get(k, 0.0) + float(v)
     if observer is not None:
-        for k, v in total.items():
+        for k, v in comm_stats.items():
             observer.count(f"treecode.comm.{k}", v)
-    return total
+    imbalance = [float(w.max() / w.mean()) if w.mean() > 0 else 1.0 for w in work]
+    return ParallelRunResult(
+        positions=pos,
+        velocities=vel,
+        accelerations=step_acc[-1],
+        step_accelerations=step_acc,
+        counts=counts,
+        sim=sim,
+        comm=comm_stats,
+        work_imbalance=imbalance,
+    ), pot
 
 
 def parallel_tree_accelerations(
@@ -1097,29 +1216,8 @@ def parallel_tree_accelerations(
     so results vary across ``n_ranks`` at the MAC-error scale (exactly
     as they do versus the serial treecode), never more.
     """
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    n = positions.shape[0]
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must be (N, 3)")
-    if masses is None:
-        masses = np.full(n, 1.0 / n)
-    else:
-        masses = np.ascontiguousarray(masses, dtype=np.float64)
-        if masses.shape != (n,):
-            raise ValueError("masses must be (N,)")
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if n < n_ranks:
-        raise ValueError("need at least one particle per rank")
     config = config or ParallelConfig()
-
-    ids = np.arange(n, dtype=np.int64)
-    bounds = np.linspace(0, n, n_ranks + 1).astype(np.int64)
-    chunks = [
-        (positions[bounds[r]:bounds[r + 1]], masses[bounds[r]:bounds[r + 1]],
-         ids[bounds[r]:bounds[r + 1]])
-        for r in range(n_ranks)
-    ]
+    n, chunks = _scatter_input(positions, masses, None, n_ranks)
     resilient: "ResilientResult | None" = None
     if faults is not None or resilience is not None:
         from ..resilience.runner import ResilienceConfig, run_resilient
@@ -1129,7 +1227,7 @@ def parallel_tree_accelerations(
                 checkpoint_dir=tempfile.mkdtemp(prefix="ss-treecode-ckpt-")
             )
         resilient = run_resilient(
-            lambda ckpt: _make_program(chunks, config, ckpt),
+            lambda ckpt: _make_program(chunks, config, ckpt=ckpt),
             n_ranks,
             cost=cost,
             faults=faults,
@@ -1140,195 +1238,9 @@ def parallel_tree_accelerations(
     else:
         sim = run(_make_program(chunks, config), n_ranks, cost, observer=observer,
                   record_trace=record_trace, trace_sample=trace_sample)
-
-    acc = np.zeros((n, 3))
-    pot = np.zeros(n)
-    counts = InteractionCounts()
-    for ret in sim.returns:
-        acc[ret["ids"]] = ret["acc"]
-        pot[ret["ids"]] = ret["pot"]
-        counts = counts.merged(InteractionCounts(*ret["counts"]))
-    comm_stats = _aggregate_comm(sim.returns, observer)
-    return ParallelGravityResult(acc, pot, counts, sim, resilience=resilient,
-                                 comm=comm_stats)
-
-
-def _make_run_program(
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    config: ParallelConfig,
-    n_steps: int,
-    dt: float,
-    cache_across_steps: bool,
-    rebalance: bool,
-):
-    """Rank program of the multi-timestep driver.
-
-    One SimMPI program covers all steps, so the remote-cell cache, the
-    splitters, and the virtual clocks persist across timesteps — the
-    regime the HOT cache and incremental rebalancing were built for.
-    """
-
-    def program(comm):
-        rank, size = comm.rank, comm.size
-        kb = get_backend(config.backend)
-        my_pos, my_mass, my_vel, my_ids = chunks[rank]
-        n_local = my_pos.shape[0]
-
-        # -- global bounding box, fixed for the whole run -----------------
-        # Keys from different steps must live in one namespace (the
-        # cache is keyed by them), so the box is agreed once, padded for
-        # the expected drift.  A particle escaping the padded box raises
-        # from key assignment — enlarge the pad via shorter runs or
-        # smaller dt rather than silently re-keying.
-        lo = my_pos.min(axis=0) if n_local else np.full(3, np.inf)
-        hi = my_pos.max(axis=0) if n_local else np.full(3, -np.inf)
-        vmax_l = float(np.linalg.norm(my_vel, axis=1).max()) if n_local else 0.0
-        glo = yield from mpi_patterns.allreduce(comm, lo, op=MPI_MIN)
-        ghi = yield from mpi_patterns.allreduce(comm, hi, op=MPI_MAX)
-        vmax = yield from mpi_patterns.allreduce(comm, vmax_l, op=MPI_MAX)
-        span = float((ghi - glo).max())
-        span = span if span > 0 else 1.0
-        pad = 2.0 * vmax * abs(dt) * n_steps + 0.125 * span
-        box = BoundingBox(glo - pad, span + 2.0 * pad)
-
-        # -- initial decomposition (sample sort + exchange) ---------------
-        keys = keys_from_positions(my_pos, box) if n_local else np.empty(0, dtype=np.uint64)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        pos, mass, vel, ids = my_pos[order], my_mass[order], my_vel[order], my_ids[order]
-        yield comm.compute(flops=30.0 * n_local * max(np.log2(max(n_local, 2)), 1.0),
-                           mem_bytes=48.0 * n_local, label="key-sort")
-        if n_local:
-            k = min(n_local, config.oversample * size)
-            sample = keys[np.linspace(0, n_local - 1, k).astype(np.int64)]
-        else:
-            sample = np.empty(0, dtype=np.uint64)
-        all_samples = yield from mpi_patterns.allgather(comm, sample)
-        merged = np.sort(np.concatenate([s for s in all_samples if s.size]))
-        if merged.size == 0:
-            raise RuntimeError("no particles anywhere")
-        picks = (np.arange(1, size) * merged.size) // size
-        splitters = [int(_MIN_PKEY)] + [int(merged[p]) for p in picks] + [int(_END_PKEY)]
-        for i in range(1, len(splitters)):
-            splitters[i] = max(splitters[i], splitters[i - 1])
-
-        def exchange_particles(keys, pos, mass, vel, ids):
-            cut_keys = np.array(
-                [min(int(s), _END_PKEY - 1) for s in splitters[1:-1]], dtype=np.uint64
-            )
-            bounds = np.searchsorted(keys, cut_keys, side="left")
-            bounds = np.concatenate([[0], bounds, [keys.shape[0]]]).astype(np.int64)
-            sendbuf = [
-                tuple(a[bounds[d]:bounds[d + 1]] for a in (keys, pos, mass, vel, ids))
-                for d in range(size)
-            ]
-            received = yield comm.alltoall(
-                sendbuf,
-                nbytes=(keys.nbytes + pos.nbytes + mass.nbytes + vel.nbytes
-                        + ids.nbytes + 48 * size),
-            )
-            keys = np.concatenate([r[0] for r in received])
-            pos = (np.concatenate([r[1] for r in received])
-                   if keys.size else np.empty((0, 3)))
-            mass = np.concatenate([r[2] for r in received])
-            vel = (np.concatenate([r[3] for r in received])
-                   if keys.size else np.empty((0, 3)))
-            ids = np.concatenate([r[4] for r in received])
-            order = np.argsort(keys, kind="stable")
-            n_owned = keys.shape[0]
-            yield comm.compute(
-                flops=30.0 * n_owned * max(np.log2(max(n_owned, 2)), 1.0),
-                mem_bytes=48.0 * n_owned, label="exchange-sort")
-            return tuple(a[order] for a in (keys, pos, mass, vel, ids))
-
-        keys, pos, mass, vel, ids = yield from exchange_particles(keys, pos, mass, vel, ids)
-
-        remote_cache = CellCache(config.cache_capacity)
-        counts_total = InteractionCounts()
-        stats_total: dict[str, float] = {}
-        step_outs: list[dict[str, np.ndarray]] = []
-        step_work: list[float] = []
-
-        for step in range(n_steps):
-            n_owned = keys.shape[0]
-            # -- tree build + branch/fingerprint allgather ----------------
-            server = CellServer(keys, pos, mass, box, bucket_size=config.bucket_size)
-            my_lo, my_hi = splitters[rank], splitters[rank + 1]
-            branches = []
-            if my_hi > my_lo:
-                for bk in cover_interval(my_lo, my_hi):
-                    rec = server.record(bk, with_particles=False)
-                    if rec.count > 0:
-                        branches.append(rec)
-            yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned,
-                               label="tree-build")
-            wires = [_rec_to_wire(b) for b in branches]
-            fps_mine = [(b.key, server.branch_fingerprint(b.key)) for b in branches]
-            all_wires = yield from mpi_patterns.allgather(comm, wires)
-            all_fps = yield from mpi_patterns.allgather(comm, fps_mine)
-            owners, frame = _frame_from_wires(all_wires)
-            branch_fps = {k: fp for batch in all_fps for (k, fp) in batch}
-
-            # -- cache carry-over -----------------------------------------
-            if cache_across_steps:
-                remote_cache.retain_valid(branch_fps)
-            else:
-                remote_cache.clear()
-
-            # -- traversal + evaluation -----------------------------------
-            acc, pot, counts, work, stats = yield from _run_traversal(
-                comm, config, kb, server, frame, owners,
-                [b.key for b in branches], splitters, pos, mass,
-                remote_cache, branch_fps,
-            )
-            counts_total = counts_total.merged(counts)
-            for k_, v in stats.items():
-                stats_total[k_] = stats_total.get(k_, 0.0) + float(v)
-            step_outs.append({"ids": ids.copy(), "acc": acc, "pot": pot})
-            step_work.append(float(work.sum()))
-
-            # -- kick + drift (symplectic Euler) --------------------------
-            vel = vel + acc * dt
-            pos = pos + vel * dt
-            yield comm.compute(flops=12.0 * n_owned, mem_bytes=96.0 * n_owned,
-                               label="integrate")
-            if step == n_steps - 1:
-                break
-
-            # -- incremental work-weighted rebalancing --------------------
-            # Uses the interaction work just measured, while keys are
-            # still the pre-drift ones the work was measured against.
-            if rebalance and size > 1:
-                totals = yield from mpi_patterns.allgather(comm, float(work.sum()))
-                total = float(sum(totals))
-                before = float(sum(totals[:rank]))
-                props = splitter_candidates(keys, work, before, total, size)
-                all_props = yield from mpi_patterns.allgather(comm, props)
-                splitters = merge_splitter_candidates(splitters, list(all_props))
-
-            # -- re-key (fixed box) and migrate to owners -----------------
-            keys = keys_from_positions(pos, box) if n_owned else keys
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            pos, mass, vel, ids = pos[order], mass[order], vel[order], ids[order]
-            yield comm.compute(
-                flops=30.0 * n_owned * max(np.log2(max(n_owned, 2)), 1.0),
-                mem_bytes=48.0 * n_owned, label="key-sort")
-            keys, pos, mass, vel, ids = yield from exchange_particles(
-                keys, pos, mass, vel, ids)
-
-        stats_total.update(_cache_stats(remote_cache))
-        return {
-            "ids": ids,
-            "pos": pos,
-            "vel": vel,
-            "steps": step_outs,
-            "counts": (counts_total.p2p, counts_total.p2c, counts_total.groups),
-            "comm": stats_total,
-            "step_work": step_work,
-        }
-
-    return program
+    out, potentials = _gather(sim, n, observer)
+    return ParallelGravityResult(out.accelerations, potentials, out.counts, sim,
+                                 resilience=resilient, comm=out.comm)
 
 
 def parallel_nbody_run(
@@ -1378,67 +1290,13 @@ def parallel_nbody_run(
     the measured per-step max/mean work ratio across ranks (the curve
     incremental rebalancing drives toward 1).
     """
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    n = positions.shape[0]
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must be (N, 3)")
-    if masses is None:
-        masses = np.full(n, 1.0 / n)
-    else:
-        masses = np.ascontiguousarray(masses, dtype=np.float64)
-        if masses.shape != (n,):
-            raise ValueError("masses must be (N,)")
-    if velocities is None:
-        velocities = np.zeros((n, 3))
-    else:
-        velocities = np.ascontiguousarray(velocities, dtype=np.float64)
-        if velocities.shape != (n, 3):
-            raise ValueError("velocities must be (N, 3)")
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    if n < n_ranks:
-        raise ValueError("need at least one particle per rank")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     config = config or ParallelConfig()
-
-    ids = np.arange(n, dtype=np.int64)
-    bounds = np.linspace(0, n, n_ranks + 1).astype(np.int64)
-    chunks = [
-        (positions[bounds[r]:bounds[r + 1]], masses[bounds[r]:bounds[r + 1]],
-         velocities[bounds[r]:bounds[r + 1]], ids[bounds[r]:bounds[r + 1]])
-        for r in range(n_ranks)
-    ]
+    if velocities is None:
+        velocities = np.zeros(np.shape(positions))
+    n, chunks = _scatter_input(positions, masses, velocities, n_ranks, n_steps, dt)
     sim = run(
-        _make_run_program(chunks, config, n_steps, dt, cache_across_steps, rebalance),
+        _make_program(chunks, config, n_steps, dt, cache_across_steps, rebalance),
         n_ranks, cost, observer=observer,
         record_trace=record_trace, trace_sample=trace_sample,
     )
-
-    final_pos = np.zeros((n, 3))
-    final_vel = np.zeros((n, 3))
-    step_acc = [np.zeros((n, 3)) for _ in range(n_steps)]
-    counts = InteractionCounts()
-    work_totals = [np.zeros(len(sim.returns)) for _ in range(n_steps)]
-    for r, ret in enumerate(sim.returns):
-        final_pos[ret["ids"]] = ret["pos"]
-        final_vel[ret["ids"]] = ret["vel"]
-        counts = counts.merged(InteractionCounts(*ret["counts"]))
-        for s, out in enumerate(ret["steps"]):
-            step_acc[s][out["ids"]] = out["acc"]
-        for s, w in enumerate(ret["step_work"]):
-            work_totals[s][r] = w
-    imbalance = [
-        float(w.max() / w.mean()) if w.mean() > 0 else 1.0 for w in work_totals
-    ]
-    comm_stats = _aggregate_comm(sim.returns, observer)
-    return ParallelRunResult(
-        positions=final_pos,
-        velocities=final_vel,
-        accelerations=step_acc[-1],
-        step_accelerations=step_acc,
-        counts=counts,
-        sim=sim,
-        comm=comm_stats,
-        work_imbalance=imbalance,
-    )
+    return _gather(sim, n, observer)[0]

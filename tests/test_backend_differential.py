@@ -7,8 +7,8 @@ counts identical across backends (they are a property of the traversal,
 never of the kernel), and the batched evaluation path within 1e-10 of
 the historical one-group-at-a-time walker with bit-identical counts.
 
-Deliberately numpy+pytest only (no hypothesis) so the suite also runs
-inside the CI perf-gate job.
+Deliberately numpy+pytest only (no hypothesis), so every CI job that
+installs just those two can run it.
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ from repro.core import (
     sample_splitters,
     split_weighted,
 )
+from repro.core.domain import pick_splitters
 
 
 class TestSplitWeighted:
@@ -120,15 +121,32 @@ class TestDecompose:
 class TestSamplingAndCurve:
     def test_sample_splitters_sorted_subset(self):
         rng = np.random.default_rng(6)
-        keys = rng.integers(1, 2**60, 1000).astype(np.uint64)
-        sample = sample_splitters(keys, np.ones(1000), n_pieces=4, oversample=8)
+        keys = np.sort(rng.integers(2**63, 2**64, 1000, dtype=np.uint64))
+        sample = sample_splitters(keys, n_pieces=4, oversample=8)
         assert np.all(np.diff(sample.astype(np.float64)) >= 0)
         assert np.isin(sample, keys).all()
         assert sample.size == 32
+        # The sampler the rank program runs: evenly spaced, ends included,
+        # never more picks than keys.
+        assert sample[0] == keys[0] and sample[-1] == keys[-1]
+        assert np.array_equal(sample_splitters(keys[:5], n_pieces=4, oversample=8), keys[:5])
+        # Agreement: sentinels at both ends, balanced interior, monotone
+        # even when every sample is the same key.
+        halves = [sample_splitters(keys[:500], 4, 8), sample_splitters(keys[500:], 4, 8)]
+        splitters = pick_splitters(halves, 4)
+        assert splitters[0] == 2**63 and splitters[-1] == 2**64 and len(splitters) == 5
+        assert np.all(np.abs(np.diff(np.searchsorted(keys, np.array(splitters[1:-1], dtype=np.uint64))) - 250) < 40)
+        same = pick_splitters([np.full(8, keys[3])] * 2, 3)
+        assert same == [2**63, int(keys[3]), int(keys[3]), 2**64]
 
     def test_sample_splitters_empty(self):
-        out = sample_splitters(np.empty(0, dtype=np.uint64), np.empty(0), 4)
+        out = sample_splitters(np.empty(0, dtype=np.uint64), 4)
         assert out.size == 0
+        # An empty rank's sample drops out of the agreement; none at all refuses.
+        one = pick_splitters([out, np.array([2**63 + 7], dtype=np.uint64)], 2)
+        assert one == [2**63, 2**63 + 7, 2**64]
+        with pytest.raises(ValueError, match="no particles"):
+            pick_splitters([out, out], 2)
 
     def test_morton_curve_is_permutation(self):
         rng = np.random.default_rng(7)

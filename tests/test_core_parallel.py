@@ -7,9 +7,11 @@ from repro.core import (
     ABMChannel,
     ParallelConfig,
     direct_accelerations,
+    parallel_nbody_run,
     parallel_tree_accelerations,
     tree_accelerations,
 )
+from repro.core.cellserver import CellRecord
 from repro.simmpi import SpaceSimulatorCost, UniformCost, run
 
 
@@ -23,6 +25,24 @@ def _cloud(n, seed=0, clustered=False):
     else:
         pos = rng.random((n, 3))
     return pos, np.full(n, 1.0 / n)
+
+
+def _force_only(pos, m=None, **kw):
+    return parallel_tree_accelerations(pos, m, **kw)
+
+
+def _one_still_step(pos, m=None, vel=None, **kw):
+    return parallel_nbody_run(pos, m, vel, **{"n_steps": 1, "dt": 0.0, **kw})
+
+
+def _traffic(sim):
+    return sum(s.msgs_sent for s in sim.stats), sum(s.bytes_sent for s in sim.stats)
+
+
+def _with(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
 
 
 class TestABMChannel:
@@ -82,13 +102,15 @@ class TestParallelCorrectness:
     def test_matches_direct_sum(self):
         pos, m = _cloud(600, seed=1)
         exact = direct_accelerations(pos, m, eps=0.05)
-        par = parallel_tree_accelerations(
-            pos, m, n_ranks=4, config=ParallelConfig(theta=0.5, eps=0.05, bucket_size=16)
-        )
-        num = np.linalg.norm(par.accelerations - exact.accelerations, axis=1)
         den = np.linalg.norm(exact.accelerations, axis=1)
-        assert np.median(num / den) < 1e-3
-        assert np.max(num / den) < 0.05
+        # Both entry points run the same rank program; a still one-step
+        # run must meet the bound the force-only call meets.
+        for entry in (_force_only, _one_still_step):
+            par = entry(pos, m, n_ranks=4,
+                        config=ParallelConfig(theta=0.5, eps=0.05, bucket_size=16))
+            num = np.linalg.norm(par.accelerations - exact.accelerations, axis=1)
+            assert np.median(num / den) < 1e-3
+            assert np.max(num / den) < 0.05
 
     def test_matches_serial_treecode_closely(self):
         pos, m = _cloud(500, seed=2, clustered=True)
@@ -146,19 +168,96 @@ class TestParallelCorrectness:
         assert par.counts.groups > 0
         assert par.counts.flops > 0
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def engine_started(*args, **kwargs):
+            raise AssertionError("a rank program started on refused input")
+
+        monkeypatch.setattr("repro.core.parallel.run", engine_started)
         pos, m = _cloud(10)
-        with pytest.raises(ValueError):
-            parallel_tree_accelerations(pos, m, n_ranks=0)
-        with pytest.raises(ValueError):
-            parallel_tree_accelerations(pos, m, n_ranks=11)
-        with pytest.raises(ValueError):
-            ParallelConfig(eps=-1.0)
-        with pytest.raises(ValueError):
-            ParallelConfig(kernel_efficiency=0.0)
+        hostile = [
+            ("n_ranks", dict(n_ranks=0)),
+            ("positions: need at least one particle per rank", dict(n_ranks=11)),
+            ("positions: need at least one particle per rank",
+             dict(pos=np.zeros((0, 3)), m=None, n_ranks=1)),
+            ("positions must be \\(N, 3\\)", dict(pos=pos[:, :2])),
+            ("positions must be finite", dict(pos=_with(pos, (3, 1), np.nan))),
+            ("positions must be finite", dict(pos=_with(pos, (0, 0), np.inf))),
+            ("masses must be \\(N,\\)", dict(m=m[:-1])),
+            ("masses must be finite", dict(m=_with(m, 2, np.nan))),
+            ("masses must be finite", dict(m=_with(m, 9, -np.inf))),
+        ]
+        moving_only = [
+            ("velocities must be \\(N, 3\\)", dict(vel=np.zeros((9, 3)))),
+            ("velocities must be finite", dict(vel=_with(np.zeros((10, 3)), (4, 2), np.nan))),
+            ("dt must be finite", dict(dt=float("nan"))),
+            ("dt must be finite", dict(dt=float("inf"))),
+            ("n_steps", dict(n_steps=0)),
+        ]
+        for entry, table in ((_force_only, hostile), (_one_still_step, hostile + moving_only)):
+            for message, override in table:
+                kwargs = {"pos": pos, "m": m, "n_ranks": 2, **override}
+                with pytest.raises(ValueError, match=message):
+                    entry(**kwargs)
+
+    @pytest.mark.parametrize("field, values", [
+        ("theta", [2.0, 0.0, -0.5, float("nan")]),
+        ("eps", [-1.0, float("nan"), float("inf")]),
+        ("G", [float("nan"), float("inf")]),
+        ("bucket_size", [0]),
+        ("oversample", [0]),
+        ("max_rounds", [0]),
+        ("kernel_efficiency", [0.0, 1.5]),
+        ("prefetch_rounds", [-1]),
+        ("cache_capacity", [0]),
+    ])
+    def test_config_validation_names_the_field(self, field, values):
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                ParallelConfig(**{field: value})
+
+    def test_no_cell_records_outlive_a_run(self):
+        # The frame memo belongs to the program builder: after two
+        # back-to-back runs nothing reachable from the module's namespace
+        # may still hold a branch cell.
+        import repro.core.parallel as mod
+
+        pos, m = _cloud(120, seed=9)
+        parallel_tree_accelerations(pos, m, n_ranks=3)
+        parallel_nbody_run(pos, m, n_ranks=3, n_steps=2, dt=1e-3)
+        seen, stack, held = set(), [v for v in vars(mod).values()
+                                    if isinstance(v, (dict, list, tuple, set))], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, CellRecord):
+                held.append(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.keys())
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple, set)):
+                stack.extend(obj)
+        assert not held
 
 
 class TestParallelPerformance:
+    def test_event_sequence_pinned(self):
+        # Virtual time and traffic of both entry points, as measured at
+        # the commit before the two rank programs became one (PR 12).
+        # They are pure functions of the event sequence each rank yields;
+        # a refactor of repro.core.parallel must not move them.
+        pos, m = _cloud(300, seed=8)
+        cfg = ParallelConfig(theta=0.6, eps=0.05, bucket_size=16)
+        force = parallel_tree_accelerations(
+            pos, m, n_ranks=4, config=cfg, cost=SpaceSimulatorCost())
+        assert force.sim.elapsed.hex() == "0x1.4459d7bb59bdfp-8"
+        assert _traffic(force.sim) == (56, 102680)
+        steps = parallel_nbody_run(
+            pos, m, n_ranks=4, n_steps=2, dt=1e-3, config=cfg, cost=SpaceSimulatorCost())
+        assert steps.sim.elapsed.hex() == "0x1.5313c474b613cp-7"
+        assert _traffic(steps.sim) == (120, 220008)
+
     def test_virtual_time_positive_with_cost_model(self):
         pos, m = _cloud(400, seed=8)
         par = parallel_tree_accelerations(
