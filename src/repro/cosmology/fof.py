@@ -7,14 +7,29 @@ separation belong to the same group ("dark matter halos" whose
 honored; linking uses a cell grid so only neighboring cells are
 searched.
 
-Two implementations share the grid hashing and the halo extraction:
+Two implementations share the validation, the grid hashing
+(:func:`_prepare`: one stable sort of the particles by cell) and the
+halo extraction:
 
-* :func:`friends_of_friends_reference` — per-pair Python union-find
-  with path compression, the historical implementation.
-* :func:`friends_of_friends` — the default batched path: close pairs
-  are collected per cell-pair block (the same vectorized distance
-  test), and connected components are solved by min-label propagation
-  — backend ``scatter_min`` hooks plus pointer jumping.
+* :func:`friends_of_friends_reference` — the oracle: a Python walk
+  over the occupied cells and their 27 neighbours, one ``(A, B)``
+  distance block per cell pair, per-pair union-find with path
+  compression.
+* :func:`friends_of_friends` — the default array-level path: the
+  neighbour ids of all occupied cells x 27 offsets are formed at once
+  and looked up with one ``searchsorted``, the surviving cell pairs are
+  expanded to one flat list of ``(particle_a, particle_b)`` candidates,
+  and the same distance expression filters it; connected components
+  are solved by min-label propagation — backend ``scatter_min`` hooks
+  plus pointer jumping.
+
+The candidate list is never materialised: it is sliced on the flat
+pair index, ``core.traversal.DEFAULT_PAIR_CHUNK`` candidates at a time,
+so the temporaries of the distance test are bounded however dense one
+cell is (a slice may start and end inside a cell-pair block).  What is
+*not* bounded is the list of close pairs the slices leave behind: a
+blob of ``n`` mutually linked particles contributes ``n (n - 1) / 2``
+edges, two ``int64`` each, to the components solve.
 
 They produce **bit-identical catalogs**: the union-find's
 ``parent[max] = min`` rule makes every final root the minimum particle
@@ -26,11 +41,13 @@ through the shared extraction to identical halos and group ids
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.backend import get_backend
+from ..core.traversal import DEFAULT_PAIR_CHUNK
 
 __all__ = ["Halo", "FofResult", "friends_of_friends", "friends_of_friends_reference"]
 
@@ -90,39 +107,61 @@ def _periodic_com(positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(s, c) / (2.0 * np.pi), 1.0)
 
 
+def _runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, counts)`` of the runs of equal keys in a sorted, non-empty array."""
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_keys)) + 1])
+    return starts, np.diff(starts, append=sorted_keys.size)
+
+
 def _prepare(positions, masses, linking_length, min_members):
     """Shared validation + grid hashing for both implementations.
 
-    Returns ``(positions, masses, link2, n_cells, members_of)`` with
-    ``members_of`` mapping cell id -> member particle indices, or
-    ``None`` for an empty input (no particles — no halos).
+    Returns ``(positions, masses, link2, n_cells, order, cell_ids,
+    starts, counts)`` — ``order`` sorts the particles by cell (stably,
+    so every cell's members ascend), ``cell_ids`` are the occupied cell
+    ids in ascending order, and cell ``cell_ids[k]`` holds particles
+    ``order[starts[k] : starts[k] + counts[k]]`` — or ``None`` for an
+    empty input (no particles — no halos).
     """
-    positions = np.mod(np.asarray(positions, dtype=np.float64), 1.0)
-    n = positions.shape[0]
+    positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (N, 3)")
+    # Before the wrap: np.mod turns inf into NaN, and the int cast of a
+    # NaN cell coordinate is an arbitrary cell, not an error.
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    positions = np.mod(positions, 1.0)
+    n = positions.shape[0]
     if masses is None:
         masses = np.full(n, 1.0 / n) if n else np.zeros(0)
-    if linking_length <= 0 or min_members < 1:
-        raise ValueError("invalid FoF parameters")
+    else:
+        masses = np.asarray(masses, dtype=np.float64)
+        if masses.shape != (n,):
+            raise ValueError(f"masses must be ({n},) to match positions")
+        # Positive, not just non-negative: a halo of massless members
+        # has no center of mass.
+        if not (np.isfinite(masses).all() and (masses > 0).all()):
+            raise ValueError("masses must be finite and positive")
+    if not (np.isfinite(linking_length) and linking_length > 0):
+        raise ValueError("linking_length must be finite and positive")
+    try:
+        min_members = operator.index(min_members)
+    except TypeError:
+        raise ValueError("min_members must be an integer") from None
+    if min_members < 1:
+        raise ValueError("min_members must be at least 1")
     if n == 0:
         return None
     link = linking_length * n ** (-1.0 / 3.0)  # box units
     # Cell grid with cells >= the linking length.
-    n_cells = max(int(1.0 / link), 1)
-    n_cells = min(n_cells, 64)
+    n_cells = max(int(min(1.0 / link, 64.0)), 1)
     cell = (positions * n_cells).astype(np.int64) % n_cells
     cell_id = (cell[:, 0] * n_cells + cell[:, 1]) * n_cells + cell[:, 2]
     order = np.argsort(cell_id, kind="stable")
     sorted_ids = cell_id[order]
-    boundaries = np.concatenate(
-        [[0], np.flatnonzero(np.diff(sorted_ids)) + 1, [n]]
-    )
-    members_of: dict[int, np.ndarray] = {
-        int(sorted_ids[boundaries[i]]): order[boundaries[i] : boundaries[i + 1]]
-        for i in range(boundaries.size - 1)
-    }
-    return positions, masses, link * link, n_cells, members_of
+    starts, counts = _runs(sorted_ids)
+    return (positions, masses, link * link, n_cells, order,
+            sorted_ids[starts], starts, counts)
 
 
 _NEIGHBOR_OFFSETS = [
@@ -159,14 +198,13 @@ def _close_pairs(positions, idx_a, idx_b, link2):
 def _extract_halos(roots, positions, masses, min_members) -> FofResult:
     """Roots -> catalog; shared, so identical roots give identical halos."""
     n = positions.shape[0]
-    group_id = np.full(n, -1, dtype=np.int64)
+    # One stable sort groups the particles by root with every group's
+    # members ascending; groups come out in ascending-root order.
+    by_root = np.argsort(roots, kind="stable")
+    starts, sizes = _runs(roots[by_root])
     halos: list[Halo] = []
-    for root in np.unique(roots):
-        members = np.flatnonzero(roots == root)
-        if members.size < min_members:
-            continue
-        gid = len(halos)
-        group_id[members] = gid
+    for k in np.flatnonzero(sizes >= min_members):
+        members = by_root[starts[k] : starts[k] + sizes[k]]
         halos.append(
             Halo(
                 members=members,
@@ -175,11 +213,10 @@ def _extract_halos(roots, positions, masses, min_members) -> FofResult:
             )
         )
     halos.sort(key=lambda h: -h.mass)
-    # Re-map group ids to the sorted order.
-    new_gid = np.full(n, -1, dtype=np.int64)
+    group_id = np.full(n, -1, dtype=np.int64)
     for i, h in enumerate(halos):
-        new_gid[h.members] = i
-    return FofResult(halos, new_gid)
+        group_id[h.members] = i
+    return FofResult(halos, group_id)
 
 
 def friends_of_friends_reference(
@@ -193,8 +230,11 @@ def friends_of_friends_reference(
     prep = _prepare(positions, masses, linking_length, min_members)
     if prep is None:
         return FofResult([], np.full(0, -1, dtype=np.int64))
-    positions, masses, link2, n_cells, members_of = prep
+    positions, masses, link2, n_cells, order, cell_ids, starts, counts = prep
     n = positions.shape[0]
+    members_of = {
+        int(cid): order[s : s + c] for cid, s, c in zip(cell_ids, starts, counts)
+    }
     uf = _UnionFind(n)
     for idx_a, idx_b, same_cell in _cell_pairs(members_of, n_cells):
         close = _close_pairs(positions, idx_a, idx_b, link2)
@@ -233,6 +273,54 @@ def _connected_minima(n: int, a: np.ndarray, b: np.ndarray, kb) -> np.ndarray:
             return labels
 
 
+def _linked_pairs(positions, link2, n_cells, order, cell_ids, starts, counts):
+    """Particle index arrays ``(a, b)`` of every pair closer than the
+    linking length, from the cell-sorted arrays of :func:`_prepare`.
+
+    The blocks :func:`_cell_pairs` yields one at a time are built here
+    as arrays: all occupied cells x 27 offsets at once, each unordered
+    pair of occupied cells once.  Their member products are laid end to
+    end on one flat candidate index, and the distance test runs over
+    that index ``DEFAULT_PAIR_CHUNK`` candidates at a time.
+    """
+    cz = cell_ids % n_cells
+    cy = (cell_ids // n_cells) % n_cells
+    cx = cell_ids // (n_cells * n_cells)
+    dx, dy, dz = np.array(_NEIGHBOR_OFFSETS).T[:, :, None]
+    nid = (
+        ((cx + dx) % n_cells) * n_cells + ((cy + dy) % n_cells)
+    ) * n_cells + ((cz + dz) % n_cells)  # (27, occupied)
+    off, ca = np.nonzero(nid >= cell_ids)  # each cell pair once
+    nid = nid[off, ca]
+    cb = np.minimum(np.searchsorted(cell_ids, nid), cell_ids.size - 1)
+    occupied = cell_ids[cb] == nid
+    # On grids under three cells a side wrapped offsets alias the same
+    # neighbour; visiting a block once finds every pair it holds.
+    ca, cb = np.divmod(
+        np.unique(ca[occupied] * cell_ids.size + cb[occupied]), cell_ids.size
+    )
+    sizes = counts[ca] * counts[cb]
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    pair_a: list[np.ndarray] = []
+    pair_b: list[np.ndarray] = []
+    for lo in range(0, total, DEFAULT_PAIR_CHUNK):
+        flat = np.arange(lo, min(lo + DEFAULT_PAIR_CHUNK, total))
+        k = np.searchsorted(ends, flat, side="right")  # block of each candidate
+        cell_a, cell_b = ca[k], cb[k]
+        row, col = np.divmod(flat - (ends[k] - sizes[k]), counts[cell_b])
+        ia = order[starts[cell_a] + row]
+        ib = order[starts[cell_b] + col]
+        d = positions[ia] - positions[ib]
+        d -= np.round(d)  # periodic minimum image
+        keep = (d**2).sum(axis=-1) <= link2
+        # Same-cell blocks hold each pair twice and every self-pair.
+        keep &= (cell_a != cell_b) | (ia < ib)
+        pair_a.append(ia[keep])
+        pair_b.append(ib[keep])
+    return np.concatenate(pair_a), np.concatenate(pair_b)
+
+
 def friends_of_friends(
     positions: np.ndarray,
     masses: np.ndarray | None = None,
@@ -247,33 +335,16 @@ def friends_of_friends(
     (the community-standard b = 0.2 default); ``min_members`` drops
     spurious few-particle groups, as every halo catalog does.
 
-    Batched: close pairs are collected per cell-pair block and solved
-    as one connected-components problem — bit-identical to
+    Batched: every candidate pair of the occupied neighbouring cells is
+    tested in flat array slices and the close ones are solved as one
+    connected-components problem — bit-identical to
     :func:`friends_of_friends_reference` (module docstring has the
     argument).
     """
     prep = _prepare(positions, masses, linking_length, min_members)
     if prep is None:
         return FofResult([], np.full(0, -1, dtype=np.int64))
-    positions, masses, link2, n_cells, members_of = prep
-    n = positions.shape[0]
-    kb = get_backend(backend)
-    pair_a: list[np.ndarray] = []
-    pair_b: list[np.ndarray] = []
-    for idx_a, idx_b, same_cell in _cell_pairs(members_of, n_cells):
-        close = _close_pairs(positions, idx_a, idx_b, link2)
-        if same_cell:
-            # Keep each unordered pair once; drop self-pairs.  (The
-            # reference unions a < b only; the extra b > a pairs a
-            # dedup would keep are unions of already-joined nodes —
-            # component structure is unchanged either way.)
-            ia, ib = np.nonzero(np.triu(close, k=1))
-        else:
-            ia, ib = np.nonzero(close)
-        if ia.size:
-            pair_a.append(idx_a[ia])
-            pair_b.append(idx_b[ib])
-    a = np.concatenate(pair_a) if pair_a else np.zeros(0, dtype=np.int64)
-    b = np.concatenate(pair_b) if pair_b else np.zeros(0, dtype=np.int64)
-    roots = _connected_minima(n, a, b, kb)
+    positions, masses, link2, n_cells, order, cell_ids, starts, counts = prep
+    a, b = _linked_pairs(positions, link2, n_cells, order, cell_ids, starts, counts)
+    roots = _connected_minima(positions.shape[0], a, b, get_backend(backend))
     return _extract_halos(roots, positions, masses, min_members)

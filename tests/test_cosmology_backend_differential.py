@@ -12,6 +12,10 @@ distributions (fixed seeds throughout):
 * Friends-of-friends catalogs are **bit-identical** — the
   min-label-propagation solver converges to the same component roots
   (the component-minimum index) the reference union-find produces.
+  Beyond the shared N x distribution grid: hash grids of 1, 2 and 3
+  cells a side (wrapped offsets alias one neighbour), a halo across
+  the box face, coincident particles, pair-chunk seams inside a
+  cell-pair block, and ``min_members`` 1 and 10.
 * Pair-count histograms are **bit-identical** integers, including
   ``np.histogram``'s closed last bin.
 * Power-spectrum bins select identical mode sets; values carry a
@@ -23,11 +27,15 @@ Deliberately numpy+pytest only (no hypothesis) so the suite also runs
 in the CI ``backends`` matrix leg.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.backend import available_backends
 from repro.core.procpool import MultiprocessBackend
+import repro.cosmology.fof as fof_module
+from repro.core.traversal import DEFAULT_PAIR_CHUNK
 from repro.cosmology import (
     PMSolver,
     cic_deposit,
@@ -117,19 +125,96 @@ def test_pm_mesh_forces_bit_identical(backend, dist):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
-@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
-@pytest.mark.parametrize("n", SIZES)
-def test_fof_catalogs_bit_identical(backend, dist, n):
-    pos = DISTRIBUTIONS[dist](n, seed=n + 5)
-    ref = friends_of_friends_reference(pos, linking_length=0.2, min_members=2)
-    got = friends_of_friends(pos, linking_length=0.2, min_members=2, backend=backend)
+def _assert_same_catalog(pos, backend, **kwargs):
+    ref = friends_of_friends_reference(pos, **kwargs)
+    got = friends_of_friends(pos, backend=backend, **kwargs)
     assert np.array_equal(got.group_id, ref.group_id)
     assert got.n_halos == ref.n_halos
     for h_got, h_ref in zip(got.halos, ref.halos):
         assert np.array_equal(h_got.members, h_ref.members)
         assert h_got.mass == h_ref.mass
         assert np.array_equal(h_got.center, h_ref.center)
+    return got
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+@pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+@pytest.mark.parametrize("n", SIZES)
+def test_fof_catalogs_bit_identical(backend, dist, n):
+    pos = DISTRIBUTIONS[dist](n, seed=n + 5)
+    _assert_same_catalog(pos, backend, linking_length=0.2, min_members=2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+@pytest.mark.parametrize("min_members", [1, 10])
+@pytest.mark.parametrize("linking_length", [0.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_fof_small_grids_bit_identical(backend, n, linking_length, min_members):
+    """Hash grids of int(n^(1/3) / linking_length) = 1, 2, 3 and 6 cells
+    a side: under three, the 27 wrapped offsets name the same neighbour
+    cell more than once."""
+    for dist in ("uniform", "clustered"):
+        pos = DISTRIBUTIONS[dist](n, seed=n + 11)
+        _assert_same_catalog(
+            pos, backend, linking_length=linking_length, min_members=min_members
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+@pytest.mark.parametrize("min_members", [1, 10])
+def test_fof_halo_across_box_face_bit_identical(backend, min_members):
+    rng = np.random.default_rng(17)
+    blob = np.array([0.999, 0.5, 0.001]) + 0.004 * rng.standard_normal((60, 3))
+    pos = np.concatenate([blob, rng.random((200, 3))])  # blob left unwrapped
+    got = _assert_same_catalog(pos, backend, linking_length=0.2, min_members=min_members)
+    assert got.halos[0].n_members >= 50  # one halo, not one per face
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+@pytest.mark.parametrize("min_members", [1, 10])
+def test_fof_coincident_particles_bit_identical(backend, min_members):
+    pos = np.full((40, 3), 0.25)
+    got = _assert_same_catalog(pos, backend, linking_length=0.2, min_members=min_members)
+    assert [h.n_members for h in got.halos] == [40]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+def test_fof_dense_cell_spans_pair_chunks(backend):
+    """One cell-pair block of n^2 candidates, cut by a chunk seam."""
+    n = 300
+    assert n * n > DEFAULT_PAIR_CHUNK
+    got = _assert_same_catalog(
+        _single_cell(n, seed=13), backend, linking_length=0.2, min_members=1
+    )
+    assert [h.n_members for h in got.halos] == [n]
+
+
+@pytest.mark.parametrize("dist", ["uniform", "clustered"])
+def test_fof_chunk_seams_anywhere(monkeypatch, dist):
+    """A 7-candidate chunk puts seams inside and between most blocks."""
+    monkeypatch.setattr(fof_module, "DEFAULT_PAIR_CHUNK", 7)
+    pos = DISTRIBUTIONS[dist](200, seed=19)
+    for linking_length in (0.2, 0.5):
+        _assert_same_catalog(pos, None, linking_length=linking_length, min_members=1)
+
+
+def test_fof_dense_cell_temporaries_bounded():
+    """3 000 particles in one hash cell: the per-block path this replaced
+    (what the reference still does) builds that cell's (A, B, 3) float64
+    separation block whole; the chunked pass must peak below that one
+    array.  The linking length is short, so the close-pair edge list —
+    which is not bounded — stays small here."""
+    n = 3000
+    pos = (20.0 + np.random.default_rng(3).random((n, 3))) / 64.0  # 64-cell grid
+    tracemalloc.start()
+    try:
+        res = friends_of_friends(pos, linking_length=0.05, min_members=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.group_id >= 0).all()
+    block_bytes = n * n * 3 * 8
+    assert peak < block_bytes / 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=_bname)

@@ -14,6 +14,7 @@ from repro.cosmology import (
     cic_interpolate,
     correlation_function,
     friends_of_friends,
+    friends_of_friends_reference,
     measured_power_spectrum,
     pair_counts_periodic,
     zeldovich_ics,
@@ -185,6 +186,26 @@ class TestFof:
             friends_of_friends(np.zeros((5, 2)))
         with pytest.raises(ValueError):
             friends_of_friends(np.zeros((5, 3)), linking_length=0.0)
+
+    @pytest.mark.parametrize("fof", [friends_of_friends, friends_of_friends_reference])
+    @pytest.mark.parametrize(
+        "spoil, match",
+        [
+            (lambda pos: ((pos * [1, np.nan, 1],), {}), "positions"),
+            (lambda pos: ((pos + [0, 0, np.inf],), {}), "positions"),
+            (lambda pos: ((pos, np.ones(len(pos) - 1)), {}), "masses"),
+            (lambda pos: ((pos, np.zeros(len(pos))), {}), "masses"),
+            (lambda pos: ((pos, np.full(len(pos), np.nan)), {}), "masses"),
+            (lambda pos: ((pos,), {"linking_length": float("nan")}), "linking_length"),
+            (lambda pos: ((pos,), {"linking_length": float("inf")}), "linking_length"),
+            (lambda pos: ((pos,), {"min_members": 2.5}), "min_members"),
+            (lambda pos: ((pos,), {"min_members": 0}), "min_members"),
+        ],
+    )
+    def test_hostile_input_names_the_argument(self, fof, spoil, match):
+        args, kwargs = spoil(np.random.default_rng(4).random((50, 3)))
+        with pytest.raises(ValueError, match=match):
+            fof(*args, **kwargs)
 
 
 class TestClustering:
