@@ -4,21 +4,25 @@ Every bench module exposes ``main() -> dict`` built on :func:`run_main`:
 it runs the module's ``_build`` payload once, wall-times it, and returns
 a record with a fixed shape — name, params, measured seconds, virtual
 (simulated) seconds, named counters, git revision, and host — validated
-against ``benchmarks/schema.json``.  With ``REPRO_BENCH_DIR`` set, the
-record is also written to ``$REPRO_BENCH_DIR/BENCH_<name>.json`` so a
-sweep over all benches leaves one machine-readable file per figure or
-table.
+against ``benchmarks/schema.json``.  :func:`run_main` writes nothing:
+a record reaches disk only where a caller names the destination, which
+is the fleet coordinator (``python -m repro.obs fleet --history``) or
+the standalone command line every bench shares, :func:`cli`
+(``--out DIR`` writes ``BENCH_<name>.json``, ``--history PATH`` appends
+one line to a history JSONL).
 
 The schema checker is a deliberate small subset of JSON Schema
 (``type``, ``required``, ``properties``, ``additionalProperties``,
 ``pattern``, ``minimum``, ``items``) so the suite needs no third-party
 validator; it lives in :mod:`repro.obs.schemacheck` (shared with the
-fleet ledger and the ``python -m repro.obs validate`` CI step) and is
-re-exported here.
+fleet ledger and the ``python -m repro.obs validate`` CI step);
+:func:`validate_record` applies it with the schema :func:`load_schema`
+reads.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
@@ -27,27 +31,23 @@ import subprocess
 import time
 from typing import Any, Callable, Mapping
 
-from repro.obs.schemacheck import check_value as _check
+from repro.obs.schemacheck import validate_value
 
 __all__ = [
-    "HISTORY_ENV",
     "SCHEMA_PATH",
     "SCHEMA_VERSION",
     "append_history",
     "bench_record",
+    "cli",
     "emit",
     "git_rev",
     "load_schema",
     "run_main",
     "validate_record",
+    "write_atomic",
 ]
 
 SCHEMA_VERSION = 1
-
-#: When set, every validated record is appended to this JSONL file (a
-#: directory means ``<dir>/history.jsonl``) — the longitudinal input of
-#: the ``python -m repro.obs compare`` regression gate.
-HISTORY_ENV = "REPRO_BENCH_HISTORY"
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schema.json")
 
 
@@ -67,16 +67,16 @@ def git_rev() -> str:
     return rev if proc.returncode == 0 and re.fullmatch(r"[0-9a-f]{7,40}", rev) else "unknown"
 
 
-def load_schema() -> dict:
-    with open(SCHEMA_PATH) as fh:
+def load_schema(path: str = SCHEMA_PATH) -> dict:
+    """The record schema: the one loader ``run_main``, the fleet runner
+    and ``python -m repro.obs validate`` share."""
+    with open(path) as fh:
         return json.load(fh)
 
 
 def validate_record(record: Any, schema: Mapping | None = None) -> list[str]:
     """Check ``record`` against the subset JSON Schema; returns errors."""
-    errors: list[str] = []
-    _check(record, schema if schema is not None else load_schema(), "record", errors)
-    return errors
+    return validate_value(record, schema if schema is not None else load_schema())
 
 
 def bench_record(
@@ -111,16 +111,8 @@ def bench_record(
     return record
 
 
-def emit(record: Mapping, out_dir: str | None = None) -> str | None:
-    """Write ``BENCH_<name>.json``; a no-op unless a directory is given.
-
-    ``out_dir`` defaults to the ``REPRO_BENCH_DIR`` environment
-    variable; when neither is set the record stays in memory only.
-    Returns the path written, or None.
-    """
-    out_dir = out_dir or os.environ.get("REPRO_BENCH_DIR")
-    if not out_dir:
-        return None
+def emit(record: Mapping, out_dir: str) -> str:
+    """Write ``<out_dir>/BENCH_<name>.json``; returns the path written."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"BENCH_{record['name']}.json")
     with open(path, "w") as fh:
@@ -128,29 +120,42 @@ def emit(record: Mapping, out_dir: str | None = None) -> str | None:
     return path
 
 
-def append_history(record: Mapping, path: str | None = None) -> str | None:
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text``, all or nothing.
+
+    The text goes to a temp file which then replaces the original via
+    ``os.replace``, so a writer killed mid-way can never truncate or
+    tear the file: the reader sees either the old content or the new.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def append_history(record: Mapping, path: str) -> str:
     """Append one record (plus a UTC timestamp) to the history JSONL.
 
-    ``path`` defaults to the ``REPRO_BENCH_HISTORY`` environment
-    variable; with neither set, this is a no-op.  The file is the
-    longitudinal record ``repro.obs.history`` computes rolling baselines
-    from; lines are self-contained JSON objects, oldest first.
+    ``path`` is the file, or a directory meaning
+    ``<dir>/history.jsonl``.  The file is the longitudinal record
+    ``repro.obs.history`` computes rolling baselines from; lines are
+    self-contained JSON objects, oldest first.  Returns the file path.
 
-    The append is **atomic**: the existing history plus the new line is
-    written to a temp file which then replaces the original via
-    ``os.replace``.  A bench run killed mid-append can therefore never
-    truncate or tear ``baseline.jsonl`` — the reader sees either the
-    old history or the new one, both well-formed.  History files are
-    small (one line per bench run), so the rewrite is cheap.
+    The append is **atomic** (:func:`write_atomic` of the existing
+    history plus the new line): a bench run killed mid-append can never
+    truncate or tear ``baseline.jsonl``.  History files are small (one
+    line per bench run), so the rewrite is cheap.
     """
-    path = path or os.environ.get(HISTORY_ENV)
-    if not path:
-        return None
     if os.path.isdir(path):
         path = os.path.join(path, "history.jsonl")
     path = os.path.abspath(path)
-    parent = os.path.dirname(path)
-    os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     entry = dict(record)
     entry["ts"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     existing = ""
@@ -159,17 +164,7 @@ def append_history(record: Mapping, path: str | None = None) -> str | None:
             existing = fh.read()
         if existing and not existing.endswith("\n"):
             existing += "\n"  # heal a pre-atomic torn tail
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(existing)
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_atomic(path, existing + json.dumps(entry, sort_keys=True) + "\n")
     return path
 
 
@@ -188,7 +183,9 @@ def run_main(
 
     ``counters``, ``virtual_seconds``, and ``shards`` may be callables
     taking the payload's return value, so each bench derives its
-    headline numbers from what it actually computed.
+    headline numbers from what it actually computed.  The record is
+    printed (unless ``quiet``) and returned, never written: see
+    :func:`cli` and :func:`repro.obs.fleet.run_fleet` for the writers.
     """
     t0 = time.perf_counter()
     result = build()
@@ -208,8 +205,35 @@ def run_main(
     errors = validate_record(record)
     if errors:
         raise ValueError(f"bench record for {name!r} violates schema.json: {errors}")
-    emit(record)
-    append_history(record)
     if not quiet:
         print(json.dumps(record, indent=2, sort_keys=True))
+    return record
+
+
+def cli(
+    main: Callable[..., dict], doc: str | None = None, argv: list[str] | None = None,
+) -> dict:
+    """The command line of every ``bench_*.py``: run ``main`` once.
+
+    ``--smoke`` selects the CI parameterization the bench's ``FLEET``
+    metadata declares; ``--out DIR`` and ``--history PATH`` are the
+    only way a standalone run writes its record (:func:`emit`,
+    :func:`append_history`).
+    """
+    parser = argparse.ArgumentParser(
+        description=doc.strip().splitlines()[0] if doc else None,
+    )
+    parser.add_argument("--smoke", action="store_true",
+                        help="CI parameterization (see the bench's FLEET metadata)")
+    parser.add_argument("--out", metavar="DIR", default=None,
+                        help="also write DIR/BENCH_<name>.json")
+    parser.add_argument("--history", metavar="PATH", default=None,
+                        help="also append the record to this history JSONL "
+                             "(a directory means PATH/history.jsonl)")
+    opts = parser.parse_args(argv)
+    record = main(smoke=opts.smoke)
+    if opts.out:
+        emit(record, opts.out)
+    if opts.history:
+        append_history(record, opts.history)
     return record

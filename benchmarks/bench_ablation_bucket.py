@@ -13,6 +13,8 @@ from repro.core import build_tree, tree_accelerations
 from repro.machine.specs import FLOPS_PER_INTERACTION
 from repro.core.traversal import FLOPS_PER_CELL_INTERACTION
 
+from _harness import cli, run_main
+
 
 def _cloud(n=2000, seed=6):
     rng = np.random.default_rng(seed)
@@ -60,8 +62,6 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "ablation_bucket", _build,
         params={"buckets": [4, 8, 16, 32, 64, 128]},
@@ -73,9 +73,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

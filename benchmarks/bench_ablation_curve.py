@@ -19,6 +19,8 @@ from repro.core.hilbert import (
     hilbert_keys_from_positions,
 )
 
+from _harness import cli, run_main
+
 
 def _clouds(n=3000):
     rng = np.random.default_rng(12)
@@ -78,8 +80,6 @@ FLEET = {"tags": ("ablation", "treecode"), "smoke": "reduced"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     n = 1200 if smoke else 3000
     return run_main(
         "ablation_curve_smoke" if smoke else "ablation_curve",
@@ -90,10 +90,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller clouds under the ablation_curve_smoke "
-                             "record name")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -16,6 +16,8 @@ from repro.core import (
     tree_accelerations,
 )
 
+from _harness import cli, run_main
+
 
 def _cloud(n=1500, seed=5):
     rng = np.random.default_rng(seed)
@@ -81,8 +83,6 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "ablation_mac", _build,
         params={"thetas": [1.0, 0.8, 0.6, 0.4, 0.25]},
@@ -91,9 +91,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

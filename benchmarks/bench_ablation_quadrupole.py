@@ -11,6 +11,8 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import build_tree, compute_forces, direct_accelerations, OpeningAngleMAC
 
+from _harness import cli, run_main
+
 
 def _cloud(n=1500, seed=9):
     rng = np.random.default_rng(seed)
@@ -61,8 +63,6 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "ablation_quadrupole", _build,
         params={"thetas": [0.8, 0.6, 0.4]},
@@ -74,9 +74,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -14,6 +14,8 @@ from repro.network import FIGURE2_STACKS
 from repro.network.switch import FabricModel
 from repro.simmpi import SpaceSimulatorCost
 
+from _harness import cli, run_main
+
 
 def _cloud(n=3000, seed=8):
     rng = np.random.default_rng(seed)
@@ -60,8 +62,6 @@ FLEET = {"tags": ("ablation", "network", "treecode"), "smoke": "reduced"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     n, n_ranks = (1200, 4) if smoke else (3000, 8)
     return run_main(
         "ablation_stack_smoke" if smoke else "ablation_stack",
@@ -74,10 +74,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller cloud and rank count under the "
-                             "ablation_stack_smoke record name")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -5,16 +5,15 @@ variant, a small cosmology box and an SPH collapse) through
 :func:`repro.campaign.run_campaign` twice against the same store: the
 first pass computes every unique shard, the second must be pure cache
 hits.  The record's counters report the dedupe and cache hit rates the
-perf gate tracks, and the optional ``shards`` field carries the
+fleet gate tracks, and the optional ``shards`` field carries the
 per-shard fingerprint/status/kind/seconds breakdown from the
 operational store — the one bench exercising the schema's array
 sub-record.
 
 ``--smoke`` restricts the catalog to closed-form cluster scenarios so
-the CI perf-gate step finishes in well under a second.
+the CI fleet finishes it in well under a second.
 """
 
-import argparse
 import tempfile
 
 from repro.campaign import (
@@ -25,6 +24,8 @@ from repro.campaign import (
     run_campaign,
     sweep,
 )
+
+from _harness import cli, run_main
 
 
 def catalog(smoke: bool) -> list:
@@ -66,8 +67,6 @@ FLEET = {"tags": ("campaign",), "smoke": "reduced"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     specs = catalog(smoke)
     with tempfile.TemporaryDirectory() as tmp:
         return run_main(
@@ -91,7 +90,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="cluster-only catalog for the CI perf gate")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

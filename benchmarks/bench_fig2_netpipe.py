@@ -12,6 +12,8 @@ import numpy as np
 from repro.analysis import format_table
 from repro.network import FIGURE2_STACKS, summarize, sweep
 
+from _harness import cli, run_main
+
 
 def _build():
     sizes = np.array([2**i for i in range(0, 25, 2)])
@@ -46,8 +48,6 @@ FLEET = {"tags": ('figure', 'network'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "fig2_netpipe", _build,
         params={"stacks": [s.name for s in FIGURE2_STACKS], "n_sizes": 13},
@@ -59,9 +59,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

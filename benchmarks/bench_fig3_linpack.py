@@ -20,6 +20,8 @@ from repro.linpack import (
     run_hpl,
 )
 
+from _harness import cli, run_main
+
 
 def _build():
     kernel = run_hpl(n=384, block=64)
@@ -53,8 +55,6 @@ FLEET = {"tags": ('figure', 'linpack'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "fig3_linpack", _build,
         params={"n": 384, "block": 64},
@@ -68,9 +68,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

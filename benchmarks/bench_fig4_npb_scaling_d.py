@@ -8,6 +8,8 @@ straight horizontal line" — per-proc rates stay near-flat out to 256.
 from repro.analysis import format_table
 from repro.nas import space_simulator_npb_model
 
+from _harness import cli, run_main
+
 BENCHES = ("BT", "SP", "LU", "CG", "FT")
 # 16..256 regenerate the paper's Figure 4; 512/1024/2560 extrapolate the
 # same analytic model past the Space Simulator toward the PACS-CS-scale
@@ -57,8 +59,6 @@ FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "fig4_npb_scaling_d", _build,
         params={"benches": list(BENCHES), "procs": list(PROCS)},
@@ -70,9 +70,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -10,6 +10,8 @@ signature feature.
 from repro.analysis import format_table
 from repro.nas import space_simulator_npb_model
 
+from _harness import cli, run_main
+
 BENCHES = ("BT", "SP", "LU", "CG", "FT", "IS")
 # 1..256 regenerate the paper's Figure 5; 512/1024/2560 extrapolate
 # past the Space Simulator (see EXPERIMENTS.md, "Scaling past the
@@ -48,8 +50,6 @@ FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "fig5_npb_scaling_c", _build,
         params={"benches": list(BENCHES), "procs": list(PROCS)},
@@ -61,9 +61,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -14,6 +14,8 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import build_tree, decompose, morton_traversal_order_2d
 
+from _harness import cli, run_main
+
 
 def _points(n=3000, seed=42):
     rng = np.random.default_rng(seed)
@@ -66,8 +68,6 @@ FLEET = {"tags": ('figure', 'treecode'), "smoke": "full"}
 def main(smoke: bool = False) -> dict:
     import numpy as _np
 
-    from _harness import run_main
-
     return run_main(
         "fig6_morton", _build,
         params={"n_pieces": 8, "bucket_size": 8},
@@ -80,9 +80,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

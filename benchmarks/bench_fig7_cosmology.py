@@ -33,6 +33,8 @@ from repro.cosmology import (
 from repro.obs import load_imbalance, wait_summary
 from repro.simmpi import SpaceSimulatorCost
 
+from _harness import cli, run_main
+
 
 def _comm_modes(n=1200, ranks=8, seed=9):
     """Blocked-fraction comparison of the two communication schedules.
@@ -161,8 +163,6 @@ FLEET = {"tags": ("figure", "cosmology", "comm"), "smoke": "reduced"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     n_side, comm_n = (10, 500) if smoke else (20, 1200)
     return run_main(
         "fig7_cosmology_smoke" if smoke else "fig7_cosmology",
@@ -174,10 +174,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced grid/comm problem under the "
-                             "fig7_cosmology_smoke record name")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

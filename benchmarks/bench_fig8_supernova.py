@@ -20,6 +20,8 @@ from repro.sph import (
     polytrope_particles,
 )
 
+from _harness import cli, run_main
+
 
 def _build(n_particles=350, max_steps=160):
     pos, m, u = polytrope_particles(n_particles, seed=11)
@@ -64,8 +66,6 @@ FLEET = {"tags": ("figure", "supernova", "sph"), "smoke": "reduced"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     n_particles, max_steps = (200, 90) if smoke else (350, 160)
     return run_main(
         "fig8_supernova_smoke" if smoke else "fig8_supernova",
@@ -80,10 +80,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller polytrope, fewer steps, under the "
-                             "fig8_supernova_smoke record name")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

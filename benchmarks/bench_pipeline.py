@@ -15,11 +15,12 @@ ensemble to 8 scenarios, finishing in well under a second for the CI
 fleet; full mode runs 12 scenarios of the halo-forming default box.
 """
 
-import argparse
 import tempfile
 
 from repro.campaign import PipelineSpec, ResultStore
 from repro.pipeline import Grid, Uniform, ensemble_statistics, run_ensemble
+
+from _harness import cli, run_main
 
 #: Committed reference envelopes: metric -> statistic -> (lo, hi).
 #: Bands are ±~40% around the measured ensemble values (seeds below),
@@ -115,8 +116,6 @@ FLEET = {"tags": ("pipeline", "cosmology", "sph", "campaign"), "smoke": "reduced
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     _, _, n = ensemble_args(smoke)
     with tempfile.TemporaryDirectory() as tmp:
         return run_main(
@@ -144,7 +143,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="8-scenario small-box ensemble for the CI fleet")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

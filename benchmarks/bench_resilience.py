@@ -24,6 +24,8 @@ from repro.resilience import (
     sample_fault_plan,
 )
 
+from _harness import cli, run_main
+
 N_RANKS = 8
 STEP_S = 60.0
 N_STEPS = 60                 # W = 1 hour of useful work
@@ -138,8 +140,6 @@ def main(smoke: bool = False) -> dict:
     import tempfile
     from pathlib import Path
 
-    from _harness import run_main
-
     # Reduced sweep: the full 25-seed x 7-interval grid is the slow
     # pytest benchmark; the record only needs the sweep's shape.
     global N_SEEDS, INTERVALS_S
@@ -160,9 +160,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same reduced sweep as full)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -15,6 +15,8 @@ from repro.cluster import (
     FailureModel,
 )
 
+from _harness import cli, run_main
+
 
 def _build(trials=400):
     model = FailureModel()
@@ -66,8 +68,6 @@ FLEET = {"tags": ('section', 'reliability'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "s21_reliability", lambda: _build(trials=100),
         params={"trials": 100},
@@ -80,9 +80,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

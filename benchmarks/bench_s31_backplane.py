@@ -15,6 +15,8 @@ from repro.network import (
     pair_flows,
 )
 
+from _harness import cli, run_main
+
 
 def _build():
     fabric = SPACE_SIMULATOR_FABRIC
@@ -47,8 +49,6 @@ FLEET = {"tags": ('section', 'network'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "s31_backplane", _build,
         params={"n_streams": 16},
@@ -60,9 +60,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -16,6 +16,8 @@ from repro.spec import (
     spec_scores,
 )
 
+from _harness import cli, run_main
+
 
 def _build():
     table = {cfg.name: spec_scores(cfg) for cfg in TABLE2_CONFIGS}
@@ -47,8 +49,6 @@ FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "s35_spec", _build,
         counters=lambda table: {"configs": len(table)},
@@ -56,9 +56,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -20,6 +20,8 @@ from repro.cluster import (
     ram_dollars_per_mb,
 )
 
+from _harness import cli, run_main
+
 
 def _build():
     commodity = {
@@ -67,8 +69,6 @@ FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "s5_moore", _build,
         params={"years": 6.0},
@@ -80,9 +80,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

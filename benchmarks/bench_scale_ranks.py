@@ -18,12 +18,12 @@ for CI, recorded under its own name so the full-scale baselines stay
 unpolluted.
 """
 
-import argparse
-
 import numpy as np
 
 from repro.core.parallel import ParallelConfig, parallel_tree_accelerations
 from repro.simmpi.cost import SpaceSimulatorCost
+
+from _harness import cli, run_main
 
 PROCS = (512, 1024, 2560)
 SMOKE_PROCS = (128, 256)
@@ -62,8 +62,6 @@ def test_scale_ranks_smoke(benchmark):
 
 
 def _record(procs, name):
-    from _harness import run_main
-
     def counters(result):
         out = {}
         for p, r in result.items():
@@ -93,9 +91,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=f"CI mode: P in {SMOKE_PROCS} under a distinct record name",
-    )
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -8,6 +8,8 @@ peak per node).
 from repro.analysis import format_table
 from repro.cluster import SPACE_SIMULATOR_BOM
 
+from _harness import cli, run_main
+
 
 def _build():
     bom = SPACE_SIMULATOR_BOM
@@ -38,8 +40,6 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table1_bom", _build,
         counters=lambda r: {
@@ -51,9 +51,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -9,6 +9,8 @@ prediction, compared cell by cell against the paper.
 from repro.analysis import format_table
 from repro.machine import OVERCLOCK, TABLE2_CONFIGS, TABLE2_MEASURED, table2_profiles
 
+from _harness import cli, run_main
+
 
 def _build():
     profiles = table2_profiles()
@@ -44,8 +46,6 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table2_clocking", _build,
         counters=lambda rows: {"rows": len(rows)},
@@ -53,9 +53,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

@@ -19,6 +19,8 @@ from repro.nas import (
     space_simulator_npb_model,
 )
 
+from _harness import cli, run_main
+
 _KERNELS = {"BT": run_bt, "SP": run_sp, "LU": run_lu, "CG": run_cg, "FT": run_ft, "IS": run_is}
 
 
@@ -59,8 +61,6 @@ FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table3_npb_c64", _build,
         params={"klass": "C", "procs": 64},
@@ -72,9 +72,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

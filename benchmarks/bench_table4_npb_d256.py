@@ -14,6 +14,8 @@ from repro.nas import (
     space_simulator_npb_model,
 )
 
+from _harness import cli, run_main
+
 
 def _build():
     ss = space_simulator_npb_model()
@@ -54,8 +56,6 @@ FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table4_npb_d256", _build,
         params={"klass": "D", "procs": 256},
@@ -64,9 +64,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

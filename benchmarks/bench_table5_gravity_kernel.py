@@ -29,6 +29,8 @@ from repro.core import (
 )
 from repro.machine import TABLE5_PROCESSORS
 
+from _harness import cli, run_main
+
 
 def _build():
     rng = np.random.default_rng(0)
@@ -123,8 +125,6 @@ FLEET = {"tags": ("table", "kernel"), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table5_gravity_kernel", _build,
         params={"n_sources": 2048, "repeats": 10},
@@ -137,8 +137,6 @@ def main(smoke: bool = False) -> dict:
 
 
 def speedup_main() -> dict:
-    from _harness import run_main
-
     def counters(r):
         out = {"reference_seconds": r["reference_seconds"]}
         for b, s in r["backends"].items():
@@ -156,6 +154,7 @@ def speedup_main() -> dict:
 if __name__ == "__main__":
     import sys
 
-    main(smoke="--smoke" in sys.argv)
     if "--speedup" in sys.argv:
-        speedup_main()
+        sys.argv.remove("--speedup")
+        cli(lambda smoke: speedup_main(), __doc__)
+    cli(main, __doc__)

@@ -17,6 +17,8 @@ from repro.core import ParallelConfig, parallel_tree_accelerations
 from repro.machine import TABLE6_MACHINES
 from repro.simmpi import SpaceSimulatorCost
 
+from _harness import cli, run_main
+
 
 def _sphere(n, seed=7):
     """The 'spherical distribution representing the initial evolution
@@ -86,8 +88,6 @@ FLEET = {"tags": ("table", "treecode", "comm"), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table6_treecode_history", _build,
         params={"n": 6000, "n_ranks": 4, "theta": 0.8},
@@ -97,9 +97,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

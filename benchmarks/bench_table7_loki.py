@@ -3,6 +3,8 @@
 from repro.analysis import format_table
 from repro.cluster import LOKI_BOM
 
+from _harness import cli, run_main
+
 
 def _build():
     rows = [
@@ -30,8 +32,6 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     return run_main(
         "table7_loki", _build,
         counters=lambda rows: {"total_cost": LOKI_BOM.total_cost, "rows": len(rows)},
@@ -39,9 +39,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-budget run (same workload for this bench)")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

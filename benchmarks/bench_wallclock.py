@@ -20,11 +20,10 @@ attribution bucket and the two invariants the wallclock layer promises
 measured on a one-core host is read as what it is: the multiprocess
 backend falls back inline there, and the gain is the batched evaluator.
 
-``--smoke`` shrinks N so the CI perf-gate step finishes in seconds; it
+``--smoke`` shrinks N so the CI fleet finishes it in seconds; it
 reports under the distinct record name ``wallclock_smoke``.
 """
 
-import argparse
 import os
 import time
 
@@ -34,6 +33,8 @@ from repro.core import ParallelConfig, parallel_nbody_run
 from repro.core.backend_wall import WallBackend
 from repro.core.procpool import MultiprocessBackend, resolve_pool_workers
 from repro.obs import wallclock as wc
+
+from _harness import cli, run_main
 
 #: Reduced smoke: a much smaller N than the full bench, so it reports
 #: under a distinct record name to keep full-mode baselines clean.
@@ -101,8 +102,6 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
 
 
 def main(smoke: bool = False) -> dict:
-    from _harness import run_main
-
     n = 4000 if smoke else 100_000
     ranks, steps, seed = (4, 1, 11) if smoke else (8, 1, 11)
 
@@ -137,7 +136,4 @@ def main(smoke: bool = False) -> dict:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced N for the CI perf gate")
-    main(smoke=parser.parse_args().smoke)
+    cli(main, __doc__)

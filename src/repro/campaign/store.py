@@ -16,7 +16,7 @@ One campaign directory holds two classes of data and never mixes them:
 
 ``index.sqlite`` is a disposable query accelerator rebuilt from
 ``results.jsonl`` whenever it is stale — JSONL stays the source of
-truth, the way ``benchmarks/baseline.jsonl`` does for the perf gate.
+truth, the way ``benchmarks/baseline.jsonl`` does for the fleet gate.
 ``events.jsonl`` is a live append-only progress log for humans tailing
 a running campaign; crash recovery never reads it (that is the
 checkpoint ledger's job, see :mod:`repro.campaign.runner`).

@@ -20,11 +20,10 @@ compares pools against.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Iterable, Iterator, Mapping
 
-from ..core.procpool import ProcPool
+from ..core.procpool import ProcPool, resolve_worker_count
 from .spec import spec_from_dict
 
 __all__ = ["WORKERS_ENV", "resolve_workers", "execute_shard", "run_shards"]
@@ -34,16 +33,7 @@ WORKERS_ENV = "REPRO_CAMPAIGN_WORKERS"
 
 def resolve_workers(workers: int | None = None) -> int:
     """Effective worker count (>= 1); see module docstring for order."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-        else:
-            workers = 1
-    return max(1, int(workers))
+    return resolve_worker_count(workers, WORKERS_ENV, 1)
 
 
 def execute_shard(spec_dict: Mapping, throttle: float = 0.0) -> dict:

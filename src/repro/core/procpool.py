@@ -48,6 +48,7 @@ __all__ = [
     "TaskResult",
     "ProcPool",
     "resolve_pool_workers",
+    "resolve_worker_count",
     "run_tasks",
     "MultiprocessBackend",
 ]
@@ -55,18 +56,26 @@ __all__ = [
 POOL_WORKERS_ENV = "REPRO_PROCPOOL_WORKERS"
 
 
-def resolve_pool_workers(workers: int | None = None) -> int:
-    """Effective worker count (>= 1); see module docstring for order."""
+def resolve_worker_count(workers: int | None, env_name: str, default: int) -> int:
+    """``workers`` if given, else the integer in ``$env_name``, else
+    ``default``; never below 1.  The one parser behind
+    :func:`resolve_pool_workers` and
+    :func:`repro.campaign.workers.resolve_workers`."""
     if workers is None:
-        env = os.environ.get(POOL_WORKERS_ENV, "").strip()
+        env = os.environ.get(env_name, "").strip()
         if env:
             try:
                 workers = int(env)
             except ValueError:
-                raise ValueError(f"{POOL_WORKERS_ENV} must be an integer, got {env!r}")
+                raise ValueError(f"{env_name} must be an integer, got {env!r}")
         else:
-            workers = os.cpu_count() or 1
+            workers = default
     return max(1, int(workers))
+
+
+def resolve_pool_workers(workers: int | None = None) -> int:
+    """Effective worker count (>= 1); see module docstring for order."""
+    return resolve_worker_count(workers, POOL_WORKERS_ENV, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,20 @@ Three subcommands drive the analysis stack from the shell:
     timeline, no external assets) — openable straight from disk.
 
 ``compare HISTORY.jsonl``
-    The bench regression gate: rolling-baseline comparison of the
-    longitudinal record ``benchmarks/_harness.py`` appends under
-    ``REPRO_BENCH_HISTORY``.  Exits 1 when any bench regressed beyond
-    the threshold and the noise model, which is what CI keys off.
+    A single-metric rolling-baseline comparison of a history JSONL
+    (written by ``fleet --history`` or a bench's own ``--history``
+    flag).  Exits 1 when any bench regressed beyond the threshold and
+    the noise model.
 
 ``fleet``
     Run the whole benchmark suite (or ``--bench`` subsets) as one
     campaign (:mod:`repro.obs.fleet`): content-fingerprinted dedupe,
     crash-safe resume, ``--workers`` parallelism, one ``fleet.jsonl``
     ledger line per bench.  ``--baseline`` + ``--gate`` runs the
-    multi-metric regression gate over the committed history;
-    ``--html`` writes the self-contained fleet report.  Exits 1 on a
-    failed bench or a gate regression.
+    multi-metric regression gate over the committed history, which is
+    the gate CI keys off; ``--history`` appends the freshly computed
+    records to a history file; ``--html`` writes the self-contained
+    fleet report.  Exits 1 on a failed bench or a gate regression.
 
 ``validate FILE.jsonl [...]``
     Strict schema check of record files (``benchmarks/baseline.jsonl``,
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -187,14 +187,11 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
 
 
 def _cmd_validate(opts: argparse.Namespace) -> int:
-    from .fleet import default_bench_dir
+    from .fleet import _harness, default_bench_dir
     from .schemacheck import validate_jsonl_lines
 
-    schema_path = opts.schema
-    if schema_path is None:
-        schema_path = os.path.join(default_bench_dir(), "schema.json")
-    with open(schema_path) as fh:
-        schema = json.load(fh)
+    harness = _harness(default_bench_dir())
+    schema = harness.load_schema(opts.schema or harness.SCHEMA_PATH)
     bad = 0
     for path in opts.files:
         with open(path) as fh:
@@ -298,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.set_defaults(func=_cmd_report)
 
     p_cmp = sub.add_parser("compare", help="bench-history regression gate")
-    p_cmp.add_argument("history", help="history.jsonl (see REPRO_BENCH_HISTORY)")
+    p_cmp.add_argument("history", help="history.jsonl (fleet --history, bench --history)")
     p_cmp.add_argument("--metric", default="seconds",
                        help="record field or counters.<name> (default seconds; "
                             "use virtual_seconds for machine-independent gating)")
@@ -341,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="also write the self-contained fleet report")
     p_fl.add_argument("--history", metavar="PATH", default=None,
                       help="append freshly computed records to this history "
-                           "file (default: REPRO_BENCH_HISTORY)")
+                           "file")
     p_fl.add_argument("--throttle", type=float, default=0.0,
                       help="per-shard pacing delay, for crash drills")
     p_fl.set_defaults(func=_cmd_fleet)

@@ -20,15 +20,11 @@ schema-valid rows too (status ``failed``, synthesized record carrying
 the error), so a fleet ledger is always complete: 26 catalog entries
 in, 26 rows out.
 
-Two deliberate containment rules keep concurrent workers honest:
-
-* ``run_bench_scenario`` strips ``REPRO_BENCH_DIR`` /
-  ``REPRO_BENCH_HISTORY`` from the worker's environment, because
-  ``append_history``'s read-modify-replace is atomic against crashes
-  but not against *concurrent writers*.  The fleet coordinator appends
-  freshly-computed records to the history centrally, single-writer.
-* Bench stdout (each bench prints its record) is swallowed in the
-  worker; the coordinator owns all reporting.
+A bench's ``main()`` only returns its record; the coordinator is the
+one process that writes the ledger and, when given ``history=``,
+appends the freshly computed records to it.  Bench stdout (each bench
+prints its record) is swallowed in the worker; the coordinator owns all
+reporting.
 
 The read side: :func:`load_fleet` for the ledger,
 :func:`repro.obs.history.compare_history_multi` for the multi-metric
@@ -48,8 +44,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .history import load_history
 from .model import NULL, Recorder
-from .schemacheck import validate_value
 
 __all__ = [
     "BENCH_ROOT_ENV",
@@ -79,9 +75,6 @@ FLEET_FILE = "fleet.jsonl"
 #: baselines are never polluted with small-workload timings.
 SMOKE_KINDS = ("full", "reduced")
 
-#: Environment the worker must not see (single-writer rule above).
-_SUPPRESSED_ENV = ("REPRO_BENCH_DIR", "REPRO_BENCH_HISTORY")
-
 
 class FleetError(ValueError):
     """A bench suite or fleet-ledger contract violation."""
@@ -100,17 +93,20 @@ def default_bench_dir() -> str:
 def _load_bench_module(bench_dir: str, stem: str):
     """Import ``bench_<stem>.py`` under a private module name.
 
-    ``bench_dir`` goes on ``sys.path`` first because bench modules do
-    ``from _harness import run_main`` at call time.  Loaded modules are
+    ``bench_dir`` goes on ``sys.path`` first because bench modules
+    import ``_harness``, which lives next to them.  Loaded modules are
     cached in ``sys.modules`` so registry building and shard execution
-    in the same process import each file once.
+    in the same process import each file once; a cached module counts
+    only for the file it was loaded from, so a second ``bench_dir``
+    holding the same stem gets its own file.
     """
     if bench_dir not in sys.path:
         sys.path.insert(0, bench_dir)
     name = f"_fleet_bench_{stem}"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = os.path.join(bench_dir, f"bench_{stem}.py")
+    path = os.path.abspath(os.path.join(bench_dir, f"bench_{stem}.py"))
+    cached = sys.modules.get(name)
+    if cached is not None and cached.__file__ == path:
+        return cached
     spec = importlib.util.spec_from_file_location(name, path)
     if spec is None or spec.loader is None:
         raise FleetError(f"cannot load bench module {path}")
@@ -206,19 +202,14 @@ def run_bench_scenario(params: Mapping) -> dict:
     """Campaign entry point for :class:`~repro.campaign.spec.BenchSpec`.
 
     Runs one bench's ``main(smoke=...)`` in this (worker) process with
-    record side channels disabled — environment-driven emit/history is
-    popped for the duration, stdout is swallowed — and returns the
-    bench record itself as the shard result.
+    stdout swallowed and returns the bench record itself as the shard
+    result.
     """
     bench = str(params["bench"])
     smoke = bool(params.get("smoke", True))
     mod = _load_bench_module(default_bench_dir(), bench)
-    saved = {k: os.environ.pop(k) for k in _SUPPRESSED_ENV if k in os.environ}
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            record = mod.main(smoke=smoke)
-    finally:
-        os.environ.update(saved)
+    with contextlib.redirect_stdout(io.StringIO()):
+        record = mod.main(smoke=smoke)
     if not isinstance(record, dict):
         raise TypeError(f"bench {bench!r} main() returned {type(record).__name__}, not dict")
     return record
@@ -302,9 +293,8 @@ def run_fleet(
     campaign store under ``campaign/`` — rerunning the same fleet into
     the same directory is all cache hits, and a fleet killed mid-run
     resumes from its committed shards — plus the ``fleet.jsonl``
-    ledger.  ``history`` (or ``REPRO_BENCH_HISTORY``) receives one
-    appended line per *freshly computed* record, written only by this
-    coordinator process.
+    ledger.  ``history`` receives one appended line per *freshly
+    computed* record, written only by this coordinator process.
     """
     from ..campaign.runner import run_campaign
     from ..campaign.spec import BenchSpec
@@ -378,7 +368,7 @@ def run_fleet(
         if error:
             stamp["error"] = str(error)
         record["fleet"] = stamp
-        errors = validate_value(record, schema)
+        errors = harness.validate_record(record, schema)
         if errors:
             raise FleetError(
                 f"fleet row for bench {name!r} violates schema.json: {errors}"
@@ -386,22 +376,13 @@ def run_fleet(
         rows.append(record)
 
     ledger_path = os.path.join(out_dir, FLEET_FILE)
-    tmp = f"{ledger_path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, ledger_path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    harness.write_atomic(
+        ledger_path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+    )
 
     # Single-writer history append: only freshly computed records join
     # the longitudinal baseline (cache/resume hits are old news, failed
     # rows would poison rolling medians with near-zero timings).
-    history = history or os.environ.get(harness.HISTORY_ENV)
     if history:
         for row in rows:
             if row["fleet"]["status"] == "computed":
@@ -420,21 +401,9 @@ def run_fleet(
 def load_fleet(path: str) -> list[dict]:
     """Read a ``fleet.jsonl`` ledger (rows in catalog order).
 
-    Forgiving like :func:`repro.obs.history.load_history` — blank or
-    corrupt lines are skipped; rows without a ``fleet`` stamp are not
-    fleet rows and are skipped too.  Strict validation is the
-    ``python -m repro.obs validate`` verb's job.
+    Forgiving like :func:`repro.obs.history.load_history`, which reads
+    it — blank or corrupt lines are skipped; rows without a ``fleet``
+    stamp are not fleet rows and are skipped too.  Strict validation is
+    the ``python -m repro.obs validate`` verb's job.
     """
-    rows: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(row, dict) and isinstance(row.get("fleet"), dict):
-                rows.append(row)
-    return rows
+    return [r for r in load_history(path) if isinstance(r.get("fleet"), dict)]

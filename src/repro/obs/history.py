@@ -1,11 +1,13 @@
 """Longitudinal bench history: rolling baselines and a regression gate.
 
-``benchmarks/_harness.py`` appends every schema-validated bench record
-as one JSON line to a history file (``REPRO_BENCH_HISTORY``).  This
-module is the read side: it groups the lines per bench name in file
-order (oldest first), computes a rolling baseline over the most recent
-``window`` prior runs, and flags the latest run as a regression when it
-is slower than the baseline by more than both
+A history file holds one schema-validated bench record per line,
+appended by ``benchmarks/_harness.append_history`` where a caller names
+the file: ``python -m repro.obs fleet --history`` for the suite, a
+bench's own ``--history`` flag for one run.  This module is the read
+side: it groups the lines per bench name in file order (oldest first),
+computes a rolling baseline over the most recent ``window`` prior runs,
+and flags the latest run as a regression when it is slower than the
+baseline by more than both
 
 * a relative ``threshold`` (default 5%), and
 * three robust sigmas of the baseline's own noise (median absolute

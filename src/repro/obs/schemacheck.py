@@ -4,11 +4,11 @@ The uniform benchmark records (``benchmarks/schema.json``), the fleet
 ledger (``fleet.jsonl``), and the committed regression baseline
 (``benchmarks/baseline.jsonl``) all validate against the same subset
 validator: ``type``, ``required``, ``properties``,
-``additionalProperties``, ``pattern``, ``minimum``, ``items``.  It
-lived in ``benchmarks/_harness.py`` originally; it moved here so the
-``python -m repro.obs validate`` CI step and the fleet runner can check
-records without importing the bench harness, and the harness now
-delegates to this module — one validator, never two drifting copies.
+``additionalProperties``, ``pattern``, ``minimum``, ``items``.  The
+bench harness (``benchmarks/_harness.py``, which also owns the one
+schema loader), the fleet runner and the ``python -m repro.obs
+validate`` CI step all delegate to this module — one validator, never
+two drifting copies.
 
 No third-party dependency: the subset is small enough to hand-roll and
 large enough for every record shape this repo emits.

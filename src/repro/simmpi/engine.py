@@ -47,7 +47,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce as _fold
+from functools import cached_property, reduce as _fold
 from typing import Any, Callable, Generator, Sequence
 
 from ..machine.perfmodel import Workload
@@ -145,16 +145,26 @@ class SimResult:
     ``observer`` is the :class:`~repro.obs.Recorder` that captured the
     run's spans and counters (None when tracing was disabled and no
     external observer was supplied); ``trace`` is the legacy per-rank
-    interval view derived from it.  ``trace_sample`` records the span
-    decimation the engine ran with (1.0 = every rank traced).
+    interval view derived from it on first access.  ``trace_sample``
+    records the span decimation the engine ran with (1.0 = every rank
+    traced).
     """
 
     clocks: list[float]
     stats: list[RankStats]
     returns: list[Any]
-    trace: list[TraceEvent] = field(default_factory=list)
     observer: Recorder | None = None
     trace_sample: float = 1.0
+    #: How many of ``observer``'s spans existed when the run ended (a
+    #: shared recorder may grow afterwards); 0 with ``record_trace=False``.
+    trace_spans: int = 0
+
+    @cached_property
+    def trace(self) -> list[TraceEvent]:
+        """Legacy :class:`TraceEvent` view of the run (empty untraced)."""
+        if not self.trace_spans:
+            return []
+        return spans_to_trace(self.observer.spans[: self.trace_spans])
 
     @property
     def elapsed(self) -> float:
@@ -284,7 +294,6 @@ class Engine:
             self.observer = Recorder()
         else:
             self.observer = NULL
-        self.trace: list[TraceEvent] = []
         self.eager_nbytes = getattr(self.cost, "eager_nbytes", DEFAULT_EAGER_NBYTES)
         self.size = len(programs)
         self.trace_sample = trace_sample
@@ -883,8 +892,6 @@ class Engine:
                     if ranks[rank].done:
                         continue  # node died after its rank finished: job survives
                     self.observer.add_span("node crash", time, time, track=rank, cat="failed")
-                    if self.record_trace:
-                        self.trace.append(TraceEvent(rank, time, time, "failed", "node crash"))
                     raise RankFailedError(rank, time)
                 if ranks[rank].done:
                     continue
@@ -899,15 +906,13 @@ class Engine:
                 f"rank {i}: {ranks[i].blocked_on or 'never blocked'}" for i in unfinished
             )
             raise DeadlockError(f"simulation deadlocked with {len(unfinished)} rank(s) blocked ({detail})")
-        if self.record_trace:
-            self.trace = spans_to_trace(list(self.observer.spans))
         return SimResult(
             clocks=[s.clock for s in ranks],
             stats=[s.stats for s in ranks],
             returns=[s.return_value for s in ranks],
-            trace=self.trace,
             observer=self.observer if self.observer is not NULL else None,
             trace_sample=self.trace_sample,
+            trace_spans=len(self.observer.spans) if self.record_trace else 0,
         )
 
 

@@ -5,7 +5,8 @@ Every ``benchmarks/bench_*.py`` must expose ``main() -> dict`` built on
 against ``benchmarks/schema.json``.  The cheap shape checks (module
 exposes a callable ``main``, the schema file itself is well-formed, the
 subset validator works, history appends are atomic) run in the default
-suite; actually executing all 28 payloads is marked slow.
+suite; actually executing all 28 payloads (in the smoke
+parameterization the fleet registry declares) is marked slow.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import os
 import sys
 
 import pytest
+
+from repro.obs.fleet import build_registry
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 BENCH_FILES = sorted(
@@ -38,6 +41,11 @@ def harness():
     import _harness
 
     return _harness
+
+
+@pytest.fixture(scope="module")
+def registry():
+    return build_registry(BENCH_DIR)
 
 
 def test_bench_files_found():
@@ -128,9 +136,12 @@ class TestSchema:
         with open(path) as fh:
             assert json.load(fh) == record
 
-    def test_emit_noop_without_dir(self, harness, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
-        assert harness.emit(harness.bench_record("unit_test", seconds=0.1)) is None
+    def test_emit_noop_without_dir(self, harness, tmp_path, monkeypatch):
+        # No ambient destination: the directory is a required argument.
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "ambient"))
+        with pytest.raises(TypeError):
+            harness.emit(harness.bench_record("unit_test", seconds=0.1))
+        assert not (tmp_path / "ambient").exists()
 
 
 class TestAppendHistoryAtomicity:
@@ -197,9 +208,11 @@ class TestAppendHistoryAtomicity:
         with pytest.raises(json.JSONDecodeError):
             json.loads(raw[1])
 
-    def test_noop_without_destination(self, harness, monkeypatch):
-        monkeypatch.delenv(harness.HISTORY_ENV, raising=False)
-        assert harness.append_history(harness.bench_record("x", seconds=0.1)) is None
+    def test_noop_without_destination(self, harness, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "ambient.jsonl"))
+        with pytest.raises(TypeError):
+            harness.append_history(harness.bench_record("x", seconds=0.1))
+        assert not (tmp_path / "ambient.jsonl").exists()
 
     def test_directory_destination_gets_history_file(self, harness, tmp_path):
         out = harness.append_history(
@@ -211,10 +224,12 @@ class TestAppendHistoryAtomicity:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("filename", BENCH_FILES)
-def test_main_record_validates(filename, harness, capsys):
-    mod = _load(filename)
-    record = mod.main()
+def test_main_record_validates(filename, harness, registry, capsys):
+    # The parameterization the registry declares for CI; the "reduced"
+    # benches keep their full payload behind `fleet --full`.
+    entry = registry[filename[len("bench_"):-len(".py")]]
+    record = _load(filename).main(smoke=True)
     capsys.readouterr()  # swallow the CLI print
     assert harness.validate_record(record) == [], filename
-    assert record["name"] in filename
+    assert record["name"] == entry.smoke_record_name
     assert record["seconds"] > 0

@@ -99,7 +99,6 @@ def make_sandbox(root: Path) -> Path:
 def sandbox_env(sandbox: Path) -> dict:
     env = dict(os.environ)
     env["PATH"] = str(sandbox / ".bin") + os.pathsep + env.get("PATH", "")
-    env.pop("REPRO_BENCH_HISTORY", None)  # recipes set their own
     env.pop("PYTHONPATH", None)  # snippets must set it themselves
     return env
 
@@ -127,14 +126,11 @@ def document(request, tmp_path_factory):
 def run_python_block(block: Block, doc: Path, sandbox: Path, namespace: dict):
     code = compile(block.text, f"{doc.name}:{block.line}", "exec")
     cwd = os.getcwd()
-    history = os.environ.pop("REPRO_BENCH_HISTORY", None)
     os.chdir(sandbox)
     try:
         exec(code, namespace)
     finally:
         os.chdir(cwd)
-        if history is not None:
-            os.environ["REPRO_BENCH_HISTORY"] = history
 
 
 def run_console_block(block: Block, doc: Path, sandbox: Path, env: dict):

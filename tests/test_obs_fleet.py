@@ -4,8 +4,8 @@ The real suite's contract is pinned (every ``benchmarks/bench_*.py``
 registers with tags and a smoke declaration); everything behavioral
 runs against a tiny fixture suite in ``tmp_path`` — synthetic bench
 modules next to a copy of the real ``_harness.py``/``schema.json`` —
-so the tests exercise registry refusal, worker side-channel
-suppression, dedupe/cache/failed ledger statuses, and the SIGKILL
+so the tests exercise registry refusal, workers that write nothing,
+dedupe/cache/failed ledger statuses, and the SIGKILL
 crash drill without paying for real workloads.
 """
 
@@ -86,17 +86,14 @@ def _write_bench(bench_dir, name, *, smoke_kind="full", fail=False, value=2.0):
 def suite(tmp_path, monkeypatch):
     """A fixture bench dir with the real harness/schema copied in."""
     monkeypatch.delenv(BENCH_ROOT_ENV, raising=False)
-    monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
     bench_dir = str(tmp_path / "suite")
     os.makedirs(bench_dir)
     shutil.copy(os.path.join(REAL_BENCH_DIR, "_harness.py"), bench_dir)
     shutil.copy(os.path.join(REAL_BENCH_DIR, "schema.json"), bench_dir)
     yield bench_dir
-    # Stems repeat across tests (alpha, beta, ...): purge the private
-    # module cache and path entry so each fixture dir loads fresh.
-    for name in [n for n in sys.modules if n.startswith("_fleet_bench_")]:
-        del sys.modules[name]
+    # Stems repeat across tests (alpha, beta, ...); the fleet's module
+    # cache is checked against the file path, so only the path entry
+    # needs undoing.
     if bench_dir in sys.path:
         sys.path.remove(bench_dir)
 
@@ -239,6 +236,22 @@ class TestRunBenchScenario:
         assert os.environ["REPRO_BENCH_HISTORY"] == str(hist)
         assert os.environ["REPRO_BENCH_DIR"] == str(emit_dir)
 
+    def test_same_stem_in_two_directories(self, suite, tmp_path, monkeypatch):
+        # One process, two suites that both hold bench_alpha.py: each
+        # directory must get its own file, not the first one's module.
+        other = str(tmp_path / "other")
+        shutil.copytree(suite, other)
+        _write_bench(suite, "alpha", value=2.0)
+        _write_bench(other, "alpha", smoke_kind="reduced", value=5.0)
+        assert build_registry(suite)["alpha"].smoke == "full"
+        assert build_registry(other)["alpha"].smoke == "reduced"
+        monkeypatch.setenv(BENCH_ROOT_ENV, other)
+        record = run_bench_scenario({"bench": "alpha", "smoke": True})
+        assert (record["name"], record["virtual_seconds"]) == ("alpha_smoke", 5.0)
+        monkeypatch.setenv(BENCH_ROOT_ENV, suite)
+        record = run_bench_scenario({"bench": "alpha", "smoke": True})
+        assert (record["name"], record["virtual_seconds"]) == ("alpha", 2.0)
+
     def test_non_dict_record_is_an_error(self, suite, monkeypatch):
         with open(os.path.join(suite, "bench_badret.py"), "w") as fh:
             fh.write(
@@ -358,8 +371,6 @@ class TestFleetSigkillResume:
 
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_BENCH_HISTORY", None)
-        env.pop("REPRO_BENCH_DIR", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.obs", "fleet",
              "--out", str(out), "--bench-dir", suite,

@@ -3,8 +3,8 @@
 The headline acceptance check from ISSUE 3: on a synthetic history
 where the latest run is 10% slower, ``compare_history`` flags exactly
 that bench; on the unmodified history it flags nothing.  The harness
-side (``benchmarks/_harness.append_history``) is tested against a
-temporary ``REPRO_BENCH_HISTORY`` target.
+side (``benchmarks/_harness.append_history`` and the ``cli`` flags that
+reach it) is tested against temporary targets.
 """
 
 import json
@@ -174,26 +174,49 @@ class TestHarnessAppendHistory:
         assert os.path.exists(out)
 
     def test_env_variable_default(self, harness, tmp_path, monkeypatch):
+        # The retired ambient channel stays retired: with the variable
+        # set, a call that names no destination writes nothing.
         target = tmp_path / "envhist.jsonl"
-        monkeypatch.setenv(harness.HISTORY_ENV, str(target))
-        assert harness.append_history({"name": "z", "seconds": 1.0}) == str(target)
-        assert load_history(str(target))[0]["name"] == "z"
+        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(target))
+        with pytest.raises(TypeError):
+            harness.append_history({"name": "z", "seconds": 1.0})
+        assert not target.exists()
 
-    def test_noop_without_destination(self, harness, monkeypatch):
-        monkeypatch.delenv(harness.HISTORY_ENV, raising=False)
-        assert harness.append_history({"name": "q", "seconds": 1.0}) is None
+    def test_noop_without_destination(self, harness):
+        with pytest.raises(TypeError):
+            harness.append_history({"name": "q", "seconds": 1.0})
 
     def test_run_main_appends_history(self, harness, tmp_path, monkeypatch):
+        # run_main only returns its record, whatever the environment
+        # says; the shared bench command line is the standalone writer.
+        ambient = tmp_path / "ambient"
+        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(ambient / "h.jsonl"))
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(ambient))
+
+        def main(smoke=False):
+            return harness.run_main(
+                "unit.history", lambda: 41 + 1, virtual_seconds=0.5, quiet=True
+            )
+
+        record = main()
+        assert not ambient.exists()
+
         target = tmp_path / "run.jsonl"
-        monkeypatch.setenv(harness.HISTORY_ENV, str(target))
-        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
-        record = harness.run_main(
-            "unit.history", lambda: 41 + 1, virtual_seconds=0.5, quiet=True
-        )
+        assert harness.cli(main, argv=["--history", str(target)])["name"] == "unit.history"
         (entry,) = load_history(str(target))
         assert entry["name"] == "unit.history"
         assert entry["virtual_seconds"] == 0.5
-        assert entry["seconds"] == record["seconds"]
+        assert {k: v for k, v in entry.items() if k not in ("ts", "seconds")} == {
+            k: v for k, v in record.items() if k != "seconds"
+        }
+
+        out = tmp_path / "out"
+        emitted = harness.cli(main, argv=["--smoke", "--out", str(out)])
+        assert os.listdir(out) == ["BENCH_unit.history.json"]
+        with open(out / "BENCH_unit.history.json") as fh:
+            assert json.load(fh) == emitted
+        assert len(load_history(str(target))) == 1  # --out alone appends nothing
+        assert not ambient.exists()
 
 
 class TestDottedMetricPaths:
