@@ -4,8 +4,9 @@ The front door for sweeps: a *scenario spec* (cosmology realization,
 supernova progenitor, cluster configuration) is one request, a JSONL
 *catalog* of specs is one campaign, and :func:`run_campaign` shards
 the catalog across an OS-process worker pool, dedupes identical work
-by content-addressed fingerprint, resumes partial campaigns through
-the two-phase checkpoint ledger, and finalizes a queryable
+by content-addressed fingerprint, resumes partial campaigns from an
+append-only crash ledger (one ``ledger.jsonl`` line per finished
+shard, gone again at finalization), and finalizes a queryable
 JSONL + sqlite result store.
 
 Quickstart::

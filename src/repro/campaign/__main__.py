@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("run", help="run or resume a campaign")
     p.add_argument("catalog", help="JSONL catalog of scenario specs")
-    p.add_argument("--dir", required=True, help="campaign directory (store + checkpoints)")
+    p.add_argument("--dir", required=True, help="campaign directory (store + crash ledger)")
     p.add_argument("--workers", type=int, default=None,
                    help=f"process pool size (default: $REPRO_CAMPAIGN_WORKERS or serial)")
     p.add_argument("--throttle", type=float, default=0.0,

@@ -12,9 +12,8 @@ randomization, or which process computed it.  Two campaigns submitted
 years apart address the same cache entry iff they describe the same
 physics.
 
-Fingerprints are exposed in two forms: raw 16-byte digests for
-checkpoint ledgers (stored as uint8 arrays) and 32-char lowercase hex
-for JSONL/sqlite rows and log lines.
+Fingerprints are exposed in two forms: raw 16-byte digests and
+32-char lowercase hex for JSONL/sqlite rows and log lines.
 """
 
 from __future__ import annotations

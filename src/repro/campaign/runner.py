@@ -1,4 +1,4 @@
-"""The campaign runner: shard, dedupe, execute, checkpoint, finalize.
+"""The campaign runner: shard, dedupe, execute, ledger, finalize.
 
 One call — :func:`run_campaign` — is the batch front door the ROADMAP
 names: a request is a scenario spec, a campaign is a catalog of them,
@@ -8,20 +8,20 @@ and hot scenarios are cache hits.  The pipeline:
    (:func:`repro.campaign.fingerprint.scenario_fingerprint_hex`).
    Duplicate specs collapse to one shard (*dedupe hits*).
 2. **Reuse** everything already known: finalized results in the store
-   (*cache hits*, cross-campaign) and the checkpoint ledger of a
+   (*cache hits*, cross-campaign) and the crash ledger of a
    partially-run campaign (*resume hits*, intra-campaign).
 3. **Execute** the remaining unique shards — serially or on an
    OS-process pool (:mod:`repro.campaign.workers`).
-4. **Checkpoint** after every completion through the PR-1
-   :class:`repro.resilience.checkpoint.CheckpointStore` two-phase
-   commit: the full result ledger is written as epoch ``N``, then the
-   COMMIT marker drops.  A coordinator killed mid-write leaves a torn
-   epoch that resume ignores; a committed epoch guarantees every shard
-   in it is never recomputed.  Old epochs are pruned so disk stays
-   bounded.
+4. **Ledger** every completion: one appended, flushed line of
+   ``ledger.jsonl`` (:meth:`repro.campaign.store.ResultStore.append_ledger`),
+   the very line ``results.jsonl`` will carry.  A coordinator killed
+   mid-line leaves an unterminated tail that resume ignores and the
+   next append cuts off; every terminated line whose fingerprint still
+   names its spec is never recomputed.
 5. **Finalize** the store: canonical ``results.jsonl`` in catalog
-   order (bit-identical across serial/pooled/resumed runs),
-   operational ``shards.jsonl``, and the sqlite query index.
+   order (bit-identical across serial/pooled/resumed runs) — at which
+   point the ledger is removed — then operational ``shards.jsonl`` and
+   the sqlite query index.
 
 Dedupe/cache/resume/compute tallies go both into the returned
 :class:`CampaignReport` and into ``campaign.*`` counters on the
@@ -30,25 +30,17 @@ Dedupe/cache/resume/compute tallies go both into the returned
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from ..obs import NULL, Recorder
-from ..resilience.checkpoint import CheckpointStore
 from .fingerprint import scenario_fingerprint_hex
 from .spec import ScenarioSpec, as_spec
 from .store import ResultStore
 from .workers import resolve_workers, run_shards
 
-__all__ = ["CampaignReport", "run_campaign", "CHECKPOINT_SUBDIR"]
-
-#: Checkpoint ledger location inside a campaign directory.
-CHECKPOINT_SUBDIR = "checkpoints"
+__all__ = ["CampaignReport", "run_campaign"]
 
 
 @dataclass
@@ -93,41 +85,6 @@ class CampaignReport:
         }
 
 
-def _ledger_arrays(records: list[dict]) -> dict[str, np.ndarray]:
-    """The ledger as snapshot arrays: one 16-byte digest row per record.
-
-    The digest matrix makes the ledger self-checking — on load each
-    record's spec is re-fingerprinted and compared — and satisfies the
-    snapshot format's at-least-one-array rule.
-    """
-    if records:
-        digests = np.array(
-            [np.frombuffer(bytes.fromhex(r["fingerprint"]), dtype=np.uint8) for r in records]
-        )
-    else:
-        digests = np.zeros((0, 16), dtype=np.uint8)
-    return {"digests": digests}
-
-
-def _load_ledger(ckpt: CheckpointStore) -> dict[str, dict]:
-    """Committed ledger records by fingerprint ({} when no epoch).
-
-    Records whose stored fingerprint no longer matches their spec's
-    recomputed fingerprint (an :data:`~repro.campaign.fingerprint.ENCODING_VERSION`
-    bump, or a corrupted ledger that slipped past checksums) are
-    dropped — stale identities must recompute, never alias.
-    """
-    epoch = ckpt.latest_committed()
-    if epoch is None:
-        return {}
-    snap = ckpt.load_rank(epoch, 0)
-    out: dict[str, dict] = {}
-    for record in snap.meta.get("records", []):
-        if scenario_fingerprint_hex(record["spec"]) == record["fingerprint"]:
-            out[record["fingerprint"]] = record
-    return out
-
-
 def run_campaign(
     catalog: Iterable[ScenarioSpec | Mapping],
     store_dir: str,
@@ -135,15 +92,14 @@ def run_campaign(
     workers: int | None = None,
     observer: Recorder = NULL,
     throttle: float = 0.0,
-    checkpoint_keep: int = 3,
 ) -> CampaignReport:
     """Run (or resume) a campaign over ``catalog`` into ``store_dir``.
 
     ``workers`` follows :func:`repro.campaign.workers.resolve_workers`
     (kwarg, then ``REPRO_CAMPAIGN_WORKERS``, then serial).  Returns a
-    :class:`CampaignReport`; raises ``RuntimeError`` if the process
-    pool dies under the coordinator — completed shards are already
-    committed, so rerunning the same call resumes instead of redoing.
+    :class:`CampaignReport`; a dying worker is a ``failed`` shard in
+    it, never an exception.  If the coordinator itself is killed,
+    rerunning the same call resumes from ``ledger.jsonl``.
     """
     t_wall = time.perf_counter()
     n_workers = resolve_workers(workers)
@@ -151,7 +107,6 @@ def run_campaign(
     fps = [scenario_fingerprint_hex(s) for s in specs]
 
     store = ResultStore(store_dir)
-    ckpt = CheckpointStore(os.path.join(store_dir, CHECKPOINT_SUBDIR))
 
     report = CampaignReport(root=store_dir, total_shards=len(specs), workers=n_workers)
     t0 = observer.now()
@@ -168,10 +123,10 @@ def run_campaign(
             spec_by_fp[fp] = spec
     report.unique = len(order)
 
-    # Known results: finalized store first, then the checkpoint ledger
-    # of a partially-run campaign.
+    # Known results: finalized store first, then the crash ledger of a
+    # partially-run campaign.
     cached = store.load_results()
-    ledger = _load_ledger(ckpt)
+    ledger = store.load_ledger()
     known: dict[str, dict] = {}
     status: dict[str, str] = {}
     for fp in order:
@@ -185,48 +140,31 @@ def run_campaign(
             report.resume_hits += 1
 
     pending = [(fp, spec_by_fp[fp].to_dict()) for fp in order if fp not in known]
-    epoch = ckpt.latest_committed()
-    epoch = 0 if epoch is None else epoch + 1
     seconds_by_fp: dict[str, float] = {}
 
-    try:
-        for fp, record in run_shards(pending, workers=n_workers, throttle=throttle):
-            seconds = float(record.pop("seconds", 0.0))
-            seconds_by_fp[fp] = seconds
-            if "error" in record:
-                status[fp] = "failed"
-                report.failed += 1
-                report.errors[fp] = record["error"]
-                store.append_event({"event": "failed", "fingerprint": fp,
-                                    "error": record["error"]})
-                observer.count("campaign.failed")
-                continue
-            record["fingerprint"] = fp
-            known[fp] = record
-            status[fp] = "computed"
-            report.computed += 1
-            report.computed_fingerprints.append(fp)
-            now = observer.now()
-            observer.add_span(f"shard:{record['kind']}", max(0.0, now - seconds), now,
-                              cat="campaign", args={"fingerprint": fp})
-            observer.count("campaign.computed")
-            store.append_event({"event": "computed", "fingerprint": fp,
-                                "seconds": seconds})
-            # Two-phase commit of the full ledger: every shard completed
-            # so far survives any crash from here on.
-            records = [known[f] for f in order if f in known]
-            ckpt.write_rank(epoch, 0, _ledger_arrays(records), {"records": records})
-            ckpt.commit(epoch, {"completed": len(records)})
-            ckpt.prune(keep_last=checkpoint_keep)
-            epoch += 1
-    except BrokenProcessPool as exc:
-        raise RuntimeError(
-            f"campaign worker pool died ({exc}); completed shards are committed "
-            f"under {ckpt.root} — rerun the same campaign to resume"
-        ) from exc
+    for fp, record in run_shards(pending, workers=n_workers, throttle=throttle):
+        seconds = float(record.pop("seconds", 0.0))
+        seconds_by_fp[fp] = seconds
+        record["fingerprint"] = fp
+        # One flushed line: this shard survives any crash from here on.
+        store.append_ledger(record)
+        if "error" in record:
+            status[fp] = "failed"
+            report.failed += 1
+            report.errors[fp] = record["error"]
+            observer.count("campaign.failed")
+            continue
+        known[fp] = record
+        status[fp] = "computed"
+        report.computed += 1
+        report.computed_fingerprints.append(fp)
+        now = observer.now()
+        observer.add_span(f"shard:{record['kind']}", max(0.0, now - seconds), now,
+                          cat="campaign", args={"fingerprint": fp})
+        observer.count("campaign.computed")
 
-    # Finalize: canonical results in catalog order, then the
-    # operational shard rows, then the query index.
+    # Finalize: canonical results in catalog order (which retires the
+    # ledger), then the operational shard rows, then the query index.
     store.write_results([known[fp] for fp in order if fp in known])
     rows = []
     seen: set[str] = set()
@@ -252,5 +190,4 @@ def run_campaign(
     observer.add_span("campaign", t0, observer.now(), cat="campaign",
                       args={"shards": report.total_shards, "workers": n_workers})
     report.seconds = time.perf_counter() - t_wall
-    store.append_event({"event": "finalized", **report.to_dict()})
     return report

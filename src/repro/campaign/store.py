@@ -1,7 +1,7 @@
-"""The campaign result store: queryable, append-only-in-spirit, split
-by determinism.
+"""The campaign result store: queryable files, split by determinism.
 
-One campaign directory holds two classes of data and never mixes them:
+One finished campaign directory holds two classes of data and never
+mixes them:
 
 * ``results.jsonl`` — the *deterministic* product: one canonical JSON
   line per unique scenario (fingerprint, kind, spec, result), written
@@ -17,9 +17,26 @@ One campaign directory holds two classes of data and never mixes them:
 ``index.sqlite`` is a disposable query accelerator rebuilt from
 ``results.jsonl`` whenever it is stale — JSONL stays the source of
 truth, the way ``benchmarks/baseline.jsonl`` does for the fleet gate.
-``events.jsonl`` is a live append-only progress log for humans tailing
-a running campaign; crash recovery never reads it (that is the
-checkpoint ledger's job, see :mod:`repro.campaign.runner`).
+
+A campaign *in progress* also holds ``ledger.jsonl``, the crash
+ledger: each completed shard appends exactly the line ``results.jsonl``
+will later carry, a failed shard the same shape with ``error`` in place
+of ``result``, so ``tail -f ledger.jsonl`` is the live view.  The two
+files are read by opposite rules.  The ledger *heals*:
+:meth:`ResultStore.load_ledger` returns only newline-terminated lines
+that parse, carry a ``result`` and whose spec still has their ``kind``
+and re-fingerprints to their ``fingerprint``; anything else is skipped
+and that shard recomputes, and a killed writer's fragment after the
+last newline is cut off before the next append.  The finalized files
+*refuse*:
+:meth:`ResultStore.load_results` and :meth:`ResultStore.load_shards`
+raise ``ValueError`` naming file and line on the first damaged one.
+The ledger is removed once ``results.jsonl`` is in place, so disk
+stays bounded without a knob.
+
+Neither rule sees a flipped digit inside a ``result`` value: the
+fingerprint covers the spec only.  Line checksums for both files are
+ROADMAP hardening item (c).
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ import os
 import sqlite3
 from typing import Any, Iterable, Mapping
 
-from .fingerprint import canonical_json
+from .fingerprint import canonical_json, scenario_fingerprint_hex
 
 __all__ = ["ResultStore", "SHARD_STATUSES"]
 
@@ -47,8 +64,32 @@ class ResultStore:
         os.makedirs(root, exist_ok=True)
         self.results_path = os.path.join(root, "results.jsonl")
         self.shards_path = os.path.join(root, "shards.jsonl")
-        self.events_path = os.path.join(root, "events.jsonl")
+        self.ledger_path = os.path.join(root, "ledger.jsonl")
         self.db_path = os.path.join(root, "index.sqlite")
+
+    @staticmethod
+    def _load_finalized(path: str, keys: tuple[str, ...]) -> list[dict]:
+        """Rows of a finalized JSONL file ([] if absent).  Refuses with
+        a ``ValueError`` naming path and line number on the first line
+        that is not a JSON object carrying every one of ``keys``."""
+        rows: list[dict] = []
+        if not os.path.exists(path):
+            return rows
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                    for key in keys:
+                        row[key]  # KeyError / TypeError when not such an object
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: damaged line ({type(exc).__name__}: {exc}); "
+                        "finalized campaign files are not healed"
+                    ) from exc
+                rows.append(row)
+        return rows
 
     # -- deterministic results ------------------------------------------
     @staticmethod
@@ -62,7 +103,8 @@ class ResultStore:
         return canonical_json({k: record[k] for k in _RESULT_KEYS})
 
     def write_results(self, records: Iterable[Mapping]) -> str:
-        """Atomically replace ``results.jsonl`` (temp + ``os.replace``)."""
+        """Atomically replace ``results.jsonl`` (temp + ``os.replace``),
+        then drop the crash ledger it supersedes."""
         tmp = f"{self.results_path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:
             for record in records:
@@ -70,19 +112,58 @@ class ResultStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.results_path)
+        if os.path.exists(self.ledger_path):
+            os.remove(self.ledger_path)
         return self.results_path
 
     def load_results(self) -> dict[str, dict]:
         """Finalized results keyed by fingerprint hex ({} if none)."""
+        return {r["fingerprint"]: r
+                for r in self._load_finalized(self.results_path, _RESULT_KEYS)}
+
+    # -- crash ledger ----------------------------------------------------
+    def append_ledger(self, record: Mapping) -> None:
+        """Append one finished shard as one flushed line: the
+        ``results.jsonl`` line if it carries ``result``, else the same
+        shape with ``error``.  A killed writer's fragment after the
+        last newline is cut off first, never glued to the new line."""
+        if "result" in record:
+            line = self.canonical_result_line(record)
+        else:
+            line = canonical_json({k: record[k] for k in (*_RESULT_KEYS[:3], "error")})
+        with open(self.ledger_path, "ab+") as fh:
+            if fh.tell():
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(line.encode("ascii") + b"\n")
+
+    def load_ledger(self) -> dict[str, dict]:
+        """Ledger records that can be trusted, keyed by fingerprint hex.
+
+        Read-only, so safe to poll while a campaign appends.  A line
+        counts only if it is newline-terminated, parses, carries
+        ``result``, and its spec has its ``kind`` and re-fingerprints
+        to its ``fingerprint`` (so an
+        :data:`~repro.campaign.fingerprint.ENCODING_VERSION` bump or a
+        damaged line recomputes, never aliases).
+        """
+        try:
+            with open(self.ledger_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return {}
         out: dict[str, dict] = {}
-        if not os.path.exists(self.results_path):
-            return out
-        with open(self.results_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    record = json.loads(line)
+        for line in data.split(b"\n")[:-1]:  # [-1] is the unterminated tail
+            try:
+                record = json.loads(line)
+                spec = record["spec"]
+                if ("result" in record and record["kind"] == spec["kind"]
+                        and scenario_fingerprint_hex(spec) == record["fingerprint"]):
                     out[record["fingerprint"]] = record
+            except Exception:  # noqa: BLE001 — any damage means recompute
+                continue
         return out
 
     # -- operational record ---------------------------------------------
@@ -95,15 +176,8 @@ class ResultStore:
         return self.shards_path
 
     def load_shards(self) -> list[dict]:
-        if not os.path.exists(self.shards_path):
-            return []
-        with open(self.shards_path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-
-    def append_event(self, event: Mapping) -> None:
-        """Best-effort progress line; a torn tail is acceptable here."""
-        with open(self.events_path, "a") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        return self._load_finalized(
+            self.shards_path, ("index", "fingerprint", "kind", "status"))
 
     # -- sqlite query side ----------------------------------------------
     def _index_stale(self) -> bool:

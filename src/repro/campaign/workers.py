@@ -5,7 +5,7 @@ layer is where this repo uses *real* cores.  Shards are independent by
 construction (a spec is pure data, a result is pure content), so the
 pool is :class:`repro.core.procpool.ProcPool` — no shared state,
 results travel back by value, and the coordinator remains the only
-process that ever writes the store or the checkpoint ledger.  A worker
+process that ever writes the store or the crash ledger.  A worker
 therefore cannot corrupt a campaign: a task exception becomes a
 ``failed`` shard record inside :func:`execute_shard`, and a *dying*
 worker (SIGKILL, OOM) is retried once in a rebuilt pool before it too
@@ -13,9 +13,10 @@ becomes an error record — never an exception out of the generator.
 
 Worker count resolution, in priority order: explicit ``workers=``
 kwarg, the ``REPRO_CAMPAIGN_WORKERS`` environment variable, serial.
-``workers <= 1`` means run in-process with no executor at all — the
-serial fallback is the reference implementation the differential suite
-compares pools against.
+``workers <= 1`` means run in-process with no executor at all
+(:class:`ProcPool`'s own inline path) — the serial fallback is the
+reference implementation the differential suite compares pools
+against.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def run_shards(
     """Execute ``(fingerprint_hex, spec_dict)`` shards, yielding each
     ``(fingerprint_hex, record)`` as it completes.
 
-    Serial (``workers <= 1``) yields in submission order; pooled yields
-    in completion order.  Consumers must not rely on ordering — the
-    runner checkpoints per completion and canonicalizes order at
-    finalization, which is exactly what makes the two modes
+    One delegation to :meth:`ProcPool.imap_unordered`, which runs
+    inline in submission order for one worker (or one shard) and yields
+    in completion order otherwise.  Consumers must not rely on
+    ordering — the runner ledgers per completion and canonicalizes
+    order at finalization, which is exactly what makes the two modes
     bit-identical at the store level.
 
     Pool-level failures (a worker killed hard enough to exhaust the
@@ -88,10 +90,6 @@ def run_shards(
     the campaign.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        for fp, spec_dict in items:
-            yield fp, execute_shard(spec_dict, throttle)
-        return
     with ProcPool(workers=min(workers, len(items))) as pool:
         args_list = [(spec_dict, throttle) for _, spec_dict in items]
         for result in pool.imap_unordered(execute_shard, args_list):

@@ -116,10 +116,8 @@ class CheckpointStore:
         are removed too — they can never become a restart point.  A
         torn epoch *newer* than every committed one is left alone: with
         a single writer it is the epoch currently being written.
-        Callers that checkpoint every unit of progress (the campaign
-        runner commits one epoch per completed shard) use this to keep
-        disk usage bounded by ``keep_last`` ledgers instead of one per
-        shard.
+        Callers that checkpoint every unit of progress use this to
+        keep disk usage bounded by ``keep_last`` epochs.
         """
         if keep_last < 1:
             raise ValueError("keep_last must be >= 1")

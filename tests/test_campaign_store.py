@@ -6,6 +6,7 @@ deterministic-failure shards becoming data instead of crashes.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.campaign import (
     ResultStore,
     load_catalog,
     run_campaign,
+    scenario_fingerprint_hex,
     save_catalog,
     spec_from_dict,
     sweep,
@@ -77,6 +79,131 @@ class TestFailureShards:
         report = run_campaign([self.BAD], str(root))
         assert report.cache_hits == 0 and report.resume_hits == 0
         assert report.failed == 1  # failures are never cached
+
+    def test_failed_line_in_ledger_is_not_a_resume_hit(self, tmp_path):
+        """A crash after a failure leaves an ``error`` line: the live
+        view has it, resume does not trust it."""
+        store = ResultStore(str(tmp_path / "c"))
+        spec = self.BAD.to_dict()
+        store.append_ledger({"fingerprint": scenario_fingerprint_hex(self.BAD),
+                             "kind": "cosmology", "spec": spec, "error": "ValueError: x"})
+        with open(store.ledger_path) as fh:
+            assert set(json.loads(fh.read())) == {"fingerprint", "kind", "spec", "error"}
+        assert store.load_ledger() == {}
+        report = run_campaign([self.BAD], store.root)
+        assert (report.resume_hits, report.failed) == (0, 1)
+
+
+class TestLedger:
+    @staticmethod
+    def _record(n_nodes: int) -> dict:
+        spec = ClusterSpec(n_nodes=n_nodes)
+        return {"fingerprint": scenario_fingerprint_hex(spec), "kind": spec.kind,
+                "spec": spec.to_dict(), "result": {"value": float(n_nodes)},
+                "seconds": 0.25}  # operational: must not reach the file
+
+    def test_round_trip_is_the_results_line(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c"))
+        assert store.load_ledger() == {}
+        first, second = self._record(16), self._record(32)
+        store.append_ledger(first)
+        store.append_ledger(second)
+        with open(store.ledger_path) as fh:
+            assert fh.read() == "".join(
+                ResultStore.canonical_result_line(r) + "\n" for r in (first, second))
+        assert list(store.load_ledger()) == [first["fingerprint"], second["fingerprint"]]
+
+    def test_append_after_torn_tail_is_not_glued(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c"))
+        first, second = self._record(16), self._record(32)
+        store.append_ledger(first)
+        with open(store.ledger_path, "ab") as fh:  # the writer died mid-line
+            fh.write(ResultStore.canonical_result_line(second)[:40].encode())
+        assert list(store.load_ledger()) == [first["fingerprint"]]
+        store.append_ledger(second)
+        ledger = store.load_ledger()
+        assert list(ledger) == [first["fingerprint"], second["fingerprint"]]
+        assert ledger[second["fingerprint"]]["result"] == {"value": 32.0}
+        with open(store.ledger_path, "rb") as fh:
+            assert fh.read().count(b"\n") == 2  # fragment cut off, not kept
+
+    def test_append_to_a_ledger_that_is_only_a_fragment(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c"))
+        with open(store.ledger_path, "wb") as fh:
+            fh.write(b'{"fingerprint":"ab')
+        store.append_ledger(self._record(16))
+        assert len(store.load_ledger()) == 1
+
+    def test_any_byte_outside_the_result_value_drops_only_its_line(self, tmp_path):
+        """Overwrite each byte of the middle line in turn: key names,
+        fingerprint, kind, spec, punctuation.  Only the ``result`` value
+        is beyond the fingerprint's reach (see the module docstring)."""
+        store = ResultStore(str(tmp_path / "c"))
+        records = [self._record(n) for n in (16, 32, 64)]
+        for record in records:
+            store.append_ledger(record)
+        with open(store.ledger_path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        victim = lines[1]
+        value = range(victim.index(b'"result":') + len(b'"result":'),
+                      victim.index(b',"spec":'))
+        others = [records[0]["fingerprint"], records[2]["fingerprint"]]
+        for at in range(len(victim) - 1):  # the newline itself is the torn-tail case
+            if at in value:
+                continue
+            byte = b"0" if victim[at:at + 1] != b"0" else b"1"
+            with open(store.ledger_path, "wb") as fh:
+                fh.write(lines[0] + victim[:at] + byte + victim[at + 1:] + lines[2])
+            assert list(store.load_ledger()) == others, at
+
+    def test_write_results_retires_the_ledger(self, tmp_path):
+        store = ResultStore(str(tmp_path / "c"))
+        store.append_ledger(self._record(16))
+        store.write_results(store.load_ledger().values())
+        assert not os.path.exists(store.ledger_path)
+        assert len(store.load_results()) == 1
+
+
+class TestDamagedFinalizedFiles:
+    """Finalized files refuse, naming file and line; they are not healed."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        root = tmp_path / "c"
+        run_campaign(sweep(ClusterSpec(), n_nodes=[16, 32, 64]), str(root))
+        return ResultStore(str(root))
+
+    @staticmethod
+    def _damage(path: str, lineno: int, text: str) -> None:
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[lineno - 1] = text
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+
+    @pytest.mark.parametrize("text", ["{not json\n", '{"kind":"cluster"}\n', "[1, 2]\n"],
+                             ids=["not_json", "missing_keys", "not_an_object"])
+    def test_results_line_refused(self, store, text):
+        self._damage(store.results_path, 2, text)
+        where = re.escape(f"{store.results_path}:2:")
+        with pytest.raises(ValueError, match=where):
+            store.load_results()
+        with pytest.raises(ValueError, match=where):
+            store.status()
+        with pytest.raises(ValueError, match=where):
+            store.query()
+        with pytest.raises(ValueError, match=where):
+            run_campaign([ClusterSpec(n_nodes=16)], store.root)
+
+    @pytest.mark.parametrize("text", ['{"index": 2, "fing\n', '{"index": 2}\n'],
+                             ids=["torn", "missing_keys"])
+    def test_shards_line_refused(self, store, text):
+        self._damage(store.shards_path, 3, text)
+        where = re.escape(f"{store.shards_path}:3:")
+        with pytest.raises(ValueError, match=where):
+            store.load_shards()
+        with pytest.raises(ValueError, match=where):
+            store.status()
 
 
 class TestResultStoreQuery:

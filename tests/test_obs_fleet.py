@@ -13,15 +13,11 @@ import json
 import os
 import re
 import shutil
-import signal
-import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.campaign.fingerprint import scenario_fingerprint_hex
-from repro.campaign.runner import CHECKPOINT_SUBDIR, _load_ledger
 from repro.campaign.spec import SPEC_KINDS, BenchSpec, spec_from_dict
 from repro.obs.fleet import (
     BENCH_ROOT_ENV,
@@ -36,10 +32,8 @@ from repro.obs.fleet import (
 )
 from repro.obs.history import load_history
 from repro.obs.schemacheck import validate_jsonl_lines
-from repro.resilience.checkpoint import CheckpointStore
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-REPO_SRC = os.path.join(REPO_ROOT, "src")
 REAL_BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 _BENCH_TEMPLATE = '''\
@@ -362,36 +356,14 @@ class TestFleetSigkillResume:
 
     N_BENCHES = 12
 
-    def test_killed_fleet_resumes_without_recompute(self, suite, tmp_path):
+    def test_killed_fleet_resumes_without_recompute(self, suite, tmp_path, sigkill_mid_campaign):
         names = [f"s{i:02d}" for i in range(self.N_BENCHES)]
         for i, name in enumerate(names):
             _write_bench(suite, name, value=1.0 + i)
         out = tmp_path / "out"
-        ckpt = CheckpointStore(str(out / "campaign" / CHECKPOINT_SUBDIR))
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.obs", "fleet",
-             "--out", str(out), "--bench-dir", suite,
-             "--workers", "2", "--throttle", "0.3"],
-            env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.time() + 120.0
-            while _committed(ckpt) < 3:
-                assert proc.poll() is None, "fleet finished before the kill"
-                assert time.time() < deadline, "no committed shards within 120 s"
-                time.sleep(0.02)
-            os.kill(proc.pid, signal.SIGKILL)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=30)
-        assert proc.returncode == -signal.SIGKILL
-
-        survivors = set(_load_ledger(ckpt))
+        survivors = sigkill_mid_campaign(
+            ["repro.obs", "fleet", "--out", str(out), "--bench-dir", suite,
+             "--workers", "2", "--throttle", "0.3"], out / "campaign")
         assert 3 <= len(survivors) < self.N_BENCHES, "kill landed mid-fleet"
 
         run = run_fleet(out_dir=str(out), bench_dir=suite, workers=1)
@@ -406,14 +378,3 @@ class TestFleetSigkillResume:
         assert set(statuses) == set(names)
         assert set(statuses.values()) <= {"computed", "resumed"}
         assert _validate_ledger(run.ledger_path) == []
-
-
-def _committed(ckpt: CheckpointStore) -> int:
-    """Committed shard count, 0 while no epoch exists (poll-safe)."""
-    try:
-        epoch = ckpt.latest_committed()
-        if epoch is None:
-            return 0
-        return int(ckpt.commit_meta(epoch)["completed"])
-    except (OSError, json.JSONDecodeError, KeyError):
-        return 0

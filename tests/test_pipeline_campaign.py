@@ -8,13 +8,6 @@ crash-safe resume with zero recompute after SIGKILL, and a result
 store byte-identical to an uninterrupted run.
 """
 
-import json
-import os
-import signal
-import subprocess
-import sys
-import time
-
 import pytest
 
 from repro.campaign import (
@@ -23,11 +16,7 @@ from repro.campaign import (
     save_catalog,
     scenario_fingerprint_hex,
 )
-from repro.campaign.runner import CHECKPOINT_SUBDIR, _load_ledger
 from repro.pipeline import Grid, Uniform, draw_specs, run_ensemble
-from repro.resilience.checkpoint import CheckpointStore
-
-REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Smallest legal box + tiny progenitor: ~tens of ms per scenario, so
 #: a 100+-scenario campaign stays inside the default tier's budget.
@@ -35,22 +24,6 @@ FAST = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2,
                     with_neutrinos=False)
 DISTS = {"seed": Grid(values=tuple(range(1, 25))),
          "omega0": Uniform(low=0.1, high=0.5)}
-
-
-def _subprocess_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _committed_count(ckpt: CheckpointStore) -> int:
-    try:
-        epoch = ckpt.latest_committed()
-        if epoch is None:
-            return 0
-        return int(ckpt.commit_meta(epoch)["completed"])
-    except (OSError, json.JSONDecodeError, KeyError):
-        return 0  # coordinator mid-commit or mid-prune; poll again
 
 
 @pytest.mark.slow
@@ -90,32 +63,14 @@ class TestHundredScenarioEnsemble:
 class TestSigkillResume:
     CATALOG = draw_specs(FAST, DISTS, 16, seed=5)
 
-    def test_killed_pipeline_campaign_resumes_without_recompute(self, tmp_path):
+    def test_killed_pipeline_campaign_resumes_without_recompute(self, tmp_path,
+                                                                sigkill_mid_campaign):
         catalog_path = tmp_path / "catalog.jsonl"
         save_catalog(self.CATALOG, str(catalog_path))
         crash_dir = tmp_path / "crashed"
-        ckpt = CheckpointStore(str(crash_dir / CHECKPOINT_SUBDIR))
-
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.campaign", "run", str(catalog_path),
-             "--dir", str(crash_dir), "--workers", "2", "--throttle", "0.1"],
-            env=_subprocess_env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.time() + 120.0
-            while _committed_count(ckpt) < 3:
-                assert proc.poll() is None, "campaign finished before we could kill it"
-                assert time.time() < deadline, "no progress within 120 s"
-                time.sleep(0.02)
-            os.kill(proc.pid, signal.SIGKILL)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=30)
-        assert proc.returncode == -signal.SIGKILL
-
-        survivors = set(_load_ledger(ckpt))
+        survivors = sigkill_mid_campaign(
+            ["repro.campaign", "run", str(catalog_path), "--dir", str(crash_dir),
+             "--workers", "2", "--throttle", "0.1"], crash_dir)
         assert 3 <= len(survivors) < 16, "kill landed mid-campaign"
 
         report = run_campaign(self.CATALOG, str(crash_dir), workers=1)
