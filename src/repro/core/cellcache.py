@@ -7,8 +7,13 @@ calls this structure the hash-table cache of nonlocal data; together
 with request batching it is what hides commodity-network latency
 (PAPER.md §4).
 
-The cache is a bounded LRU keyed by Morton cell key.  Three properties
-matter for correctness and the tests pin all of them:
+The cache is a bounded LRU keyed by Morton cell key.  In the treecode
+the cell data themselves are rows of the rank's
+:class:`~repro.core.celltable.CellTable`, found by key through its hash
+index; what lives here is the bookkeeping over them — which remote keys
+are resident, in which recency order, under which branch stamp — and
+the counters.  Three properties matter for correctness and the tests
+pin all of them:
 
 * **Determinism** — contents depend only on the sequence of
   ``insert``/``get`` calls, never on wall-clock time, so SimMPI replays
@@ -27,6 +32,7 @@ matter for correctness and the tests pin all of them:
 >>> cache.get(5)
 'rec5'
 >>> cache.insert(7, "rec7", branch_key=2, fingerprint=b"b")  # evicts 6 (LRU)
+6
 >>> cache.get(6) is None
 True
 >>> cache.retain_valid({1: b"CHANGED", 2: b"b"})  # branch 1 moved
@@ -45,7 +51,7 @@ __all__ = ["CellCache"]
 
 
 class CellCache:
-    """Bounded LRU cache of remote ``CellRecord`` wire tuples.
+    """Bounded LRU cache of remote cells (any record object per key).
 
     Parameters
     ----------
@@ -105,21 +111,33 @@ class CellCache:
         entry = self._entries.get(key)
         return None if entry is None else entry[0]
 
-    def insert(self, key: int, record: Any, branch_key: int, fingerprint: bytes) -> None:
-        """Store ``record`` under ``key``, evicting the LRU entry if full.
+    def touch(self, keys: list[int]) -> None:
+        """Count a hit on every one of ``keys`` (all resident) and mark
+        them recently used, in order.  An unbounded cache never reads
+        its recency order, so it only counts."""
+        self.stats["hits"] += len(keys)
+        if self.capacity is not None:
+            for key in keys:
+                self._entries.move_to_end(key)
+
+    def insert(self, key: int, record: Any, branch_key: int, fingerprint: bytes) -> int | None:
+        """Store ``record`` under ``key``; if that evicts the LRU entry,
+        returns the evicted key.
 
         ``branch_key`` is the owner's branch-cell key whose subtree
         produced this record and ``fingerprint`` that branch's data
         fingerprint at fetch time; the pair decides survival in
         :meth:`retain_valid`.
         """
+        evicted = None
         if key in self._entries:
             self._entries.move_to_end(key)
         elif self.capacity is not None and len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
+            evicted = self._entries.popitem(last=False)[0]
             self.stats["evictions"] += 1
         self._entries[key] = (record, branch_key, fingerprint)
         self.stats["inserts"] += 1
+        return evicted
 
     def retain_valid(self, branch_fingerprints: Mapping[int, bytes]) -> None:
         """Drop every entry whose source branch changed (or vanished).

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .keys import KEY_BITS, MAX_LEVEL, BoundingBox, cell_center_and_size, key_level
+from .celltable import CellBatch, row_norms
+from .keys import KEY_BITS, MAX_LEVEL, BoundingBox, _undilate3, cell_center_and_size, key_level
 
 __all__ = [
     "CellRecord",
@@ -37,6 +37,8 @@ __all__ = [
     "content_fingerprint",
     "cover_interval",
     "key_interval",
+    "key_levels",
+    "key_spans",
     "shift_quadrupole",
     "combine_records",
 ]
@@ -71,17 +73,32 @@ def content_fingerprint(chunks, digest_size: int = 16) -> bytes:
     return h.digest()
 
 
-@lru_cache(maxsize=1 << 20)
 def key_interval(key: int) -> tuple[int, int]:
-    """Particle-key interval [lo, hi) covered by a cell key.
-
-    Cached: every sink group's walk re-derives intervals for the same
-    shared top-of-tree keys, so this sits on the traversal hot path.
-    """
+    """Particle-key interval [lo, hi) covered by a cell key."""
     level = key_level(key)
     width = 3 * (MAX_LEVEL - level)
     body = (key - (1 << (3 * level))) << width
     return body + _PLACEHOLDER, body + (1 << width) + _PLACEHOLDER
+
+
+def key_levels(keys: np.ndarray) -> np.ndarray:
+    """Tree level of every key of a uint64 array."""
+    # frexp's exponent is the bit length; a key that rounds up to the
+    # next power of two on its way to float64 stays within its level's
+    # three bits.
+    return (np.frexp(keys.astype(np.float64))[1] - 1) // 3
+
+
+def key_spans(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last particle key under every cell key of an array.
+
+    The vector :func:`key_interval`, with the last key *inclusive*: the
+    exclusive end of the root's interval, ``2**64``, is not a uint64.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    width = (3 * (MAX_LEVEL - key_levels(keys))).astype(np.uint64)
+    lo = keys << width
+    return lo, lo + ((np.uint64(1) << width) - np.uint64(1))
 
 
 def cover_interval(lo: int, hi: int) -> list[int]:
@@ -98,17 +115,12 @@ def cover_interval(lo: int, hi: int) -> list[int]:
     cur = lo - _PLACEHOLDER
     end = hi - _PLACEHOLDER
     while cur < end:
-        step = 1
-        # Grow the block while it stays aligned and inside the interval.
-        while cur % (step * 8) == 0 and cur + step * 8 <= end and step * 8 <= 8**MAX_LEVEL:
-            step *= 8
-        level = MAX_LEVEL
-        s = step
-        while s > 1:
-            s //= 8
-            level -= 1
-        cells.append((cur // step) + (1 << (3 * level)))
-        cur += step
+        # The block at ``cur`` is the largest power of eight that both
+        # divides ``cur`` (alignment) and fits in what is left.
+        aligned = ((cur & -cur).bit_length() - 1) // 3 if cur else MAX_LEVEL
+        up = min(aligned, ((end - cur).bit_length() - 1) // 3, MAX_LEVEL)
+        cells.append((cur >> (3 * up)) + (1 << (3 * (MAX_LEVEL - up))))
+        cur += 1 << (3 * up)
     return cells
 
 
@@ -227,10 +239,6 @@ class CellServer:
         second[:, 5] = self.masses * p[:, 1] * p[:, 2]
         self._cs = np.zeros((n + 1, 6))
         np.cumsum(second, axis=0, out=self._cs[1:])
-        # Default-variant record memo: records are immutable once built
-        # and a server's particle data never changes, so every repeat
-        # ask (local walks, remote serving, prefetch) shares one record.
-        self._record_memo: dict[int, CellRecord] = {}
 
     @property
     def n_particles(self) -> int:
@@ -273,19 +281,11 @@ class CellServer:
         ``with_particles`` defaults to "yes if leaf" (what a remote
         requester needs); pass False to suppress the payload.
         """
-        default = with_particles is None
-        if default:
-            memo = self._record_memo.get(key)
-            if memo is not None:
-                return memo
         s, e = self.run_of(key)
         count = e - s
         level = key_level(key)
         if count == 0:
-            rec = CellRecord(key, 0, 0.0, np.zeros(3), np.zeros(6), 0.0, True)
-            if default:
-                self._record_memo[key] = rec
-            return rec
+            return CellRecord(key, 0, 0.0, np.zeros(3), np.zeros(6), 0.0, True)
         mass = float(self._cm[e] - self._cm[s])
         mx = self._cmx[e] - self._cmx[s]
         raw2 = self._cs[e] - self._cs[s]
@@ -318,9 +318,62 @@ class CellServer:
         if with_particles and is_leaf:
             rec.positions = self.positions[s:e].copy()
             rec.masses = self.masses[s:e].copy()
-        if default:
-            self._record_memo[key] = rec
         return rec
+
+    def _runs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo, last = key_spans(keys)
+        return (np.searchsorted(self.keys, lo, side="left"),
+                np.searchsorted(self.keys, last, side="right"))
+
+    def subtree(self, roots) -> CellBatch:
+        """Every non-empty cell at or below ``roots``, as columns.
+
+        The bulk form of :meth:`record`: row for row the same numbers,
+        bit for bit, computed a tree level at a time (the non-empty
+        roots first, in the order given).  A leaf's particles are its
+        run ``pstart``/``pn`` of this server's own arrays, which the
+        batch carries as its pool without copying them.
+        """
+        keys = np.ascontiguousarray(roots, dtype=np.uint64)
+        s, e = self._runs(keys)
+        levels: list[dict[str, np.ndarray]] = []
+        while keys.size:
+            live = e > s
+            keys, s, e = keys[live], s[live], e[live]
+            level = key_levels(keys)
+            mass = self._cm[e] - self._cm[s]
+            raw2 = self._cs[e] - self._cs[s]
+            com = self.positions[s]
+            np.divide(self._cmx[e] - self._cmx[s], mass[:, None], out=com,
+                      where=(mass > 0)[:, None])
+            quad = np.empty((keys.size, 6))
+            for i, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+                quad[:, i] = raw2[:, i] - mass * com[:, a] * com[:, b]
+            trace = quad[:, 0] + quad[:, 1] + quad[:, 2]
+            quad[:, :3] = 3.0 * quad[:, :3] - trace[:, None]
+            quad[:, 3:] *= 3.0
+            up = (KEY_BITS - level).astype(np.uint64)
+            body = (keys - (np.uint64(1) << (3 * level).astype(np.uint64))) << (np.uint64(3) * up)
+            cell = np.stack([_undilate3(body >> np.uint64(axis)) >> up for axis in range(3)],
+                            axis=1)
+            size = self.box.size / (np.uint64(1) << level.astype(np.uint64)).astype(np.float64)
+            center = self.box.corner + (cell.astype(np.float64) + 0.5) * size[:, None]
+            leaf = (e - s <= self.bucket_size) | (level >= MAX_LEVEL)
+            kids = ((keys[~leaf] << np.uint64(3))[:, None] | np.arange(8, dtype=np.uint64)).ravel()
+            ks, ke = self._runs(kids)
+            cn = np.zeros(keys.size, dtype=np.int64)
+            cn[~leaf] = (ke > ks).reshape(-1, 8).sum(axis=1)
+            levels.append(dict(
+                key=keys, count=e - s, mass=mass, com=com, quad=quad,
+                bmax=np.sqrt(3.0) / 2.0 * size + row_norms(com - center), leaf=leaf, cn=cn,
+                pstart=s, pn=np.where(leaf, e - s, 0), child_key=kids[ke > ks],
+            ))
+            keys, s, e = kids, ks, ke
+        if not levels:
+            return CellBatch.empty()
+        cols = {name: np.concatenate([lv[name] for lv in levels]) for name in levels[0]}
+        return CellBatch(cstart=np.cumsum(cols["cn"]) - cols["cn"], ppos=self.positions,
+                         pmass=self.masses, **cols)
 
     def leaf_groups(self, branch_keys: list[int]) -> list[tuple[int, int, int]]:
         """Virtual-tree leaves under the given branch cells.
@@ -329,17 +382,8 @@ class CellServer:
         particle exactly once — the sink groups of the parallel
         traversal.
         """
-        groups: list[tuple[int, int, int]] = []
-        stack = list(branch_keys)
-        while stack:
-            key = stack.pop()
-            s, e = self.run_of(key)
-            if e == s:
-                continue
-            if e - s <= self.bucket_size or key_level(key) >= MAX_LEVEL:
-                groups.append((key, s, e))
-                continue
-            for octant in range(8):
-                stack.append((key << 3) | octant)
-        groups.sort(key=lambda g: g[1])
-        return groups
+        cells = self.subtree(branch_keys)
+        leaves = np.flatnonzero(cells.leaf)
+        leaves = leaves[np.argsort(cells.pstart[leaves], kind="stable")]
+        return list(zip(cells.key[leaves].tolist(), cells.pstart[leaves].tolist(),
+                        (cells.pstart[leaves] + cells.pn[leaves]).tolist()))

@@ -1,0 +1,194 @@
+"""Cells as columns: the wire batch and the per-rank hashed cell table.
+
+Section 4.2: *"a hash table is used to translate the key into a pointer
+to where the cell data are stored … and to catch accesses to non-local
+data"*.  Here the pointer is a row number.  :class:`CellBatch` is ``n``
+cell records as a struct of arrays — what a processor serves, ships and
+admits in one piece, sized in O(1) — and :class:`CellTable` is the one
+growable batch a rank keeps per step: its own cells, the part of the
+shared tree top it has looked at and every remote cell it has fetched,
+indexed by a :class:`~repro.core.hashtable.KeyHashTable`.  A batched
+:meth:`CellTable.lookup` answers a whole traversal frontier at once and
+its miss mask *is* the non-local catch.
+
+Children and leaf particles are CSR runs (``cstart``/``cn`` into
+``child_key``, ``pstart``/``pn`` into ``ppos``/``pmass``).  A cell known
+by its multipole only (a branch cell as allgathered, before its owner
+was asked for the particles) has ``pn == 0``.
+
+``CellServer.record`` and its :class:`~repro.core.cellserver.CellRecord`
+stay the per-cell spec: ``tests/test_celltable_differential.py`` holds
+every row a server produces in bulk against it, bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .hashtable import KeyHashTable
+
+__all__ = ["CellBatch", "CellTable", "csr_take", "row_dots", "row_norms",
+           "SILENT", "REMOTE", "STUB", "DEAD"]
+
+#: What a lookup hit on a row means to the remote-cache counters: a
+#: local or shared-top cell (not counted), a fetched copy (a hit), a
+#: remote branch known by its multipole only (a miss: its real record
+#: is still on its owner), a superseded or evicted row (not found).
+SILENT, REMOTE, STUB, DEAD = 0, 1, 2, 3
+
+#: The columns of a cell record proper, the CSR runs of its children and
+#: leaf particles, and the pools those runs point into.
+_FIELDS = (
+    ("key", np.uint64, ()), ("count", np.int64, ()), ("mass", np.float64, ()),
+    ("com", np.float64, (3,)), ("quad", np.float64, (6,)), ("bmax", np.float64, ()),
+    ("leaf", np.bool_, ()),
+)
+_RUNS = (("cstart", np.int64, ()), ("cn", np.int64, ()),
+         ("pstart", np.int64, ()), ("pn", np.int64, ()))
+_POOLS = (("child_key", np.uint64, ()), ("ppos", np.float64, (3,)), ("pmass", np.float64, ()))
+
+
+def csr_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``[starts[i], starts[i] + counts[i])``, in order."""
+    out = np.arange(int(counts.sum()), dtype=np.int64)
+    out += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return out
+
+
+def row_dots(d: np.ndarray) -> np.ndarray:
+    """``v @ v`` of every row ``v`` of ``d``, bit for bit.
+
+    The dot of two short vectors is a BLAS ``ddot``, whose fused
+    multiply-adds round differently from ``einsum`` or
+    ``(d * d).sum(1)``; a stacked ``matmul`` of row by column makes the
+    same ``ddot`` call per row without leaving C.
+    """
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of ``d``, bit for bit (it is the
+    root of :func:`row_dots`)."""
+    return np.sqrt(row_dots(d))
+
+
+class CellBatch:
+    """``n`` cell records as columns: the wire format and the unit of
+    table insertion.  ``nbytes`` is the modelled wire size, what a list
+    of one 10-tuple per record would cost: 200 bytes a record, 16 a
+    child key, 32 a leaf particle."""
+
+    __slots__ = tuple(name for name, _, _ in _FIELDS + _RUNS + _POOLS)
+
+    def __init__(self, **columns: np.ndarray):
+        for name in CellBatch.__slots__:
+            setattr(self, name, columns[name])
+
+    def __len__(self) -> int:
+        return self.key.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return 200 * len(self) + 16 * int(self.cn.sum()) + 32 * int(self.pn.sum())
+
+    def take(self, rows: np.ndarray, with_particles: bool = True) -> "CellBatch":
+        """The given rows as a compact batch of their own (a fancy-index
+        of every column; children and particles re-packed)."""
+        cn = self.cn[rows]
+        kids = csr_take(self.cstart[rows], cn)
+        if with_particles:
+            pn = self.pn[rows]
+            parts = csr_take(self.pstart[rows], pn)
+        else:
+            pn = np.zeros(len(rows), dtype=np.int64)
+            parts = pn[:0]
+        return CellBatch(
+            **{name: getattr(self, name)[rows] for name, _, _ in _FIELDS},
+            cstart=np.cumsum(cn) - cn, cn=cn, child_key=self.child_key[kids],
+            pstart=np.cumsum(pn) - pn, pn=pn, ppos=self.ppos[parts], pmass=self.pmass[parts],
+        )
+
+    @classmethod
+    def concat(cls, batches: "list[CellBatch]") -> "CellBatch":
+        cols = {name: np.concatenate([getattr(b, name) for b in batches])
+                for name in cls.__slots__}
+        for start, n, pool in (("cstart", "cn", "child_key"), ("pstart", "pn", "pmass")):
+            shift = np.cumsum([0] + [len(getattr(b, pool)) for b in batches[:-1]])
+            cols[start] = cols[start] + np.repeat(shift, [len(b) for b in batches])
+        return cls(**cols)
+
+    @classmethod
+    def empty(cls) -> "CellBatch":
+        return cls(**{name: np.empty((0,) + shape, dtype=dtype)
+                      for name, dtype, shape in _FIELDS + _RUNS + _POOLS})
+
+
+class CellTable(CellBatch):
+    """One rank's cells of one step: a growable :class:`CellBatch` plus
+    the key -> row hash index.
+
+    Rows are only ever appended; a key appended again (the real record
+    of a :data:`STUB` arriving) re-points the index at the new row and
+    marks the old one :data:`DEAD`.  A rank appends its own cells
+    first, so that its own particles open the particle pool and fetched
+    ones land behind them.  ``kind`` is
+    the row's meaning to the cache counters, ``prefetched`` marks rows a
+    prefetch wave brought in and no walk has used yet, and ``child_row``
+    caches, beside ``child_key``, the row each child key was last found
+    at (-1: not yet).
+    """
+
+    __slots__ = ("n", "n_kids", "n_parts", "kind", "prefetched", "child_row", "index")
+
+    def __init__(self):
+        extra = (("kind", np.int8, ()), ("prefetched", np.bool_, ()), ("child_row", np.int64, ()))
+        for name, dtype, shape in _FIELDS + _RUNS + _POOLS + extra:
+            setattr(self, name, np.empty((16,) + shape, dtype=dtype))
+        self.n = self.n_kids = self.n_parts = 0
+        self.index = KeyHashTable(capacity=512)  # grows; a thousand ranks hold one each
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _extend(self, name: str, used: int, count: int, new) -> None:
+        col = getattr(self, name)
+        if used + count > col.shape[0]:
+            grown = np.empty((max(used + count, 2 * col.shape[0]),) + col.shape[1:],
+                             dtype=col.dtype)
+            grown[:used] = col[:used]
+            setattr(self, name, grown)
+            col = grown
+        col[used:used + count] = new
+
+    def append(self, batch: CellBatch, kind) -> np.ndarray:
+        """Add ``batch`` as new rows of the given kind(s); returns the rows."""
+        n, count = self.n, len(batch)
+        for name, _, _ in _FIELDS + _RUNS:
+            self._extend(name, n, count, getattr(batch, name))
+        self.cstart[n:n + count] += self.n_kids
+        self.pstart[n:n + count] += self.n_parts
+        self._extend("kind", n, count, kind)
+        self._extend("prefetched", n, count, False)
+        self._extend("child_key", self.n_kids, len(batch.child_key), batch.child_key)
+        self._extend("child_row", self.n_kids, len(batch.child_key), -1)
+        self._extend("ppos", self.n_parts, len(batch.pmass), batch.ppos)
+        self._extend("pmass", self.n_parts, len(batch.pmass), batch.pmass)
+        self.n += count
+        self.n_kids += len(batch.child_key)
+        self.n_parts += len(batch.pmass)
+        self.kill(batch.key)  # a key has one live row: this one supersedes
+        rows = np.arange(n, n + count, dtype=np.int64)
+        self.index.insert(batch.key, rows)
+        return rows
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, found)`` of a batch of keys; evicted rows are misses."""
+        rows, found = self.index.lookup(keys)
+        found &= self.kind[rows] != DEAD
+        return rows, found
+
+    def kill(self, keys) -> None:
+        """Forget keys (evicted, superseded): their rows stay, marked
+        :data:`DEAD`."""
+        rows, found = self.index.lookup(np.asarray(keys, dtype=np.uint64))
+        self.kind[rows[found]] = DEAD

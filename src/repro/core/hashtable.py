@@ -79,48 +79,39 @@ class KeyHashTable:
             return
         if np.any(keys == _EMPTY):
             raise ValueError("key 0 is reserved (Morton keys always carry the placeholder bit)")
-        # A batch may itself contain duplicate keys; keep the last
-        # occurrence to preserve overwrite semantics.
-        _, last_idx = np.unique(keys[::-1], return_index=True)
-        keep = np.sort(keys.size - 1 - last_idx)
-        keys, values = keys[keep], values[keep]
         while (self._count + keys.size) / self.capacity > self.max_load:
             self._grow()
-        self._insert_unique(keys, values)
+        self._place(keys, values)
 
     def _grow(self) -> None:
         old_keys, old_values = self._keys, self._values
         live = old_keys != _EMPTY
         self._alloc(self._bits + 1)
-        self._insert_unique(old_keys[live], old_values[live])
+        self._place(old_keys[live], old_values[live])
 
-    def _insert_unique(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def _place(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Claim-and-check probing, a whole batch per round.
+
+        Every pending key writes itself into its slot if the slot is
+        empty or already its own, then reads the slot back: whoever
+        finds its key there holds it (of several new keys after one
+        empty slot, the last writer) and stores its value; the others
+        probe on.  Duplicates of one key share a slot, and the last
+        one's value stands: overwrite semantics without sorting.
+        """
         slots = self._slots(keys)
         pending = np.arange(keys.size)
         mask = np.int64(self.capacity - 1)
         while pending.size:
-            s = slots[pending]
-            slot_keys = self._keys[s]
-            empty = slot_keys == _EMPTY
-            match = slot_keys == keys[pending]
-            placeable = empty | match
-            if np.any(placeable):
-                idx = pending[placeable]
-                target = s[placeable]
-                # Two distinct new keys can hash to the same empty slot in
-                # the same round; keep the first of each target slot and
-                # retry the rest next round.
-                uniq_target, first = np.unique(target, return_index=True)
-                chosen = idx[first]
-                was_empty = self._keys[uniq_target] == _EMPTY
-                self._keys[uniq_target] = keys[chosen]
-                self._values[uniq_target] = values[chosen]
-                self._count += int(was_empty.sum())
-                placed = np.zeros(pending.size, dtype=bool)
-                placeable_idx = np.flatnonzero(placeable)
-                placed[placeable_idx[first]] = True
-                pending = pending[~placed]
+            s, k = slots[pending], keys[pending]
+            held = self._keys[s]
+            claim = (held == _EMPTY) | (held == k)
+            self._keys[s[claim]] = k[claim]
+            won = self._keys[s] == k
+            self._values[s[won]] = values[pending[won]]
+            pending = pending[~won]
             slots[pending] = (slots[pending] + 1) & mask
+        self._count = int(np.count_nonzero(self._keys))
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch lookup: ``(values, found)`` arrays.
@@ -131,25 +122,24 @@ class KeyHashTable:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if keys.ndim != 1:
             raise ValueError("keys must be a 1-D array")
-        values = np.zeros(keys.shape, dtype=np.int64)
-        found = np.zeros(keys.shape, dtype=bool)
-        if keys.size == 0:
-            return values, found
+        # The first probe answers most keys: take it for the whole batch
+        # at once, then keep probing only for the keys that ran into
+        # another key's slot.  Probing ends at an empty slot: absent.
         slots = self._slots(keys)
-        pending = np.arange(keys.size)
+        slot_keys = self._keys[slots]
+        found = slot_keys == keys
+        values = self._values[slots]
+        if found.all():
+            return values, found
+        pending = np.flatnonzero(~found & (slot_keys != _EMPTY))
         mask = np.int64(self.capacity - 1)
-        # Linear probing terminates at an empty slot: the key is absent.
-        for _ in range(self.capacity):
-            if pending.size == 0:
-                break
-            s = slots[pending]
+        while pending.size:
+            s = slots[pending] = (slots[pending] + 1) & mask
             slot_keys = self._keys[s]
             hit = slot_keys == keys[pending]
-            miss = slot_keys == _EMPTY
             values[pending[hit]] = self._values[s[hit]]
             found[pending[hit]] = True
-            pending = pending[~(hit | miss)]
-            slots[pending] = (slots[pending] + 1) & mask
+            pending = pending[~hit & (slot_keys != _EMPTY)]
         return values, found
 
     def get(self, key: int, default: int | None = None) -> int | None:

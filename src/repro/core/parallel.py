@@ -13,11 +13,16 @@ This module reassembles the full HOT pipeline of Section 4.2:
    the shared top of the global tree ("frame") by parallel-axis
    aggregation.
 3. **Traversal with deferral** — sink groups walk the global tree by
-   key.  Misses on remote cells do not stall the walk: the group is
-   parked on a software deferral queue and its key requests are
-   *batched per destination*; other groups keep walking.  Replies
-   (cell records, or particles for leaves) land in a local cache keyed
-   by the global key namespace, and parked groups resume.
+   key, through one hashed, columnar
+   :class:`~repro.core.celltable.CellTable` per rank that holds local,
+   shared-top and fetched cells alike.  All groups of a round descend
+   together as one ``(group, row)`` frontier; a batched hash lookup
+   resolves child keys and its miss mask catches the remote ones.
+   Misses do not stall the walk: the group is parked on a software
+   deferral queue and its key requests are *batched per destination*;
+   other groups keep walking.  Replies (column batches of cell records,
+   with the particles of leaves) become rows of the same table, and
+   parked groups resume.
 4. **Evaluation** — interaction lists are evaluated with the same
    vectorized monopole+quadrupole / direct kernels as the serial code.
 
@@ -32,9 +37,9 @@ Two communication schedules drive step 3, selected by
     (:func:`~repro.simmpi.patterns.batched_request_reply`); while the
     requests are on the wire, the rank *evaluates the force kernels of
     every group that already completed its walk* — computation covers
-    communication.  Replies land in a persistent
-    :class:`~repro.core.cellcache.CellCache` that survives rounds (and,
-    in the multi-step driver, timesteps), and a locally-essential-tree
+    communication.  Fetched cells stay resident across rounds (and,
+    in the multi-step driver, timesteps) under the bookkeeping of a
+    :class:`~repro.core.cellcache.CellCache`, and a locally-essential-tree
     prefetch (:attr:`ParallelConfig.prefetch`) MAC-tests the domain
     boundary to bulk-fetch likely-needed cells before the walk starts.
 
@@ -95,12 +100,10 @@ weights.
 
 from __future__ import annotations
 
-import bisect
 import math
 import tempfile
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -119,8 +122,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> core)
 from .abm import ABMChannel
 from .backend import get_backend
 from .cellcache import CellCache
-from .cellserver import CellRecord, CellServer, combine_records, cover_interval, key_interval
+from .cellserver import CellServer, cover_interval, key_levels, key_spans
+from .celltable import (
+    DEAD, REMOTE, SILENT, STUB, CellBatch, CellTable, csr_take, row_dots, row_norms,
+)
 from .domain import (
+    END_PKEY,
     key_sort,
     merge_splitter_candidates,
     pick_splitters,
@@ -128,7 +135,7 @@ from .domain import (
     sample_splitters,
     splitter_candidates,
 )
-from .keys import ROOT_KEY, BoundingBox, key_level, keys_from_positions
+from .keys import MAX_LEVEL, ROOT_KEY, BoundingBox, keys_from_positions
 from .mac import OpeningAngleMAC
 from ..obs.wallclock import bucket as _wall_bucket
 from .traversal import (
@@ -226,6 +233,11 @@ class ParallelConfig:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if not math.isfinite(self.G):
             raise ValueError(f"G must be finite, got {self.G}")
+        for name in ("bucket_size", "oversample", "max_rounds", "prefetch_rounds",
+                     "cache_capacity"):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") and (value, name) != (None, "cache_capacity"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("bucket_size", "oversample", "max_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -288,207 +300,130 @@ class ParallelRunResult:
     work_imbalance: list[float] = field(default_factory=list)
 
 
-def _rec_to_wire(rec: CellRecord) -> tuple:
-    return (
-        rec.key,
-        rec.count,
-        rec.mass,
-        rec.com,
-        rec.quad,
-        rec.bmax,
-        rec.is_leaf,
-        tuple(rec.children),
-        rec.positions,
-        rec.masses,
-    )
+class _Frame:
+    """The shared top of the global tree for one step: every rank's
+    branch cells and the cells above them, as one read-only table.
 
-
-def _rec_from_wire(w: tuple) -> CellRecord:
-    return CellRecord(
-        key=w[0], count=w[1], mass=w[2], com=w[3], quad=w[4], bmax=w[5],
-        is_leaf=w[6], children=tuple(w[7]), positions=w[8], masses=w[9],
-    )
-
-
-def _frame_from_wires(
-    all_wires: list, memo: dict
-) -> tuple[dict[int, int], dict[int, CellRecord]]:
-    """Owners map + aggregated frame for one allgathered wire set.
+    Branch cells are as their owners described them: multipole and
+    child keys, but no particles and none of the cells below (descending
+    into another rank's branch is what triggers a remote request).  The
+    cells above are aggregated from them by parallel-axis shifts,
+    deepest level first, with the arithmetic of
+    :func:`~repro.core.cellserver.combine_records` — the per-cell spec —
+    applied to a whole level's parents at once: child after child, each
+    parent's children in the order the spec would have met them (a
+    level's branch cells along the curve, then the cells aggregated in
+    earlier passes in the order they were made), because float sums
+    depend on it.
 
     On a real machine every rank assembles the frame from its own copy
     of the allgathered branch cells.  In the one-process simulation the
-    engine hands every rank references to the *same* per-owner batch
-    objects, and the frame is a pure function of them — so it is
-    computed once and shared.  Safe because both returned structures
-    are read-only after construction (the traversal only looks cells
-    up), and it turns an O(P) replicated build into O(1) per rank —
-    the difference between minutes and hours at P = 2560.
+    engine hands every rank references to the *same* per-owner batches,
+    and the frame is a pure function of them — so :func:`_shared_frame`
+    builds it once and every rank copies out only the rows its walks
+    reach: O(1) instead of O(P) work and memory per rank, the
+    difference between minutes and hours at P = 2560.
+    """
+
+    def __init__(self, batches: list[CellBatch]):
+        if not any(len(b) for b in batches):
+            raise ValueError("no branch cells; empty simulation?")
+        self.table = table = CellTable()
+        current = table.append(CellBatch.concat(batches), SILENT)
+        owner = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
+        while True:
+            level = key_levels(table.key[current])
+            if not level.max():
+                break
+            deep = level == level.max()
+            kids = current[deep]
+            # Parents in the order their first child comes up, and every
+            # parent's children in the order they come up.
+            parents, first, slot = np.unique(table.key[kids] >> np.uint64(3),
+                                             return_index=True, return_inverse=True)
+            made = np.argsort(first, kind="stable")
+            slot = np.argsort(made)[slot]
+            by_parent = np.argsort(slot, kind="stable")
+            kids, slot = kids[by_parent], slot[by_parent]
+            n_kids = np.bincount(slot)
+            nth = np.arange(kids.size) - np.repeat(np.cumsum(n_kids) - n_kids, n_kids)
+            turns = [(slot[nth == j], kids[nth == j]) for j in range(n_kids.max())]
+            mass, moment = np.zeros(made.size), np.zeros((made.size, 3))
+            for s, c in turns:
+                mass[s] = mass[s] + table.mass[c]
+                moment[s] = moment[s] + table.mass[c][:, None] * table.com[c]
+            com = table.com[kids[nth == 0]]
+            np.divide(moment, mass[:, None], out=com, where=(mass > 0)[:, None])
+            quad, bmax = np.zeros((made.size, 6)), np.zeros(made.size)
+            for s, c in turns:
+                d, m = table.com[c] - com[s], table.mass[c]
+                d2 = row_dots(d)
+                shifted = table.quad[c]
+                for i, (a, b) in enumerate(((0, 0), (1, 1), (2, 2))):
+                    shifted[:, i] += m * (3.0 * d[:, a] * d[:, b] - d2)
+                for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2)), start=3):
+                    shifted[:, i] += m * 3.0 * d[:, a] * d[:, b]
+                quad[s] = quad[s] + shifted
+                bmax[s] = np.maximum(bmax[s], np.sqrt(d2) + table.bmax[c])
+            count = np.bincount(slot, weights=table.count[kids]).astype(np.int64)
+            sorted_kids = np.lexsort((table.key[kids], slot))
+            merged = table.append(CellBatch(
+                key=parents[made], count=count, mass=mass, com=com, quad=quad, bmax=bmax,
+                leaf=np.zeros(made.size, dtype=bool), cstart=np.cumsum(n_kids) - n_kids,
+                cn=n_kids, child_key=table.key[kids[sorted_kids]],
+                pstart=np.zeros(made.size, dtype=np.int64), pn=np.zeros(made.size, dtype=np.int64),
+                ppos=np.empty((0, 3)), pmass=np.empty(0)), SILENT)
+            current = np.concatenate([current[~deep], merged])
+        #: Owning rank of every branch row; -1 for the aggregated cells.
+        self.owner = np.concatenate([owner, np.full(len(table) - owner.size, -1)])
+        #: Row of every cell's parent (the root's is its own).
+        self.parent = table.lookup(np.maximum(table.key[:len(table)] >> np.uint64(3),
+                                              np.uint64(ROOT_KEY)))[0]
+        # Branch cells along the curve: the covering-branch lookup that
+        # stamps cache entries, and the prefetch's starting frontier.
+        rows = np.flatnonzero(self.owner >= 0)
+        los = key_spans(self.table.key[rows])[0]
+        order = np.argsort(los, kind="stable")
+        self.branch_rows, self.branch_los = rows[order], los[order]
+        self.branch_keys: list[int] = self.table.key[self.branch_rows].tolist()
+
+
+def _shared_frame(batches: list[CellBatch], memo: dict) -> _Frame:
+    """The :class:`_Frame` of one allgathered set of branch batches.
 
     ``memo`` is the one-slot, identity-keyed memo the program builder
     owns, so it dies with the run.  It keeps a strong reference to its
-    wire batches, so the cached ids cannot be recycled by new objects.
-    One slot is enough: the allgather that produces the next wire set
-    completes only after every rank has entered it, i.e. after every
-    rank has already looked this one up.
+    batches, so the cached ids cannot be recycled by new objects.  One
+    slot is enough: the allgather that produces the next set completes
+    only after every rank has entered it, i.e. after every rank has
+    already looked this one up.
     """
-    memo_key = tuple(map(id, all_wires))
+    memo_key = tuple(map(id, batches))
     if memo.get("key") != memo_key:
-        owners: dict[int, int] = {}
-        branch_records: list[CellRecord] = []
-        for owner_rank, batch in enumerate(all_wires):
-            for w in batch:
-                rec = _rec_from_wire(w)
-                owners[rec.key] = owner_rank
-                branch_records.append(rec)
-        memo.update(key=memo_key, wires=list(all_wires), owners=owners,
-                    frame=_build_frame(branch_records))
-    return memo["owners"], memo["frame"]
-
-
-def _build_frame(branch_records: list[CellRecord]) -> dict[int, CellRecord]:
-    """Aggregate branch cells upward to the root; returns key -> record.
-
-    Branch keys themselves are included; their ``children`` stay empty
-    here because their subtrees live on their owners (descending into
-    a branch is what triggers a remote request).
-    """
-    frame: dict[int, CellRecord] = {r.key: r for r in branch_records}
-    if not branch_records:
-        raise ValueError("no branch records; empty simulation?")
-    # Aggregate level by level from the deepest branch upward.
-    current = {r.key: r for r in branch_records}
-    while True:
-        deepest = max(key_level(k) for k in current)
-        if deepest == 0:
-            break
-        parents: dict[int, list[CellRecord]] = {}
-        next_current: dict[int, CellRecord] = {}
-        for k, rec in current.items():
-            lvl = key_level(k)
-            if lvl == deepest:
-                parents.setdefault(k >> 3, []).append(rec)
-            else:
-                next_current[k] = rec
-        for pk, kids in parents.items():
-            if pk in next_current:
-                # A shallower branch sharing this key cannot happen
-                # (branch intervals are disjoint), but guard anyway.
-                kids.append(next_current[pk])
-            merged = combine_records(pk, kids)
-            frame[pk] = merged
-            next_current[pk] = merged
-        current = next_current
-    if ROOT_KEY not in frame:
-        raise RuntimeError("frame aggregation failed to reach the root")
-    return frame
-
-
-class _GroupWalk:
-    """One sink group's traversal state (the deferral-queue entry)."""
-
-    __slots__ = ("key", "start", "stop", "com", "bmax", "frontier", "waiting", "cells", "direct")
-
-    def __init__(self, key: int, start: int, stop: int, positions: np.ndarray):
-        self.key = key
-        self.start = start
-        self.stop = stop
-        sinks = positions[start:stop]
-        self.com = sinks.mean(axis=0)
-        self.bmax = float(np.linalg.norm(sinks - self.com, axis=1).max())
-        self.frontier: list[int] = [ROOT_KEY]
-        self.waiting: list[int] = []
-        self.cells: list[CellRecord] = []
-        self.direct: list[CellRecord] = []
-
-    def advance(self, resolve, mac) -> int:
-        """Walk until the frontier drains; returns the MAC tests made.
-
-        ``resolve(key)`` returns a CellRecord or None (non-local miss);
-        missed keys are left in ``waiting`` and retried on the next
-        advance (after a request round fills the cache).
-        """
-        mac_tests = 0
-        self.frontier.extend(self.waiting)
-        self.waiting = []
-        while self.frontier:
-            batch = self.frontier
-            self.frontier = []
-            records: list[CellRecord] = []
-            for key in batch:
-                rec = resolve(key)
-                if rec is None:
-                    self.waiting.append(key)
-                elif rec.count > 0:
-                    records.append(rec)
-            if not records:
-                continue
-            # One vectorized MAC pass per frontier batch (same float
-            # semantics as the serial batched traversal's einsum form;
-            # per-record np.linalg.norm here used to dominate the whole
-            # parallel run's wall-clock).
-            d = np.array([r.com for r in records]) - self.com
-            dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-            bmaxes = np.array([r.bmax for r in records])
-            masses = np.array([r.mass for r in records])
-            ok = mac.accept(dist, bmaxes, self.bmax, masses)
-            mac_tests += len(records)
-            cells, direct, frontier, waiting = (
-                self.cells, self.direct, self.frontier, self.waiting
-            )
-            for rec, accept in zip(records, ok):
-                if accept and rec.key != self.key:
-                    cells.append(rec)
-                elif rec.is_leaf and rec.positions is not None:
-                    direct.append(rec)
-                elif not rec.is_leaf and rec.children:
-                    frontier.extend(rec.children)
-                else:
-                    # A remote branch known only by its multipole: the
-                    # MAC wants to open it, so its real record (children
-                    # or particles) must be fetched — park on it.
-                    waiting.append(rec.key)
-        return mac_tests
-
-    def cell_sources(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(com, mass, quad) of the accepted cells, in key order — the
-        order that fixes the evaluation's float sums."""
-        self.cells.sort(key=attrgetter("key"))
-        return (np.array([r.com for r in self.cells]),
-                np.array([r.mass for r in self.cells]),
-                np.array([r.quad for r in self.cells]))
-
-    def direct_sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, masses) of the opened leaves' particles, in key order."""
-        self.direct.sort(key=attrgetter("key"))
-        return (np.concatenate([r.positions for r in self.direct]),
-                np.concatenate([r.masses for r in self.direct]))
-
-
-def _csr(runs: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sink starts, sink counts, source offsets) of a list of
-    ``(first sink row, sink count, source count)`` rectangles."""
-    starts, lengths, widths = np.array(list(zip(*runs)), dtype=np.int64)
-    offs = np.zeros(len(runs) + 1, dtype=np.int64)
-    np.cumsum(widths, out=offs[1:])
-    return starts, lengths, offs
+        memo.update(key=memo_key, batches=list(batches), frame=_Frame(batches))
+    return memo["frame"]
 
 
 class _Traversal:
     """One rank's tree traversal + force evaluation over one particle set.
 
-    Construction sets up the per-rank state once (cell lookup, cache
-    admission, owner lookup, counters, one walk per sink group);
+    Construction sets up the rank's :class:`CellTable` (its own cells,
+    then the remote cells the cache carried over from the previous
+    step), its sink groups as columns, counters and owner lookup;
     :meth:`run` is the generator a rank program delegates to.  It
     returns ``(acc, pot, counts, work, stats)`` where ``work`` is the
     measured per-particle interaction flops (the weight the next step's
     incremental rebalancing consumes) and ``stats`` the rank-local
     communication counters.
 
-    The interaction list of every sink group is a pure function of the
-    global tree and the group geometry, and evaluation order within a
-    group is fixed by sorting records on key — so the ``"async"`` and
-    ``"blocking"`` schedules (and any cache state) produce bit-identical
-    ``acc``/``pot``/``counts``.
+    The walk is level-synchronous over *all* pending groups of a round:
+    the frontier is a pair of index arrays ``(group, table row)``, MAC
+    tested and classified with one vector expression per tree level
+    (:meth:`advance_round`).  The interaction list of every sink group
+    is a pure function of the global tree and the group geometry, and
+    evaluation order within a group is fixed by sorting its sources on
+    key — so the ``"async"`` and ``"blocking"`` schedules (and any
+    cache state) produce bit-identical ``acc``/``pot``/``counts``.
     """
 
     def __init__(
@@ -496,34 +431,28 @@ class _Traversal:
         comm,
         config: ParallelConfig,
         kb,
-        server: CellServer,
-        frame: dict[int, CellRecord],
-        owners: dict[int, int],
-        branch_keys_mine: list[int],
+        local: CellBatch,
+        frame: _Frame,
         splitters: list[int],
         pos: np.ndarray,
         mass: np.ndarray,
         cache: CellCache,
+        previous: "CellTable | None",
         branch_fps: dict[int, bytes] | None,
     ):
         self.comm = comm
         self.config = config
         self.kb = kb
-        self.server = server
         self.frame = frame
-        self.owners = owners
-        self.splitters = splitters
         self.pos = pos
         self.mass = mass
         self.cache = cache
         self.branch_fps = branch_fps or {}
         self.mac = OpeningAngleMAC(config.theta)
         self.eps2 = config.eps * config.eps
-        # Covering-branch lookup, for stamping cache entries with the
-        # branch whose fingerprint governs their cross-step validity.
-        self.branch_keys = sorted(owners, key=lambda k: key_interval(k)[0])
-        self.branch_los = [key_interval(k)[0] for k in self.branch_keys]
-        self.prefetched: set[int] = set()
+        # Interior domain boundaries, for the owner lookup (the end
+        # sentinel 2**64 is no uint64 and no key ever reaches it).
+        self.cuts = np.array([s for s in splitters[1:] if s < END_PKEY], dtype=np.uint64)
         self.stats: dict[str, float] = {
             "rounds": 0, "requests": 0, "batches": 0,
             "prefetch_rounds": 0, "prefetch_fetched": 0, "prefetch_used": 0,
@@ -534,99 +463,149 @@ class _Traversal:
         self.work = np.zeros(n_owned)
         self.pos3 = np.ascontiguousarray(pos.T) if n_owned else np.zeros((3, 0))
         self.counts = InteractionCounts()
-        self.walks = [
-            _GroupWalk(k, s, e, pos) for (k, s, e) in server.leaf_groups(branch_keys_mine)
-        ]
-        self.resolve = self._make_resolve()
 
-    def _make_resolve(self):
-        """The walks' cell lookup: the hot inner call, so a plain closure
-        over locals rather than a method reading attributes."""
-        server, frame, owners, cache = self.server, self.frame, self.owners, self.cache
-        stats, prefetched, rank = self.stats, self.prefetched, self.comm.rank
-        my_lo, my_hi = self.splitters[rank], self.splitters[rank + 1]
-        local_records: dict[int, CellRecord] = {}
-        # Step-local alias of remote-cache hits, valid only while the cache
-        # cannot evict (unbounded).  A memo hit logs the same cache hit a
-        # direct ask would, so hit/miss counters — which benches gate on —
-        # are unchanged; only the OrderedDict/LRU bookkeeping is skipped.
-        remote_memo: dict[int, CellRecord] = {}
-        memo_remote = cache.capacity is None
+        self.table = CellTable()
+        own = self.table.append(local, SILENT)  # own particles open the pool
 
-        def resolve(key: int) -> CellRecord | None:
-            rec = local_records.get(key)
-            if rec is not None:
-                return rec
-            rec = remote_memo.get(key)
-            if rec is not None:
-                cache.stats["hits"] += 1
-                return rec
-            ilo, ihi = key_interval(key)
-            if my_lo <= ilo and ihi <= my_hi:
-                rec = server.record(key)
-                local_records[key] = rec
-                return rec
-            if key in frame and key not in owners:
-                rec = frame[key]  # shared top: aggregated locally
-                local_records[key] = rec  # memoize: every walk re-asks
-                return rec
-            rec = cache.get(key)
-            if rec is not None:
-                if memo_remote:
-                    remote_memo[key] = rec
-                if key in prefetched:
-                    stats["prefetch_used"] += 1
-                    prefetched.discard(key)
-                return rec
-            if key in frame and owners.get(key) == rank:
-                rec = server.record(key)
-                local_records[key] = rec
-                return rec
-            if key in frame:
-                # Remote branch: its multipole is known from the
-                # allgather; if the MAC opens it, the walk will park on
-                # it and its real record arrives by request into the cache.
-                return frame[key]
+        # Sink groups: the local leaves, along the curve.
+        leaves = np.flatnonzero(local.leaf)
+        leaves = leaves[np.argsort(local.pstart[leaves], kind="stable")]
+        self.gkey, self.gstart, self.gn = local.key[leaves], local.pstart[leaves], local.pn[leaves]
+        self.grow = own[leaves]
+        self.gcom = np.empty((leaves.size, 3))
+        self.gbmax = np.empty(leaves.size)
+        for g, (s, n) in enumerate(zip(self.gstart.tolist(), self.gn.tolist())):
+            sinks = pos[s:s + n]
+            self.gcom[g] = sinks.mean(axis=0)
+            self.gbmax[g] = np.linalg.norm(sinks - self.gcom[g], axis=1).max()
+        # The local domain as one sphere: what the prefetch tests remote
+        # cells against, and what decides how much of the tree top to
+        # copy in up front.
+        self.center = pos.mean(axis=0) if n_owned else np.zeros(3)
+        self.radius = float(np.linalg.norm(pos - self.center, axis=1).max()) if n_owned else 0.0
+        self.seed(previous)
+        #: Groups whose walk has not completed yet.
+        self.pending = np.ones(leaves.size, dtype=bool)
+        #: Accepted (group, row) pairs of pending groups: cells to
+        #: evaluate by multipole, leaves to evaluate particle by particle.
+        none = np.empty(0, dtype=np.int64)
+        self.cells, self.direct = (none, none), (none, none)
+
+    # -- the table: finding rows, serving, requesting, admitting ----------
+    def resolve(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, found)`` of distinct keys: one batched hash lookup.
+
+        A key the table does not hold yet but the shared tree top does
+        is copied in first (another rank's branch cell as a
+        :data:`STUB`: its multipole is known from the allgather, and if
+        the MAC opens it the walk parks on it until its real record
+        arrives by request).  What is still missing lives on another
+        rank: the miss mask is the non-local catch.
+        """
+        rows, found = self.table.lookup(keys)
+        if not found.all():
+            miss = np.flatnonzero(~found)
+            frows, shared = self.frame.table.lookup(keys[miss])
+            if shared.any():
+                rows[miss[shared]] = self.adopt(frows[shared])
+                found[miss[shared]] = True
+        return rows, found
+
+    def adopt(self, frows: np.ndarray) -> np.ndarray:
+        """Copy rows of the shared tree top into the table (another
+        rank's branch cell as a :data:`STUB`); returns their rows."""
+        frame = self.frame
+        return self.table.append(frame.table.take(frows, with_particles=False),
+                                 np.where(frame.owner[frows] >= 0, STUB, SILENT))
+
+    def seed(self, previous: "CellTable | None") -> None:
+        """Put in the table, before any walk, what can be had without a
+        request: the reachable part of the shared tree top and the
+        fetched cells the cache carried over from the previous step.
+
+        Reachable is every cell whose parent a group somewhere in the
+        local domain sphere might open: one vector test over the tree
+        top, not a descent, and nothing depends on it being exact
+        (:meth:`resolve` copies in what a walk still finds missing).
+        At thousands of ranks it is a sliver of the tree top, which is
+        why the whole of it is not copied.
+        """
+        frame, table, n = self.frame, self.table, len(self.frame.table)
+        com, bmax = frame.table.com[:n], frame.table.bmax[:n]
+        reach = self.radius + self.gbmax.max(initial=0.0)
+        opened = row_norms(com - self.center) - reach <= bmax / self.config.theta
+        # (The rank's own branch cells are in the table already, whole.)
+        self.adopt(np.flatnonzero(opened[frame.parent] & (frame.owner != self.comm.rank)))
+        if previous is not None and len(self.cache):
+            # After the stubs: a fetched copy supersedes its stub.
+            held = np.fromiter(self.cache.keys(), dtype=np.uint64, count=len(self.cache))
+            table.append(previous.take(previous.lookup(held)[0]), REMOTE)
+        # Point every child key at its row in one lookup, so that the
+        # walks ask again only for what is remote.
+        rows, found = table.lookup(table.child_key[:table.n_kids])
+        table.child_row[:table.n_kids] = np.where(found, rows, -1)
+
+    def hit(self, rows: np.ndarray) -> None:
+        """Book walk visits to fetched rows: cache hits, recency, and
+        the first use of what a prefetch wave brought in."""
+        if rows.size:
+            table = self.table
+            self.cache.touch(table.key[rows].tolist())
+            used = rows[table.prefetched[rows]]
+            if used.size:
+                used = np.unique(used)
+                table.prefetched[used] = False
+                self.stats["prefetch_used"] += used.size
+
+    def owners_of(self, keys: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(self.cuts, key_spans(keys)[0], side="right"),
+                          self.comm.size - 1)
+
+    def serve_batch(self, requester: int, items: list[int]) -> CellBatch | None:
+        if not items:
             return None
-
-        return resolve
-
-    # -- remote cells: who owns a key, serving, requesting, admitting -----
-    def owner_of(self, key: int) -> int:
-        ilo, _ = key_interval(key)
-        return min(bisect.bisect_right(self.splitters, ilo) - 1, self.comm.size - 1)
-
-    def serve_batch(self, requester: int, items: list[Any]) -> list[Any]:
         with _wall_bucket("serialization"):
-            return [_rec_to_wire(self.server.record(int(k))) for k in items]
+            rows, found = self.table.lookup(np.array(items, dtype=np.uint64))
+            if not found.all():
+                raise RuntimeError(f"rank {self.comm.rank} does not hold every cell rank "
+                                   f"{requester} asked it for")
+            return self.table.take(rows)
 
-    def request_lists(self, keys: set[int]) -> list[list[int]]:
-        """One sorted request batch per owner for the deduplicated
+    def request_lists(self, keys: np.ndarray) -> list[list[int]]:
+        """One sorted request batch per owner for the distinct, sorted
         ``keys``, counted into the request/batch statistics."""
-        need: dict[int, list[int]] = {}
-        for k in keys:
-            need.setdefault(self.owner_of(k), []).append(k)
         reqs: list[list[int]] = [[] for _ in range(self.comm.size)]
-        for owner, ks in need.items():
-            reqs[owner] = sorted(ks)
-        self.stats["requests"] += len(keys)
-        self.stats["batches"] += len(need)
+        owners = self.owners_of(keys)
+        order = np.argsort(owners, kind="stable")
+        firsts = np.flatnonzero(np.diff(owners[order], prepend=-1)).tolist()
+        listed = keys[order].tolist()
+        for a, b in zip(firsts, [*firsts[1:], len(listed)]):
+            reqs[owners[order[a]]] = listed[a:b]
+        self.stats["requests"] += len(listed)
+        self.stats["batches"] += len(firsts)
         return reqs
 
-    def admit(self, replies: list) -> list[CellRecord]:
-        """Insert every replied wire record into the cache, stamped with
-        its covering branch's fingerprint; returns the records."""
-        admitted = []
-        for batch in replies:
-            for w in batch or ():
-                rec = _rec_from_wire(w)
-                ilo, _ = key_interval(rec.key)
-                i = bisect.bisect_right(self.branch_los, ilo) - 1
-                bkey = self.branch_keys[max(i, 0)]
-                self.cache.insert(rec.key, rec, branch_key=bkey,
-                                  fingerprint=self.branch_fps.get(bkey, b""))
-                admitted.append(rec)
-        return admitted
+    def admit(self, replies: list) -> np.ndarray:
+        """Append every replied batch to the table and enter its keys in
+        the cache, stamped with their covering branch's fingerprint;
+        returns the new rows."""
+        batches = [b for b in replies if b is not None and len(b)]
+        if not batches:
+            return np.empty(0, dtype=np.int64)
+        batch = CellBatch.concat(batches) if len(batches) > 1 else batches[0]
+        rows = self.table.append(batch, REMOTE)
+        frame, cache = self.frame, self.cache
+        under = np.searchsorted(frame.branch_los, key_spans(batch.key)[0], side="right") - 1
+        evicted = []
+        for key, b in zip(batch.key.tolist(), np.maximum(under, 0).tolist()):
+            bkey = frame.branch_keys[b]
+            out = cache.insert(key, None, branch_key=bkey,
+                               fingerprint=self.branch_fps.get(bkey, b""))
+            if out is not None:
+                evicted.append(out)
+        if evicted:
+            self.table.kill([key for key in evicted if key not in cache])
+        return rows
 
     def charge(self, label: str, flops: float, mem_bytes: float = 0.0):
         """One labeled compute span at the kernel efficiency."""
@@ -636,49 +615,78 @@ class _Traversal:
         )
 
     # -- force evaluation of completed walks ---------------------------------
-    def tally(self, walk: _GroupWalk, n_cells: int, n_direct: int) -> tuple[float, float]:
-        """Book one completed walk against ``n_cells`` cell and
-        ``n_direct`` particle sources: interaction counts, per-particle
-        work, and the potential's self-energy correction.  Returns the
-        (flops, bytes) to charge the cost model."""
-        ns = walk.stop - walk.start
-        own = slice(walk.start, walk.stop)
-        self.counts.groups += 1
-        self.counts.p2c += ns * n_cells
-        self.counts.p2p += ns * n_direct
+    def sources(self, ready: np.ndarray):
+        """Interaction lists of the ``ready`` groups, taken off the
+        pending pairs: ``(cell rows, cells per group, pool indices of
+        the direct sources, direct sources per group)``, each group's
+        sources in key order — the order that fixes the evaluation's
+        float sums."""
+        table, n_groups = self.table, self.gkey.shape[0]
+        is_ready = np.zeros(n_groups, dtype=bool)
+        is_ready[ready] = True
+        out = []
+        for name in ("cells", "direct"):
+            g, r = getattr(self, name)
+            mine = is_ready[g]
+            setattr(self, name, (g[~mine], r[~mine]))
+            g, r = g[mine], r[mine]
+            order = np.lexsort((table.key[r], g))
+            out.append((g[order], r[order]))
+        (cg, crows), (dg, drows) = out
+        n_direct = np.bincount(dg, weights=table.pn[drows], minlength=n_groups)
+        return (crows, np.bincount(cg, minlength=n_groups)[ready],
+                csr_take(table.pstart[drows], table.pn[drows]),
+                n_direct[ready].astype(np.int64))
+
+    def tally(self, ready: np.ndarray, n_cells: np.ndarray, n_direct: np.ndarray):
+        """Book the completed walks of ``ready`` against their source
+        counts: interaction counts, per-particle work, and the
+        potential's self-energy correction.  Returns the (flops, bytes)
+        to charge the cost model."""
+        ns, starts = self.gn[ready], self.gstart[ready]
+        self.counts.groups += len(ready)
+        self.counts.p2c += int(ns @ n_cells)
+        self.counts.p2p += int(ns @ n_direct)
         per_sink = n_cells * FLOPS_PER_CELL_INTERACTION + n_direct * FLOPS_PER_INTERACTION
-        self.work[own] += per_sink
-        if n_direct and self.eps2 > 0:
+        self.work[csr_take(starts, ns)] += np.repeat(per_sink, ns)
+        if self.eps2 > 0:
             # The direct kernels include each sink's softened self-pair;
             # remove the self-energy -G m / eps it adds to the potential.
-            self.pot[own] += self.config.G * self.mass[own] / self.config.eps
-        return ns * per_sink, ns * (n_cells * 80.0 + n_direct * 32.0)
+            soft = csr_take(starts[n_direct > 0], ns[n_direct > 0])
+            self.pot[soft] += self.config.G * self.mass[soft] / self.config.eps
+        return float(ns @ per_sink), float(ns @ (n_cells * 80.0 + n_direct * 32.0))
 
-    def evaluate_pergroup(self, ready: list[_GroupWalk]) -> tuple[float, float]:
+    def rects(self, ready: np.ndarray, widths: np.ndarray):
+        """(sink starts, sink counts, source offsets): one rectangle for
+        every ``ready`` group that has sources at all."""
+        wide = widths > 0
+        offs = np.zeros(np.count_nonzero(wide) + 1, dtype=np.int64)
+        np.cumsum(widths[wide], out=offs[1:])
+        return self.gstart[ready][wide], self.gn[ready][wide], offs
+
+    def evaluate_pergroup(self, ready: np.ndarray) -> tuple[float, float]:
         """The historical one-dense-call-per-group evaluator, kept as the
         differential reference for :meth:`evaluate_batch`."""
-        kb, eps2, G = self.kb, self.eps2, self.config.G
-        flops = mem = 0.0
-        for walk in ready:
-            own = slice(walk.start, walk.stop)
-            sinks = self.pos[own]
-            n_direct = 0
-            if walk.cells:
-                a, p = kb.eval_cells_dense(sinks, *walk.cell_sources(), eps2, G)
+        table, kb, eps2, G = self.table, self.kb, self.eps2, self.config.G
+        crows, n_cells, src, n_direct = self.sources(ready)
+        c_end, s_end = np.cumsum(n_cells).tolist(), np.cumsum(n_direct).tolist()
+        for i, g in enumerate(ready.tolist()):
+            own = slice(self.gstart[g], self.gstart[g] + self.gn[g])
+            rows = crows[c_end[i] - n_cells[i]:c_end[i]]
+            if rows.size:
+                a, p = kb.eval_cells_dense(self.pos[own], table.com[rows], table.mass[rows],
+                                           table.quad[rows], eps2, G)
                 self.acc[own] += a
                 self.pot[own] += p
-            if walk.direct:
-                src_pos, src_mass = walk.direct_sources()
-                n_direct = src_pos.shape[0]
-                a, p = kb.eval_direct_dense(sinks, src_pos, src_mass, eps2, G)
+            ids = src[s_end[i] - n_direct[i]:s_end[i]]
+            if ids.size:
+                a, p = kb.eval_direct_dense(self.pos[own], table.ppos[ids], table.pmass[ids],
+                                            eps2, G)
                 self.acc[own] += a
                 self.pot[own] += p
-            f, m = self.tally(walk, len(walk.cells), n_direct)
-            flops += f
-            mem += m
-        return flops, mem
+        return self.tally(ready, n_cells, n_direct)
 
-    def evaluate_batch(self, ready: list[_GroupWalk]) -> tuple[float, float]:
+    def evaluate_batch(self, ready: np.ndarray) -> tuple[float, float]:
         """Evaluate a batch of completed walks as flat CSR rectangles:
         one cell and one direct kernel call for the whole batch.
 
@@ -688,48 +696,27 @@ class _Traversal:
         comm schedules, cache states, and round boundaries — the same
         invariant the per-group path has.
         """
-        flops = mem = 0.0
-        # One (first sink row, sink count, source count) run per rectangle.
-        cell_runs: list[tuple[int, int, int]] = []
-        direct_runs: list[tuple[int, int, int]] = []
-        cell_parts: list[tuple] = []
-        direct_parts: list[tuple] = []
-        for walk in ready:
-            ns = walk.stop - walk.start
-            n_direct = 0
-            if walk.cells:
-                cell_parts.append(walk.cell_sources())
-                cell_runs.append((walk.start, ns, len(walk.cells)))
-            if walk.direct:
-                direct_parts.append(walk.direct_sources())
-                n_direct = direct_parts[-1][0].shape[0]
-                direct_runs.append((walk.start, ns, n_direct))
-            f, m = self.tally(walk, len(walk.cells), n_direct)
-            flops += f
-            mem += m
+        table = self.table
+        crows, n_cells, src, n_direct = self.sources(ready)
+        charged = self.tally(ready, n_cells, n_direct)
         tail = (self.eps2, self.config.G, self.acc, self.pot, DEFAULT_PAIR_CHUNK)
-        if cell_parts:
-            com, cmass, quad = (np.concatenate(part) for part in zip(*cell_parts))
-            starts, lengths, offs = _csr(cell_runs)
+        if crows.size:
             self.kb.eval_cell_rects(
-                self.pos3, starts, lengths, offs, np.arange(offs[-1], dtype=np.int64),
-                np.ascontiguousarray(com.T), np.ascontiguousarray(cmass),
-                np.ascontiguousarray(quad.T), *tail,
+                self.pos3, *self.rects(ready, n_cells), np.arange(crows.size, dtype=np.int64),
+                np.ascontiguousarray(table.com[crows].T), table.mass[crows],
+                np.ascontiguousarray(table.quad[crows].T), *tail,
             )
-        if direct_parts:
-            src_pos, src_mass = (np.concatenate(part) for part in zip(*direct_parts))
-            starts, lengths, offs = _csr(direct_runs)
-            # Sources live after the rank's own particles in the pool;
-            # sink rows stay < n_owned, so writes into acc/pot are safe.
-            src_ids = self.pos.shape[0] + np.arange(offs[-1], dtype=np.int64)
+        if src.size:
+            # Sources are indices into the table's particle pool, which
+            # the rank's own particles open: sink rows stay < n_owned,
+            # so writes into acc/pot are safe.
             self.kb.eval_direct_rects(
-                np.ascontiguousarray(np.concatenate([self.pos, src_pos]).T),
-                np.concatenate([self.mass, src_mass]),
-                starts, lengths, offs, src_ids, *tail,
+                np.ascontiguousarray(table.ppos[:table.n_parts].T), table.pmass[:table.n_parts],
+                *self.rects(ready, n_direct), src, *tail,
             )
-        return flops, mem
+        return charged
 
-    def evaluate_many(self, ready: list[_GroupWalk]):
+    def evaluate_many(self, ready: np.ndarray):
         """Generator charging one labeled compute span for a batch of
         completed walks — the overlap work of an async round."""
         evaluate = self.evaluate_batch if self.config.eval == "batched" else self.evaluate_pergroup
@@ -738,21 +725,99 @@ class _Traversal:
             yield self.charge("force", flops, mem)
 
     # -- schedules -----------------------------------------------------------
-    def advance_round(self, pending: list[_GroupWalk]):
-        """Advance every pending walk as far as local data allows and
-        charge the MAC tests; returns ``(still, ready)`` — the walks now
-        parked on missing keys (their ``waiting`` lists) and the walks
-        that completed."""
-        still: list[_GroupWalk] = []
-        ready: list[_GroupWalk] = []
-        mac_tests = 0
-        resolve, mac = self.resolve, self.mac
-        for walk in pending:
-            mac_tests += walk.advance(resolve, mac)
-            (still if walk.waiting else ready).append(walk)
-        if mac_tests:
-            yield self.charge("traversal", mac_tests * FLOPS_PER_MAC_TEST)
-        return still, ready
+    def start(self):
+        """Where the walks begin: ``(group, key, shut)`` triples.
+
+        A group's walk always opens the cells on the way from the root
+        down to the group itself (``theta <= 1``: a cell that contains
+        the group cannot pass the MAC), so instead of descending those
+        up to 21 levels one pass at a time, every group starts at the
+        root and at the children of every cell on its way down, all at
+        once.  The cells on the way are ``shut``: tested like any other,
+        but not opened a second time.
+        """
+        shifts = np.arange(3, 3 * MAX_LEVEL + 1, 3, dtype=np.uint64)
+        path = self.gkey[:, None] >> shifts  # the cells above each group; 0 beyond the root
+        g, up = np.nonzero(path)
+        keys, inverse = np.unique(path[g, up], return_inverse=True)
+        rows = self.resolve(keys)[0][inverse]
+        table, n_kids = self.table, self.table.cn[rows]
+        kids = table.child_key[csr_take(table.cstart[rows], n_kids)]
+        below = self.gkey[g] >> (shifts[up] - np.uint64(3))  # the next cell on the way down
+        everyone = np.arange(self.gkey.shape[0], dtype=np.int64)
+        return (np.concatenate([everyone, np.repeat(g, n_kids)]),
+                np.concatenate([np.full(everyone.shape, ROOT_KEY, dtype=np.uint64), kids]),
+                np.concatenate([everyone >= 0, kids == np.repeat(below, n_kids)]))
+
+    def advance_round(self, wg: np.ndarray, wkey: np.ndarray, shut: np.ndarray | None = None):
+        """Advance every pending walk as far as the table allows and
+        charge the MAC tests.
+
+        ``(wg, wkey)`` are the (group, key) pairs the walks wait at
+        (``shut``: see :meth:`start`); all groups of the round descend
+        together, one tree level per pass.  Returns ``(wg, wkey,
+        ready)``: the pairs now parked on missing keys and the groups
+        whose walk completed.
+        """
+        table = self.table
+        keys, inverse = np.unique(wkey, return_inverse=True)
+        rows, found = self.resolve(keys)
+        rows, found = rows[inverse], found[inverse]
+        parked = [(wg[~found], wkey[~found])]
+        misses = wg.size - np.count_nonzero(found)
+        g, r = wg[found], rows[found]
+        accepted, opened = [self.cells], [self.direct]
+        tests = 0
+        while g.size:
+            kind = table.kind[r]
+            self.hit(r[kind == REMOTE])
+            misses += np.count_nonzero(kind == STUB)
+            tests += g.size
+            d = table.com[r] - self.gcom[g]
+            dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+            ok = self.mac.accept(dist, table.bmax[r], self.gbmax[g], table.mass[r])
+            ok &= r != self.grow[g]  # never approximate the group by itself
+            accepted.append((g[ok], r[ok]))
+            g, r = g[~ok], r[~ok]
+            leaf, held = table.leaf[r], table.pn[r] > 0
+            whole = leaf & held
+            opened.append((g[whole], r[whole]))
+            # A remote leaf known only by its multipole: the MAC wants
+            # it opened, so its particles must be fetched — park on it.
+            stub = leaf & ~held
+            parked.append((g[stub], table.key[r[stub]]))
+            # Open the rest: their children are the next frontier.
+            go = ~leaf
+            if shut is not None:
+                go &= ~shut[found][~ok]
+                shut = None
+            g, r = g[go], r[go]
+            n_kids = table.cn[r]
+            slots = csr_take(table.cstart[r], n_kids)
+            g = np.repeat(g, n_kids)
+            r = table.child_row[slots]
+            stale = (r < 0) | (table.kind[r] == DEAD)
+            if stale.any():
+                ask = np.unique(slots[stale])
+                rows, there = self.resolve(table.child_key[ask])
+                table.child_row[ask] = np.where(there, rows, -1)
+                r = table.child_row[slots]
+                lost = r < 0
+                if lost.any():
+                    parked.append((g[lost], table.child_key[slots[lost]]))
+                    misses += np.count_nonzero(lost)
+                    g, r = g[~lost], r[~lost]
+        self.cache.stats["misses"] += int(misses)
+        self.cells = tuple(np.concatenate(part) for part in zip(*accepted))
+        self.direct = tuple(np.concatenate(part) for part in zip(*opened))
+        wg, wkey = (np.concatenate(part) for part in zip(*parked))
+        blocked = np.zeros(self.pending.shape[0], dtype=bool)
+        blocked[wg] = True
+        ready = np.flatnonzero(self.pending & ~blocked)
+        self.pending[ready] = False
+        if tests:
+            yield self.charge("traversal", tests * FLOPS_PER_MAC_TEST)
+        return wg, wkey, ready
 
     def prefetch_boundary(self):
         """Locally-essential-tree prefetch (async schedule only).
@@ -768,63 +833,50 @@ class _Traversal:
         anything it misses is fetched by the main loop, so accuracy
         affects only timing, never results.
         """
-        comm, cache, stats, pos = self.comm, self.cache, self.stats, self.pos
-        if pos.shape[0]:
-            center = pos.mean(axis=0)
-            radius = float(np.linalg.norm(pos - center, axis=1).max())
-        else:
-            center = np.zeros(3)
-            radius = 0.0
+        comm, table, stats = self.comm, self.table, self.stats
+        center, radius = self.center, self.radius
         inv_theta = 1.0 / self.config.theta
-        frontier = [self.frame[k] for k in self.branch_keys if self.owners[k] != comm.rank]
+        # The first wave tests the other ranks' branch cells where they
+        # are, in the shared frame; later waves test what came back.
+        cells = self.frame.table
+        rows = self.frame.branch_rows[self.frame.owner[self.frame.branch_rows] != comm.rank]
         for wave in range(1, self.config.prefetch_rounds + 1):
-            want: set[int] = set()
-            tests = 0
-            next_frontier: list[CellRecord] = []
-            for rec in frontier:
-                if rec.count == 0:
-                    continue
-                tests += 1
-                dist = float(np.linalg.norm(rec.com - center))
-                if dist - radius > rec.bmax * inv_theta:
-                    continue  # every local group's MAC accepts it
-                if rec.is_leaf:
-                    if rec.positions is None and cache.peek(rec.key) is None:
-                        want.add(rec.key)
-                    continue
-                for ck in rec.children:
-                    crec = cache.peek(ck)
-                    if crec is not None:
-                        next_frontier.append(crec)
-                    else:
-                        want.add(ck)
-            if tests:
-                yield self.charge("prefetch", tests * FLOPS_PER_MAC_TEST)
-            total = yield from mpi_patterns.allreduce(comm, len(want))
+            near = row_norms(cells.com[rows] - center) - radius <= cells.bmax[rows] * inv_theta
+            if rows.size:
+                yield self.charge("prefetch", rows.size * FLOPS_PER_MAC_TEST)
+            rows = rows[near]  # every local group's MAC accepts the others
+            leaf = cells.leaf[rows]
+            stubs, inner = rows[leaf & (cells.pn[rows] == 0)], rows[~leaf]
+            keys = np.concatenate([
+                cells.key[stubs], cells.child_key[csr_take(cells.cstart[inner], cells.cn[inner])]])
+            cached, found = table.lookup(keys)
+            found &= table.kind[cached] == REMOTE  # held in the cache, not a stub
+            want = np.unique(keys[~found])
+            total = yield from mpi_patterns.allreduce(comm, int(want.size))
             if total == 0:
                 break
             replies, _ = yield from batched_request_reply(
                 comm, self.request_lists(want), self.serve_batch, tag=_FETCH_TAG + 10
             )
             fetched = self.admit(replies)
-            self.prefetched.update(rec.key for rec in fetched)
-            stats["prefetch_fetched"] += len(fetched)
-            frontier = next_frontier + fetched
+            table.prefetched[fetched] = True
+            stats["prefetch_fetched"] += fetched.size
+            cells, rows = table, np.concatenate([cached[stubs.size:][found[stubs.size:]], fetched])
             stats["prefetch_rounds"] = wave
 
     def traverse_async(self):
         """Latency-hiding main loop: per-owner deduplicated request
         batches in flight while completed walks evaluate their forces."""
-        pending = self.walks
+        wg, wkey, shut = self.start()
         for rounds in range(1, self.config.max_rounds + 2):
-            pending, ready = yield from self.advance_round(pending)
-            blocked = yield from mpi_patterns.allreduce(self.comm, len(pending))
+            wg, wkey, ready = yield from self.advance_round(wg, wkey, shut)
+            shut = None
+            blocked = yield from mpi_patterns.allreduce(self.comm, int(self.pending.sum()))
             if blocked == 0:
                 yield from self.evaluate_many(ready)
                 return
-            missing = {k for walk in pending for k in walk.waiting}
             replies, _ = yield from batched_request_reply(
-                self.comm, self.request_lists(missing), self.serve_batch,
+                self.comm, self.request_lists(np.unique(wkey)), self.serve_batch,
                 overlap=self.evaluate_many(ready), tag=_FETCH_TAG,
             )
             self.admit(replies)
@@ -836,16 +888,16 @@ class _Traversal:
         with all force evaluation after the exchange (the pre-PR-5
         schedule, kept for differential testing)."""
         abm = ABMChannel(self.comm, self.serve_batch)
-        pending = self.walks
+        wg, wkey, shut = self.start()
         for _ in range(self.config.max_rounds + 1):
-            pending, ready = yield from self.advance_round(pending)
-            for walk in pending:
-                # Per walk, not deduplicated across walks: the reference
-                # sends what the pre-PR-5 code sent, byte for byte.
-                for k in set(walk.waiting):
-                    abm.request(self.owner_of(k), k)
+            wg, wkey, ready = yield from self.advance_round(wg, wkey, shut)
+            shut = None
+            # Per walk, not deduplicated across walks: the reference
+            # sends what the pre-PR-5 code sent, byte for byte.
+            for owner, key in zip(self.owners_of(wkey).tolist(), wkey.tolist()):
+                abm.request(owner, key)
             yield from self.evaluate_many(ready)
-            done = yield from abm.globally_done(len(pending))
+            done = yield from abm.globally_done(int(self.pending.sum()))
             if done:
                 self.stats["rounds"] = abm.rounds
                 self.stats["requests"] = abm.requests_sent
@@ -911,46 +963,49 @@ def _exchange(comm, cols: dict[str, np.ndarray], splitters: list[int]):
     restore key order.  ``cols`` must be sorted by key."""
     size = comm.size
     bounds = piece_bounds(cols["keys"], splitters)
-    sendbuf = [
-        {name: a[bounds[d]:bounds[d + 1]] for name, a in cols.items()} for d in range(size)
-    ]
+    # One shared empty piece for every rank that gets nothing: at a
+    # thousand ranks nearly all of them.
+    sendbuf = [{name: a[:0] for name, a in cols.items()}] * size
+    for d in np.flatnonzero(np.diff(bounds)).tolist():
+        sendbuf[d] = {name: a[bounds[d]:bounds[d + 1]] for name, a in cols.items()}
     received = yield comm.alltoall(
         sendbuf, nbytes=sum(a.nbytes for a in cols.values()) + 8 * (len(cols) + 1) * size
     )
     names = list(cols)
-    columns = key_sort(*(np.concatenate([r[name] for r in received]) for name in names))
+    filled = [r for r in received if r["keys"].shape[0]] or received[:1]
+    columns = key_sort(*(np.concatenate([r[name] for r in filled]) for name in names))
     yield _sort_cost(comm, columns[0].shape[0], "exchange-sort")
     return dict(zip(names, columns))
 
 
 def _global_tree(comm, config: ParallelConfig, cols, box, splitters, frame_memo: dict):
-    """Steps 3–4: this rank's :class:`CellServer` and branch cells, then
-    the allgather that gives every rank the shared frame.
+    """Steps 3–4: this rank's cells, bulk-built from its
+    :class:`CellServer`, and the allgather of their top — the branch
+    cells — that gives every rank the shared frame.
 
-    Returns ``(server, my branch keys, owners, frame, branch_fps)``;
-    ``branch_fps`` (branch key -> data fingerprint, the cache's validity
-    stamps) is gathered only when the particles can move, else ``None``.
+    Returns ``(local cells, frame, branch_fps)``; ``branch_fps`` (branch
+    key -> data fingerprint, the cache's validity stamps) is gathered
+    only when the particles can move, else ``None``.
     """
     rank = comm.rank
     n_owned = cols["keys"].shape[0]
     server = CellServer(cols["keys"], cols["pos"], cols["mass"], box,
                         bucket_size=config.bucket_size)
     my_lo, my_hi = splitters[rank], splitters[rank + 1]
-    branches = []
-    if my_hi > my_lo:
-        for bk in cover_interval(my_lo, my_hi):
-            rec = server.record(bk, with_particles=False)
-            if rec.count > 0:
-                branches.append(rec)
+    cover = cover_interval(my_lo, my_hi) if my_hi > my_lo else []
+    local = server.subtree(cover)
+    # The non-empty cells of the cover come first (every other row is
+    # some row's child): the branch cells, published by multipole and
+    # child keys only.
+    branches = local.take(np.arange(len(local) - int(local.cn.sum())), with_particles=False)
     yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned, label="tree-build")
-    all_wires = yield from mpi_patterns.allgather(comm, [_rec_to_wire(b) for b in branches])
+    all_branches = yield from mpi_patterns.allgather(comm, branches)
     branch_fps = None
     if "vel" in cols:
-        fps_mine = [(b.key, server.branch_fingerprint(b.key)) for b in branches]
+        fps_mine = [(key, server.branch_fingerprint(key)) for key in branches.key.tolist()]
         all_fps = yield from mpi_patterns.allgather(comm, fps_mine)
         branch_fps = {k: fp for batch in all_fps for (k, fp) in batch}
-    owners, frame = _frame_from_wires(all_wires, frame_memo)
-    return server, [b.key for b in branches], owners, frame, branch_fps
+    return local, _shared_frame(all_branches, frame_memo), branch_fps
 
 
 def _make_program(
@@ -1012,12 +1067,13 @@ def _make_program(
                 )
 
         remote_cache = CellCache(config.cache_capacity)
+        table = None  # the previous step's, whose fetched rows carry over
         counts_total = InteractionCounts()
         stats_total: dict[str, float] = {}
         step_outs: list[dict[str, np.ndarray]] = []
         step_work: list[float] = []
         for step in range(n_steps):
-            server, branch_keys_mine, owners, frame, branch_fps = yield from _global_tree(
+            local, frame, branch_fps = yield from _global_tree(
                 comm, config, cols, box, splitters, frame_memo)
             if branch_fps is not None:
                 # -- step 5: cache carry-over ------------------------------
@@ -1025,10 +1081,10 @@ def _make_program(
                     remote_cache.retain_valid(branch_fps)
                 else:
                     remote_cache.clear()
-            acc, pot, counts, work, stats = yield from _Traversal(
-                comm, config, kb, server, frame, owners, branch_keys_mine, splitters,
-                cols["pos"], cols["mass"], remote_cache, branch_fps,
-            ).run()
+            traversal = _Traversal(comm, config, kb, local, frame, splitters,
+                                   cols["pos"], cols["mass"], remote_cache, table, branch_fps)
+            table = traversal.table
+            acc, pot, counts, work, stats = yield from traversal.run()
             counts_total = counts_total.merged(counts)
             for k, v in stats.items():
                 stats_total[k] = stats_total.get(k, 0.0) + float(v)

@@ -86,8 +86,10 @@ def payload_nbytes(payload: Any) -> int:
 
     NumPy arrays report their buffer size; bytes-likes their length;
     numbers 8 bytes; containers sum their elements plus a small framing
-    overhead per element.  Anything else costs a flat 64 bytes — the
-    point is reproducible cost accounting, not serialization fidelity.
+    overhead per element.  Any other object may declare its own wire
+    size as an ``nbytes`` attribute, read in O(1) (a column batch of
+    cell records does); anything else costs a flat 64 bytes — the point
+    is reproducible cost accounting, not serialization fidelity.
 
     Returns the size in bytes as a plain ``int``.
 
@@ -112,7 +114,7 @@ def payload_nbytes(payload: Any) -> int:
         return sum(payload_nbytes(item) + 8 for item in payload)
     if isinstance(payload, dict):
         return sum(payload_nbytes(k) + payload_nbytes(v) + 8 for k, v in payload.items())
-    return 64
+    return int(getattr(payload, "nbytes", 64))
 
 
 class Request:

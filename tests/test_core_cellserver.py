@@ -31,6 +31,25 @@ def _server(n, seed=0, bucket=8):
     return CellServer(keys[order], pos[order], mass[order], UNIT_BOX, bucket), pos, mass
 
 
+def _cover_interval_by_growth(lo: int, hi: int) -> list[int]:
+    """``cover_interval`` as it was before the bit arithmetic: grow each
+    block by factors of eight while it stays aligned and inside."""
+    cells = []
+    cur, end = lo - MIN_PKEY, hi - MIN_PKEY
+    while cur < end:
+        step = 1
+        while cur % (step * 8) == 0 and cur + step * 8 <= end and step * 8 <= 8**21:
+            step *= 8
+        level = 21
+        s = step
+        while s > 1:
+            s //= 8
+            level -= 1
+        cells.append((cur // step) + (1 << (3 * level)))
+        cur += step
+    return cells
+
+
 class TestKeyInterval:
     def test_root_covers_everything(self):
         lo, hi = key_interval(ROOT_KEY)
@@ -78,6 +97,16 @@ class TestCoverInterval:
     def test_validation(self):
         with pytest.raises(ValueError):
             cover_interval(0, 100)
+
+    @given(st.integers(MIN_PKEY, END_PKEY), st.integers(MIN_PKEY, END_PKEY),
+           st.integers(0, 21), st.integers(0, 21))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_arithmetic_equals_the_growth_loop(self, a, b, snap_lo, snap_hi):
+        # Aligned ends make the long blocks; raw ones the ragged edges.
+        lo, hi = sorted(((a >> 3 * snap_lo) << 3 * snap_lo, (b >> 3 * snap_hi) << 3 * snap_hi))
+        assert cover_interval(lo, hi) == _cover_interval_by_growth(lo, hi)
+        assert cover_interval(lo, lo) == []
+        assert cover_interval(MIN_PKEY, END_PKEY) == _cover_interval_by_growth(MIN_PKEY, END_PKEY)
 
 
 class TestShiftQuadrupole:

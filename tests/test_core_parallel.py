@@ -203,23 +203,26 @@ class TestParallelCorrectness:
         ("theta", [2.0, 0.0, -0.5, float("nan")]),
         ("eps", [-1.0, float("nan"), float("inf")]),
         ("G", [float("nan"), float("inf")]),
-        ("bucket_size", [0]),
-        ("oversample", [0]),
-        ("max_rounds", [0]),
+        ("bucket_size", [0, 2.5, "8", None]),
+        ("oversample", [0, 16.0]),
+        ("max_rounds", [0, 1.5]),
         ("kernel_efficiency", [0.0, 1.5]),
-        ("prefetch_rounds", [-1]),
-        ("cache_capacity", [0]),
+        ("prefetch_rounds", [-1, 1.5, None]),
+        ("cache_capacity", [0, 64.0, "all"]),
     ])
     def test_config_validation_names_the_field(self, field, values):
         for value in values:
             with pytest.raises(ValueError, match=field):
                 ParallelConfig(**{field: value})
+        # Anything with an __index__ is an integer; None means unbounded.
+        ParallelConfig(bucket_size=np.int64(8), prefetch_rounds=True, cache_capacity=None)
 
     def test_no_cell_records_outlive_a_run(self):
         # The frame memo belongs to the program builder: after two
         # back-to-back runs nothing reachable from the module's namespace
-        # may still hold a branch cell.
+        # may still hold a branch cell, as a record or as table columns.
         import repro.core.parallel as mod
+        from repro.core.celltable import CellBatch
 
         pos, m = _cloud(120, seed=9)
         parallel_tree_accelerations(pos, m, n_ranks=3)
@@ -231,7 +234,7 @@ class TestParallelCorrectness:
             if id(obj) in seen:
                 continue
             seen.add(id(obj))
-            if isinstance(obj, CellRecord):
+            if isinstance(obj, (CellRecord, CellBatch, mod._Frame, mod._Traversal)):
                 held.append(obj)
             elif isinstance(obj, dict):
                 stack.extend(obj.keys())

@@ -1,0 +1,184 @@
+"""Pinned contract of the parallel treecode.
+
+A matrix of small configurations — both entry points x ``comm`` x
+``eval`` x ``prefetch`` x 1/3/8 ranks x uniform/clustered/coincident
+clouds x rebalance x cold/warm cache, two force-only runs above the
+flat-collective limit (P=40, P=64) and two bounded-cache runs — whose
+*modelled* outcome is pinned in ``tests/golden/parallel_pins.json``:
+virtual seconds (hex), message and byte totals, interaction counts, the
+full summed ``comm`` statistics and a blake2b digest of the physics.
+All of it is a pure function of the event sequence the rank programs
+yield and of the order of the float sums, so a change meant only to make
+``repro.core.parallel`` faster on the host must not move any of it.
+
+Bounded caches pin physics only: their LRU recency order, hence their
+cache counters, requests and virtual seconds, is an implementation order
+(see CHANGES.md, PR 16), their answers are not.
+
+The virtual-time pins hold under every kernel backend.  The physics
+digest is a pin of the numpy kernels' float sums; under ``numba`` the
+digest is compared between the async and the blocking schedule instead.
+
+To bless an intentional change:
+
+    PYTHONPATH=src python tests/test_parallel_pins.py --regen
+"""
+
+import hashlib
+import json
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.core import ParallelConfig, get_backend, parallel_nbody_run, parallel_tree_accelerations
+from repro.simmpi import SpaceSimulatorCost
+
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                         "parallel_pins.json")
+
+
+def _cloud(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(2003)
+    if kind == "uniform":
+        return rng.random((n, 3)), rng.random(n) / n
+    if kind == "clustered":
+        d = rng.standard_normal((n, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return (rng.random(n) ** 3)[:, None] * d, np.full(n, 1.0 / n)
+    # coincident: twelve sites, so leaves overflow the bucket at the
+    # deepest level, and a few massless particles.
+    sites = rng.random((12, 3))
+    masses = np.full(n, 1.0 / n)
+    masses[::17] = 0.0
+    return sites[rng.integers(0, 12, n)], masses
+
+
+def _configs() -> dict[str, dict]:
+    """name -> keyword description of one pinned run."""
+    out: dict[str, dict] = {}
+    force_modes = [("async", "batched", True), ("async", "batched", False),
+                   ("blocking", "batched", True), ("async", "pergroup", True),
+                   ("blocking", "pergroup", True)]
+    for cloud in ("uniform", "clustered", "coincident"):
+        for ranks in (1, 3, 8):
+            modes = force_modes if ranks > 1 else [force_modes[0], force_modes[4]]
+            for comm, ev, prefetch in modes:
+                out[f"force-{comm}-{ev}-pf{int(prefetch)}-r{ranks}-{cloud}"] = dict(
+                    entry="force", cloud=cloud, n=160, ranks=ranks,
+                    cfg=dict(comm=comm, eval=ev, prefetch=prefetch))
+        for ranks in (3, 8):
+            for rebalance in (True, False):
+                for warm in (True, False):
+                    out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb{int(rebalance)}-"
+                        f"{'warm' if warm else 'cold'}"] = dict(
+                        entry="nbody", cloud=cloud, n=160, ranks=ranks, rebalance=rebalance,
+                        warm=warm, cfg=dict())
+            out[f"nbody-blocking-batched-pf1-r{ranks}-{cloud}-rb1-warm"] = dict(
+                entry="nbody", cloud=cloud, n=160, ranks=ranks, rebalance=True, warm=True,
+                cfg=dict(comm="blocking"))
+            out[f"nbody-async-pergroup-pf0-r{ranks}-{cloud}-rb1-warm"] = dict(
+                entry="nbody", cloud=cloud, n=160, ranks=ranks, rebalance=True, warm=True,
+                cfg=dict(eval="pergroup", prefetch=False))
+        out[f"nbody-async-batched-pf1-r1-{cloud}-rb1-warm"] = dict(
+            entry="nbody", cloud=cloud, n=160, ranks=1, rebalance=True, warm=True, cfg=dict())
+    for ranks in (40, 64):  # tree collectives and the sparse request round
+        out[f"force-async-batched-pf1-r{ranks}-uniform"] = dict(
+            entry="force", cloud="uniform", n=3 * ranks, ranks=ranks, cfg=dict())
+    out["force-async-batched-pf1-r4-clustered-cap48"] = dict(
+        entry="force", cloud="clustered", n=300, ranks=4, physics_only=True,
+        cfg=dict(cache_capacity=48, max_rounds=2000))
+    out["nbody-async-batched-pf1-r3-uniform-rb1-warm-cap32"] = dict(
+        entry="nbody", cloud="uniform", n=160, ranks=3, rebalance=True, warm=True,
+        physics_only=True, cfg=dict(cache_capacity=32, max_rounds=2000))
+    return out
+
+
+CONFIGS = _configs()
+
+
+def _run(spec: dict, **cfg_overrides):
+    pos, masses = _cloud(spec["cloud"], spec["n"])
+    config = replace(ParallelConfig(theta=0.7, eps=0.02, bucket_size=8, **spec["cfg"]),
+                     **cfg_overrides)
+    if spec["entry"] == "force":
+        res = parallel_tree_accelerations(pos, masses, n_ranks=spec["ranks"], config=config,
+                                          cost=SpaceSimulatorCost(), record_trace=False)
+        physics = [res.accelerations, res.potentials]
+    else:
+        res = parallel_nbody_run(pos, masses, n_ranks=spec["ranks"], n_steps=2, dt=2e-2,
+                                 config=config, cost=SpaceSimulatorCost(),
+                                 cache_across_steps=spec["warm"], rebalance=spec["rebalance"],
+                                 record_trace=False)
+        physics = [*res.step_accelerations, res.positions, res.velocities]
+    return res, physics
+
+
+def _digest(physics) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for a in physics:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _observe(spec: dict) -> dict:
+    res, physics = _run(spec)
+    out = {
+        "counts": [res.counts.p2p, res.counts.p2c, res.counts.groups],
+        "digest": _digest(physics),
+    }
+    if not spec.get("physics_only"):
+        out.update(
+            elapsed=res.sim.elapsed.hex(),
+            msgs=sum(s.msgs_sent for s in res.sim.stats),
+            bytes=sum(s.bytes_sent for s in res.sim.stats),
+            comm={k: res.comm[k] for k in sorted(res.comm)},
+        )
+    return out
+
+
+def _pins() -> dict:
+    with open(PINS_PATH) as fh:
+        return json.load(fh)
+
+
+def test_matrix_is_the_pinned_one():
+    assert len(CONFIGS) >= 40
+    assert sorted(_pins()) == sorted(CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pinned(name):
+    spec = CONFIGS[name]
+    seen, want = _observe(spec), dict(_pins()[name])
+    if get_backend(None).name == "numba":  # pragma: no cover - numba CI leg
+        # Other float sums than the pinned numpy ones: schedules must
+        # still agree with each other bit for bit.
+        flipped = "blocking" if spec["cfg"].get("comm", "async") == "async" else "async"
+        want["digest"] = _digest(_run(spec, comm=flipped)[1])
+    assert seen == want, (
+        f"{name} moved; if the change is intentional, regenerate with "
+        "`PYTHONPATH=src python tests/test_parallel_pins.py --regen`")
+
+
+def test_bounded_cache_replays_identically():
+    spec = dict(CONFIGS["force-async-batched-pf1-r4-clustered-cap48"], physics_only=False)
+    assert _observe(spec) == _observe(spec)
+
+
+def regen() -> None:
+    pins = {name: _observe(spec) for name, spec in sorted(CONFIGS.items())}
+    with open(PINS_PATH, "w") as fh:
+        json.dump(pins, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {PINS_PATH} ({len(pins)} configurations)")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        regen()
+    else:
+        print(__doc__)
