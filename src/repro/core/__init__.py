@@ -36,7 +36,6 @@ from .cellserver import (
     key_interval,
     shift_quadrupole,
 )
-from .cellcache import CellCache
 from .domain import (
     DomainDecomposition,
     decompose,
@@ -159,7 +158,6 @@ __all__ = [
     "StepStats",
     "nbody_simulate",
     "ABMChannel",
-    "CellCache",
     "CellRecord",
     "CellServer",
     "content_fingerprint",

@@ -262,8 +262,9 @@ class CellServer:
         unchanged fingerprint a proof that every record under this
         branch is bit-identical to the one a fresh fetch would return
         (assuming the global box and ``bucket_size`` are unchanged).
-        Used by :meth:`repro.core.cellcache.CellCache.retain_valid` to
-        invalidate cross-timestep cache entries.
+        The rank program compares it between steps to decide which
+        fetched rows of a :class:`~repro.core.celltable.CellTable`
+        carry over (``branch`` column).
         """
         s, e = self.run_of(key)
         return content_fingerprint([

@@ -9,7 +9,9 @@ growable batch a rank keeps per step: its own cells, the part of the
 shared tree top it has looked at and every remote cell it has fetched,
 indexed by a :class:`~repro.core.hashtable.KeyHashTable`.  A batched
 :meth:`CellTable.lookup` answers a whole traversal frontier at once and
-its miss mask *is* the non-local catch.
+its miss mask *is* the non-local catch.  The table is the remote-cell
+cache too: which fetched cells are resident, how recently each was used
+and under which branch of its owner's it was fetched are columns of it.
 
 Children and leaf particles are CSR runs (``cstart``/``cn`` into
 ``child_key``, ``pstart``/``pn`` into ``ppos``/``pmass``).  A cell known
@@ -118,9 +120,11 @@ class CellBatch:
         return cls(**cols)
 
     @classmethod
-    def empty(cls) -> "CellBatch":
-        return cls(**{name: np.empty((0,) + shape, dtype=dtype)
-                      for name, dtype, shape in _FIELDS + _RUNS + _POOLS})
+    def empty(cls, n: int = 0) -> "CellBatch":
+        """``n`` blank records: every column zero, no children, no particles."""
+        return cls(**{name: np.zeros((n,) + shape, dtype=dtype)
+                      for name, dtype, shape in _FIELDS + _RUNS},
+                   **{name: np.empty((0,) + shape, dtype=dtype) for name, dtype, shape in _POOLS})
 
 
 class CellTable(CellBatch):
@@ -136,12 +140,39 @@ class CellTable(CellBatch):
     prefetch wave brought in and no walk has used yet, and ``child_row``
     caches, beside ``child_key``, the row each child key was last found
     at (-1: not yet).
+
+    The table is also the remote-cell cache.  Its content is
+    :meth:`fetched`; two columns carry what a cache keeps per entry, and
+    each stands in for a per-key structure by an equivalence:
+
+    *Recency.*  ``used`` is a tick of the rank's recency clock:
+    admission stamps a reply batch in order and, under a capacity
+    bound, a walk visit re-stamps the rows it hits.  Eviction kills the
+    ``over`` fetched rows of smallest tick in one go.  A sequential LRU
+    that evicts one entry per insertion, with no visit in between,
+    drops exactly its ``over`` oldest entries, so resident set, order
+    and eviction count are the sequential cache's.  (One case counts
+    lower: a reply that repeats a key, as the blocking reference's do,
+    supersedes the earlier copy, where the sequential cache might have
+    evicted it in between and evicted again to re-admit it.  Finding
+    those takes every repeat's LRU stack distance, a per-key pass; the
+    resident set and order are the same either way.)
+
+    *Validity.*  ``branch`` is the key of the owner's branch cell that
+    covers the row.  Every live fetched row under a branch carries that
+    branch's *current* data fingerprint (``CellServer.branch_fingerprint``:
+    the row was fetched under it, or carried over a step because it had
+    not changed), so a fingerprint per row would be redundant: the rows
+    valid in the next step are those whose ``branch`` keeps its
+    fingerprint, the rest are invalidated.
     """
 
-    __slots__ = ("n", "n_kids", "n_parts", "kind", "prefetched", "child_row", "index")
+    __slots__ = ("n", "n_kids", "n_parts", "kind", "prefetched", "branch", "used", "child_row",
+                 "index")
 
     def __init__(self):
-        extra = (("kind", np.int8, ()), ("prefetched", np.bool_, ()), ("child_row", np.int64, ()))
+        extra = (("kind", np.int8, ()), ("prefetched", np.bool_, ()), ("branch", np.uint64, ()),
+                 ("used", np.int64, ()), ("child_row", np.int64, ()))
         for name, dtype, shape in _FIELDS + _RUNS + _POOLS + extra:
             setattr(self, name, np.empty((16,) + shape, dtype=dtype))
         self.n = self.n_kids = self.n_parts = 0
@@ -167,8 +198,8 @@ class CellTable(CellBatch):
             self._extend(name, n, count, getattr(batch, name))
         self.cstart[n:n + count] += self.n_kids
         self.pstart[n:n + count] += self.n_parts
-        self._extend("kind", n, count, kind)
-        self._extend("prefetched", n, count, False)
+        for name, fill in (("kind", kind), ("prefetched", False), ("branch", 0), ("used", 0)):
+            self._extend(name, n, count, fill)
         self._extend("child_key", self.n_kids, len(batch.child_key), batch.child_key)
         self._extend("child_row", self.n_kids, len(batch.child_key), -1)
         self._extend("ppos", self.n_parts, len(batch.pmass), batch.ppos)
@@ -186,6 +217,26 @@ class CellTable(CellBatch):
         rows, found = self.index.lookup(keys)
         found &= self.kind[rows] != DEAD
         return rows, found
+
+    def fetched(self) -> np.ndarray:
+        """Rows of the remote cells held: the cache's content.  A row
+        counts while it is :data:`REMOTE` and the index points at it (of
+        one key twice in a reply, the later copy is the live one).
+
+        >>> own, reply = CellBatch.empty(2), CellBatch.empty(3)
+        >>> own.key[:], reply.key[:] = (8, 9), (72, 73, 72)
+        >>> table = CellTable()
+        >>> _ = table.append(own, SILENT)  # own cells are no cache content
+        >>> table.append(reply, REMOTE)
+        array([2, 3, 4])
+        >>> table.fetched()
+        array([3, 4])
+        >>> table.kill([73])
+        >>> table.fetched()
+        array([4])
+        """
+        rows = np.flatnonzero(self.kind[:self.n] == REMOTE)
+        return rows[self.index.lookup(self.key[rows])[0] == rows]
 
     def kill(self, keys) -> None:
         """Forget keys (evicted, superseded): their rows stay, marked

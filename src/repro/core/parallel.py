@@ -38,10 +38,11 @@ Two communication schedules drive step 3, selected by
     requests are on the wire, the rank *evaluates the force kernels of
     every group that already completed its walk* — computation covers
     communication.  Fetched cells stay resident across rounds (and,
-    in the multi-step driver, timesteps) under the bookkeeping of a
-    :class:`~repro.core.cellcache.CellCache`, and a locally-essential-tree
-    prefetch (:attr:`ParallelConfig.prefetch`) MAC-tests the domain
-    boundary to bulk-fetch likely-needed cells before the walk starts.
+    in the multi-step driver, timesteps): the table is the cache, its
+    ``used`` and ``branch`` columns the recency order and the validity
+    stamps.  A locally-essential-tree prefetch
+    (:attr:`ParallelConfig.prefetch`) MAC-tests the domain boundary to
+    bulk-fetch likely-needed cells before the walk starts.
 
 ``"blocking"``
     The bulk-synchronous reference: each round is an alltoall of
@@ -89,10 +90,10 @@ in ``docs/ARCHITECTURE.md``, :func:`_global_tree` steps 3–4, and
 
 Multiple timesteps: :func:`parallel_nbody_run` integrates the system
 through ``n_steps`` kick–drift steps inside one SimMPI run, reusing the
-remote-cell cache across steps (entries are invalidated by branch
-fingerprint when an owner's subtree changes) and *incrementally*
-rebalancing the domain boundaries from the measured per-particle
-interaction work of the previous step
+remote-cell cache across steps (the fetched rows of the previous step's
+table, less those under a branch whose fingerprint changed) and
+*incrementally* rebalancing the domain boundaries from the measured
+per-particle interaction work of the previous step
 (:func:`~repro.core.domain.splitter_candidates`) — the paper's
 work-weighted decomposition fed by real measurements instead of uniform
 weights.
@@ -103,6 +104,7 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -121,7 +123,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> core)
     from ..resilience.runner import ResilienceConfig, ResilientResult
 from .abm import ABMChannel
 from .backend import get_backend
-from .cellcache import CellCache
 from .cellserver import CellServer, cover_interval, key_levels, key_spans
 from .celltable import (
     DEAD, REMOTE, SILENT, STUB, CellBatch, CellTable, csr_take, row_dots, row_norms,
@@ -207,9 +208,10 @@ class ParallelConfig:
         Maximum prefetch waves (each wave descends one tree level along
         the domain boundary).
     cache_capacity:
-        Entry bound of the remote-cell :class:`CellCache`; ``None`` is
-        unbounded.  Must comfortably exceed a round's working set or
-        eviction thrash will stretch (never corrupt) the traversal.
+        Bound on the remote cells a rank's table holds at once (the
+        least recently used are evicted); ``None`` is unbounded.  Must
+        comfortably exceed a round's working set or eviction thrash
+        will stretch (never corrupt) the traversal.
     """
 
     theta: float = 0.6
@@ -385,7 +387,6 @@ class _Frame:
         los = key_spans(self.table.key[rows])[0]
         order = np.argsort(los, kind="stable")
         self.branch_rows, self.branch_los = rows[order], los[order]
-        self.branch_keys: list[int] = self.table.key[self.branch_rows].tolist()
 
 
 def _shared_frame(batches: list[CellBatch], memo: dict) -> _Frame:
@@ -408,8 +409,8 @@ class _Traversal:
     """One rank's tree traversal + force evaluation over one particle set.
 
     Construction sets up the rank's :class:`CellTable` (its own cells,
-    then the remote cells the cache carried over from the previous
-    step), its sink groups as columns, counters and owner lookup;
+    then the remote cells carried over from the ``previous`` step's
+    table), its sink groups as columns, counters and owner lookup;
     :meth:`run` is the generator a rank program delegates to.  It
     returns ``(acc, pot, counts, work, stats)`` where ``work`` is the
     measured per-particle interaction flops (the weight the next step's
@@ -436,9 +437,9 @@ class _Traversal:
         splitters: list[int],
         pos: np.ndarray,
         mass: np.ndarray,
-        cache: CellCache,
+        cache: dict[str, int],
         previous: "CellTable | None",
-        branch_fps: dict[int, bytes] | None,
+        valid: np.ndarray,
     ):
         self.comm = comm
         self.config = config
@@ -446,8 +447,9 @@ class _Traversal:
         self.frame = frame
         self.pos = pos
         self.mass = mass
+        #: The remote-cache counters, which outlive the step: hits,
+        #: misses, inserts, evictions, invalidated.
         self.cache = cache
-        self.branch_fps = branch_fps or {}
         self.mac = OpeningAngleMAC(config.theta)
         self.eps2 = config.eps * config.eps
         # Interior domain boundaries, for the owner lookup (the end
@@ -483,7 +485,7 @@ class _Traversal:
         # copy in up front.
         self.center = pos.mean(axis=0) if n_owned else np.zeros(3)
         self.radius = float(np.linalg.norm(pos - self.center, axis=1).max()) if n_owned else 0.0
-        self.seed(previous)
+        self.seed(previous, valid)
         #: Groups whose walk has not completed yet.
         self.pending = np.ones(leaves.size, dtype=bool)
         #: Accepted (group, row) pairs of pending groups: cells to
@@ -518,10 +520,11 @@ class _Traversal:
         return self.table.append(frame.table.take(frows, with_particles=False),
                                  np.where(frame.owner[frows] >= 0, STUB, SILENT))
 
-    def seed(self, previous: "CellTable | None") -> None:
+    def seed(self, previous: "CellTable | None", valid: np.ndarray) -> None:
         """Put in the table, before any walk, what can be had without a
-        request: the reachable part of the shared tree top and the
-        fetched cells the cache carried over from the previous step.
+        request: the reachable part of the shared tree top and what the
+        ``previous`` step fetched under a branch that is still ``valid``
+        (its fingerprint did not change); the rest is invalidated.
 
         Reachable is every cell whose parent a group somewhere in the
         local domain sphere might open: one vector test over the tree
@@ -536,21 +539,32 @@ class _Traversal:
         opened = row_norms(com - self.center) - reach <= bmax / self.config.theta
         # (The rank's own branch cells are in the table already, whole.)
         self.adopt(np.flatnonzero(opened[frame.parent] & (frame.owner != self.comm.rank)))
-        if previous is not None and len(self.cache):
+        if previous is not None:
             # After the stubs: a fetched copy supersedes its stub.
-            held = np.fromiter(self.cache.keys(), dtype=np.uint64, count=len(self.cache))
-            table.append(previous.take(previous.lookup(held)[0]), REMOTE)
+            held = previous.fetched()
+            rows = held[np.isin(previous.branch[held], valid)]
+            self.cache["invalidated"] += held.size - rows.size
+            kept = table.append(previous.take(rows), REMOTE)
+            table.branch[kept], table.used[kept] = previous.branch[rows], previous.used[rows]
         # Point every child key at its row in one lookup, so that the
         # walks ask again only for what is remote.
         rows, found = table.lookup(table.child_key[:table.n_kids])
         table.child_row[:table.n_kids] = np.where(found, rows, -1)
+
+    @property
+    def tick(self) -> int:
+        """The recency clock: one tick a hit, one a cell admitted."""
+        return self.cache["hits"] + self.cache["inserts"]
 
     def hit(self, rows: np.ndarray) -> None:
         """Book walk visits to fetched rows: cache hits, recency, and
         the first use of what a prefetch wave brought in."""
         if rows.size:
             table = self.table
-            self.cache.touch(table.key[rows].tolist())
+            if self.config.cache_capacity is not None:  # unbounded: recency is never read
+                # (a row visited twice keeps the tick of its last visit)
+                table.used[rows] = self.tick + np.arange(rows.size)
+            self.cache["hits"] += rows.size
             used = rows[table.prefetched[rows]]
             if used.size:
                 used = np.unique(used)
@@ -586,25 +600,25 @@ class _Traversal:
         return reqs
 
     def admit(self, replies: list) -> np.ndarray:
-        """Append every replied batch to the table and enter its keys in
-        the cache, stamped with their covering branch's fingerprint;
-        returns the new rows."""
+        """Append every replied batch to the table, stamped with its
+        covering branch and, in order, the recency clock; evict what
+        then exceeds the capacity.  Returns the new rows."""
         batches = [b for b in replies if b is not None and len(b)]
         if not batches:
             return np.empty(0, dtype=np.int64)
         batch = CellBatch.concat(batches) if len(batches) > 1 else batches[0]
-        rows = self.table.append(batch, REMOTE)
-        frame, cache = self.frame, self.cache
+        table, frame, capacity = self.table, self.frame, self.config.cache_capacity
+        rows = table.append(batch, REMOTE)
         under = np.searchsorted(frame.branch_los, key_spans(batch.key)[0], side="right") - 1
-        evicted = []
-        for key, b in zip(batch.key.tolist(), np.maximum(under, 0).tolist()):
-            bkey = frame.branch_keys[b]
-            out = cache.insert(key, None, branch_key=bkey,
-                               fingerprint=self.branch_fps.get(bkey, b""))
-            if out is not None:
-                evicted.append(out)
-        if evicted:
-            self.table.kill([key for key in evicted if key not in cache])
+        table.branch[rows] = frame.table.key[frame.branch_rows[np.maximum(under, 0)]]
+        table.used[rows] = self.tick + np.arange(rows.size)
+        self.cache["inserts"] += rows.size
+        if capacity is not None:
+            held = table.fetched()
+            if held.size > capacity:
+                oldest = np.argsort(table.used[held], kind="stable")[:held.size - capacity]
+                table.kind[held[oldest]] = DEAD
+                self.cache["evictions"] += oldest.size
         return rows
 
     def charge(self, label: str, flops: float, mem_bytes: float = 0.0):
@@ -807,7 +821,7 @@ class _Traversal:
                     parked.append((g[lost], table.child_key[slots[lost]]))
                     misses += np.count_nonzero(lost)
                     g, r = g[~lost], r[~lost]
-        self.cache.stats["misses"] += int(misses)
+        self.cache["misses"] += int(misses)
         self.cells = tuple(np.concatenate(part) for part in zip(*accepted))
         self.direct = tuple(np.concatenate(part) for part in zip(*opened))
         wg, wkey = (np.concatenate(part) for part in zip(*parked))
@@ -984,8 +998,9 @@ def _global_tree(comm, config: ParallelConfig, cols, box, splitters, frame_memo:
     cells — that gives every rank the shared frame.
 
     Returns ``(local cells, frame, branch_fps)``; ``branch_fps`` (branch
-    key -> data fingerprint, the cache's validity stamps) is gathered
-    only when the particles can move, else ``None``.
+    key -> data fingerprint, what decides which fetched cells stay valid
+    in the next step) is gathered only when the particles can move, else
+    it is empty.
     """
     rank = comm.rank
     n_owned = cols["keys"].shape[0]
@@ -1000,7 +1015,7 @@ def _global_tree(comm, config: ParallelConfig, cols, box, splitters, frame_memo:
     branches = local.take(np.arange(len(local) - int(local.cn.sum())), with_particles=False)
     yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned, label="tree-build")
     all_branches = yield from mpi_patterns.allgather(comm, branches)
-    branch_fps = None
+    branch_fps: dict[int, bytes] = {}
     if "vel" in cols:
         fps_mine = [(key, server.branch_fingerprint(key)) for key in branches.key.tolist()]
         all_fps = yield from mpi_patterns.allgather(comm, fps_mine)
@@ -1066,8 +1081,8 @@ def _make_program(
                     },
                 )
 
-        remote_cache = CellCache(config.cache_capacity)
-        table = None  # the previous step's, whose fetched rows carry over
+        cache = dict.fromkeys(("hits", "misses", "inserts", "evictions", "invalidated"), 0)
+        table, held_fps = None, {}  # the previous step's table and fingerprints
         counts_total = InteractionCounts()
         stats_total: dict[str, float] = {}
         step_outs: list[dict[str, np.ndarray]] = []
@@ -1075,15 +1090,14 @@ def _make_program(
         for step in range(n_steps):
             local, frame, branch_fps = yield from _global_tree(
                 comm, config, cols, box, splitters, frame_memo)
-            if branch_fps is not None:
-                # -- step 5: cache carry-over ------------------------------
-                if cache_across_steps:
-                    remote_cache.retain_valid(branch_fps)
-                else:
-                    remote_cache.clear()
-            traversal = _Traversal(comm, config, kb, local, frame, splitters,
-                                   cols["pos"], cols["mass"], remote_cache, table, branch_fps)
-            table = traversal.table
+            # -- step 5: cache carry-over: what the previous step fetched
+            # under a branch whose fingerprint did not change stays.
+            unchanged = dict(branch_fps.items() & held_fps.items())
+            valid = np.array(list(unchanged), dtype=np.uint64)
+            traversal = _Traversal(comm, config, kb, local, frame, splitters, cols["pos"],
+                                   cols["mass"], cache, table if cache_across_steps else None,
+                                   valid)
+            table, held_fps = traversal.table, branch_fps
             acc, pot, counts, work, stats = yield from traversal.run()
             counts_total = counts_total.merged(counts)
             for k, v in stats.items():
@@ -1116,7 +1130,7 @@ def _make_program(
             cols = yield from _key_and_sort(comm, cols, box)
             cols = yield from _exchange(comm, cols, splitters)
 
-        for k, v in remote_cache.snapshot_stats().items():
+        for k, v in {**cache, "size": table.fetched().size}.items():
             stats_total[f"cache_{k}"] = v
         return {
             "ids": cols["ids"],
@@ -1144,12 +1158,13 @@ def _scatter_input(positions, masses, velocities, n_ranks: int, n_steps: int = 1
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (N, 3)")
     n = positions.shape[0]
-    if n_ranks < 1:
-        raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    for name, value in (("n_ranks", n_ranks), ("n_steps", n_steps)):
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not (isinstance(dt, Real) and math.isfinite(dt)):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     if n < n_ranks:
         raise ValueError(
             f"positions: need at least one particle per rank, got N={n} for n_ranks={n_ranks}")
@@ -1335,8 +1350,8 @@ def parallel_nbody_run(
         key namespace's bounding box is fixed once, padded for the
         expected drift; particles escaping it raise a ``ValueError``.
     cache_across_steps:
-        ``False`` clears the remote-cell cache at every step — the
-        "cold" reference the cross-timestep consistency tests compare
+        ``False`` carries no fetched cell over a step — the "cold"
+        reference the cross-timestep consistency tests compare
         against.  Results are bit-identical either way.
     rebalance:
         ``False`` freezes the initial sample-sort splitters.

@@ -1,74 +1,242 @@
-"""Tests for repro.core.cellcache: the persistent remote-cell cache."""
+"""Tests for the remote-cell cache of the parallel treecode.
+
+The cache is the rank's :class:`~repro.core.celltable.CellTable` itself
+(``fetched()``, the ``used`` and ``branch`` columns) under the rank-side
+bookkeeping of ``_Traversal.hit`` / ``admit`` / ``seed``.  The bounded
+LRU it replaced, ``repro.core.cellcache.CellCache``, is kept here word
+for word as the model the table is held against.
+"""
+
+from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import BoundingBox, CellCache, CellServer, keys_from_positions
+from repro.core import (
+    BoundingBox,
+    CellServer,
+    ParallelConfig,
+    key_interval,
+    keys_from_positions,
+    parallel_tree_accelerations,
+)
+from repro.core.celltable import CellBatch
+from repro.core.domain import END_PKEY
+from repro.core.parallel import _Frame, _Traversal
+
+COUNTERS = ("hits", "misses", "inserts", "evictions", "invalidated")
+
+#: Rank 0 owns the first octant, rank 1 the other seven: its branch
+#: cells are the level-1 keys 9..15, and the cells fetched from it the
+#: level-2 keys below them (the covering branch of ``key`` is ``key >> 3``).
+BRANCHES = range(9, 16)
+REMOTE_KEYS = st.integers(9 * 8, 16 * 8 - 1)
+
+
+def _cells(keys) -> CellBatch:
+    """Bare cells (unit mass, no children, no particles) under ``keys``."""
+    batch = CellBatch.empty(len(keys))
+    batch.key[:], batch.mass[:] = keys, 1.0
+    return batch
+
+
+FRAME = _Frame([_cells([8]), _cells(list(BRANCHES))])
+
+
+def _rank(capacity=None, cache=None, previous=None, valid=()) -> _Traversal:
+    """Rank 0 of 2 at the start of a step, before any walk: what the
+    rank program builds, minus the engine (rank 0 has no particles, so
+    nothing here ever walks)."""
+    cache = dict.fromkeys(COUNTERS, 0) if cache is None else cache
+    return _Traversal(
+        SimpleNamespace(rank=0, size=2), ParallelConfig(cache_capacity=capacity), None,
+        CellBatch.empty(), FRAME, [key_interval(8)[0], key_interval(9)[0], END_PKEY],
+        np.zeros((0, 3)), np.zeros(0), cache, previous, np.array(valid, dtype=np.uint64))
+
+
+def _resident(rank: _Traversal) -> list[int]:
+    """Keys of the fetched cells held, least recently used first."""
+    table = rank.table
+    rows = table.fetched()
+    return table.key[rows[np.argsort(table.used[rows], kind="stable")]].tolist()
+
+
+def _visit(rank: _Traversal, keys) -> None:
+    rows, found = rank.table.lookup(np.array(keys, dtype=np.uint64))
+    assert found.all()
+    rank.hit(rows)
 
 
 class TestLRUSemantics:
     def test_get_hit_miss_counters(self):
-        c = CellCache()
-        c.insert(1, "a", branch_key=0, fingerprint=b"x")
-        assert c.get(1) == "a"
-        assert c.get(2) is None
-        assert c.stats["hits"] == 1 and c.stats["misses"] == 1
+        rank = _rank()
+        rank.admit([_cells([72, 73])])
+        _visit(rank, [72, 73, 72])
+        assert rank.cache["hits"] == 3 and rank.cache["misses"] == 0
+        assert not rank.table.lookup(np.array([74], dtype=np.uint64))[1][0]
+        # Misses are booked where walks park.  Without prefetch every
+        # key is requested once, after a walk missed it.
+        pos = np.random.default_rng(3).random((120, 3))
+        comm = parallel_tree_accelerations(
+            pos, n_ranks=3, config=ParallelConfig(prefetch=False)).comm
+        assert comm["cache_misses"] >= comm["requests"] == comm["cache_inserts"] > 0
+        assert comm["cache_hits"] > 0
 
     def test_capacity_evicts_lru(self):
-        c = CellCache(capacity=2)
-        c.insert(1, "a", branch_key=0, fingerprint=b"")
-        c.insert(2, "b", branch_key=0, fingerprint=b"")
-        c.get(1)  # 1 becomes most recently used
-        c.insert(3, "c", branch_key=0, fingerprint=b"")
-        assert c.get(2) is None  # 2 was LRU
-        assert c.get(1) == "a" and c.get(3) == "c"
-        assert c.stats["evictions"] == 1
+        rank = _rank(capacity=2)
+        rank.admit([_cells([72, 73])])
+        _visit(rank, [72])  # 72 becomes most recently used
+        rank.admit([_cells([74])])
+        assert _resident(rank) == [72, 74]  # 73 was LRU
+        assert rank.table.lookup(np.array([72, 73, 74], dtype=np.uint64))[1].tolist() == [
+            True, False, True]
+        assert rank.cache["evictions"] == 1
 
     def test_reinsert_refreshes_without_evicting(self):
-        c = CellCache(capacity=2)
-        c.insert(1, "a", branch_key=0, fingerprint=b"")
-        c.insert(2, "b", branch_key=0, fingerprint=b"")
-        c.insert(1, "a2", branch_key=0, fingerprint=b"")
-        assert len(c) == 2 and c.stats["evictions"] == 0
-        assert c.peek(1) == "a2"
+        rank = _rank(capacity=2)
+        rank.admit([_cells([72, 73])])
+        rank.admit([_cells([72])])
+        assert _resident(rank) == [73, 72] and rank.cache["evictions"] == 0
+        assert rank.cache["inserts"] == 3
 
     def test_peek_touches_nothing(self):
-        c = CellCache(capacity=2)
-        c.insert(1, "a", branch_key=0, fingerprint=b"")
-        c.insert(2, "b", branch_key=0, fingerprint=b"")
-        c.peek(1)  # must NOT refresh 1's recency
-        c.insert(3, "c", branch_key=0, fingerprint=b"")
-        assert 1 not in c
-        assert c.stats["hits"] == 0 and c.stats["misses"] == 0
+        rank = _rank(capacity=2)
+        rank.admit([_cells([72, 73])])
+        rank.table.lookup(np.array([72], dtype=np.uint64))  # must NOT refresh 72's recency
+        rank.admit([_cells([74])])
+        assert _resident(rank) == [73, 74]
+        assert rank.cache["hits"] == 0 and rank.cache["misses"] == 0
 
     def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            CellCache(capacity=0)
+        with pytest.raises(ValueError, match="cache_capacity"):
+            ParallelConfig(cache_capacity=0)
 
     def test_clear_preserves_counters(self):
-        c = CellCache()
-        c.insert(1, "a", branch_key=0, fingerprint=b"")
-        c.get(1)
-        c.clear()
-        assert len(c) == 0 and c.stats["hits"] == 1
+        rank = _rank()
+        rank.admit([_cells([72])])
+        _visit(rank, [72])
+        cold = _rank(cache=rank.cache)  # cache_across_steps=False: no previous table
+        assert _resident(cold) == []
+        assert cold.cache["hits"] == 1 and cold.cache["invalidated"] == 0
 
 
 class TestInvalidation:
     def test_retain_valid_keeps_matching_drops_rest(self):
-        c = CellCache()
-        c.insert(10, "a", branch_key=1, fingerprint=b"f1")
-        c.insert(11, "b", branch_key=1, fingerprint=b"f1")
-        c.insert(20, "c", branch_key=2, fingerprint=b"f2")
-        c.insert(30, "d", branch_key=3, fingerprint=b"f3")
-        c.retain_valid({1: b"f1", 2: b"CHANGED"})  # 3 vanished entirely
-        assert sorted(c.keys()) == [10, 11]
-        assert c.stats["invalidated"] == 2
+        rank = _rank()
+        rank.admit([_cells([80, 81, 88, 96])])  # under branches 10, 10, 11, 12
+        # Branch 10 kept its fingerprint, 11 changed, 12 vanished.
+        after = _rank(cache=rank.cache, previous=rank.table, valid=[10])
+        assert _resident(after) == [80, 81]
+        assert after.cache["invalidated"] == 2
+        assert after.table.branch[after.table.fetched()].tolist() == [10, 10]
 
     def test_snapshot_stats_includes_size(self):
-        c = CellCache()
-        c.insert(1, "a", branch_key=0, fingerprint=b"")
-        snap = c.snapshot_stats()
-        assert snap["size"] == 1 and snap["inserts"] == 1
+        pos = np.random.default_rng(4).random((200, 3))
+        config = ParallelConfig(bucket_size=8)
+        comm = parallel_tree_accelerations(pos, n_ranks=3, config=config).comm
+        assert comm["cache_size"] == comm["cache_inserts"] > 0
+        config = ParallelConfig(bucket_size=8, cache_capacity=16, max_rounds=2000)
+        comm = parallel_tree_accelerations(pos, n_ranks=3, config=config).comm
+        assert comm["cache_evictions"] > 0
+        assert comm["cache_size"] == comm["cache_inserts"] - comm["cache_evictions"] <= 3 * 16
+
+
+class _ModelCache:
+    """``repro.core.cellcache.CellCache`` as deleted in PR 17, verbatim
+    but for the docstrings and the methods the treecode never called."""
+
+    def __init__(self, capacity: int | None = None):
+        if capacity is not None and capacity <= 0:
+            raise ValueError("capacity must be positive (or None for unbounded)")
+        self.capacity = capacity
+        self._entries: OrderedDict = OrderedDict()
+        self.stats = {"hits": 0, "misses": 0, "inserts": 0, "evictions": 0, "invalidated": 0}
+
+    def keys(self):
+        return self._entries.keys()
+
+    def touch(self, keys):
+        self.stats["hits"] += len(keys)
+        if self.capacity is not None:
+            for key in keys:
+                self._entries.move_to_end(key)
+
+    def insert(self, key, record, branch_key, fingerprint):
+        evicted = None
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        elif self.capacity is not None and len(self._entries) >= self.capacity:
+            evicted = self._entries.popitem(last=False)[0]
+            self.stats["evictions"] += 1
+        self._entries[key] = (record, branch_key, fingerprint)
+        self.stats["inserts"] += 1
+        return evicted
+
+    def retain_valid(self, branch_fingerprints):
+        stale = [
+            key
+            for key, (_, bkey, fp) in self._entries.items()
+            if branch_fingerprints.get(bkey) != fp
+        ]
+        for key in stale:
+            del self._entries[key]
+        self.stats["invalidated"] += len(stale)
+
+    def clear(self):
+        self._entries.clear()
+
+
+@given(capacity=st.one_of(st.none(), st.integers(1, 12)), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_is_the_sequential_lru(capacity, data):
+    """Random admit / visit / step sequences through the table and
+    through the sequential cache it replaced: same resident keys in the
+    same recency order after every operation, same five counters."""
+    model, rank = _ModelCache(capacity), _rank(capacity)
+    fps = {b: b"0" for b in BRANCHES}
+    exact = True  # until a reply re-admits a key the bounded cache had to evict on the way
+    for _ in range(data.draw(st.integers(1, 12), label="operations")):
+        held = list(model.keys())
+        op = data.draw(st.sampled_from(["admit", "admit", "visit", "step"]), label="op")
+        if op == "admit":
+            # The treecode asks for what it does not hold, once a reply
+            # (async) or once per parked walk (blocking: repeats).
+            fresh = data.draw(st.booleans(), label="fresh")
+            keys = data.draw(st.lists(REMOTE_KEYS.filter(lambda k: not fresh or k not in held),
+                                      max_size=30, unique=fresh), label="reply")
+            exact &= fresh or capacity is None
+            before = _resident(rank)
+            evicted = [model.insert(k, None, k >> 3, fps.get(k >> 3, b"")) for k in keys]
+            rank.admit([_cells(keys)] if keys else [None])
+            if fresh:  # eviction order: oldest first, the reply's own head after the held ones
+                gone = [k for k in before + keys if k not in _resident(rank)]
+                assert gone == [k for k in evicted if k is not None]
+        elif op == "visit" and held:
+            keys = data.draw(st.lists(st.sampled_from(held), max_size=20), label="visited")
+            model.touch(keys)
+            _visit(rank, keys)
+        elif op == "step":
+            # Every branch keeps its fingerprint, changes it, or is gone.
+            fate = data.draw(st.lists(st.sampled_from("=~x"), min_size=7, max_size=7), label="fate")
+            new = {b: fps.get(b, b"back") + (b"~" if f == "~" else b"")
+                   for b, f in zip(BRANCHES, fate) if f != "x"}
+            if data.draw(st.booleans(), label="carry over"):
+                model.retain_valid(new)
+                rank = _rank(capacity, rank.cache, rank.table,
+                             list(dict(new.items() & fps.items())))
+            else:
+                model.clear()
+                rank = _rank(capacity, rank.cache)
+            fps = new
+        assert _resident(rank) == list(model.keys())
+        assert rank.table.fetched().size <= (capacity or np.inf)
+        seen, want = dict(rank.cache), dict(model.stats)
+        if not exact:  # superseded, not evicted and re-admitted: see CHANGES.md, PR 17
+            assert seen.pop("evictions") <= want.pop("evictions")
+        assert seen == want
 
 
 def _server(pos, masses, box):

@@ -176,6 +176,10 @@ class TestParallelCorrectness:
         pos, m = _cloud(10)
         hostile = [
             ("n_ranks", dict(n_ranks=0)),
+            ("n_ranks must be an integer", dict(n_ranks=2.0)),
+            ("n_ranks must be an integer", dict(n_ranks=2.5)),
+            ("n_ranks must be an integer", dict(n_ranks=True)),
+            ("n_ranks must be an integer", dict(n_ranks=None)),
             ("positions: need at least one particle per rank", dict(n_ranks=11)),
             ("positions: need at least one particle per rank",
              dict(pos=np.zeros((0, 3)), m=None, n_ranks=1)),
@@ -191,7 +195,11 @@ class TestParallelCorrectness:
             ("velocities must be finite", dict(vel=_with(np.zeros((10, 3)), (4, 2), np.nan))),
             ("dt must be finite", dict(dt=float("nan"))),
             ("dt must be finite", dict(dt=float("inf"))),
+            ("dt must be finite", dict(dt=None)),
+            ("dt must be finite", dict(dt="1e-3")),
             ("n_steps", dict(n_steps=0)),
+            ("n_steps must be an integer", dict(n_steps=1.5)),
+            ("n_steps must be an integer", dict(n_steps=True)),
         ]
         for entry, table in ((_force_only, hostile), (_one_still_step, hostile + moving_only)):
             for message, override in table:

@@ -111,7 +111,7 @@ def test_mapped_modules_import():
     assert names
     for name in sorted(names):
         mod = name
-        # Trailing attribute like repro.core.CellCache: import the parent.
+        # Trailing attribute like repro.core.CellTable: import the parent.
         parts = name.split(".")
         if parts[-1][0].isupper():
             mod = ".".join(parts[:-1])

@@ -3,7 +3,7 @@
 A matrix of small configurations — both entry points x ``comm`` x
 ``eval`` x ``prefetch`` x 1/3/8 ranks x uniform/clustered/coincident
 clouds x rebalance x cold/warm cache, two force-only runs above the
-flat-collective limit (P=40, P=64) and two bounded-cache runs — whose
+flat-collective limit (P=40, P=64) and bounded-cache runs — whose
 *modelled* outcome is pinned in ``tests/golden/parallel_pins.json``:
 virtual seconds (hex), message and byte totals, interaction counts, the
 full summed ``comm`` statistics and a blake2b digest of the physics.
@@ -11,9 +11,12 @@ All of it is a pure function of the event sequence the rank programs
 yield and of the order of the float sums, so a change meant only to make
 ``repro.core.parallel`` faster on the host must not move any of it.
 
-Bounded caches pin physics only: their LRU recency order, hence their
-cache counters, requests and virtual seconds, is an implementation order
-(see CHANGES.md, PR 16), their answers are not.
+The two bounded-cache entries of PR 16 pin physics only.  The ``-full``,
+``-still`` and ``-creep`` entries (bounded async runs, all carry-over
+regimes: everything invalidated, nothing, some) pin the whole record:
+they were written at PR 16's commit, before the LRU order moved from a
+per-key registry into the table's ``used`` column (PR 17), which is the
+sequential LRU's order exactly.
 
 The virtual-time pins hold under every kernel backend.  The physics
 digest is a pin of the numpy kernels' float sums; under ``numba`` the
@@ -92,6 +95,24 @@ def _configs() -> dict[str, dict]:
     out["nbody-async-batched-pf1-r3-uniform-rb1-warm-cap32"] = dict(
         entry="nbody", cloud="uniform", n=160, ranks=3, rebalance=True, warm=True,
         physics_only=True, cfg=dict(cache_capacity=32, max_rounds=2000))
+    # Bounded caches on the async schedule, full record.
+    for cloud, ranks, cap in (("clustered", 4, 48), ("uniform", 8, 32)):
+        bounded = dict(cloud=cloud, n=300, ranks=ranks,
+                       cfg=dict(cache_capacity=cap, max_rounds=2000))
+        out[f"force-async-batched-pf1-r{ranks}-{cloud}-cap{cap}-full"] = dict(
+            entry="force", **bounded)
+        for warm in (True, False):
+            out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb1-{'warm' if warm else 'cold'}"
+                f"-cap{cap}-full"] = dict(entry="nbody", rebalance=True, warm=warm, **bounded)
+        # Carry-over that survives: nothing moves (recency order crosses
+        # the step), and a dt so small that only some branches change.
+        out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb0-warm-cap{cap}-still"] = dict(
+            entry="nbody", rebalance=False, warm=True, dt=0.0, **bounded)
+        out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb1-warm-cap{cap}-creep"] = dict(
+            entry="nbody", rebalance=True, warm=True, dt=1e-9, **bounded)
+    out["nbody-async-batched-pf1-r4-uniform-rb1-warm-creep"] = dict(
+        entry="nbody", cloud="uniform", n=300, ranks=4, rebalance=True, warm=True, dt=1e-9,
+        cfg=dict())
     return out
 
 
@@ -107,7 +128,8 @@ def _run(spec: dict, **cfg_overrides):
                                           cost=SpaceSimulatorCost(), record_trace=False)
         physics = [res.accelerations, res.potentials]
     else:
-        res = parallel_nbody_run(pos, masses, n_ranks=spec["ranks"], n_steps=2, dt=2e-2,
+        res = parallel_nbody_run(pos, masses, n_ranks=spec["ranks"], n_steps=2,
+                                 dt=spec.get("dt", 2e-2),
                                  config=config, cost=SpaceSimulatorCost(),
                                  cache_across_steps=spec["warm"], rebalance=spec["rebalance"],
                                  record_trace=False)
