@@ -11,6 +11,17 @@ therefore cannot corrupt a campaign: a task exception becomes a
 worker (SIGKILL, OOM) is retried once in a rebuilt pool before it too
 becomes an error record — never an exception out of the generator.
 
+Who imports what, when: the ``repro.campaign`` and ``repro.pipeline``
+packages import none of the physics they drive (no scipy, no
+``repro.cosmology``, no ``repro.sph``), so a catalog tool, a cached
+rerun and a run of closed-form shards pay for none of it, and a serial
+run imports it when its first shard does.  When :func:`run_shards` is
+about to fork a pool, and only then, the coordinator imports what the
+pending shards' kinds declare (:meth:`ScenarioSpec.preload
+<repro.campaign.spec.ScenarioSpec.preload>`) once, and every worker
+inherits it; left to themselves, fresh workers each import scipy, half
+the wall time of a small ensemble.
+
 Worker count resolution, in priority order: explicit ``workers=``
 kwarg, the ``REPRO_CAMPAIGN_WORKERS`` environment variable, serial.
 ``workers <= 1`` means run in-process with no executor at all
@@ -21,11 +32,12 @@ against.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Iterable, Iterator, Mapping
 
 from ..core.procpool import ProcPool, resolve_worker_count
-from .spec import spec_from_dict
+from .spec import SPEC_KINDS, spec_from_dict
 
 __all__ = ["WORKERS_ENV", "resolve_workers", "execute_shard", "run_shards"]
 
@@ -84,6 +96,10 @@ def run_shards(
     order at finalization, which is exactly what makes the two modes
     bit-identical at the store level.
 
+    When the pool will fork, the coordinator first imports what the
+    shards' kinds declare, so no worker imports it again; a kind that
+    cannot be imported here fails in its worker, as shard data.
+
     Pool-level failures (a worker killed hard enough to exhaust the
     retry) surface as :func:`execute_shard`-shaped error records, so a
     chaos event degrades to one failed shard row instead of aborting
@@ -91,6 +107,12 @@ def run_shards(
     """
     items = list(items)
     with ProcPool(workers=min(workers, len(items))) as pool:
+        if pool.forks:
+            for kind in sorted({str(spec_dict.get("kind")) for _, spec_dict in items}):
+                # What cannot be imported here cannot be in the worker
+                # either: it fails there, as that shard's ``failed`` row.
+                with contextlib.suppress(Exception):
+                    SPEC_KINDS[kind].preload()
         args_list = [(spec_dict, throttle) for _, spec_dict in items]
         for result in pool.imap_unordered(execute_shard, args_list):
             fp, spec_dict = items[result.index]

@@ -110,8 +110,12 @@ class ProcPool:
     The executor is created lazily and rebuilt whenever a worker death
     breaks it; tasks in flight at the break are retried (``retries``
     per task) in the fresh pool.  ``fork`` start method where the
-    platform offers it — workers inherit imported modules instead of
-    re-importing them per pool.
+    platform offers it: a worker starts with exactly the modules (and
+    memo tables) its parent holds at the first pooled call, and imports
+    for itself whatever a task needs beyond them.  The pool cannot know
+    what that is; a caller that does imports it first when
+    :attr:`forks` says it will be inherited
+    (:func:`repro.campaign.workers.run_shards` does).
     """
 
     def __init__(self, workers: int | None = None, mp_context=None):
@@ -120,6 +124,12 @@ class ProcPool:
             mp_context = multiprocessing.get_context("fork")
         self._mp_context = mp_context
         self._executor: ProcessPoolExecutor | None = None
+
+    @property
+    def forks(self) -> bool:
+        """Whether pooled calls run in forked children of this process."""
+        return (self.workers > 1 and self._mp_context is not None
+                and self._mp_context.get_start_method() == "fork")
 
     # -- lifecycle -------------------------------------------------------
     def _ensure(self) -> ProcessPoolExecutor:

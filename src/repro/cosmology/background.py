@@ -10,12 +10,18 @@ Zel'dovich validation tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 __all__ = ["Cosmology", "LCDM", "EDS"]
+
+#: Growth integrals kept per process: an ensemble asks for the same few
+#: ``(cosmology, a)`` in every scenario, and each is ~1500 ``e_of_a`` calls.
+GROWTH_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -75,20 +81,22 @@ class Cosmology:
 
         The standard integral ``D ~ H(a) * int da' / (a' H(a'))^3``.
         """
-        if a <= 0:
-            raise ValueError("scale factor must be positive")
-
-        def integral(upper: float) -> float:
-            val, _ = quad(lambda x: 1.0 / (x * self.e_of_a(x)) ** 3, 1e-8, upper)
-            return val
-
-        d = self.e_of_a(a) * integral(a)
-        d1 = self.e_of_a(1.0) * integral(1.0)
+        if not 0 < a < math.inf:  # false for nan too: keep it out of the memo
+            raise ValueError(f"scale factor a must be positive and finite, got {a!r}")
+        d = self.e_of_a(a) * _growth_integral(self, a)
+        d1 = self.e_of_a(1.0) * _growth_integral(self, 1.0)
         return d / d1
 
     def growth_rate(self, a: float) -> float:
         """f = dlnD/dlna, well approximated by Omega_m(a)^0.55."""
         return self.omega_m_of_a(a) ** 0.55
+
+
+@lru_cache(maxsize=GROWTH_MEMO_SIZE)
+def _growth_integral(cosmology: Cosmology, upper: float) -> float:
+    """``int_0^upper da' / (a' E(a'))^3``, the quadrature of ``growth_factor``."""
+    val, _ = quad(lambda x: 1.0 / (x * cosmology.e_of_a(x)) ** 3, 1e-8, upper)
+    return val
 
 
 #: WMAP-era concordance cosmology, the paper's working model.

@@ -11,6 +11,7 @@ variance integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,6 +19,10 @@ from scipy.integrate import quad
 from .background import Cosmology, LCDM
 
 __all__ = ["PowerSpectrum", "bbks_transfer", "tophat_window"]
+
+#: Cosmologies whose shape and sigma8 amplitude are kept per process:
+#: every ``PowerSpectrum`` of one cosmology shares one quadrature.
+NORM_MEMO_SIZE = 32
 
 
 def bbks_transfer(k: np.ndarray, gamma: float) -> np.ndarray:
@@ -49,6 +54,39 @@ def tophat_window(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - x**2 / 10.0, w)
 
 
+def _unnormalized(k: np.ndarray, n_s: float, gamma: float) -> np.ndarray:
+    k = np.asarray(k, dtype=np.float64)
+    return k**n_s * bbks_transfer(k, gamma) ** 2
+
+
+def _tophat_variance(n_s: float, gamma: float, norm: float, r_mpc_h: float) -> float:
+    """sigma^2(R) today of the spectrum ``norm * k^n_s T(k)^2``."""
+
+    def integrand(lnk: float) -> float:
+        k = np.exp(lnk)
+        return (
+            k**3
+            * norm
+            * float(_unnormalized(np.array([k]), n_s, gamma)[0])
+            * float(tophat_window(np.array([k * r_mpc_h]))[0]) ** 2
+            / (2.0 * np.pi**2)
+        )
+
+    val, _ = quad(integrand, np.log(1e-5), np.log(1e3), limit=200)
+    return val
+
+
+@lru_cache(maxsize=NORM_MEMO_SIZE)
+def _shape_and_norm(cosmo: Cosmology) -> tuple[float, float]:
+    """``(Gamma, amplitude)``: the amplitude makes sigma(8 Mpc/h) = sigma8 today."""
+    # Sugiyama (1995) shape parameter with baryon correction.
+    gamma = cosmo.omega_m * cosmo.h * np.exp(
+        -cosmo.omega_b * (1.0 + np.sqrt(2.0 * cosmo.h) / cosmo.omega_m)
+    )
+    unit = _tophat_variance(cosmo.n_s, gamma, 1.0, 8.0)
+    return gamma, (cosmo.sigma8 / np.sqrt(unit)) ** 2
+
+
 @dataclass
 class PowerSpectrum:
     """sigma8-normalized linear P(k) for a cosmology.
@@ -60,17 +98,10 @@ class PowerSpectrum:
     cosmology: Cosmology = LCDM
 
     def __post_init__(self) -> None:
-        cosmo = self.cosmology
-        # Sugiyama (1995) shape parameter with baryon correction.
-        self.gamma = cosmo.omega_m * cosmo.h * np.exp(
-            -cosmo.omega_b * (1.0 + np.sqrt(2.0 * cosmo.h) / cosmo.omega_m)
-        )
-        self._norm = 1.0
-        self._norm = (cosmo.sigma8 / np.sqrt(self.sigma_r(8.0))) ** 2
+        self.gamma, self._norm = _shape_and_norm(self.cosmology)
 
     def unnormalized(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=np.float64)
-        return k**self.cosmology.n_s * bbks_transfer(k, self.gamma) ** 2
+        return _unnormalized(k, self.cosmology.n_s, self.gamma)
 
     def __call__(self, k: np.ndarray, a: float = 1.0) -> np.ndarray:
         """P(k, a) in (Mpc/h)^3."""
@@ -82,16 +113,5 @@ class PowerSpectrum:
         if r_mpc_h <= 0:
             raise ValueError("radius must be positive")
         d = self.cosmology.growth_factor(a)
-
-        def integrand(lnk: float) -> float:
-            k = np.exp(lnk)
-            return (
-                k**3
-                * self._norm
-                * float(self.unnormalized(np.array([k]))[0])
-                * float(tophat_window(np.array([k * r_mpc_h]))[0]) ** 2
-                / (2.0 * np.pi**2)
-            )
-
-        val, _ = quad(integrand, np.log(1e-5), np.log(1e3), limit=200)
+        val = _tophat_variance(self.cosmology.n_s, self.gamma, self._norm, r_mpc_h)
         return val * d * d

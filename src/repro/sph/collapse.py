@@ -15,7 +15,9 @@ once pressure support is reduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,10 @@ __all__ = [
     "CollapseSimulation",
     "run_campaign_scenario",
 ]
+
+#: Lane-Emden solutions kept per process: every progenitor of one
+#: polytropic index shares one profile (~14 000 Python ``rhs`` calls).
+LANE_EMDEN_MEMO_SIZE = 16
 
 
 def run_campaign_scenario(params) -> dict:
@@ -81,10 +87,21 @@ def lane_emden(n_poly: float = 3.0, dxi: float = 1e-3, xi_max: float = 20.0):
     """Integrate the Lane-Emden equation to the first zero of theta.
 
     Returns ``(xi, theta, xi1, dtheta_dxi_at_xi1)`` — everything needed
-    to build a polytropic density profile ``rho ~ theta^n``.
+    to build a polytropic density profile ``rho ~ theta^n``.  The arrays
+    are read-only: one solution is shared by every caller that asks for
+    the same parameters.
     """
-    if n_poly < 0 or dxi <= 0:
-        raise ValueError("invalid Lane-Emden parameters")
+    if not 0 <= n_poly < math.inf:  # each test is false for nan too
+        raise ValueError(f"n_poly must be finite and non-negative, got {n_poly!r}")
+    if not 0 < dxi < math.inf:
+        raise ValueError(f"dxi must be finite and positive, got {dxi!r}")
+    if not math.isfinite(xi_max):
+        raise ValueError(f"xi_max must be finite, got {xi_max!r}")
+    return _lane_emden(n_poly, dxi, xi_max)
+
+
+@lru_cache(maxsize=LANE_EMDEN_MEMO_SIZE)
+def _lane_emden(n_poly: float, dxi: float, xi_max: float):
     xis = [dxi]
     thetas = [1.0 - dxi * dxi / 6.0]
     phi = -dxi / 3.0  # dtheta/dxi
@@ -107,7 +124,9 @@ def lane_emden(n_poly: float = 3.0, dxi: float = 1e-3, xi_max: float = 20.0):
     x0, x1 = xis[-2], xis[-1]
     t0, t1 = thetas[-2], thetas[-1]
     xi1 = x0 + (x1 - x0) * t0 / (t0 - t1)
-    return np.array(xis), np.array(thetas), float(xi1), float(phi)
+    xis, thetas = np.array(xis), np.array(thetas)
+    xis.flags.writeable = thetas.flags.writeable = False
+    return xis, thetas, float(xi1), float(phi)
 
 
 def polytrope_particles(

@@ -8,6 +8,8 @@ crash-safe resume with zero recompute after SIGKILL, and a result
 store byte-identical to an uninterrupted run.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.campaign import (
@@ -16,7 +18,11 @@ from repro.campaign import (
     save_catalog,
     scenario_fingerprint_hex,
 )
+from repro.campaign import workers as workers_module
+from repro.campaign.workers import execute_shard
+from repro.cosmology import background, power
 from repro.pipeline import Grid, Uniform, draw_specs, run_ensemble
+from repro.sph import collapse
 
 #: Smallest legal box + tiny progenitor: ~tens of ms per scenario, so
 #: a 100+-scenario campaign stays inside the default tier's budget.
@@ -86,3 +92,41 @@ class TestSigkillResume:
         assert clean.computed == 16
         assert (crash_dir / "results.jsonl").read_bytes() == \
             (clean_dir / "results.jsonl").read_bytes()
+
+
+class TestSharedTablesChangeNoResult:
+    """Scenarios that share a cosmology or a polytropic index share its
+    growth integral, sigma8 amplitude and Lane-Emden profile within a
+    process.  Which scenario computed a table first, in which process,
+    or whether it was kept at all must not show in a single byte."""
+
+    #: Two cosmologies x two indices x two seeds; neighbours differ in
+    #: both, so each table is reused later and out of order.
+    CATALOG = [
+        dataclasses.replace(FAST, omega_m=omega_m, omega_l=1.0 - omega_m,
+                            n_poly=n_poly, seed=seed)
+        for seed in (1, 2)
+        for omega_m, n_poly in ((0.3, 3.0), (0.25, 1.5), (0.3, 1.5), (0.25, 3.0))
+    ]
+
+    def test_serial_pooled_and_unmemoized_stores_are_byte_identical(self, tmp_path,
+                                                                     monkeypatch):
+        def results(name, workers):
+            report = run_campaign(self.CATALOG, str(tmp_path / name), workers=workers)
+            assert (report.computed, report.failed) == (8, 0), report.errors
+            return (tmp_path / name / "results.jsonl").read_bytes()
+
+        serial, pooled = results("serial", 1), results("pooled", 2)
+
+        forgotten = []
+
+        def forgetful(spec_dict, throttle=0.0):
+            forgotten.append(spec_dict["seed"])
+            for memo in (background._growth_integral, power._shape_and_norm,
+                         collapse._lane_emden):
+                memo.cache_clear()
+            return execute_shard(spec_dict, throttle)
+
+        monkeypatch.setattr(workers_module, "execute_shard", forgetful)
+        assert serial == pooled == results("unmemoized", 1)
+        assert len(forgotten) == 8
