@@ -1,15 +1,29 @@
 """Uniform benchmark-record harness for ``benchmarks/bench_*.py``.
 
-Every bench module exposes ``main() -> dict`` built on :func:`run_main`:
-it runs the module's ``_build`` payload once, wall-times it, and returns
-a record with a fixed shape — name, params, measured seconds, virtual
-(simulated) seconds, named counters, git revision, and host — validated
-against ``benchmarks/schema.json``.  :func:`run_main` writes nothing:
-a record reaches disk only where a caller names the destination, which
-is the fleet coordinator (``python -m repro.obs fleet --history``) or
-the standalone command line every bench shares, :func:`cli`
-(``--out DIR`` writes ``BENCH_<name>.json``, ``--history PATH`` appends
-one line to a history JSONL).
+A bench is three functions and one way to run them.  ``_build`` is the
+payload; ``check(result)`` holds the paper claims as plain ``assert``
+statements over what the payload computed; ``report(result)`` returns
+the table the bench regenerates, as text.  Every bench module exposes
+``main(smoke=False) -> dict`` built on :func:`run_main`, which runs the
+payload once, wall-times it, prints the report, runs the check, and
+returns a record with a fixed shape — name, params, measured seconds,
+virtual (simulated) seconds, named counters, git revision, and host —
+validated against ``benchmarks/schema.json``.  A claim that fails is an
+``AssertionError`` out of ``main()``: standalone a traceback under the
+table it contradicts, in the fleet a ``failed`` row and exit status 1.
+There is no second path: no bench defines a ``test_*`` function.
+
+:func:`run_main` writes nothing: a record reaches disk only where a
+caller names the destination, which is the fleet coordinator
+(``python -m repro.obs fleet --history``) or the standalone command
+line every bench shares, :func:`cli` (``--out DIR`` writes
+``BENCH_<name>.json``, ``--history PATH`` appends one line to a history
+JSONL).
+
+What several benches would otherwise each copy also lives here, once:
+:func:`sphere_cloud` (the treecode benches' particle cloud),
+:func:`comm_health_counters` and :func:`shard_breakdown` (counter and
+sub-record shapes the fleet gate and schema read).
 
 The schema checker is a deliberate small subset of JSON Schema
 (``type``, ``required``, ``properties``, ``additionalProperties``,
@@ -29,7 +43,10 @@ import platform
 import re
 import subprocess
 import time
+import traceback
 from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from repro.obs.schemacheck import validate_value
 
@@ -39,10 +56,13 @@ __all__ = [
     "append_history",
     "bench_record",
     "cli",
+    "comm_health_counters",
     "emit",
     "git_rev",
     "load_schema",
     "run_main",
+    "shard_breakdown",
+    "sphere_cloud",
     "validate_record",
     "write_atomic",
 ]
@@ -111,6 +131,47 @@ def bench_record(
     return record
 
 
+def shard_breakdown(store_rows: list[Mapping]) -> list[dict]:
+    """The ``shards`` sub-records of a campaign bench: what the schema
+    keeps of each ``ResultStore.load_shards()`` row."""
+    return [
+        {
+            "fingerprint": r["fingerprint"],
+            "status": r["status"],
+            "kind": r["kind"],
+            "seconds": max(0.0, float(r.get("seconds") or 0.0)),
+        }
+        for r in store_rows
+    ]
+
+
+def comm_health_counters(comm_stats: Mapping, waits_by_cause: Mapping) -> dict:
+    """Latency-hiding health of one parallel treecode solve, under the
+    counter names the fleet gate and report read: cell-cache
+    effectiveness (the gate holds ``hit_rate``'s floor) and the engine's
+    wait-state mix in virtual seconds."""
+    hits = comm_stats.get("cache_hits", 0.0)
+    misses = comm_stats.get("cache_misses", 0.0)
+    out = {
+        "cellcache.hits": hits,
+        "cellcache.misses": misses,
+        "cellcache.evictions": comm_stats.get("cache_evictions", 0.0),
+        "cellcache.hit_rate": hits / max(1.0, hits + misses),
+    }
+    out.update({f"wait.{cause}_s": s for cause, s in waits_by_cause.items()})
+    return out
+
+
+def sphere_cloud(rng: np.random.Generator, n: int, radial_power: float):
+    """``n`` equal-mass particles in the unit ball, radii ``U**radial_power``
+    (1/3 is uniform, larger is centrally condensed): the test cloud of
+    the treecode benches.  Returns ``(positions, masses)``."""
+    r = rng.random(n) ** radial_power
+    d = rng.standard_normal((n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return r[:, None] * d, np.full(n, 1.0 / n)
+
+
 def emit(record: Mapping, out_dir: str) -> str:
     """Write ``<out_dir>/BENCH_<name>.json``; returns the path written."""
     os.makedirs(out_dir, exist_ok=True)
@@ -168,28 +229,50 @@ def append_history(record: Mapping, path: str) -> str:
     return path
 
 
+def _claim_text(exc: AssertionError) -> str:
+    """``function:line: source`` of the ``assert`` that raised ``exc``.
+
+    A bare ``assert`` carries no message outside pytest, so the fleet
+    row of a failed claim would say only ``AssertionError``; the source
+    line is the claim.
+    """
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    text = f"{frame.name}:{frame.lineno}: {frame.line}"
+    return f"{text} ({exc})" if str(exc) else text
+
+
 def run_main(
     name: str,
     build: Callable[[], Any],
     *,
+    check: Callable[[Any], None],
+    report: Callable[[Any], str] | None = None,
     params: Mapping | None = None,
     counters: Mapping[str, float] | Callable[[Any], Mapping[str, float]] | None = None,
     virtual_seconds: float | Callable[[Any], float] | None = None,
     notes: str = "",
-    quiet: bool = False,
     shards: list[Mapping] | Callable[[Any], list[Mapping]] | None = None,
 ) -> dict:
-    """Run one bench payload and return its validated record.
+    """Run one bench payload, check its claims, return its validated record.
 
-    ``counters``, ``virtual_seconds``, and ``shards`` may be callables
-    taking the payload's return value, so each bench derives its
-    headline numbers from what it actually computed.  The record is
-    printed (unless ``quiet``) and returned, never written: see
+    ``check`` (required) asserts the bench's claims over the payload's
+    return value; ``report`` renders its table and is printed first, so
+    a failed claim is read against the numbers it contradicts.  Only
+    ``build`` is timed.  ``counters``, ``virtual_seconds``, and
+    ``shards`` may be callables taking the payload's return value, so
+    each bench derives its headline numbers from what it actually
+    computed.  The record is printed and returned, never written: see
     :func:`cli` and :func:`repro.obs.fleet.run_fleet` for the writers.
     """
     t0 = time.perf_counter()
     result = build()
     seconds = time.perf_counter() - t0
+    if report is not None:
+        print(report(result))
+    try:
+        check(result)
+    except AssertionError as exc:
+        raise AssertionError(f"claim failed in bench {name!r}: {_claim_text(exc)}") from exc
     record = bench_record(
         name,
         params=params,
@@ -205,8 +288,7 @@ def run_main(
     errors = validate_record(record)
     if errors:
         raise ValueError(f"bench record for {name!r} violates schema.json: {errors}")
-    if not quiet:
-        print(json.dumps(record, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True))
     return record
 
 
@@ -215,10 +297,11 @@ def cli(
 ) -> dict:
     """The command line of every ``bench_*.py``: run ``main`` once.
 
-    ``--smoke`` selects the CI parameterization the bench's ``FLEET``
-    metadata declares; ``--out DIR`` and ``--history PATH`` are the
-    only way a standalone run writes its record (:func:`emit`,
-    :func:`append_history`).
+    ``main`` prints the bench's report and then its record
+    (:func:`run_main`).  ``--smoke`` selects the CI parameterization
+    the bench's ``FLEET`` metadata declares; ``--out DIR`` and
+    ``--history PATH`` are the only way a standalone run writes its
+    record (:func:`emit`, :func:`append_history`).
     """
     parser = argparse.ArgumentParser(
         description=doc.strip().splitlines()[0] if doc else None,

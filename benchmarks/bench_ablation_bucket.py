@@ -32,13 +32,14 @@ def _build():
     return rows
 
 
-def test_ablation_bucket_size(benchmark):
-    rows = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["bucket", "cells", "p2p", "p2c", "Mflops"],
         rows, "Ablation: leaf bucket size",
-    ))
+    )
+
+
+def check(rows) -> None:
     buckets = [r[0] for r in rows]
     cells = [r[1] for r in rows]
     p2p = [r[2] for r in rows]
@@ -63,7 +64,7 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "ablation_bucket", _build,
+        "ablation_bucket", _build, check=check, report=report,
         params={"buckets": [4, 8, 16, 32, 64, 128]},
         counters=lambda rows: {
             "rows": len(rows),

@@ -48,13 +48,14 @@ def _build(n=3000):
     return rows
 
 
-def test_ablation_curve(benchmark):
-    rows = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["distribution", "ordering", "median jump", "max jump", "split pairs"],
         rows, "Ablation: space-filling curve locality (8-way decomposition)",
-    ))
+    )
+
+
+def check(rows) -> None:
     by = {(r[0], r[1]): r for r in rows}
     for dist in ("uniform", "clustered"):
         morton, hilbert, rand = by[(dist, "Morton")], by[(dist, "Hilbert")], by[(dist, "random")]
@@ -83,7 +84,7 @@ def main(smoke: bool = False) -> dict:
     n = 1200 if smoke else 3000
     return run_main(
         "ablation_curve_smoke" if smoke else "ablation_curve",
-        lambda: _build(n=n),
+        lambda: _build(n=n), check=check, report=report,
         params={"n": n, "n_pieces": 8, "radius": 0.05},
         counters=lambda rows: {"rows": len(rows)},
     )

@@ -16,19 +16,11 @@ from repro.core import (
     tree_accelerations,
 )
 
-from _harness import cli, run_main
-
-
-def _cloud(n=1500, seed=5):
-    rng = np.random.default_rng(seed)
-    r = rng.random(n) ** (1.0 / 3.0)
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return r[:, None] * d, np.full(n, 1.0 / n)
+from _harness import cli, run_main, sphere_cloud
 
 
 def _build():
-    pos, m = _cloud()
+    pos, m = sphere_cloud(np.random.default_rng(5), 1500, 1.0 / 3.0)
     exact = direct_accelerations(pos, m, eps=0.02)
     a_scale = float(np.linalg.norm(exact.accelerations, axis=1).mean())
     rows = []
@@ -53,13 +45,16 @@ def _build():
     return rows, budgets
 
 
-def test_ablation_mac(benchmark):
-    rows, budgets = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(format_table(
+def report(result) -> str:
+    rows, _ = result
+    return format_table(
         ["MAC", "median rel err", "99th pct err", "interactions", "frac of N^2"],
         rows, "Ablation: opening criterion vs accuracy vs cost",
-    ))
+    )
+
+
+def check(result) -> None:
+    rows, budgets = result
     bh = [r for r in rows if r[0].startswith("BH")]
     # Tighter theta -> monotonically better accuracy and higher cost.
     errs = [r[1] for r in bh]
@@ -84,7 +79,7 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "ablation_mac", _build,
+        "ablation_mac", _build, check=check, report=report,
         params={"thetas": [1.0, 0.8, 0.6, 0.4, 0.25]},
         counters=lambda r: {"rows": len(r[0]), "budgets": len(r[1])},
     )

@@ -11,19 +11,11 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import build_tree, compute_forces, direct_accelerations, OpeningAngleMAC
 
-from _harness import cli, run_main
-
-
-def _cloud(n=1500, seed=9):
-    rng = np.random.default_rng(seed)
-    r = rng.random(n) ** 2
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return r[:, None] * d, np.full(n, 1.0 / n)
+from _harness import cli, run_main, sphere_cloud
 
 
 def _build():
-    pos, m = _cloud()
+    pos, m = sphere_cloud(np.random.default_rng(9), 1500, 2)
     exact = direct_accelerations(pos, m, eps=0.02)
     rows = []
     for theta in (0.8, 0.6, 0.4):
@@ -43,13 +35,14 @@ def _build():
     return rows
 
 
-def test_ablation_quadrupole(benchmark):
-    rows = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["theta", "median err (quad)", "median err (mono)", "mono/quad"],
         rows, "Ablation: quadrupole far field vs monopole only",
-    ))
+    )
+
+
+def check(rows) -> None:
     for theta, e_q, e_m, ratio in rows:
         assert e_m > e_q, theta
     # At the production theta the quadrupole buys at least ~3x accuracy.
@@ -64,7 +57,7 @@ FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "ablation_quadrupole", _build,
+        "ablation_quadrupole", _build, check=check, report=report,
         params={"thetas": [0.8, 0.6, 0.4]},
         counters=lambda rows: {
             "rows": len(rows),

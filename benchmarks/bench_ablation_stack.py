@@ -11,22 +11,13 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import ParallelConfig, parallel_tree_accelerations
 from repro.network import FIGURE2_STACKS
-from repro.network.switch import FabricModel
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, run_main
-
-
-def _cloud(n=3000, seed=8):
-    rng = np.random.default_rng(seed)
-    r = rng.random(n) ** (1.0 / 3.0)
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return r[:, None] * d, np.full(n, 1.0 / n)
+from _harness import cli, run_main, sphere_cloud
 
 
 def _build(n=3000, n_ranks=8):
-    pos, m = _cloud(n)
+    pos, m = sphere_cloud(np.random.default_rng(8), n, 1.0 / 3.0)
     cfg = ParallelConfig(theta=0.8, eps=0.01, kernel_efficiency=0.27)
     rows = []
     for stack in FIGURE2_STACKS:
@@ -38,13 +29,14 @@ def _build(n=3000, n_ranks=8):
     return rows
 
 
-def test_ablation_message_stack(benchmark):
-    rows = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["stack", "virtual ms", "blocked ms/rank", "parallel eff"],
-        rows, "Ablation: software stack under the parallel treecode (8 ranks)",
-    ))
+        rows, "Ablation: software stack under the parallel treecode",
+    )
+
+
+def check(rows) -> None:
     times = {r[0]: r[1] for r in rows}
     # Raw TCP is the floor; mpich 1.2.5 the slowest MPI, as in Fig 2.
     assert times["TCP"] <= min(times.values()) + 1e-9
@@ -65,7 +57,7 @@ def main(smoke: bool = False) -> dict:
     n, n_ranks = (1200, 4) if smoke else (3000, 8)
     return run_main(
         "ablation_stack_smoke" if smoke else "ablation_stack",
-        lambda: _build(n=n, n_ranks=n_ranks),
+        lambda: _build(n=n, n_ranks=n_ranks), check=check, report=report,
         params={"n": n, "n_ranks": n_ranks,
                 "stacks": [s.name for s in FIGURE2_STACKS]},
         counters=lambda rows: {"rows": len(rows)},

@@ -25,7 +25,7 @@ from repro.campaign import (
     sweep,
 )
 
-from _harness import cli, run_main
+from _harness import cli, run_main, shard_breakdown
 
 
 def catalog(smoke: bool) -> list:
@@ -44,20 +44,18 @@ def catalog(smoke: bool) -> list:
 def _run_twice(root: str, specs: list) -> dict:
     first = run_campaign(specs, root, workers=1)
     second = run_campaign(specs, root, workers=1)
-    rows = ResultStore(root).load_shards()
     return {
         "first": first,
         "second": second,
-        "shards": [
-            {
-                "fingerprint": r["fingerprint"],
-                "status": r["status"],
-                "kind": r["kind"],
-                "seconds": max(0.0, float(r.get("seconds") or 0.0)),
-            }
-            for r in rows
-        ],
+        "shards": shard_breakdown(ResultStore(root).load_shards()),
     }
+
+
+def check(out) -> None:
+    first, second = out["first"], out["second"]
+    assert first.failed + second.failed == 0
+    assert first.dedupe_hits > 0         # the duplicated spec ran once
+    assert second.hit_rate == 1.0        # the second pass computed nothing
 
 
 #: Reduced smoke: the smoke catalog drops the cosmology/supernova
@@ -71,7 +69,7 @@ def main(smoke: bool = False) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return run_main(
             "campaign_smoke" if smoke else "campaign",
-            lambda: _run_twice(tmp, specs),
+            lambda: _run_twice(tmp, specs), check=check,
             params={"n_specs": len(specs), "workers": 1, "smoke": smoke},
             counters=lambda out: {
                 "shards": out["first"].total_shards,

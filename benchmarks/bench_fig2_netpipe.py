@@ -22,17 +22,21 @@ def _build():
     return sizes, series, summaries
 
 
-def test_fig2_netpipe(benchmark):
-    sizes, series, summaries = benchmark(_build)
-    print()
+def report(result) -> str:
+    sizes, series, summaries = result
     headers = ["bytes"] + list(series)
     rows = [[int(n)] + [series[name][i] for name in series] for i, n in enumerate(sizes)]
-    print(format_table(headers, rows, "Figure 2: bandwidth (Mbit/s) vs message size"))
-    print()
-    print(format_table(
-        ["stack", "latency us", "peak Mbit/s", "n1/2 bytes"],
-        [[s.stack, s.latency_us, s.peak_mbits_s, s.half_bandwidth_bytes] for s in summaries],
-    ))
+    return "\n\n".join([
+        format_table(headers, rows, "Figure 2: bandwidth (Mbit/s) vs message size"),
+        format_table(
+            ["stack", "latency us", "peak Mbit/s", "n1/2 bytes"],
+            [[s.stack, s.latency_us, s.peak_mbits_s, s.half_bandwidth_bytes] for s in summaries],
+        ),
+    ])
+
+
+def check(result) -> None:
+    _, series, summaries = result
     by_name = {s.stack: s for s in summaries}
     assert abs(by_name["TCP"].peak_mbits_s - 779.0) < 8.0
     assert abs(by_name["TCP"].latency_us - 79.0) < 1.0
@@ -49,7 +53,7 @@ FLEET = {"tags": ('figure', 'network'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "fig2_netpipe", _build,
+        "fig2_netpipe", _build, check=check, report=report,
         params={"stacks": [s.name for s in FIGURE2_STACKS], "n_sizes": 13},
         counters=lambda r: {
             "series": len(r[1]),

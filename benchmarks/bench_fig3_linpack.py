@@ -31,18 +31,23 @@ def _build():
     return kernel, model, lam, mpich
 
 
-def test_fig3_linpack(benchmark):
-    kernel, model, lam, mpich = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print(f"real HPL kernel: n={kernel.n} residual={kernel.residual:.2e} "
-          f"passed={kernel.passed} ({kernel.gflops:.2f} Gflop/s on this host)")
-    print(f"cluster N* = {model.problem_size():,}")
-    print(f"LAM 6.5.9 + ATLAS 3.5 : {lam:7.1f} Gflop/s (paper: {SS_LINPACK_APR2003})")
-    print(f"MPICH 1.2.x predicted : {mpich:7.1f} Gflop/s (paper: {SS_LINPACK_NOV2002})")
-    print(f"rank on 20th TOP500 at 665.1: #{estimate_rank(665.1, TOP500_NOV2002)} (paper: #85)")
-    print(f"rank on 21st TOP500 at 757.1: #{estimate_rank(757.1, TOP500_JUN2003)} (paper: #88)")
-    print(f"757.1 would rank on 20th list: #{estimate_rank(757.1, TOP500_NOV2002)} (paper: #69)")
-    print(f"price/performance: {price_per_mflops_cents():.1f} cents/Mflop/s (paper: 63.9)")
+def report(result) -> str:
+    kernel, model, lam, mpich = result
+    return "\n".join([
+        f"real HPL kernel: n={kernel.n} residual={kernel.residual:.2e} "
+        f"passed={kernel.passed} ({kernel.gflops:.2f} Gflop/s on this host)",
+        f"cluster N* = {model.problem_size():,}",
+        f"LAM 6.5.9 + ATLAS 3.5 : {lam:7.1f} Gflop/s (paper: {SS_LINPACK_APR2003})",
+        f"MPICH 1.2.x predicted : {mpich:7.1f} Gflop/s (paper: {SS_LINPACK_NOV2002})",
+        f"rank on 20th TOP500 at 665.1: #{estimate_rank(665.1, TOP500_NOV2002)} (paper: #85)",
+        f"rank on 21st TOP500 at 757.1: #{estimate_rank(757.1, TOP500_JUN2003)} (paper: #88)",
+        f"757.1 would rank on 20th list: #{estimate_rank(757.1, TOP500_NOV2002)} (paper: #69)",
+        f"price/performance: {price_per_mflops_cents():.1f} cents/Mflop/s (paper: 63.9)",
+    ])
+
+
+def check(result) -> None:
+    kernel, _, lam, mpich = result
     assert kernel.passed
     assert abs(lam - SS_LINPACK_APR2003) < 0.1
     assert abs(mpich / SS_LINPACK_NOV2002 - 1.0) < 0.10
@@ -56,7 +61,7 @@ FLEET = {"tags": ('figure', 'linpack'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "fig3_linpack", _build,
+        "fig3_linpack", _build, check=check, report=report,
         params={"n": 384, "block": 64},
         counters=lambda r: {
             "kernel_gflops": r[0].gflops,

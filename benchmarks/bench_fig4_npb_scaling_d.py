@@ -25,19 +25,24 @@ def _build():
     return total, per
 
 
-def test_fig4_scaling_class_d(benchmark):
-    total, per = benchmark(_build)
-    print()
-    print(format_table(
-        ["procs"] + list(BENCHES),
-        [[p] + [total[b][i] for b in BENCHES] for i, p in enumerate(PROCS)],
-        "Figure 4 (left): class D total Mop/s",
-    ))
-    print(format_table(
-        ["procs"] + list(BENCHES),
-        [[p] + [per[b][i] for b in BENCHES] for i, p in enumerate(PROCS)],
-        "Figure 4 (right): class D per-processor Mop/s",
-    ))
+def report(result) -> str:
+    total, per = result
+    return "\n".join([
+        format_table(
+            ["procs"] + list(BENCHES),
+            [[p] + [total[b][i] for b in BENCHES] for i, p in enumerate(PROCS)],
+            "Figure 4 (left): class D total Mop/s",
+        ),
+        format_table(
+            ["procs"] + list(BENCHES),
+            [[p] + [per[b][i] for b in BENCHES] for i, p in enumerate(PROCS)],
+            "Figure 4 (right): class D per-processor Mop/s",
+        ),
+    ])
+
+
+def check(result) -> None:
+    total, per = result
     i256 = PROCS.index(256)
     for b in ("BT", "LU"):
         # Near-flat per-proc line: 256-proc rate within 35% of 16-proc.
@@ -60,7 +65,7 @@ FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "fig4_npb_scaling_d", _build,
+        "fig4_npb_scaling_d", _build, check=check, report=report,
         params={"benches": list(BENCHES), "procs": list(PROCS)},
         counters=lambda r: {
             "curves": len(r[0]),

@@ -25,14 +25,15 @@ def _build():
     return per
 
 
-def test_fig5_scaling_class_c(benchmark):
-    per = benchmark(_build)
-    print()
-    print(format_table(
+def report(per) -> str:
+    return format_table(
         ["procs"] + list(BENCHES),
         [[p] + [per[b][i] for b in BENCHES] for i, p in enumerate(PROCS)],
         "Figure 5: class C per-processor Mop/s",
-    ))
+    )
+
+
+def check(per) -> None:
     lu = per["LU"]
     # The LU feature: higher per-proc rate at 64 than at 1.
     assert lu[PROCS.index(64)] > lu[0]
@@ -51,7 +52,7 @@ FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "fig5_npb_scaling_c", _build,
+        "fig5_npb_scaling_c", _build, check=check, report=report,
         params={"benches": list(BENCHES), "procs": list(PROCS)},
         counters=lambda per: {
             "curves": len(per),

@@ -35,21 +35,26 @@ def _build():
     return pts, jumps, dd, tree
 
 
-def test_fig6_morton(benchmark):
-    pts, jumps, dd, tree = benchmark(_build)
-    print()
-    print(f"Morton curve over {pts.shape[0]} centrally condensed points:")
-    print(f"  median inter-point jump along curve: {np.median(jumps):.4f} box units")
-    print(f"  random-order jump for comparison   : "
-          f"{np.linalg.norm(np.diff(pts, axis=0), axis=1).mean():.4f}")
-    print(format_table(
-        ["domain", "particles", "work share"],
-        [[p, int(c), s] for p, (c, s) in enumerate(zip(dd.counts(), dd.work_shares()))],
-        "Equal-work domains along the curve (8 processors)",
-    ))
+def report(result) -> str:
+    pts, jumps, dd, tree = result
     levels, counts = np.unique(tree.level, return_counts=True)
-    print(format_table(["tree level", "cells"], list(map(list, zip(levels, counts))),
-                       "Adaptive tree over the condensed distribution"))
+    return "\n".join([
+        f"Morton curve over {pts.shape[0]} centrally condensed points:",
+        f"  median inter-point jump along curve: {np.median(jumps):.4f} box units",
+        f"  random-order jump for comparison   : "
+        f"{np.linalg.norm(np.diff(pts, axis=0), axis=1).mean():.4f}",
+        format_table(
+            ["domain", "particles", "work share"],
+            [[p, int(c), s] for p, (c, s) in enumerate(zip(dd.counts(), dd.work_shares()))],
+            "Equal-work domains along the curve (8 processors)",
+        ),
+        format_table(["tree level", "cells"], list(map(list, zip(levels, counts))),
+                     "Adaptive tree over the condensed distribution"),
+    ])
+
+
+def check(result) -> None:
+    pts, jumps, dd, tree = result
     # Curve locality.
     assert np.median(jumps) < 0.03
     # Domains are balanced and contiguous.
@@ -66,14 +71,12 @@ FLEET = {"tags": ('figure', 'treecode'), "smoke": "full"}
 
 
 def main(smoke: bool = False) -> dict:
-    import numpy as _np
-
     return run_main(
-        "fig6_morton", _build,
+        "fig6_morton", _build, check=check, report=report,
         params={"n_pieces": 8, "bucket_size": 8},
         counters=lambda r: {
             "n_points": int(r[0].shape[0]),
-            "median_jump": float(_np.median(r[1])),
+            "median_jump": float(np.median(r[1])),
             "n_cells": int(r[3].n_cells),
         },
     )

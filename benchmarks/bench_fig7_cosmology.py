@@ -33,7 +33,7 @@ from repro.cosmology import (
 from repro.obs import load_imbalance, wait_summary
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, run_main
+from _harness import cli, comm_health_counters, run_main, sphere_cloud
 
 
 def _comm_modes(n=1200, ranks=8, seed=9):
@@ -43,11 +43,7 @@ def _comm_modes(n=1200, ranks=8, seed=9):
     changes, so the forces are bit-identical and any difference in
     blocked time is purely the communication strategy.
     """
-    rng = np.random.default_rng(seed)
-    r = rng.random(n) ** (2.0 / 3.0)
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    pos, masses = r[:, None] * d, np.full(n, 1.0 / n)
+    pos, masses = sphere_cloud(np.random.default_rng(seed), n, 2.0 / 3.0)
     out = {}
     for mode in ("blocking", "async"):
         res = parallel_tree_accelerations(
@@ -82,46 +78,51 @@ def _build(n_side=20, comm_n=1200):
     return sim, rms0, rms1, halos, centers, xi, comm
 
 
-def test_fig7_cosmology(benchmark):
-    sim, rms0, rms1, halos, centers, xi, comm = benchmark.pedantic(
-        _build, rounds=1, iterations=1)
-    print()
-    print(f"box evolved to a = {sim.a:.3f} (z = {1/sim.a - 1:.2f}; paper figure: z = 0.3, "
-          f"{LCDM.lookback_gyr(0.3):.1f} Gyr lookback)")
-    print(f"density contrast rms: {rms0:.3f} -> {rms1:.3f} "
-          f"(structure formed: x{rms1/rms0:.1f})")
-    print(f"FoF halos (>= 8 particles): {halos.n_halos}; "
-          f"largest {halos.halos[0].n_members if halos.n_halos else 0} particles")
-    print(format_table(
-        ["r (box units)", "xi(r)"],
-        [[c, x] for c, x in zip(centers, xi)],
-        "Two-point correlation function at z = 0.3",
-    ))
-    print()
+def report(result) -> str:
+    sim, rms0, rms1, halos, centers, xi, comm = result
     model = PAPER_RUN
-    print(format_table(
-        ["quantity", "paper", "model"],
-        [
-            ["total flops", 1e16, model.total_flops],
-            ["wall hours", 24.0, model.wall_seconds / 3600.0],
-            ["sustained Gflop/s", 112.0, model.achieved_gflops],
-            ["avg I/O Mbyte/s", 417.0, model.average_io_bytes_s / 1e6],
-            ["peak I/O Gbyte/s", 7.0, model.peak_io_bytes_s / 1e9],
-        ],
-        "Section 4.3 production-run model (134M particles, 250 procs)",
-    ))
-    print()
-    print(format_table(
-        ["comm mode", "blocked frac", "virtual ms", "MB sent"],
-        [[m, d["blocked_frac"], d["virtual_ms"], d["mbytes_sent"]]
-         for m, d in comm.items()],
-        "Force solve at P = 8: blocking vs latency-hiding comm",
-    ))
+    return "\n".join([
+        f"box evolved to a = {sim.a:.3f} (z = {1/sim.a - 1:.2f}; paper figure: z = 0.3, "
+        f"{LCDM.lookback_gyr(0.3):.1f} Gyr lookback)",
+        f"density contrast rms: {rms0:.3f} -> {rms1:.3f} "
+        f"(structure formed: x{rms1/rms0:.1f})",
+        f"FoF halos (>= 8 particles): {halos.n_halos}; "
+        f"largest {halos.halos[0].n_members if halos.n_halos else 0} particles",
+        format_table(
+            ["r (box units)", "xi(r)"],
+            [[c, x] for c, x in zip(centers, xi)],
+            "Two-point correlation function at z = 0.3",
+        ),
+        "",
+        format_table(
+            ["quantity", "paper", "model"],
+            [
+                ["total flops", 1e16, model.total_flops],
+                ["wall hours", 24.0, model.wall_seconds / 3600.0],
+                ["sustained Gflop/s", 112.0, model.achieved_gflops],
+                ["avg I/O Mbyte/s", 417.0, model.average_io_bytes_s / 1e6],
+                ["peak I/O Gbyte/s", 7.0, model.peak_io_bytes_s / 1e9],
+            ],
+            "Section 4.3 production-run model (134M particles, 250 procs)",
+        ),
+        "",
+        format_table(
+            ["comm mode", "blocked frac", "virtual ms", "MB sent"],
+            [[m, d["blocked_frac"], d["virtual_ms"], d["mbytes_sent"]]
+             for m, d in comm.items()],
+            "Force solve at P = 8: blocking vs latency-hiding comm",
+        ),
+    ])
+
+
+def check(result, full: bool) -> None:
+    _, rms0, rms1, halos, _, xi, comm = result
     assert rms1 > 4.0 * rms0          # structure grew into the nonlinear regime
-    assert halos.n_halos >= 3          # halos formed
-    assert xi[0] > xi[1] > abs(xi[-1])  # clustering declines with scale
-    assert xi[0] > 0.6                 # strongly clustered at small separations
-    assert abs(model.achieved_gflops - 112.0) / 112.0 < 0.15
+    if full:  # the n_side=10 smoke box is too coherent to form halos
+        assert halos.n_halos >= 3          # halos formed
+        assert xi[0] > xi[1] > abs(xi[-1])  # clustering declines with scale
+        assert xi[0] > 0.6                 # strongly clustered at small separations
+    assert abs(PAPER_RUN.achieved_gflops - 112.0) / 112.0 < 0.15
     # The latency-hiding layer must reduce time spent blocked without
     # touching the physics.
     assert np.array_equal(comm["async"]["accelerations"],
@@ -131,10 +132,7 @@ def test_fig7_cosmology(benchmark):
 
 def _counters(r) -> dict:
     asynchronous = r[6]["async"]
-    stats = asynchronous["comm_stats"]
-    hits = stats.get("cache_hits", 0.0)
-    misses = stats.get("cache_misses", 0.0)
-    out = {
+    return {
         "rms_initial": r[1],
         "rms_final": r[2],
         "n_halos": r[3].n_halos,
@@ -143,17 +141,11 @@ def _counters(r) -> dict:
         "blocked_frac_async": asynchronous["blocked_frac"],
         "comm_virtual_ms_blocking": r[6]["blocking"]["virtual_ms"],
         "comm_virtual_ms_async": asynchronous["virtual_ms"],
-        # Latency-hiding layer health (async force solve): the cell
-        # cache and the engine's wait-state mix, the fleet gate's eyes
-        # on the Section 4 communication story.
-        "cellcache.hits": hits,
-        "cellcache.misses": misses,
-        "cellcache.evictions": stats.get("cache_evictions", 0.0),
-        "cellcache.hit_rate": hits / max(1.0, hits + misses),
+        # The async force solve: the fleet gate's eyes on the
+        # Section 4 communication story.
+        **comm_health_counters(asynchronous["comm_stats"],
+                               asynchronous["waits"]["by_cause"]),
     }
-    for cause, s in asynchronous["waits"]["by_cause"].items():
-        out[f"wait.{cause}_s"] = s
-    return out
 
 
 #: Reduced smoke: the full z=0.3 box plus a P=8 force solve costs ~9 s;
@@ -167,6 +159,7 @@ def main(smoke: bool = False) -> dict:
     return run_main(
         "fig7_cosmology_smoke" if smoke else "fig7_cosmology",
         lambda: _build(n_side=n_side, comm_n=comm_n),
+        check=lambda r: check(r, full=not smoke), report=report,
         params={"n_side": n_side, "comm_n": comm_n,
                 "box_mpc_h": 125.0, "a_final": 1.0 / 1.3},
         counters=_counters,

@@ -20,7 +20,7 @@ import tempfile
 from repro.campaign import PipelineSpec, ResultStore
 from repro.pipeline import Grid, Uniform, ensemble_statistics, run_ensemble
 
-from _harness import cli, run_main
+from _harness import cli, run_main, shard_breakdown
 
 #: Committed reference envelopes: metric -> statistic -> (lo, hi).
 #: Bands are ±~40% around the measured ensemble values (seeds below),
@@ -85,28 +85,21 @@ def _run(root: str, smoke: bool) -> dict:
     base, distributions, n = ensemble_args(smoke)
     first = run_ensemble(base, distributions, n, root, seed=7)
     second = run_ensemble(base, distributions, n, root, seed=7)
-    stats = ensemble_statistics([r["summary"] for r in first.results])
-    violations = check_envelopes(stats, SMOKE_ENVELOPES if smoke else FULL_ENVELOPES)
-    if violations:
-        raise AssertionError(
-            "pipeline observable distributions left their envelopes:\n  "
-            + "\n  ".join(violations)
-        )
-    rows = ResultStore(root).load_shards()
     return {
         "first": first.report,
         "second": second.report,
-        "stats": stats,
-        "shards": [
-            {
-                "fingerprint": r["fingerprint"],
-                "status": r["status"],
-                "kind": r["kind"],
-                "seconds": max(0.0, float(r.get("seconds") or 0.0)),
-            }
-            for r in rows
-        ],
+        "stats": ensemble_statistics([r["summary"] for r in first.results]),
+        "shards": shard_breakdown(ResultStore(root).load_shards()),
     }
+
+
+def check(out, envelopes) -> None:
+    violations = check_envelopes(out["stats"], envelopes)
+    assert not violations, (
+        "pipeline observable distributions left their envelopes:\n  "
+        + "\n  ".join(violations)
+    )
+    assert out["second"].hit_rate == 1.0  # the second pass computed nothing
 
 
 #: Reduced smoke: the smoke box is too small to form halos, so it
@@ -121,6 +114,7 @@ def main(smoke: bool = False) -> dict:
         return run_main(
             "pipeline_smoke" if smoke else "pipeline",
             lambda: _run(tmp, smoke),
+            check=lambda out: check(out, SMOKE_ENVELOPES if smoke else FULL_ENVELOPES),
             params={"n_scenarios": n, "smoke": smoke},
             counters=lambda out: {
                 "scenarios": out["first"].total_shards,

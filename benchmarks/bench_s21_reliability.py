@@ -18,9 +18,12 @@ from repro.cluster import (
 from _harness import cli, run_main
 
 
-def _build(trials=400):
+TRIALS = 100
+
+
+def _build():
     model = FailureModel()
-    sims = [model.simulate(seed=s) for s in range(trials)]
+    sims = [model.simulate(seed=s) for s in range(TRIALS)]
     mean_install = {
         c.kind: float(np.mean([s.install_defects[c.kind] for s in sims])) for c in SS_COMPONENTS
     }
@@ -34,23 +37,26 @@ def _build(trials=400):
     return model, mean_install, mean_service, smart, avail
 
 
-def test_s21_reliability(benchmark):
-    model, mean_install, mean_service, smart, avail = benchmark.pedantic(
-        _build, rounds=1, iterations=1
-    )
-    print()
+def report(result) -> str:
+    _, mean_install, mean_service, smart, avail = result
     rows = [
         [c.kind, INSTALL_DEFECTS[c.kind], mean_install[c.kind],
          SERVICE_FAILURES_9MO[c.kind], mean_service[c.kind],
          c.mtbf_hours / 8766.0 if np.isfinite(c.mtbf_hours) else float("inf")]
         for c in SS_COMPONENTS
     ]
-    print(format_table(
-        ["component", "install (paper)", "install (MC)", "9-mo (paper)", "9-mo (MC)", "MTBF years"],
-        rows, "Section 2.1: component failures, 294-node cluster",
-    ))
-    print(f"SMART-predicted fraction of disk failures: {smart:.2f} (paper: 'a majority')")
-    print(f"mean node availability over 9 months: {avail:.4f}")
+    return "\n".join([
+        format_table(
+            ["component", "install (paper)", "install (MC)", "9-mo (paper)", "9-mo (MC)", "MTBF years"],
+            rows, "Section 2.1: component failures, 294-node cluster",
+        ),
+        f"SMART-predicted fraction of disk failures: {smart:.2f} (paper: 'a majority')",
+        f"mean node availability over 9 months: {avail:.4f}",
+    ])
+
+
+def check(result) -> None:
+    _, mean_install, mean_service, smart, avail = result
     for c in SS_COMPONENTS:
         assert abs(mean_install[c.kind] - INSTALL_DEFECTS[c.kind]) <= max(
             1.0, 0.3 * INSTALL_DEFECTS[c.kind]
@@ -69,8 +75,8 @@ FLEET = {"tags": ('section', 'reliability'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "s21_reliability", lambda: _build(trials=100),
-        params={"trials": 100},
+        "s21_reliability", _build, check=check, report=report,
+        params={"trials": TRIALS},
         counters=lambda r: {
             "availability": r[4],
             "smart_predicted_ratio": r[3],

@@ -26,16 +26,21 @@ def _build():
     return cross16, intra, sweep
 
 
-def test_s31_backplane(benchmark):
-    cross16, intra, sweep = benchmark(_build)
-    print()
-    print(f"intra-module pair rate: {min(intra):.0f} Mbit/s per flow (non-blocking)")
-    print(f"16->16 cross-module aggregate: {cross16:.0f} Mbit/s (paper: ~6000)")
-    print(format_table(
-        ["procs", "worst hypercube pair Mbit/s"],
-        [[p, r] for p, r in sweep],
-        "Per-pair bandwidth under simultaneous hypercube traffic",
-    ))
+def report(result) -> str:
+    cross16, intra, sweep = result
+    return "\n".join([
+        f"intra-module pair rate: {min(intra):.0f} Mbit/s per flow (non-blocking)",
+        f"16->16 cross-module aggregate: {cross16:.0f} Mbit/s (paper: ~6000)",
+        format_table(
+            ["procs", "worst hypercube pair Mbit/s"],
+            [[p, r] for p, r in sweep],
+            "Per-pair bandwidth under simultaneous hypercube traffic",
+        ),
+    ])
+
+
+def check(result) -> None:
+    cross16, intra, sweep = result
     assert min(intra) == 1000.0
     assert abs(cross16 - 6000.0) < 100.0
     by_p = dict(sweep)
@@ -50,7 +55,7 @@ FLEET = {"tags": ('section', 'network'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "s31_backplane", _build,
+        "s31_backplane", _build, check=check, report=report,
         params={"n_streams": 16},
         counters=lambda r: {
             "cross16_mbits": r[0],

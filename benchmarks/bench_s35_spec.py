@@ -24,19 +24,22 @@ def _build():
     return table
 
 
-def test_s35_spec(benchmark):
-    table = benchmark(_build)
-    print()
-    print(format_table(
-        ["config", "CINT2000", "CFP2000"],
-        [[name, scores["CINT2000"], scores["CFP2000"]] for name, scores in table.items()],
-        "SPEC CPU2000 model under the Table 2 clock configurations",
-    ))
-    print(f"$/SPECfp at ${NODE_COST_NO_NETWORK:.0f}/node: {price_per_specfp():.2f} (paper: $1.20)")
-    print(f"HP rx2600 ({HP_RX2600_SPECFP:.0f} SPECfp) breakeven price: "
-          f"${breakeven_price_vs():.0f} (paper: < $2500)")
-    print(f"July 2003 ($200 cheaper node): ${price_per_specfp(688.0):.2f}/SPECfp "
-          f"(paper: 'better than $1.00')")
+def report(table) -> str:
+    return "\n".join([
+        format_table(
+            ["config", "CINT2000", "CFP2000"],
+            [[name, scores["CINT2000"], scores["CFP2000"]] for name, scores in table.items()],
+            "SPEC CPU2000 model under the Table 2 clock configurations",
+        ),
+        f"$/SPECfp at ${NODE_COST_NO_NETWORK:.0f}/node: {price_per_specfp():.2f} (paper: $1.20)",
+        f"HP rx2600 ({HP_RX2600_SPECFP:.0f} SPECfp) breakeven price: "
+        f"${breakeven_price_vs():.0f} (paper: < $2500)",
+        f"July 2003 ($200 cheaper node): ${price_per_specfp(688.0):.2f}/SPECfp "
+        f"(paper: 'better than $1.00')",
+    ])
+
+
+def check(table) -> None:
     assert round(table["normal"]["CINT2000"]) == 790
     assert round(table["normal"]["CFP2000"]) == 742
     assert abs(price_per_specfp() - 1.20) < 0.01
@@ -50,7 +53,7 @@ FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "s35_spec", _build,
+        "s35_spec", _build, check=check, report=report,
         counters=lambda table: {"configs": len(table)},
     )
 

@@ -31,29 +31,36 @@ def _build():
     return commodity, npb_improvement_ratios(), npb_price_performance_vs_moore()
 
 
-def test_s5_moore(benchmark):
-    commodity, npb, vs_moore = benchmark(_build)
+def report(result) -> str:
+    commodity, npb, vs_moore = result
     moore = moore_factor(6.0)
-    print()
     rows = [
         [name, loki, ss, loki / ss, (loki / ss) / moore]
         for name, (loki, ss) in commodity.items()
     ]
-    print(format_table(
-        ["commodity", "Loki 1996", "SS 2002", "improvement", "vs Moore (16x)"],
-        rows, "Section 5: commodity price scaling",
-    ))
-    print(format_table(
-        ["NPB class B", "Loki 16p Mflops", "SS 16p Mflops", "ratio", "price/perf vs Moore"],
-        [[b, LOKI_NPB_CLASS_B_16P[b], SS_NPB_CLASS_B_16P[b], npb[b], vs_moore[b]]
-         for b in npb],
-        "Section 5: NPB class B, 16 processors",
-    ))
     c = NBODY_LOKI_VS_SS
-    print(f"\nN-body: Loki {c.loki_gflops} Gflop/s -> SS {c.ss_gflops} Gflop/s "
-          f"= {c.performance_ratio:.0f}x measured vs {c.predicted_ratio():.0f}x "
-          f"Moore-predicted (price ratio {c.price_ratio:.1f})")
-    assert moore == 16.0
+    return "\n".join([
+        format_table(
+            ["commodity", "Loki 1996", "SS 2002", "improvement", "vs Moore (16x)"],
+            rows, "Section 5: commodity price scaling",
+        ),
+        format_table(
+            ["NPB class B", "Loki 16p Mflops", "SS 16p Mflops", "ratio", "price/perf vs Moore"],
+            [[b, LOKI_NPB_CLASS_B_16P[b], SS_NPB_CLASS_B_16P[b], npb[b], vs_moore[b]]
+             for b in npb],
+            "Section 5: NPB class B, 16 processors",
+        ),
+        "",
+        f"N-body: Loki {c.loki_gflops} Gflop/s -> SS {c.ss_gflops} Gflop/s "
+        f"= {c.performance_ratio:.0f}x measured vs {c.predicted_ratio():.0f}x "
+        f"Moore-predicted (price ratio {c.price_ratio:.1f})",
+    ])
+
+
+def check(result) -> None:
+    commodity, npb, _ = result
+    c = NBODY_LOKI_VS_SS
+    assert moore_factor(6.0) == 16.0
     disk_gain = commodity["disk $/GB"][0] / commodity["disk $/GB"][1]
     assert abs(disk_gain / 16.0 - 6.7) < 0.4
     ram_gain = commodity["RAM $/MB"][0] / commodity["RAM $/MB"][1]
@@ -70,7 +77,7 @@ FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "s5_moore", _build,
+        "s5_moore", _build, check=check, report=report,
         params={"years": 6.0},
         counters=lambda r: {
             "commodities": len(r[0]),

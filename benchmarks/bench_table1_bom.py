@@ -22,13 +22,18 @@ def _build():
     return bom, rows
 
 
-def test_table1_bom(benchmark):
-    bom, rows = benchmark(_build)
-    print()
-    print(format_table(["Qty", "Price", "Ext.", "Description"], rows,
-                       "Table 1: Space Simulator architecture and price (September 2002)"))
-    print(f"network share per node: ${bom.network_cost_per_node:.0f} "
-          f"({100*bom.network_fraction:.0f}%)")
+def report(result) -> str:
+    bom, rows = result
+    return "\n".join([
+        format_table(["Qty", "Price", "Ext.", "Description"], rows,
+                     "Table 1: Space Simulator architecture and price (September 2002)"),
+        f"network share per node: ${bom.network_cost_per_node:.0f} "
+        f"({100*bom.network_fraction:.0f}%)",
+    ])
+
+
+def check(result) -> None:
+    bom, _ = result
     assert bom.total_cost == 483_855.0
     assert round(bom.cost_per_node) == 1646
     assert abs(bom.peak_gflops - 1487.6) < 1.0
@@ -41,7 +46,7 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table1_bom", _build,
+        "table1_bom", _build, check=check, report=report,
         counters=lambda r: {
             "total_cost": r[0].total_cost,
             "cost_per_node": r[0].cost_per_node,

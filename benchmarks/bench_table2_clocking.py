@@ -22,14 +22,15 @@ def _build():
     return rows
 
 
-def test_table2_clocking(benchmark):
-    rows = benchmark(_build)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["benchmark", "normal", "slow mem", "slow CPU", "overclock (model)", "overclock (paper)"],
         rows,
         "Table 2: clock-scaling model vs measurement",
-    ))
+    )
+
+
+def check(rows) -> None:
     profiles = table2_profiles()
     for name, profile in profiles.items():
         measured = TABLE2_MEASURED[name][3]
@@ -47,7 +48,7 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table2_clocking", _build,
+        "table2_clocking", _build, check=check, report=report,
         counters=lambda rows: {"rows": len(rows)},
     )
 

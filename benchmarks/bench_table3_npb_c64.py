@@ -40,15 +40,20 @@ def _build():
     return verified, rows
 
 
-def test_table3_npb_class_c_64(benchmark):
-    verified, rows = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
-    print("kernel self-verification (class S):", verified)
-    print(format_table(
-        ["benchmark", "SS model", "SS paper", "Q model", "Q paper"],
-        rows,
-        "Table 3: 64-processor class C NPB (Mop/s)",
-    ))
+def report(result) -> str:
+    verified, rows = result
+    return "\n".join([
+        f"kernel self-verification (class S): {verified}",
+        format_table(
+            ["benchmark", "SS model", "SS paper", "Q model", "Q paper"],
+            rows,
+            "Table 3: 64-processor class C NPB (Mop/s)",
+        ),
+    ])
+
+
+def check(result) -> None:
+    verified, rows = result
     assert all(verified.values())
     for bench, ss_model, ss_paper, q_model, q_paper in rows:
         assert abs(ss_model / ss_paper - 1.0) < 1e-6, bench  # calibration column
@@ -62,7 +67,7 @@ FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table3_npb_c64", _build,
+        "table3_npb_c64", _build, check=check, report=report,
         params={"klass": "C", "procs": 64},
         counters=lambda r: {
             "verified": sum(r[0].values()),

@@ -34,14 +34,15 @@ def _build():
     return rows
 
 
-def test_table4_npb_class_d_256(benchmark):
-    rows = benchmark(_build)
-    print()
-    print(format_table(
+def report(rows) -> str:
+    return format_table(
         ["benchmark", "SS model", "SS paper", "SS ratio", "Q model", "Q paper", "Q ratio"],
         rows,
         "Table 4: 256-processor class D NPB (Mop/s) — pure prediction",
-    ))
+    )
+
+
+def check(rows) -> None:
     for bench, ss_m, ss_p, ss_r, q_m, q_p, q_r in rows:
         assert 0.5 < ss_r < 2.0, bench
         assert 0.5 < q_r < 2.0, bench
@@ -57,7 +58,7 @@ FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table4_npb_d256", _build,
+        "table4_npb_d256", _build, check=check, report=report,
         params={"klass": "D", "procs": 256},
         counters=lambda rows: {"rows": len(rows)},
     )

@@ -15,20 +15,18 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import ParallelConfig, parallel_tree_accelerations
 from repro.machine import TABLE6_MACHINES
+from repro.obs import wait_summary
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, run_main
+from _harness import cli, comm_health_counters, run_main, sphere_cloud
 
 
 def _sphere(n, seed=7):
     """The 'spherical distribution representing the initial evolution
     of a cosmological N-body simulation' (Section 4.2)."""
     rng = np.random.default_rng(seed)
-    r = rng.random(n) ** (1.0 / 3.0)
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    pos = r[:, None] * d * (1.0 + 0.05 * rng.standard_normal((n, 1)))
-    return pos, np.full(n, 1.0 / n)
+    pos, m = sphere_cloud(rng, n, 1.0 / 3.0)
+    return pos * (1.0 + 0.05 * rng.standard_normal((n, 1))), m
 
 
 def _build():
@@ -41,19 +39,23 @@ def _build():
     return result
 
 
-def test_table6_treecode_history(benchmark):
-    result = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print()
+def report(result) -> str:
     rows = [[m.year, m.site, m.machine, m.procs, m.gflops, m.mflops_per_proc]
             for m in TABLE6_MACHINES]
-    print(format_table(
-        ["Year", "Site", "Machine", "Procs", "Gflop/s", "Mflops/proc"],
-        rows, "Table 6: historical treecode performance (paper survey)",
-    ))
+    return "\n".join([
+        format_table(
+            ["Year", "Site", "Machine", "Procs", "Gflop/s", "Mflops/proc"],
+            rows, "Table 6: historical treecode performance (paper survey)",
+        ),
+        "",
+        f"simulated SS (4 ranks, N=6000): {result.mflops_per_proc:.0f} Mflop/s per "
+        f"processor (paper, 288 procs at ~78x the per-rank load: 623.9)",
+        f"parallel efficiency: {result.sim.parallel_efficiency():.2f}",
+    ])
+
+
+def check(result) -> None:
     mfpp = result.mflops_per_proc
-    print(f"\nsimulated SS (4 ranks, N=6000): {mfpp:.0f} Mflop/s per processor "
-          f"(paper, 288 procs at ~78x the per-rank load: 623.9)")
-    print(f"parallel efficiency: {result.sim.parallel_efficiency():.2f}")
     ss = next(m for m in TABLE6_MACHINES if m.machine == "Space Simulator")
     # Shape check: within a factor ~2 of the paper's per-proc rate and
     # between Green Destiny and ASCI QB, as the survey has it.
@@ -63,24 +65,11 @@ def test_table6_treecode_history(benchmark):
 
 
 def _counters(r) -> dict:
-    from repro.obs import wait_summary
-
-    hits = r.comm.get("cache_hits", 0.0)
-    misses = r.comm.get("cache_misses", 0.0)
-    out = {
+    return {
         "mflops_per_proc": r.mflops_per_proc,
         "parallel_efficiency": r.sim.parallel_efficiency(),
-        # Latency-hiding health on the Table 6 workload: cell-cache
-        # effectiveness (the fleet gate holds hit_rate's floor) and the
-        # engine's wait-state mix in virtual seconds.
-        "cellcache.hits": hits,
-        "cellcache.misses": misses,
-        "cellcache.evictions": r.comm.get("cache_evictions", 0.0),
-        "cellcache.hit_rate": hits / max(1.0, hits + misses),
+        **comm_health_counters(r.comm, wait_summary(r.sim.observer)["by_cause"]),
     }
-    for cause, s in wait_summary(r.sim.observer)["by_cause"].items():
-        out[f"wait.{cause}_s"] = s
-    return out
 
 
 #: Already CI-cheap (one 4-rank force solve), so smoke == full.
@@ -89,7 +78,7 @@ FLEET = {"tags": ("table", "treecode", "comm"), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table6_treecode_history", _build,
+        "table6_treecode_history", _build, check=check, report=report,
         params={"n": 6000, "n_ranks": 4, "theta": 0.8},
         counters=_counters,
         virtual_seconds=lambda r: r.sim.elapsed,

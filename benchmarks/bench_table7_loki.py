@@ -17,11 +17,12 @@ def _build():
     return rows
 
 
-def test_table7_loki(benchmark):
-    rows = benchmark(_build)
-    print()
-    print(format_table(["Qty", "Price", "Ext.", "Description"], rows,
-                       "Table 7: Loki architecture and price (September 1996)"))
+def report(rows) -> str:
+    return format_table(["Qty", "Price", "Ext.", "Description"], rows,
+                        "Table 7: Loki architecture and price (September 1996)")
+
+
+def check(rows) -> None:
     assert LOKI_BOM.total_cost == 51_379.0
     assert round(LOKI_BOM.cost_per_node) == 3211
 
@@ -33,7 +34,7 @@ FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
 
 def main(smoke: bool = False) -> dict:
     return run_main(
-        "table7_loki", _build,
+        "table7_loki", _build, check=check, report=report,
         counters=lambda rows: {"total_cost": LOKI_BOM.total_cost, "rows": len(rows)},
     )
 

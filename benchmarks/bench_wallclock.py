@@ -34,19 +34,11 @@ from repro.core.backend_wall import WallBackend
 from repro.core.procpool import MultiprocessBackend, resolve_pool_workers
 from repro.obs import wallclock as wc
 
-from _harness import cli, run_main
+from _harness import cli, run_main, sphere_cloud
 
 #: Reduced smoke: a much smaller N than the full bench, so it reports
 #: under a distinct record name to keep full-mode baselines clean.
 FLEET = {"tags": ("wallclock", "parallel", "backend"), "smoke": "reduced"}
-
-
-def _problem(n: int, seed: int):
-    rng = np.random.default_rng(seed)
-    r = rng.random(n) ** (2.0 / 3.0)
-    d = rng.standard_normal((n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return r[:, None] * d, np.full(n, 1.0 / n)
 
 
 def _leg(pos, m, ranks, steps, config):
@@ -57,7 +49,7 @@ def _leg(pos, m, ranks, steps, config):
 
 
 def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
-    pos, m = _problem(n, seed)
+    pos, m = sphere_cloud(np.random.default_rng(seed), n, 2.0 / 3.0)
     theta, eps = 0.7, 0.02
 
     ref_s, ref = _leg(pos, m, ranks, steps,
@@ -83,12 +75,7 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
         and all(np.array_equal(a, b) for a, b in
                 zip(opt.step_accelerations, chk.step_accelerations))
     )
-    if not bit_identical:
-        raise AssertionError(
-            "multiprocess batched run diverged from serial batched run")
     partition_exact = sum(report.buckets.values()) == report.elapsed
-    if not partition_exact:
-        raise AssertionError("wallclock buckets do not partition elapsed")
 
     return {
         "reference_s": ref_s,
@@ -99,6 +86,11 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
         "bit_identical": bit_identical,
         "partition_exact": partition_exact,
     }
+
+
+def check(out) -> None:
+    assert out["bit_identical"], "multiprocess batched run diverged from serial batched run"
+    assert out["partition_exact"], "wallclock buckets do not partition elapsed"
 
 
 def main(smoke: bool = False) -> dict:
@@ -121,7 +113,7 @@ def main(smoke: bool = False) -> dict:
 
     return run_main(
         "wallclock_smoke" if smoke else "wallclock",
-        lambda: _measure(n, ranks, steps, seed),
+        lambda: _measure(n, ranks, steps, seed), check=check,
         params={
             "n": n, "ranks": ranks, "steps": steps, "seed": seed,
             "cpu_count": os.cpu_count() or 1,

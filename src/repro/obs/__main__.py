@@ -26,7 +26,8 @@ Three subcommands drive the analysis stack from the shell:
     crash-safe resume, ``--workers`` parallelism, one ``fleet.jsonl``
     ledger line per bench.  ``--baseline`` + ``--gate`` runs the
     multi-metric regression gate over the committed history, which is
-    the gate CI keys off; ``--history`` appends the freshly computed
+    the gate CI keys off (a gate without a baseline that holds records
+    is a usage error, exit 2, before any bench runs); ``--history`` appends the freshly computed
     records to a history file; ``--html`` writes the self-contained
     fleet report.  Exits 1 on a failed bench or a gate regression.
 
@@ -148,6 +149,17 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
             print(f"{entry.name:30s} smoke={entry.smoke:8s} tags={','.join(entry.tags)}")
         return 0
 
+    # A gate that has nothing to compare against would report OK with
+    # every row skipped: refuse it before any bench runs.
+    gated = opts.gate or bool(opts.gate_spec)
+    if gated and not opts.baseline:
+        opts.usage_error("--gate / --gate-spec compare the run against "
+                         "--baseline HISTORY.jsonl, and none was given")
+    baseline = load_history(opts.baseline) if opts.baseline else []
+    if gated and not baseline:
+        opts.usage_error(f"--baseline {opts.baseline} holds no record, so the "
+                         "gate would compare nothing")
+
     run = run_fleet(
         opts.bench or None,
         out_dir=opts.out,
@@ -163,8 +175,7 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
               f"{record['fleet'].get('error', '?')}", file=sys.stderr)
 
     multi = None
-    baseline = load_history(opts.baseline) if opts.baseline else []
-    if opts.gate or opts.gate_spec:
+    if gated:
         gates = (
             tuple(parse_gate_spec(s) for s in opts.gate_spec)
             if opts.gate_spec else DEFAULT_FLEET_GATES
@@ -341,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
                            "file")
     p_fl.add_argument("--throttle", type=float, default=0.0,
                       help="per-shard pacing delay, for crash drills")
-    p_fl.set_defaults(func=_cmd_fleet)
+    p_fl.set_defaults(func=_cmd_fleet, usage_error=p_fl.error)
 
     p_wc = sub.add_parser("wallclock", help="wall-clock bucket attribution report")
     p_wc.add_argument("--n", type=int, default=4000, help="particles (default 4000)")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from .model import Recorder, Span
+from .model import Recorder, Span, _spans_of
 
 __all__ = [
     "WAIT_CAUSES",
@@ -63,12 +63,6 @@ WAIT_CAUSES = (
 _WAIT_CATS = frozenset({"blocked", "collective"})
 
 _ATOL = 1e-12
-
-
-def _spans_of(source: Recorder | Iterable[Span]) -> list[Span]:
-    if isinstance(source, Recorder):
-        return list(source.spans)
-    return list(source)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 The poor man's Vampir view, generalized: any span list renders as one
 row per track with category-coded glyphs.  :func:`repro.simmpi.trace.render_timeline`
-is a thin adapter over this renderer, preserving its historical output
-byte for byte.
+is this renderer over a run's rank-activity spans.
 """
 
 from __future__ import annotations

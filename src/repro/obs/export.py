@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from .model import Recorder, Span
+from .model import Recorder, Span, _spans_of
 
 __all__ = [
     "chrome_trace",
@@ -31,12 +31,6 @@ __all__ = [
     "dumps_canonical",
     "canonical_floats",
 ]
-
-
-def _spans_of(source: Recorder | Iterable[Span]) -> list[Span]:
-    if isinstance(source, Recorder):
-        return list(source.spans)
-    return list(source)
 
 
 def chrome_trace(

@@ -267,6 +267,14 @@ class NullRecorder(Recorder):
 NULL = NullRecorder()
 
 
+def _spans_of(source: Recorder | Iterable[Span]) -> list[Span]:
+    """The spans of a recorder, or of any iterable of spans, as a list:
+    what every analysis, exporter and report accepts as its source."""
+    if isinstance(source, Recorder):
+        return list(source.spans)
+    return list(source)
+
+
 def validate_nesting(spans: Iterable[Span], atol: float = 1e-12) -> None:
     """Raise ``ValueError`` unless spans form a forest per track.
 

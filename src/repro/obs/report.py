@@ -31,7 +31,7 @@ from .analysis import (
     load_imbalance,
     wait_summary,
 )
-from .model import Recorder, Span
+from .model import Recorder, Span, _spans_of
 
 __all__ = [
     "svg_timeline",
@@ -85,12 +85,6 @@ svg text { font: 11px system-ui, sans-serif; fill: #52514e; }
   svg text { fill: #c3c2b7; }
 }
 """
-
-
-def _spans_of(source: Recorder | Iterable[Span]) -> list[Span]:
-    if isinstance(source, Recorder):
-        return list(source.spans)
-    return list(source)
 
 
 def _fill(cat: str, dark: bool = False) -> str:

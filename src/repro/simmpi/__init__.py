@@ -47,7 +47,7 @@ from .engine import (
     run,
 )
 from .faults import FaultEvent, FaultPlan, RankFailedError
-from .trace import TraceEvent, render_timeline, utilization
+from .trace import render_timeline, utilization
 
 __all__ = [
     "ANY_SOURCE",
@@ -74,7 +74,6 @@ __all__ = [
     "FaultPlan",
     "RankFailedError",
     "patterns",
-    "TraceEvent",
     "render_timeline",
     "utilization",
 ]

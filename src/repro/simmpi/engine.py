@@ -47,11 +47,11 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, reduce as _fold
+from functools import reduce as _fold
 from typing import Any, Callable, Generator, Sequence
 
 from ..machine.perfmodel import Workload
-from ..obs import NULL, Recorder
+from ..obs import NULL, Recorder, Span
 from ..obs.wallclock import bucket as _wall_bucket
 from .api import (
     ANY_SOURCE,
@@ -73,7 +73,6 @@ from .api import (
 )
 from .cost import CostModel, ZeroCost
 from .faults import FaultPlan, RankFailedError
-from .trace import TraceEvent, spans_to_trace
 
 __all__ = [
     "DeadlockError",
@@ -144,8 +143,8 @@ class SimResult:
 
     ``observer`` is the :class:`~repro.obs.Recorder` that captured the
     run's spans and counters (None when tracing was disabled and no
-    external observer was supplied); ``trace`` is the legacy per-rank
-    interval view derived from it on first access.  ``trace_sample``
+    external observer was supplied); ``trace`` is the spans it held
+    when the run ended.  ``trace_sample``
     records the span decimation the engine ran with (1.0 = every rank
     traced).
     """
@@ -159,12 +158,12 @@ class SimResult:
     #: shared recorder may grow afterwards); 0 with ``record_trace=False``.
     trace_spans: int = 0
 
-    @cached_property
-    def trace(self) -> list[TraceEvent]:
-        """Legacy :class:`TraceEvent` view of the run (empty untraced)."""
+    @property
+    def trace(self) -> list[Span]:
+        """The run's spans, in recording order (empty untraced)."""
         if not self.trace_spans:
             return []
-        return spans_to_trace(self.observer.spans[: self.trace_spans])
+        return self.observer.spans[: self.trace_spans]
 
     @property
     def elapsed(self) -> float:

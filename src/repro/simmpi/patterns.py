@@ -23,9 +23,11 @@ Two families coexist here:
 
 The ``allreduce``/``reduce``/``bcast``/``gather``/``allgather``/
 ``scatter``/``barrier`` wrappers select between the engine primitive
-and the tree algorithm automatically by group size (flat at or below
+and the tree algorithm by group size alone (flat at or below
 :data:`FLAT_COLLECTIVE_MAX` ranks, tree above), so rank programs write
-one call and get the scalable algorithm only where it pays.
+one call and get the scalable algorithm only where it pays.  They take
+no algorithm option: a program that wants one fixed algorithm calls the
+``comm.*`` primitive or the ``tree_*`` function by name.
 
 All are generator functions to be delegated with ``yield from`` inside
 a rank program::
@@ -458,89 +460,74 @@ def tree_barrier(comm: Comm, tag: int = TREE_BARRIER_TAG) -> Generator:
 
 # -- automatic algorithm selection --------------------------------------
 
-def _choose(algorithm: str, size: int, threshold: int | None) -> str:
-    if algorithm not in ("auto", "flat", "tree"):
-        raise ValueError(
-            f"algorithm must be 'auto', 'flat', or 'tree', got {algorithm!r}"
-        )
-    if algorithm != "auto":
-        return algorithm
-    limit = FLAT_COLLECTIVE_MAX if threshold is None else int(threshold)
-    return "flat" if size <= limit else "tree"
+def _flat(comm: Comm) -> bool:
+    return comm.size <= FLAT_COLLECTIVE_MAX
 
 
-def allreduce(comm: Comm, payload: Any, op: Callable = SUM, *,
-              algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def allreduce(comm: Comm, payload: Any, op: Callable = SUM) -> Generator:
     """Size-selected allreduce: flat primitive small, tree large.
 
-    Bit-identical results either way (see :func:`tree_allreduce`);
-    ``threshold`` overrides :data:`FLAT_COLLECTIVE_MAX` for this call.
+    Bit-identical results either way (see :func:`tree_allreduce`).
     """
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.allreduce(payload, op=op)
     else:
         result = yield from tree_allreduce(comm, payload, op=op)
     return result
 
 
-def reduce(comm: Comm, payload: Any, root: int = 0, op: Callable = SUM, *,
-           algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def reduce(comm: Comm, payload: Any, root: int = 0, op: Callable = SUM) -> Generator:
     """Size-selected reduce-to-root (bit-identical to ``comm.reduce``)."""
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.reduce(payload, root=root, op=op)
     else:
         result = yield from tree_reduce(comm, payload, root=root, op=op)
     return result
 
 
-def bcast(comm: Comm, payload: Any, root: int = 0, *,
-          algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def bcast(comm: Comm, payload: Any, root: int = 0) -> Generator:
     """Size-selected broadcast (same object delivered to every rank)."""
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.bcast(payload, root=root)
     else:
         result = yield from tree_bcast(comm, payload, root=root)
     return result
 
 
-def gather(comm: Comm, payload: Any, root: int = 0, *,
-           algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def gather(comm: Comm, payload: Any, root: int = 0) -> Generator:
     """Size-selected gather-to-root (rank-ordered list at the root)."""
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.gather(payload, root=root)
     else:
         result = yield from tree_gather(comm, payload, root=root)
     return result
 
 
-def allgather(comm: Comm, payload: Any, *, nbytes: int | None = None,
-              algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def allgather(comm: Comm, payload: Any, *, nbytes: int | None = None) -> Generator:
     """Size-selected allgather (fresh rank-ordered list on every rank).
 
     ``nbytes`` overrides the flat primitive's wire-size walk; the tree
     path sizes its own protocol messages incrementally.
     """
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.allgather(payload, nbytes=nbytes)
     else:
         result = yield from tree_allgather(comm, payload)
     return result
 
 
-def scatter(comm: Comm, items: "list[Any] | None", root: int = 0, *,
-            algorithm: str = "auto", threshold: int | None = None) -> Generator:
+def scatter(comm: Comm, items: "list[Any] | None", root: int = 0) -> Generator:
     """Size-selected scatter (each rank gets exactly its own item)."""
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         result = yield comm.scatter(items, root=root)
     else:
         result = yield from tree_scatter(comm, items, root=root)
     return result
 
 
-def barrier(comm: Comm, *, algorithm: str = "auto",
-            threshold: int | None = None) -> Generator:
+def barrier(comm: Comm) -> Generator:
     """Size-selected barrier (flat primitive vs dissemination rounds)."""
-    if _choose(algorithm, comm.size, threshold) == "flat":
+    if _flat(comm):
         yield comm.barrier()
     else:
         yield from tree_barrier(comm)

@@ -1,11 +1,13 @@
-"""Execution traces and ASCII timelines for SimMPI runs.
+"""ASCII timelines and per-rank utilization of SimMPI runs.
 
-The engine records per-rank activity through the unified
-:mod:`repro.obs` layer; this module keeps the historical SimMPI-facing
-surface — the :class:`TraceEvent` record, the Gantt-style ASCII
-timeline (the poor man's Vampir/Jumpshot, which is what one actually
-stared at in 2003), and per-rank utilization summaries — as thin
-adapters over that model.
+The engine records per-rank activity as :class:`repro.obs.Span`
+intervals (``track`` = rank, ``name`` = phase label or wait reason,
+``cat`` one of ``compute``, ``blocked``, ``collective``, ``failed``),
+and ``SimResult.trace`` is that span list.  This module reads it two
+ways: the Gantt-style ASCII timeline (the poor man's Vampir/Jumpshot,
+which is what one actually stared at in 2003) and the per-rank
+compute / blocked / idle fractions.  A ``collective`` wait is a
+blocked interval in both.
 
 Usage::
 
@@ -19,83 +21,20 @@ For richer views (Perfetto-loadable Chrome traces, flat metrics) use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
-from ..obs import Span, render_spans
+from ..obs import DEFAULT_SYMBOLS, Span, render_spans
 
-__all__ = [
-    "TraceEvent",
-    "render_timeline",
-    "utilization",
-    "trace_to_spans",
-    "spans_to_trace",
-]
+__all__ = ["render_timeline", "utilization"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One activity interval of one rank."""
-
-    rank: int
-    t_start: float
-    t_end: float
-    kind: str  # "compute", "blocked", or "failed" (instantaneous crash)
-    detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.t_end < self.t_start:
-            raise ValueError("interval ends before it starts")
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
-
-def trace_to_spans(trace: list[TraceEvent]) -> list[Span]:
-    """Lift legacy trace events into obs spans (track = rank).
-
-    Collective waits (detail ``collective #n (...)``) get their own
-    category so exporters can tell communication structure from
-    point-to-point blocking.
-    """
-    spans = []
-    for e in trace:
-        if e.kind == "blocked" and e.detail.startswith("collective"):
-            cat = "collective"
-        else:
-            cat = e.kind
-        name = e.detail if e.kind == "blocked" and e.detail else (e.detail or e.kind)
-        spans.append(Span(name, e.t_start, e.t_end, track=e.rank, cat=cat))
-    return spans
-
-
-def spans_to_trace(spans: list[Span]) -> list[TraceEvent]:
-    """Project obs spans back onto the legacy TraceEvent surface.
-
-    ``compute`` spans keep their phase label as ``detail`` (empty for
-    the anonymous ``compute``/``elapse`` defaults); ``collective``
-    spans fold back into ``blocked``, which is what the pre-obs engine
-    recorded them as.
-    """
-    out = []
-    for s in spans:
-        if s.cat == "compute":
-            detail = "" if s.name in ("compute", "elapse") else s.name
-            out.append(TraceEvent(s.track, s.t_start, s.t_end, "compute", detail))
-        elif s.cat in ("blocked", "collective"):
-            out.append(TraceEvent(s.track, s.t_start, s.t_end, "blocked", s.name))
-        elif s.cat == "failed":
-            out.append(TraceEvent(s.track, s.t_start, s.t_end, "failed", s.name))
-    return out
-
-
-def utilization(trace: list[TraceEvent], elapsed: float, n_ranks: int) -> list[dict]:
+def utilization(spans: Iterable[Span], elapsed: float, n_ranks: int) -> list[dict]:
     """Per-rank breakdown: compute / blocked / idle fractions.
 
-    Single pass over the trace grouped by rank (events from ranks
-    outside ``[0, n_ranks)`` are ignored, as before).  A zero-elapsed
-    run — nothing ever happened — has utilization 0.0 across the board
-    rather than a division error; negative elapsed is still rejected.
+    Single pass over the spans grouped by rank (spans on tracks outside
+    ``[0, n_ranks)`` are ignored).  A zero-elapsed run — nothing ever
+    happened — has utilization 0.0 across the board rather than a
+    division error; negative elapsed is still rejected.
     """
     if elapsed < 0:
         raise ValueError("elapsed must be non-negative")
@@ -106,12 +45,12 @@ def utilization(trace: list[TraceEvent], elapsed: float, n_ranks: int) -> list[d
         ]
     compute = [0.0] * n_ranks
     blocked = [0.0] * n_ranks
-    for e in trace:
-        if 0 <= e.rank < n_ranks:
-            if e.kind == "compute":
-                compute[e.rank] += e.duration
-            elif e.kind == "blocked":
-                blocked[e.rank] += e.duration
+    for s in spans:
+        if 0 <= s.track < n_ranks:
+            if s.cat == "compute":
+                compute[s.track] += s.duration
+            elif s.cat in ("blocked", "collective"):
+                blocked[s.track] += s.duration
     return [
         {
             "rank": rank,
@@ -124,15 +63,14 @@ def utilization(trace: list[TraceEvent], elapsed: float, n_ranks: int) -> list[d
 
 
 def render_timeline(
-    trace: list[TraceEvent], elapsed: float, n_ranks: int | None = None, width: int = 72
+    spans: Iterable[Span], elapsed: float, n_ranks: int | None = None, width: int = 72
 ) -> str:
-    """ASCII Gantt chart: '#' compute, '.' blocked, 'X' crash, ' ' idle."""
-    if not trace:
-        return "(empty trace)"
-    if elapsed <= 0:
-        raise ValueError("elapsed must be positive")
-    if width < 10:
-        raise ValueError("width must be >= 10")
+    """ASCII Gantt chart: '#' compute, '.' blocked, 'X' crash, ' ' idle.
+
+    Spans of other categories (a shared recorder may hold some) are not
+    rank activity and are left out.
+    """
     return render_spans(
-        trace_to_spans(trace), elapsed, n_tracks=n_ranks, width=width
+        [s for s in spans if s.cat in DEFAULT_SYMBOLS],
+        elapsed, n_tracks=n_ranks, width=width,
     )

@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -10,8 +11,27 @@ import time
 import pytest
 
 from repro.campaign import ResultStore
+from repro.obs.fleet import BENCH_ROOT_ENV
 
-REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO_SRC = os.path.join(REPO_ROOT, "src")
+REAL_BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
+
+
+@pytest.fixture
+def suite(tmp_path, monkeypatch):
+    """A fixture bench dir with the real harness/schema copied in."""
+    monkeypatch.delenv(BENCH_ROOT_ENV, raising=False)
+    bench_dir = str(tmp_path / "suite")
+    os.makedirs(bench_dir)
+    shutil.copy(os.path.join(REAL_BENCH_DIR, "_harness.py"), bench_dir)
+    shutil.copy(os.path.join(REAL_BENCH_DIR, "schema.json"), bench_dir)
+    yield bench_dir
+    # Stems repeat across tests (alpha, beta, ...); the fleet's module
+    # cache is checked against the file path, so only the path entry
+    # needs undoing.
+    if bench_dir in sys.path:
+        sys.path.remove(bench_dir)
 
 
 @pytest.fixture

@@ -2,13 +2,19 @@
 
 Every ``benchmarks/bench_*.py`` must expose ``main() -> dict`` built on
 ``benchmarks/_harness.py``, and the record it returns must validate
-against ``benchmarks/schema.json``.  The cheap shape checks (module
-exposes a callable ``main``, the schema file itself is well-formed, the
-subset validator works, history appends are atomic) run in the default
-suite; actually executing all 28 payloads (in the smoke
-parameterization the fleet registry declares) is marked slow.
+against ``benchmarks/schema.json``.  A bench has one run path:
+``run_main`` builds the payload, prints its report, runs its ``check``
+(the paper claims) and returns the record, so executing ``main`` *is*
+asserting the reproduction.  The cheap shape checks (module exposes a
+callable ``main`` and no ``test_*``, the schema file itself is
+well-formed, the subset validator works, history appends are atomic, a
+failed claim fails the fleet) run in the default suite; actually
+executing all 28 payloads (in the smoke parameterization the fleet
+registry declares) is marked slow, as are the claims that need a
+larger workload than the recorded one.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -16,7 +22,8 @@ import sys
 
 import pytest
 
-from repro.obs.fleet import build_registry
+from repro.obs.__main__ import main as obs_main
+from repro.obs.fleet import build_registry, load_fleet
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 BENCH_FILES = sorted(
@@ -56,6 +63,93 @@ def test_bench_files_found():
 def test_exposes_main(filename):
     mod = _load(filename)
     assert callable(getattr(mod, "main", None)), f"{filename} has no main()"
+
+
+def test_no_bench_has_a_second_run_path():
+    # One way to run a bench: nothing for pytest to collect, no
+    # pytest-benchmark fixture, no module global rebound per call.
+    for filename in BENCH_FILES:
+        with open(os.path.join(BENCH_DIR, filename)) as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert not node.name.startswith("test_"), (filename, node.name)
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "benchmark" not in {a.arg for a in args}, (filename, node.name)
+            assert not isinstance(node, ast.Global), (filename, node.lineno)
+
+
+class TestRunMain:
+    """``run_main``: build, report, check, record, in that order."""
+
+    def test_check_is_required(self, harness):
+        with pytest.raises(TypeError, match="check"):
+            harness.run_main("unit_test", lambda: 1)
+
+    def test_report_then_record_on_stdout(self, harness, capsys):
+        record = harness.run_main(
+            "unit_test", lambda: 7, check=lambda r: None,
+            report=lambda r: f"TABLE of {r}", counters=lambda r: {"x": r},
+        )
+        out = capsys.readouterr().out
+        assert out.startswith("TABLE of 7\n{")
+        assert json.loads(out[out.index("{"):]) == record
+        assert record["counters"] == {"x": 7.0}
+
+    def test_failed_claim_names_bench_and_source_line(self, harness, capsys):
+        def check(result):
+            assert result > 100
+
+        with pytest.raises(AssertionError) as exc:
+            harness.run_main("unit_test", lambda: 7, check=check,
+                             report=lambda r: "TABLE")
+        assert "'unit_test'" in str(exc.value)
+        assert "assert result > 100" in str(exc.value)
+        # The table is printed for the reader of the failure; no record is.
+        assert capsys.readouterr().out == "TABLE\n"
+
+    def test_cli_prints_report_above_record(self, harness, capsys):
+        # What --out / --history write is pinned in test_obs_history.py.
+        def main(smoke=False):
+            return harness.run_main(
+                "unit_test", lambda: 1, check=lambda r: None,
+                report=lambda r: "TABLE", params={"smoke": smoke},
+            )
+
+        assert harness.cli(main, argv=["--smoke"])["params"] == {"smoke": True}
+        out = capsys.readouterr().out
+        assert out.index("TABLE") < out.index('"name": "unit_test"')
+
+
+_FAILING_CLAIM_BENCH = '''\
+from _harness import cli, run_main
+
+PAPER_TOTAL = 51_379.0
+FLEET = {"tags": ("fixture",), "smoke": "full"}
+
+
+def check(total):
+    assert total == PAPER_TOTAL
+
+
+def main(smoke: bool = False) -> dict:
+    return run_main("wrongtotal", lambda: 51_380.0, check=check,
+                    report=lambda total: f"total {total}")
+'''
+
+
+def test_failed_claim_fails_the_fleet(suite, tmp_path, capsys):
+    # The whole chain, on a fixture suite (conftest.py): a claim that
+    # fails -> `failed` ledger row carrying the assertion text ->
+    # `python -m repro.obs fleet` exit status 1.
+    with open(os.path.join(suite, "bench_wrongtotal.py"), "w") as fh:
+        fh.write(_FAILING_CLAIM_BENCH)
+    out = tmp_path / "out"
+    assert obs_main(["fleet", "--out", str(out), "--bench-dir", suite]) == 1
+    (row,) = load_fleet(str(out / "fleet.jsonl"))
+    assert row["fleet"]["status"] == "failed"
+    assert "assert total == PAPER_TOTAL" in row["fleet"]["error"]
+    assert "assert total == PAPER_TOTAL" in capsys.readouterr().err
 
 
 class TestSchema:
@@ -233,3 +327,15 @@ def test_main_record_validates(filename, harness, registry, capsys):
     assert harness.validate_record(record) == [], filename
     assert record["name"] == entry.smoke_record_name
     assert record["seconds"] > 0
+
+
+@pytest.mark.slow
+def test_resilience_young_minimum(tmp_path):
+    # The two claims of bench_resilience.py that hold only on the whole
+    # 7-interval x 25-seed grid (the recorded 3 x 3 corner stops on the
+    # falling side of the curve).  Virtual time, seeded: deterministic.
+    mod = _load("bench_resilience.py")
+    rows = mod._sweep(tmp_path, mod.INTERVALS_S, mod.N_SEEDS)
+    print(mod.report(rows))
+    mod.check(rows)
+    mod.check_young_minimum(rows)

@@ -180,3 +180,36 @@ class TestCompareCommand:
         hist = tmp_path / "h.jsonl"
         hist.write_text(_history_lines([1.0] * 5 + [1.10]))
         assert main(["compare", str(hist), "--threshold", "0.15"]) == 0
+
+
+class TestFleetGateNeedsBaseline:
+    """A gate that compares nothing must not pass: without a baseline
+    that holds records every row is `skipped` and the verdict was OK."""
+
+    @pytest.mark.parametrize("gate", (["--gate"], ["--gate-spec", "virtual_seconds:0.15"]))
+    def test_gate_without_baseline_is_a_usage_error(self, gate, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--bench", "table7_loki", "--out", str(out), *gate])
+        assert exc.value.code == 2
+        assert "--baseline" in capsys.readouterr().err
+        assert not out.exists()  # refused before any bench ran
+
+    def test_baseline_without_records_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n{not json\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--bench", "table7_loki", "--out", str(out),
+                  "--baseline", str(empty), "--gate"])
+        assert exc.value.code == 2
+        assert "holds no record" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gate_with_baseline_runs_and_compares(self, tmp_path, capsys):
+        baseline = tmp_path / "b.jsonl"
+        baseline.write_text(_history_lines([0.0] * 3, "table7_loki"))
+        rc = main(["fleet", "--bench", "table7_loki", "--out", str(tmp_path / "out"),
+                   "--baseline", str(baseline), "--gate-spec", "virtual_seconds:0.15"])
+        assert rc == 0
+        assert "FLEET GATE OK" in capsys.readouterr().out

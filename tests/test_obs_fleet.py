@@ -13,7 +13,6 @@ import json
 import os
 import re
 import shutil
-import sys
 
 import pytest
 
@@ -47,6 +46,7 @@ def main(smoke: bool = False) -> dict:
     return run_main(
         {record_name},
         lambda: {{"x": {value}}},
+        check=lambda out: None,
         params={{"smoke": smoke}},
         counters=lambda out: {{
             "x": out["x"],
@@ -55,7 +55,6 @@ def main(smoke: bool = False) -> dict:
             "wait.transfer_s": 0.5,
         }},
         virtual_seconds={value},
-        quiet=True,
     )
 '''
 
@@ -74,22 +73,6 @@ def _write_bench(bench_dir, name, *, smoke_kind="full", fail=False, value=2.0):
     )
     with open(os.path.join(bench_dir, f"bench_{name}.py"), "w") as fh:
         fh.write(source)
-
-
-@pytest.fixture
-def suite(tmp_path, monkeypatch):
-    """A fixture bench dir with the real harness/schema copied in."""
-    monkeypatch.delenv(BENCH_ROOT_ENV, raising=False)
-    bench_dir = str(tmp_path / "suite")
-    os.makedirs(bench_dir)
-    shutil.copy(os.path.join(REAL_BENCH_DIR, "_harness.py"), bench_dir)
-    shutil.copy(os.path.join(REAL_BENCH_DIR, "schema.json"), bench_dir)
-    yield bench_dir
-    # Stems repeat across tests (alpha, beta, ...); the fleet's module
-    # cache is checked against the file path, so only the path entry
-    # needs undoing.
-    if bench_dir in sys.path:
-        sys.path.remove(bench_dir)
 
 
 def _validate_ledger(path):

@@ -195,7 +195,8 @@ class TestHarnessAppendHistory:
 
         def main(smoke=False):
             return harness.run_main(
-                "unit.history", lambda: 41 + 1, virtual_seconds=0.5, quiet=True
+                "unit.history", lambda: 41 + 1, check=lambda out: None,
+                virtual_seconds=0.5,
             )
 
         record = main()

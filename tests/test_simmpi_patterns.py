@@ -342,18 +342,20 @@ class TestAutoWrappers:
         assert sum(s.msgs_sent for s in big.stats) > big_size
 
     def test_explicit_algorithm_override(self):
+        # A fixed algorithm is a named function, not an option.
         def prog(comm):
-            flat = yield from patterns.allreduce(comm, comm.rank, algorithm="flat")
-            tree = yield from patterns.allreduce(comm, comm.rank, algorithm="tree")
+            flat = yield comm.allreduce(comm.rank)
+            tree = yield from patterns.tree_allreduce(comm, comm.rank)
             return flat == tree == comm.size * (comm.size - 1) // 2
 
         assert all(run(prog, 6).returns)
 
     def test_unknown_algorithm_rejected(self):
+        # The wrappers select by group size alone: the option is gone.
         def prog(comm):
             yield from patterns.allreduce(comm, 1, algorithm="ring")
 
-        with pytest.raises(ValueError, match="algorithm"):
+        with pytest.raises(TypeError, match="algorithm"):
             run(prog, 2)
 
     def test_wrapper_mismatch_detected_in_flat_regime(self):

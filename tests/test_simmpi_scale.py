@@ -97,7 +97,7 @@ class TestScaleConformance:
         res = run(scale_workload, size, UniformCost())
         by_rank = defaultdict(list)
         for ev in res.trace:
-            by_rank[ev.rank].append(ev)
+            by_rank[ev.track].append(ev)
         assert set(by_rank) == set(range(size))
         for events in by_rank.values():
             for prev, cur in zip(events, events[1:]):
@@ -110,22 +110,29 @@ class TestFlatTreeBitIdentity:
     simulated program: every rank's return value bit-identical."""
 
     @staticmethod
-    def _collective_workload(algorithm):
-        def prog(comm):
-            x = 1.0 / (comm.rank + 3)
-            s = yield from patterns.allreduce(comm, x, algorithm=algorithm)
-            xs = yield from patterns.allgather(comm, (comm.rank, x), algorithm=algorithm)
-            lo = yield from patterns.reduce(comm, x, root=0, algorithm=algorithm)
-            lo = yield from patterns.bcast(comm, lo, root=0, algorithm=algorithm)
-            yield from patterns.barrier(comm, algorithm=algorithm)
-            return s, tuple(xs), lo
+    def _flat_workload(comm):
+        x = 1.0 / (comm.rank + 3)
+        s = yield comm.allreduce(x)
+        xs = yield comm.allgather((comm.rank, x))
+        lo = yield comm.reduce(x, root=0)
+        lo = yield comm.bcast(lo, root=0)
+        yield comm.barrier()
+        return s, tuple(xs), lo
 
-        return prog
+    @staticmethod
+    def _tree_workload(comm):
+        x = 1.0 / (comm.rank + 3)
+        s = yield from patterns.tree_allreduce(comm, x)
+        xs = yield from patterns.tree_allgather(comm, (comm.rank, x))
+        lo = yield from patterns.tree_reduce(comm, x, root=0)
+        lo = yield from patterns.tree_bcast(comm, lo, root=0)
+        yield from patterns.tree_barrier(comm)
+        return s, tuple(xs), lo
 
     @pytest.mark.parametrize("size", (3, 33, 64, 256))
     def test_returns_bit_identical(self, size):
-        flat = run(self._collective_workload("flat"), size)
-        tree = run(self._collective_workload("tree"), size)
+        flat = run(self._flat_workload, size)
+        tree = run(self._tree_workload, size)
         # repr pins the exact float bits; == would accept near-misses
         # like 0.1+0.2 vs 0.30000000000000004 being "close".
         assert repr(flat.returns) == repr(tree.returns)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.obs import Span
 from repro.simmpi import (
-    TraceEvent,
     UniformCost,
     render_timeline,
     run,
@@ -26,19 +26,19 @@ def _staggered(comm):
 class TestTraceCapture:
     def test_compute_intervals_recorded(self):
         result = run(_staggered, 2, UniformCost(mflops=1000.0))
-        compute = [e for e in result.trace if e.kind == "compute"]
+        compute = [e for e in result.trace if e.cat == "compute"]
         assert len(compute) == 2
-        r0 = next(e for e in compute if e.rank == 0)
+        r0 = next(e for e in compute if e.track == 0)
         assert r0.duration == pytest.approx(1.0)
-        r1 = next(e for e in compute if e.rank == 1)
+        r1 = next(e for e in compute if e.track == 1)
         assert r1.duration == pytest.approx(2.0)
 
     def test_blocked_interval_matches_stats(self):
         result = run(_staggered, 2, UniformCost(mflops=1000.0))
-        blocked = [e for e in result.trace if e.kind == "blocked" and e.rank == 1]
+        blocked = [e for e in result.trace if e.cat == "blocked" and e.track == 1]
         assert len(blocked) >= 1
         assert sum(e.duration for e in blocked) == pytest.approx(result.stats[1].blocked_s)
-        assert "recv" in blocked[0].detail
+        assert "recv" in blocked[0].name
 
     def test_intervals_within_elapsed(self):
         result = run(_staggered, 2, UniformCost(mflops=1000.0))
@@ -52,8 +52,9 @@ class TestTraceCapture:
         assert result.trace == []
 
     def test_event_validation(self):
+        # The trace record is the obs Span: it refuses to end before it starts.
         with pytest.raises(ValueError):
-            TraceEvent(0, 1.0, 0.5, "compute")
+            Span("compute", 1.0, 0.5, track=0, cat="compute")
 
 
 class TestUtilization:
@@ -81,7 +82,7 @@ class TestUtilization:
             for r in range(3)
         ]
         # Zero-duration events at t=0 are equally harmless.
-        trace = [TraceEvent(0, 0.0, 0.0, "compute")]
+        trace = [Span("compute", 0.0, 0.0, track=0, cat="compute")]
         assert utilization(trace, 0.0, 1) == [
             {"rank": 0, "compute": 0.0, "blocked": 0.0, "idle": 0.0}
         ]
@@ -127,8 +128,9 @@ def _utilization_reference(trace, elapsed, n_ranks):
         raise ValueError("elapsed must be positive")
     out = []
     for rank in range(n_ranks):
-        compute = sum(e.duration for e in trace if e.rank == rank and e.kind == "compute")
-        blocked = sum(e.duration for e in trace if e.rank == rank and e.kind == "blocked")
+        compute = sum(e.duration for e in trace if e.track == rank and e.cat == "compute")
+        blocked = sum(e.duration for e in trace
+                      if e.track == rank and e.cat in ("blocked", "collective"))
         out.append({
             "rank": rank,
             "compute": compute / elapsed,
@@ -151,16 +153,16 @@ class TestUtilizationSinglePass:
         trace = []
         for _ in range(500):
             t0 = float(rng.random())
-            trace.append(TraceEvent(
-                rank=int(rng.integers(-1, 6)),  # includes out-of-range ranks
-                t_start=t0,
-                t_end=t0 + float(rng.random()) * 0.1,
-                kind=str(rng.choice(["compute", "blocked", "failed"])),
+            cat = str(rng.choice(["compute", "blocked", "collective", "failed"]))
+            trace.append(Span(
+                cat, t0, t0 + float(rng.random()) * 0.1,
+                track=int(rng.integers(-1, 6)),  # includes out-of-range ranks
+                cat=cat,
             ))
         got = utilization(trace, 1.2, 4)
         assert got == _utilization_reference(trace, 1.2, 4)
 
     def test_out_of_range_ranks_ignored(self):
-        trace = [TraceEvent(rank=9, t_start=0.0, t_end=1.0, kind="compute")]
+        trace = [Span("compute", 0.0, 1.0, track=9, cat="compute")]
         rows = utilization(trace, 1.0, 2)
         assert all(r["compute"] == 0.0 for r in rows)
