@@ -1,9 +1,9 @@
 """Wall-clock instrumented kernel backend.
 
 :class:`WallBackend` wraps any registered backend and charges every
-kernel call to the ``"kernel"`` bucket of the active
-:class:`repro.obs.wallclock.WallProfiler` — the measurement side of
-the ``python -m repro.obs wallclock`` report.  Arithmetic is untouched
+kernel call to a ``"kernel"`` span of the recorder
+:func:`repro.obs.wallclock.profile` installed — the measurement side
+of the ``python -m repro.obs wallclock`` report.  Arithmetic is untouched
 (every call delegates verbatim), so results are bit-identical to the
 wrapped backend; :func:`repro.core.backend.get_backend` passes
 instances through, which is how a wrapped backend rides an existing

@@ -30,6 +30,7 @@ from .analysis import (
     critical_path,
     critical_path_summary,
     load_imbalance,
+    self_seconds,
     wait_summary,
 )
 from .ascii_art import DEFAULT_SYMBOLS, render_spans
@@ -46,11 +47,8 @@ from .history import (
     BenchComparison,
     ComparisonReport,
     MetricGate,
-    MultiComparisonReport,
     compare_history,
-    compare_history_multi,
     format_comparison_report,
-    format_multi_report,
     load_history,
     parse_gate_spec,
     robust_baseline,
@@ -72,15 +70,7 @@ from .report import (
     write_fleet_report,
     write_report,
 )
-from .wallclock import (
-    BUCKETS,
-    WallclockReport,
-    WallProfiler,
-    bucket,
-    format_report,
-    profile,
-    replay,
-)
+from .wallclock import BUCKETS, bucket, format_report, profile
 
 __all__ = [
     "Span",
@@ -107,27 +97,22 @@ __all__ = [
     "critical_path",
     "critical_path_summary",
     "load_imbalance",
+    "self_seconds",
     "attribute_phases",
     # history / regression gate
     "BenchComparison",
     "ComparisonReport",
     "MetricGate",
-    "MultiComparisonReport",
     "DEFAULT_FLEET_GATES",
     "load_history",
     "robust_baseline",
     "compare_history",
-    "compare_history_multi",
     "format_comparison_report",
-    "format_multi_report",
     "parse_gate_spec",
     # wall-clock attribution
     "BUCKETS",
-    "WallProfiler",
-    "WallclockReport",
     "bucket",
     "profile",
-    "replay",
     "format_report",
     # report
     "html_report",

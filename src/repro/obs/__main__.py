@@ -15,21 +15,23 @@ Three subcommands drive the analysis stack from the shell:
     timeline, no external assets) — openable straight from disk.
 
 ``compare HISTORY.jsonl``
-    A single-metric rolling-baseline comparison of a history JSONL
-    (written by ``fleet --history`` or a bench's own ``--history``
-    flag).  Exits 1 when any bench regressed beyond the threshold and
-    the noise model.
+    The rolling-baseline gate over a history JSONL (written by
+    ``fleet --history`` or a bench's own ``--history`` flag) with the
+    one gate ``--metric`` / ``--threshold`` name.  Exits 1 when any
+    bench regressed beyond the threshold and the noise model, 2 when
+    the file holds no record.
 
 ``fleet``
     Run the whole benchmark suite (or ``--bench`` subsets) as one
     campaign (:mod:`repro.obs.fleet`): content-fingerprinted dedupe,
     crash-safe resume, ``--workers`` parallelism, one ``fleet.jsonl``
-    ledger line per bench.  ``--baseline`` + ``--gate`` runs the
-    multi-metric regression gate over the committed history, which is
+    ledger line per bench.  ``--baseline`` + ``--gate`` runs the same
+    gate with several metrics over the committed history, which is
     the gate CI keys off (a gate without a baseline that holds records
-    is a usage error, exit 2, before any bench runs); ``--history`` appends the freshly computed
-    records to a history file; ``--html`` writes the self-contained
-    fleet report.  Exits 1 on a failed bench or a gate regression.
+    is exit 2 before any bench runs); ``--history`` appends the freshly
+    computed records to a history file; ``--html`` writes the
+    self-contained fleet report.  Exits 1 on a failed bench or a gate
+    regression.
 
 ``validate FILE.jsonl [...]``
     Strict schema check of record files (``benchmarks/baseline.jsonl``,
@@ -38,15 +40,20 @@ Three subcommands drive the analysis stack from the shell:
 
 ``wallclock``
     Where did the wall-clock go: runs a small
-    :func:`repro.core.parallel.parallel_nbody_run` under the
-    :mod:`repro.obs.wallclock` profiler with the kernel backend wrapped
+    :func:`repro.core.parallel.parallel_nbody_run` under
+    :func:`repro.obs.wallclock.profile` with the kernel backend wrapped
     in :class:`repro.core.backend_wall.WallBackend`, and prints the
-    bucket attribution table (kernel / engine / comm / serialization /
-    other — an exact partition of elapsed wall seconds) followed by the
-    virtual-time critical path of the same run.  ``--json`` saves the
-    raw profiler events; ``--replay EVENTS.json`` re-derives the table
-    from a saved event file instead of running (the deterministic
-    regression path the golden-trace test pins).
+    bucket table (self seconds of the kernel / engine / comm /
+    serialization / other spans, an exact partition of elapsed wall
+    seconds), followed by the virtual-time critical path of the same
+    run if the engine recorded virtual-time spans.  ``--json`` saves
+    the wall-clock spans as a Chrome trace (Perfetto shows it as a
+    flame view); ``--replay TRACE.json`` re-derives the table from a
+    saved trace instead of running.
+
+A trace or history argument that cannot be used (missing, not JSON, no
+``traceEvents`` list, no span, no record) is one line on stderr naming
+the file and the reason, exit 2.
 """
 
 from __future__ import annotations
@@ -64,19 +71,63 @@ from .analysis import (
     format_imbalance,
     format_wait_summary,
     load_imbalance,
+    self_seconds,
     wait_summary,
 )
-from .export import recorder_from_chrome_trace
-from .history import compare_history, format_comparison_report, load_history
+from .export import chrome_trace, recorder_from_chrome_trace
+from .history import (
+    DEFAULT_FLEET_GATES,
+    MetricGate,
+    compare_history,
+    format_comparison_report,
+    load_history,
+    parse_gate_spec,
+)
 from .report import write_report
 
 
+def _refuse(path: str, reason: str):
+    print(f"{path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_trace(path: str):
-    with open(path) as fh:
-        doc = json.load(fh)
-    rec = recorder_from_chrome_trace(doc)
-    elapsed = max((s.t_end for s in rec.spans), default=0.0)
-    return rec, elapsed
+    """The recorder of a Chrome-trace file and the time its last span
+    ends; a file that holds no usable trace is refused."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        _refuse(path, exc.strerror)
+    except ValueError as exc:
+        _refuse(path, f"not JSON ({exc})")
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
+        _refuse(path, "not a Chrome trace: no traceEvents list")
+    try:
+        rec = recorder_from_chrome_trace(doc)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        _refuse(path, f"malformed trace event ({type(exc).__name__}: {exc})")
+    if not rec.spans:
+        _refuse(path, "the trace holds no span")
+    return rec, max(s.t_end for s in rec.spans)
+
+
+def _load_records(path: str) -> list[dict]:
+    """The records of a history file; a gate over none would compare
+    nothing and pass, so a file that yields none is refused."""
+    try:
+        entries = load_history(path)
+    except OSError as exc:
+        _refuse(path, exc.strerror)
+    if not entries:
+        _refuse(path, "holds no record, so the gate would compare nothing")
+    return entries
+
+
+def _one_gate(opts: argparse.Namespace):
+    entries = _load_records(opts.history)
+    gate = MetricGate(opts.metric, opts.threshold)
+    return compare_history(entries, (gate,), window=opts.window)
 
 
 def _load_predictions(path: str | None) -> dict[str, Any] | None:
@@ -116,11 +167,7 @@ def _cmd_report(opts: argparse.Namespace) -> int:
     rec, elapsed = _load_trace(opts.trace)
     history_text = None
     if opts.history:
-        report = compare_history(
-            load_history(opts.history),
-            metric=opts.metric, threshold=opts.threshold, window=opts.window,
-        )
-        history_text = format_comparison_report(report)
+        history_text = format_comparison_report(_one_gate(opts))
     path = write_report(
         opts.output,
         rec,
@@ -135,12 +182,6 @@ def _cmd_report(opts: argparse.Namespace) -> int:
 
 def _cmd_fleet(opts: argparse.Namespace) -> int:
     from .fleet import build_registry, run_fleet
-    from .history import (
-        DEFAULT_FLEET_GATES,
-        compare_history_multi,
-        format_multi_report,
-        parse_gate_spec,
-    )
     from .report import write_fleet_report
 
     if opts.list:
@@ -155,10 +196,11 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
     if gated and not opts.baseline:
         opts.usage_error("--gate / --gate-spec compare the run against "
                          "--baseline HISTORY.jsonl, and none was given")
-    baseline = load_history(opts.baseline) if opts.baseline else []
-    if gated and not baseline:
-        opts.usage_error(f"--baseline {opts.baseline} holds no record, so the "
-                         "gate would compare nothing")
+    baseline = []
+    if gated:
+        baseline = _load_records(opts.baseline)
+    elif opts.baseline:
+        baseline = load_history(opts.baseline)
 
     run = run_fleet(
         opts.bench or None,
@@ -181,9 +223,9 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
             if opts.gate_spec else DEFAULT_FLEET_GATES
         )
         live = [r for r in run.rows if r["fleet"]["status"] != "failed"]
-        multi = compare_history_multi(baseline + live, gates, window=opts.window)
+        multi = compare_history(baseline + live, gates, window=opts.window)
         print()
-        print(format_multi_report(multi))
+        print(format_comparison_report(multi))
 
     if opts.html:
         path = write_fleet_report(
@@ -223,9 +265,12 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
     from . import wallclock as wc
 
     if opts.replay:
-        with open(opts.replay) as fh:
-            events = wc.load_events(fh)
-        print(wc.format_report(wc.replay(events).report()))
+        rec, _ = _load_trace(opts.replay)
+        try:
+            table = self_seconds(rec)
+        except ValueError as exc:
+            _refuse(opts.replay, str(exc))
+        print(wc.format_report(table))
         return 0
 
     import numpy as np
@@ -240,35 +285,29 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
     kb = WallBackend(get_backend(opts.backend))
     cfg = ParallelConfig(backend=kb, eval=opts.eval)
     rec = Recorder()
-    with wc.profile() as prof:
+    with wc.profile() as wall:
         parallel_nbody_run(
             pos, n_ranks=opts.ranks, n_steps=opts.steps, dt=1e-3,
             config=cfg, observer=rec,
         )
-    rep = prof.finalize()
     print(f"parallel_nbody_run: n={opts.n} ranks={opts.ranks} "
           f"steps={opts.steps} backend={kb.name} eval={opts.eval}")
     print()
-    print(wc.format_report(rep))
+    print(wc.format_report(self_seconds(wall)))
     elapsed = max((s.t_end for s in rec.spans), default=0.0)
     if rec.spans:
         print()
         print(format_critical_path(critical_path(rec, elapsed), max_rows=opts.max_rows))
     if opts.json:
         with open(opts.json, "w") as fh:
-            wc.save_events(prof, fh)
+            json.dump(chrome_trace(wall, process_name="wallclock",
+                                   track_names={0: "host"}), fh)
         print(f"wrote {opts.json}")
     return 0
 
 
 def _cmd_compare(opts: argparse.Namespace) -> int:
-    entries = load_history(opts.history)
-    report = compare_history(
-        entries,
-        metric=opts.metric,
-        threshold=opts.threshold,
-        window=opts.window,
-    )
+    report = _one_gate(opts)
     if opts.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -336,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fl.add_argument("--baseline", metavar="HISTORY.jsonl", default=None,
                       help="longitudinal history for gates and sparklines")
     p_fl.add_argument("--gate", action="store_true",
-                      help="run the multi-metric regression gate against "
+                      help="run the default regression gates against "
                            "--baseline (exit 1 on regression)")
     p_fl.add_argument("--gate-spec", action="append", default=[],
                       metavar="METRIC[:THR[:DIR]]",
@@ -365,10 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     p_wc.add_argument("--seed", type=int, default=11)
     p_wc.add_argument("--max-rows", type=int, default=10,
                       help="critical-path rows to print (default 10)")
-    p_wc.add_argument("--json", metavar="EVENTS.json", default=None,
-                      help="save the raw profiler event list")
-    p_wc.add_argument("--replay", metavar="EVENTS.json", default=None,
-                      help="re-derive the table from saved events (no run)")
+    p_wc.add_argument("--json", metavar="TRACE.json", default=None,
+                      help="save the wall-clock spans as a Chrome trace")
+    p_wc.add_argument("--replay", metavar="TRACE.json", default=None,
+                      help="re-derive the table from a saved trace (no run)")
     p_wc.set_defaults(func=_cmd_wallclock)
 
     p_val = sub.add_parser("validate", help="strict schema check of record JSONL")

@@ -20,6 +20,9 @@ the paper's authors ran by hand on their per-rank timelines:
   identity the test suite pins to 1e-9.
 * :func:`load_imbalance` reduces per-rank busy/blocked time to the
   summary statistics the paper's scaling sections reason with.
+* :func:`self_seconds` rolls any well-nested span list up to exclusive
+  seconds per span name, the flame-graph "self" column; over the
+  wall-clock spans of :mod:`repro.obs.wallclock` it is the bucket table.
 * :func:`attribute_phases` compares measured phase spans (key-sort,
   tree-build, traversal, force, NPB phases) against
   :class:`~repro.machine.perfmodel.PerfModel` predictions — a software
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from .model import Recorder, Span, _spans_of
+from .model import Recorder, Span, _spans_of, validate_nesting
 
 __all__ = [
     "WAIT_CAUSES",
@@ -42,6 +45,7 @@ __all__ = [
     "critical_path",
     "critical_path_summary",
     "load_imbalance",
+    "self_seconds",
     "attribute_phases",
     "format_wait_summary",
     "format_critical_path",
@@ -318,6 +322,36 @@ def load_imbalance(
             sum(blocked) / (n_tracks * elapsed) if n_tracks and elapsed > 0 else 0.0
         ),
     }
+
+
+def self_seconds(source: Recorder | Iterable[Span]) -> dict[str, float]:
+    """Exclusive seconds per span name: each span's duration minus that
+    of the spans nested directly inside it on its track.
+
+    Every instant a root span covers is charged to exactly one name,
+    the innermost span open at that instant, so the values sum to the
+    root spans' total duration.  Spans that partially overlap have no
+    innermost span: :func:`~repro.obs.model.validate_nesting` refuses
+    them with ``ValueError``.
+
+    >>> self_seconds([Span("run", 0.0, 10.0), Span("io", 2.0, 5.0),
+    ...               Span("parse", 3.0, 4.0), Span("io", 6.0, 7.0)])
+    {'run': 6.0, 'io': 3.0, 'parse': 1.0}
+    """
+    spans = _spans_of(source)
+    validate_nesting(spans)
+    out: dict[str, float] = {}
+    open_spans: list[Span] = []
+    for s in sorted(spans, key=lambda s: (s.track, s.t_start, -s.t_end, s.name)):
+        while open_spans and (
+            open_spans[-1].track != s.track or open_spans[-1].t_end <= s.t_start
+        ):
+            open_spans.pop()
+        if open_spans:
+            out[open_spans[-1].name] -= s.duration
+        out[s.name] = out.get(s.name, 0.0) + s.duration
+        open_spans.append(s)
+    return out
 
 
 def attribute_phases(

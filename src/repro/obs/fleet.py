@@ -27,7 +27,7 @@ prints its record) is swallowed in the worker; the coordinator owns all
 reporting.
 
 The read side: :func:`load_fleet` for the ledger,
-:func:`repro.obs.history.compare_history_multi` for the multi-metric
+:func:`repro.obs.history.compare_history` for the multi-metric
 gate, and :func:`repro.obs.report.fleet_report` for the HTML view.
 """
 

@@ -16,7 +16,7 @@ baseline by more than both
 so a genuinely noisy bench needs a larger excursion to trip the gate
 than a deterministic one.  Virtual (simulated) seconds are
 deterministic, which is what makes the CI gate meaningful across
-heterogeneous runners: compare with ``metric="virtual_seconds"``.
+heterogeneous runners: gate on ``MetricGate("virtual_seconds")``.
 
 Blessing an intentional change is simply appending new honest runs:
 once the new timing dominates the window, it *is* the baseline (see
@@ -33,14 +33,11 @@ __all__ = [
     "BenchComparison",
     "ComparisonReport",
     "MetricGate",
-    "MultiComparisonReport",
     "DEFAULT_FLEET_GATES",
     "load_history",
     "robust_baseline",
     "compare_history",
-    "compare_history_multi",
     "format_comparison_report",
-    "format_multi_report",
     "parse_gate_spec",
 ]
 
@@ -93,8 +90,10 @@ def _median(sorted_xs: list[float]) -> float:
 
 @dataclass(frozen=True)
 class BenchComparison:
-    """Latest run of one bench against its rolling baseline."""
+    """Latest run of one bench against its rolling baseline, under one
+    gate (``metric`` is that gate's)."""
 
+    metric: str
     name: str
     n_runs: int
     baseline: float | None
@@ -107,12 +106,11 @@ class BenchComparison:
 
 @dataclass
 class ComparisonReport:
-    """Outcome of a full-history comparison."""
+    """Outcome of a full-history comparison: one row per gate and bench
+    that reports the gate's metric, one verdict."""
 
-    metric: str
-    threshold: float
+    gates: tuple[MetricGate, ...]
     window: int
-    direction: str = "lower"  # "lower" | "higher" — which way is better
     rows: list[BenchComparison] = field(default_factory=list)
 
     @property
@@ -120,20 +118,18 @@ class ComparisonReport:
         return [r for r in self.rows if r.status == "regression"]
 
     @property
-    def improvements(self) -> list[BenchComparison]:
-        return [r for r in self.rows if r.status == "improvement"]
-
-    @property
     def ok(self) -> bool:
         return not self.regressions
 
+    def gate_status(self, name: str) -> dict[str, str]:
+        """Per-metric status ("ok"/"regression"/...) for one bench."""
+        return {r.metric: r.status for r in self.rows if r.name == name}
+
     def to_dict(self) -> dict[str, Any]:
         return {
-            "metric": self.metric,
-            "threshold": self.threshold,
             "window": self.window,
-            "direction": self.direction,
             "ok": self.ok,
+            "gates": [vars(g) for g in self.gates],
             "benches": [vars(r) for r in self.rows],
         }
 
@@ -168,61 +164,62 @@ def _metric_value(entry: Mapping, metric: str) -> float | None:
 
 def compare_history(
     entries: Iterable[Mapping],
+    gates: Iterable[MetricGate],
     *,
-    metric: str = "seconds",
-    threshold: float = 0.05,
     window: int = 5,
     noise_sigmas: float = NOISE_SIGMAS,
-    direction: str = "lower",
 ) -> ComparisonReport:
-    """Compare each bench's latest run against its rolling baseline.
+    """Compare each bench's latest run against its rolling baseline,
+    once per gate over one shared history.
 
-    ``metric`` names a top-level record field (``seconds``,
-    ``virtual_seconds``) or a dotted path into nested or flat-dotted
-    mappings (``counters.cache_hits``, ``counters.cellcache.hit_rate``).
-    Runs whose metric is missing or non-positive are excluded (a bench
-    that never reports virtual time is skipped rather than failed).
-
-    ``direction`` says which way is better: ``"lower"`` (timings — a
-    higher latest value regresses) or ``"higher"`` (rates like cache
-    hit rate — a *lower* latest value regresses).
+    The verdict is the conjunction: a regression in any gated metric
+    fails the whole gate.  Runs whose metric is missing or non-positive
+    are excluded for that gate only (a closed-form bench has no
+    recovery time; that is skipped rather than failed, and must not
+    mask a treecode cache regression).
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if direction not in ("lower", "higher"):
-        raise ValueError(f"direction must be 'lower' or 'higher', got {direction!r}")
+    entries, gates = list(entries), tuple(gates)
+    if len({g.metric for g in gates}) != len(gates):
+        raise ValueError("gates must name distinct metrics")
+    report = ComparisonReport(gates, window)
+    for gate in gates:
+        report.rows.extend(_compare_gate(entries, gate, window, noise_sigmas))
+    return report
+
+
+def _compare_gate(
+    entries: list[Mapping], gate: MetricGate, window: int, noise_sigmas: float
+) -> Iterable[BenchComparison]:
+    metric, threshold = gate.metric, gate.threshold
     by_name: dict[str, list[float]] = {}
     for entry in entries:
         value = _metric_value(entry, metric)
         if value is not None and value > 0:
             by_name.setdefault(str(entry["name"]), []).append(value)
-    report = ComparisonReport(
-        metric=metric, threshold=threshold, window=window, direction=direction,
-    )
     for name in sorted(by_name):
         values = by_name[name]
-        if len(values) < 2:
-            report.rows.append(BenchComparison(
-                name, len(values), None, None, values[-1] if values else None,
-                None, "skipped", "needs at least 2 runs with this metric",
-            ))
-            continue
         latest = values[-1]
+        if len(values) < 2:
+            yield BenchComparison(
+                metric, name, len(values), None, None, latest,
+                None, "skipped", "needs at least 2 runs with this metric",
+            )
+            continue
         base_window = values[max(0, len(values) - 1 - window):-1]
         med, sigma = robust_baseline(base_window)
         delta = latest / med - 1.0
         worse = latest > med * (1.0 + threshold) and latest > med + noise_sigmas * sigma
         better = latest < med * (1.0 - threshold) and latest < med - noise_sigmas * sigma
-        if direction == "higher":
+        if gate.direction == "higher":
             worse, better = better, worse
         if worse:
             status = "regression"
             reason = (
                 f"{metric} {latest:.6g} is {delta:+.1%} vs baseline {med:.6g} "
                 f"(threshold {threshold:.0%}, noise sigma {sigma:.3g}, "
-                f"{direction} is better)"
+                f"{gate.direction} is better)"
             )
         elif better:
             status = "improvement"
@@ -230,16 +227,20 @@ def compare_history(
         else:
             status = "ok"
             reason = ""
-        report.rows.append(BenchComparison(
-            name, len(values), med, sigma, latest, delta, status, reason,
-        ))
-    return report
+        yield BenchComparison(
+            metric, name, len(values), med, sigma, latest, delta, status, reason,
+        )
 
 
 @dataclass(frozen=True)
 class MetricGate:
     """One gated metric: what to compare, how far it may drift, which
-    way is better.  The unit of the fleet's multi-metric CI gate."""
+    way is better.  ``metric`` names a top-level record field
+    (``seconds``, ``virtual_seconds``) or a dotted path into nested or
+    flat-dotted mappings (``counters.cache_hits``,
+    ``counters.cellcache.hit_rate``); ``direction`` is ``"lower"``
+    (timings: a higher latest value regresses) or ``"higher"`` (rates
+    like cache hit rate: a *lower* latest value regresses)."""
 
     metric: str
     threshold: float = 0.05
@@ -255,79 +256,17 @@ class MetricGate:
 
 
 #: The fleet CI gate: deterministic virtual seconds are the sharp edge,
-#: wall-clock is an order-of-magnitude backstop only — fleet shards run
-#: under worker-pool contention, which swings wall time several-fold
-#: run to run, so anything tighter than 400% flakes — recovery
-#: overhead guards the resilience benches (virtual, hence tight-able),
-#: and the cell-cache hit rate gates *downward* drift of the
-#: latency-hiding layer's effectiveness.
+#: recovery overhead guards the resilience benches (virtual, hence
+#: tight-able), and the cell-cache hit rate gates *downward* drift of
+#: the latency-hiding layer's effectiveness.  Wall seconds are not
+#: here: fleet shards run under worker-pool contention, which swings
+#: them several-fold run to run; ``python3 -m perfbench --compare``
+#: is the wall-time comparison.
 DEFAULT_FLEET_GATES: tuple[MetricGate, ...] = (
     MetricGate("virtual_seconds", 0.15),
-    MetricGate("seconds", 4.0),
     MetricGate("counters.recovery_overhead_s", 0.25),
     MetricGate("counters.cellcache.hit_rate", 0.10, direction="higher"),
 )
-
-
-@dataclass
-class MultiComparisonReport:
-    """One :class:`ComparisonReport` per gated metric, one verdict."""
-
-    window: int
-    reports: list[ComparisonReport] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[tuple[str, BenchComparison]]:
-        return [(rep.metric, row) for rep in self.reports for row in rep.regressions]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def gate_status(self, name: str) -> dict[str, str]:
-        """Per-metric status ("ok"/"regression"/...) for one bench."""
-        out: dict[str, str] = {}
-        for rep in self.reports:
-            for row in rep.rows:
-                if row.name == name:
-                    out[rep.metric] = row.status
-        return out
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "window": self.window,
-            "ok": self.ok,
-            "metrics": [rep.to_dict() for rep in self.reports],
-        }
-
-
-def compare_history_multi(
-    entries: Iterable[Mapping],
-    gates: Iterable[MetricGate] = DEFAULT_FLEET_GATES,
-    *,
-    window: int = 5,
-    noise_sigmas: float = NOISE_SIGMAS,
-) -> MultiComparisonReport:
-    """The multi-metric regression gate over one shared history.
-
-    Runs :func:`compare_history` once per :class:`MetricGate`; the
-    verdict is the conjunction — any regression in any gated metric
-    fails the whole gate.  Benches missing a metric are skipped for
-    that metric only (a closed-form bench has no recovery time; that
-    must not mask a treecode cache regression).
-    """
-    entries = list(entries)
-    multi = MultiComparisonReport(window=window)
-    for gate in gates:
-        multi.reports.append(compare_history(
-            entries,
-            metric=gate.metric,
-            threshold=gate.threshold,
-            window=window,
-            noise_sigmas=noise_sigmas,
-            direction=gate.direction,
-        ))
-    return multi
 
 
 def parse_gate_spec(spec: str) -> MetricGate:
@@ -349,51 +288,50 @@ def parse_gate_spec(spec: str) -> MetricGate:
 
 
 def format_comparison_report(report: ComparisonReport) -> str:
-    """Human-readable comparison table plus a one-line verdict."""
+    """One table and verdict line per gate, then the conjoined verdict."""
     from ..analysis.tables import format_table
 
-    rows = []
-    for r in report.rows:
-        rows.append([
-            r.name,
-            r.n_runs,
-            r.baseline if r.baseline is not None else "-",
-            r.latest if r.latest is not None else "-",
-            f"{r.delta:+.1%}" if r.delta is not None else "-",
-            r.status,
-        ])
-    table = format_table(
-        ["bench", "runs", "baseline", "latest", "delta", "status"],
-        rows,
-        f"bench history: metric={report.metric} threshold={report.threshold:.0%} "
-        f"window={report.window}",
-    )
+    blocks = []
+    for gate in report.gates:
+        rows = [r for r in report.rows if r.metric == gate.metric]
+        table = format_table(
+            ["bench", "runs", "baseline", "latest", "delta", "status"],
+            [
+                [
+                    r.name,
+                    r.n_runs,
+                    r.baseline if r.baseline is not None else "-",
+                    r.latest if r.latest is not None else "-",
+                    f"{r.delta:+.1%}" if r.delta is not None else "-",
+                    r.status,
+                ]
+                for r in rows
+            ],
+            f"bench history: metric={gate.metric} threshold={gate.threshold:.0%} "
+            f"window={report.window}",
+        )
+        bad = [r for r in rows if r.status == "regression"]
+        if bad:
+            lines = "\n".join(f"  - {r.name}: {r.reason}" for r in bad)
+            verdict = f"REGRESSION in {len(bad)} bench(es):\n{lines}"
+        else:
+            improved = sum(r.status == "improvement" for r in rows)
+            verdict = (
+                f"OK: no regressions across {len(rows)} bench(es)"
+                + (f", {improved} improvement(s)" if improved else "")
+            )
+        blocks.append(f"{table}\n{verdict}")
     if report.ok:
         verdict = (
-            f"OK: no regressions across {len(report.rows)} bench(es)"
-            + (f", {len(report.improvements)} improvement(s)" if report.improvements else "")
-        )
-    else:
-        lines = "\n".join(f"  - {r.name}: {r.reason}" for r in report.regressions)
-        verdict = f"REGRESSION in {len(report.regressions)} bench(es):\n{lines}"
-    return f"{table}\n{verdict}"
-
-
-def format_multi_report(multi: MultiComparisonReport) -> str:
-    """All per-metric tables plus the one conjoined verdict."""
-    blocks = [format_comparison_report(rep) for rep in multi.reports]
-    if multi.ok:
-        verdict = (
             f"FLEET GATE OK: no regressions across "
-            f"{len(multi.reports)} gated metric(s)"
+            f"{len(report.gates)} gated metric(s)"
         )
     else:
         lines = "\n".join(
-            f"  - [{metric}] {row.name}: {row.reason}"
-            for metric, row in multi.regressions
+            f"  - [{r.metric}] {r.name}: {r.reason}" for r in report.regressions
         )
         verdict = (
-            f"FLEET GATE REGRESSION in {len(multi.regressions)} "
+            f"FLEET GATE REGRESSION in {len(report.regressions)} "
             f"bench-metric pair(s):\n{lines}"
         )
     return "\n\n".join(blocks + [verdict])

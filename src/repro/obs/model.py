@@ -15,10 +15,12 @@ Every measured thing in this reproduction reduces to three primitives:
 
 Two clocks coexist.  SimMPI components record spans in **virtual
 time** by passing explicit ``t_start``/``t_end`` to :meth:`Recorder.add_span`;
-host-side harnesses (NPB, Linpack) use the context manager
+host-side harnesses (NPB, Linpack) and the wall-clock buckets of
+:mod:`repro.obs.wallclock` use the context manager
 :meth:`Recorder.span`, which reads the recorder's wall clock relative
-to its origin.  Exporters (:mod:`repro.obs.export`) don't care which —
-a span is a span.
+to its origin.  Exporters (:mod:`repro.obs.export`) and analyses
+(:mod:`repro.obs.analysis`) don't care which — a span is a span, the
+one interval record of this package.
 
 Disabled instrumentation must cost nothing: :data:`NULL` is a shared
 :class:`NullRecorder` whose every method is a constant-time no-op, so

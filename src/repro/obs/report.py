@@ -463,7 +463,7 @@ def fleet_report(
     ``rows`` is the ``fleet.jsonl`` content (:func:`repro.obs.fleet.load_fleet`);
     ``history`` the longitudinal record behind the per-bench sparklines
     (wall seconds, virtual seconds, cell-cache hit rate); ``multi`` a
-    :class:`repro.obs.history.MultiComparisonReport` driving the
+    :class:`repro.obs.history.ComparisonReport` driving the
     red/green gate column.  Output is deterministic for fixed inputs —
     no timestamps, no environment — so golden-file tests can pin it.
     """
@@ -553,11 +553,11 @@ def fleet_report(
         )
 
     if multi is not None:
-        from .history import format_multi_report
+        from .history import format_comparison_report
 
         sections.append(
             "<h2>Multi-metric gate</h2>"
-            f"<pre class='muted'>{html.escape(format_multi_report(multi))}</pre>"
+            f"<pre class='muted'>{html.escape(format_comparison_report(multi))}</pre>"
         )
 
     subtitle = (

@@ -2,12 +2,15 @@
 
 The discrete-event engine accounts *virtual* seconds exactly (and the
 PR-3 critical path partitions them over [0, elapsed] exactly); this
-module does the same for *real* seconds.  A :class:`WallProfiler`
-charges every instant of wall-clock between its construction and
-:meth:`~WallProfiler.finalize` to exactly one named bucket — the
-innermost active one, or ``"other"`` when none is active — so the
-bucket totals partition elapsed time by construction, mirroring the
-critical-path invariant.
+module does the same for *real* seconds with the instrument the rest
+of :mod:`repro.obs` already uses.  :func:`profile` installs a
+wall-clock :class:`~repro.obs.model.Recorder` as :data:`ACTIVE` under
+one root span named ``other``, and :func:`bucket` opens a span of the
+given name on it.  The bucket table is the *exclusive* ("self") seconds
+per span name (:func:`repro.obs.analysis.self_seconds`): every instant
+of the root span belongs to exactly one innermost span, so the table
+partitions elapsed time by construction, mirroring the critical-path
+invariant, and time under no bucket is the root's own: ``other``.
 
 Buckets used by the instrumented call sites:
 
@@ -22,237 +25,88 @@ Buckets used by the instrumented call sites:
 * ``other`` — everything outside the instrumented regions (setup,
   result assembly).
 
-Instrumented sections are synchronous with respect to the profiler:
-a bucket must be exited in the frame that entered it.  Rank *programs*
+A bucket must be exited in the frame that entered it.  Rank *programs*
 are coroutines the engine interleaves, so generator code must never
-hold a bucket across a yield — the instrumentation therefore lives in
+hold a bucket across a yield: the recorder's per-track stack refuses
+it ("closed out of order").  The instrumentation therefore lives in
 the engine loop, the dispatch branches, and the kernel layer, all of
 which run to completion.
 
-The profiler is event-sourced: every enter/exit is recorded as
-``(op, name, t)`` and a recorded event list replays to the identical
-report (the golden-fixture regression in
-``tests/test_obs_wallclock.py``).  Activation follows the module-global
-pattern of :data:`repro.obs.NULL` — :func:`profile` installs a
-profiler as :data:`ACTIVE`, and :func:`bucket` is a zero-cost no-op
-context when none is installed.
+The spans are ordinary spans: they pass
+:func:`~repro.obs.model.validate_nesting`, and
+:func:`~repro.obs.export.chrome_trace` writes them as the Chrome-trace
+JSON every ``python -m repro.obs`` verb reads (Perfetto shows it as a
+flame view), from which the same table is re-derived.
 
-With no profiler installed, instrumented code pays nothing:
+With no recorder installed, instrumented code pays nothing:
 
->>> with bucket("kernel"):      # no ACTIVE profiler: a no-op context
+>>> with bucket("kernel"):      # nothing ACTIVE: a no-op context
 ...     pass
 
-Install one (an injected fake clock makes the charges exact):
+Install one (an injected fake clock makes the charges exact; the
+recorder reads it once for its origin, then once per span edge):
 
->>> t = iter([0.0, 1.0, 4.0, 5.0])
->>> with profile(clock=lambda: next(t)) as prof:
+>>> from repro.obs.analysis import self_seconds
+>>> t = iter([10.0, 10.0, 11.0, 14.0, 15.0])
+>>> with profile(clock=lambda: next(t)) as rec:
 ...     with bucket("kernel"):
 ...         pass
->>> prof.report().buckets["kernel"]
-3.0
+>>> self_seconds(rec)
+{'other': 2.0, 'kernel': 3.0}
+>>> print(format_report(self_seconds(rec)))
+bucket              seconds    share
+kernel             3.000000   60.00%
+other              2.000000   40.00%
+total              5.000000  100.00%
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Mapping
 
-__all__ = [
-    "BUCKETS",
-    "WallProfiler",
-    "WallclockReport",
-    "ACTIVE",
-    "profile",
-    "bucket",
-    "replay",
-    "load_events",
-    "save_events",
-    "format_report",
-]
+from .model import Recorder
 
-#: Canonical bucket names, in report order.  Profilers accept any
+__all__ = ["BUCKETS", "ACTIVE", "profile", "bucket", "format_report"]
+
+#: Canonical bucket names, in report order.  A span may carry any
 #: name; these are the ones the instrumented hot paths charge.
 BUCKETS = ("kernel", "engine", "comm", "serialization", "other")
 
-
-@dataclass
-class WallclockReport:
-    """Bucket totals partitioning ``[0, elapsed]`` wall seconds."""
-
-    buckets: dict[str, float]
-    elapsed: float
-
-    def fraction(self, name: str) -> float:
-        return self.buckets.get(name, 0.0) / self.elapsed if self.elapsed else 0.0
-
-    def to_dict(self) -> dict:
-        return {"elapsed_s": self.elapsed, "buckets": dict(self.buckets)}
-
-
-class WallProfiler:
-    """Stack-based innermost-bucket wall-clock attribution.
-
-    Every call to :meth:`enter`/:meth:`exit`/:meth:`finalize` charges
-    the span since the previous call to the bucket that was innermost
-    during it.  The charges telescope over ``[t0, t_final]``, so the
-    bucket totals are an exact partition of elapsed time — nothing
-    counted twice, nothing dropped:
-
-    >>> t = iter([0.0, 1.0, 3.0, 4.0])
-    >>> p = WallProfiler(clock=lambda: next(t))
-    >>> p.enter("kernel"); p.exit()
-    >>> report = p.finalize()
-    >>> report.buckets == {"other": 2.0, "kernel": 2.0}
-    True
-    >>> report.elapsed
-    4.0
-    """
-
-    def __init__(self, clock=time.perf_counter):
-        self._clock = clock
-        self._stack: list[str] = []
-        self.buckets: dict[str, float] = {}
-        self._t0 = self._last = float(clock())
-        # The init event anchors t0 so a replayed profiler charges the
-        # pre-first-bucket gap to "other" exactly like the original.
-        self.events: list[tuple[str, str, float]] = [("init", "", self._t0)]
-        self._final: float | None = None
-
-    # -- event-sourced core ---------------------------------------------
-    def _charge(self, now: float) -> None:
-        name = self._stack[-1] if self._stack else "other"
-        self.buckets[name] = self.buckets.get(name, 0.0) + (now - self._last)
-        self._last = now
-
-    def enter(self, name: str, now: float | None = None) -> None:
-        now = float(self._clock()) if now is None else float(now)
-        self._charge(now)
-        self._stack.append(str(name))
-        self.events.append(("enter", str(name), now))
-
-    def exit(self, now: float | None = None) -> None:
-        if not self._stack:
-            raise RuntimeError("bucket exit without a matching enter")
-        now = float(self._clock()) if now is None else float(now)
-        self._charge(now)
-        name = self._stack.pop()
-        self.events.append(("exit", name, now))
-
-    def finalize(self, now: float | None = None) -> WallclockReport:
-        """Charge the tail and freeze; safe to call more than once."""
-        if self._final is None:
-            now = float(self._clock()) if now is None else float(now)
-            while self._stack:  # unwind anything left open
-                self._charge(now)
-                self.events.append(("exit", self._stack.pop(), now))
-            self._charge(now)
-            self._final = now
-            self.events.append(("final", "", now))
-        return self.report()
-
-    # -- convenience ------------------------------------------------------
-    @contextlib.contextmanager
-    def bucket(self, name: str):
-        self.enter(name)
-        try:
-            yield self
-        finally:
-            self.exit()
-
-    @property
-    def elapsed(self) -> float:
-        end = self._final if self._final is not None else self._last
-        return end - self._t0
-
-    def report(self) -> WallclockReport:
-        return WallclockReport(dict(self.buckets), self.elapsed)
-
-
-#: The installed profiler, or None.  Hot paths consult it through
-#: :func:`bucket`, which costs one global load when inactive.
-ACTIVE: WallProfiler | None = None
+#: The installed wall-clock recorder, or None.  Hot paths consult it
+#: through :func:`bucket`, which costs one global load when inactive.
+ACTIVE: Recorder | None = None
 
 _INACTIVE = contextlib.nullcontext()
 
 
 @contextlib.contextmanager
 def profile(clock=time.perf_counter):
-    """Install a fresh profiler as :data:`ACTIVE` for the duration."""
+    """Install a fresh recorder as :data:`ACTIVE` for the duration,
+    inside the root span ``other`` that bounds what is attributed."""
     global ACTIVE
-    prof = WallProfiler(clock=clock)
-    prev, ACTIVE = ACTIVE, prof
+    rec = Recorder(clock=clock)
+    prev, ACTIVE = ACTIVE, rec
     try:
-        yield prof
+        with rec.span("other", cat="wall"):
+            yield rec
     finally:
         ACTIVE = prev
-        prof.finalize()
 
 
 def bucket(name: str):
-    """Context charging the active profiler; no-op when none is."""
-    prof = ACTIVE
-    return prof.bucket(name) if prof is not None else _INACTIVE
+    """A span on the active recorder; a shared no-op when none is."""
+    rec = ACTIVE
+    return rec.span(name, cat="wall") if rec is not None else _INACTIVE
 
 
-# -- replay / persistence -----------------------------------------------
-
-
-def replay(events: Iterable[tuple[str, str, float]]) -> WallProfiler:
-    """Rebuild a profiler from a recorded event list.
-
-    Deterministic: the same events produce the same bucket totals, so
-    a saved trace is a regression fixture for the attribution logic.
-
-    >>> t = iter([0.0, 2.0, 5.0, 6.0])
-    >>> p = WallProfiler(clock=lambda: next(t))
-    >>> with p.bucket("comm"): pass
-    >>> p.finalize().buckets == replay(p.events).report().buckets
-    True
-    """
-    events = list(events)
-    if not events:
-        raise ValueError("empty event list")
-    t0 = float(events[0][2])
-    prof = WallProfiler(clock=lambda: t0)
-    prof.events.clear()  # rebuilt verbatim from the input below
-    prof.events.append(("init", "", t0))
-    for op, name, t in events:
-        if op == "init":
-            pass  # t0 anchor, consumed above
-        elif op == "enter":
-            prof.enter(name, now=t)
-        elif op == "exit":
-            prof.exit(now=t)
-        elif op == "final":
-            prof.finalize(now=t)
-        else:
-            raise ValueError(f"unknown wallclock event op {op!r}")
-    return prof
-
-
-def save_events(prof: WallProfiler, fh: TextIO) -> None:
-    json.dump({"schema": 1, "events": [list(e) for e in prof.events]}, fh, indent=2)
-    fh.write("\n")
-
-
-def load_events(fh: TextIO) -> list[tuple[str, str, float]]:
-    doc = json.load(fh)
-    return [(str(op), str(name), float(t)) for op, name, t in doc["events"]]
-
-
-def format_report(report: WallclockReport, extra: Mapping[str, float] | None = None) -> str:
-    """ASCII bucket table, largest first, with the exact-sum footer."""
+def format_report(table: Mapping[str, float]) -> str:
+    """ASCII table of self seconds per bucket, largest first."""
+    total = sum(table.values())
     lines = [f"{'bucket':<14} {'seconds':>12} {'share':>8}"]
-    ordered = sorted(report.buckets.items(), key=lambda kv: -kv[1])
-    for name, s in ordered:
-        lines.append(f"{name:<14} {s:>12.6f} {100.0 * report.fraction(name):>7.2f}%")
-    total = sum(report.buckets.values())
+    for name, s in sorted(table.items(), key=lambda kv: -kv[1]):
+        share = 100.0 * s / total if total else 0.0
+        lines.append(f"{name:<14} {s:>12.6f} {share:>7.2f}%")
     lines.append(f"{'total':<14} {total:>12.6f} {'100.00%':>8}")
-    lines.append(f"elapsed {report.elapsed:.6f} s (buckets partition it exactly)")
-    if extra:
-        for k, v in extra.items():
-            lines.append(f"{k}: {v:.6g}")
     return "\n".join(lines)

@@ -28,9 +28,10 @@ resumes after the newest committed stage; a different spec in the same
 directory starts from scratch.
 
 Instrumentation: each stage is a ``pipeline.<stage>`` span on the
-:mod:`repro.obs` observer, stage compute is charged to the ``kernel``
-wall-clock bucket and checkpoint I/O to ``serialization``
-(:mod:`repro.obs.wallclock`).
+:mod:`repro.obs` observer, whose clock the caller chooses.  Under
+:func:`repro.obs.wallclock.profile` stage compute is also a ``kernel``
+span and checkpoint I/O a ``serialization`` span of the wall-clock
+recorder, so the run shows up in the bucket table.
 
 >>> from repro.campaign.spec import PipelineSpec
 >>> spec = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2,

@@ -172,7 +172,7 @@ class TestCompareCommand:
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is False
-        assert doc["metric"] == "virtual_seconds"
+        assert [g["metric"] for g in doc["gates"]] == ["virtual_seconds"]
         statuses = {b["name"]: b["status"] for b in doc["benches"]}
         assert statuses == {"bench.demo": "regression", "other": "ok"}
 
@@ -180,6 +180,108 @@ class TestCompareCommand:
         hist = tmp_path / "h.jsonl"
         hist.write_text(_history_lines([1.0] * 5 + [1.10]))
         assert main(["compare", str(hist), "--threshold", "0.15"]) == 0
+
+    @pytest.mark.parametrize("content", ['{"not":"a trace"}\n', "\n{not json\n", None])
+    def test_history_without_records_is_refused(self, content, tmp_path, capsys):
+        # Zero benches compared used to read "OK: no regressions", exit 0.
+        hist = tmp_path / "h.jsonl"
+        if content is not None:
+            hist.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(hist)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{hist}: ") and captured.err.count("\n") == 1
+
+    def test_report_refuses_a_history_without_records(self, trace_file, tmp_path, capsys):
+        hist = tmp_path / "h.jsonl"
+        hist.write_text("\n")
+        out = tmp_path / "r.html"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", trace_file, "-o", str(out), "--history", str(hist)])
+        assert exc.value.code == 2
+        assert "holds no record" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _nesting_broken(path):
+    rec = Recorder()
+    rec.add_span("other", 0.0, 3.0)
+    rec.add_span("kernel", 1.0, 2.0)
+    rec.add_span("engine", 1.5, 2.5)
+    path.write_text(json.dumps(chrome_trace(rec)))
+
+
+class TestTraceLoaderRefuses:
+    """One reader for ``analyze``, ``report`` and ``wallclock --replay``:
+    a file it cannot use is one line on stderr naming it, exit 2."""
+
+    VERBS = {
+        "analyze": lambda f, tmp: ["analyze", f],
+        "report": lambda f, tmp: ["report", f, "-o", str(tmp / "out.html")],
+        "replay": lambda f, tmp: ["wallclock", "--replay", f],
+    }
+    BAD = {
+        "missing": (None, "No such file"),
+        "not-json": ("<html>", "not JSON"),
+        "no-traceEvents": ('{"not":"a trace"}', "no traceEvents list"),
+        "not-an-object": ("[1, 2]", "no traceEvents list"),
+        "no-span": ('{"traceEvents": [{"ph": "M", "name": "process_name"}]}',
+                    "holds no span"),
+        "bad-event": ('{"traceEvents": [{"ph": "X"}]}', "malformed trace event"),
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_unusable_trace_is_exit_2(self, verb, bad, tmp_path, capsys):
+        content, reason = self.BAD[bad]
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(self.VERBS[verb](str(path), tmp_path))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: ") and reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out.html").exists()
+
+    def test_replay_refuses_spans_that_do_not_nest(self, tmp_path, capsys):
+        path = tmp_path / "trace.json"
+        _nesting_broken(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["wallclock", "--replay", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and "partially overlaps" in err
+
+
+class TestWallclockCommand:
+    ARGS = ["wallclock", "--n", "300", "--ranks", "2", "--steps", "1"]
+
+    @staticmethod
+    def _table(out):
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("bucket "))
+        stop = next(i for i, line in enumerate(lines) if line.startswith("total "))
+        return lines[start:stop + 1]
+
+    def test_prints_the_five_buckets(self, capsys):
+        assert main(self.ARGS) == 0
+        table = self._table(capsys.readouterr().out)
+        assert sorted(line.split()[0] for line in table[1:-1]) == sorted(
+            ["kernel", "engine", "comm", "serialization", "other"])
+
+    def test_json_then_replay_print_the_same_table(self, tmp_path, capsys):
+        trace = tmp_path / "wall.json"
+        assert main(self.ARGS + ["--json", str(trace)]) == 0
+        live = self._table(capsys.readouterr().out)
+        assert main(["wallclock", "--replay", str(trace)]) == 0
+        assert self._table(capsys.readouterr().out) == live
+        # The file is an ordinary Chrome trace: the other verbs read it.
+        assert main(["analyze", str(trace)]) == 0
 
 
 class TestFleetGateNeedsBaseline:

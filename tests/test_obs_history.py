@@ -17,9 +17,7 @@ from repro.obs import (
     DEFAULT_FLEET_GATES,
     MetricGate,
     compare_history,
-    compare_history_multi,
     format_comparison_report,
-    format_multi_report,
     load_history,
     parse_gate_spec,
     robust_baseline,
@@ -29,6 +27,9 @@ from repro.obs.history import _metric_value
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
 )
+
+
+SECONDS = (MetricGate("seconds"),)
 
 
 def _entries(name, values, metric="seconds", **extra):
@@ -58,7 +59,7 @@ class TestRobustBaseline:
 class TestCompareHistory:
     def test_detects_ten_percent_slowdown(self):
         clean = _entries("treecode", [1.0, 1.0, 1.0, 1.0, 1.0])
-        report = compare_history(clean + _entries("treecode", [1.10]))
+        report = compare_history(clean + _entries("treecode", [1.10]), SECONDS)
         (row,) = report.rows
         assert row.status == "regression"
         assert row.delta == pytest.approx(0.10)
@@ -66,14 +67,14 @@ class TestCompareHistory:
         assert "REGRESSION" in format_comparison_report(report)
 
     def test_unmodified_history_is_clean(self):
-        report = compare_history(_entries("treecode", [1.0] * 6))
+        report = compare_history(_entries("treecode", [1.0] * 6), SECONDS)
         (row,) = report.rows
         assert row.status == "ok"
         assert report.ok
         assert "OK: no regressions" in format_comparison_report(report)
 
     def test_improvement_flagged_but_not_failing(self):
-        report = compare_history(_entries("npb.ep", [2.0] * 5 + [1.0]))
+        report = compare_history(_entries("npb.ep", [2.0] * 5 + [1.0]), SECONDS)
         (row,) = report.rows
         assert row.status == "improvement"
         assert report.ok
@@ -82,23 +83,23 @@ class TestCompareHistory:
         # Latest is +8% over the median, past the 5% threshold, but the
         # baseline itself is noisy: 3 robust sigmas gate it to "ok".
         noisy = _entries("wall", [1.0, 1.2, 0.9, 1.1, 1.0, 1.08])
-        (row,) = compare_history(noisy).rows
+        (row,) = compare_history(noisy, SECONDS).rows
         assert row.status == "ok"
         # The same excursion on a deterministic baseline is a regression.
         exact = _entries("virt", [1.0] * 5 + [1.08])
-        (row,) = compare_history(exact).rows
+        (row,) = compare_history(exact, SECONDS).rows
         assert row.status == "regression"
 
     def test_rolling_window_forgets_ancient_runs(self):
         # Ancient slow runs fall outside window=3; the recent fast
         # baseline is what the (slow again) latest run compares against.
         values = [2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.4]
-        (row,) = compare_history(_entries("b", values), window=3).rows
+        (row,) = compare_history(_entries("b", values), SECONDS, window=3).rows
         assert row.baseline == 1.0
         assert row.status == "regression"
 
     def test_single_run_is_skipped(self):
-        (row,) = compare_history(_entries("once", [1.0])).rows
+        (row,) = compare_history(_entries("once", [1.0]), SECONDS).rows
         assert row.status == "skipped"
 
     def test_counter_metric_and_nonpositive_exclusion(self):
@@ -110,23 +111,23 @@ class TestCompareHistory:
             {"name": "b", "seconds": 0.1, "virtual_seconds": 0.0,
              "counters": {"ops": 120.0}}
         ]
-        (row,) = compare_history(entries, metric="counters.ops").rows
+        (row,) = compare_history(entries, (MetricGate("counters.ops"),)).rows
         assert row.status == "regression"  # +20% in the counter
         # virtual_seconds is 0 on every run -> no comparable runs at all.
-        assert compare_history(entries, metric="virtual_seconds").rows == []
+        assert compare_history(entries, (MetricGate("virtual_seconds"),)).rows == []
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            compare_history([], threshold=0.0)
-        with pytest.raises(ValueError):
-            compare_history([], window=0)
+            compare_history([], SECONDS, window=0)
+        with pytest.raises(ValueError, match="distinct metrics"):
+            compare_history([], SECONDS + (MetricGate("seconds", 4.0),))
 
     def test_per_bench_isolation(self):
         mixed = (
             _entries("fast", [1.0] * 6)
             + _entries("slow", [1.0] * 5 + [1.5])
         )
-        report = compare_history(mixed)
+        report = compare_history(mixed, SECONDS)
         assert {r.name: r.status for r in report.rows} == {
             "fast": "ok", "slow": "regression",
         }
@@ -252,8 +253,7 @@ class TestDottedMetricPaths:
             for v in (0.9, 0.9, 0.9, 0.9, 0.4)  # latest collapses
         ]
         report = compare_history(
-            entries, metric="counters.cellcache.hit_rate",
-            threshold=0.1, direction="higher",
+            entries, (MetricGate("counters.cellcache.hit_rate", 0.1, "higher"),),
         )
         (row,) = report.rows
         assert row.status == "regression"
@@ -285,12 +285,12 @@ class TestMetricGateSpec:
             MetricGate("seconds", direction="up")
 
     def test_default_fleet_gates_cover_issue_metrics(self):
-        metrics = {g.metric for g in DEFAULT_FLEET_GATES}
-        assert {"seconds", "virtual_seconds",
-                "counters.recovery_overhead_s",
-                "counters.cellcache.hit_rate"} <= metrics
-        by_metric = {g.metric: g for g in DEFAULT_FLEET_GATES}
-        assert by_metric["counters.cellcache.hit_rate"].direction == "higher"
+        # Wall seconds are not gated by the fleet: perfbench --compare's.
+        assert DEFAULT_FLEET_GATES == (
+            MetricGate("virtual_seconds", 0.15),
+            MetricGate("counters.recovery_overhead_s", 0.25),
+            MetricGate("counters.cellcache.hit_rate", 0.10, direction="higher"),
+        )
 
 
 class TestMultiMetricGate:
@@ -303,55 +303,59 @@ class TestMultiMetricGate:
             entries.append({"name": "cheap", "seconds": 0.2})
         return entries
 
+    #: The fleet's gates plus wall seconds, so one history exercises
+    #: timings, a virtual counter and a higher-is-better rate at once.
+    GATES = DEFAULT_FLEET_GATES + (MetricGate("seconds", 4.0),)
+
     def test_clean_history_passes_every_gate(self):
-        multi = compare_history_multi(self._history() + [
+        multi = compare_history(self._history() + [
             {"name": "t", "seconds": 1.0, "virtual_seconds": 10.0,
              "counters": {"cellcache.hit_rate": 0.9}},
-        ])
+        ], self.GATES)
         assert multi.ok
-        assert "FLEET GATE OK" in format_multi_report(multi)
+        assert "FLEET GATE OK" in format_comparison_report(multi)
 
     def test_one_regressed_metric_fails_the_whole_gate(self):
-        multi = compare_history_multi(self._history() + [
+        multi = compare_history(self._history() + [
             {"name": "t", "seconds": 1.0, "virtual_seconds": 14.0,  # +40%
              "counters": {"cellcache.hit_rate": 0.9}},
-        ])
+        ], self.GATES)
         assert not multi.ok
-        assert [(m, r.name) for m, r in multi.regressions] == \
+        assert [(r.metric, r.name) for r in multi.regressions] == \
             [("virtual_seconds", "t")]
         assert "FLEET GATE REGRESSION in 1 bench-metric pair(s)" in \
-            format_multi_report(multi)
+            format_comparison_report(multi)
 
     def test_hit_rate_gates_downward_drift(self):
-        multi = compare_history_multi(self._history() + [
+        multi = compare_history(self._history() + [
             {"name": "t", "seconds": 1.0, "virtual_seconds": 10.0,
              "counters": {"cellcache.hit_rate": 0.5}},  # cache collapsed
-        ])
-        assert [(m, r.name) for m, r in multi.regressions] == \
+        ], self.GATES)
+        assert [(r.metric, r.name) for r in multi.regressions] == \
             [("counters.cellcache.hit_rate", "t")]
 
     def test_missing_metric_skips_without_masking(self):
         """A bench with no recovery/cache counters is skipped for those
         metrics only; its timing gates still run."""
-        multi = compare_history_multi(self._history() + [
+        multi = compare_history(self._history() + [
             {"name": "cheap", "seconds": 0.2},
-        ])
+        ], self.GATES)
         assert multi.ok
         status = multi.gate_status("cheap")
         assert status["seconds"] == "ok"
         assert "counters.recovery_overhead_s" not in status  # never seen
 
     def test_gate_status_per_bench(self):
-        multi = compare_history_multi(self._history() + [
+        multi = compare_history(self._history() + [
             {"name": "t", "seconds": 1.0, "virtual_seconds": 14.0,
              "counters": {"cellcache.hit_rate": 0.9}},
-        ])
+        ], self.GATES)
         status = multi.gate_status("t")
         assert status["virtual_seconds"] == "regression"
         assert status["seconds"] == "ok"
         assert multi.gate_status("nonexistent") == {}
 
     def test_to_dict_is_json_ready(self):
-        multi = compare_history_multi(self._history())
+        multi = compare_history(self._history(), self.GATES)
         doc = json.dumps(multi.to_dict())
         assert '"ok": true' in doc

@@ -1,6 +1,6 @@
 """Property tests for repro.obs: nesting, monotonicity, round-trips.
 
-Four invariants, driven by Hypothesis:
+Five invariants, driven by Hypothesis:
 
 * spans produced by the context-manager API always satisfy
   ``validate_nesting`` — the recorder cannot emit a malformed forest;
@@ -8,11 +8,14 @@ Four invariants, driven by Hypothesis:
 * the Chrome-trace export/parse pair round-trips any span multiset
   after canonical float normalization;
 * every span an engine run records in virtual time lies inside
-  ``[0, SimResult.elapsed]`` for random rank programs.
+  ``[0, SimResult.elapsed]`` for random rank programs;
+* ``self_seconds`` of any well-nested forest equals an interval-sampling
+  oracle, sums to the root durations and ignores span order.
 """
 
 from collections import Counter as Multiset
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from repro.obs import (
     canonical_floats,
     chrome_trace,
     parse_chrome_trace,
+    self_seconds,
     validate_nesting,
 )
 from repro.simmpi import Comm, UniformCost, run
@@ -66,6 +70,39 @@ def nesting_programs(draw):
     return ops
 
 
+def _play(rec, ops, track):
+    """Run a push/pop program on ``track`` of ``rec`` against a fake
+    clock that ticks 1.0, 2.0, ... (every span edge a distinct, exactly
+    representable time)."""
+    ticks = iter(range(1, 10_000))
+    rec._clock = lambda: float(next(ticks))
+    rec._origin = 0.0
+    stack = []
+    for op, name in ops:
+        if op == "push":
+            ctx = rec.span(name, track=track)
+            ctx.__enter__()
+            stack.append(ctx)
+        else:
+            stack.pop().__exit__(None, None, None)
+
+
+def innermost_seconds(span_list):
+    """Oracle for ``self_seconds`` that is not a rollup: cut each track
+    at every span edge and charge each elementary interval to the
+    covering span that started last."""
+    out = {}
+    for track in {s.track for s in span_list}:
+        group = [s for s in span_list if s.track == track]
+        edges = sorted({t for s in group for t in (s.t_start, s.t_end)})
+        for a, b in zip(edges, edges[1:]):
+            covering = [s for s in group if s.t_start <= a and b <= s.t_end]
+            if covering:
+                name = max(covering, key=lambda s: s.t_start).name
+                out[name] = out.get(name, 0.0) + (b - a)
+    return out
+
+
 # -- properties ------------------------------------------------------------
 
 
@@ -73,20 +110,37 @@ class TestNestingWellFormed:
     @given(nesting_programs(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=100, deadline=None)
     def test_context_manager_spans_always_nest(self, ops, track):
-        ticks = iter(range(1, 10_000))
         rec = Recorder(clock=lambda: 0.0)
-        rec._clock = lambda: float(next(ticks))
-        rec._origin = 0.0
-        stack = []
-        for op, name in ops:
-            if op == "push":
-                ctx = rec.span(name, track=track)
-                ctx.__enter__()
-                stack.append(ctx)
-            else:
-                stack.pop().__exit__(None, None, None)
+        _play(rec, ops, track)
         validate_nesting(rec.spans)
         assert len(rec.spans) == sum(1 for op, _ in ops if op == "push")
+
+
+class TestSelfSeconds:
+    @given(nesting_programs(), nesting_programs(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_innermost_oracle(self, ops0, ops1, rng):
+        # Two tracks whose clocks both restart at 1.0, so spans of one
+        # overlap spans of the other without nesting in them.
+        rec = Recorder(clock=lambda: 0.0)
+        for track, ops in enumerate((ops0, ops1)):
+            few_names = [(op, name and name[0]) for op, name in ops]
+            _play(rec, [("push", "ROOT"), *few_names, ("pop", None)], track)
+        table = self_seconds(rec)
+        assert table == innermost_seconds(rec.spans)
+        assert sum(table.values()) == sum(
+            s.duration for s in rec.spans if s.name == "ROOT"
+        )
+        shuffled = list(rec.spans)
+        rng.shuffle(shuffled)
+        assert self_seconds(shuffled) == table
+
+    @given(st.lists(st.integers(min_value=0, max_value=1000),
+                    min_size=4, max_size=4, unique=True).map(sorted))
+    def test_partial_overlap_is_refused(self, edges):
+        a, b, c, d = map(float, edges)
+        with pytest.raises(ValueError, match="partially overlaps"):
+            self_seconds([Span("x", a, c), Span("y", b, d)])
 
 
 class TestCounterMonotone:

@@ -9,7 +9,7 @@ ledger is pinned byte-for-byte under ``tests/golden/``.
 
 import os
 
-from repro.obs.history import DEFAULT_FLEET_GATES, compare_history_multi
+from repro.obs.history import MetricGate, compare_history
 from repro.obs.report import (
     _gate_cell,
     _wait_bar,
@@ -125,9 +125,13 @@ def _golden_inputs():
         _row("<script>alert(1)</script>", seconds=0.2, virtual=1.0),
     ]
     live = [r for r in rows if r["fleet"]["status"] != "failed"]
-    multi = compare_history_multi(
-        history + live, DEFAULT_FLEET_GATES, window=5,
+    gates = (
+        MetricGate("virtual_seconds", 0.15),
+        MetricGate("seconds", 4.0),
+        MetricGate("counters.recovery_overhead_s", 0.25),
+        MetricGate("counters.cellcache.hit_rate", 0.10, direction="higher"),
     )
+    multi = compare_history(history + live, gates, window=5)
     return rows, history, multi
 
 
