@@ -7,7 +7,11 @@ Public surface:
 * :class:`~repro.core.hashtable.KeyHashTable` — the key -> cell map that
   names the method;
 * :func:`~repro.core.tree.build_tree` /
-  :func:`~repro.core.gravity.tree_accelerations` — serial treecode;
+  :func:`~repro.core.gravity.tree_accelerations` — serial treecode: the
+  one-rank case of the hashed cell table
+  (:attr:`~repro.core.tree.Tree.table`), walked by the same
+  :func:`~repro.core.traversal.walk` as the parallel code and the SPH
+  neighbour search;
 * :func:`~repro.core.gravity.direct_accelerations` — O(N^2) reference;
 * kernel backends (:mod:`~repro.core.backend`) — the registry behind
   the batched hot loops (``numpy`` reference, optional ``numba``);

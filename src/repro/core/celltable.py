@@ -178,6 +178,24 @@ class CellTable(CellBatch):
         self.n = self.n_kids = self.n_parts = 0
         self.index = KeyHashTable(capacity=512)  # grows; a thousand ranks hold one each
 
+    @classmethod
+    def over(cls, batch: CellBatch) -> "CellTable":
+        """The table of one complete tree: its columns *are* the batch's
+        arrays (nothing is copied, so a write to either is seen through
+        both), every row :data:`SILENT` and every child key the batch
+        holds resolved to its row.  This is the serial code's table: the
+        one-rank case, with nothing remote to catch."""
+        table = cls()
+        for name in CellBatch.__slots__:
+            setattr(table, name, getattr(batch, name))
+        table.n, table.n_kids, table.n_parts = len(batch), len(batch.child_key), len(batch.pmass)
+        for name in ("kind", "prefetched", "branch", "used"):
+            setattr(table, name, np.zeros(table.n, dtype=getattr(table, name).dtype))
+        table.index.insert(batch.key, np.arange(table.n, dtype=np.int64))
+        rows, found = table.index.lookup(batch.child_key)
+        table.child_row = np.where(found, rows, -1)
+        return table
+
     def __len__(self) -> int:
         return self.n
 

@@ -125,21 +125,24 @@ class KeyHashTable:
         # The first probe answers most keys: take it for the whole batch
         # at once, then keep probing only for the keys that ran into
         # another key's slot.  Probing ends at an empty slot: absent.
+        # (The reserved key 0 is absent, not "found" in an empty slot.)
         slots = self._slots(keys)
         slot_keys = self._keys[slots]
-        found = slot_keys == keys
+        live = slot_keys != _EMPTY
+        found = (slot_keys == keys) & live
         values = self._values[slots]
         if found.all():
             return values, found
-        pending = np.flatnonzero(~found & (slot_keys != _EMPTY))
+        pending = np.flatnonzero(~found & live)
         mask = np.int64(self.capacity - 1)
         while pending.size:
             s = slots[pending] = (slots[pending] + 1) & mask
             slot_keys = self._keys[s]
-            hit = slot_keys == keys[pending]
+            live = slot_keys != _EMPTY
+            hit = (slot_keys == keys[pending]) & live
             values[pending[hit]] = self._values[s[hit]]
             found[pending[hit]] = True
-            pending = pending[~hit & (slot_keys != _EMPTY)]
+            pending = pending[~hit & live]
         return values, found
 
     def get(self, key: int, default: int | None = None) -> int | None:

@@ -98,3 +98,4 @@ def compute_multipoles(tree: Tree) -> None:
     tree.com = com
     tree.quad = quad
     tree.bmax = bmax
+    tree.__dict__.pop("table", None)  # a table seeded over earlier moments is stale

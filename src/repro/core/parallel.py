@@ -16,15 +16,18 @@ This module reassembles the full HOT pipeline of Section 4.2:
    key, through one hashed, columnar
    :class:`~repro.core.celltable.CellTable` per rank that holds local,
    shared-top and fetched cells alike.  All groups of a round descend
-   together as one ``(group, row)`` frontier; a batched hash lookup
-   resolves child keys and its miss mask catches the remote ones.
+   together as one ``(group, row)`` frontier — the serial code's walk,
+   :func:`repro.core.traversal.walk`, here over a table that can miss:
+   a batched hash lookup resolves child keys and its miss mask catches
+   the remote ones.
    Misses do not stall the walk: the group is parked on a software
    deferral queue and its key requests are *batched per destination*;
    other groups keep walking.  Replies (column batches of cell records,
    with the particles of leaves) become rows of the same table, and
    parked groups resume.
-4. **Evaluation** — interaction lists are evaluated with the same
-   vectorized monopole+quadrupole / direct kernels as the serial code.
+4. **Evaluation** — interaction lists are evaluated by the serial
+   code's rectangle evaluator
+   (:func:`repro.core.traversal.evaluate_rects`) over the rank's table.
 
 Two communication schedules drive step 3, selected by
 ``ParallelConfig.comm``:
@@ -140,9 +143,12 @@ from .keys import MAX_LEVEL, ROOT_KEY, BoundingBox, keys_from_positions
 from .mac import OpeningAngleMAC
 from ..obs.wallclock import bucket as _wall_bucket
 from .traversal import (
-    DEFAULT_PAIR_CHUNK,
     FLOPS_PER_CELL_INTERACTION,
     InteractionCounts,
+    csr_by_group,
+    evaluate_rects,
+    leaf_particles,
+    walk,
 )
 from ..machine.specs import FLOPS_PER_INTERACTION
 
@@ -420,8 +426,9 @@ class _Traversal:
     The walk is level-synchronous over *all* pending groups of a round:
     the frontier is a pair of index arrays ``(group, table row)``, MAC
     tested and classified with one vector expression per tree level
-    (:meth:`advance_round`).  The interaction list of every sink group
-    is a pure function of the global tree and the group geometry, and
+    (:meth:`advance_round`, through the shared
+    :func:`~repro.core.traversal.walk`).  The interaction list of every
+    sink group is a pure function of the global tree and the group geometry, and
     evaluation order within a group is fixed by sorting its sources on
     key — so the ``"async"`` and ``"blocking"`` schedules (and any
     cache state) produce bit-identical ``acc``/``pot``/``counts``.
@@ -463,7 +470,6 @@ class _Traversal:
         self.acc = np.zeros((n_owned, 3))
         self.pot = np.zeros(n_owned)
         self.work = np.zeros(n_owned)
-        self.pos3 = np.ascontiguousarray(pos.T) if n_owned else np.zeros((3, 0))
         self.counts = InteractionCounts()
 
         self.table = CellTable()
@@ -629,12 +635,12 @@ class _Traversal:
         )
 
     # -- force evaluation of completed walks ---------------------------------
-    def sources(self, ready: np.ndarray):
+    def ready_lists(self, ready: np.ndarray):
         """Interaction lists of the ``ready`` groups, taken off the
-        pending pairs: ``(cell rows, cells per group, pool indices of
-        the direct sources, direct sources per group)``, each group's
-        sources in key order — the order that fixes the evaluation's
-        float sums."""
+        pending pairs, as CSR over all groups (the others' lists are
+        empty): ``((offsets, cell rows), (offsets, pool indices of the
+        direct sources))``, each group's sources in key order — the
+        order that fixes the evaluation's float sums."""
         table, n_groups = self.table, self.gkey.shape[0]
         is_ready = np.zeros(n_groups, dtype=bool)
         is_ready[ready] = True
@@ -643,14 +649,8 @@ class _Traversal:
             g, r = getattr(self, name)
             mine = is_ready[g]
             setattr(self, name, (g[~mine], r[~mine]))
-            g, r = g[mine], r[mine]
-            order = np.lexsort((table.key[r], g))
-            out.append((g[order], r[order]))
-        (cg, crows), (dg, drows) = out
-        n_direct = np.bincount(dg, weights=table.pn[drows], minlength=n_groups)
-        return (crows, np.bincount(cg, minlength=n_groups)[ready],
-                csr_take(table.pstart[drows], table.pn[drows]),
-                n_direct[ready].astype(np.int64))
+            out.append(csr_by_group(g[mine], r[mine], n_groups, table.key[r[mine]]))
+        return out[0], leaf_particles(table, *out[1])
 
     def tally(self, ready: np.ndarray, n_cells: np.ndarray, n_direct: np.ndarray):
         """Book the completed walks of ``ready`` against their source
@@ -670,64 +670,42 @@ class _Traversal:
             self.pot[soft] += self.config.G * self.mass[soft] / self.config.eps
         return float(ns @ per_sink), float(ns @ (n_cells * 80.0 + n_direct * 32.0))
 
-    def rects(self, ready: np.ndarray, widths: np.ndarray):
-        """(sink starts, sink counts, source offsets): one rectangle for
-        every ``ready`` group that has sources at all."""
-        wide = widths > 0
-        offs = np.zeros(np.count_nonzero(wide) + 1, dtype=np.int64)
-        np.cumsum(widths[wide], out=offs[1:])
-        return self.gstart[ready][wide], self.gn[ready][wide], offs
-
     def evaluate_pergroup(self, ready: np.ndarray) -> tuple[float, float]:
         """The historical one-dense-call-per-group evaluator, kept as the
         differential reference for :meth:`evaluate_batch`."""
         table, kb, eps2, G = self.table, self.kb, self.eps2, self.config.G
-        crows, n_cells, src, n_direct = self.sources(ready)
-        c_end, s_end = np.cumsum(n_cells).tolist(), np.cumsum(n_direct).tolist()
-        for i, g in enumerate(ready.tolist()):
+        (c_off, crows), (s_off, src) = self.ready_lists(ready)
+        for g in ready.tolist():
             own = slice(self.gstart[g], self.gstart[g] + self.gn[g])
-            rows = crows[c_end[i] - n_cells[i]:c_end[i]]
+            rows = crows[c_off[g]:c_off[g + 1]]
             if rows.size:
                 a, p = kb.eval_cells_dense(self.pos[own], table.com[rows], table.mass[rows],
                                            table.quad[rows], eps2, G)
                 self.acc[own] += a
                 self.pot[own] += p
-            ids = src[s_end[i] - n_direct[i]:s_end[i]]
+            ids = src[s_off[g]:s_off[g + 1]]
             if ids.size:
                 a, p = kb.eval_direct_dense(self.pos[own], table.ppos[ids], table.pmass[ids],
                                             eps2, G)
                 self.acc[own] += a
                 self.pot[own] += p
-        return self.tally(ready, n_cells, n_direct)
+        return self.tally(ready, np.diff(c_off)[ready], np.diff(s_off)[ready])
 
     def evaluate_batch(self, ready: np.ndarray) -> tuple[float, float]:
-        """Evaluate a batch of completed walks as flat CSR rectangles:
-        one cell and one direct kernel call for the whole batch.
+        """Evaluate a batch of completed walks with the serial code's
+        rectangle evaluator (:func:`~repro.core.traversal.evaluate_rects`).
 
         A rectangle's per-sink result is independent of the batch it is
-        evaluated in (backend contract), and each sink group completes
-        in exactly one batch, so accelerations stay bit-identical across
-        comm schedules, cache states, and round boundaries — the same
-        invariant the per-group path has.
+        evaluated in, and each sink group completes in exactly one
+        batch, so accelerations stay bit-identical across comm
+        schedules, cache states, and round boundaries — the same
+        invariant the per-group path has.  (Sinks are pool indices too:
+        the rank's own particles open the table's particle pool.)
         """
-        table = self.table
-        crows, n_cells, src, n_direct = self.sources(ready)
-        charged = self.tally(ready, n_cells, n_direct)
-        tail = (self.eps2, self.config.G, self.acc, self.pot, DEFAULT_PAIR_CHUNK)
-        if crows.size:
-            self.kb.eval_cell_rects(
-                self.pos3, *self.rects(ready, n_cells), np.arange(crows.size, dtype=np.int64),
-                np.ascontiguousarray(table.com[crows].T), table.mass[crows],
-                np.ascontiguousarray(table.quad[crows].T), *tail,
-            )
-        if src.size:
-            # Sources are indices into the table's particle pool, which
-            # the rank's own particles open: sink rows stay < n_owned,
-            # so writes into acc/pot are safe.
-            self.kb.eval_direct_rects(
-                np.ascontiguousarray(table.ppos[:table.n_parts].T), table.pmass[:table.n_parts],
-                *self.rects(ready, n_direct), src, *tail,
-            )
+        cells, direct = self.ready_lists(ready)
+        charged = self.tally(ready, np.diff(cells[0])[ready], np.diff(direct[0])[ready])
+        evaluate_rects(self.kb, self.table, self.gstart, self.gn, cells, direct,
+                       self.eps2, self.config.G, self.acc, self.pot)
         return charged
 
     def evaluate_many(self, ready: np.ndarray):
@@ -773,58 +751,16 @@ class _Traversal:
         ready)``: the pairs now parked on missing keys and the groups
         whose walk completed.
         """
-        table = self.table
         keys, inverse = np.unique(wkey, return_inverse=True)
         rows, found = self.resolve(keys)
         rows, found = rows[inverse], found[inverse]
-        parked = [(wg[~found], wkey[~found])]
-        misses = wg.size - np.count_nonzero(found)
-        g, r = wg[found], rows[found]
-        accepted, opened = [self.cells], [self.direct]
-        tests = 0
-        while g.size:
-            kind = table.kind[r]
-            self.hit(r[kind == REMOTE])
-            misses += np.count_nonzero(kind == STUB)
-            tests += g.size
-            d = table.com[r] - self.gcom[g]
-            dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-            ok = self.mac.accept(dist, table.bmax[r], self.gbmax[g], table.mass[r])
-            ok &= r != self.grow[g]  # never approximate the group by itself
-            accepted.append((g[ok], r[ok]))
-            g, r = g[~ok], r[~ok]
-            leaf, held = table.leaf[r], table.pn[r] > 0
-            whole = leaf & held
-            opened.append((g[whole], r[whole]))
-            # A remote leaf known only by its multipole: the MAC wants
-            # it opened, so its particles must be fetched — park on it.
-            stub = leaf & ~held
-            parked.append((g[stub], table.key[r[stub]]))
-            # Open the rest: their children are the next frontier.
-            go = ~leaf
-            if shut is not None:
-                go &= ~shut[found][~ok]
-                shut = None
-            g, r = g[go], r[go]
-            n_kids = table.cn[r]
-            slots = csr_take(table.cstart[r], n_kids)
-            g = np.repeat(g, n_kids)
-            r = table.child_row[slots]
-            stale = (r < 0) | (table.kind[r] == DEAD)
-            if stale.any():
-                ask = np.unique(slots[stale])
-                rows, there = self.resolve(table.child_key[ask])
-                table.child_row[ask] = np.where(there, rows, -1)
-                r = table.child_row[slots]
-                lost = r < 0
-                if lost.any():
-                    parked.append((g[lost], table.child_key[slots[lost]]))
-                    misses += np.count_nonzero(lost)
-                    g, r = g[~lost], r[~lost]
-        self.cache["misses"] += int(misses)
-        self.cells = tuple(np.concatenate(part) for part in zip(*accepted))
-        self.direct = tuple(np.concatenate(part) for part in zip(*opened))
-        wg, wkey = (np.concatenate(part) for part in zip(*parked))
+        cells, direct, (pg, pkey), tests, _, misses = walk(
+            self.table, (self.grow, self.gcom, self.gbmax), self.mac, wg[found], rows[found],
+            shut=None if shut is None else shut[found], resolve=self.resolve, hit=self.hit)
+        self.cache["misses"] += misses + wg.size - np.count_nonzero(found)
+        self.cells = tuple(np.concatenate(part) for part in zip(self.cells, cells))
+        self.direct = tuple(np.concatenate(part) for part in zip(self.direct, direct))
+        wg, wkey = np.concatenate([wg[~found], pg]), np.concatenate([wkey[~found], pkey])
         blocked = np.zeros(self.pending.shape[0], dtype=bool)
         blocked[wg] = True
         ready = np.flatnonzero(self.pending & ~blocked)

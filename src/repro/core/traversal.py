@@ -1,18 +1,32 @@
-"""Batched tree traversal and force evaluation.
+"""The tree walk and the rectangle evaluator, for every caller.
 
-The tree is walked for *all* sink groups per frontier pass: every round
-MAC-tests one flat array of (group, candidate-cell) pairs — a shared
-distance computation over the whole frontier — and the survivors are
-emitted as flat CSR-style interaction lists (accepted cells and direct
-source leaves per group).  The lists are then evaluated in a handful of
-dense kernel calls through a pluggable :mod:`~repro.core.backend`, with
-pair expansion chunked so memory stays bounded at any N.
+:func:`walk` is the one tree traversal of the package: a
+level-synchronous ``(group, row)`` frontier over a hashed
+:class:`~repro.core.celltable.CellTable`.  Every pass tests one flat
+array of (group, candidate-cell) pairs against an acceptance rule — a
+shared distance computation over the whole frontier — and emits the
+accepted and the opened pairs.  It has three callers, which differ in
+the table, the group geometry, the rule and the order they sort the
+emitted pairs into (:func:`csr_by_group`):
 
-This replaces the historical one-group-at-a-time walker, which is kept
-verbatim as :func:`compute_forces_reference`: the differential-physics
-suite pins the batched path to it (accelerations within 1e-10,
-bit-identical :class:`InteractionCounts`), and the Table 5 benchmark
-measures the batched path's speedup against it.
+* :func:`build_interaction_lists`, the serial treecode, over
+  :attr:`Tree.table <repro.core.tree.Tree.table>` — the one-rank case
+  of the hashed table: nothing remote, so nothing parks;
+* :func:`repro.sph.neighbors.find_neighbors`, over the same table with
+  a rule that prunes instead of approximating;
+* ``_Traversal.advance_round`` of :mod:`repro.core.parallel`, over a
+  rank's table, where a missing key parks the walk until it is fetched.
+
+:func:`evaluate_rects` likewise evaluates interaction lists for the
+serial and the parallel code: flat CSR rectangles, a handful of dense
+kernel calls through a pluggable :mod:`~repro.core.backend`, with pair
+expansion chunked so memory stays bounded at any N.
+
+The historical one-group-at-a-time walker is kept verbatim as
+:func:`compute_forces_reference`: the differential-physics suite pins
+the batched path to it (accelerations within 1e-10, bit-identical
+:class:`InteractionCounts`), and the Table 5 benchmark measures the
+batched path's speedup against it.
 
 The structure still mirrors the original HOT code (interaction lists
 built per group, then a vectorizable inner loop), which is what makes
@@ -30,6 +44,7 @@ import numpy as np
 from ..machine.specs import FLOPS_PER_INTERACTION
 from ..obs import NULL
 from .backend import NumpyBackend, get_backend
+from .celltable import DEAD, REMOTE, STUB, CellTable, csr_take
 from .mac import OpeningAngleMAC
 from .tree import Tree
 
@@ -40,7 +55,11 @@ __all__ = [
     "build_interaction_lists",
     "compute_forces",
     "compute_forces_reference",
+    "csr_by_group",
     "evaluate_interaction_lists",
+    "evaluate_rects",
+    "leaf_particles",
+    "walk",
 ]
 
 #: Flop convention for a cell (monopole+quadrupole) interaction.
@@ -111,87 +130,119 @@ class InteractionLists:
         return self.leaf_ids[self.leaf_offsets[g]:self.leaf_offsets[g + 1]]
 
 
-def _expand_children(tree: Tree, g_idx: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Replace internal cells by their children, keeping group pairing."""
-    cnt = tree.n_children[cells]
-    first = tree.first_child[cells]
-    total = int(cnt.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    offs = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    children = np.repeat(first, cnt) + (np.arange(total, dtype=np.int64) - offs)
-    return np.repeat(g_idx, cnt), children
-
-
-def _csr_by_group(g_idx: np.ndarray, items: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort (group, item) pairs into CSR form, stable within group."""
-    order = np.argsort(g_idx, kind="stable")
-    offsets = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(np.bincount(g_idx, minlength=n_groups), out=offsets[1:])
+def csr_by_group(g_idx: np.ndarray, items: np.ndarray, n_groups: int, tie=None):
+    """Sort (group, item) pairs into CSR form ``(offsets, items)``:
+    within a group by ``tie``, or without one stable (the pairs' own
+    order).  This is the one place a caller of :func:`walk` fixes its
+    source order, and with it the order of its float sums."""
+    order = np.argsort(g_idx, kind="stable") if tie is None else np.lexsort((tie, g_idx))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(g_idx, minlength=n_groups))))
     return offsets, items[order]
+
+
+def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=None,
+         resolve=None, hit=lambda rows: None):
+    """The one tree walk: advance a ``(group, row)`` frontier over
+    ``table`` as far as the table allows, one tree level per pass.
+
+    ``groups`` are the sink groups as columns ``(grow, centre, bound)``:
+    the table row of each group's own cell (never accepted for it), and
+    the sphere ``rule.accept(dist, cell_bmax, group_bound, cell_mass)``
+    tests every frontier cell against.  ``(g, r)`` is where the walks
+    stand; ``shut`` marks the pairs that are tested but not opened in
+    the first pass.  An accepted cell leaves the frontier, a rejected
+    leaf that holds its particles is opened, a rejected cell is replaced
+    by its children through ``child_row``.  What the table cannot
+    answer parks the walk on a key: a leaf known by its multipole only,
+    or a child key that ``resolve(keys) -> (rows, found)`` (default: the
+    table's own lookup) does not find.  ``hit(rows)`` is told of every
+    visit to a fetched (:data:`REMOTE`) row.  A table that holds its
+    whole tree (:attr:`Tree.table`) has no such rows and every child
+    resolved: nothing parks, nothing is looked up.
+
+    Returns ``(accepted, opened, parked, tests, passes, misses)``: the
+    accepted and the opened ``(group, row)`` pairs and the parked
+    ``(group, key)`` pairs, each in emission order (pass by pass, along
+    the frontier), the number of acceptance tests and passes, and the
+    visits that found no usable row.
+    """
+    grow, centre, bound = groups
+    resolve = resolve or table.lookup
+    none = np.empty(0, dtype=np.int64)
+    accepted, opened, parked = [(none, none)], [(none, none)], [(none, none.astype(np.uint64))]
+    tests = passes = misses = 0
+    while g.size:
+        passes += 1
+        tests += g.size
+        kind = table.kind[r]
+        hit(r[kind == REMOTE])
+        misses += np.count_nonzero(kind == STUB)
+        d = table.com[r] - centre[g]
+        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+        # The criteria are elementwise, so the group-side bound may be
+        # an array: one shared test over the whole frontier.
+        ok = rule.accept(dist, table.bmax[r], bound[g], table.mass[r])
+        ok &= r != grow[g]  # never approximate the group by itself
+        accepted.append((g[ok], r[ok]))
+        g, r = g[~ok], r[~ok]
+        leaf, held = table.leaf[r], table.pn[r] > 0
+        whole = leaf & held
+        opened.append((g[whole], r[whole]))
+        # A remote leaf known only by its multipole: the rule wants it
+        # opened, so its particles must be fetched — park on it.
+        stub = leaf & ~held
+        parked.append((g[stub], table.key[r[stub]]))
+        # Open the rest: their children are the next frontier.
+        go = ~leaf
+        if shut is not None:
+            go &= ~shut[~ok]
+            shut = None
+        g, r = g[go], r[go]
+        n_kids = table.cn[r]
+        slots = csr_take(table.cstart[r], n_kids)
+        g = np.repeat(g, n_kids)
+        r = table.child_row[slots]
+        stale = (r < 0) | (table.kind[r] == DEAD)
+        if stale.any():
+            ask = np.unique(slots[stale])
+            rows, there = resolve(table.child_key[ask])
+            table.child_row[ask] = np.where(there, rows, -1)
+            r = table.child_row[slots]
+            lost = r < 0
+            parked.append((g[lost], table.child_key[slots[lost]]))
+            misses += np.count_nonzero(lost)
+            g, r = g[~lost], r[~lost]
+    accepted, opened, parked = (tuple(np.concatenate(part) for part in zip(*pairs))
+                                for pairs in (accepted, opened, parked))
+    return accepted, opened, parked, tests, passes, misses
 
 
 def build_interaction_lists(tree: Tree, mac=None, *, observer=NULL) -> InteractionLists:
     """Walk the tree for all sink groups per frontier pass.
 
-    Each pass MAC-tests the full (groups x frontier) candidate set as
-    one flat array: accepted cells join their group's cell list,
-    rejected external leaves join its direct list, rejected internal
-    cells are replaced by their children.  Per-group results are
+    Every leaf is a sink group and starts :func:`walk` at the root of
+    :attr:`Tree.table`: accepted cells join their group's cell list,
+    opened external leaves its direct list.  Per-group results are
     identical (same lists, same order) to running the reference
     one-group walker on every leaf.
     """
-    if tree.mass is None:
-        raise ValueError("tree has no multipoles; build with with_multipoles=True")
     mac = mac if mac is not None else OpeningAngleMAC()
+    table = tree.table
     groups = tree.leaf_ids
     n_groups = groups.shape[0]
-    g_com = tree.com[groups]
-    g_bmax = tree.bmax[groups]
-
-    g_idx = np.arange(n_groups, dtype=np.int64)
-    cells = np.zeros(n_groups, dtype=np.int64)  # every group starts at the root
-    acc_g: list[np.ndarray] = []
-    acc_c: list[np.ndarray] = []
-    dir_g: list[np.ndarray] = []
-    dir_c: list[np.ndarray] = []
-    mac_tests = 0
-    passes = 0
-
-    while cells.size:
-        passes += 1
-        mac_tests += cells.size
-        d = tree.com[cells] - g_com[g_idx]
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        # The MAC criteria are elementwise, so the group-side bound may
-        # be an array: one shared test over the whole frontier.
-        ok = mac.accept(dist, tree.bmax[cells], g_bmax[g_idx], tree.mass[cells])
-        ok &= cells != groups[g_idx]  # never approximate the group by itself
-        acc_g.append(g_idx[ok])
-        acc_c.append(cells[ok])
-        og, oc = g_idx[~ok], cells[~ok]
-        if oc.size == 0:
-            break
-        is_leaf = tree.n_children[oc] == 0
-        # The group itself is excluded: its own run is appended to the
-        # direct list exactly once, at evaluation time.
-        ext = is_leaf & (oc != groups[og])
-        dir_g.append(og[ext])
-        dir_c.append(oc[ext])
-        g_idx, cells = _expand_children(tree, og[~is_leaf], oc[~is_leaf])
-
-    ag = np.concatenate(acc_g) if acc_g else np.empty(0, dtype=np.int64)
-    ac = np.concatenate(acc_c) if acc_c else np.empty(0, dtype=np.int64)
-    dg = np.concatenate(dir_g) if dir_g else np.empty(0, dtype=np.int64)
-    dc = np.concatenate(dir_c) if dir_c else np.empty(0, dtype=np.int64)
-    cell_offsets, cell_ids = _csr_by_group(ag, ac, n_groups)
-    leaf_offsets, leaf_ids = _csr_by_group(dg, dc, n_groups)
+    everyone = np.arange(n_groups, dtype=np.int64)
+    (ag, ac), (dg, dc), _, mac_tests, passes, _ = walk(
+        table, (groups, table.com[groups], table.bmax[groups]), mac,
+        everyone, np.zeros_like(everyone))
+    cell_offsets, cell_ids = csr_by_group(ag, ac, n_groups)
+    # The group itself is excluded: its own run is appended to the
+    # direct list exactly once, at evaluation time.
+    ext = dc != groups[dg]
+    dg, dc = dg[ext], dc[ext]
+    leaf_offsets, leaf_ids = csr_by_group(dg, dc, n_groups)
 
     ns = tree.count[groups]
-    n_src = ns + _NP_BACKEND.segment_sum(
-        tree.count[leaf_ids].astype(np.float64), leaf_offsets
-    ).astype(np.int64)
+    n_src = ns + np.bincount(dg, weights=table.pn[dc], minlength=n_groups).astype(np.int64)
     counts = InteractionCounts(
         p2p=int(np.dot(ns, n_src)),
         p2c=int(np.dot(ns, np.diff(cell_offsets))),
@@ -210,6 +261,41 @@ def build_interaction_lists(tree: Tree, mac=None, *, observer=NULL) -> Interacti
     observer.count("gravity.mac_tests", mac_tests)
     observer.count("gravity.traversal_passes", passes)
     return lists
+
+
+def leaf_particles(table: CellTable, offsets: np.ndarray, rows: np.ndarray):
+    """CSR lists of leaf rows as CSR lists of their particles (indices
+    into the table's particle pool): ``(offsets, ids)``."""
+    pn = table.pn[rows]
+    return np.concatenate(([0], np.cumsum(pn)))[offsets], csr_take(table.pstart[rows], pn)
+
+
+def evaluate_rects(kb, table: CellTable, starts, counts, cells, direct, eps2, G, acc, pot,
+                   pair_chunk=DEFAULT_PAIR_CHUNK, observer=NULL) -> None:
+    """Evaluate interaction lists as flat CSR rectangles: one cell and
+    one direct kernel call for the whole batch, added into ``acc`` and
+    ``pot``.
+
+    Rectangle ``i`` is the sink run ``starts[i] : starts[i] + counts[i]``
+    of the table's particle pool against ``cells = (offsets, rows)``,
+    its accepted cells, and ``direct = (offsets, ids)``, its direct
+    sources in the pool.  The kernels index the table's whole columns by
+    row, component-major (each component contiguous: every step of a
+    pair kernel is a contiguous ufunc, not a strided column access).  A
+    rectangle's per-sink result does not depend on the batch it is
+    evaluated in (backend contract).
+    """
+    n, n_parts = len(table), table.n_parts
+    pool3 = np.ascontiguousarray(table.ppos[:n_parts].T)
+    with observer.span("gravity.kernel.cells", cat="gravity", backend=kb.name):
+        kb.eval_cell_rects(
+            pool3, starts, counts, *cells, np.ascontiguousarray(table.com[:n].T), table.mass[:n],
+            np.ascontiguousarray(table.quad[:n].T), eps2, G, acc, pot, pair_chunk,
+        )
+    with observer.span("gravity.kernel.direct", cat="gravity", backend=kb.name):
+        kb.eval_direct_rects(
+            pool3, table.pmass[:n_parts], starts, counts, *direct, eps2, G, acc, pot, pair_chunk,
+        )
 
 
 def evaluate_interaction_lists(
@@ -233,51 +319,19 @@ def evaluate_interaction_lists(
     acc = np.zeros_like(tree.positions)
     pot = np.zeros(tree.n_particles)
 
+    # Direct sources: a group's external leaves in list order, then the
+    # group itself (its own run interacts directly, last — the
+    # reference walker's convention).
     groups = lists.groups
-    ns = tree.count[groups]
-    g_start = tree.start[groups]
-
-    # Component-major copies (each row contiguous): the pair kernels
-    # work on 1-D per-component arrays, so every step is a contiguous
-    # ufunc instead of a strided column access.
-    pos3 = np.ascontiguousarray(tree.positions.T)
-    com3 = np.ascontiguousarray(tree.com.T)
-    quad6 = np.ascontiguousarray(tree.quad.T)
-
-    # -- cell (monopole+quadrupole) interactions ------------------------
-    with observer.span("gravity.kernel.cells", cat="gravity", backend=kb.name):
-        kb.eval_cell_rects(
-            pos3, g_start, ns, lists.cell_offsets, lists.cell_ids,
-            com3, tree.mass, quad6, eps2, G, acc, pot, pair_chunk,
-        )
-
-    # -- direct (particle-particle) interactions ------------------------
-    # Augment each group's external source leaves with the group itself
-    # (its own run interacts directly, appended last — the reference
-    # walker's convention), then expand leaves to particle indices.
-    ext = np.diff(lists.leaf_offsets)
-    aug_cnt = ext + 1
-    aug_off = np.zeros(groups.shape[0] + 1, dtype=np.int64)
-    np.cumsum(aug_cnt, out=aug_off[1:])
-    aug = np.empty(int(aug_off[-1]), dtype=np.int64)
-    own_slots = np.zeros(aug.size, dtype=bool)
-    own_slots[aug_off[1:] - 1] = True
-    aug[~own_slots] = lists.leaf_ids
-    aug[own_slots] = groups
-    lcnt = tree.count[aug]
-    tot = int(lcnt.sum())
-    src_flat = np.arange(tot, dtype=np.int64)
-    src_flat += np.repeat(tree.start[aug] - (np.cumsum(lcnt) - lcnt), lcnt)
-    src_off = np.zeros(groups.shape[0] + 1, dtype=np.int64)
-    np.cumsum(_NP_BACKEND.segment_sum(
-        lcnt.astype(np.float64), aug_off
-    ).astype(np.int64), out=src_off[1:])
-
-    with observer.span("gravity.kernel.direct", cat="gravity", backend=kb.name):
-        kb.eval_direct_rects(
-            pos3, tree.masses, g_start, ns, src_off, src_flat,
-            eps2, G, acc, pot, pair_chunk,
-        )
+    everyone = np.arange(groups.shape[0], dtype=np.int64)
+    leaves = csr_by_group(
+        np.concatenate([np.repeat(everyone, np.diff(lists.leaf_offsets)), everyone]),
+        np.concatenate([lists.leaf_ids, groups]), groups.shape[0])
+    evaluate_rects(
+        kb, tree.table, tree.start[groups], tree.count[groups],
+        (lists.cell_offsets, lists.cell_ids), leaf_particles(tree.table, *leaves),
+        eps2, G, acc, pot, pair_chunk, observer,
+    )
 
     if exclude_self_potential and eps2 > 0.0:
         # Remove each particle's softened self-energy -G m / eps.
@@ -308,10 +362,6 @@ def compute_forces(
     directly (including the softened self-term exclusion), so the
     result converges to the direct O(N^2) sum as the MAC tightens.
     """
-    if tree.mass is None:
-        raise ValueError("tree has no multipoles; build with with_multipoles=True")
-    if eps < 0:
-        raise ValueError("softening must be non-negative")
     kb = get_backend(backend)
     with observer.span("gravity.compute_forces", cat="gravity", backend=kb.name):
         with observer.span("gravity.traversal", cat="gravity"):

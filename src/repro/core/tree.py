@@ -5,19 +5,21 @@ Morton key, after which every tree cell corresponds to a *contiguous
 run* of the particle array (the defining property of Z-order).  Cells
 are produced top-down by splitting runs at octant boundaries (found
 with ``searchsorted`` — no per-particle Python work), stopping when a
-run fits in a leaf bucket.  Every cell is entered into a
-:class:`~repro.core.hashtable.KeyHashTable` under its Morton key, which
-is how all traversal-time cell addressing works — locally here, and via
-the global key namespace in the parallel code.
+run fits in a leaf bucket.  :attr:`Tree.table` enters every cell into a
+hashed :class:`~repro.core.celltable.CellTable` under its Morton key:
+the table the gravity walk and the SPH neighbour search run over (row =
+cell id, a child reached through ``child_row``), the same structure a
+rank of the parallel code keeps, with nothing remote in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .hashtable import KeyHashTable
+from .celltable import CellBatch, CellTable
 from .keys import MAX_LEVEL, ROOT_KEY, BoundingBox, keys_from_positions
 
 __all__ = ["Tree", "build_tree"]
@@ -62,7 +64,19 @@ class Tree:
     quad: np.ndarray = field(default=None)
     bmax: np.ndarray = field(default=None)
 
-    hash: KeyHashTable = field(default=None)
+    @cached_property
+    def table(self) -> CellTable:
+        """The cells as the one-rank :class:`CellTable` every walk runs
+        over, seeded on first use over the tree's own arrays (row = cell
+        id; the children of a cell are the rows after it, so every
+        cell but the root is one child slot, in id order)."""
+        if self.mass is None:
+            raise ValueError("tree has no multipoles; build with with_multipoles=True")
+        return CellTable.over(CellBatch(
+            key=self.cell_keys, count=self.count, mass=self.mass, com=self.com, quad=self.quad,
+            bmax=self.bmax, leaf=self.is_leaf, cstart=self.first_child - 1, cn=self.n_children,
+            child_key=self.cell_keys[1:], pstart=self.start,
+            pn=np.where(self.is_leaf, self.count, 0), ppos=self.positions, pmass=self.masses))
 
     @property
     def n_particles(self) -> int:
@@ -93,8 +107,8 @@ class Tree:
         return slice(int(self.start[cell]), int(self.start[cell] + self.count[cell]))
 
     def find_cell(self, key: int) -> int | None:
-        """Look a cell up by Morton key through the hash table."""
-        return self.hash.get(int(key))
+        """Look a cell up by Morton key through the table's hash index."""
+        return self.table.index.get(int(key))
 
     def validate(self) -> None:
         """Structural invariants; raises AssertionError on violation.
@@ -214,8 +228,6 @@ def build_tree(
         first_child=np.array(first_child, dtype=np.int64),
         n_children=np.array(n_children, dtype=np.int64),
     )
-    tree.hash = KeyHashTable(capacity=2 * tree.n_cells)
-    tree.hash.insert(tree.cell_keys, np.arange(tree.n_cells, dtype=np.int64))
     if with_multipoles:
         from .multipole import compute_multipoles
 

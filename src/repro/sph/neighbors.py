@@ -8,10 +8,11 @@ is walked pruning cells farther from the group than the search radius,
 candidate particles are gathered from surviving leaves, and
 distance-filtered per particle.
 
-:func:`find_neighbors` runs that walk *batched*: one shared frontier
-pass prunes the (group x candidate-cell) set for every group at once —
-the same level-synchronous traversal
-:func:`repro.core.traversal.build_interaction_lists` uses — and the
+:func:`find_neighbors` runs that walk *batched*, and it is the gravity
+code's walk: :func:`repro.core.traversal.walk` over the tree's hashed
+cell table (:attr:`Tree.table <repro.core.tree.Tree.table>`), with
+"beyond the group's reach" as the acceptance rule — what the rule
+accepts is dropped, the leaves it opens are the candidates.  The
 candidate filter is evaluated as flat chunked pair arrays.  The
 historical per-group walker is kept as
 :func:`find_neighbors_reference`; both return the same neighbor *sets*
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.backend import get_backend
-from ..core.traversal import DEFAULT_PAIR_CHUNK, _csr_by_group, _expand_children
+from ..core.traversal import DEFAULT_PAIR_CHUNK, csr_by_group, leaf_particles, walk
 from ..core.tree import Tree
 from ..obs import NULL
 
@@ -107,6 +108,15 @@ def _validate_radii(tree: Tree, radii: np.ndarray) -> np.ndarray:
     return radii
 
 
+class _BeyondReach:
+    """The walk's acceptance rule for a search: a cell whose bounding
+    sphere lies beyond the group's reach is done with (dropped)."""
+
+    @staticmethod
+    def accept(dist, cell_bmax, reach, cell_mass):
+        return dist - cell_bmax > reach
+
+
 def find_neighbors(
     tree: Tree,
     radii: np.ndarray,
@@ -132,6 +142,7 @@ def find_neighbors(
         raise ValueError("pair_chunk must be positive")
     kb = get_backend(backend)
     with observer.span("sph.neighbors", cat="sph"):
+        table = tree.table
         groups = tree.leaf_ids
         n_groups = groups.shape[0]
         g_start = tree.start[groups]
@@ -141,7 +152,7 @@ def find_neighbors(
         # COM plus the largest member radius.  Leaf particle runs
         # partition [0, N) but leaf_ids is not in run order, so segment
         # through a start-sorted view.
-        centers = tree.com[groups]
+        centers = table.com[groups]
         run_order = np.argsort(g_start, kind="stable")
         g_of = np.repeat(run_order, g_cnt[run_order])  # particle -> group
         d = np.linalg.norm(tree.positions - centers[g_of], axis=1)
@@ -151,36 +162,13 @@ def find_neighbors(
             + np.maximum.reduceat(radii, g_start[run_order])
         )
 
-        # Level-synchronous pruning walk: every pass distance-tests one
-        # flat (group, cell) array against the whole frontier.
-        g_idx = np.arange(n_groups, dtype=np.int64)
-        cells = np.zeros(n_groups, dtype=np.int64)
-        out_g: list[np.ndarray] = []
-        out_c: list[np.ndarray] = []
-        mac_tests = 0
-        while cells.size:
-            mac_tests += cells.size
-            dvec = tree.com[cells] - centers[g_idx]
-            dist = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-            keep = dist - tree.bmax[cells] <= reach[g_idx]
-            g_idx, cells = g_idx[keep], cells[keep]
-            is_leaf = tree.n_children[cells] == 0
-            out_g.append(g_idx[is_leaf])
-            out_c.append(cells[is_leaf])
-            g_idx, cells = _expand_children(tree, g_idx[~is_leaf], cells[~is_leaf])
-        og = np.concatenate(out_g) if out_g else np.empty(0, dtype=np.int64)
-        oc = np.concatenate(out_c) if out_c else np.empty(0, dtype=np.int64)
-        leaf_off, leaf_ids = _csr_by_group(og, oc, n_groups)
-
-        # Expand candidate leaves to flat particle ids, CSR by group.
-        lcnt = tree.count[leaf_ids]
-        tot = int(lcnt.sum())
-        cand_flat = np.arange(tot, dtype=np.int64)
-        cand_flat += np.repeat(tree.start[leaf_ids] - (np.cumsum(lcnt) - lcnt), lcnt)
-        # Candidates per group: total leaf counts within its leaf slice.
-        cum = np.zeros(leaf_ids.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lcnt, out=cum[1:])
-        cand_off = cum[leaf_off]
+        # The tree walk of the gravity code, pruning instead of
+        # approximating: what it opens are the candidate leaves.
+        everyone = np.arange(n_groups, dtype=np.int64)
+        _, (og, oc), _, mac_tests, _, _ = walk(
+            table, (groups, centers, reach), _BeyondReach, everyone, np.zeros_like(everyone))
+        # Their particles are the candidates, CSR by group.
+        cand_off, cand_flat = leaf_particles(table, *csr_by_group(og, oc, n_groups))
         nc = np.diff(cand_off)
 
         # Distance filter over flat (sink, candidate) pairs, chunked.

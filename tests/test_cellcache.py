@@ -2,7 +2,9 @@
 
 The cache is the rank's :class:`~repro.core.celltable.CellTable` itself
 (``fetched()``, the ``used`` and ``branch`` columns) under the rank-side
-bookkeeping of ``_Traversal.hit`` / ``admit`` / ``seed``.  The bounded
+bookkeeping of ``_Traversal.hit`` (what the shared walk,
+``repro.core.traversal.walk``, reports its visits of fetched rows to) /
+``admit`` / ``seed``.  The bounded
 LRU it replaced, ``repro.core.cellcache.CellCache``, is kept here word
 for word as the model the table is held against.
 """

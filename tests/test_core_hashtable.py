@@ -57,6 +57,11 @@ class TestBasics:
         table = KeyHashTable()
         with pytest.raises(ValueError):
             table.insert(_keys([0]), _vals([1]))
+        # ... and absent: an empty slot holds 0 and is no match for it,
+        # neither at the first probe nor at the end of a probe chain.
+        assert table.get(0) is None
+        table.insert(_keys(range(1, 300)), _vals(range(1, 300)))
+        assert table.lookup(_keys([0, 7, 0]))[1].tolist() == [False, True, False]
 
     def test_empty_batch(self):
         table = KeyHashTable()

@@ -227,15 +227,17 @@ class TestParallelCorrectness:
 
     def test_no_cell_records_outlive_a_run(self):
         # The frame memo belongs to the program builder: after two
-        # back-to-back runs nothing reachable from the module's namespace
-        # may still hold a branch cell, as a record or as table columns.
+        # back-to-back runs nothing reachable from the namespace of the
+        # module, or of the one that holds the walk it runs, may still
+        # hold a branch cell, as a record or as table columns.
         import repro.core.parallel as mod
+        import repro.core.traversal as walk_mod
         from repro.core.celltable import CellBatch
 
         pos, m = _cloud(120, seed=9)
         parallel_tree_accelerations(pos, m, n_ranks=3)
         parallel_nbody_run(pos, m, n_ranks=3, n_steps=2, dt=1e-3)
-        seen, stack, held = set(), [v for v in vars(mod).values()
+        seen, stack, held = set(), [v for v in [*vars(mod).values(), *vars(walk_mod).values()]
                                     if isinstance(v, (dict, list, tuple, set))], []
         while stack:
             obj = stack.pop()

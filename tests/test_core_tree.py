@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BoundingBox, build_tree
+from repro.core import BoundingBox, build_interaction_lists, build_tree
+from repro.sph import find_neighbors
 
 UNIT_BOX = BoundingBox(np.zeros(3), 1.0)
 
@@ -70,7 +71,37 @@ class TestBuild:
         tree = build_tree(pos, m, bucket_size=8, box=UNIT_BOX)
         for c in range(tree.n_cells):
             assert tree.find_cell(int(tree.cell_keys[c])) == c
-        assert tree.find_cell(0b1_000_000_000_001) is None or True  # absent ok
+        # Absent keys: sibling octants that hold no particle, a key one
+        # level below a leaf, and the reserved key 0.
+        held = set(tree.cell_keys.tolist())
+        empty = [k for key in tree.cell_keys[tree.n_children > 0].tolist()
+                 for k in range(key << 3, (key << 3) + 8) if k not in held]
+        assert empty
+        for key in [*empty, int(tree.cell_keys[tree.leaf_ids[0]]) << 3, 0]:
+            assert tree.find_cell(key) is None
+
+    def test_find_cell_reads_the_table_the_walks_run_over(self):
+        pos, m = _cloud(200, seed=4)
+        tree = build_tree(pos, m, bucket_size=8, box=UNIT_BOX)
+        table = tree.table
+        assert table is tree.table and table.index.get(int(tree.cell_keys[3])) == 3
+        # Row = cell id, over the tree's own arrays: a write to the
+        # tree's moments is a write to the table's.
+        assert np.array_equal(table.key[:len(table)], tree.cell_keys)
+        assert np.shares_memory(table.quad, tree.quad)
+        kids = table.child_row[table.cstart[0]:table.cstart[0] + table.cn[0]]
+        assert np.array_equal(kids, tree.children_of(0))
+
+    @pytest.mark.parametrize("walker", [
+        build_interaction_lists,
+        lambda tree: find_neighbors(tree, np.full(tree.n_particles, 0.1)),
+    ], ids=["build_interaction_lists", "find_neighbors"])
+    def test_walks_refuse_a_tree_without_multipoles(self, walker):
+        pos, m = _cloud(50, seed=5)
+        tree = build_tree(pos, m, bucket_size=8, with_multipoles=False)
+        with pytest.raises(ValueError, match="tree has no multipoles; build with "
+                                             "with_multipoles=True"):
+            walker(tree)
 
     def test_morton_order_output(self):
         pos, m = _cloud(100, seed=5)

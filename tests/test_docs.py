@@ -1,11 +1,14 @@
 """The documentation stays true: every bench script PAPER_MAP.md names
 exists, every bench script is mapped, the EXPERIMENTS.md codes it
 references are real headings, README links every doc, every relative
-markdown link resolves, and the public pipeline/campaign/wallclock
-docstring examples pass as doctests."""
+markdown link resolves, the public pipeline/campaign/wallclock
+docstring examples pass as doctests, the latest code-line row of
+EXPERIMENTS.md is what ``tools/code_lines.py`` counts, and CHANGES.md
+entries from PR 21 on are short and point at EXPERIMENTS.md."""
 
 import doctest
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -116,3 +119,36 @@ def test_mapped_modules_import():
         if parts[-1][0].isupper():
             mod = ".".join(parts[:-1])
         importlib.import_module(mod)
+
+
+def _code_lines():
+    """``tools/code_lines.py`` as a module (``tools`` is no package)."""
+    spec = importlib.util.spec_from_file_location("code_lines", REPO / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_latest_code_line_row_is_what_the_counter_prints():
+    # The code-line tables of EXPERIMENTS.md end in an "all of `src/`"
+    # row; the last of them is the tree as committed, by the counter
+    # the tables cite.  A PR that changes `src/` adds its row.
+    rows = re.findall(r"^\| all of `src/` \|.*\| ([\d ]+\d)[^|]*\|$", EXPERIMENTS.read_text(),
+                      re.M)
+    assert rows, "EXPERIMENTS.md has no code-line table"
+    counted = _code_lines().total(str(REPO / "src"))
+    assert int(rows[-1].replace(" ", "")) == counted, (
+        f"EXPERIMENTS.md's latest `all of src/` row says {rows[-1]}, "
+        f"`python tools/code_lines.py` counts {counted}: add this change's row")
+
+
+def test_changes_entries_are_short_from_pr_21_on():
+    # ROADMAP item 7: an entry says what changed, the one claimed
+    # number, what was re-blessed and where the detail lives.  Entries
+    # up to PR 20 predate the rule.
+    entries = re.findall(r"^- PR (\d+): (.*)$", (REPO / "CHANGES.md").read_text(), re.M)
+    assert entries
+    for number, text in entries:
+        if int(number) >= 21:
+            assert len(text) <= 600, f"CHANGES.md PR {number}: {len(text)} characters, cap 600"
+            assert "EXPERIMENTS.md" in text, f"CHANGES.md PR {number} names no EXPERIMENTS.md section"
