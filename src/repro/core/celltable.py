@@ -127,6 +127,24 @@ class CellBatch:
                    **{name: np.empty((0,) + shape, dtype=dtype) for name, dtype, shape in _POOLS})
 
 
+class KeyBatch:
+    """The cell keys one rank asks one owner for, kept as the ``uint64``
+    array they are.  ``nbytes`` is the modelled wire size, what a list
+    of ``n`` Python ints would cost: 16 bytes a key."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return 16 * len(self)
+
+
 class CellTable(CellBatch):
     """One rank's cells of one step: a growable :class:`CellBatch` plus
     the key -> row hash index.

@@ -128,7 +128,7 @@ from .abm import ABMChannel
 from .backend import get_backend
 from .cellserver import CellServer, cover_interval, key_levels, key_spans
 from .celltable import (
-    DEAD, REMOTE, SILENT, STUB, CellBatch, CellTable, csr_take, row_dots, row_norms,
+    DEAD, REMOTE, SILENT, STUB, CellBatch, CellTable, KeyBatch, csr_take, row_dots, row_norms,
 )
 from .domain import (
     END_PKEY,
@@ -581,26 +581,26 @@ class _Traversal:
         return np.minimum(np.searchsorted(self.cuts, key_spans(keys)[0], side="right"),
                           self.comm.size - 1)
 
-    def serve_batch(self, requester: int, items: list[int]) -> CellBatch | None:
-        if not items:
+    def serve_batch(self, requester: int, batch: KeyBatch) -> CellBatch | None:
+        if not batch:
             return None
         with _wall_bucket("serialization"):
-            rows, found = self.table.lookup(np.array(items, dtype=np.uint64))
+            rows, found = self.table.lookup(batch.keys)
             if not found.all():
                 raise RuntimeError(f"rank {self.comm.rank} does not hold every cell rank "
                                    f"{requester} asked it for")
             return self.table.take(rows)
 
-    def request_lists(self, keys: np.ndarray) -> list[list[int]]:
+    def request_lists(self, keys: np.ndarray) -> list[KeyBatch]:
         """One sorted request batch per owner for the distinct, sorted
         ``keys``, counted into the request/batch statistics."""
-        reqs: list[list[int]] = [[] for _ in range(self.comm.size)]
+        reqs = [KeyBatch(keys[:0])] * self.comm.size
         owners = self.owners_of(keys)
         order = np.argsort(owners, kind="stable")
         firsts = np.flatnonzero(np.diff(owners[order], prepend=-1)).tolist()
-        listed = keys[order].tolist()
+        listed = keys[order]
         for a, b in zip(firsts, [*firsts[1:], len(listed)]):
-            reqs[owners[order[a]]] = listed[a:b]
+            reqs[owners[order[a]]] = KeyBatch(listed[a:b])
         self.stats["requests"] += len(listed)
         self.stats["batches"] += len(firsts)
         return reqs
@@ -837,7 +837,8 @@ class _Traversal:
         """Bulk-synchronous ABM reference: alltoall request/reply rounds
         with all force evaluation after the exchange (the pre-PR-5
         schedule, kept for differential testing)."""
-        abm = ABMChannel(self.comm, self.serve_batch)
+        abm = ABMChannel(self.comm, lambda src, items: self.serve_batch(
+            src, KeyBatch(np.array(items, dtype=np.uint64))))
         wg, wkey, shut = self.start()
         for _ in range(self.config.max_rounds + 1):
             wg, wkey, ready = yield from self.advance_round(wg, wkey, shut)

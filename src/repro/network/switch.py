@@ -82,7 +82,13 @@ class Flow:
 
 
 class FabricModel:
-    """Max-min fair throughput model of a trunked multi-switch fabric."""
+    """Max-min fair throughput model of a trunked multi-switch fabric.
+
+    The hierarchy is static, so ``total_ports`` and ``port_table`` (the
+    ``(switch, module)`` :meth:`locate` gives every flat port index, for
+    per-message readers that cannot afford its walk) are computed once
+    at construction; :meth:`locate` stays the validating spec.
+    """
 
     def __init__(
         self,
@@ -100,10 +106,9 @@ class FabricModel:
         self.backplane_efficiency = backplane_efficiency
         self.trunk_mbits = trunk_mbits
         self.port_mbits = port_mbits
-
-    @property
-    def total_ports(self) -> int:
-        return sum(s.ports for s in self.switches)
+        self.total_ports = sum(s.ports for s in switches)
+        self.port_table = tuple((loc.switch, loc.module)
+                                for loc in map(self.locate, range(self.total_ports)))
 
     def locate(self, port_index: int) -> PortLocation:
         """Map a flat 0-based port index to its physical location.

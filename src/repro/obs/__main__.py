@@ -46,7 +46,7 @@ Three subcommands drive the analysis stack from the shell:
     bucket table (self seconds of the kernel / engine / comm /
     serialization / other spans, an exact partition of elapsed wall
     seconds), followed by the virtual-time critical path of the same
-    run if the engine recorded virtual-time spans.  ``--json`` saves
+    run under :class:`~repro.simmpi.cost.SpaceSimulatorCost`.  ``--json`` saves
     the wall-clock spans as a Chrome trace (Perfetto shows it as a
     flame view); ``--replay TRACE.json`` re-derives the table from a
     saved trace instead of running.
@@ -278,6 +278,7 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
     from ..core.backend import get_backend
     from ..core.backend_wall import WallBackend
     from ..core.parallel import ParallelConfig, parallel_nbody_run
+    from ..simmpi.cost import SpaceSimulatorCost
     from .model import Recorder
 
     rng = np.random.default_rng(opts.seed)
@@ -288,16 +289,15 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
     with wc.profile() as wall:
         parallel_nbody_run(
             pos, n_ranks=opts.ranks, n_steps=opts.steps, dt=1e-3,
-            config=cfg, observer=rec,
+            config=cfg, cost=SpaceSimulatorCost(), observer=rec,
         )
     print(f"parallel_nbody_run: n={opts.n} ranks={opts.ranks} "
           f"steps={opts.steps} backend={kb.name} eval={opts.eval}")
     print()
     print(wc.format_report(self_seconds(wall)))
-    elapsed = max((s.t_end for s in rec.spans), default=0.0)
-    if rec.spans:
-        print()
-        print(format_critical_path(critical_path(rec, elapsed), max_rows=opts.max_rows))
+    elapsed = max(s.t_end for s in rec.spans)
+    print()
+    print(format_critical_path(critical_path(rec, elapsed), max_rows=opts.max_rows))
     if opts.json:
         with open(opts.json, "w") as fh:
             json.dump(chrome_trace(wall, process_name="wallclock",

@@ -87,9 +87,11 @@ def payload_nbytes(payload: Any) -> int:
     NumPy arrays report their buffer size; bytes-likes their length;
     numbers 8 bytes; containers sum their elements plus a small framing
     overhead per element.  Any other object may declare its own wire
-    size as an ``nbytes`` attribute, read in O(1) (a column batch of
-    cell records does); anything else costs a flat 64 bytes — the point
-    is reproducible cost accounting, not serialization fidelity.
+    size as an ``nbytes`` attribute, read in O(1) without a walk (a
+    column batch of cell records and a batch of request keys do, each
+    declaring what the list encoding it replaced was charged); anything
+    else costs a flat 64 bytes — the point is reproducible cost
+    accounting, not serialization fidelity.
 
     Returns the size in bytes as a plain ``int``.
 
@@ -117,6 +119,15 @@ def payload_nbytes(payload: Any) -> int:
     return int(getattr(payload, "nbytes", 64))
 
 
+def _wire_nbytes(payload: Any, nbytes: int | None) -> int:
+    """The ``nbytes=`` override of a descriptor when given, else the walk."""
+    if nbytes is None:
+        return payload_nbytes(payload)
+    if nbytes < 0:
+        raise ValueError(f"nbytes must be non-negative, got {nbytes}")
+    return int(nbytes)
+
+
 class Request:
     """Handle for a nonblocking operation, returned by isend/irecv.
 
@@ -137,7 +148,9 @@ class Request:
         self.cancelled = False
         #: Matching metadata stamped by the engine when the transfer
         #: completes: peer rank, tag, post times — what the wait-state
-        #: analyzer needs to reconstruct happens-before edges.
+        #: analyzer needs to reconstruct happens-before edges.  ``None``
+        #: for an untraced owner: its only reader is the owner's blocked
+        #: span, which an untraced rank never emits.
         self.match: dict[str, Any] | None = None
         #: Engine-internal: waiters registered on this request, woken
         #: when it completes (cleared on completion).
@@ -154,7 +167,9 @@ class Request:
 
 @dataclass(frozen=True)
 class Op:
-    """Base class for everything a rank may yield."""
+    """Base class for everything a rank may yield.  The engine looks an
+    operation's handler up by its exact type: the classes below are the
+    whole vocabulary, not a hierarchy to extend."""
 
 
 @dataclass(frozen=True)
@@ -273,10 +288,7 @@ def Gather(payload: Any, root: int) -> CollectiveOp:
 
 
 def Allgather(payload: Any, nbytes: int | None = None) -> CollectiveOp:
-    return CollectiveOp(
-        "allgather", payload=payload,
-        nbytes=payload_nbytes(payload) if nbytes is None else int(nbytes),
-    )
+    return CollectiveOp("allgather", payload=payload, nbytes=_wire_nbytes(payload, nbytes))
 
 
 def Scatter(payload: Sequence | None, root: int) -> CollectiveOp:
@@ -284,10 +296,7 @@ def Scatter(payload: Sequence | None, root: int) -> CollectiveOp:
 
 
 def Alltoall(payload: Sequence, nbytes: int | None = None) -> CollectiveOp:
-    return CollectiveOp(
-        "alltoall", payload=payload,
-        nbytes=payload_nbytes(payload) if nbytes is None else int(nbytes),
-    )
+    return CollectiveOp("alltoall", payload=payload, nbytes=_wire_nbytes(payload, nbytes))
 
 
 @dataclass
@@ -323,8 +332,7 @@ class Comm:
         walk would dominate (tree-collective protocol messages carry
         their running size this way)."""
         self._check_peer(dest)
-        return Send(dest, tag, payload,
-                    payload_nbytes(payload) if nbytes is None else int(nbytes))
+        return Send(dest, tag, payload, _wire_nbytes(payload, nbytes))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Recv:
         """Blocking receive; yields the matched payload.  ``source``/``tag``
@@ -338,8 +346,7 @@ class Comm:
         Messages between a (sender, receiver, tag) triple match FIFO.
         ``nbytes`` overrides the estimated wire size (see :meth:`send`)."""
         self._check_peer(dest)
-        return Isend(dest, tag, payload,
-                     payload_nbytes(payload) if nbytes is None else int(nbytes))
+        return Isend(dest, tag, payload, _wire_nbytes(payload, nbytes))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Irecv:
         """Nonblocking receive; yields a :class:`Request` whose ``value``

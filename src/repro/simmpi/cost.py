@@ -23,7 +23,7 @@ import math
 from ..machine.node import NodeSpec, SPACE_SIMULATOR_NODE
 from ..machine.perfmodel import PerfModel, Workload
 from ..network.stacks import LAM_O, MessagingStack
-from ..network.switch import FabricModel, SPACE_SIMULATOR_FABRIC
+from ..network.switch import MODULE_RAW_MBITS, SPACE_SIMULATOR_FABRIC, FabricModel
 
 __all__ = ["CostModel", "ZeroCost", "UniformCost", "SpaceSimulatorCost"]
 
@@ -113,6 +113,14 @@ class SpaceSimulatorCost(CostModel):
     under the assumption that ``congestion`` other flows share the same
     path (0 = uncontended).  This static treatment captures the fabric
     hierarchy without simulating every packet.
+
+    Because the hierarchy is static, a path's ceiling takes one of three
+    values (same module / cross module / cross trunk).  They are computed
+    once here, each the ``min`` of the floats a per-message derivation
+    would take it of, so every time is the same double; a message then
+    costs two reads of ``fabric.port_table``.  A zero-byte message
+    between two ranks (the eager injection overhead, a barrier hop) has
+    a path term of exactly 0.0 and is the constant ``stack.time_s(0)``.
     """
 
     def __init__(
@@ -130,30 +138,34 @@ class SpaceSimulatorCost(CostModel):
         self.fabric = fabric
         self.congestion = congestion
         self._perf = PerfModel(node)
+        port = min(fabric.port_mbits, node.nic.effective_mbits_s)
+        sharers = 1 + congestion
+        backplane = MODULE_RAW_MBITS * fabric.backplane_efficiency / sharers
+        #: Path ceilings: same module, cross module, cross trunk (which
+        #: crosses two module backplanes *and* the trunk).
+        self._ceilings = (port, min(port, backplane),
+                          min(port, fabric.trunk_mbits / sharers, backplane))
+        self._zero_byte_s = stack.time_s(0)
+        self._stack_mbits = stack.asymptotic_mbits_s
 
     def compute_time(self, rank: int, workload: Workload) -> float:
         return self._perf.time_s(workload)
 
     def _path_mbits(self, src: int, dst: int) -> float:
         """Bandwidth ceiling of the src->dst path given static sharing."""
-        a = self.fabric.locate(src % self.fabric.total_ports)
-        b = self.fabric.locate(dst % self.fabric.total_ports)
-        ceiling = min(self.fabric.port_mbits, self.node.nic.effective_mbits_s)
-        sharers = 1 + self.congestion
-        backplane = 8000.0 * self.fabric.backplane_efficiency
-        if a.switch != b.switch:
-            # Crosses two module backplanes *and* the trunk.
-            ceiling = min(ceiling, self.fabric.trunk_mbits / sharers, backplane / sharers)
-        elif a.module != b.module:
-            ceiling = min(ceiling, backplane / sharers)
-        return ceiling
+        fabric = self.fabric
+        a = fabric.port_table[src % fabric.total_ports]
+        b = fabric.port_table[dst % fabric.total_ports]
+        # 0 same module, 1 same switch, 2 across the trunk
+        return self._ceilings[(a != b) + (a[0] != b[0])]
 
     def p2p_time(self, src: int, dst: int, nbytes: int) -> float:
         if src == dst:
             # local "message": one memory copy
             return nbytes / (self.node.stream_mbytes_s * 1e6)
+        if nbytes == 0:
+            return self._zero_byte_s
         base = self.stack.time_s(nbytes)
-        path = self._path_mbits(src, dst)
-        wire = min(self.stack.asymptotic_mbits_s, path)
-        extra = nbytes * 8.0 / (wire * 1e6) - nbytes * 8.0 / (self.stack.asymptotic_mbits_s * 1e6)
+        wire = min(self._stack_mbits, self._path_mbits(src, dst))
+        extra = nbytes * 8.0 / (wire * 1e6) - nbytes * 8.0 / (self._stack_mbits * 1e6)
         return base + max(extra, 0.0)

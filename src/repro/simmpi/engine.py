@@ -374,50 +374,40 @@ class Engine:
 
     # -- operation dispatch ----------------------------------------------
     def _dispatch(self, rank: int, op: Op) -> None:
-        state = self._ranks[rank]
-        t = state.clock
-        if isinstance(op, Compute):
-            dt = self.cost.compute_time(rank, Workload(op.flops, op.mem_bytes, op.flop_efficiency))
-            if self.faults is not None:
-                dt *= self.faults.compute_factor(rank, t)
-            state.stats.compute_s += dt
-            if dt > 0 and self._traced[rank]:
-                self.observer.add_span(
-                    op.label or "compute", t, t + dt, track=rank, cat="compute"
-                )
-            self._schedule(t + dt, rank)
-        elif isinstance(op, Elapse):
-            if op.seconds < 0:
-                self._throw(rank, ValueError("cannot elapse negative time"))
-                return
-            state.stats.compute_s += op.seconds
-            if op.seconds > 0 and self._traced[rank]:
-                self.observer.add_span(
-                    op.label or "elapse", t, t + op.seconds, track=rank, cat="compute"
-                )
-            self._schedule(t + op.seconds, rank)
-        elif isinstance(op, Now):
-            self._schedule(t, rank, t)
-        elif isinstance(op, (Send, Isend)):
-            with _wall_bucket("comm"):
-                self._post_send(rank, op, t)
-        elif isinstance(op, (Recv, Irecv)):
-            with _wall_bucket("comm"):
-                self._post_recv(rank, op, t)
-        elif isinstance(op, Wait):
-            with _wall_bucket("comm"):
-                self._post_wait(rank, (op.request,), t, single=True)
-        elif isinstance(op, Waitall):
-            with _wall_bucket("comm"):
-                self._post_wait(rank, op.requests, t, single=False)
-        elif isinstance(op, Probe):
-            with _wall_bucket("comm"):
-                self._schedule(t, rank, self._probe(rank, op))
-        elif isinstance(op, CollectiveOp):
-            with _wall_bucket("comm"):
-                self._post_collective(rank, op, t)
-        else:
+        """Hand ``op`` to its handler, looked up by its exact type."""
+        entry = _HANDLERS.get(type(op))
+        if entry is None:
             self._throw(rank, TypeError(f"rank {rank} yielded non-operation {op!r}"))
+            return
+        handler, comm = entry
+        t = self._ranks[rank].clock
+        if comm:
+            with _wall_bucket("comm"):
+                handler(self, rank, op, t)
+        else:
+            handler(self, rank, op, t)
+
+    def _compute(self, rank: int, op: Compute, t: float) -> None:
+        dt = self.cost.compute_time(rank, Workload(op.flops, op.mem_bytes, op.flop_efficiency))
+        if self.faults is not None:
+            dt *= self.faults.compute_factor(rank, t)
+        self._ranks[rank].stats.compute_s += dt
+        if dt > 0 and self._traced[rank]:
+            self.observer.add_span(
+                op.label or "compute", t, t + dt, track=rank, cat="compute"
+            )
+        self._schedule(t + dt, rank)
+
+    def _elapse(self, rank: int, op: Elapse, t: float) -> None:
+        if op.seconds < 0:
+            self._throw(rank, ValueError("cannot elapse negative time"))
+            return
+        self._ranks[rank].stats.compute_s += op.seconds
+        if op.seconds > 0 and self._traced[rank]:
+            self.observer.add_span(
+                op.label or "elapse", t, t + op.seconds, track=rank, cat="compute"
+            )
+        self._schedule(t + op.seconds, rank)
 
     def _throw(self, rank: int, exc: Exception) -> None:
         state = self._ranks[rank]
@@ -593,16 +583,19 @@ class Engine:
         # what post time, satisfied this operation (the happens-before
         # edge of the message).  ``t_peer`` is always the *other* side's
         # post time, so a late peer reads as t_peer > the wait's start.
-        recv.request.match = {
-            "req_kind": "recv", "peer": send.src, "tag": send.tag,
-            "seq": send.seq, "nbytes": send.nbytes,
-            "t_peer": send.t_posted, "t_self": recv.t_posted,
-        }
-        send.request.match = {
-            "req_kind": "send", "peer": recv.dst, "tag": send.tag,
-            "seq": send.seq, "nbytes": send.nbytes,
-            "t_peer": recv.t_posted, "t_self": send.t_posted,
-        }
+        # Its only reader is a traced owner's blocked span (_fire_waiter).
+        if self._traced[recv.dst]:
+            recv.request.match = {
+                "req_kind": "recv", "peer": send.src, "tag": send.tag,
+                "seq": send.seq, "nbytes": send.nbytes,
+                "t_peer": send.t_posted, "t_self": recv.t_posted,
+            }
+        if self._traced[send.src]:
+            send.request.match = {
+                "req_kind": "send", "peer": recv.dst, "tag": send.tag,
+                "seq": send.seq, "nbytes": send.nbytes,
+                "t_peer": recv.t_posted, "t_self": send.t_posted,
+            }
         stats = self._ranks[recv.dst].stats
         stats.bytes_received += send.nbytes
         stats.msgs_received += 1
@@ -913,6 +906,20 @@ class Engine:
             trace_sample=self.trace_sample,
             trace_spans=len(self.observer.spans) if self.record_trace else 0,
         )
+
+
+#: ``type(op)`` -> (handler, charged to the "comm" wall bucket).
+_HANDLERS: dict[type, tuple[Callable, bool]] = {
+    Compute: (Engine._compute, False),
+    Elapse: (Engine._elapse, False),
+    Now: (lambda self, rank, op, t: self._schedule(t, rank, t), False),
+    **dict.fromkeys((Send, Isend), (Engine._post_send, True)),
+    **dict.fromkeys((Recv, Irecv), (Engine._post_recv, True)),
+    Wait: (lambda self, rank, op, t: self._post_wait(rank, (op.request,), t, True), True),
+    Waitall: (lambda self, rank, op, t: self._post_wait(rank, op.requests, t, False), True),
+    Probe: (lambda self, rank, op, t: self._schedule(t, rank, self._probe(rank, op)), True),
+    CollectiveOp: (Engine._post_collective, True),
+}
 
 
 def run(

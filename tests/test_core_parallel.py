@@ -1,5 +1,7 @@
 """Tests for repro.core.parallel and abm: the parallel treecode."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from repro.core import (
     tree_accelerations,
 )
 from repro.core.cellserver import CellRecord
-from repro.simmpi import SpaceSimulatorCost, UniformCost, run
+from repro.core.celltable import KeyBatch
+from repro.obs import chrome_trace, dumps_canonical
+from repro.simmpi import SpaceSimulatorCost, UniformCost, payload_nbytes, run
 
 
 def _cloud(n, seed=0, clustered=False):
@@ -297,3 +301,32 @@ class TestParallelPerformance:
         )
         eff = par.sim.parallel_efficiency()
         assert 0.0 < eff <= 1.0
+
+
+class TestRequestBatchWireSize:
+    """Request batches travel as ``uint64`` arrays that declare the wire
+    size of the list of Python ints they replaced."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_declared_nbytes_is_the_int_list_walk(self, n):
+        keys = np.arange(1, n + 1, dtype=np.uint64) << np.uint64(40)
+        batch = KeyBatch(keys)
+        assert len(batch) == n and bool(batch) == (n > 0)
+        assert payload_nbytes(batch) == payload_nbytes(keys.tolist()) == 16 * n
+
+    def test_modelled_bytes_and_sampled_trace_pinned(self):
+        # Per-rank bytes and the Chrome trace of a half-sampled run, as
+        # measured at the commit before request batches became arrays and
+        # a request's ``match`` was built for traced owners only (PR 22).
+        pos = np.random.default_rng(2003).random((160, 3))
+        plain = parallel_tree_accelerations(
+            pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=False)
+        assert [s.bytes_sent for s in plain.sim.stats] == [
+            9288, 14776, 9048, 18976, 14008, 18992, 18656, 17520]
+        traced = parallel_tree_accelerations(
+            pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=True, trace_sample=0.5)
+        assert traced.sim.elapsed.hex() == plain.sim.elapsed.hex() == "0x1.2fd249d3a3d6fp-7"
+        assert {s.track for s in traced.sim.trace} == {0, 2, 4, 6}
+        doc = dumps_canonical(chrome_trace(traced.sim.observer, process_name="pin"))
+        assert hashlib.blake2b(doc.encode(), digest_size=16).hexdigest() == (
+            "ccf200e8e2c623529f34a9def12d3aba")

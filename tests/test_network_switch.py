@@ -9,6 +9,7 @@ from repro.network import (
     FabricModel,
     Flow,
     PortLocation,
+    SwitchSpec,
     bisection_flows,
     cross_module_flows,
     effective_pairwise_mbits,
@@ -47,6 +48,28 @@ class TestLocate:
             SPACE_SIMULATOR_FABRIC.locate(304)
         with pytest.raises(ValueError):
             SPACE_SIMULATOR_FABRIC.locate(-1)
+
+    @pytest.mark.parametrize("fabric", [
+        SPACE_SIMULATOR_FABRIC,
+        FabricModel((FASTIRON_800,)),
+        FabricModel((SwitchSpec("a", 2, 3), SwitchSpec("b", 1, 7), SwitchSpec("c", 3, 2))),
+    ], ids=["installed", "one-switch", "three-switch"])
+    def test_port_table_is_locate_for_every_port(self, fabric):
+        """The table the cost model reads is `locate`, precomputed."""
+        assert fabric.total_ports == sum(s.ports for s in fabric.switches)
+        assert len(fabric.port_table) == fabric.total_ports
+        for i, entry in enumerate(fabric.port_table):
+            loc = fabric.locate(i)
+            assert entry == (loc.switch, loc.module)
+        for bad in (-1, fabric.total_ports):
+            with pytest.raises(ValueError):
+                fabric.locate(bad)
+
+    def test_port_table_of_a_small_fabric_written_out(self):
+        fabric = FabricModel((SwitchSpec("a", 2, 3), SwitchSpec("b", 1, 7), SwitchSpec("c", 3, 2)))
+        assert fabric.port_table == (
+            ((0, 0),) * 3 + ((0, 1),) * 3 + ((1, 0),) * 7
+            + ((2, 0),) * 2 + ((2, 1),) * 2 + ((2, 2),) * 2)
 
 
 class TestFlowRates:

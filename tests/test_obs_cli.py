@@ -270,9 +270,14 @@ class TestWallclockCommand:
 
     def test_prints_the_five_buckets(self, capsys):
         assert main(self.ARGS) == 0
-        table = self._table(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        table = self._table(out)
         assert sorted(line.split()[0] for line in table[1:-1]) == sorted(
             ["kernel", "engine", "comm", "serialization", "other"])
+        # The run has a cost model, so virtual time elapsed and the
+        # critical-path block below the table is not dead code.
+        path = out[out.index("critical path: "):]
+        assert float(path.split()[2].rstrip("s")) > 0 and "collective #0 (allreduce)" in path
 
     def test_json_then_replay_print_the_same_table(self, tmp_path, capsys):
         trace = tmp_path / "wall.json"

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import Workload
-from repro.network import LAM_O, MPICH_125
-from repro.simmpi import SpaceSimulatorCost, UniformCost, ZeroCost, run
+from repro.network import FIGURE2_STACKS, LAM_O, MPICH_125
+from repro.simmpi import SpaceSimulatorCost, UniformCost, ZeroCost, patterns, run
 
 
 class TestZeroCost:
@@ -116,3 +118,113 @@ class TestEagerThreshold:
         # Default engine threshold: the same tiny send is eager.
         t_eager = run(prog, 2, UniformCost()).returns[0]
         assert t_eager < 1.0
+
+
+def _locate_based_p2p_time(cost, src, dst, nbytes):
+    """``SpaceSimulatorCost.p2p_time`` as it was before the ceilings and
+    the port table were precomputed, written out: two ``locate`` walks
+    and the ``min`` chain for every message, zero-byte ones included."""
+    node, stack, fabric = cost.node, cost.stack, cost.fabric
+    if src == dst:
+        return nbytes / (node.stream_mbytes_s * 1e6)
+    base = stack.time_s(nbytes)
+    a = fabric.locate(src % fabric.total_ports)
+    b = fabric.locate(dst % fabric.total_ports)
+    ceiling = min(fabric.port_mbits, node.nic.effective_mbits_s)
+    sharers = 1 + cost.congestion
+    backplane = 8000.0 * fabric.backplane_efficiency
+    if a.switch != b.switch:
+        ceiling = min(ceiling, fabric.trunk_mbits / sharers, backplane / sharers)
+    elif a.module != b.module:
+        ceiling = min(ceiling, backplane / sharers)
+    wire = min(stack.asymptotic_mbits_s, ceiling)
+    extra = nbytes * 8.0 / (wire * 1e6) - nbytes * 8.0 / (stack.asymptotic_mbits_s * 1e6)
+    return base + max(extra, 0.0)
+
+
+class TestPrecomputedPath:
+    """The path ceiling is precomputed, the answer is the same double."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        src=st.integers(0, 3000),  # past the 304 ports: ranks wrap around
+        dst=st.integers(0, 3000),
+        nbytes=st.sampled_from([0, 1, 65_536, 65_537, 128 * 1024 - 1, 128 * 1024,
+                                128 * 1024 + 1, 10**9]),
+        congestion=st.integers(0, 8),
+        stack=st.sampled_from(FIGURE2_STACKS),
+    )
+    def test_p2p_time_is_the_locate_based_double(self, src, dst, nbytes, congestion, stack):
+        cost = SpaceSimulatorCost(stack=stack, congestion=congestion)
+        got = cost.p2p_time(src, dst, nbytes)
+        assert got.hex() == _locate_based_p2p_time(cost, src, dst, nbytes).hex()
+
+    class Counting(SpaceSimulatorCost):
+        """Counts path lookups."""
+
+        lookups = 0
+
+        def _path_mbits(self, src, dst):
+            self.lookups += 1
+            return super()._path_mbits(src, dst)
+
+    def test_one_path_lookup_per_matched_message(self):
+        """The shape of perfbench's ``_patterns_program``: a tree
+        allgather, then a sparse request round to four ring neighbours."""
+
+        def program(comm):
+            ranks = yield from patterns.allgather(comm, comm.rank)
+            requests = [None] * comm.size
+            for hop in (1, 2, 3, 4):
+                requests[(comm.rank + hop) % comm.size] = [comm.rank, hop]
+            yield from patterns.batched_request_reply(
+                comm, requests, lambda peer, batch: batch, sparse=True)
+            return len(ranks)
+
+        cost = self.Counting()
+        sim = run(program, 64, cost, record_trace=False)
+        assert sim.returns == [64] * 64
+        matched = sum(s.msgs_received for s in sim.stats)
+        # Not one more for the zero-byte injection overhead of each
+        # eager send; the round's one flat alltoall of flags costs a path.
+        assert matched >= 2 * 4 * 64 and cost.lookups == matched + 1
+
+    def test_no_path_lookup_for_a_self_send(self):
+        def program(comm):
+            req = yield comm.isend(b"x" * 100, dest=comm.rank)
+            got = yield comm.recv(source=comm.rank)
+            yield comm.wait(req)
+            return got
+
+        cost = self.Counting()
+        sim = run(program, 3, cost, record_trace=False)
+        assert sim.returns == [b"x" * 100] * 3 and sim.elapsed > 0
+        assert cost.lookups == 0
+
+
+class TestNegativeWireSize:
+    """A negative ``nbytes=`` override is refused where the descriptor is
+    built, in the rank that made the call, under any cost model."""
+
+    @pytest.mark.parametrize("cost", [UniformCost, SpaceSimulatorCost])
+    @pytest.mark.parametrize("call", [
+        lambda comm: comm.send(b"abc", 1 - comm.rank, nbytes=-10**9),
+        lambda comm: comm.isend(b"abc", 1 - comm.rank, nbytes=-1),
+        lambda comm: comm.allgather(b"abc", nbytes=-1),
+        lambda comm: comm.alltoall([b"a", b"b"], nbytes=-1),
+    ], ids=["send", "isend", "allgather", "alltoall"])
+    def test_refused_at_descriptor_construction(self, call, cost):
+        def prog(comm):
+            yield call(comm)
+
+        with pytest.raises(ValueError, match="nbytes must be non-negative, got -1"):
+            run(prog, 2, cost())
+
+    def test_zero_is_a_valid_override(self):
+        def prog(comm):
+            if comm.rank == 0:
+                yield comm.send(b"abc", 1, nbytes=0)
+            else:
+                yield comm.recv(source=0)
+
+        assert run(prog, 2, SpaceSimulatorCost()).total_bytes_sent == 0
