@@ -422,7 +422,8 @@ class NumpyBackend(KernelBackend):
         np.minimum.at(target, idx, values)
 
     def pair_within(self, pos, i_idx, j_idx, r2):
-        d = pos[i_idx] - pos[j_idx]
+        # take(axis=0) copies whole rows; pos[i_idx] is the general fancy gather.
+        d = pos.take(i_idx, axis=0) - pos.take(j_idx, axis=0)
         return np.einsum("ij,ij->i", d, d) <= r2
 
 

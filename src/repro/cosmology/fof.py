@@ -100,7 +100,8 @@ class FofResult:
 
 
 def _periodic_com(positions: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Center of mass on a periodic unit box via circular means."""
+    """Center of mass on a periodic unit box via circular means: the
+    per-halo oracle of :func:`_extract_halos`' batched centres."""
     angles = 2.0 * np.pi * positions
     s = np.average(np.sin(angles), axis=0, weights=masses)
     c = np.average(np.cos(angles), axis=0, weights=masses)
@@ -196,22 +197,36 @@ def _close_pairs(positions, idx_a, idx_b, link2):
 
 
 def _extract_halos(roots, positions, masses, min_members) -> FofResult:
-    """Roots -> catalog; shared, so identical roots give identical halos."""
+    """Roots -> catalog; shared, so identical roots give identical halos.
+
+    Centres and masses are formed one distinct member count at a time,
+    as ``(halos, members, 3)`` blocks reduced along the member axis: per
+    halo the operations, and their order, of :func:`_periodic_com` and
+    of ``masses[members].sum()`` (held to both, bit for bit, by
+    ``tests/test_cosmology_backend_differential.py``).
+    """
     n = positions.shape[0]
     # One stable sort groups the particles by root with every group's
     # members ascending; groups come out in ascending-root order.
     by_root = np.argsort(roots, kind="stable")
     starts, sizes = _runs(roots[by_root])
-    halos: list[Halo] = []
-    for k in np.flatnonzero(sizes >= min_members):
-        members = by_root[starts[k] : starts[k] + sizes[k]]
-        halos.append(
-            Halo(
-                members=members,
-                center=_periodic_com(positions[members], masses[members]),
-                mass=float(masses[members].sum()),
-            )
-        )
+    kept = sizes >= min_members
+    starts, sizes = starts[kept], sizes[kept]
+    centers = np.empty((sizes.size, 3))
+    mass = np.empty(sizes.size)
+    for size in np.unique(sizes):
+        block = np.flatnonzero(sizes == size)
+        members = by_root[starts[block, None] + np.arange(size)]  # (halos, size)
+        m = masses[members]
+        angles = 2.0 * np.pi * positions[members]
+        mass[block] = norm = m.sum(axis=1)
+        s = (np.sin(angles) * m[:, :, None]).sum(axis=1) / norm[:, None]
+        c = (np.cos(angles) * m[:, :, None]).sum(axis=1) / norm[:, None]
+        centers[block] = np.mod(np.arctan2(s, c) / (2.0 * np.pi), 1.0)
+    halos = [
+        Halo(members=by_root[start : start + size], center=center, mass=m)
+        for start, size, center, m in zip(starts.tolist(), sizes.tolist(), centers, mass.tolist())
+    ]
     halos.sort(key=lambda h: -h.mass)
     group_id = np.full(n, -1, dtype=np.int64)
     for i, h in enumerate(halos):

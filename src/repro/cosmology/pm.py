@@ -8,16 +8,22 @@ Poisson solve with the grid-corrected Green's function, spectral
 gradient, and CIC force interpolation back to the particles; fully
 vectorized.
 
-The deposit/interpolation hot paths route through the kernel-backend
-registry (:mod:`repro.core.backend`).  The batched deposit issues the
-eight CIC corner scatters as **one** ``bincount_sum`` over the
-concatenated corner streams — ``np.bincount`` and ``np.add.at`` both
-accumulate sequentially in input order, and the concatenation preserves
-the reference loop's corner-major order, so the fast path is
-bit-identical to :func:`cic_deposit_reference` (pinned by
-``tests/test_cosmology_backend_differential.py``).  The batched
-interpolation gathers from the flattened grid and accumulates corner by
-corner in the reference order, so it is bit-identical too.
+The deposit and the interpolation read one **stencil**
+(:func:`_cic_stencil`): the flat cell index and the weight of each of
+the eight CIC corners of every particle, ``[8, N]`` each, corner-major
+in the reference loops' order.  ``PMSolver.accelerations`` builds it
+once a call and hands it to both halves, which sit at the same
+positions; ``cic_deposit`` and ``cic_interpolate`` called alone build
+their own.  The deposit is **one** ``bincount_sum`` (kernel-backend
+registry, :mod:`repro.core.backend`) over the flattened stencil:
+``np.bincount`` and ``np.add.at`` both accumulate sequentially in input
+order and the stencil keeps the reference's corner-major order, so it
+is bit-identical to :func:`cic_deposit_reference`.  The interpolation
+is one ``take`` from the flattened grid per corner, accumulated in the
+reference order, so it is bit-identical to
+:func:`cic_interpolate_reference` (both pinned by
+``tests/test_cosmology_backend_differential.py``, the mesh forces also
+by ``tests/test_pipeline_pins.py``).
 
 Units here are "box units": the box has side 1, total mass 1, and the
 Poisson equation solved is ``del^2 phi = delta`` (density contrast
@@ -41,7 +47,7 @@ __all__ = [
 
 
 def _cic_corners(positions: np.ndarray, grid: int):
-    """Shared CIC geometry: wrapped lower/upper indices and fractions."""
+    """CIC geometry of the references: wrapped lower/upper indices and fractions."""
     x = np.mod(positions, 1.0) * grid
     i0 = np.floor(x).astype(np.int64)
     f = x - i0
@@ -50,13 +56,81 @@ def _cic_corners(positions: np.ndarray, grid: int):
     return i0, i1, f
 
 
-def _validate_deposit(positions: np.ndarray, grid: int) -> np.ndarray:
+def _validate_deposit(positions, grid: int, weights=None):
+    """``(positions, weights)`` as float arrays, or ``ValueError`` by name.
+
+    A NaN coordinate would otherwise cast to a valid wrapped index and
+    come back as a NaN cell or a silent ``0.0``.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (N, 3)")
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    return positions
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != positions.shape[:1]:
+            raise ValueError("weights must have shape (N,)")
+    return positions, weights
+
+
+def _as_fields(field) -> tuple[np.ndarray, bool]:
+    """``field`` as a ``(k, grid, grid, grid)`` stack, and whether it was one grid."""
+    field = np.asarray(field)
+    single = field.ndim == 3
+    fields = field[None] if single else field
+    if fields.ndim != 4 or len(set(fields.shape[1:])) != 1:
+        raise ValueError("field must be (grid, grid, grid) or (k, grid, grid, grid)")
+    return fields, single
+
+
+def _cic_stencil(positions: np.ndarray, grid: int, weights: np.ndarray | None = None):
+    """Flat cell indices and weights of the eight CIC corners: ``(idx[8, N], w[8, N])``.
+
+    Corner-major in the reference loops' order (x outer, z inner), each
+    weight the reference's product ``((weights * wx) * wy) * wz`` with
+    ``weights`` left out when ``None`` (a factor of exactly ``1.0``), so
+    one stencil serves a deposit and an interpolation at the same
+    positions.  ``mod(p, 1.0)`` can round up to ``1.0``, so a lower
+    index can be ``grid``: that and ``i0 + 1 == grid`` are the only
+    values an integer ``mod`` would change.
+    """
+    x = np.mod(positions.T, 1.0) * grid  # (3, N): a row per axis
+    i0 = np.floor(x).astype(np.int64)
+    f = x - i0
+    i0[i0 == grid] = 0
+    i1 = i0 + 1
+    i1[i1 == grid] = 0
+    g = 1 - f
+    idx = np.empty((8, positions.shape[0]), dtype=np.int64)
+    w = np.empty(idx.shape)
+    corner = 0
+    for ix, wx in ((i0[0], g[0]), (i1[0], f[0])):
+        if weights is not None:
+            wx = weights * wx
+        for iy, wy in ((i0[1], g[1]), (i1[1], f[1])):
+            ixy, wxy = (ix * grid + iy) * grid, wx * wy
+            for iz, wz in ((i0[2], g[2]), (i1[2], f[2])):
+                np.add(ixy, iz, out=idx[corner])
+                np.multiply(wxy, wz, out=w[corner])
+                corner += 1
+    return idx, w
+
+
+def _deposit(idx: np.ndarray, w: np.ndarray, grid: int, kb) -> np.ndarray:
+    """One ``bincount_sum`` over the corner-major stencil streams."""
+    return kb.bincount_sum(idx.ravel(), w.ravel(), grid**3).reshape(grid, grid, grid)
+
+
+def _interpolate(fields: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(k, N)`` values of ``fields[k, grid, grid, grid]``, accumulated corner by corner."""
+    flat = fields.reshape(fields.shape[0], -1)
+    out = np.zeros((fields.shape[0], idx.shape[1]))
+    for idx_c, w_c in zip(idx, w):
+        out += np.take(flat, idx_c, axis=1) * w_c
+    return out
 
 
 def cic_deposit_reference(
@@ -67,10 +141,9 @@ def cic_deposit_reference(
     The historical implementation, kept as the differential-test anchor
     for :func:`cic_deposit`.
     """
-    positions = _validate_deposit(positions, grid)
-    n = positions.shape[0]
+    positions, weights = _validate_deposit(positions, grid, weights)
     if weights is None:
-        weights = np.full(n, 1.0)
+        weights = np.full(positions.shape[0], 1.0)
     i0, i1, f = _cic_corners(positions, grid)
     rho = np.zeros((grid, grid, grid))
     for dx, wx in ((i0[:, 0], 1 - f[:, 0]), (i1[:, 0], f[:, 0])):
@@ -89,27 +162,13 @@ def cic_deposit(
 ) -> np.ndarray:
     """Cloud-in-cell mass deposit onto a periodic grid (box side 1).
 
-    Batched: the eight corner scatters are concatenated, corner-major,
-    into one backend ``bincount_sum`` — bit-identical to
+    Batched: the eight corner scatters of :func:`_cic_stencil` go,
+    corner-major, into one backend ``bincount_sum``: bit-identical to
     :func:`cic_deposit_reference` because both accumulate the same
     addend sequence in the same order per cell.
     """
-    positions = _validate_deposit(positions, grid)
-    n = positions.shape[0]
-    if weights is None:
-        weights = np.full(n, 1.0)
-    kb = get_backend(backend)
-    i0, i1, f = _cic_corners(positions, grid)
-    idx_parts = []
-    w_parts = []
-    # Same corner-major order as the reference loop: x outer, z inner.
-    for dx, wx in ((i0[:, 0], 1 - f[:, 0]), (i1[:, 0], f[:, 0])):
-        for dy, wy in ((i0[:, 1], 1 - f[:, 1]), (i1[:, 1], f[:, 1])):
-            for dz, wz in ((i0[:, 2], 1 - f[:, 2]), (i1[:, 2], f[:, 2])):
-                idx_parts.append((dx * grid + dy) * grid + dz)
-                w_parts.append(weights * wx * wy * wz)
-    flat = kb.bincount_sum(np.concatenate(idx_parts), np.concatenate(w_parts), grid**3)
-    return flat.reshape(grid, grid, grid)
+    positions, weights = _validate_deposit(positions, grid, weights)
+    return _deposit(*_cic_stencil(positions, grid, weights), grid, get_backend(backend))
 
 
 def cic_interpolate_reference(field: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -118,10 +177,10 @@ def cic_interpolate_reference(field: np.ndarray, positions: np.ndarray) -> np.nd
     The historical implementation, kept as the anchor for
     :func:`cic_interpolate`.
     """
-    single = field.ndim == 3
-    fields = field[None] if single else field
+    fields, single = _as_fields(field)
     grid = fields.shape[1]
-    i0, i1, f = _cic_corners(np.asarray(positions, dtype=np.float64), grid)
+    positions, _ = _validate_deposit(positions, grid)
+    i0, i1, f = _cic_corners(positions, grid)
     out = np.zeros((fields.shape[0], positions.shape[0]))
     for dx, wx in ((i0[:, 0], 1 - f[:, 0]), (i1[:, 0], f[:, 0])):
         for dy, wy in ((i0[:, 1], 1 - f[:, 1]), (i1[:, 1], f[:, 1])):
@@ -131,29 +190,18 @@ def cic_interpolate_reference(field: np.ndarray, positions: np.ndarray) -> np.nd
     return out[0] if single else out
 
 
-def cic_interpolate(
-    field: np.ndarray, positions: np.ndarray, *, backend=None
-) -> np.ndarray:
+def cic_interpolate(field: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """CIC interpolation of a grid field (or stacked fields) to points.
 
     ``field`` has shape (grid, grid, grid) or (k, grid, grid, grid).
-    Batched: one flat-index gather per corner instead of a 3-axis fancy
-    gather, accumulated in the reference corner order — bit-identical
-    to :func:`cic_interpolate_reference`.  (``backend`` is accepted for
-    interface symmetry; a gather has no scatter step to route.)
+    Batched: one flat-index ``take`` per corner of :func:`_cic_stencil`
+    instead of a 3-axis fancy gather, accumulated in the reference
+    corner order, so bit-identical to :func:`cic_interpolate_reference`.
     """
-    del backend  # gathers have no backend-routed op; kwarg kept for symmetry
-    single = field.ndim == 3
-    fields = field[None] if single else field
+    fields, single = _as_fields(field)
     grid = fields.shape[1]
-    flat = fields.reshape(fields.shape[0], -1)
-    i0, i1, f = _cic_corners(np.asarray(positions, dtype=np.float64), grid)
-    out = np.zeros((fields.shape[0], positions.shape[0]))
-    for dx, wx in ((i0[:, 0], 1 - f[:, 0]), (i1[:, 0], f[:, 0])):
-        for dy, wy in ((i0[:, 1], 1 - f[:, 1]), (i1[:, 1], f[:, 1])):
-            for dz, wz in ((i0[:, 2], 1 - f[:, 2]), (i1[:, 2], f[:, 2])):
-                w = wx * wy * wz
-                out += flat[:, (dx * grid + dy) * grid + dz] * w
+    positions, _ = _validate_deposit(positions, grid)
+    out = _interpolate(fields, *_cic_stencil(positions, grid))
     return out[0] if single else out
 
 
@@ -186,13 +234,16 @@ class PMSolver:
         else:
             self._decon = np.ones_like(k2)
 
-    def density_contrast(self, positions: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """CIC delta = rho/rho_bar - 1."""
-        rho = cic_deposit(positions, self.grid, weights, backend=self.backend)
+    @staticmethod
+    def _contrast(rho: np.ndarray) -> np.ndarray:
         mean = rho.mean()
         if mean == 0:
             raise ValueError("no mass deposited")
         return rho / mean - 1.0
+
+    def density_contrast(self, positions: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """CIC delta = rho/rho_bar - 1."""
+        return self._contrast(cic_deposit(positions, self.grid, weights, backend=self.backend))
 
     def potential(self, delta: np.ndarray) -> np.ndarray:
         """Solve del^2 phi = delta (unit box, spectral)."""
@@ -203,13 +254,18 @@ class PMSolver:
         return np.real(np.fft.ifftn(phik))
 
     def accelerations(self, positions: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """g = -grad phi at the particles, for del^2 phi = delta."""
-        delta = self.density_contrast(positions, weights)
+        """g = -grad phi at the particles, for del^2 phi = delta.
+
+        One CIC stencil serves the deposit and the interpolation back.
+        """
+        positions, weights = _validate_deposit(positions, self.grid, weights)
+        idx, w = _cic_stencil(positions, self.grid)
+        w_mass = w if weights is None else _cic_stencil(positions, self.grid, weights)[1]
+        delta = self._contrast(_deposit(idx, w_mass, self.grid, get_backend(self.backend)))
         dk = np.fft.fftn(delta)
         phik = -dk * self._inv_k2 * self._decon
         kx, ky, kz = self._k
         acc_grids = np.empty((3, self.grid, self.grid, self.grid))
         for axis, k in enumerate((kx, ky, kz)):
             acc_grids[axis] = np.real(np.fft.ifftn(-1j * k * phik))
-        acc = cic_interpolate(acc_grids, positions, backend=self.backend)
-        return acc.T.copy()
+        return _interpolate(acc_grids, idx, w).T.copy()

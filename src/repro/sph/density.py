@@ -83,6 +83,9 @@ def adapt_smoothing(
 
     Inputs are in caller order; the returned tree (and all arrays in the
     result) are in tree (Morton) order — use ``tree.order`` to map back.
+    Every iteration is a neighbour search (one ``sph.neighbors`` span
+    each); the density is summed once, for the final ``h`` (one
+    ``sph.density`` span and one ``sph.density_pairs`` count a solve).
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     masses = np.ascontiguousarray(masses, dtype=np.float64)
@@ -97,15 +100,13 @@ def adapt_smoothing(
             raise ValueError("h must be positive with one entry per particle")
     tree = build_tree(positions, masses, bucket_size=bucket_size)
     h = h[tree.order]
-    rho, neigh = density_sum(tree, h, backend=backend, observer=observer)
-    iterations = 1
-    for _ in range(max_iters - 1):
+    for iterations in range(1, max_iters + 1):
+        neigh = find_neighbors(tree, SUPPORT_RADIUS * h, backend=backend, observer=observer)
         counts = neigh.counts()
-        if np.all(np.abs(counts - n_target) <= max(2, n_target // 5)):
+        if iterations == max_iters or np.all(np.abs(counts - n_target) <= max(2, n_target // 5)):
             break
         # Move h toward the count target (cube-root rule), damped.
         factor = (n_target / np.maximum(counts, 1)) ** (1.0 / 3.0)
         h = h * np.clip(factor, 0.7, 1.5)
-        rho, neigh = density_sum(tree, h, backend=backend, observer=observer)
-        iterations += 1
+    rho, _ = density_sum(tree, h, neigh, backend=backend, observer=observer)
     return tree, DensityResult(rho, h, neigh, iterations)

@@ -6,9 +6,12 @@ counts N in {0, 1, 2, 1000} and uniform / clustered / single-cell
 distributions (fixed seeds throughout):
 
 * CIC deposit and interpolation, and the PM mesh forces built on them,
-  are **bit-identical** — the fast deposit is one concatenated
-  ``bincount_sum`` whose input order replays the reference's eight
-  sequential ``np.add.at`` corner scatters exactly.
+  are **bit-identical** — the fast deposit is one ``bincount_sum`` over
+  the corner-major stencil, whose input order replays the reference's
+  eight sequential ``np.add.at`` corner scatters exactly; the stencil's
+  wrap by comparison is held to the references' integer ``mod`` on the
+  box faces, and ``PMSolver.accelerations`` (one stencil for both
+  halves) to the chain of the two references.
 * Friends-of-friends catalogs are **bit-identical** — the
   min-label-propagation solver converges to the same component roots
   (the component-minimum index) the reference union-find produces.
@@ -16,6 +19,9 @@ distributions (fixed seeds throughout):
   cells a side (wrapped offsets alias one neighbour), a halo across
   the box face, coincident particles, pair-chunk seams inside a
   cell-pair block, and ``min_members`` 1 and 10.
+* The catalog's batched halo centres and masses are **bit-identical**
+  to the per-halo oracle (``_periodic_com``, ``masses[members].sum()``)
+  over hypothesis-drawn halo sizes, masses and face-straddling blobs.
 * Pair-count histograms are **bit-identical** integers, including
   ``np.histogram``'s closed last bin.
 * Power-spectrum bins select identical mode sets; values carry a
@@ -23,14 +29,15 @@ distributions (fixed seeds throughout):
   each bin with pairwise-summing ``np.mean`` while the fast path uses
   the sequential ``bincount_sum`` (see ``repro/cosmology/correlation.py``).
 
-Deliberately numpy+pytest only (no hypothesis) so the suite also runs
-in the CI ``backends`` matrix leg.
+Runs in the CI ``backends`` matrix legs, which install hypothesis.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.backend import available_backends
 from repro.core.procpool import MultiprocessBackend
@@ -110,8 +117,51 @@ class TestCicBitIdentical:
         pos = DISTRIBUTIONS[dist](n, seed=n + 3)
         field = np.random.default_rng(9).standard_normal((8, 8, 8))
         ref = cic_interpolate_reference(field, pos)
-        got = cic_interpolate(field, pos, backend=backend)
+        got = cic_interpolate(field, pos)
         assert np.array_equal(got, ref)
+
+
+def _face_positions(grid, seed):
+    """Coordinates on and around the box faces and the cell edges: exactly
+    0 and 1, the last double under 1, negative, above 1, and values that
+    ``mod(p, 1.0)`` rounds up to 1.0 (a lower index of ``grid``)."""
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, 1.0, 1.0 - 2.0**-53, -2.0**-60, -0.25, 1.75, -3.0, 2.0,
+                        1.0 / grid, (grid - 1.0) / grid, 1.0 - 0.5 / grid])
+    pos = np.concatenate([rng.choice(special, (300, 3)), rng.random((100, 3)) * 5.0 - 2.0])
+    pos[:special.size, 0] = special  # every special value at least once
+    return pos
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
+@pytest.mark.parametrize("grid", [4, 5])
+def test_cic_stencil_wrap_edges_bit_identical(backend, grid):
+    pos = _face_positions(grid, seed=grid)
+    w = np.random.default_rng(grid).uniform(0.5, 2.0, pos.shape[0])
+    assert (np.mod(pos, 1.0) == 1.0).any()  # the wrap-by-comparison case is present
+    assert np.array_equal(cic_deposit(pos, grid, backend=backend),
+                          cic_deposit_reference(pos, grid))
+    assert np.array_equal(cic_deposit(pos, grid, w, backend=backend),
+                          cic_deposit_reference(pos, grid, w))
+    fields = np.random.default_rng(9).standard_normal((3, grid, grid, grid))
+    for field in (fields[0], fields):  # single and stacked
+        assert np.array_equal(cic_interpolate(field, pos),
+                              cic_interpolate_reference(field, pos))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("grid", [4, 5, 16])
+def test_pm_accelerations_equal_the_reference_chain(grid, weighted):
+    """``accelerations`` builds one stencil for deposit and interpolation;
+    the two references each build their own geometry."""
+    pos = np.concatenate([_face_positions(grid, seed=3), _clustered(400, seed=4)])
+    w = np.random.default_rng(5).uniform(0.5, 2.0, pos.shape[0]) if weighted else None
+    solver = PMSolver(grid)
+    rho = cic_deposit_reference(pos, grid, w)
+    phik = -np.fft.fftn(rho / rho.mean() - 1.0) * solver._inv_k2 * solver._decon
+    grids = np.array([np.real(np.fft.ifftn(-1j * k * phik)) for k in solver._k])
+    assert np.array_equal(solver.accelerations(pos, w),
+                          cic_interpolate_reference(grids, pos).T)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=_bname)
@@ -135,6 +185,62 @@ def _assert_same_catalog(pos, backend, **kwargs):
         assert h_got.mass == h_ref.mass
         assert np.array_equal(h_got.center, h_ref.center)
     return got
+
+
+def _assert_catalog_matches_per_halo_oracle(pos, masses, res):
+    """Batched centres and masses == the per-halo oracle, and the catalog
+    is the ascending-root order stably sorted by descending mass."""
+    wrapped = np.mod(pos, 1.0)
+    for h in res.halos:
+        assert np.array_equal(h.center,
+                              fof_module._periodic_com(wrapped[h.members], masses[h.members]))
+        assert h.mass == float(masses[h.members].sum())
+        assert np.array_equal(h.members, np.sort(h.members))
+    keys = [(-h.mass, h.members[0]) for h in res.halos]  # root = smallest member
+    assert keys == sorted(keys)
+    for i, h in enumerate(res.halos):
+        assert (res.group_id[h.members] == i).all()
+
+
+@st.composite
+def _blob_boxes(draw):
+    """Blobs of drawn sizes (repeated sizes likely), some centred on a
+    periodic face or corner, with non-uniform masses, over a thin background."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=25))
+    on_face = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(seed)
+    blobs = []
+    for size, face in zip(sizes, on_face):
+        centre = rng.random(3)
+        if face:
+            centre[rng.integers(0, 3, size=rng.integers(1, 4))] = rng.choice([0.0, 1.0])
+        blobs.append(centre + 0.002 * rng.standard_normal((size, 3)))  # left unwrapped
+    pos = np.concatenate(blobs + [rng.random((draw(st.integers(0, 60)), 3))])
+    mass_scale = draw(st.sampled_from([1.0, 1e-12, 1e9]))
+    return pos, mass_scale * (0.1 + rng.random(pos.shape[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blob_boxes(), st.sampled_from([1, 2, 5]))
+def test_fof_batched_centres_equal_per_halo_oracle(box, min_members):
+    pos, masses = box
+    res = friends_of_friends(pos, masses, linking_length=0.2, min_members=min_members)
+    _assert_catalog_matches_per_halo_oracle(pos, masses, res)
+
+
+def test_fof_batched_centres_large_and_equal_mass_halos():
+    """Size classes past numpy's pairwise-summation block (128), and the
+    default equal masses, where the descending-mass sort is all ties."""
+    rng = np.random.default_rng(23)
+    blobs = [rng.random(3) + 0.001 * rng.standard_normal((size, 3))
+             for size in (300, 300, 129, 129, 128, 17, 17, 17, 9, 8)]
+    pos = np.concatenate(blobs + [rng.random((100, 3))])
+    masses = 0.5 + rng.random(pos.shape[0])
+    for m in (masses, np.full(pos.shape[0], 1.0 / pos.shape[0])):
+        res = friends_of_friends(pos, m, linking_length=0.2, min_members=2)
+        assert res.halos[0].n_members >= 300
+        _assert_catalog_matches_per_halo_oracle(pos, m, res)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=_bname)

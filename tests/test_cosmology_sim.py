@@ -11,7 +11,9 @@ from repro.cosmology import (
     CosmologyRunModel,
     PMSolver,
     cic_deposit,
+    cic_deposit_reference,
     cic_interpolate,
+    cic_interpolate_reference,
     correlation_function,
     friends_of_friends,
     friends_of_friends_reference,
@@ -61,6 +63,46 @@ class TestCic:
             cic_deposit(np.zeros((2, 2)), 8)
         with pytest.raises(ValueError):
             cic_deposit(np.zeros((2, 3)), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_refused(self, bad):
+        # A NaN coordinate used to cast to a valid wrapped index: a NaN
+        # cell from the deposit, a silent 0.0 from the interpolation.
+        pos = np.random.default_rng(3).random((10, 3))
+        pos[4, 1] = bad
+        for call in (
+            lambda: cic_deposit(pos, 8),
+            lambda: cic_deposit_reference(pos, 8),
+            lambda: cic_interpolate(np.ones((8, 8, 8)), pos),
+            lambda: cic_interpolate_reference(np.ones((8, 8, 8)), pos),
+            lambda: PMSolver(8).accelerations(pos),
+            lambda: PMSolver(8).density_contrast(pos),
+        ):
+            with pytest.raises(ValueError, match="positions must be finite"):
+                call()
+
+    def test_mis_shaped_input_refused_by_name(self):
+        pos = np.random.default_rng(4).random((10, 3))
+        for call in (
+            lambda: cic_interpolate(np.ones((8, 8, 8)), pos[:, :2]),
+            lambda: cic_interpolate(np.ones((8, 8, 8)), pos[0]),
+            lambda: PMSolver(8).accelerations(pos[:, :2]),
+        ):
+            with pytest.raises(ValueError, match=r"positions must be \(N, 3\)"):
+                call()
+        for field in (np.ones((8, 8, 4)), np.ones((8, 8)), np.ones((2, 8, 8, 4)),
+                      np.ones((1, 2, 8, 8, 8))):
+            for fn in (cic_interpolate, cic_interpolate_reference):
+                with pytest.raises(ValueError, match=r"field must be \(grid, grid, grid\)"):
+                    fn(field, pos)
+        for weights in (np.ones(9), np.ones((10, 1)), 2.0):
+            for call in (
+                lambda: cic_deposit(pos, 8, weights),
+                lambda: cic_deposit_reference(pos, 8, weights),
+                lambda: PMSolver(8).accelerations(pos, weights),
+            ):
+                with pytest.raises(ValueError, match=r"weights must have shape \(N,\)"):
+                    call()
 
 
 class TestPMSolver:
