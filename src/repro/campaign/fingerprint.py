@@ -34,6 +34,9 @@ __all__ = [
 #: of the hashed content so old stores can never alias new scenarios.
 ENCODING_VERSION = 1
 
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False).encode
+
 
 def canonical_json(obj: Any) -> str:
     """The unique JSON encoding of ``obj`` used for fingerprinting.
@@ -43,9 +46,7 @@ def canonical_json(obj: Any) -> str:
     >>> canonical_json({"a": 1, "b": 2}) == canonical_json({"b": 2, "a": 1})
     True
     """
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False
-    )
+    return _encode(obj)
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

@@ -18,10 +18,14 @@ and hot scenarios are cache hits.  The pipeline:
    mid-line leaves an unterminated tail that resume ignores and the
    next append cuts off; every terminated line whose fingerprint still
    names its spec is never recomputed.
-5. **Finalize** the store: canonical ``results.jsonl`` in catalog
-   order (bit-identical across serial/pooled/resumed runs) — at which
-   point the ledger is removed — then operational ``shards.jsonl`` and
-   the sqlite query index.
+5. **Finalize** the store
+   (:meth:`repro.campaign.store.ResultStore.finalize`): canonical
+   ``results.jsonl`` in catalog order (bit-identical across
+   serial/pooled/resumed runs) — at which point the ledger is removed —
+   then operational ``shards.jsonl`` and the sqlite query index.  Each
+   file is replaced only if its bytes differ and the index rebuilt only
+   if one was (or it is stale), so a rerun of a finished campaign
+   writes nothing.
 
 Dedupe/cache/resume/compute tallies go both into the returned
 :class:`CampaignReport` and into ``campaign.*`` counters on the
@@ -163,9 +167,6 @@ def run_campaign(
                           cat="campaign", args={"fingerprint": fp})
         observer.count("campaign.computed")
 
-    # Finalize: canonical results in catalog order (which retires the
-    # ledger), then the operational shard rows, then the query index.
-    store.write_results([known[fp] for fp in order if fp in known])
     rows = []
     seen: set[str] = set()
     for index, fp in enumerate(fps):
@@ -180,8 +181,10 @@ def run_campaign(
             row["error"] = report.errors[fp]
         rows.append(row)
         seen.add(fp)
-    store.write_shards(rows)
-    store.build_index()
+    # Finalize: canonical results in catalog order (which retires the
+    # ledger), the operational shard rows, and the query index; a file
+    # that already holds its bytes is left alone.
+    store.finalize([known[fp] for fp in order if fp in known], rows)
 
     observer.count("campaign.shards", report.total_shards)
     observer.count("campaign.dedupe_hits", report.dedupe_hits)

@@ -47,6 +47,7 @@ import dataclasses
 import importlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
@@ -82,10 +83,28 @@ class ScenarioSpec:
     #: fails when a run imports one that is not listed.
     _lazy_modules = ()
 
+    def __post_init__(self) -> None:
+        """Fields hold finite JSON scalars, a string only where the
+        default is one (subclasses call this first): so ``to_dict`` can
+        hand them out without copying, the fingerprint can encode them,
+        and the range checks compare numbers."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            scalar = isinstance(value, (bool, int, str)) or (
+                isinstance(value, float) and math.isfinite(value))
+            if scalar and isinstance(value, str) == isinstance(f.default, str):
+                continue
+            where = f"{type(self).__name__}.{f.name}"
+            if not scalar:
+                got = repr(value) if isinstance(value, float) else type(value).__name__
+                raise ValueError(f"{where} must be a finite JSON scalar, got {got}")
+            want = "string" if isinstance(f.default, str) else "number"
+            raise ValueError(f"{where} must be a {want}, got {value!r}")
+
     def to_dict(self) -> dict:
         """JSON-ready dict carrying ``kind`` plus every parameter."""
         d = {"kind": self.kind}
-        d.update(dataclasses.asdict(self))
+        d.update({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
         return d
 
     @classmethod
@@ -133,6 +152,7 @@ class CosmologySpec(ScenarioSpec):
     sigma8: float = 0.9
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_side < 2:
             raise ValueError("n_side must be >= 2")
         if not 0 < self.a_start < self.a_final:
@@ -165,6 +185,7 @@ class SupernovaSpec(ScenarioSpec):
     with_neutrinos: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_particles < 8:
             raise ValueError("n_particles must be >= 8")
         if self.n_steps < 0:
@@ -191,6 +212,7 @@ class ClusterSpec(ScenarioSpec):
     restart_hours: float = 0.5
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if self.work_hours <= 0 or self.state_gb_per_node <= 0:
@@ -222,6 +244,7 @@ class BenchSpec(ScenarioSpec):
     smoke: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         import re
 
         if not re.fullmatch(r"[a-z0-9][a-z0-9_]*", self.bench or ""):
@@ -295,6 +318,7 @@ class PipelineSpec(ScenarioSpec):
     with_neutrinos: bool = True
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_side < 4:
             raise ValueError("n_side must be >= 4 (the IC grid floor)")
         if not 0 < self.a_start < self.a_final:
@@ -333,6 +357,9 @@ def spec_from_dict(d: Mapping) -> ScenarioSpec:
     Key order in ``d`` is irrelevant — identity is content, not
     encoding (the fingerprint property suite pins this).
     """
+    if not isinstance(d, Mapping):
+        raise TypeError("scenario must be a ScenarioSpec or a mapping with 'kind', "
+                        f"got {type(d).__name__}")
     kind = d.get("kind")
     if kind not in SPEC_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}; known: {sorted(SPEC_KINDS)}")

@@ -14,9 +14,16 @@ mixes them:
   real, so this file is deliberately outside the bit-identity
   contract.
 
-``index.sqlite`` is a disposable query accelerator rebuilt from
-``results.jsonl`` whenever it is stale — JSONL stays the source of
-truth, the way ``benchmarks/baseline.jsonl`` does for the fleet gate.
+``index.sqlite`` is a disposable query accelerator — JSONL stays the
+source of truth, the way ``benchmarks/baseline.jsonl`` does for the
+fleet gate.  :meth:`ResultStore.finalize` rebuilds it, in one
+transaction from the rows it holds, when either file changed or the
+index is stale (missing, or not strictly newer than both files);
+:meth:`ResultStore.query` rebuilds it from the files when it is stale
+or cannot be read.  The finalized files are replaced only when their
+bytes differ, so a rerun of a finished campaign leaves all three
+inodes and mtimes alone and syncs nothing; whenever ``results.jsonl``
+*is* written it is temp + ``fsync`` + ``os.replace``.
 
 A campaign *in progress* also holds ``ledger.jsonl``, the crash
 ledger: each completed shard appends exactly the line ``results.jsonl``
@@ -102,18 +109,38 @@ class ResultStore:
         """
         return canonical_json({k: record[k] for k in _RESULT_KEYS})
 
-    def write_results(self, records: Iterable[Mapping]) -> str:
-        """Atomically replace ``results.jsonl`` (temp + ``os.replace``),
-        then drop the crash ledger it supersedes."""
-        tmp = f"{self.results_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            for record in records:
-                fh.write(self.canonical_result_line(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.results_path)
+    @staticmethod
+    def _replace(path: str, data: bytes, *, sync: bool) -> bool:
+        """Make ``path`` hold exactly ``data``.  ``False``, the file
+        untouched, when it already does; else temp (+ ``fsync`` when
+        ``sync``) + ``os.replace``."""
+        try:
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return False
+        except FileNotFoundError:
+            pass
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            if sync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        return True
+
+    def _put_results(self, records: Iterable[Mapping]) -> bool:
+        data = "".join(self.canonical_result_line(r) + "\n" for r in records)
+        changed = self._replace(self.results_path, data.encode("ascii"), sync=True)
         if os.path.exists(self.ledger_path):
             os.remove(self.ledger_path)
+        return changed
+
+    def write_results(self, records: Iterable[Mapping]) -> str:
+        """Make ``results.jsonl`` hold ``records`` (atomically: temp +
+        ``fsync`` + ``os.replace``, unless it already holds those
+        bytes), then drop the crash ledger it supersedes."""
+        self._put_results(records)
         return self.results_path
 
     def load_results(self) -> dict[str, dict]:
@@ -167,33 +194,48 @@ class ResultStore:
         return out
 
     # -- operational record ---------------------------------------------
+    def _put_shards(self, rows: Iterable[Mapping]) -> bool:
+        data = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        return self._replace(self.shards_path, data.encode("ascii"), sync=False)
+
     def write_shards(self, rows: Iterable[Mapping]) -> str:
-        tmp = f"{self.shards_path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        os.replace(tmp, self.shards_path)
+        self._put_shards(rows)
         return self.shards_path
 
     def load_shards(self) -> list[dict]:
         return self._load_finalized(
             self.shards_path, ("index", "fingerprint", "kind", "status"))
 
-    # -- sqlite query side ----------------------------------------------
-    def _index_stale(self) -> bool:
-        if not os.path.exists(self.db_path):
-            return True
-        if not os.path.exists(self.results_path):
-            return False
-        return os.path.getmtime(self.db_path) < os.path.getmtime(self.results_path)
+    # -- finalization and the sqlite query side ---------------------------
+    def finalize(self, records: Iterable[Mapping], rows: Iterable[Mapping]) -> None:
+        """Leave the directory finished: ``results.jsonl`` (which
+        retires the ledger), ``shards.jsonl``, and the index, rebuilt
+        from what is in hand if either file changed or it is stale."""
+        records, rows = list(records), list(rows)
+        changed = [self._put_results(records), self._put_shards(rows)]
+        if any(changed) or self._index_stale():
+            self._write_index(records, rows)
 
-    def build_index(self) -> str:
-        """(Re)build ``index.sqlite`` from the JSONL source of truth."""
+    def _index_stale(self) -> bool:
+        """Missing, or not strictly newer than both finalized files: a
+        tie at the kernel's timestamp tick costs one rebuild, never a
+        stale answer."""
+        def mtime_ns(path: str) -> int:
+            try:
+                return os.stat(path).st_mtime_ns
+            except FileNotFoundError:
+                return -1
+
+        return mtime_ns(self.db_path) <= max(
+            mtime_ns(self.results_path), mtime_ns(self.shards_path))
+
+    def _write_index(self, records: Iterable[Mapping], rows: Iterable[Mapping]) -> None:
         tmp = f"{self.db_path}.tmp.{os.getpid()}"
         if os.path.exists(tmp):
             os.remove(tmp)
-        con = sqlite3.connect(tmp)
+        con = sqlite3.connect(tmp, isolation_level=None)
         try:
+            con.execute("BEGIN")  # one transaction: one journal, one sync
             con.execute(
                 "CREATE TABLE results ("
                 " fingerprint TEXT PRIMARY KEY, kind TEXT NOT NULL,"
@@ -211,7 +253,7 @@ class ResultStore:
                 [
                     (r["fingerprint"], r["kind"],
                      canonical_json(r["spec"]), canonical_json(r["result"]))
-                    for r in self.load_results().values()
+                    for r in records
                 ],
             )
             con.executemany(
@@ -219,25 +261,35 @@ class ResultStore:
                 [
                     (row["index"], row["fingerprint"], row["kind"], row["status"],
                      row.get("seconds"), row.get("error"))
-                    for row in self.load_shards()
+                    for row in rows
                 ],
             )
-            con.commit()
+            con.execute("COMMIT")
         finally:
             con.close()
         os.replace(tmp, self.db_path)
+
+    def build_index(self) -> str:
+        """(Re)build ``index.sqlite`` from the JSONL source of truth."""
+        self._write_index(self.load_results().values(), self.load_shards())
         return self.db_path
+
+    def _select(self, sql: str, args: list) -> list[tuple]:
+        con = sqlite3.connect(self.db_path)
+        try:
+            return con.execute(sql, args).fetchall()
+        finally:
+            con.close()
 
     def query(self, kind: str | None = None, limit: int | None = None) -> list[dict]:
         """Results (spec + result decoded), optionally by kind.
 
-        Served from sqlite; the index is rebuilt first when missing or
-        older than ``results.jsonl``.
+        Served from sqlite; the index is rebuilt from the JSONL files
+        first when stale, and once more if it cannot be read (it is
+        disposable: truncated, overwritten or emptied, it is rebuilt).
         """
         if self._index_stale():
             self.build_index()
-        if not os.path.exists(self.db_path):
-            return []
         sql = "SELECT fingerprint, kind, spec, result FROM results"
         args: list[Any] = []
         if kind is not None:
@@ -247,11 +299,11 @@ class ResultStore:
         if limit is not None:
             sql += " LIMIT ?"
             args.append(int(limit))
-        con = sqlite3.connect(self.db_path)
         try:
-            rows = con.execute(sql, args).fetchall()
-        finally:
-            con.close()
+            rows = self._select(sql, args)
+        except sqlite3.DatabaseError:
+            self.build_index()
+            rows = self._select(sql, args)
         return [
             {"fingerprint": fp, "kind": k,
              "spec": json.loads(spec), "result": json.loads(result)}

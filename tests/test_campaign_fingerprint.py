@@ -16,12 +16,15 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    SPEC_KINDS,
+    BenchSpec,
     ClusterSpec,
     CosmologySpec,
+    PipelineSpec,
     SupernovaSpec,
     scenario_fingerprint,
     scenario_fingerprint_hex,
@@ -49,6 +52,33 @@ supernova_specs = st.builds(
 )
 
 any_spec = st.one_of(cluster_specs, supernova_specs)
+
+
+def _around_the_defaults(cls):
+    """Specs of ``cls`` with every field drawn: numbers at or near the
+    default on the side every range check allows, any bench-like stem."""
+    draws = {}
+    for f in dataclasses.fields(cls):
+        if isinstance(f.default, bool):
+            draws[f.name] = st.booleans()
+        elif isinstance(f.default, int):
+            draws[f.name] = st.integers(0, 50).map(lambda k, d=f.default: d + k)
+        elif isinstance(f.default, float):
+            draws[f.name] = st.floats(0.5, 1.0).map(lambda x, d=f.default: d * x)
+        else:
+            draws[f.name] = st.text("abcdefghijklmnopqrstuvwxyz0123456789",
+                                    min_size=1, max_size=12)
+    return st.builds(cls, **draws)
+
+
+every_kind = st.one_of([_around_the_defaults(cls) for cls in SPEC_KINDS.values()])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
 
 
 class TestIdenticalContentCollides:
@@ -144,10 +174,52 @@ class TestEveryParameterIsLoadBearing:
             assert scenario_fingerprint(perturbed) != original, field.name
 
 
+class TestSpecDict:
+    """``to_dict`` reads the fields; ``dataclasses.asdict`` is the
+    reference it must keep equalling."""
+
+    @given(every_kind)
+    def test_is_asdict_plus_kind_and_round_trips(self, spec):
+        d = spec.to_dict()
+        want = {"kind": spec.kind, **dataclasses.asdict(spec)}
+        assert d == want
+        assert list(d) == list(want)
+        assert [type(v) for v in d.values()] == [type(v) for v in want.values()]
+        assert spec_from_dict(d) == spec
+        assert spec.to_dict() is not d  # the caller's to change
+
+
+class TestPinnedFingerprints:
+    """Written by the commit before ``to_dict`` and ``canonical_json``
+    were made cheaper: a store filled then is still all cache hits."""
+
+    PINS = [
+        (ClusterSpec(), "890b98cf35fa19b5514c2e2a5b45e30c"),
+        (CosmologySpec(), "52a0dcb767c6b60a6d03575466ef798a"),
+        (SupernovaSpec(), "747bb26edc26f16f47a77a3ffab70fef"),
+        (PipelineSpec(), "74e693f3ea4c4ef63dfcfebb7b04f4f4"),
+        (BenchSpec(bench="fig7_cosmology"), "5e196b4d957eebad8a44a102e1bcb476"),
+        (ClusterSpec(n_nodes=64, work_hours=1e-7), "0e7fcaa1fd36283a89ff9629dc44fa0d"),
+        (BenchSpec(bench="a", smoke=False), "8311e432a54a0daa6e0b52d93daf9fc5"),
+    ]
+
+    @pytest.mark.parametrize("spec,pin", PINS, ids=lambda v: getattr(v, "kind", None))
+    def test_pinned(self, spec, pin):
+        assert scenario_fingerprint_hex(spec) == pin
+
+
 class TestCanonicalEncoding:
     def test_compact_sorted_ascii(self):
         assert canonical_json({"b": 1, "a": [True, None]}) == '{"a":[true,null],"b":1}'
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_json({"x": float("nan")})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            for obj in (bad, {"x": bad}, [1, {"y": [bad]}]):
+                with pytest.raises(ValueError):
+                    canonical_json(obj)
+
+    @given(json_values)
+    @example({"big": 2**200, "neg": -(2**63) - 1, "\u00e9\u4e16\U0001f680": ["\x00\n\"", 1e-320]})
+    def test_is_the_json_dumps_it_replaced(self, obj):
+        assert canonical_json(obj) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)

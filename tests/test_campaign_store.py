@@ -8,6 +8,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -236,10 +237,10 @@ class TestResultStoreQuery:
     def test_stale_index_rebuilt(self, populated):
         populated.query()  # builds index.sqlite
         assert os.path.exists(populated.db_path)
-        # Make the JSONL newer than the index: the next query rebuilds.
+        # The JSONL is not older than the index (a tie at the kernel's
+        # timestamp tick counts): the next query rebuilds.
         records = list(populated.load_results().values())[:1]
         populated.write_results(records)
-        os.utime(populated.results_path)
         assert len(populated.query()) == 1
 
     def test_status_tallies(self, populated):
@@ -273,3 +274,54 @@ class TestCatalogRoundTrip:
             [{"kind": "cluster", "n_nodes": 16}], str(tmp_path / "c"),
         )
         assert report.computed == 1
+
+
+class TestSpecsHoldJsonScalars:
+    """Refused where the spec is made, with the field named: never an
+    ``AttributeError`` or a JSON error from inside the fingerprint."""
+
+    REFUSED = [
+        pytest.param({"kind": "cluster", "n_nodes": np.int64(8)},
+                     "ClusterSpec.n_nodes must be a finite JSON scalar, got int64", id="int64"),
+        pytest.param({"kind": "cluster", "n_nodes": float("nan")},
+                     "ClusterSpec.n_nodes must be a finite JSON scalar, got nan", id="nan"),
+        pytest.param({"kind": "cluster", "work_hours": float("inf")},
+                     "ClusterSpec.work_hours must be a finite JSON scalar, got inf", id="inf"),
+        pytest.param({"kind": "cluster", "work_hours": [24.0]},
+                     "ClusterSpec.work_hours must be a finite JSON scalar, got list", id="list"),
+        pytest.param({"kind": "cosmology", "seed": None},
+                     "CosmologySpec.seed must be a finite JSON scalar, got NoneType", id="None"),
+        pytest.param({"kind": "cluster", "n_nodes": "8"},
+                     "ClusterSpec.n_nodes must be a number, got '8'", id="str_for_number"),
+        pytest.param({"kind": "bench", "bench": 7},
+                     "BenchSpec.bench must be a string, got 7", id="number_for_str"),
+    ]
+
+    @pytest.mark.parametrize("entry,message", REFUSED)
+    def test_field_refused_by_name(self, tmp_path, entry, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec_from_dict(entry)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_campaign([entry], str(tmp_path / "c"))
+        assert not os.path.exists(tmp_path / "c")  # refused before a store exists
+
+    @pytest.mark.parametrize("entry", [None, 42, "cluster", [("kind", "cluster")]],
+                             ids=["None", "int", "str", "list"])
+    def test_non_mapping_refused(self, tmp_path, entry):
+        message = ("scenario must be a ScenarioSpec or a mapping with 'kind', "
+                   f"got {type(entry).__name__}")
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run_campaign([entry], str(tmp_path / "c"))
+
+    @pytest.mark.parametrize("line", ["42", "null", '{"kind": "cluster", "n_nodes": "8"}',
+                                      '{"kind": "cluster", "n_nodes": NaN}',
+                                      '{"kind": "cluster", "n_nodes": [8]}'],
+                             ids=["int", "null", "str_for_number", "nan", "list"])
+    def test_load_catalog_names_the_line(self, tmp_path, line):
+        path = tmp_path / "cat.jsonl"
+        path.write_text('{"kind": "cluster"}\n' + line + "\n")
+        with pytest.raises(ValueError, match=r"cat\.jsonl:2: bad catalog line"):
+            load_catalog(str(path))
+
+    def test_a_huge_int_is_a_scalar(self):
+        assert ClusterSpec(n_nodes=10**400).to_dict()["n_nodes"] == 10**400
