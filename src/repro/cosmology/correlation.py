@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.backend import get_backend
-from .pm import cic_deposit
+from .pm import cic_deposit, wrap_unit
 
 __all__ = [
     "pair_counts_periodic",
@@ -35,7 +35,7 @@ __all__ = [
 
 
 def _validate_pair_edges(positions, edges):
-    positions = np.mod(np.asarray(positions, dtype=np.float64), 1.0)
+    positions = wrap_unit(np.asarray(positions, dtype=np.float64))
     edges = np.asarray(edges, dtype=np.float64)
     if np.any(np.diff(edges) <= 0) or edges[0] < 0:
         raise ValueError("edges must be increasing and non-negative")

@@ -17,7 +17,7 @@ halo extraction:
   compression.
 * :func:`friends_of_friends` — the default array-level path: the
   neighbour ids of all occupied cells x 27 offsets are formed at once
-  and looked up with one ``searchsorted``, the surviving cell pairs are
+  and looked up in a dense cell -> slot map, the surviving cell pairs are
   expanded to one flat list of ``(particle_a, particle_b)`` candidates,
   and the same distance expression filters it; connected components
   are solved by min-label propagation — backend ``scatter_min`` hooks
@@ -48,6 +48,7 @@ import numpy as np
 
 from ..core.backend import get_backend
 from ..core.traversal import DEFAULT_PAIR_CHUNK
+from .pm import wrap_unit
 
 __all__ = ["Halo", "FofResult", "friends_of_friends", "friends_of_friends_reference"]
 
@@ -127,11 +128,11 @@ def _prepare(positions, masses, linking_length, min_members):
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must be (N, 3)")
-    # Before the wrap: np.mod turns inf into NaN, and the int cast of a
-    # NaN cell coordinate is an arbitrary cell, not an error.
+    # Before the wrap: it turns inf into NaN, and the int cast of a NaN
+    # cell coordinate is an arbitrary cell, not an error.
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    positions = np.mod(positions, 1.0)
+    positions = wrap_unit(positions)
     n = positions.shape[0]
     if masses is None:
         masses = np.full(n, 1.0 / n) if n else np.zeros(0)
@@ -222,7 +223,7 @@ def _extract_halos(roots, positions, masses, min_members) -> FofResult:
         mass[block] = norm = m.sum(axis=1)
         s = (np.sin(angles) * m[:, :, None]).sum(axis=1) / norm[:, None]
         c = (np.cos(angles) * m[:, :, None]).sum(axis=1) / norm[:, None]
-        centers[block] = np.mod(np.arctan2(s, c) / (2.0 * np.pi), 1.0)
+        centers[block] = wrap_unit(np.arctan2(s, c) / (2.0 * np.pi))
     halos = [
         Halo(members=by_root[start : start + size], center=center, mass=m)
         for start, size, center, m in zip(starts.tolist(), sizes.tolist(), centers, mass.tolist())
@@ -294,21 +295,25 @@ def _linked_pairs(positions, link2, n_cells, order, cell_ids, starts, counts):
 
     The blocks :func:`_cell_pairs` yields one at a time are built here
     as arrays: all occupied cells x 27 offsets at once, each unordered
-    pair of occupied cells once.  Their member products are laid end to
-    end on one flat candidate index, and the distance test runs over
-    that index ``DEFAULT_PAIR_CHUNK`` candidates at a time.
+    pair of occupied cells once.  Each axis coordinate is wrapped for its
+    three offsets (``(3, occupied)`` values per axis), and the three
+    axes broadcast to the ``(27, occupied)`` neighbour ids in
+    :data:`_NEIGHBOR_OFFSETS` order.  Occupied
+    neighbours are found through ``slot``, a dense map from every cell
+    of the grid (at most 64^3, see :func:`_prepare`) to its position in
+    ``cell_ids``, or -1.  The member products of the cell pairs are laid
+    end to end on one flat candidate index, and the distance test runs
+    over that index ``DEFAULT_PAIR_CHUNK`` candidates at a time.
     """
-    cz = cell_ids % n_cells
-    cy = (cell_ids // n_cells) % n_cells
-    cx = cell_ids // (n_cells * n_cells)
-    dx, dy, dz = np.array(_NEIGHBOR_OFFSETS).T[:, :, None]
-    nid = (
-        ((cx + dx) % n_cells) * n_cells + ((cy + dy) % n_cells)
-    ) * n_cells + ((cz + dz) % n_cells)  # (27, occupied)
+    axes = np.array(np.unravel_index(cell_ids, (n_cells,) * 3))  # (3, occupied): x, y, z
+    wx, wy, wz = (axes[:, None, :] + np.arange(-1, 2)[:, None]) % n_cells  # (3, occupied) each
+    nid = ((wx[:, None, None] * n_cells + wy[None, :, None]) * n_cells
+           + wz[None, None, :]).reshape(27, -1)
     off, ca = np.nonzero(nid >= cell_ids)  # each cell pair once
-    nid = nid[off, ca]
-    cb = np.minimum(np.searchsorted(cell_ids, nid), cell_ids.size - 1)
-    occupied = cell_ids[cb] == nid
+    slot = np.full(n_cells**3, -1, dtype=np.int32)
+    slot[cell_ids] = np.arange(cell_ids.size)
+    cb = slot[nid[off, ca]]
+    occupied = cb >= 0
     # On grids under three cells a side wrapped offsets alias the same
     # neighbour; visiting a block once finds every pair it holds.
     ca, cb = np.divmod(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import Cosmology, LCDM
+from .pm import wrap_unit
 from .power import PowerSpectrum
 
 __all__ = ["InitialConditions", "zeldovich_ics", "gaussian_field"]
@@ -122,7 +123,7 @@ def zeldovich_ics(
     lattice = _lattice(n_side)
     # Interpolate psi at lattice points = grid points (1:1 mapping).
     disp = np.stack([psi[i].ravel() for i in range(3)], axis=1)
-    positions = np.mod(lattice + d * disp, 1.0)
+    positions = wrap_unit(lattice + d * disp)
     velocities = f * d * disp  # dx/dlna = f D psi
     delta, _ = gaussian_field(grid, box_mpc_h, power, a_start, seed, k_cut_fraction)
     return InitialConditions(positions, velocities, a_start, box_mpc_h, cosmology, delta)

@@ -25,6 +25,14 @@ reference order, so it is bit-identical to
 ``tests/test_cosmology_backend_differential.py``, the mesh forces also
 by ``tests/test_pipeline_pins.py``).
 
+The stencil reads positions as three contiguous rows, one per axis (a
+copy of the transpose, not its stride-3 view), and wraps them into the
+box with :func:`wrap_unit`, ``x - floor(x)``: the same bits as the
+references' float ``np.mod(x, 1.0)`` at a fraction of its cost.  Every
+periodic wrap in :mod:`repro.cosmology` goes through it except the two
+kept oracles, :func:`_cic_corners` and ``fof._periodic_com``.  The
+solver's three spectral gradient factors ``-1j * k`` are built once.
+
 Units here are "box units": the box has side 1, total mass 1, and the
 Poisson equation solved is ``del^2 phi = delta`` (density contrast
 source); callers scale by the physical prefactor (see
@@ -44,6 +52,18 @@ __all__ = [
     "cic_interpolate_reference",
     "PMSolver",
 ]
+
+
+def wrap_unit(x) -> np.ndarray:
+    """``x`` wrapped into the unit box: ``np.mod(x, 1.0)`` bit for bit.
+
+    Both are one rounding of the same exact value (``x - floor(x)`` is
+    exact for ``x >= 0``; for negative ``x`` each rounds ``frac + 1``
+    once), whole numbers give ``+0.0`` and NaN or +-inf give NaN, at a
+    fraction of the float ``mod``'s cost (pinned by
+    ``tests/test_cosmology_backend_differential.py``).
+    """
+    return x - np.floor(x)
 
 
 def _cic_corners(positions: np.ndarray, grid: int):
@@ -93,11 +113,12 @@ def _cic_stencil(positions: np.ndarray, grid: int, weights: np.ndarray | None = 
     weight the reference's product ``((weights * wx) * wy) * wz`` with
     ``weights`` left out when ``None`` (a factor of exactly ``1.0``), so
     one stencil serves a deposit and an interpolation at the same
-    positions.  ``mod(p, 1.0)`` can round up to ``1.0``, so a lower
-    index can be ``grid``: that and ``i0 + 1 == grid`` are the only
-    values an integer ``mod`` would change.
+    positions.  The wrap can round up to ``1.0``, so a lower index can
+    be ``grid``: that and ``i0 + 1 == grid`` are the only values an
+    integer ``mod`` would change.
     """
-    x = np.mod(positions.T, 1.0) * grid  # (3, N): a row per axis
+    x = wrap_unit(np.ascontiguousarray(positions.T))  # (3, N): a contiguous row per axis
+    x *= grid
     i0 = np.floor(x).astype(np.int64)
     f = x - i0
     i0[i0 == grid] = 0
@@ -217,7 +238,7 @@ class PMSolver:
         kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
         k2 = kx**2 + ky**2 + kz**2
         k2[0, 0, 0] = 1.0  # zero mode removed below
-        self._k = (kx, ky, kz)
+        self._grad = tuple(-1j * k for k in (kx, ky, kz))  # spectral d/dx, d/dy, d/dz
         self._inv_k2 = 1.0 / k2
         self._inv_k2[0, 0, 0] = 0.0
         if deconvolve:
@@ -264,8 +285,7 @@ class PMSolver:
         delta = self._contrast(_deposit(idx, w_mass, self.grid, get_backend(self.backend)))
         dk = np.fft.fftn(delta)
         phik = -dk * self._inv_k2 * self._decon
-        kx, ky, kz = self._k
         acc_grids = np.empty((3, self.grid, self.grid, self.grid))
-        for axis, k in enumerate((kx, ky, kz)):
-            acc_grids[axis] = np.real(np.fft.ifftn(-1j * k * phik))
+        for axis, grad in enumerate(self._grad):
+            acc_grids[axis] = np.real(np.fft.ifftn(grad * phik))
         return _interpolate(acc_grids, idx, w).T.copy()

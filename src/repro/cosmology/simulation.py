@@ -32,7 +32,7 @@ from ..machine.node import DiskSpec, NodeSpec, SPACE_SIMULATOR_NODE
 from ..machine.specs import FLOPS_PER_INTERACTION
 from .background import Cosmology, LCDM
 from .ics import InitialConditions, zeldovich_ics
-from .pm import PMSolver
+from .pm import PMSolver, wrap_unit
 
 __all__ = ["ComovingSimulation", "CosmologyRunModel", "PAPER_RUN", "run_campaign_scenario"]
 
@@ -49,7 +49,7 @@ class ComovingSimulation:
 
     def __init__(self, ics: InitialConditions, pm_grid: int | None = None):
         self.cosmology: Cosmology = ics.cosmology
-        self.positions = np.mod(ics.positions.copy(), 1.0)
+        self.positions = wrap_unit(ics.positions)
         self.velocities = ics.velocities.copy()  # dx/dlna
         self.a = ics.a_start
         if pm_grid is None:
@@ -74,7 +74,7 @@ class ComovingSimulation:
         if dlna <= 0:
             raise ValueError("dlna must be positive")
         self._kick(dlna / 2.0)
-        self.positions = np.mod(self.positions + dlna * self.velocities, 1.0)
+        self.positions = wrap_unit(self.positions + dlna * self.velocities)
         self.a *= np.exp(dlna)
         self._g = self.solver.accelerations(self.positions)
         self._kick(dlna / 2.0)

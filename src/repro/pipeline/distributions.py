@@ -21,6 +21,11 @@ makes a grown ensemble a superset of a smaller one, and what keeps the
 campaign fingerprints of the shared prefix stable (dedupe and resume
 hit across ensemble sizes).
 
+Bad parameters are refused when a distribution is built, not when it
+is drawn: a ``ValueError`` names the class and the field (a NaN sigma
+would otherwise draw NaN, an infinite ``Uniform`` bound overflow inside
+:func:`~repro.pipeline.draw_specs`).
+
 Every distribution round-trips through plain JSON dicts
 (``to_dict`` / :func:`distribution_from_dict`), mirroring
 :mod:`repro.campaign.spec`.
@@ -39,6 +44,8 @@ Grid(values=(0.1, 0.2))
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -54,6 +61,20 @@ __all__ = [
     "distribution_from_dict",
     "as_distribution",
 ]
+
+
+def _is_real(value, finite: bool = False) -> bool:
+    """A real number (not a bool), never NaN, finite when asked."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return math.isfinite(value) if finite else not math.isnan(value)
+
+
+def _require(dist, name: str, ok: bool, what: str) -> None:
+    """Refuse a bad parameter when the distribution is built, naming it."""
+    if not ok:
+        raise ValueError(
+            f"{type(dist).__name__}.{name} must be {what}, got {getattr(dist, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +136,8 @@ class Uniform(Distribution):
     high: float = 1.0
 
     def __post_init__(self):
+        for name in ("low", "high"):
+            _require(self, name, _is_real(getattr(self, name), finite=True), "finite")
         if not self.low < self.high:
             raise ValueError("need low < high")
 
@@ -143,8 +166,12 @@ class Normal(Distribution):
     high: float | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        _require(self, "mean", _is_real(self.mean, finite=True), "finite")
+        _require(self, "sigma", _is_real(self.sigma, finite=True) and self.sigma >= 0,
+                 "finite and non-negative")
+        for name in ("low", "high"):  # an infinite bound is no bound, NaN is a mistake
+            value = getattr(self, name)
+            _require(self, name, value is None or _is_real(value), "a number or None")
         if self.low is not None and self.high is not None and self.low > self.high:
             raise ValueError("need low <= high")
 

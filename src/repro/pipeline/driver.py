@@ -25,7 +25,10 @@ commits an epoch in the PR-1 two-phase
 ``.npy`` snapshots, JSON scalars in the commit metadata, the spec
 fingerprint guarding against resuming someone else's state).  A rerun
 resumes after the newest committed stage; a different spec in the same
-directory starts from scratch.
+directory starts from scratch.  Each epoch holds the whole state so far
+and a resume reads only the newest, so every commit prunes the epochs
+before it (``CheckpointStore.prune(keep_last=1)``): a finished run
+leaves one epoch directory.
 
 Instrumentation: each stage is a ``pipeline.<stage>`` span on the
 :mod:`repro.obs` observer, whose clock the caller chooses.  Under
@@ -182,6 +185,7 @@ def run_pipeline(
                     "fingerprint": fingerprint,
                     "scalars": scalars,
                 })
+                ckpt.prune(keep_last=1)
         if stage.name == stop_after:
             break
 

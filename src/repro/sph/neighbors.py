@@ -13,7 +13,11 @@ code's walk: :func:`repro.core.traversal.walk` over the tree's hashed
 cell table (:attr:`Tree.table <repro.core.tree.Tree.table>`), with
 "beyond the group's reach" as the acceptance rule — what the rule
 accepts is dropped, the leaves it opens are the candidates.  The
-candidate filter is evaluated as flat chunked pair arrays.  The
+candidate filter is evaluated as flat chunked pair arrays, built by run
+expansion: a chunk holds whole groups in particle-run order, so its
+sinks are one ascending run, each sink is repeated once per candidate
+of its group and the candidates are gathered with ``csr_take`` — no
+division of a flat pair index back into (sink, candidate).  The
 historical per-group walker is kept as
 :func:`find_neighbors_reference`; both return the same neighbor *sets*
 (the batched path emits each particle's list sorted by candidate-leaf
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.backend import get_backend
+from ..core.celltable import csr_take
 from ..core.traversal import DEFAULT_PAIR_CHUNK, csr_by_group, leaf_particles, walk
 from ..core.tree import Tree
 from ..obs import NULL
@@ -172,8 +177,10 @@ def find_neighbors(
         nc = np.diff(cand_off)
 
         # Distance filter over flat (sink, candidate) pairs, chunked.
-        # Groups are processed in particle-run order so the surviving
-        # pairs come out sorted by sink id — the CSR layout directly.
+        # Groups are processed in particle-run order, so a chunk's sinks
+        # are one ascending run [s0, s1) and its pairs are built by run
+        # expansion, sink-major: the surviving pairs come out sorted by
+        # sink id — the CSR layout directly.
         g_start_s = g_start[run_order]
         g_cnt_s = g_cnt[run_order]
         nc_s = nc[run_order]
@@ -189,20 +196,14 @@ def find_neighbors(
         while lo < n_groups:
             hi = int(np.searchsorted(cum_p, cum_p[lo] + pair_chunk, side="right")) - 1
             hi = min(max(hi, lo + 1), n_groups)  # always make progress
-            sel = np.arange(lo, hi, dtype=np.int64)
-            total = int(cum_p[hi] - cum_p[lo])
-            if total == 0:
+            if cum_p[hi] == cum_p[lo]:
                 lo = hi
                 continue
-            gp = np.repeat(sel, ppg[sel])
-            local = np.arange(total, dtype=np.int64)
-            local -= np.repeat(cum_p[sel] - cum_p[lo], ppg[sel])
-            nc_p = nc_s[gp]
-            si = local // nc_p
-            ci = local - si * nc_p
-            i_pair = g_start_s[gp] + si
-            j_pair = cand_flat[cand_off_s[gp] + ci]
-            within = kb.pair_within(pos, i_pair, j_pair, r2[i_pair])
+            s0, s1 = g_start_s[lo], g_start_s[hi - 1] + g_cnt_s[hi - 1]
+            nc_sink = np.repeat(nc_s[lo:hi], g_cnt_s[lo:hi])  # candidates of each sink
+            i_pair = np.repeat(np.arange(s0, s1), nc_sink)
+            j_pair = cand_flat[csr_take(np.repeat(cand_off_s[lo:hi], g_cnt_s[lo:hi]), nc_sink)]
+            within = kb.pair_within(pos, i_pair, j_pair, np.repeat(r2[s0:s1], nc_sink))
             ik = i_pair[within]
             neigh_counts += kb.bincount_sum(ik, None, n)
             kept_j.append(j_pair[within])

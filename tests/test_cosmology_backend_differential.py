@@ -12,6 +12,12 @@ distributions (fixed seeds throughout):
   wrap by comparison is held to the references' integer ``mod`` on the
   box faces, and ``PMSolver.accelerations`` (one stencil for both
   halves) to the chain of the two references.
+* The periodic wrap ``wrap_unit`` (``x - floor(x)``) equals
+  ``np.mod(x, 1.0)`` as ``uint64`` bits on hypothesis-drawn doubles and
+  bit patterns plus an explicit edge list, and is NaN for NaN and +-inf.
+* ``fof._linked_pairs`` (per-axis wrap, slot map) returns the same
+  ``(a, b)`` arrays as an in-file copy of its ``searchsorted`` version,
+  on hash grids of 1, 2, 3, 5 and 64 cells a side.
 * Friends-of-friends catalogs are **bit-identical** — the
   min-label-propagation solver converges to the same component roots
   (the component-minimum index) the reference union-find produces.
@@ -56,6 +62,7 @@ from repro.cosmology import (
     pair_counts_periodic,
     pair_counts_periodic_reference,
 )
+from repro.cosmology.pm import wrap_unit
 
 #: Registered backends plus a multiprocess instance forced to shard
 #: (min_pairs=0) with two workers, so the pool path is exercised even
@@ -121,6 +128,40 @@ class TestCicBitIdentical:
         assert np.array_equal(got, ref)
 
 
+#: Where a cheaper wrap is most likely to part from ``np.mod``: signed
+#: zeros, the smallest subnormals, the last double under 1, small
+#: negatives (-2^-53 wraps to that double, -2^-60 rounds up to 1), halves
+#: around 2^52 (where the spacing is 1) and the largest magnitudes.
+_WRAP_EDGES = [0.0, -0.0, 2.0**-1074, -2.0**-1074, 1.0 - 2.0**-53, -2.0**-53, -2.0**-60,
+               2.0**52 + 0.5, 2.0**52 - 0.5, -2.0**52 + 0.5, -2.0**52 - 0.5, 1e308, -1e308]
+
+
+def _assert_wraps_like_mod(x):
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf, fmod(inf, 1)
+        got, ref = wrap_unit(x), np.mod(x, 1.0)
+    finite = np.isfinite(x)
+    assert np.array_equal(got[finite].view(np.uint64), ref[finite].view(np.uint64))
+    assert np.isnan(got[~finite]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64),
+       st.lists(st.integers(0, 2**64 - 1), max_size=64))
+def test_wrap_unit_is_mod_bit_for_bit(values, patterns):
+    """``x - floor(x)`` and ``np.mod(x, 1.0)`` are one rounding of the same
+    exact value, so they agree on every bit of every finite double (the
+    drawn bit patterns include NaNs and infinities, which give NaN)."""
+    _assert_wraps_like_mod(values)
+    _assert_wraps_like_mod(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_wrap_unit_edges():
+    _assert_wraps_like_mod(_WRAP_EDGES)
+    assert wrap_unit(np.array([-2.0**-60]))[0] == 1.0  # rounds up, as np.mod does
+    _assert_wraps_like_mod([np.nan, np.inf, -np.inf])
+
+
 def _face_positions(grid, seed):
     """Coordinates on and around the box faces and the cell edges: exactly
     0 and 1, the last double under 1, negative, above 1, and values that
@@ -159,7 +200,9 @@ def test_pm_accelerations_equal_the_reference_chain(grid, weighted):
     solver = PMSolver(grid)
     rho = cic_deposit_reference(pos, grid, w)
     phik = -np.fft.fftn(rho / rho.mean() - 1.0) * solver._inv_k2 * solver._decon
-    grids = np.array([np.real(np.fft.ifftn(-1j * k * phik)) for k in solver._k])
+    k1 = 2.0 * np.pi * np.fft.fftfreq(grid) * grid
+    ks = np.meshgrid(k1, k1, k1, indexing="ij")
+    grids = np.array([np.real(np.fft.ifftn(-1j * k * phik)) for k in ks])
     assert np.array_equal(solver.accelerations(pos, w),
                           cic_interpolate_reference(grids, pos).T)
 
@@ -302,6 +345,72 @@ def test_fof_chunk_seams_anywhere(monkeypatch, dist):
     pos = DISTRIBUTIONS[dist](200, seed=19)
     for linking_length in (0.2, 0.5):
         _assert_same_catalog(pos, None, linking_length=linking_length, min_members=1)
+
+
+def _linked_pairs_by_searchsorted(positions, link2, n_cells, order, cell_ids, starts, counts):
+    """``fof._linked_pairs`` as it stood before the slot map: 27 x occupied
+    neighbour ids by integer ``%``, found with ``searchsorted``.  Kept
+    verbatim as the oracle of the pair order."""
+    cz = cell_ids % n_cells
+    cy = (cell_ids // n_cells) % n_cells
+    cx = cell_ids // (n_cells * n_cells)
+    dx, dy, dz = np.array(fof_module._NEIGHBOR_OFFSETS).T[:, :, None]
+    nid = (
+        ((cx + dx) % n_cells) * n_cells + ((cy + dy) % n_cells)
+    ) * n_cells + ((cz + dz) % n_cells)  # (27, occupied)
+    off, ca = np.nonzero(nid >= cell_ids)  # each cell pair once
+    nid = nid[off, ca]
+    cb = np.minimum(np.searchsorted(cell_ids, nid), cell_ids.size - 1)
+    occupied = cell_ids[cb] == nid
+    ca, cb = np.divmod(
+        np.unique(ca[occupied] * cell_ids.size + cb[occupied]), cell_ids.size
+    )
+    sizes = counts[ca] * counts[cb]
+    ends = np.cumsum(sizes)
+    total = int(ends[-1])
+    pair_a = []
+    pair_b = []
+    for lo in range(0, total, DEFAULT_PAIR_CHUNK):
+        flat = np.arange(lo, min(lo + DEFAULT_PAIR_CHUNK, total))
+        k = np.searchsorted(ends, flat, side="right")
+        cell_a, cell_b = ca[k], cb[k]
+        row, col = np.divmod(flat - (ends[k] - sizes[k]), counts[cell_b])
+        ia = order[starts[cell_a] + row]
+        ib = order[starts[cell_b] + col]
+        d = positions[ia] - positions[ib]
+        d -= np.round(d)
+        keep = (d**2).sum(axis=-1) <= link2
+        keep &= (cell_a != cell_b) | (ia < ib)
+        pair_a.append(ia[keep])
+        pair_b.append(ib[keep])
+    return np.concatenate(pair_a), np.concatenate(pair_b)
+
+
+def _with_loner(pos):
+    """``pos`` plus one particle far from all others: a cell of one member."""
+    return np.concatenate([pos, [[0.77, 0.13, 0.41]]])
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("load", ["uniform", "clustered", "loner"])
+def test_fof_linked_pairs_equal_the_searchsorted_version(n_cells, load):
+    """The slot map finds the neighbour cells ``searchsorted`` found, in
+    the same order, so ``(a, b)`` are the same arrays."""
+    pos = {"uniform": lambda: _uniform(2000, seed=41),
+           "clustered": lambda: _clustered(400, seed=42),
+           "loner": lambda: _with_loner(_single_cell(60, seed=43))}[load]()
+    # The hash grid has n_cells a side when the link is just under 1 / n_cells.
+    n = pos.shape[0]
+    linking_length = n ** (1.0 / 3.0) / (n_cells + 0.5)
+    prep = fof_module._prepare(pos, None, linking_length, 1)
+    _, _, link2, got_cells, _, cell_ids, _, counts = prep
+    assert got_cells == n_cells
+    if load == "loner" and n_cells > 1:
+        assert counts.min() == 1
+    a, b = fof_module._linked_pairs(prep[0], *prep[2:])
+    ref_a, ref_b = _linked_pairs_by_searchsorted(prep[0], *prep[2:])
+    assert ref_a.size > 0
+    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 def test_fof_dense_cell_temporaries_bounded():

@@ -8,12 +8,15 @@ mass function), so the whole suite stays in the default tier's budget.
 
 import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 import pytest
 
 from repro.campaign import PipelineSpec, SPEC_KINDS, scenario_fingerprint_hex, spec_from_dict, sweep
 from repro.obs import Recorder
+from repro.resilience.checkpoint import CheckpointStore
 from repro.pipeline import (
     Distribution,
     Fixed,
@@ -69,6 +72,36 @@ class TestDistributions:
             Grid(values=())
         with pytest.raises(ValueError):
             distribution_from_dict({"kind": "lognormal"})
+
+    @pytest.mark.parametrize("cls,kwargs,message", [
+        (Normal, {"sigma": math.nan}, "Normal.sigma must be finite and non-negative, got nan"),
+        (Normal, {"sigma": math.inf}, "Normal.sigma must be finite and non-negative, got inf"),
+        (Normal, {"sigma": -1.0}, "Normal.sigma must be finite and non-negative, got -1.0"),
+        (Normal, {"mean": math.inf}, "Normal.mean must be finite, got inf"),
+        (Normal, {"mean": math.nan}, "Normal.mean must be finite, got nan"),
+        (Normal, {"low": math.nan, "high": 1.0}, "Normal.low must be a number or None, got nan"),
+        (Normal, {"high": math.nan}, "Normal.high must be a number or None, got nan"),
+        (Normal, {"mean": "0.3"}, "Normal.mean must be finite, got '0.3'"),
+        (Uniform, {"low": 0.0, "high": math.inf}, "Uniform.high must be finite, got inf"),
+        (Uniform, {"low": math.nan, "high": 1.0}, "Uniform.low must be finite, got nan"),
+        (Uniform, {"low": -math.inf, "high": 1.0}, "Uniform.low must be finite, got -inf"),
+    ])
+    def test_bad_parameters_refused_when_built(self, cls, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            cls(**kwargs)
+        assert str(err.value) == message
+        with pytest.raises(ValueError, match=message.split(" must")[0]):
+            distribution_from_dict({"kind": cls.kind, **kwargs})
+
+    def test_infinite_normal_bounds_still_mean_no_bound(self):
+        rng = np.random.default_rng(3)
+        dist = Normal(mean=0.5, sigma=0.1, low=-math.inf, high=math.inf)
+        assert distribution_from_dict(dist.to_dict()) == dist
+        assert 0.0 < dist.draw(rng, 0) < 1.0
+
+    def test_refused_before_draw_specs_draws(self):
+        with pytest.raises(ValueError, match="Uniform.high"):
+            draw_specs(FAST, {"omega0": {"kind": "uniform", "low": 0.0, "high": math.inf}}, 2)
 
     def test_base_distribution_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -230,6 +263,42 @@ class TestCheckpointResume:
         products = run_pipeline(other, checkpoint_dir=ckpt_dir, trace=trace)
         assert trace == list(STAGE_NAMES)  # clean start, no resume
         assert products.to_dict() == run_pipeline(other).to_dict()
+
+    @staticmethod
+    def _epoch_dirs(ckpt_dir):
+        return sorted(name for name in os.listdir(ckpt_dir) if name.startswith("epoch_"))
+
+    def test_checkpointed_run_leaves_one_epoch(self, tmp_path):
+        ckpt_dir = str(tmp_path / "ck")
+        run_pipeline(FAST, checkpoint_dir=ckpt_dir)
+        assert self._epoch_dirs(ckpt_dir) == [f"epoch_{len(STAGE_NAMES) - 1:04d}"]
+
+    def test_pruned_stop_after_halos_resumes_bit_for_bit(self, tmp_path):
+        ckpt_dir = str(tmp_path / "ck")
+        assert run_pipeline(FAST, checkpoint_dir=ckpt_dir, stop_after="halos") is None
+        assert self._epoch_dirs(ckpt_dir) == ["epoch_0002"]
+        rest = []
+        resumed = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=rest)
+        assert rest == ["power", "supernova"]
+        assert resumed.to_dict() == run_pipeline(FAST).to_dict()
+
+    def test_another_specs_five_epochs_start_clean(self, tmp_path):
+        ckpt_dir = str(tmp_path / "ck")
+        other = dataclasses.replace(FAST, seed=7)
+        store = CheckpointStore(ckpt_dir)
+        for epoch, stage in enumerate(STAGE_NAMES):  # laid down as an unpruned run left them
+            store.write_rank(epoch, 0, {"positions": np.zeros((2, 3))})
+            store.commit(epoch, {"stage": stage, "scalars": {},
+                                 "fingerprint": scenario_fingerprint_hex(other.to_dict())})
+        trace = []
+        products = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=trace)
+        assert trace == list(STAGE_NAMES)  # clean start, no resume
+        assert products.to_dict() == run_pipeline(FAST).to_dict()
+        assert self._epoch_dirs(ckpt_dir) == [f"epoch_{len(STAGE_NAMES) - 1:04d}"]
+        again = []
+        assert run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=again).to_dict() == \
+            products.to_dict()
+        assert again == []  # the epoch left behind is this spec's
 
     def test_resume_counter(self, tmp_path):
         ckpt_dir = str(tmp_path / "ck")

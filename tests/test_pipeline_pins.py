@@ -6,16 +6,20 @@ file pins what ``run_pipeline`` is made of, the same way: the flat
 whose box does not), ``PMSolver(12).accelerations`` on a seeded load
 with and without weights, every array ``adapt_smoothing`` returns for a
 seeded polytrope, and the ``center`` / ``mass`` / ``members`` of every
-halo of a clustered periodic box with non-uniform masses.  Floats are
-hex strings, arrays blake2b digests of their bytes, so "the same
-answer" means the same bits.
+halo of a clustered periodic box with non-uniform masses, and
+``PMSolver(8).accelerations`` plus the FoF catalog on three degenerate
+loads (box-face and wrap coordinates, every particle coincident, fewer
+particles than cells).  Floats are hex strings, arrays blake2b digests
+of their bytes, so "the same answer" means the same bits.
 
 The numpy kernels are pinned: ``backend="numpy"`` where a call takes
 one, and the whole file is skipped when the process default is
 ``numba`` (the pipeline's structure and supernova stages run the
 default).  ``tests/golden/pipeline_pins.json`` was
 written at the parent of PR 23, before the CIC stencil, the single
-density sum and the size-class halo reduction.  To bless an intentional
+density sum and the size-class halo reduction; its ``degenerate``
+entries were added before the floor-based wrap and the FoF slot map
+replaced ``np.mod`` and ``searchsorted``.  To bless an intentional
 change:
 
     PYTHONPATH=src python -m tests.test_pipeline_pins --regen
@@ -106,12 +110,45 @@ def _observe_fof() -> dict:
     }
 
 
+#: The coordinates a wrap can get wrong: both zeros, the face, the last
+#: double under it, a negative that ``mod(p, 1.0)`` rounds up to 1.0, and
+#: a whole number of boxes away.
+FACE_VALUES = (0.0, -0.0, 1.0, 1.0 - 2.0**-53, -1e-300, 7.0)
+
+
+def _degenerate_loads() -> dict:
+    rng = np.random.default_rng(2306)
+    faces = np.array(np.meshgrid(*[FACE_VALUES] * 3, indexing="ij")).reshape(3, -1).T
+    return {
+        "faces": faces,  # every combination: 216 particles at the box corner
+        "coincident": np.full((50, 3), (0.25, 0.5, 0.75)),  # on PM grid nodes
+        "sparse": rng.random((5, 3)),  # 5 particles: 512 PM cells, 8^3 FoF cells
+    }
+
+
+def _observe_degenerate() -> dict:
+    out = {}
+    for name, pos in _degenerate_loads().items():
+        masses = 0.5 + np.random.default_rng(2307).random(pos.shape[0])
+        res = friends_of_friends(pos, masses, linking_length=0.2, min_members=1,
+                                 backend="numpy")
+        out[name] = {
+            "pm": _digest([PMSolver(8, backend="numpy").accelerations(pos)]),
+            "fof_sizes": [h.n_members for h in res.halos],
+            "fof_mass": [float(h.mass).hex() for h in res.halos],
+            "fof_center": _digest([h.center for h in res.halos]),
+            "fof_group_id": _digest([res.group_id]),
+        }
+    return out
+
+
 def _observe() -> dict:
     return {
         "pipeline": {name: _observe_pipeline(name) for name in sorted(PIPELINES)},
         "pm": _observe_pm(),
         "smoothing": _observe_smoothing(),
         "fof": _observe_fof(),
+        "degenerate": _observe_degenerate(),
     }
 
 
@@ -151,6 +188,32 @@ def test_fof_halos_pinned():
     assert seen == _pins()["fof"], f"FoF {_REGEN}"
     # The catalog exercises what the pin is for: size classes of several halos.
     assert len(seen["sizes"]) > len(set(seen["sizes"])) > 1
+
+
+@pytest.mark.parametrize("name", ["faces", "coincident", "sparse"])
+def test_degenerate_coordinates_pinned(name):
+    """Face and wrap coordinates, one point for every particle, fewer
+    particles than cells: PM forces and the FoF catalog keep their bits."""
+    assert _observe_degenerate()[name] == _pins()["degenerate"][name], f"{name} {_REGEN}"
+
+
+def test_degenerate_loads_are_what_they_say():
+    loads = _degenerate_loads()
+    assert set(np.unique(loads["faces"]).tolist()) >= {0.0, 1.0, 1.0 - 2.0**-53, -1e-300, 7.0}
+    assert np.signbit(loads["faces"]).any()  # -0.0 is in there too
+    assert loads["sparse"].shape[0] < 8**3
+    pins = _pins()["degenerate"]
+    assert pins["coincident"]["fof_sizes"] == [50]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_degenerate_refuses_non_finite(bad):
+    pos = np.random.default_rng(2308).random((20, 3))
+    pos[7, 1] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        PMSolver(8, backend="numpy").accelerations(pos)
+    with pytest.raises(ValueError, match="positions must be finite"):
+        friends_of_friends(pos, backend="numpy")
 
 
 if __name__ == "__main__":
