@@ -3,8 +3,11 @@
 Section 4.2: *"a hash table is used to translate the key into a pointer
 to where the cell data are stored … and to catch accesses to non-local
 data"*.  Here the pointer is a row number.  :class:`CellBatch` is ``n``
-cell records as a struct of arrays — what a processor serves, ships and
-admits in one piece, sized in O(1) — and :class:`CellTable` is the one
+cell records as a struct of arrays, sized in O(1): what a processor
+publishes (all of its own cells; the step's arena concatenates every
+rank's), and what a receiver copies out of the arena in one gather.  A
+reply to a request is a :class:`CellRows`: the arena rows of the cells
+asked for, named rather than copied.  :class:`CellTable` is the one
 growable batch a rank keeps per step: its own cells, the part of the
 shared tree top it has looked at and every remote cell it has fetched,
 indexed by a :class:`~repro.core.hashtable.KeyHashTable`.  A batched
@@ -29,7 +32,7 @@ import numpy as np
 
 from .hashtable import KeyHashTable
 
-__all__ = ["CellBatch", "CellTable", "csr_take", "row_dots", "row_norms",
+__all__ = ["CellBatch", "CellRows", "CellTable", "csr_take", "row_dots", "row_norms",
            "SILENT", "REMOTE", "STUB", "DEAD"]
 
 #: What a lookup hit on a row means to the remote-cache counters: a
@@ -143,6 +146,22 @@ class KeyBatch:
     @property
     def nbytes(self) -> int:
         return 16 * len(self)
+
+
+class CellRows:
+    """A reply to a :class:`KeyBatch`: the rows, in an arena every rank
+    reads, of the cells asked for, in the order asked.  ``nbytes`` is
+    declared by the server: what the :class:`CellBatch` of those rows
+    costs on the wire."""
+
+    __slots__ = ("rows", "nbytes")
+
+    def __init__(self, rows: np.ndarray, nbytes: int):
+        self.rows = rows
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
 
 
 class CellTable(CellBatch):

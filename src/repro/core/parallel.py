@@ -22,9 +22,11 @@ This module reassembles the full HOT pipeline of Section 4.2:
    the remote ones.
    Misses do not stall the walk: the group is parked on a software
    deferral queue and its key requests are *batched per destination*;
-   other groups keep walking.  Replies (column batches of cell records,
-   with the particles of leaves) become rows of the same table, and
-   parked groups resume.
+   other groups keep walking.  A reply names the requested cell
+   records (with the particles of leaves) by their rows in the step's
+   arena of every rank's own cells; the receiver copies a whole
+   round's replies into the same table in one gather, and parked
+   groups resume.
 4. **Evaluation** — interaction lists are evaluated by the serial
    code's rectangle evaluator
    (:func:`repro.core.traversal.evaluate_rects`) over the rank's table.
@@ -128,7 +130,8 @@ from .abm import ABMChannel
 from .backend import get_backend
 from .cellserver import CellServer, cover_interval, key_levels, key_spans
 from .celltable import (
-    DEAD, REMOTE, SILENT, STUB, CellBatch, CellTable, KeyBatch, csr_take, row_dots, row_norms,
+    DEAD, REMOTE, SILENT, STUB, CellBatch, CellRows, CellTable, KeyBatch, csr_take, row_dots,
+    row_norms,
 )
 from .domain import (
     END_PKEY,
@@ -308,6 +311,20 @@ class ParallelRunResult:
     work_imbalance: list[float] = field(default_factory=list)
 
 
+class _Published:
+    """One rank's own cells as the branch allgather publishes them: the
+    whole batch, whose first ``n_branches`` rows are its branch cells.
+    Only those travel, by multipole and child keys, so ``nbytes`` is
+    theirs: the size of the particle-less :class:`CellBatch` of those
+    rows."""
+
+    __slots__ = ("cells", "n_branches", "nbytes")
+
+    def __init__(self, cells: CellBatch, n_branches: int):
+        self.cells, self.n_branches = cells, n_branches
+        self.nbytes = 200 * n_branches + 16 * int(cells.cn[:n_branches].sum())
+
+
 class _Frame:
     """The shared top of the global tree for one step: every rank's
     branch cells and the cells above them, as one read-only table.
@@ -331,14 +348,33 @@ class _Frame:
     builds it once and every rank copies out only the rows its walks
     reach: O(1) instead of O(P) work and memory per rank, the
     difference between minutes and hours at P = 2560.
+
+    The frame is also the step's *arena*: ``arena`` is every rank's own
+    cells, rank after rank, in one read-only batch (rank ``r``'s row
+    ``i`` is arena row ``base[r] + i``).  An owner answers a request by
+    naming arena rows (:class:`~repro.core.celltable.CellRows`), and
+    the requester copies a round's replies out of the arena in one
+    gather, where a real machine would ship the rows.  That is exact
+    because a rank's own rows open its table and are never written
+    during the step: what the gather copies is what the owner holds
+    when it serves.
     """
 
-    def __init__(self, batches: list[CellBatch]):
-        if not any(len(b) for b in batches):
+    def __init__(self, published: list[_Published]):
+        n_branches = np.array([p.n_branches for p in published])
+        if not n_branches.any():
             raise ValueError("no branch cells; empty simulation?")
+        self.arena = arena = CellBatch.concat([p.cells for p in published])
+        for name in CellBatch.__slots__:
+            getattr(arena, name).flags.writeable = False
+        #: Arena row of every rank's first cell.
+        self.base = np.cumsum([0, *(len(p.cells) for p in published[:-1])])
+        #: Declared wire size of every arena row (see ``CellBatch.nbytes``).
+        self.row_nbytes = 200 + 16 * arena.cn + 32 * arena.pn
         self.table = table = CellTable()
-        current = table.append(CellBatch.concat(batches), SILENT)
-        owner = np.repeat(np.arange(len(batches)), [len(b) for b in batches])
+        current = table.append(arena.take(csr_take(self.base, n_branches), with_particles=False),
+                               SILENT)
+        owner = np.repeat(np.arange(len(published)), n_branches)
         while True:
             level = key_levels(table.key[current])
             if not level.max():
@@ -395,19 +431,19 @@ class _Frame:
         self.branch_rows, self.branch_los = rows[order], los[order]
 
 
-def _shared_frame(batches: list[CellBatch], memo: dict) -> _Frame:
-    """The :class:`_Frame` of one allgathered set of branch batches.
+def _shared_frame(published: list[_Published], memo: dict) -> _Frame:
+    """The :class:`_Frame` of one allgathered set of published cells.
 
     ``memo`` is the one-slot, identity-keyed memo the program builder
-    owns, so it dies with the run.  It keeps a strong reference to its
-    batches, so the cached ids cannot be recycled by new objects.  One
-    slot is enough: the allgather that produces the next set completes
-    only after every rank has entered it, i.e. after every rank has
-    already looked this one up.
+    owns, so it dies with the run.  It keeps a strong reference to what
+    it was built from, so the cached ids cannot be recycled by new
+    objects.  One slot is enough: the allgather that produces the next
+    set completes only after every rank has entered it, i.e. after every
+    rank has already looked this one up.
     """
-    memo_key = tuple(map(id, batches))
+    memo_key = tuple(map(id, published))
     if memo.get("key") != memo_key:
-        memo.update(key=memo_key, batches=list(batches), frame=_Frame(batches))
+        memo.update(key=memo_key, published=list(published), frame=_Frame(published))
     return memo["frame"]
 
 
@@ -546,7 +582,10 @@ class _Traversal:
         # (The rank's own branch cells are in the table already, whole.)
         self.adopt(np.flatnonzero(opened[frame.parent] & (frame.owner != self.comm.rank)))
         if previous is not None:
-            # After the stubs: a fetched copy supersedes its stub.
+            # After the stubs: a fetched copy supersedes its stub.  Not
+            # under a branch this rank owns now, though: its own rows are
+            # what it serves from the arena, so they stay the live ones.
+            valid = valid[self.owners_of(valid) != self.comm.rank]
             held = previous.fetched()
             rows = held[np.isin(previous.branch[held], valid)]
             self.cache["invalidated"] += held.size - rows.size
@@ -581,15 +620,17 @@ class _Traversal:
         return np.minimum(np.searchsorted(self.cuts, key_spans(keys)[0], side="right"),
                           self.comm.size - 1)
 
-    def serve_batch(self, requester: int, batch: KeyBatch) -> CellBatch | None:
+    def serve_batch(self, requester: int, batch: KeyBatch) -> CellRows | None:
+        """Name the arena rows of the requested cells: a rank's own
+        cells open its table, so its row ``i`` is arena row ``base + i``."""
         if not batch:
             return None
-        with _wall_bucket("serialization"):
-            rows, found = self.table.lookup(batch.keys)
-            if not found.all():
-                raise RuntimeError(f"rank {self.comm.rank} does not hold every cell rank "
-                                   f"{requester} asked it for")
-            return self.table.take(rows)
+        rows, found = self.table.lookup(batch.keys)
+        if not found.all():
+            raise RuntimeError(f"rank {self.comm.rank} does not hold every cell rank "
+                               f"{requester} asked it for")
+        rows += self.frame.base[self.comm.rank]
+        return CellRows(rows, int(self.frame.row_nbytes[rows].sum()))
 
     def request_lists(self, keys: np.ndarray) -> list[KeyBatch]:
         """One sorted request batch per owner for the distinct, sorted
@@ -606,14 +647,16 @@ class _Traversal:
         return reqs
 
     def admit(self, replies: list) -> np.ndarray:
-        """Append every replied batch to the table, stamped with its
-        covering branch and, in order, the recency clock; evict what
-        then exceeds the capacity.  Returns the new rows."""
-        batches = [b for b in replies if b is not None and len(b)]
-        if not batches:
+        """Copy every replied row out of the arena into the table, in
+        one gather, stamped with its covering branch and, in order, the
+        recency clock; evict what then exceeds the capacity.  Returns
+        the new rows."""
+        named = [r.rows for r in replies if r is not None and len(r)]
+        if not named:
             return np.empty(0, dtype=np.int64)
-        batch = CellBatch.concat(batches) if len(batches) > 1 else batches[0]
         table, frame, capacity = self.table, self.frame, self.config.cache_capacity
+        with _wall_bucket("serialization"):
+            batch = frame.arena.take(np.concatenate(named))
         rows = table.append(batch, REMOTE)
         under = np.searchsorted(frame.branch_los, key_spans(batch.key)[0], side="right") - 1
         table.branch[rows] = frame.table.key[frame.branch_rows[np.maximum(under, 0)]]
@@ -949,15 +992,16 @@ def _global_tree(comm, config: ParallelConfig, cols, box, splitters, frame_memo:
     # The non-empty cells of the cover come first (every other row is
     # some row's child): the branch cells, published by multipole and
     # child keys only.
-    branches = local.take(np.arange(len(local) - int(local.cn.sum())), with_particles=False)
+    n_branches = len(local) - int(local.cn.sum())
     yield comm.compute(flops=120.0 * n_owned, mem_bytes=96.0 * n_owned, label="tree-build")
-    all_branches = yield from mpi_patterns.allgather(comm, branches)
+    published = yield from mpi_patterns.allgather(comm, _Published(local, n_branches))
     branch_fps: dict[int, bytes] = {}
     if "vel" in cols:
-        fps_mine = [(key, server.branch_fingerprint(key)) for key in branches.key.tolist()]
+        fps_mine = [(key, server.branch_fingerprint(key))
+                    for key in local.key[:n_branches].tolist()]
         all_fps = yield from mpi_patterns.allgather(comm, fps_mine)
         branch_fps = {k: fp for batch in all_fps for (k, fp) in batch}
-    return local, _shared_frame(all_branches, frame_memo), branch_fps
+    return local, _shared_frame(published, frame_memo), branch_fps
 
 
 def _make_program(

@@ -20,8 +20,9 @@ Buckets used by the instrumented call sites:
 * ``engine`` — the SimMPI event loop: scheduling plus all rank host
   code not claimed by a deeper bucket.
 * ``comm`` — engine-side message matching and collective bookkeeping.
-* ``serialization`` — cell-record wire conversion when serving remote
-  requests, and process-pool argument marshalling.
+* ``serialization`` — the gather that copies a round's replied cell
+  records out of the step's arena, and process-pool argument
+  marshalling.
 * ``other`` — everything outside the instrumented regions (setup,
   result assembly).
 

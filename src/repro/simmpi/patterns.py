@@ -205,9 +205,11 @@ def batched_request_reply(
     if sparse:
         # One flag per destination; after the alltoall every rank knows
         # exactly which peers will send it a request batch, so both
-        # message directions have a fixed, deterministic schedule.
+        # message directions have a fixed, deterministic schedule.  The
+        # size is declared, 8 + 8 bytes an int as the walk charges a
+        # list, so no rank walks P flags of every rank's post.
         flags = [1 if p != rank and requests_by_peer[p] else 0 for p in range(size)]
-        incoming = yield comm.alltoall(flags)
+        incoming = yield comm.alltoall(flags, nbytes=16 * size)
         senders = [p for p in peers if incoming[p]]
         targets = [p for p in peers if flags[p]]
     else:
@@ -503,14 +505,15 @@ def gather(comm: Comm, payload: Any, root: int = 0) -> Generator:
     return result
 
 
-def allgather(comm: Comm, payload: Any, *, nbytes: int | None = None) -> Generator:
+def allgather(comm: Comm, payload: Any) -> Generator:
     """Size-selected allgather (fresh rank-ordered list on every rank).
 
-    ``nbytes`` overrides the flat primitive's wire-size walk; the tree
-    path sizes its own protocol messages incrementally.
+    Both paths size ``payload`` with :func:`~repro.simmpi.api.payload_nbytes`,
+    so a payload that must be charged other than its walk declares an
+    ``nbytes`` attribute.
     """
     if _flat(comm):
-        result = yield comm.allgather(payload, nbytes=nbytes)
+        result = yield comm.allgather(payload)
     else:
         result = yield from tree_allgather(comm, payload)
     return result

@@ -4,7 +4,8 @@ The cache is the rank's :class:`~repro.core.celltable.CellTable` itself
 (``fetched()``, the ``used`` and ``branch`` columns) under the rank-side
 bookkeeping of ``_Traversal.hit`` (what the shared walk,
 ``repro.core.traversal.walk``, reports its visits of fetched rows to) /
-``admit`` / ``seed``.  The bounded
+``admit`` / ``seed``; a reply is a :class:`~repro.core.celltable.CellRows`
+naming rows of the shared frame's arena.  The bounded
 LRU it replaced, ``repro.core.cellcache.CellCache``, is kept here word
 for word as the model the table is held against.
 """
@@ -25,9 +26,9 @@ from repro.core import (
     keys_from_positions,
     parallel_tree_accelerations,
 )
-from repro.core.celltable import CellBatch
+from repro.core.celltable import CellBatch, CellRows
 from repro.core.domain import END_PKEY
-from repro.core.parallel import _Frame, _Traversal
+from repro.core.parallel import _Frame, _Published, _Traversal
 
 COUNTERS = ("hits", "misses", "inserts", "evictions", "invalidated")
 
@@ -45,7 +46,17 @@ def _cells(keys) -> CellBatch:
     return batch
 
 
-FRAME = _Frame([_cells([8]), _cells(list(BRANCHES))])
+#: Rank 1 publishes its branch cells and, behind them, the cells fetched
+#: from it: the arena every reply names rows of.
+FRAME = _Frame([_Published(_cells([8]), 1),
+                _Published(_cells([*BRANCHES, *range(9 * 8, 16 * 8)]), len(BRANCHES))])
+ARENA_ROW = {key: row for row, key in enumerate(FRAME.arena.key.tolist())}
+
+
+def _reply(keys) -> CellRows:
+    """What rank 1 answers a request for ``keys`` with."""
+    rows = np.array([ARENA_ROW[k] for k in keys], dtype=np.int64)
+    return CellRows(rows, int(FRAME.row_nbytes[rows].sum()))
 
 
 def _rank(capacity=None, cache=None, previous=None, valid=()) -> _Traversal:
@@ -75,7 +86,7 @@ def _visit(rank: _Traversal, keys) -> None:
 class TestLRUSemantics:
     def test_get_hit_miss_counters(self):
         rank = _rank()
-        rank.admit([_cells([72, 73])])
+        rank.admit([_reply([72, 73])])
         _visit(rank, [72, 73, 72])
         assert rank.cache["hits"] == 3 and rank.cache["misses"] == 0
         assert not rank.table.lookup(np.array([74], dtype=np.uint64))[1][0]
@@ -89,9 +100,9 @@ class TestLRUSemantics:
 
     def test_capacity_evicts_lru(self):
         rank = _rank(capacity=2)
-        rank.admit([_cells([72, 73])])
+        rank.admit([_reply([72, 73])])
         _visit(rank, [72])  # 72 becomes most recently used
-        rank.admit([_cells([74])])
+        rank.admit([_reply([74])])
         assert _resident(rank) == [72, 74]  # 73 was LRU
         assert rank.table.lookup(np.array([72, 73, 74], dtype=np.uint64))[1].tolist() == [
             True, False, True]
@@ -99,16 +110,16 @@ class TestLRUSemantics:
 
     def test_reinsert_refreshes_without_evicting(self):
         rank = _rank(capacity=2)
-        rank.admit([_cells([72, 73])])
-        rank.admit([_cells([72])])
+        rank.admit([_reply([72, 73])])
+        rank.admit([_reply([72])])
         assert _resident(rank) == [73, 72] and rank.cache["evictions"] == 0
         assert rank.cache["inserts"] == 3
 
     def test_peek_touches_nothing(self):
         rank = _rank(capacity=2)
-        rank.admit([_cells([72, 73])])
+        rank.admit([_reply([72, 73])])
         rank.table.lookup(np.array([72], dtype=np.uint64))  # must NOT refresh 72's recency
-        rank.admit([_cells([74])])
+        rank.admit([_reply([74])])
         assert _resident(rank) == [73, 74]
         assert rank.cache["hits"] == 0 and rank.cache["misses"] == 0
 
@@ -118,7 +129,7 @@ class TestLRUSemantics:
 
     def test_clear_preserves_counters(self):
         rank = _rank()
-        rank.admit([_cells([72])])
+        rank.admit([_reply([72])])
         _visit(rank, [72])
         cold = _rank(cache=rank.cache)  # cache_across_steps=False: no previous table
         assert _resident(cold) == []
@@ -128,7 +139,7 @@ class TestLRUSemantics:
 class TestInvalidation:
     def test_retain_valid_keeps_matching_drops_rest(self):
         rank = _rank()
-        rank.admit([_cells([80, 81, 88, 96])])  # under branches 10, 10, 11, 12
+        rank.admit([_reply([80, 81, 88, 96])])  # under branches 10, 10, 11, 12
         # Branch 10 kept its fingerprint, 11 changed, 12 vanished.
         after = _rank(cache=rank.cache, previous=rank.table, valid=[10])
         assert _resident(after) == [80, 81]
@@ -212,7 +223,7 @@ def test_table_is_the_sequential_lru(capacity, data):
             exact &= fresh or capacity is None
             before = _resident(rank)
             evicted = [model.insert(k, None, k >> 3, fps.get(k >> 3, b"")) for k in keys]
-            rank.admit([_cells(keys)] if keys else [None])
+            rank.admit([_reply(keys)] if keys else [None])
             if fresh:  # eviction order: oldest first, the reply's own head after the held ones
                 gone = [k for k in before + keys if k not in _resident(rank)]
                 assert gone == [k for k in evicted if k is not None]

@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.core.cellserver import CellRecord, key_interval, key_spans
 from repro.core.celltable import REMOTE, SILENT, CellBatch, CellTable, row_norms
-from repro.core.parallel import _Frame
+from repro.core.parallel import _Frame, _Published
 from repro.simmpi import payload_nbytes
 
 UNIT_BOX = BoundingBox(np.zeros(3), 1.0)
@@ -171,15 +171,16 @@ def test_frame_equals_cell_by_cell_aggregation(ranks, n, bucket, seed, coinciden
     bounds = [0, *cuts, n]
     lo, hi = key_interval(ROOT_KEY)
     edges = [lo, *(int(whole.keys[c]) if c < n else hi for c in cuts), hi]
-    batches = []
+    batches, published = [], []
     for r in range(ranks):
         own = slice(bounds[r], bounds[r + 1])
         server = CellServer(whole.keys[own], whole.positions[own], whole.masses[own],
                             UNIT_BOX, bucket)
         local = server.subtree(cover_interval(edges[r], edges[r + 1]))
-        batches.append(local.take(np.arange(len(local) - int(local.cn.sum())),
-                                  with_particles=False))
-    frame = _Frame(batches)
+        published.append(_Published(local, len(local) - int(local.cn.sum())))
+        batches.append(local.take(np.arange(published[-1].n_branches), with_particles=False))
+        assert published[-1].nbytes == batches[-1].nbytes  # what the allgather charges
+    frame = _Frame(published)
     spec = _aggregate_cell_by_cell([rec for b in batches for rec in _records(b)])
     rows = _records(frame.table.take(np.arange(len(frame.table))))
     assert sorted(r.key for r in rows) == sorted(spec)

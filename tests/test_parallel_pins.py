@@ -2,8 +2,8 @@
 
 A matrix of small configurations — both entry points x ``comm`` x
 ``eval`` x ``prefetch`` x 1/3/8 ranks x uniform/clustered/coincident
-clouds x rebalance x cold/warm cache, two force-only runs above the
-flat-collective limit (P=40, P=64) and bounded-cache runs — whose
+clouds x rebalance x cold/warm cache, three force-only runs above the
+flat-collective limit (P=40, P=64, P=128) and bounded-cache runs — whose
 *modelled* outcome is pinned in ``tests/golden/parallel_pins.json``:
 virtual seconds (hex), message and byte totals, interaction counts, the
 full summed ``comm`` statistics and a blake2b digest of the physics.
@@ -86,7 +86,7 @@ def _configs() -> dict[str, dict]:
                 cfg=dict(eval="pergroup", prefetch=False))
         out[f"nbody-async-batched-pf1-r1-{cloud}-rb1-warm"] = dict(
             entry="nbody", cloud=cloud, n=160, ranks=1, rebalance=True, warm=True, cfg=dict())
-    for ranks in (40, 64):  # tree collectives and the sparse request round
+    for ranks in (40, 64, 128):  # tree collectives and the sparse request round
         out[f"force-async-batched-pf1-r{ranks}-uniform"] = dict(
             entry="force", cloud="uniform", n=3 * ranks, ranks=ranks, cfg=dict())
     out["force-async-batched-pf1-r4-clustered-cap48"] = dict(
