@@ -23,7 +23,8 @@ inherits it; left to themselves, fresh workers each import scipy, half
 the wall time of a small ensemble.
 
 Worker count resolution, in priority order: explicit ``workers=``
-kwarg, the ``REPRO_CAMPAIGN_WORKERS`` environment variable, serial.
+kwarg (an integer, never a ``bool``), the ``REPRO_CAMPAIGN_WORKERS``
+environment variable, serial.
 ``workers <= 1`` means run in-process with no executor at all
 (:class:`ProcPool`'s own inline path) — the serial fallback is the
 reference implementation the differential suite compares pools
@@ -33,10 +34,11 @@ against.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from typing import Iterable, Iterator, Mapping
 
-from ..core.procpool import ProcPool, resolve_worker_count
+from ..core.procpool import ProcPool, resolve_pool_workers
 from .spec import SPEC_KINDS, spec_from_dict
 
 __all__ = ["WORKERS_ENV", "resolve_workers", "execute_shard", "run_shards"]
@@ -45,8 +47,16 @@ WORKERS_ENV = "REPRO_CAMPAIGN_WORKERS"
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Effective worker count (>= 1); see module docstring for order."""
-    return resolve_worker_count(workers, WORKERS_ENV, 1)
+    """Effective worker count (>= 1); see module docstring for order.
+    ``workers`` follows :func:`~repro.core.procpool.resolve_pool_workers`'
+    integer rule."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return resolve_pool_workers(workers)
 
 
 def execute_shard(spec_dict: Mapping, throttle: float = 0.0) -> dict:

@@ -13,8 +13,9 @@ Public surface:
   :func:`~repro.core.traversal.walk` as the parallel code and the SPH
   neighbour search;
 * :func:`~repro.core.gravity.direct_accelerations` — O(N^2) reference;
-* kernel backends (:mod:`~repro.core.backend`) — the registry behind
-  the batched hot loops (``numpy`` reference, optional ``numba``);
+* kernel backends (:mod:`~repro.core.backend`) — the batched hot loops
+  (``numpy``, and ``multiprocess``: the same arithmetic on a process
+  pool);
 * MACs (:mod:`~repro.core.mac`), micro-kernels
   (:mod:`~repro.core.kernels`, the Table 5 benchmark), domain
   decomposition (:mod:`~repro.core.domain`, Figure 6), leapfrog
@@ -29,7 +30,6 @@ from .backend import (
     NumpyBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from .cellserver import (
     CellRecord,
@@ -141,7 +141,6 @@ __all__ = [
     "NumpyBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "GravityResult",
     "direct_accelerations",
     "tree_accelerations",

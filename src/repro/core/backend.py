@@ -3,15 +3,13 @@
 The treecode's value lives in its vectorizable inner loops — the
 38-flop gravity interaction kernel of Table 5 is what a decade of
 processors is measured against.  This module puts those inner loops
-behind a small registry so the *same* batched interaction lists can be
-evaluated by interchangeable implementations:
+behind one interface, with one arithmetic: :class:`NumpyBackend`, dense
+vectorized kernels identical in arithmetic to the historical per-group
+walker.  The registry is a fixed two-name table:
 
-* ``numpy`` — the always-present reference backend: dense vectorized
-  kernels, identical in arithmetic to the historical per-group walker.
-* ``numba`` — an optional JIT backend, auto-registered when numba is
-  importable.  It evaluates the flat CSR pair lists with explicit
-  loops (no temporaries), the shape the paper's hand-tuned C kernels
-  had.
+* ``numpy`` — the reference backend, and the default;
+* ``multiprocess`` — the same numpy arithmetic, its two rectangle
+  kernels sharded over an OS-process pool (built on first use).
 
 Selection: pass ``backend=`` (a name or a :class:`KernelBackend`
 instance) to any hot-path entry point, or set the ``REPRO_BACKEND``
@@ -64,9 +62,9 @@ accumulated in place):
   pairs with squared separation ``<= r2`` (the SPH neighbor distance
   filter; pure comparisons, exact on every backend).
 
-The ``multiprocess`` backend (see :mod:`repro.core.procpool`) wraps a
-base backend and shards the two rectangle kernels across an OS-process
-pool; everything else runs inline.  Because each rectangle's per-sink
+The ``multiprocess`` backend (see :mod:`repro.core.procpool`) shards
+the two rectangle kernels across an OS-process pool; everything else
+runs inline on :class:`NumpyBackend`.  Because each rectangle's per-sink
 result is independent of how rectangles are batched (padding is a
 function of the rectangle's own width only), the sharded evaluation is
 bit-identical to serial.
@@ -84,7 +82,6 @@ __all__ = [
     "NumpyBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV",
 ]
@@ -429,18 +426,22 @@ class NumpyBackend(KernelBackend):
 
 # -- registry -----------------------------------------------------------
 
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
+
+def _make_multiprocess() -> KernelBackend:
+    from .procpool import MultiprocessBackend  # procpool imports this module
+
+    return MultiprocessBackend()
+
+
+_FACTORIES: dict[str, Callable[[], KernelBackend]] = {
+    "multiprocess": _make_multiprocess,
+    "numpy": NumpyBackend,
+}
 _INSTANCES: dict[str, KernelBackend] = {}
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name`` (lower-cased)."""
-    _FACTORIES[name.lower()] = factory
-    _INSTANCES.pop(name.lower(), None)
-
-
 def available_backends() -> tuple[str, ...]:
-    """Names of every registered (importable) backend, sorted."""
+    """Names of the backends :func:`get_backend` resolves, sorted."""
     return tuple(sorted(_FACTORIES))
 
 
@@ -452,43 +453,15 @@ def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
     """
     if isinstance(backend, KernelBackend):
         return backend
-    name = backend if backend is not None else os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+    name, source = backend, ""
+    if backend is None:
+        name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+        source = f" (from ${BACKEND_ENV})"  # the default itself always resolves
     name = name.lower()
     if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {', '.join(available_backends())}"
-        )
+        raise ValueError(f"unknown kernel backend {name!r}{source}; "
+                         f"available: {', '.join(available_backends())}")
     inst = _INSTANCES.get(name)
     if inst is None:
         inst = _INSTANCES[name] = _FACTORIES[name]()
     return inst
-
-
-register_backend("numpy", NumpyBackend)
-
-
-def _numba_importable() -> bool:
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _make_numba() -> KernelBackend:
-    from .backend_numba import NumbaBackend
-
-    return NumbaBackend()
-
-
-if _numba_importable():  # pragma: no cover - exercised on the numba CI leg
-    register_backend("numba", _make_numba)
-
-
-def _make_multiprocess() -> KernelBackend:
-    from .procpool import MultiprocessBackend
-
-    return MultiprocessBackend()
-
-
-register_backend("multiprocess", _make_multiprocess)

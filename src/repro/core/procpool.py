@@ -14,19 +14,19 @@ where the simulator itself uses *real* cores.  Two consumers:
   hypothesis suite (``tests/test_procpool_property.py``) pin.
 * :class:`MultiprocessBackend` — a :class:`~repro.core.backend.KernelBackend`
   registered as ``"multiprocess"`` that shards the two CSR rectangle
-  kernels across a persistent pool.  Every sink belongs to exactly one
-  rectangle per call and a rectangle's per-sink result is independent
-  of how rectangles are batched (padding depends only on the
-  rectangle's own width), so the sharded merge is **bit-identical** to
-  the serial base backend no matter the worker count, shard order, or
-  chunk boundaries.  Calls below ``min_pairs`` evaluated pairs run
-  inline — process fan-out only pays above the pickling cost.
+  kernels of :class:`~repro.core.backend.NumpyBackend` across a
+  persistent pool.  Every sink belongs to exactly one rectangle per
+  call and a rectangle's per-sink result is independent of how
+  rectangles are batched (padding depends only on the rectangle's own
+  width), so the sharded merge is **bit-identical** to the serial numpy
+  backend no matter the worker count, shard order, or chunk
+  boundaries.  Calls below ``min_pairs`` evaluated pairs run inline —
+  process fan-out only pays above the pickling cost.
 
-Worker-count resolution: explicit ``workers=`` kwarg, then the
-``REPRO_PROCPOOL_WORKERS`` environment variable, then ``os.cpu_count()``.
-With one worker everything runs inline (a pool of one is pure
-overhead), which also makes ``backend="multiprocess"`` safe and cheap
-on single-core hosts.
+Pool size: the ``workers=`` argument, else ``os.cpu_count()``; an
+integer (not a ``bool``), floored at 1.  With one worker everything
+runs inline (a pool of one is pure overhead), which also makes
+``backend="multiprocess"`` safe and cheap on single-core hosts.
 """
 
 from __future__ import annotations
@@ -41,41 +41,26 @@ from typing import Any, Callable, Iterator, Sequence
 import multiprocessing
 import numpy as np
 
-from .backend import KernelBackend, NumpyBackend, _rect_rows, get_backend
+from .backend import NumpyBackend, _rect_rows
 
 __all__ = [
-    "POOL_WORKERS_ENV",
     "TaskResult",
     "ProcPool",
     "resolve_pool_workers",
-    "resolve_worker_count",
     "run_tasks",
     "MultiprocessBackend",
 ]
 
-POOL_WORKERS_ENV = "REPRO_PROCPOOL_WORKERS"
-
-
-def resolve_worker_count(workers: int | None, env_name: str, default: int) -> int:
-    """``workers`` if given, else the integer in ``$env_name``, else
-    ``default``; never below 1.  The one parser behind
-    :func:`resolve_pool_workers` and
-    :func:`repro.campaign.workers.resolve_workers`."""
-    if workers is None:
-        env = os.environ.get(env_name, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(f"{env_name} must be an integer, got {env!r}")
-        else:
-            workers = default
-    return max(1, int(workers))
-
 
 def resolve_pool_workers(workers: int | None = None) -> int:
-    """Effective worker count (>= 1); see module docstring for order."""
-    return resolve_worker_count(workers, POOL_WORKERS_ENV, os.cpu_count() or 1)
+    """Effective worker count (>= 1): ``workers``, else
+    ``os.cpu_count()``.  ``workers`` must be an integer (a ``bool`` is
+    not one: ``ValueError``); 0 and below mean 1."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    return max(1, int(workers))
 
 
 @dataclass(frozen=True)
@@ -293,11 +278,12 @@ def _shard_bounds(counts: np.ndarray, widths: np.ndarray, shards: int) -> list[t
     return bounds
 
 
-class MultiprocessBackend(KernelBackend):
+class MultiprocessBackend(NumpyBackend):
     """Shard the rectangle kernels over real cores; inline otherwise.
 
-    Wraps a serial base backend (default numpy).  Per-rectangle results
-    are independent of batching, and sinks are disjoint across
+    The numpy arithmetic throughout: inline calls are
+    :class:`NumpyBackend`'s own, and workers run it too.  Per-rectangle
+    results are independent of batching, and sinks are disjoint across
     rectangles within a call, so merging shard outputs by row is
     bit-identical to one serial call.  A worker crash mid-call falls
     back to recomputing the whole call inline — chaos can cost time,
@@ -310,8 +296,7 @@ class MultiprocessBackend(KernelBackend):
     #: inline: pickling the arrays costs more than it saves.
     DEFAULT_MIN_PAIRS = 1 << 21
 
-    def __init__(self, base=None, workers: int | None = None, min_pairs: int | None = None):
-        self.base = get_backend(base) if base is not None else NumpyBackend()
+    def __init__(self, workers: int | None = None, min_pairs: int | None = None):
         self.workers = resolve_pool_workers(workers)
         self.min_pairs = self.DEFAULT_MIN_PAIRS if min_pairs is None else int(min_pairs)
         self._pool: ProcPool | None = None
@@ -331,9 +316,10 @@ class MultiprocessBackend(KernelBackend):
             return False
         return int((counts * widths).sum()) >= self.min_pairs
 
-    def _run_shards(self, fn, shard_args, merge) -> bool:
-        """Fan shard tasks out; returns False when the pool path could
-        not complete (caller then recomputes inline)."""
+    def _run_shards(self, fn, shard_args, acc, pot) -> bool:
+        """Fan shard tasks out and add their rows into ``acc``/``pot``;
+        returns False, adding nothing, when the pool path could not
+        complete (caller then recomputes inline)."""
         from ..obs.wallclock import bucket  # runtime import: no core->obs cycle
 
         pool = self._ensure_pool()
@@ -352,7 +338,8 @@ class MultiprocessBackend(KernelBackend):
             return False
         for r in results:
             pids, acc_rows, pot_rows = r.value
-            merge(pids, acc_rows, pot_rows)
+            acc[pids] += acc_rows
+            pot[pids] += pot_rows
         return True
 
     def eval_cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
@@ -360,7 +347,7 @@ class MultiprocessBackend(KernelBackend):
             return
         widths = np.diff(offsets)
         if not self._sharded(counts, widths):
-            self.base.eval_cell_rects(pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk)
+            super().eval_cell_rects(pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk)
             return
         shard_args = []
         for lo, hi in _shard_bounds(counts, widths, self.workers):
@@ -368,19 +355,15 @@ class MultiprocessBackend(KernelBackend):
             ids = cell_ids[offsets[lo]:offsets[hi]]
             shard_args.append((pos3, starts[lo:hi], counts[lo:hi], off, ids, com3, mass, quad6, eps2, G, pair_chunk))
 
-        def merge(pids, acc_rows, pot_rows):
-            acc[pids] += acc_rows
-            pot[pids] += pot_rows
-
-        if not self._run_shards(_cell_shard, shard_args, merge):
-            self.base.eval_cell_rects(pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk)
+        if not self._run_shards(_cell_shard, shard_args, acc, pot):
+            super().eval_cell_rects(pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk)
 
     def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
         if src_ids.size == 0:
             return
         widths = np.diff(offsets)
         if not self._sharded(counts, widths):
-            self.base.eval_direct_rects(pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk)
+            super().eval_direct_rects(pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk)
             return
         shard_args = []
         for lo, hi in _shard_bounds(counts, widths, self.workers):
@@ -388,31 +371,5 @@ class MultiprocessBackend(KernelBackend):
             ids = src_ids[offsets[lo]:offsets[hi]]
             shard_args.append((pos3, masses, starts[lo:hi], counts[lo:hi], off, ids, eps2, G, pair_chunk))
 
-        def merge(pids, acc_rows, pot_rows):
-            acc[pids] += acc_rows
-            pot[pids] += pot_rows
-
-        if not self._run_shards(_direct_shard, shard_args, merge):
-            self.base.eval_direct_rects(pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk)
-
-    # -- everything else runs inline on the base backend -----------------
-    def eval_cells_dense(self, sinks, com, mass, quad, eps2, G):
-        return self.base.eval_cells_dense(sinks, com, mass, quad, eps2, G)
-
-    def eval_direct_dense(self, sinks, src_pos, src_mass, eps2, G):
-        return self.base.eval_direct_dense(sinks, src_pos, src_mass, eps2, G)
-
-    def segment_sum(self, values, offsets):
-        return self.base.segment_sum(values, offsets)
-
-    def scatter_add(self, target, idx, values):
-        return self.base.scatter_add(target, idx, values)
-
-    def bincount_sum(self, idx, weights=None, minlength=0):
-        return self.base.bincount_sum(idx, weights=weights, minlength=minlength)
-
-    def scatter_min(self, target, idx, values):
-        return self.base.scatter_min(target, idx, values)
-
-    def pair_within(self, pos, i_idx, j_idx, r2):
-        return self.base.pair_within(pos, i_idx, j_idx, r2)
+        if not self._run_shards(_direct_shard, shard_args, acc, pot):
+            super().eval_direct_rects(pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk)

@@ -140,7 +140,8 @@ class TestBackendRegistry:
         assert "numpy" in BACKENDS
         assert get_backend("numpy").name == "numpy"
 
-    def test_default_resolution(self):
+    def test_default_resolution(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)  # CI's pool leg sets it
         assert get_backend(None).name == "numpy"
         inst = get_backend("numpy")
         assert get_backend(inst) is inst
@@ -155,6 +156,17 @@ class TestBackendRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             get_backend("fortran-iv")
+
+    def test_unknown_env_name_says_where_it_came_from(self, monkeypatch):
+        # A leftover export, such as the name of a deleted backend.
+        monkeypatch.setenv("REPRO_BACKEND", "Fortran-IV")
+        with pytest.raises(ValueError) as err:
+            get_backend()
+        assert str(err.value) == ("unknown kernel backend 'fortran-iv' (from $REPRO_BACKEND); "
+                                  "available: multiprocess, numpy")
+        with pytest.raises(ValueError) as err:
+            get_backend("fortran-iv")
+        assert "REPRO_BACKEND" not in str(err.value)
 
 
 class TestEdgeCases:

@@ -12,15 +12,18 @@ but wall timings.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
     ClusterSpec,
     CosmologySpec,
     SupernovaSpec,
+    resolve_workers,
     run_campaign,
     sweep,
 )
+from repro.core.procpool import MultiprocessBackend, ProcPool, run_tasks
 
 
 def sixteen_scenarios():
@@ -134,6 +137,26 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_CAMPAIGN_WORKERS", "many")
         with pytest.raises(ValueError, match="REPRO_CAMPAIGN_WORKERS"):
             run_campaign([ClusterSpec()], str(tmp_path / "c"))
+
+
+class TestWorkersMustBeAnInteger:
+    """``int()`` would quietly run ``2.5`` as 2 workers, ``True`` as 1
+    and ``"4"`` as 4; every entry point that takes ``workers=`` refuses
+    them instead."""
+
+    @pytest.mark.parametrize("bad", [2.5, True, "4"])
+    def test_non_integer_refused_everywhere(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_campaign([ClusterSpec()], str(tmp_path / "c"), workers=bad)
+        for make in (ProcPool, MultiprocessBackend,
+                     lambda workers: run_tasks(abs, [(1,)], workers=workers)):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                make(workers=bad)
+
+    @pytest.mark.parametrize("given, resolved", [(np.int64(2), 2), (0, 1), (-3, 1)])
+    def test_integers_keep_their_meaning(self, given, resolved):
+        assert resolve_workers(given) == resolved
+        assert ProcPool(workers=given).workers == resolved
 
 
 class TestPooledRunMatchesCachedRerun:

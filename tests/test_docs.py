@@ -3,8 +3,9 @@ exists, every bench script is mapped, the EXPERIMENTS.md codes it
 references are real headings, README links every doc, every relative
 markdown link resolves, the public pipeline/campaign/wallclock
 docstring examples pass as doctests, the latest code-line row of
-EXPERIMENTS.md is what ``tools/code_lines.py`` counts, and CHANGES.md
-entries from PR 21 on are short and point at EXPERIMENTS.md."""
+EXPERIMENTS.md is what ``tools/code_lines.py`` counts, every CHANGES.md
+entry is short and points at EXPERIMENTS.md, and EXPERIMENTS.md's
+contents list its headings."""
 
 import doctest
 import importlib
@@ -144,11 +145,33 @@ def test_latest_code_line_row_is_what_the_counter_prints():
 
 def test_changes_entries_are_short_from_pr_21_on():
     # ROADMAP item 7: an entry says what changed, the one claimed
-    # number, what was re-blessed and where the detail lives.  Entries
-    # up to PR 20 predate the rule.
+    # number, what was re-blessed and where the detail lives.  The rule
+    # started at PR 21 (hence the name); it now holds every entry, the
+    # detail of PRs 1-20 having moved under EXPERIMENTS.md's headings.
     entries = re.findall(r"^- PR (\d+): (.*)$", (REPO / "CHANGES.md").read_text(), re.M)
-    assert entries
+    assert [int(number) for number, _ in entries] == list(range(1, len(entries) + 1))
     for number, text in entries:
-        if int(number) >= 21:
-            assert len(text) <= 600, f"CHANGES.md PR {number}: {len(text)} characters, cap 600"
-            assert "EXPERIMENTS.md" in text, f"CHANGES.md PR {number} names no EXPERIMENTS.md section"
+        assert len(text) <= 600, f"CHANGES.md PR {number}: {len(text)} characters, cap 600"
+        assert "EXPERIMENTS.md" in text, f"CHANGES.md PR {number} names no EXPERIMENTS.md section"
+
+
+def _slug(heading: str) -> str:
+    """The anchor a markdown renderer gives a heading."""
+    return re.sub(r"[^\w\- ]", "", heading.strip().lower()).replace(" ", "-")
+
+
+def test_experiments_contents_lists_every_heading():
+    # The contents block (between "**Contents**" and the first rule)
+    # lists every `##` section and `###` study outside code fences, in
+    # order, indented by level, each linked to its heading's anchor.
+    text = EXPERIMENTS.read_text()
+    headings, fenced = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and (m := re.match(r"(##|###) (.*)$", line)):
+            headings.append((len(m.group(1)) - 2, m.group(2), _slug(m.group(2))))
+    block = text.split("**Contents**", 1)[1].split("\n---\n", 1)[0]
+    listed = [(len(indent) // 2, title, anchor) for indent, title, anchor
+              in re.findall(r"^( *)- \[(.*)\]\(#(.*)\)$", block, re.M)]
+    assert headings and listed == headings

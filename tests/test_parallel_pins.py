@@ -18,9 +18,8 @@ they were written at PR 16's commit, before the LRU order moved from a
 per-key registry into the table's ``used`` column (PR 17), which is the
 sequential LRU's order exactly.
 
-The virtual-time pins hold under every kernel backend.  The physics
-digest is a pin of the numpy kernels' float sums; under ``numba`` the
-digest is compared between the async and the blocking schedule instead.
+The pins hold under every kernel backend: ``multiprocess`` computes
+with the numpy kernels, so even the physics digest does not move.
 
 To bless an intentional change:
 
@@ -30,12 +29,11 @@ To bless an intentional change:
 import hashlib
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import ParallelConfig, get_backend, parallel_nbody_run, parallel_tree_accelerations
+from repro.core import ParallelConfig, parallel_nbody_run, parallel_tree_accelerations
 from repro.simmpi import SpaceSimulatorCost
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
@@ -119,10 +117,9 @@ def _configs() -> dict[str, dict]:
 CONFIGS = _configs()
 
 
-def _run(spec: dict, **cfg_overrides):
+def _run(spec: dict):
     pos, masses = _cloud(spec["cloud"], spec["n"])
-    config = replace(ParallelConfig(theta=0.7, eps=0.02, bucket_size=8, **spec["cfg"]),
-                     **cfg_overrides)
+    config = ParallelConfig(theta=0.7, eps=0.02, bucket_size=8, **spec["cfg"])
     if spec["entry"] == "force":
         res = parallel_tree_accelerations(pos, masses, n_ranks=spec["ranks"], config=config,
                                           cost=SpaceSimulatorCost(), record_trace=False)
@@ -173,12 +170,7 @@ def test_matrix_is_the_pinned_one():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_pinned(name):
     spec = CONFIGS[name]
-    seen, want = _observe(spec), dict(_pins()[name])
-    if get_backend(None).name == "numba":  # pragma: no cover - numba CI leg
-        # Other float sums than the pinned numpy ones: schedules must
-        # still agree with each other bit for bit.
-        flipped = "blocking" if spec["cfg"].get("comm", "async") == "async" else "async"
-        want["digest"] = _digest(_run(spec, comm=flipped)[1])
+    seen, want = _observe(spec), _pins()[name]
     assert seen == want, (
         f"{name} moved; if the change is intentional, regenerate with "
         "`PYTHONPATH=src python tests/test_parallel_pins.py --regen`")

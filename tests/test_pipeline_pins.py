@@ -13,9 +13,8 @@ particles than cells).  Floats are hex strings, arrays blake2b digests
 of their bytes, so "the same answer" means the same bits.
 
 The numpy kernels are pinned: ``backend="numpy"`` where a call takes
-one, and the whole file is skipped when the process default is
-``numba`` (the pipeline's structure and supernova stages run the
-default).  ``tests/golden/pipeline_pins.json`` was
+one; the pipeline's structure and supernova stages run the process
+default, whose arithmetic is numpy's too.  ``tests/golden/pipeline_pins.json`` was
 written at the parent of PR 23, before the CIC stencil, the single
 density sum and the size-class halo reduction; its ``degenerate``
 entries were added before the floor-based wrap and the FoF slot map
@@ -32,16 +31,12 @@ import numpy as np
 import pytest
 
 from repro.campaign import PipelineSpec
-from repro.core import get_backend
 from repro.cosmology.fof import friends_of_friends
 from repro.cosmology.pm import PMSolver
 from repro.pipeline import run_pipeline
 from repro.sph.collapse import polytrope_particles
 from repro.sph.density import adapt_smoothing
 from tests.test_parallel_pins import _digest
-
-pytestmark = pytest.mark.skipif(get_backend(None).name == "numba",
-                                reason="pins the numpy kernels' float sums")
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                          "pipeline_pins.json")
