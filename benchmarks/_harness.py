@@ -1,22 +1,22 @@
 """Uniform benchmark-record harness for ``benchmarks/bench_*.py``.
 
-A bench is three functions and one way to run them.  ``_build`` is the
+A bench is one declaration, ``BENCH = Bench(tags, build, check, ...)``
+(:class:`Bench`), and one way to run it.  ``build(**sizes)`` is the
 payload; ``check(result)`` holds the paper claims as plain ``assert``
 statements over what the payload computed; ``report(result)`` returns
-the table the bench regenerates, as text.  Every bench module exposes
-``main(smoke=False) -> dict`` built on :func:`run_main`, which runs the
+the table the bench regenerates, as text.  :meth:`Bench.run` runs the
 payload once, wall-times it, prints the report, runs the check, and
 returns a record with a fixed shape — name, params, measured seconds,
 virtual (simulated) seconds, named counters, git revision, and host —
 validated against ``benchmarks/schema.json``.  A claim that fails is an
-``AssertionError`` out of ``main()``: standalone a traceback under the
+``AssertionError`` out of the run: standalone a traceback under the
 table it contradicts, in the fleet a ``failed`` row and exit status 1.
 There is no second path: no bench defines a ``test_*`` function.
 
-:func:`run_main` writes nothing: a record reaches disk only where a
+:meth:`Bench.run` writes nothing: a record reaches disk only where a
 caller names the destination, which is the fleet coordinator
 (``python -m repro.obs fleet --history``) or the standalone command
-line every bench shares, :func:`cli` (``--out DIR`` writes
+line every bench shares, :meth:`Bench.cli` (``--out DIR`` writes
 ``BENCH_<name>.json``, ``--history PATH`` appends one line to a history
 JSONL).
 
@@ -44,6 +44,7 @@ import re
 import subprocess
 import time
 import traceback
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -53,14 +54,13 @@ from repro.obs.schemacheck import validate_value
 __all__ = [
     "SCHEMA_PATH",
     "SCHEMA_VERSION",
+    "Bench",
     "append_history",
     "bench_record",
-    "cli",
     "comm_health_counters",
     "emit",
     "git_rev",
     "load_schema",
-    "run_main",
     "shard_breakdown",
     "sphere_cloud",
     "validate_record",
@@ -88,7 +88,7 @@ def git_rev() -> str:
 
 
 def load_schema(path: str = SCHEMA_PATH) -> dict:
-    """The record schema: the one loader ``run_main``, the fleet runner
+    """The record schema: the one loader :meth:`Bench.run`, the fleet runner
     and ``python -m repro.obs validate`` share."""
     with open(path) as fh:
         return json.load(fh)
@@ -241,82 +241,102 @@ def _claim_text(exc: AssertionError) -> str:
     return f"{text} ({exc})" if str(exc) else text
 
 
-def run_main(
-    name: str,
-    build: Callable[[], Any],
-    *,
-    check: Callable[[Any], None],
-    report: Callable[[Any], str] | None = None,
-    params: Mapping | None = None,
-    counters: Mapping[str, float] | Callable[[Any], Mapping[str, float]] | None = None,
-    virtual_seconds: float | Callable[[Any], float] | None = None,
-    notes: str = "",
-    shards: list[Mapping] | Callable[[Any], list[Mapping]] | None = None,
-) -> dict:
-    """Run one bench payload, check its claims, return its validated record.
+@dataclass(frozen=True)
+class Bench:
+    """One bench, declared once: what the fleet, the command line and
+    the tests all read, as ``BENCH = Bench(tags, build, check, ...)``.
 
-    ``check`` (required) asserts the bench's claims over the payload's
-    return value; ``report`` renders its table and is printed first, so
-    a failed claim is read against the numbers it contradicts.  Only
-    ``build`` is timed.  ``counters``, ``virtual_seconds``, and
-    ``shards`` may be callables taking the payload's return value, so
-    each bench derives its headline numbers from what it actually
-    computed.  The record is printed and returned, never written: see
-    :func:`cli` and :func:`repro.obs.fleet.run_fleet` for the writers.
+    ``build(**sizes)`` is the payload.  In smoke mode the ``smoke``
+    overrides update ``sizes``; ``smoke=None`` says the full workload
+    is already CI-cheap and runs unchanged under the same record name.
+    Declared overrides cut the problem down, and the record is then
+    named ``<stem>_smoke``, so a reduced run never joins a full-mode
+    rolling baseline.  The overrides are all a mode is: a claim that
+    holds only at full size reads the size from what ``build`` returns.
+
+    ``check`` asserts the bench's claims over the payload's return
+    value; ``report`` renders its table and is printed first, so a
+    failed claim is read against the numbers it contradicts.  The
+    record's ``params`` are the sizes the run used plus ``params``.
+    ``params``, ``counters``, ``virtual_seconds``, ``notes`` and
+    ``shards`` may each be a callable taking the payload's return
+    value, so each bench derives its numbers from what it computed.
     """
-    t0 = time.perf_counter()
-    result = build()
-    seconds = time.perf_counter() - t0
-    if report is not None:
-        print(report(result))
-    try:
-        check(result)
-    except AssertionError as exc:
-        raise AssertionError(f"claim failed in bench {name!r}: {_claim_text(exc)}") from exc
-    record = bench_record(
-        name,
-        params=params,
-        seconds=seconds,
-        virtual_seconds=float(
-            virtual_seconds(result) if callable(virtual_seconds)
-            else (virtual_seconds or 0.0)
-        ),
-        counters=counters(result) if callable(counters) else counters,
-        notes=notes,
-        shards=shards(result) if callable(shards) else shards,
-    )
-    errors = validate_record(record)
-    if errors:
-        raise ValueError(f"bench record for {name!r} violates schema.json: {errors}")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    return record
 
+    tags: tuple[str, ...]
+    build: Callable[..., Any]
+    check: Callable[[Any], None]
+    _: KW_ONLY
+    report: Callable[[Any], str] | None = None
+    sizes: Mapping[str, Any] = field(default_factory=dict)
+    smoke: Mapping[str, Any] | None = None
+    params: Mapping | Callable[[Any], Mapping] | None = None
+    counters: Mapping[str, float] | Callable[[Any], Mapping[str, float]] | None = None
+    virtual_seconds: float | Callable[[Any], float] = 0.0
+    notes: str | Callable[[Any], str] = ""
+    shards: list[Mapping] | Callable[[Any], list[Mapping]] | None = None
 
-def cli(
-    main: Callable[..., dict], doc: str | None = None, argv: list[str] | None = None,
-) -> dict:
-    """The command line of every ``bench_*.py``: run ``main`` once.
+    def record_name(self, stem: str, smoke: bool) -> str:
+        """``<stem>_smoke`` for a smoke run of reduced sizes, else ``stem``."""
+        return f"{stem}_smoke" if smoke and self.smoke is not None else stem
 
-    ``main`` prints the bench's report and then its record
-    (:func:`run_main`).  ``--smoke`` selects the CI parameterization
-    the bench's ``FLEET`` metadata declares; ``--out DIR`` and
-    ``--history PATH`` are the only way a standalone run writes its
-    record (:func:`emit`, :func:`append_history`).
-    """
-    parser = argparse.ArgumentParser(
-        description=doc.strip().splitlines()[0] if doc else None,
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI parameterization (see the bench's FLEET metadata)")
-    parser.add_argument("--out", metavar="DIR", default=None,
-                        help="also write DIR/BENCH_<name>.json")
-    parser.add_argument("--history", metavar="PATH", default=None,
-                        help="also append the record to this history JSONL "
-                             "(a directory means PATH/history.jsonl)")
-    opts = parser.parse_args(argv)
-    record = main(smoke=opts.smoke)
-    if opts.out:
-        emit(record, opts.out)
-    if opts.history:
-        append_history(record, opts.history)
-    return record
+    def run(self, stem: str, smoke: bool = False) -> dict:
+        """Run the payload of ``bench_<stem>.py`` once, check its claims,
+        return its validated record.
+
+        Only ``build`` is timed.  The record is printed and returned,
+        never written: see :meth:`cli` and
+        :func:`repro.obs.fleet.run_fleet` for the writers.
+        """
+        name = self.record_name(stem, smoke)
+        sizes = {**self.sizes, **(self.smoke or {})} if smoke else dict(self.sizes)
+        t0 = time.perf_counter()
+        result = self.build(**sizes)
+        seconds = time.perf_counter() - t0
+        if self.report is not None:
+            print(self.report(result))
+        try:
+            self.check(result)
+        except AssertionError as exc:
+            raise AssertionError(f"claim failed in bench {name!r}: {_claim_text(exc)}") from exc
+
+        def of(value):
+            return value(result) if callable(value) else value
+
+        record = bench_record(
+            name, params={**sizes, **(of(self.params) or {})}, seconds=seconds,
+            virtual_seconds=of(self.virtual_seconds), counters=of(self.counters),
+            notes=of(self.notes), shards=of(self.shards),
+        )
+        errors = validate_record(record)
+        if errors:
+            raise ValueError(f"bench record for {name!r} violates schema.json: {errors}")
+        print(json.dumps(record, indent=2, sort_keys=True))
+        return record
+
+    def cli(self, path: str, doc: str | None = None, argv: list[str] | None = None) -> dict:
+        """The command line of every ``bench_*.py``: run the bench whose
+        file is ``path`` once (the file's guard passes ``__file__``).
+
+        ``--smoke`` runs the ``smoke`` sizes; ``--out DIR`` and
+        ``--history PATH`` are the only way a standalone run writes its
+        record (:func:`emit`, :func:`append_history`).
+        """
+        parser = argparse.ArgumentParser(
+            description=doc.strip().splitlines()[0] if doc else None,
+        )
+        parser.add_argument("--smoke", action="store_true",
+                            help="CI sizes (the bench's smoke= overrides, if any)")
+        parser.add_argument("--out", metavar="DIR", default=None,
+                            help="also write DIR/BENCH_<name>.json")
+        parser.add_argument("--history", metavar="PATH", default=None,
+                            help="also append the record to this history JSONL "
+                                 "(a directory means PATH/history.jsonl)")
+        opts = parser.parse_args(argv)
+        stem = os.path.splitext(os.path.basename(path))[0].removeprefix("bench_")
+        record = self.run(stem, smoke=opts.smoke)
+        if opts.out:
+            emit(record, opts.out)
+        if opts.history:
+            append_history(record, opts.history)
+        return record

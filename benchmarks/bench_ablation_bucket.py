@@ -13,7 +13,7 @@ from repro.core import build_tree, tree_accelerations
 from repro.machine.specs import FLOPS_PER_INTERACTION
 from repro.core.traversal import FLOPS_PER_CELL_INTERACTION
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _cloud(n=2000, seed=6):
@@ -57,21 +57,12 @@ def check(rows) -> None:
     assert flops[buckets.index(64)] > 1.5 * flops[buckets.index(8)]
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "ablation_bucket", _build, check=check, report=report,
-        params={"buckets": [4, 8, 16, 32, 64, 128]},
-        counters=lambda rows: {
-            "rows": len(rows),
-            "min_mflops": min(r[4] for r in rows),
-        },
-    )
+BENCH = Bench(
+    ("ablation", "treecode"), _build, check, report=report,
+    params={"buckets": [4, 8, 16, 32, 64, 128]},
+    counters=lambda rows: {"rows": len(rows), "min_mflops": min(r[4] for r in rows)},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

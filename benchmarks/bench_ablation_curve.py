@@ -19,7 +19,7 @@ from repro.core.hilbert import (
     hilbert_keys_from_positions,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _clouds(n=3000):
@@ -32,7 +32,7 @@ def _clouds(n=3000):
     return {"uniform": uniform, "clustered": clustered}
 
 
-def _build(n=3000):
+def _build(n):
     box = BoundingBox(np.zeros(3), 1.0)
     rows = []
     for name, pos in _clouds(n).items():
@@ -74,21 +74,15 @@ def check(rows) -> None:
     assert hilbert[4] <= 1.2 * morton[4]
 
 
-#: Reduced smoke: the 3000-point decomposition-surface scan costs ~3 s
-#: (pairwise radius counts); smoke shrinks the clouds under a distinct
-#: record name so full-mode baselines stay clean.
-FLEET = {"tags": ("ablation", "treecode"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    n = 1200 if smoke else 3000
-    return run_main(
-        "ablation_curve_smoke" if smoke else "ablation_curve",
-        lambda: _build(n=n), check=check, report=report,
-        params={"n": n, "n_pieces": 8, "radius": 0.05},
-        counters=lambda rows: {"rows": len(rows)},
-    )
+#: Smoke shrinks the clouds: the 3000-point decomposition-surface scan
+#: costs ~3 s (pairwise radius counts).
+BENCH = Bench(
+    ("ablation", "treecode"), _build, check, report=report,
+    sizes={"n": 3000}, smoke={"n": 1200},
+    params={"n_pieces": 8, "radius": 0.05},
+    counters=lambda rows: {"rows": len(rows)},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

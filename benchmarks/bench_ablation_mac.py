@@ -16,7 +16,7 @@ from repro.core import (
     tree_accelerations,
 )
 
-from _harness import cli, run_main, sphere_cloud
+from _harness import Bench, sphere_cloud
 
 
 def _build():
@@ -72,18 +72,12 @@ def check(result) -> None:
     assert all(a >= b for a, b in zip(meds, meds[1:]))
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "ablation_mac", _build, check=check, report=report,
-        params={"thetas": [1.0, 0.8, 0.6, 0.4, 0.25]},
-        counters=lambda r: {"rows": len(r[0]), "budgets": len(r[1])},
-    )
+BENCH = Bench(
+    ("ablation", "treecode"), _build, check, report=report,
+    params={"thetas": [1.0, 0.8, 0.6, 0.4, 0.25]},
+    counters=lambda r: {"rows": len(r[0]), "budgets": len(r[1])},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

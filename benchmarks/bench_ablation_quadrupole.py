@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import build_tree, compute_forces, direct_accelerations, OpeningAngleMAC
 
-from _harness import cli, run_main, sphere_cloud
+from _harness import Bench, sphere_cloud
 
 
 def _build():
@@ -50,21 +50,12 @@ def check(rows) -> None:
     assert mid[3] > 3.0
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('ablation', 'treecode'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "ablation_quadrupole", _build, check=check, report=report,
-        params={"thetas": [0.8, 0.6, 0.4]},
-        counters=lambda rows: {
-            "rows": len(rows),
-            "max_gain": max(r[3] for r in rows),
-        },
-    )
+BENCH = Bench(
+    ("ablation", "treecode"), _build, check, report=report,
+    params={"thetas": [0.8, 0.6, 0.4]},
+    counters=lambda rows: {"rows": len(rows), "max_gain": max(r[3] for r in rows)},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

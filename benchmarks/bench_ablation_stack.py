@@ -13,10 +13,10 @@ from repro.core import ParallelConfig, parallel_tree_accelerations
 from repro.network import FIGURE2_STACKS
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, run_main, sphere_cloud
+from _harness import Bench, sphere_cloud
 
 
-def _build(n=3000, n_ranks=8):
+def _build(n, n_ranks):
     pos, m = sphere_cloud(np.random.default_rng(8), n, 1.0 / 3.0)
     cfg = ParallelConfig(theta=0.8, eps=0.01, kernel_efficiency=0.27)
     rows = []
@@ -47,23 +47,16 @@ def check(rows) -> None:
     assert 1.0 < gap < 1.6
 
 
-#: Reduced smoke: one treecode force solve per Figure 2 stack costs
-#: ~3 s at N=3000/P=8; smoke shrinks the cloud and rank count under a
-#: distinct record name so full-mode baselines stay clean.
-FLEET = {"tags": ("ablation", "network", "treecode"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    n, n_ranks = (1200, 4) if smoke else (3000, 8)
-    return run_main(
-        "ablation_stack_smoke" if smoke else "ablation_stack",
-        lambda: _build(n=n, n_ranks=n_ranks), check=check, report=report,
-        params={"n": n, "n_ranks": n_ranks,
-                "stacks": [s.name for s in FIGURE2_STACKS]},
-        counters=lambda rows: {"rows": len(rows)},
-        virtual_seconds=lambda rows: sum(r[1] for r in rows) / 1e3,
-    )
+#: Smoke shrinks the cloud and the rank count: one treecode force
+#: solve per Figure 2 stack costs ~3 s at N=3000/P=8.
+BENCH = Bench(
+    ("ablation", "network", "treecode"), _build, check, report=report,
+    sizes={"n": 3000, "n_ranks": 8}, smoke={"n": 1200, "n_ranks": 4},
+    params={"stacks": [s.name for s in FIGURE2_STACKS]},
+    counters=lambda rows: {"rows": len(rows)},
+    virtual_seconds=lambda rows: sum(r[1] for r in rows) / 1e3,
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -25,7 +25,7 @@ from repro.campaign import (
     sweep,
 )
 
-from _harness import cli, run_main, shard_breakdown
+from _harness import Bench, shard_breakdown
 
 
 def catalog(smoke: bool) -> list:
@@ -41,14 +41,13 @@ def catalog(smoke: bool) -> list:
     return specs
 
 
-def _run_twice(root: str, specs: list) -> dict:
-    first = run_campaign(specs, root, workers=1)
-    second = run_campaign(specs, root, workers=1)
-    return {
-        "first": first,
-        "second": second,
-        "shards": shard_breakdown(ResultStore(root).load_shards()),
-    }
+def _run_twice(smoke: bool) -> dict:
+    specs = catalog(smoke)
+    with tempfile.TemporaryDirectory() as root:
+        first = run_campaign(specs, root, workers=1)
+        second = run_campaign(specs, root, workers=1)
+        shards = shard_breakdown(ResultStore(root).load_shards())
+    return {"first": first, "second": second, "shards": shards, "smoke": smoke}
 
 
 def check(out) -> None:
@@ -58,34 +57,26 @@ def check(out) -> None:
     assert second.hit_rate == 1.0        # the second pass computed nothing
 
 
-#: Reduced smoke: the smoke catalog drops the cosmology/supernova
-#: specs, so it reports under a distinct record name to keep full-mode
-#: baselines clean.
-FLEET = {"tags": ("campaign",), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    specs = catalog(smoke)
-    with tempfile.TemporaryDirectory() as tmp:
-        return run_main(
-            "campaign_smoke" if smoke else "campaign",
-            lambda: _run_twice(tmp, specs), check=check,
-            params={"n_specs": len(specs), "workers": 1, "smoke": smoke},
-            counters=lambda out: {
-                "shards": out["first"].total_shards,
-                "unique": out["first"].unique,
-                "computed": out["first"].computed,
-                "dedupe_hits": out["first"].dedupe_hits,
-                "dedupe_hit_rate": out["first"].dedupe_hits / out["first"].total_shards,
-                "cache_hits": out["second"].cache_hits,
-                "rerun_hit_rate": out["second"].hit_rate,
-                "failed": out["first"].failed + out["second"].failed,
-            },
-            shards=lambda out: out["shards"],
-            notes="smoke catalog (closed-form cluster only)" if smoke
-            else "full catalog (cluster + cosmology + supernova)",
-        )
+#: Smoke drops the cosmology/supernova specs from the catalog.
+BENCH = Bench(
+    ("campaign",), _run_twice, check,
+    sizes={"smoke": False}, smoke={"smoke": True},
+    params=lambda out: {"n_specs": out["first"].total_shards, "workers": 1},
+    counters=lambda out: {
+        "shards": out["first"].total_shards,
+        "unique": out["first"].unique,
+        "computed": out["first"].computed,
+        "dedupe_hits": out["first"].dedupe_hits,
+        "dedupe_hit_rate": out["first"].dedupe_hits / out["first"].total_shards,
+        "cache_hits": out["second"].cache_hits,
+        "rerun_hit_rate": out["second"].hit_rate,
+        "failed": out["first"].failed + out["second"].failed,
+    },
+    shards=lambda out: out["shards"],
+    notes=lambda out: "smoke catalog (closed-form cluster only)" if out["smoke"]
+    else "full catalog (cluster + cosmology + supernova)",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -12,7 +12,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.network import FIGURE2_STACKS, summarize, sweep
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -46,21 +46,15 @@ def check(result) -> None:
     assert all(series[name][-1] > big for name in series if name != "mpich 1.2.5")
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('figure', 'network'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "fig2_netpipe", _build, check=check, report=report,
-        params={"stacks": [s.name for s in FIGURE2_STACKS], "n_sizes": 13},
-        counters=lambda r: {
-            "series": len(r[1]),
-            "peak_mbits_s": max(max(v) for v in r[1].values()),
-        },
-    )
+BENCH = Bench(
+    ("figure", "network"), _build, check, report=report,
+    params={"stacks": [s.name for s in FIGURE2_STACKS], "n_sizes": 13},
+    counters=lambda r: {
+        "series": len(r[1]),
+        "peak_mbits_s": max(max(v) for v in r[1].values()),
+    },
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -20,7 +20,7 @@ from repro.linpack import (
     run_hpl,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -54,23 +54,17 @@ def check(result) -> None:
     assert price_per_mflops_cents() < 100.0
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('figure', 'linpack'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "fig3_linpack", _build, check=check, report=report,
-        params={"n": 384, "block": 64},
-        counters=lambda r: {
-            "kernel_gflops": r[0].gflops,
-            "kernel_residual": r[0].residual,
-            "model_gflops": r[2],
-            "mpich_gflops": r[3],
-        },
-    )
+BENCH = Bench(
+    ("figure", "linpack"), _build, check, report=report,
+    params={"n": 384, "block": 64},
+    counters=lambda r: {
+        "kernel_gflops": r[0].gflops,
+        "kernel_residual": r[0].residual,
+        "model_gflops": r[2],
+        "mpich_gflops": r[3],
+    },
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -8,7 +8,7 @@ straight horizontal line" — per-proc rates stay near-flat out to 256.
 from repro.analysis import format_table
 from repro.nas import space_simulator_npb_model
 
-from _harness import cli, run_main
+from _harness import Bench
 
 BENCHES = ("BT", "SP", "LU", "CG", "FT")
 # 16..256 regenerate the paper's Figure 4; 512/1024/2560 extrapolate the
@@ -58,21 +58,12 @@ def check(result) -> None:
         assert total[b][-1] > total[b][i256], b
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "fig4_npb_scaling_d", _build, check=check, report=report,
-        params={"benches": list(BENCHES), "procs": list(PROCS)},
-        counters=lambda r: {
-            "curves": len(r[0]),
-            "points": sum(len(v) for v in r[0].values()),
-        },
-    )
+BENCH = Bench(
+    ("figure", "npb"), _build, check, report=report,
+    params={"benches": list(BENCHES), "procs": list(PROCS)},
+    counters=lambda r: {"curves": len(r[0]), "points": sum(len(v) for v in r[0].values())},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

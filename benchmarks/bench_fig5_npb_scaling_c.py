@@ -10,7 +10,7 @@ signature feature.
 from repro.analysis import format_table
 from repro.nas import space_simulator_npb_model
 
-from _harness import cli, run_main
+from _harness import Bench
 
 BENCHES = ("BT", "SP", "LU", "CG", "FT", "IS")
 # 1..256 regenerate the paper's Figure 5; 512/1024/2560 extrapolate
@@ -45,21 +45,12 @@ def check(per) -> None:
         assert eff_d > eff_c, b
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('figure', 'npb'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "fig5_npb_scaling_c", _build, check=check, report=report,
-        params={"benches": list(BENCHES), "procs": list(PROCS)},
-        counters=lambda per: {
-            "curves": len(per),
-            "points": sum(len(v) for v in per.values()),
-        },
-    )
+BENCH = Bench(
+    ("figure", "npb"), _build, check, report=report,
+    params={"benches": list(BENCHES), "procs": list(PROCS)},
+    counters=lambda per: {"curves": len(per), "points": sum(len(v) for v in per.values())},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

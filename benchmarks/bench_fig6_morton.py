@@ -14,7 +14,7 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import build_tree, decompose, morton_traversal_order_2d
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _points(n=3000, seed=42):
@@ -65,22 +65,16 @@ def check(result) -> None:
     assert tree.level.max() > uniform_depth + 1
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('figure', 'treecode'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "fig6_morton", _build, check=check, report=report,
-        params={"n_pieces": 8, "bucket_size": 8},
-        counters=lambda r: {
-            "n_points": int(r[0].shape[0]),
-            "median_jump": float(np.median(r[1])),
-            "n_cells": int(r[3].n_cells),
-        },
-    )
+BENCH = Bench(
+    ("figure", "treecode"), _build, check, report=report,
+    params={"n_pieces": 8, "bucket_size": 8},
+    counters=lambda r: {
+        "n_points": int(r[0].shape[0]),
+        "median_jump": float(np.median(r[1])),
+        "n_cells": int(r[3].n_cells),
+    },
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -33,7 +33,7 @@ from repro.cosmology import (
 from repro.obs import load_imbalance, wait_summary
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, comm_health_counters, run_main, sphere_cloud
+from _harness import Bench, comm_health_counters, sphere_cloud
 
 
 def _comm_modes(n=1200, ranks=8, seed=9):
@@ -63,7 +63,7 @@ def _comm_modes(n=1200, ranks=8, seed=9):
     return out
 
 
-def _build(n_side=20, comm_n=1200):
+def _build(n_side, comm_n):
     a_final = 1.0 / 1.3  # z = 0.3, the figure's epoch
     ics = zeldovich_ics(n_side=n_side, box_mpc_h=125.0, a_start=0.1, cosmology=LCDM,
                         seed=7, k_cut_fraction=0.8)
@@ -115,10 +115,10 @@ def report(result) -> str:
     ])
 
 
-def check(result, full: bool) -> None:
-    _, rms0, rms1, halos, _, xi, comm = result
+def check(result) -> None:
+    sim, rms0, rms1, halos, _, xi, comm = result
     assert rms1 > 4.0 * rms0          # structure grew into the nonlinear regime
-    if full:  # the n_side=10 smoke box is too coherent to form halos
+    if len(sim.positions) >= 20**3:  # a 10^3 smoke box is too coherent to form halos
         assert halos.n_halos >= 3          # halos formed
         assert xi[0] > xi[1] > abs(xi[-1])  # clustering declines with scale
         assert xi[0] > 0.6                 # strongly clustered at small separations
@@ -148,23 +148,15 @@ def _counters(r) -> dict:
     }
 
 
-#: Reduced smoke: the full z=0.3 box plus a P=8 force solve costs ~9 s;
-#: smoke shrinks the PM grid and the comm problem and reports under a
-#: distinct record name so full-mode baselines stay clean.
-FLEET = {"tags": ("figure", "cosmology", "comm"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    n_side, comm_n = (10, 500) if smoke else (20, 1200)
-    return run_main(
-        "fig7_cosmology_smoke" if smoke else "fig7_cosmology",
-        lambda: _build(n_side=n_side, comm_n=comm_n),
-        check=lambda r: check(r, full=not smoke), report=report,
-        params={"n_side": n_side, "comm_n": comm_n,
-                "box_mpc_h": 125.0, "a_final": 1.0 / 1.3},
-        counters=_counters,
-    )
+#: Smoke shrinks the PM grid and the comm problem: the full z=0.3 box
+#: plus a P=8 force solve costs ~9 s.
+BENCH = Bench(
+    ("figure", "cosmology", "comm"), _build, check, report=report,
+    sizes={"n_side": 20, "comm_n": 1200}, smoke={"n_side": 10, "comm_n": 500},
+    params={"box_mpc_h": 125.0, "a_final": 1.0 / 1.3},
+    counters=_counters,
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

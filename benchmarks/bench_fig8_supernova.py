@@ -18,10 +18,10 @@ from repro.sph import (
     polytrope_particles,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
-def _build(n_particles=350, max_steps=160):
+def _build(n_particles, max_steps):
     pos, m, u = polytrope_particles(n_particles, seed=11)
     vel = add_rotation(pos, omega0=0.45, r0=0.25)
     cfg = CollapseConfig()
@@ -53,37 +53,25 @@ def report(result) -> str:
     ])
 
 
-def check(result, full: bool) -> None:
+def check(result) -> None:
     sim, cfg, _, j, l_cone, l_eq = result
     hist = sim.history
     ratio = l_eq / max(l_cone, 1e-300)
     assert hist.bounced(cfg.eos.rho_nuc)
-    if full:  # the 200 smoke particles resolve the profile too coarsely (4.6x)
+    if len(sim.positions) >= 350:  # 200 particles resolve the profile too coarsely (4.6x)
         assert j[-1] > 5.0 * max(j[0], 1e-300)  # bulk of j along the equator
     assert ratio > 30.0                      # approaching the paper's 100x
     assert max(hist.neutrino_luminosity) > 0
 
 
-#: Reduced smoke: the 350-particle collapse-to-bounce run costs ~3 s;
-#: smoke collapses a smaller polytrope for fewer steps under a distinct
-#: record name so full-mode baselines stay clean.
-FLEET = {"tags": ("figure", "supernova", "sph"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    n_particles, max_steps = (200, 90) if smoke else (350, 160)
-    return run_main(
-        "fig8_supernova_smoke" if smoke else "fig8_supernova",
-        lambda: _build(n_particles=n_particles, max_steps=max_steps),
-        check=lambda r: check(r, full=not smoke), report=report,
-        params={"n_particles": n_particles, "max_steps": max_steps},
-        counters=lambda r: {
-            "l_cone": r[4],
-            "l_equator": r[5],
-            "angle_bins": len(r[2]),
-        },
-    )
+#: Smoke collapses a smaller polytrope for fewer steps: the
+#: 350-particle collapse-to-bounce run costs ~3 s.
+BENCH = Bench(
+    ("figure", "supernova", "sph"), _build, check, report=report,
+    sizes={"n_particles": 350, "max_steps": 160}, smoke={"n_particles": 200, "max_steps": 90},
+    counters=lambda r: {"l_cone": r[4], "l_equator": r[5], "angle_bins": len(r[2])},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -20,7 +20,7 @@ import tempfile
 from repro.campaign import PipelineSpec, ResultStore
 from repro.pipeline import Grid, Uniform, ensemble_statistics, run_ensemble
 
-from _harness import cli, run_main, shard_breakdown
+from _harness import Bench, shard_breakdown
 
 #: Committed reference envelopes: metric -> statistic -> (lo, hi).
 #: Bands are ±~40% around the measured ensemble values (seeds below),
@@ -48,20 +48,6 @@ FULL_ENVELOPES = {
 }
 
 
-def ensemble_args(smoke: bool) -> tuple:
-    if smoke:
-        base = PipelineSpec(n_side=6, a_final=0.3, sn_particles=24, sn_steps=2)
-        n = 8
-    else:
-        base = PipelineSpec()
-        n = 12
-    distributions = {
-        "seed": Grid(values=(1, 2, 3, 4, 5, 6)),
-        "omega0": Uniform(low=0.15, high=0.45),
-    }
-    return base, distributions, n
-
-
 def check_envelopes(stats: dict, envelopes: dict) -> list:
     """Every committed (metric, statistic) band must hold; quantiles
     must be ordered.  Returns the violations (empty = pass)."""
@@ -81,19 +67,29 @@ def check_envelopes(stats: dict, envelopes: dict) -> list:
     return bad
 
 
-def _run(root: str, smoke: bool) -> dict:
-    base, distributions, n = ensemble_args(smoke)
-    first = run_ensemble(base, distributions, n, root, seed=7)
-    second = run_ensemble(base, distributions, n, root, seed=7)
+def _run(n_scenarios: int, smoke: bool) -> dict:
+    base = (PipelineSpec(n_side=6, a_final=0.3, sn_particles=24, sn_steps=2) if smoke
+            else PipelineSpec())
+    distributions = {
+        "seed": Grid(values=(1, 2, 3, 4, 5, 6)),
+        "omega0": Uniform(low=0.15, high=0.45),
+    }
+    with tempfile.TemporaryDirectory() as root:
+        first = run_ensemble(base, distributions, n_scenarios, root, seed=7)
+        second = run_ensemble(base, distributions, n_scenarios, root, seed=7)
+        shards = shard_breakdown(ResultStore(root).load_shards())
     return {
         "first": first.report,
         "second": second.report,
         "stats": ensemble_statistics([r["summary"] for r in first.results]),
-        "shards": shard_breakdown(ResultStore(root).load_shards()),
+        "shards": shards,
+        "smoke": smoke,
     }
 
 
-def check(out, envelopes) -> None:
+def check(out) -> None:
+    # The smoke box is too small to form halos: its bands leave them out.
+    envelopes = SMOKE_ENVELOPES if out["smoke"] else FULL_ENVELOPES
     violations = check_envelopes(out["stats"], envelopes)
     assert not violations, (
         "pipeline observable distributions left their envelopes:\n  "
@@ -102,39 +98,30 @@ def check(out, envelopes) -> None:
     assert out["second"].hit_rate == 1.0  # the second pass computed nothing
 
 
-#: Reduced smoke: the smoke box is too small to form halos, so it
-#: reports under a distinct record name to keep full-mode baselines
-#: (which gate halo statistics) clean.
-FLEET = {"tags": ("pipeline", "cosmology", "sph", "campaign"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    _, _, n = ensemble_args(smoke)
-    with tempfile.TemporaryDirectory() as tmp:
-        return run_main(
-            "pipeline_smoke" if smoke else "pipeline",
-            lambda: _run(tmp, smoke),
-            check=lambda out: check(out, SMOKE_ENVELOPES if smoke else FULL_ENVELOPES),
-            params={"n_scenarios": n, "smoke": smoke},
-            counters=lambda out: {
-                "scenarios": out["first"].total_shards,
-                "computed": out["first"].computed,
-                "cache_hits": out["second"].cache_hits,
-                "rerun_hit_rate": out["second"].hit_rate,
-                "failed": out["first"].failed + out["second"].failed,
-                "density_rms_mean": out["stats"]["density_rms"]["mean"],
-                "density_rms_std": out["stats"]["density_rms"]["std"],
-                "n_halos_mean": out["stats"]["n_halos"]["mean"],
-                "largest_halo_max": out["stats"]["largest_halo"]["max"],
-                "pk_total_mean": out["stats"]["pk_total"]["mean"],
-                "time_to_peak_q50": out["stats"]["time_to_peak"]["q50"],
-                "max_density_mean": out["stats"]["max_density"]["mean"],
-            },
-            shards=lambda out: out["shards"],
-            notes="smoke ensemble (n_side=6, no halo bands)" if smoke
-            else "full ensemble (halo-forming n_side=12 box)",
-        )
+#: Smoke runs 8 scenarios of the n_side=6 box in place of 12 of the
+#: halo-forming default box.
+BENCH = Bench(
+    ("pipeline", "cosmology", "sph", "campaign"), _run, check,
+    sizes={"n_scenarios": 12, "smoke": False}, smoke={"n_scenarios": 8, "smoke": True},
+    counters=lambda out: {
+        "scenarios": out["first"].total_shards,
+        "computed": out["first"].computed,
+        "cache_hits": out["second"].cache_hits,
+        "rerun_hit_rate": out["second"].hit_rate,
+        "failed": out["first"].failed + out["second"].failed,
+        "density_rms_mean": out["stats"]["density_rms"]["mean"],
+        "density_rms_std": out["stats"]["density_rms"]["std"],
+        "n_halos_mean": out["stats"]["n_halos"]["mean"],
+        "largest_halo_max": out["stats"]["largest_halo"]["max"],
+        "pk_total_mean": out["stats"]["pk_total"]["mean"],
+        "time_to_peak_q50": out["stats"]["time_to_peak"]["q50"],
+        "max_density_mean": out["stats"]["max_density"]["mean"],
+    },
+    shards=lambda out: out["shards"],
+    notes=lambda out: "smoke ensemble (n_side=6, no halo bands)" if out["smoke"]
+    else "full ensemble (halo-forming n_side=12 box)",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -26,7 +26,7 @@ from repro.resilience import (
     sample_fault_plan,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 N_RANKS = 8
 STEP_S = 60.0
@@ -78,24 +78,25 @@ def crash_plan(seed: int):
     )
 
 
-def _sweep(tmpdir, intervals_s, n_seeds):
+def _sweep(intervals_s, n_seeds):
     rows = []
-    for tau in intervals_s:
-        walls, fails = [], []
-        for seed in range(n_seeds):
-            cfg = ResilienceConfig(
-                checkpoint_dir=str(tmpdir / f"tau{int(tau)}-s{seed}"),
-                interval_s=tau, restart_s=RESTART_S,
-                max_restarts=500, node=DUMP_NODE,
-            )
-            out = run_resilient(stepper, N_RANKS, faults=crash_plan(seed), config=cfg)
-            walls.append(out.wall_s)
-            fails.append(len(out.failures))
-        analytic = expected_runtime(
-            WORK_S / 3600.0, DUMP_S / 3600.0, MTBF_S / 3600.0,
-            tau / 3600.0, RESTART_S / 3600.0,
-        ) * 3600.0
-        rows.append([tau, float(np.mean(walls)), analytic, float(np.mean(fails))])
+    with tempfile.TemporaryDirectory() as tmp:
+        for tau in intervals_s:
+            walls, fails = [], []
+            for seed in range(n_seeds):
+                cfg = ResilienceConfig(
+                    checkpoint_dir=str(Path(tmp) / f"tau{int(tau)}-s{seed}"),
+                    interval_s=tau, restart_s=RESTART_S,
+                    max_restarts=500, node=DUMP_NODE,
+                )
+                out = run_resilient(stepper, N_RANKS, faults=crash_plan(seed), config=cfg)
+                walls.append(out.wall_s)
+                fails.append(len(out.failures))
+            analytic = expected_runtime(
+                WORK_S / 3600.0, DUMP_S / 3600.0, MTBF_S / 3600.0,
+                tau / 3600.0, RESTART_S / 3600.0,
+            ) * 3600.0
+            rows.append([tau, float(np.mean(walls)), analytic, float(np.mean(fails))])
     return rows
 
 
@@ -144,24 +145,15 @@ def _counters(rows) -> dict:
     }
 
 
-#: The record's sweep is already the reduced 3x3 grid, so smoke runs
-#: the same workload.
-FLEET = {"tags": ("resilience", "checkpoint"), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        return run_main(
-            "resilience",
-            lambda: _sweep(Path(tmp), RECORDED_INTERVALS_S, RECORDED_SEEDS),
-            check=check, report=report,
-            params={"n_seeds": RECORDED_SEEDS, "intervals_s": list(RECORDED_INTERVALS_S),
-                    "n_ranks": N_RANKS, "restart_s": RESTART_S},
-            counters=_counters,
-            virtual_seconds=lambda rows: sum(r[1] for r in rows),
-            notes="reduced sweep (3 seeds, 3 intervals)",
-        )
+BENCH = Bench(
+    ("resilience", "checkpoint"), _sweep, check, report=report,
+    sizes={"intervals_s": list(RECORDED_INTERVALS_S), "n_seeds": RECORDED_SEEDS},
+    params={"n_ranks": N_RANKS, "restart_s": RESTART_S},
+    counters=_counters,
+    virtual_seconds=lambda rows: sum(r[1] for r in rows),
+    notes="reduced sweep (3 seeds, 3 intervals)",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -15,7 +15,7 @@ from repro.cluster import (
     FailureModel,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 TRIALS = 100
@@ -68,22 +68,13 @@ def check(result) -> None:
     assert avail > 0.995
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('section', 'reliability'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "s21_reliability", _build, check=check, report=report,
-        params={"trials": TRIALS},
-        counters=lambda r: {
-            "availability": r[4],
-            "smart_predicted_ratio": r[3],
-        },
-        notes="reduced Monte-Carlo trial count",
-    )
+BENCH = Bench(
+    ("section", "reliability"), _build, check, report=report,
+    params={"trials": TRIALS},
+    counters=lambda r: {"availability": r[4], "smart_predicted_ratio": r[3]},
+    notes="reduced Monte-Carlo trial count",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

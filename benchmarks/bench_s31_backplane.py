@@ -15,7 +15,7 @@ from repro.network import (
     pair_flows,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -48,21 +48,12 @@ def check(result) -> None:
     assert by_p[294] < 0.5 * by_p[224]  # the >256-processor cliff
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('section', 'network'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "s31_backplane", _build, check=check, report=report,
-        params={"n_streams": 16},
-        counters=lambda r: {
-            "cross16_mbits": r[0],
-            "sweep_points": len(r[2]),
-        },
-    )
+BENCH = Bench(
+    ("section", "network"), _build, check, report=report,
+    params={"n_streams": 16},
+    counters=lambda r: {"cross16_mbits": r[0], "sweep_points": len(r[2])},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

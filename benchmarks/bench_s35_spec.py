@@ -16,7 +16,7 @@ from repro.spec import (
     spec_scores,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -46,17 +46,9 @@ def check(table) -> None:
     assert price_per_specfp(688.0) < 1.00
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "s35_spec", _build, check=check, report=report,
-        counters=lambda table: {"configs": len(table)},
-    )
+BENCH = Bench(("section", "hardware"), _build, check, report=report,
+              counters=lambda table: {"configs": len(table)})
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

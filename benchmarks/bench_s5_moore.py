@@ -20,7 +20,7 @@ from repro.cluster import (
     ram_dollars_per_mb,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -70,21 +70,12 @@ def check(result) -> None:
     assert abs(c.predicted_ratio() - 150.0) < 8.0
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('section', 'hardware'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "s5_moore", _build, check=check, report=report,
-        params={"years": 6.0},
-        counters=lambda r: {
-            "commodities": len(r[0]),
-            "npb_benches": len(r[1]),
-        },
-    )
+BENCH = Bench(
+    ("section", "hardware"), _build, check, report=report,
+    params={"years": 6.0},
+    counters=lambda r: {"commodities": len(r[0]), "npb_benches": len(r[1])},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -23,10 +23,8 @@ import numpy as np
 from repro.core.parallel import ParallelConfig, parallel_tree_accelerations
 from repro.simmpi.cost import SpaceSimulatorCost
 
-from _harness import cli, run_main
+from _harness import Bench
 
-PROCS = (512, 1024, 2560)
-SMOKE_PROCS = (128, 256)
 PARTICLES_PER_RANK = 2
 
 
@@ -49,7 +47,7 @@ def _run_one(n_ranks: int) -> dict:
     }
 
 
-def _build(procs=PROCS):
+def _build(procs):
     return {p: _run_one(p) for p in procs}
 
 
@@ -60,34 +58,17 @@ def check(out) -> None:
     assert out[max(out)]["requests"] >= out[min(out)]["requests"]
 
 
-def _record(procs, name):
-    def counters(result):
-        out = {}
-        for p, r in result.items():
-            for k, v in r.items():
-                out[f"{k}_p{p}"] = v
-        return out
-
-    return run_main(
-        name, lambda: _build(procs), check=check,
-        params={"procs": list(procs), "per_rank": PARTICLES_PER_RANK},
-        counters=counters,
-        virtual_seconds=lambda result: max(r["virtual_s"] for r in result.values()),
-        notes="one parallel treecode force step per rank count, "
-              "communication-dominated (2 particles/rank)",
-    )
-
-
-#: Reduced smoke: the full rank ladder runs for minutes; CI keeps to
-#: SMOKE_PROCS under the scale_ranks_smoke record name.
-FLEET = {"tags": ("scale", "simmpi"), "smoke": "reduced"}
-
-
-def main(smoke: bool = False) -> dict:
-    if smoke:
-        return _record(SMOKE_PROCS, "scale_ranks_smoke")
-    return _record(PROCS, "scale_ranks")
+#: Smoke keeps to P in {128, 256}: the full rank ladder runs for minutes.
+BENCH = Bench(
+    ("scale", "simmpi"), _build, check,
+    sizes={"procs": [512, 1024, 2560]}, smoke={"procs": [128, 256]},
+    params={"per_rank": PARTICLES_PER_RANK},
+    counters=lambda out: {f"{k}_p{p}": v for p, r in out.items() for k, v in r.items()},
+    virtual_seconds=lambda out: max(r["virtual_s"] for r in out.values()),
+    notes="one parallel treecode force step per rank count, "
+          "communication-dominated (2 particles/rank)",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

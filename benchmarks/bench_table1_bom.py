@@ -8,7 +8,7 @@ peak per node).
 from repro.analysis import format_table
 from repro.cluster import SPACE_SIMULATOR_BOM
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -39,21 +39,15 @@ def check(result) -> None:
     assert abs(bom.peak_gflops - 1487.6) < 1.0
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table1_bom", _build, check=check, report=report,
-        counters=lambda r: {
-            "total_cost": r[0].total_cost,
-            "cost_per_node": r[0].cost_per_node,
-            "rows": len(r[1]),
-        },
-    )
+BENCH = Bench(
+    ("table", "hardware"), _build, check, report=report,
+    counters=lambda r: {
+        "total_cost": r[0].total_cost,
+        "cost_per_node": r[0].cost_per_node,
+        "rows": len(r[1]),
+    },
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

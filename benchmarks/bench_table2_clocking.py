@@ -9,7 +9,7 @@ prediction, compared cell by cell against the paper.
 from repro.analysis import format_table
 from repro.machine import OVERCLOCK, TABLE2_CONFIGS, TABLE2_MEASURED, table2_profiles
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -41,17 +41,9 @@ def check(rows) -> None:
     assert {"copy", "add", "scale", "triad", "SP", "MG", "CG"} <= set(memory_bound)
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table2_clocking", _build, check=check, report=report,
-        counters=lambda rows: {"rows": len(rows)},
-    )
+BENCH = Bench(("table", "hardware"), _build, check, report=report,
+              counters=lambda rows: {"rows": len(rows)})
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

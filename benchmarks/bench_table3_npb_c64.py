@@ -19,7 +19,7 @@ from repro.nas import (
     space_simulator_npb_model,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 _KERNELS = {"BT": run_bt, "SP": run_sp, "LU": run_lu, "CG": run_cg, "FT": run_ft, "IS": run_is}
 
@@ -60,21 +60,12 @@ def check(result) -> None:
         assert abs(q_model / q_paper - 1.0) < 1e-6, bench
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table3_npb_c64", _build, check=check, report=report,
-        params={"klass": "C", "procs": 64},
-        counters=lambda r: {
-            "verified": sum(r[0].values()),
-            "rows": len(r[1]),
-        },
-    )
+BENCH = Bench(
+    ("table", "npb"), _build, check, report=report,
+    params={"klass": "C", "procs": 64},
+    counters=lambda r: {"verified": sum(r[0].values()), "rows": len(r[1])},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

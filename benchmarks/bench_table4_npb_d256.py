@@ -14,7 +14,7 @@ from repro.nas import (
     space_simulator_npb_model,
 )
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -51,18 +51,9 @@ def check(rows) -> None:
     assert ss_rank == ["LU", "BT", "SP", "FT", "CG"]
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('table', 'npb'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table4_npb_d256", _build, check=check, report=report,
-        params={"klass": "D", "procs": 256},
-        counters=lambda rows: {"rows": len(rows)},
-    )
+BENCH = Bench(("table", "npb"), _build, check, report=report,
+              params={"klass": "D", "procs": 256}, counters=lambda rows: {"rows": len(rows)})
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

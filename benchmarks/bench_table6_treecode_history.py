@@ -18,7 +18,7 @@ from repro.machine import TABLE6_MACHINES
 from repro.obs import wait_summary
 from repro.simmpi import SpaceSimulatorCost
 
-from _harness import cli, comm_health_counters, run_main, sphere_cloud
+from _harness import Bench, comm_health_counters, sphere_cloud
 
 
 def _sphere(n, seed=7):
@@ -72,18 +72,12 @@ def _counters(r) -> dict:
     }
 
 
-#: Already CI-cheap (one 4-rank force solve), so smoke == full.
-FLEET = {"tags": ("table", "treecode", "comm"), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table6_treecode_history", _build, check=check, report=report,
-        params={"n": 6000, "n_ranks": 4, "theta": 0.8},
-        counters=_counters,
-        virtual_seconds=lambda r: r.sim.elapsed,
-    )
+BENCH = Bench(
+    ("table", "treecode", "comm"), _build, check, report=report,
+    params={"n": 6000, "n_ranks": 4, "theta": 0.8},
+    counters=_counters, virtual_seconds=lambda r: r.sim.elapsed,
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

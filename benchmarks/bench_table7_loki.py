@@ -3,7 +3,7 @@
 from repro.analysis import format_table
 from repro.cluster import LOKI_BOM
 
-from _harness import cli, run_main
+from _harness import Bench
 
 
 def _build():
@@ -27,17 +27,11 @@ def check(rows) -> None:
     assert round(LOKI_BOM.cost_per_node) == 3211
 
 
-#: Fleet registry metadata: this bench is already CI-cheap, so
-#: smoke mode runs the full workload under the same record name.
-FLEET = {"tags": ('table', 'hardware'), "smoke": "full"}
-
-
-def main(smoke: bool = False) -> dict:
-    return run_main(
-        "table7_loki", _build, check=check, report=report,
-        counters=lambda rows: {"total_cost": LOKI_BOM.total_cost, "rows": len(rows)},
-    )
+BENCH = Bench(
+    ("table", "hardware"), _build, check, report=report,
+    counters=lambda rows: {"total_cost": LOKI_BOM.total_cost, "rows": len(rows)},
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -35,11 +35,7 @@ from repro.core.procpool import MultiprocessBackend, resolve_pool_workers
 from repro.obs import self_seconds
 from repro.obs import wallclock as wc
 
-from _harness import cli, run_main, sphere_cloud
-
-#: Reduced smoke: a much smaller N than the full bench, so it reports
-#: under a distinct record name to keep full-mode baselines clean.
-FLEET = {"tags": ("wallclock", "parallel", "backend"), "smoke": "reduced"}
+from _harness import Bench, sphere_cloud
 
 
 def _leg(pos, m, ranks, steps, config):
@@ -80,6 +76,7 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
     partition_exact = sum(buckets.values()) == elapsed
 
     return {
+        "n": n,
         "reference_s": ref_s,
         "optimized_s": opt_s,
         "check_s": chk_s,
@@ -95,38 +92,31 @@ def check(out) -> None:
     assert out["partition_exact"], "wallclock buckets do not partition elapsed"
 
 
-def main(smoke: bool = False) -> dict:
-    n = 4000 if smoke else 100_000
-    ranks, steps, seed = (4, 1, 11) if smoke else (8, 1, 11)
+def _counters(out) -> dict:
+    c = {
+        "wall_reference_s": out["reference_s"],
+        "wall_optimized_s": out["optimized_s"],
+        "wall_serial_batched_s": out["check_s"],
+        "speedup": out["reference_s"] / out["optimized_s"],
+        "bit_identical": float(out["bit_identical"]),
+        "partition_exact": float(out["partition_exact"]),
+    }
+    for name, share in out["shares"].items():
+        c[f"bucket_{name}_share"] = share
+    return c
 
-    def counters(out):
-        c = {
-            "wall_reference_s": out["reference_s"],
-            "wall_optimized_s": out["optimized_s"],
-            "wall_serial_batched_s": out["check_s"],
-            "speedup": out["reference_s"] / out["optimized_s"],
-            "bit_identical": float(out["bit_identical"]),
-            "partition_exact": float(out["partition_exact"]),
-        }
-        for name, share in out["shares"].items():
-            c[f"bucket_{name}_share"] = share
-        return c
 
-    return run_main(
-        "wallclock_smoke" if smoke else "wallclock",
-        lambda: _measure(n, ranks, steps, seed), check=check,
-        params={
-            "n": n, "ranks": ranks, "steps": steps, "seed": seed,
-            "cpu_count": os.cpu_count() or 1,
-            "workers": resolve_pool_workers(None),
-        },
-        counters=counters,
-        virtual_seconds=lambda out: out["virtual_seconds"],
-        notes=("pergroup/serial vs batched/multiprocess; reduced N"
-               if smoke else
-               "pergroup/serial vs batched/multiprocess at N=1e5"),
-    )
+#: Smoke shrinks N (and the rank count) so the fleet finishes in seconds.
+BENCH = Bench(
+    ("wallclock", "parallel", "backend"), _measure, check,
+    sizes={"n": 100_000, "ranks": 8, "steps": 1, "seed": 11}, smoke={"n": 4000, "ranks": 4},
+    params={"cpu_count": os.cpu_count() or 1, "workers": resolve_pool_workers(None)},
+    counters=_counters,
+    virtual_seconds=lambda out: out["virtual_seconds"],
+    notes=lambda out: "pergroup/serial vs batched/multiprocess at N=1e5"
+    if out["n"] == 100_000 else "pergroup/serial vs batched/multiprocess; reduced N",
+)
 
 
 if __name__ == "__main__":
-    cli(main, __doc__)
+    BENCH.cli(__file__, __doc__)

@@ -45,9 +45,10 @@ Two communication schedules drive step 3, selected by
     communication.  Fetched cells stay resident across rounds (and,
     in the multi-step driver, timesteps): the table is the cache, its
     ``used`` and ``branch`` columns the recency order and the validity
-    stamps.  A locally-essential-tree prefetch
-    (:attr:`ParallelConfig.prefetch`) MAC-tests the domain boundary to
-    bulk-fetch likely-needed cells before the walk starts.
+    stamps.  A locally-essential-tree prefetch of up to
+    :attr:`ParallelConfig.prefetch_rounds` waves (``0`` switches it off)
+    MAC-tests the domain boundary to bulk-fetch likely-needed cells
+    before the walk starts.
 
 ``"blocking"``
     The bulk-synchronous reference: each round is an alltoall of
@@ -210,12 +211,10 @@ class ParallelConfig:
         (latency-hiding batched nonblocking messages, the default) or
         ``"blocking"`` (bulk-synchronous ABM reference).  Both produce
         bit-identical physics.
-    prefetch:
-        Enable the locally-essential-tree prefetch before the walk
-        (``"async"`` schedule only).
     prefetch_rounds:
-        Maximum prefetch waves (each wave descends one tree level along
-        the domain boundary).
+        Maximum waves of the locally-essential-tree prefetch before the
+        walk (``"async"`` schedule only; each wave descends one tree
+        level along the domain boundary).  ``0`` switches it off.
     cache_capacity:
         Bound on the remote cells a rank's table holds at once (the
         least recently used are evicted); ``None`` is unbounded.  Must
@@ -234,7 +233,6 @@ class ParallelConfig:
     backend: str | None = None
     eval: str = "batched"
     comm: str = "async"
-    prefetch: bool = True
     prefetch_rounds: int = 8
     cache_capacity: int | None = None
 
@@ -247,7 +245,8 @@ class ParallelConfig:
         for name in ("bucket_size", "oversample", "max_rounds", "prefetch_rounds",
                      "cache_capacity"):
             value = getattr(self, name)
-            if not hasattr(value, "__index__") and (value, name) != (None, "cache_capacity"):
+            integer = hasattr(value, "__index__") and not isinstance(value, bool)
+            if not integer and (value, name) != (None, "cache_capacity"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("bucket_size", "oversample", "max_rounds"):
             if getattr(self, name) < 1:
@@ -901,7 +900,7 @@ class _Traversal:
 
     def run(self):
         if self.config.comm == "async":
-            if self.config.prefetch and self.comm.size > 1:
+            if self.comm.size > 1:
                 yield from self.prefetch_boundary()
             yield from self.traverse_async()
         else:
@@ -1263,7 +1262,7 @@ def parallel_tree_accelerations(
 
     Invariants: for a fixed ``n_ranks`` the returned accelerations are
     bit-identical across ``config.comm`` schedules, cache capacities,
-    and prefetch settings — communication strategy never touches the
+    and prefetch rounds — communication strategy never touches the
     physics.  Different rank counts group sink particles differently,
     so results vary across ``n_ranks`` at the MAC-error scale (exactly
     as they do versus the serial treecode), never more.

@@ -384,7 +384,8 @@ def compute_forces(
 #
 # Kept verbatim as the pinning reference: the differential suite holds
 # the batched path to within 1e-10 of this walker with bit-identical
-# counts, and bench_table5 measures the batched speedup against it.
+# counts, and a slow test of the Table 5 study measures the batched
+# speedup against it.
 
 
 def _collect_lists(tree: Tree, group: int, mac) -> tuple[np.ndarray, np.ndarray]:

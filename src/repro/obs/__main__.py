@@ -187,7 +187,8 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
     if opts.list:
         registry = build_registry(opts.bench_dir)
         for entry in sorted(registry.values(), key=lambda e: e.name):
-            print(f"{entry.name:30s} smoke={entry.smoke:8s} tags={','.join(entry.tags)}")
+            smoke = entry.bench.record_name(entry.name, smoke=True)
+            print(f"{entry.name:30s} smoke={smoke:36s} tags={','.join(entry.bench.tags)}")
         return 0
 
     # A gate that has nothing to compare against would report OK with

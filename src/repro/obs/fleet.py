@@ -1,10 +1,11 @@
 """The benchmark fleet: every ``benchmarks/bench_*.py`` as one campaign.
 
 The repo's benches each know how to measure one figure or table and
-emit one schema-validated record (``benchmarks/_harness.py``).  This
-module is the layer above: a **registry** that enumerates the whole
-suite and refuses benches that don't declare a smoke parameterization,
-a **scenario adapter** (:class:`repro.campaign.spec.BenchSpec` +
+emit one schema-validated record: each ``bench_<stem>.py`` declares
+``BENCH = Bench(...)`` (``benchmarks/_harness.py``).  This module is
+the layer above: a **registry** that enumerates the whole suite and
+refuses any file without a tagged ``Bench`` declaration, a **scenario
+adapter** (:class:`repro.campaign.spec.BenchSpec` +
 :func:`run_bench_scenario`) that turns one bench run into one campaign
 shard, and a **fleet runner** (:func:`run_fleet`, surfaced as
 ``python -m repro.obs fleet``) that pushes the catalog through
@@ -17,14 +18,14 @@ the bench's own record plus a ``fleet`` stamp (deterministic fleet id,
 smoke/full mode, shard status, wall seconds, registry tags) — every
 line valid against ``benchmarks/schema.json``.  Failed shards become
 schema-valid rows too (status ``failed``, synthesized record carrying
-the error), so a fleet ledger is always complete: 26 catalog entries
-in, 26 rows out.
+the error), so a fleet ledger is always complete: one row per catalog
+entry.
 
-A bench's ``main()`` only returns its record; the coordinator is the
-one process that writes the ledger and, when given ``history=``,
-appends the freshly computed records to it.  Bench stdout (each bench
-prints its record) is swallowed in the worker; the coordinator owns all
-reporting.
+A bench run (``Bench.run``) only returns its record; the coordinator
+is the one process that writes the ledger and, when given
+``history=``, appends the freshly computed records to it.  Bench stdout
+(each bench prints its report and record) is swallowed in the worker;
+the coordinator owns all reporting.
 
 The read side: :func:`load_fleet` for the ledger,
 :func:`repro.obs.history.compare_history` for the multi-metric
@@ -36,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib.util
-import inspect
 import io
 import json
 import os
@@ -50,7 +50,6 @@ from .model import NULL, Recorder
 __all__ = [
     "BENCH_ROOT_ENV",
     "FLEET_FILE",
-    "SMOKE_KINDS",
     "BenchEntry",
     "FleetError",
     "FleetRun",
@@ -67,14 +66,6 @@ BENCH_ROOT_ENV = "REPRO_BENCH_ROOT"
 
 #: Ledger filename written into the fleet output directory.
 FLEET_FILE = "fleet.jsonl"
-
-#: Valid ``FLEET["smoke"]`` declarations: ``"full"`` means the smoke
-#: workload *is* the full workload (already CI-cheap); ``"reduced"``
-#: means smoke mode cuts the problem down and must emit its record
-#: under a distinct ``<name>_smoke`` name so full-mode rolling
-#: baselines are never polluted with small-workload timings.
-SMOKE_KINDS = ("full", "reduced")
-
 
 class FleetError(ValueError):
     """A bench suite or fleet-ledger contract violation."""
@@ -128,91 +119,83 @@ def _harness(bench_dir: str):
     return _harness
 
 
+def _declaration(stem: str, mod, harness):
+    """The ``BENCH`` of ``bench_<stem>.py``; a :class:`FleetError`
+    naming the file if it is missing, not a ``Bench``, or untagged."""
+    bench = getattr(mod, "BENCH", None)
+    if bench is None:
+        problem = "no BENCH = Bench(...) declaration"
+    elif not isinstance(bench, harness.Bench):
+        problem = f"BENCH is not a Bench (got {type(bench).__name__})"
+    elif not bench.tags:
+        problem = "BENCH declares no tags"
+    else:
+        return bench
+    raise FleetError(f"bench_{stem}.py: {problem}")
+
+
 @dataclass(frozen=True)
 class BenchEntry:
-    """One registered bench: module stem, file, and FLEET metadata."""
+    """One registered bench: module stem, file, and its declaration."""
 
     name: str  # module stem, e.g. "fig7_cosmology"
     path: str
-    tags: tuple[str, ...]
-    smoke: str  # one of SMOKE_KINDS
-
-    @property
-    def smoke_record_name(self) -> str:
-        """Record name the bench emits in smoke mode."""
-        return self.name if self.smoke == "full" else f"{self.name}_smoke"
+    bench: object  # the module's _harness.Bench
 
 
 def build_registry(bench_dir: str | None = None) -> dict[str, BenchEntry]:
-    """Enumerate the suite; refuse benches without a smoke contract.
+    """Enumerate the suite; refuse files without a tagged ``Bench``.
 
-    Every ``bench_*.py`` must expose ``main(smoke: bool = False)`` and a
-    module-level ``FLEET = {"tags": (...), "smoke": "full" | "reduced"}``.
-    Any offender fails the *whole* registry with one error naming all of
-    them — a fleet with silently missing benches would report green on
-    partial coverage, which is worse than failing loudly.
+    Every ``bench_*.py`` must declare ``BENCH = Bench(tags, build,
+    check, ...)`` with at least one tag.  Any offender fails the
+    *whole* registry with one error naming all of them — a fleet with
+    silently missing benches would report green on partial coverage,
+    which is worse than failing loudly.
     """
     bench_dir = bench_dir or default_bench_dir()
     if not os.path.isdir(bench_dir):
         raise FleetError(f"bench directory not found: {bench_dir}")
+    stems = [f[len("bench_"):-len(".py")] for f in sorted(os.listdir(bench_dir))
+             if f.startswith("bench_") and f.endswith(".py")]
+    if not stems:
+        raise FleetError(f"no bench_*.py found under {bench_dir}")
+    harness = _harness(bench_dir)
     entries: dict[str, BenchEntry] = {}
     problems: list[str] = []
-    for filename in sorted(os.listdir(bench_dir)):
-        if not (filename.startswith("bench_") and filename.endswith(".py")):
-            continue
-        stem = filename[len("bench_"):-len(".py")]
+    for stem in stems:
+        filename = f"bench_{stem}.py"
         try:
             mod = _load_bench_module(bench_dir, stem)
         except Exception as exc:  # noqa: BLE001 — collected, not fatal per-file
             problems.append(f"{filename}: import failed ({type(exc).__name__}: {exc})")
             continue
-        main = getattr(mod, "main", None)
-        if not callable(main):
-            problems.append(f"{filename}: no callable main()")
+        try:
+            bench = _declaration(stem, mod, harness)
+        except FleetError as exc:
+            problems.append(str(exc))
             continue
-        if "smoke" not in inspect.signature(main).parameters:
-            problems.append(f"{filename}: main() lacks a smoke= parameter")
-            continue
-        meta = getattr(mod, "FLEET", None)
-        if not isinstance(meta, Mapping):
-            problems.append(f"{filename}: no FLEET metadata dict")
-            continue
-        smoke = meta.get("smoke")
-        if smoke not in SMOKE_KINDS:
-            problems.append(
-                f"{filename}: FLEET['smoke'] must be one of {SMOKE_KINDS}, got {smoke!r}"
-            )
-            continue
-        tags = tuple(str(t) for t in meta.get("tags", ()))
-        entries[stem] = BenchEntry(
-            name=stem, path=os.path.join(bench_dir, filename), tags=tags, smoke=smoke,
-        )
+        entries[stem] = BenchEntry(stem, os.path.join(bench_dir, filename), bench)
     if problems:
         listing = "\n".join(f"  - {p}" for p in problems)
         raise FleetError(
-            f"{len(problems)} bench(es) violate the fleet smoke contract "
-            f"(main(smoke=...) plus FLEET metadata):\n{listing}"
+            f"{len(problems)} bench(es) violate the fleet contract "
+            f"(a tagged BENCH = Bench(...) declaration):\n{listing}"
         )
-    if not entries:
-        raise FleetError(f"no bench_*.py found under {bench_dir}")
     return entries
 
 
 def run_bench_scenario(params: Mapping) -> dict:
     """Campaign entry point for :class:`~repro.campaign.spec.BenchSpec`.
 
-    Runs one bench's ``main(smoke=...)`` in this (worker) process with
-    stdout swallowed and returns the bench record itself as the shard
-    result.
+    Runs one bench's declaration (``BENCH.run``) in this (worker)
+    process with stdout swallowed and returns the bench record itself
+    as the shard result.
     """
-    bench = str(params["bench"])
-    smoke = bool(params.get("smoke", True))
-    mod = _load_bench_module(default_bench_dir(), bench)
+    stem = str(params["bench"])
+    bench_dir = default_bench_dir()
+    bench = _declaration(stem, _load_bench_module(bench_dir, stem), _harness(bench_dir))
     with contextlib.redirect_stdout(io.StringIO()):
-        record = mod.main(smoke=smoke)
-    if not isinstance(record, dict):
-        raise TypeError(f"bench {bench!r} main() returned {type(record).__name__}, not dict")
-    return record
+        return bench.run(stem, smoke=bool(params.get("smoke", True)))
 
 
 def fleet_id(catalog: Iterable, smoke: bool) -> str:
@@ -363,7 +346,7 @@ def run_fleet(
             "bench": name,
             "status": status,
             "shard_seconds": float(shard.get("seconds", 0.0)),
-            "tags": list(entry.tags),
+            "tags": list(entry.bench.tags),
         }
         if error:
             stamp["error"] = str(error)

@@ -1,27 +1,37 @@
 """Contract tests for the uniform benchmark records.
 
-Every ``benchmarks/bench_*.py`` must expose ``main() -> dict`` built on
-``benchmarks/_harness.py``, and the record it returns must validate
-against ``benchmarks/schema.json``.  A bench has one run path:
-``run_main`` builds the payload, prints its report, runs its ``check``
-(the paper claims) and returns the record, so executing ``main`` *is*
-asserting the reproduction.  The cheap shape checks (module exposes a
-callable ``main`` and no ``test_*``, the schema file itself is
-well-formed, the subset validator works, history appends are atomic, a
-failed claim fails the fleet) run in the default suite; actually
-executing all 28 payloads (in the smoke parameterization the fleet
-registry declares) is marked slow, as are the claims that need a
-larger workload than the recorded one.
+Every ``benchmarks/bench_*.py`` must declare ``BENCH = Bench(...)``
+(``benchmarks/_harness.py``), and the record a run returns must
+validate against ``benchmarks/schema.json``.  A bench has one run path:
+``Bench.run`` builds the payload, prints its report, runs its ``check``
+(the paper claims) and returns the record, so running the declaration
+*is* asserting the reproduction.  The cheap shape checks (module
+declares a tagged ``Bench`` and no ``test_*``, the record name follows
+the ``smoke`` declaration, the schema file itself is well-formed, the
+subset validator works, history appends are atomic, a failed claim
+fails the fleet) run in the default suite; actually executing all 28
+payloads (at their smoke sizes) is marked slow, as are the claims that
+need a larger workload than the recorded one.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
 import sys
+import time
 
+import numpy as np
 import pytest
 
+from repro.core import (
+    available_backends,
+    build_tree,
+    compute_forces,
+    compute_forces_reference,
+    get_backend,
+)
 from repro.obs.__main__ import main as obs_main
 from repro.obs.fleet import build_registry, load_fleet
 
@@ -60,9 +70,30 @@ def test_bench_files_found():
 
 
 @pytest.mark.parametrize("filename", BENCH_FILES)
-def test_exposes_main(filename):
-    mod = _load(filename)
-    assert callable(getattr(mod, "main", None)), f"{filename} has no main()"
+def test_exposes_main(filename, harness):
+    # The file's one entry point is its declaration: a tagged Bench.
+    bench = getattr(_load(filename), "BENCH", None)
+    assert isinstance(bench, harness.Bench), f"{filename} declares no BENCH = Bench(...)"
+    assert bench.tags, f"{filename} declares no tags"
+
+
+def test_a_run_is_named_smoke_exactly_when_smoke_is_declared(registry, capsys):
+    # Every bench's own declaration, its payload stubbed out: what is
+    # left is the run path that names the record and sizes the payload.
+    for stem, entry in registry.items():
+        stub = dataclasses.replace(
+            entry.bench, build=lambda **sizes: sizes, check=lambda out: None, report=None,
+            params=None, counters=None, virtual_seconds=0.0, notes="", shards=None,
+        )
+        full, smoke = stub.run(stem), stub.run(stem, smoke=True)
+        assert full["name"] == stem
+        assert full["params"] == dict(entry.bench.sizes)
+        if entry.bench.smoke is None:
+            assert smoke["name"] == stem and smoke["params"] == full["params"], stem
+        else:
+            assert smoke["name"] == f"{stem}_smoke", stem
+            assert smoke["params"] == {**entry.bench.sizes, **entry.bench.smoke}, stem
+    capsys.readouterr()
 
 
 def test_no_bench_has_a_second_run_path():
@@ -79,18 +110,18 @@ def test_no_bench_has_a_second_run_path():
             assert not isinstance(node, ast.Global), (filename, node.lineno)
 
 
-class TestRunMain:
-    """``run_main``: build, report, check, record, in that order."""
+class TestBenchRun:
+    """``Bench.run``: build, report, check, record, in that order."""
 
     def test_check_is_required(self, harness):
         with pytest.raises(TypeError, match="check"):
-            harness.run_main("unit_test", lambda: 1)
+            harness.Bench(("unit",), lambda: 1)
 
     def test_report_then_record_on_stdout(self, harness, capsys):
-        record = harness.run_main(
-            "unit_test", lambda: 7, check=lambda r: None,
+        record = harness.Bench(
+            ("unit",), lambda: 7, lambda r: None,
             report=lambda r: f"TABLE of {r}", counters=lambda r: {"x": r},
-        )
+        ).run("unit_test")
         out = capsys.readouterr().out
         assert out.startswith("TABLE of 7\n{")
         assert json.loads(out[out.index("{"):]) == record
@@ -101,8 +132,7 @@ class TestRunMain:
             assert result > 100
 
         with pytest.raises(AssertionError) as exc:
-            harness.run_main("unit_test", lambda: 7, check=check,
-                             report=lambda r: "TABLE")
+            harness.Bench(("unit",), lambda: 7, check, report=lambda r: "TABLE").run("unit_test")
         assert "'unit_test'" in str(exc.value)
         assert "assert result > 100" in str(exc.value)
         # The table is printed for the reader of the failure; no record is.
@@ -110,31 +140,27 @@ class TestRunMain:
 
     def test_cli_prints_report_above_record(self, harness, capsys):
         # What --out / --history write is pinned in test_obs_history.py.
-        def main(smoke=False):
-            return harness.run_main(
-                "unit_test", lambda: 1, check=lambda r: None,
-                report=lambda r: "TABLE", params={"smoke": smoke},
-            )
-
-        assert harness.cli(main, argv=["--smoke"])["params"] == {"smoke": True}
+        bench = harness.Bench(
+            ("unit",), lambda n, smoke: n, lambda r: None, report=lambda r: "TABLE",
+            sizes={"n": 9, "smoke": False}, smoke={"smoke": True},
+        )
+        record = bench.cli("benchmarks/bench_unit_test.py", argv=["--smoke"])
+        assert (record["name"], record["params"]) == ("unit_test_smoke", {"n": 9, "smoke": True})
         out = capsys.readouterr().out
-        assert out.index("TABLE") < out.index('"name": "unit_test"')
+        assert out.index("TABLE") < out.index('"name": "unit_test_smoke"')
 
 
 _FAILING_CLAIM_BENCH = '''\
-from _harness import cli, run_main
+from _harness import Bench
 
 PAPER_TOTAL = 51_379.0
-FLEET = {"tags": ("fixture",), "smoke": "full"}
 
 
 def check(total):
     assert total == PAPER_TOTAL
 
 
-def main(smoke: bool = False) -> dict:
-    return run_main("wrongtotal", lambda: 51_380.0, check=check,
-                    report=lambda total: f"total {total}")
+BENCH = Bench(("fixture",), lambda: 51_380.0, check, report=lambda total: f"total {total}")
 '''
 
 
@@ -319,23 +345,58 @@ class TestAppendHistoryAtomicity:
 @pytest.mark.slow
 @pytest.mark.parametrize("filename", BENCH_FILES)
 def test_main_record_validates(filename, harness, registry, capsys):
-    # The parameterization the registry declares for CI; the "reduced"
-    # benches keep their full payload behind `fleet --full`.
-    entry = registry[filename[len("bench_"):-len(".py")]]
-    record = _load(filename).main(smoke=True)
-    capsys.readouterr()  # swallow the CLI print
+    # The smoke sizes the fleet runs in CI; benches that declare smoke
+    # overrides keep their full payload behind `fleet --full`.
+    stem = filename[len("bench_"):-len(".py")]
+    record = registry[stem].bench.run(stem, smoke=True)
+    capsys.readouterr()  # swallow the report and record print
     assert harness.validate_record(record) == [], filename
-    assert record["name"] == entry.smoke_record_name
     assert record["seconds"] > 0
 
 
 @pytest.mark.slow
-def test_resilience_young_minimum(tmp_path):
+def test_resilience_young_minimum():
     # The two claims of bench_resilience.py that hold only on the whole
     # 7-interval x 25-seed grid (the recorded 3 x 3 corner stops on the
     # falling side of the curve).  Virtual time, seeded: deterministic.
     mod = _load("bench_resilience.py")
-    rows = mod._sweep(tmp_path, mod.INTERVALS_S, mod.N_SEEDS)
+    rows = mod._sweep(mod.INTERVALS_S, mod.N_SEEDS)
     print(mod.report(rows))
     mod.check(rows)
     mod.check_young_minimum(rows)
+
+
+def _plummer(n, seed=0):
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    r = np.clip(1.0 / np.sqrt(u ** (-2.0 / 3.0) - 1.0), None, 10.0)
+    d = rng.standard_normal((n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return r[:, None] * d, np.full(n, 1.0 / n)
+
+
+@pytest.mark.slow
+def test_table5_batched_beats_the_walker():
+    # Table 5's production-N study, host-timed so it is no bench record:
+    # the batched interaction-list evaluation against the historical
+    # one-group-at-a-time walker at N=50k, on every registered backend,
+    # same interaction counts and forces.
+    tree = build_tree(*_plummer(50_000), bucket_size=32)
+    t0 = time.perf_counter()
+    ref = compute_forces_reference(tree, eps=0.01)
+    walker_s = time.perf_counter() - t0
+    for backend in available_backends():
+        best = np.inf
+        for _ in range(2):
+            t0 = time.perf_counter()
+            res = compute_forces(tree, eps=0.01, backend=backend)
+            best = min(best, time.perf_counter() - t0)
+        # A pooled backend's idle workers would outlive the test.
+        close = getattr(get_backend(backend), "close", None)
+        if close is not None:
+            close()
+        print(f"{backend}: walker {walker_s:.2f} s, batched {best:.2f} s")
+        assert res.counts == ref.counts, backend
+        assert np.abs(res.accelerations - ref.accelerations).max() < 1e-10, backend
+        if backend == "numpy":
+            assert walker_s / best > 3.0

@@ -94,7 +94,7 @@ class TestLRUSemantics:
         # key is requested once, after a walk missed it.
         pos = np.random.default_rng(3).random((120, 3))
         comm = parallel_tree_accelerations(
-            pos, n_ranks=3, config=ParallelConfig(prefetch=False)).comm
+            pos, n_ranks=3, config=ParallelConfig(prefetch_rounds=0)).comm
         assert comm["cache_misses"] >= comm["requests"] == comm["cache_inserts"] > 0
         assert comm["cache_hits"] > 0
 

@@ -131,16 +131,18 @@ def _code_lines():
 
 
 def test_latest_code_line_row_is_what_the_counter_prints():
-    # The code-line tables of EXPERIMENTS.md end in an "all of `src/`"
-    # row; the last of them is the tree as committed, by the counter
-    # the tables cite.  A PR that changes `src/` adds its row.
-    rows = re.findall(r"^\| all of `src/` \|.*\| ([\d ]+\d)[^|]*\|$", EXPERIMENTS.read_text(),
-                      re.M)
-    assert rows, "EXPERIMENTS.md has no code-line table"
-    counted = _code_lines().total(str(REPO / "src"))
-    assert int(rows[-1].replace(" ", "")) == counted, (
-        f"EXPERIMENTS.md's latest `all of src/` row says {rows[-1]}, "
-        f"`python tools/code_lines.py` counts {counted}: add this change's row")
+    # The code-line tables of EXPERIMENTS.md end in "all of `src/`" and
+    # "all of `benchmarks/`" rows; the last of each is the tree as
+    # committed, by the counter the tables cite.  A PR that changes
+    # either tree adds its row.
+    for tree in ("src", "benchmarks"):
+        rows = re.findall(rf"^\| all of `{tree}/` \|.*\| ([\d ]+\d)[^|]*\|$",
+                          EXPERIMENTS.read_text(), re.M)
+        assert rows, f"EXPERIMENTS.md has no `all of {tree}/` code-line row"
+        counted = _code_lines().total(str(REPO / tree))
+        assert int(rows[-1].replace(" ", "")) == counted, (
+            f"EXPERIMENTS.md's latest `all of {tree}/` row says {rows[-1]}, "
+            f"`python tools/code_lines.py {tree}` counts {counted}: add this change's row")
 
 
 def test_changes_entries_are_short_from_pr_21_on():

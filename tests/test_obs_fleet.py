@@ -1,7 +1,7 @@
 """Tests for repro.obs.fleet: the bench-suite registry and fleet runner.
 
 The real suite's contract is pinned (every ``benchmarks/bench_*.py``
-registers with tags and a smoke declaration); everything behavioral
+registers a tagged ``BENCH = Bench(...)``); everything behavioral
 runs against a tiny fixture suite in ``tmp_path`` — synthetic bench
 modules next to a copy of the real ``_harness.py``/``schema.json`` —
 so the tests exercise registry refusal, workers that write nothing,
@@ -20,7 +20,6 @@ from repro.campaign.fingerprint import scenario_fingerprint_hex
 from repro.campaign.spec import SPEC_KINDS, BenchSpec, spec_from_dict
 from repro.obs.fleet import (
     BENCH_ROOT_ENV,
-    SMOKE_KINDS,
     FleetError,
     build_registry,
     default_bench_dir,
@@ -36,40 +35,35 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REAL_BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 _BENCH_TEMPLATE = '''\
-FLEET = {{"tags": ("fixture",), "smoke": "{smoke_kind}"}}
+from _harness import Bench
 
 
-def main(smoke: bool = False) -> dict:
-    from _harness import run_main
+def build(n):
     print("{name} stdout chatter")
 {fail_line}
-    return run_main(
-        {record_name},
-        lambda: {{"x": {value}}},
-        check=lambda out: None,
-        params={{"smoke": smoke}},
-        counters=lambda out: {{
-            "x": out["x"],
-            "cellcache.hit_rate": 0.9,
-            "wait.late-sender_s": 1.5,
-            "wait.transfer_s": 0.5,
-        }},
-        virtual_seconds={value},
-    )
+    return {{"x": {value}}}
+
+
+BENCH = Bench(
+    ("fixture",), build, lambda out: None,
+    sizes={{"n": 2}}, smoke={smoke},
+    counters=lambda out: {{
+        "x": out["x"],
+        "cellcache.hit_rate": 0.9,
+        "wait.late-sender_s": 1.5,
+        "wait.transfer_s": 0.5,
+    }},
+    virtual_seconds={value},
+)
 '''
 
 
-def _write_bench(bench_dir, name, *, smoke_kind="full", fail=False, value=2.0):
-    record_name = (
-        f'"{name}_smoke" if smoke else "{name}"' if smoke_kind == "reduced"
-        else f'"{name}"'
-    )
+def _write_bench(bench_dir, name, *, reduced=False, fail=False, value=2.0):
     fail_line = (
         '    raise RuntimeError("fixture bench exploded")' if fail else "    pass"
     )
     source = _BENCH_TEMPLATE.format(
-        name=name, smoke_kind=smoke_kind, record_name=record_name,
-        fail_line=fail_line, value=value,
+        name=name, smoke='{"n": 1}' if reduced else None, fail_line=fail_line, value=value,
     )
     with open(os.path.join(bench_dir, f"bench_{name}.py"), "w") as fh:
         fh.write(source)
@@ -84,7 +78,7 @@ def _validate_ledger(path):
 
 
 class TestRealSuiteRegistry:
-    """The committed suite must satisfy the fleet smoke contract."""
+    """The committed suite must satisfy the fleet contract."""
 
     def test_registry_covers_every_bench_file(self, monkeypatch):
         monkeypatch.delenv(BENCH_ROOT_ENV, raising=False)
@@ -95,24 +89,23 @@ class TestRealSuiteRegistry:
             if f.startswith("bench_") and f.endswith(".py")
         }
         assert set(registry) == files
-        assert len(registry) >= 26
+        assert len(registry) == 28
         for entry in registry.values():
-            assert entry.smoke in SMOKE_KINDS
-            assert entry.tags, f"{entry.name} has no tags"
+            assert entry.bench.tags, f"{entry.name} has no tags"
             assert os.path.isfile(entry.path)
 
     def test_reduced_benches_emit_distinct_smoke_records(self, monkeypatch):
         monkeypatch.delenv(BENCH_ROOT_ENV, raising=False)
         registry = build_registry()
-        reduced = {n for n, e in registry.items() if e.smoke == "reduced"}
+        reduced = {n for n, e in registry.items() if e.bench.smoke is not None}
         # The known heavyweights must stay reduced (full mode takes
         # minutes); their smoke records are renamed to protect the
         # full-mode rolling baselines.
         assert {"fig7_cosmology", "fig8_supernova", "scale_ranks"} <= reduced
-        for name in reduced:
-            assert registry[name].smoke_record_name == f"{name}_smoke"
-        for name in set(registry) - reduced:
-            assert registry[name].smoke_record_name == name
+        for name, entry in registry.items():
+            smoke_name = f"{name}_smoke" if name in reduced else name
+            assert entry.bench.record_name(name, smoke=True) == smoke_name
+            assert entry.bench.record_name(name, smoke=False) == name
 
     def test_env_var_overrides_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(BENCH_ROOT_ENV, str(tmp_path))
@@ -125,15 +118,11 @@ class TestRegistryRefusal:
     def test_one_error_names_every_offender(self, suite):
         _write_bench(suite, "good")
         offenders = {
-            "bench_nofleet.py": "def main(smoke=False):\n    return {}\n",
-            "bench_nosmoke.py": (
-                'FLEET = {"tags": ("x",), "smoke": "full"}\n'
-                "def main():\n    return {}\n"
-            ),
-            "bench_nomain.py": 'FLEET = {"tags": ("x",), "smoke": "full"}\n',
-            "bench_badkind.py": (
-                'FLEET = {"tags": ("x",), "smoke": "quick"}\n'
-                "def main(smoke=False):\n    return {}\n"
+            "bench_nobench.py": "def build():\n    return {}\n",
+            "bench_notabench.py": 'BENCH = {"tags": ("x",), "smoke": "full"}\n',
+            "bench_notags.py": (
+                "from _harness import Bench\n"
+                "BENCH = Bench((), lambda: 1, lambda out: None)\n"
             ),
             "bench_brokenimport.py": 'raise ImportError("nope")\n',
         }
@@ -203,7 +192,7 @@ class TestRunBenchScenario:
         monkeypatch.setenv("REPRO_BENCH_DIR", str(emit_dir))
         record = run_bench_scenario({"bench": "alpha", "smoke": True})
         assert record["name"] == "alpha"
-        assert record["params"] == {"smoke": True}
+        assert record["params"] == {"n": 2}
         # The worker must not write records (single-writer rule) ...
         assert not hist.exists()
         assert not emit_dir.exists()
@@ -219,9 +208,9 @@ class TestRunBenchScenario:
         other = str(tmp_path / "other")
         shutil.copytree(suite, other)
         _write_bench(suite, "alpha", value=2.0)
-        _write_bench(other, "alpha", smoke_kind="reduced", value=5.0)
-        assert build_registry(suite)["alpha"].smoke == "full"
-        assert build_registry(other)["alpha"].smoke == "reduced"
+        _write_bench(other, "alpha", reduced=True, value=5.0)
+        assert build_registry(suite)["alpha"].bench.smoke is None
+        assert build_registry(other)["alpha"].bench.smoke == {"n": 1}
         monkeypatch.setenv(BENCH_ROOT_ENV, other)
         record = run_bench_scenario({"bench": "alpha", "smoke": True})
         assert (record["name"], record["virtual_seconds"]) == ("alpha_smoke", 5.0)
@@ -229,21 +218,18 @@ class TestRunBenchScenario:
         record = run_bench_scenario({"bench": "alpha", "smoke": True})
         assert (record["name"], record["virtual_seconds"]) == ("alpha", 2.0)
 
-    def test_non_dict_record_is_an_error(self, suite, monkeypatch):
+    def test_non_bench_declaration_is_an_error(self, suite, monkeypatch):
         with open(os.path.join(suite, "bench_badret.py"), "w") as fh:
-            fh.write(
-                'FLEET = {"tags": ("x",), "smoke": "full"}\n'
-                "def main(smoke=False):\n    return 42\n"
-            )
+            fh.write("BENCH = 42\n")
         monkeypatch.setenv(BENCH_ROOT_ENV, suite)
-        with pytest.raises(TypeError, match="badret"):
+        with pytest.raises(FleetError, match=r"bench_badret.py: BENCH is not a Bench \(got int\)"):
             run_bench_scenario({"bench": "badret", "smoke": True})
 
 
 class TestRunFleet:
     def test_fixture_fleet_end_to_end(self, suite, tmp_path):
         _write_bench(suite, "alpha")
-        _write_bench(suite, "beta", smoke_kind="reduced", value=3.0)
+        _write_bench(suite, "beta", reduced=True, value=3.0)
         hist = tmp_path / "hist.jsonl"
         run = run_fleet(
             out_dir=str(tmp_path / "out"), bench_dir=suite, history=str(hist),

@@ -187,24 +187,20 @@ class TestHarnessAppendHistory:
         with pytest.raises(TypeError):
             harness.append_history({"name": "q", "seconds": 1.0})
 
-    def test_run_main_appends_history(self, harness, tmp_path, monkeypatch):
-        # run_main only returns its record, whatever the environment
+    def test_bench_cli_appends_history(self, harness, tmp_path, monkeypatch):
+        # A bench run only returns its record, whatever the environment
         # says; the shared bench command line is the standalone writer.
         ambient = tmp_path / "ambient"
         monkeypatch.setenv("REPRO_BENCH_HISTORY", str(ambient / "h.jsonl"))
         monkeypatch.setenv("REPRO_BENCH_DIR", str(ambient))
+        bench = harness.Bench(("unit",), lambda: 41 + 1, lambda out: None, virtual_seconds=0.5)
 
-        def main(smoke=False):
-            return harness.run_main(
-                "unit.history", lambda: 41 + 1, check=lambda out: None,
-                virtual_seconds=0.5,
-            )
-
-        record = main()
+        record = bench.run("unit.history")
         assert not ambient.exists()
 
         target = tmp_path / "run.jsonl"
-        assert harness.cli(main, argv=["--history", str(target)])["name"] == "unit.history"
+        path = "bench_unit.history.py"
+        assert bench.cli(path, argv=["--history", str(target)])["name"] == "unit.history"
         (entry,) = load_history(str(target))
         assert entry["name"] == "unit.history"
         assert entry["virtual_seconds"] == 0.5
@@ -213,7 +209,7 @@ class TestHarnessAppendHistory:
         }
 
         out = tmp_path / "out"
-        emitted = harness.cli(main, argv=["--smoke", "--out", str(out)])
+        emitted = bench.cli(path, argv=["--smoke", "--out", str(out)])
         assert os.listdir(out) == ["BENCH_unit.history.json"]
         with open(out / "BENCH_unit.history.json") as fh:
             assert json.load(fh) == emitted

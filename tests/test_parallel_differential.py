@@ -53,7 +53,7 @@ class TestAsyncVsBlockingBitIdentity:
 
     def test_prefetch_off_still_identical(self):
         pos, m = clustered_sphere(600)
-        a = _run(pos, m, 4, comm="async", prefetch=False)
+        a = _run(pos, m, 4, comm="async", prefetch_rounds=0)
         b = _run(pos, m, 4, comm="blocking")
         assert np.array_equal(a.accelerations, b.accelerations)
 

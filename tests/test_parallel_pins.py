@@ -1,7 +1,7 @@
 """Pinned contract of the parallel treecode.
 
 A matrix of small configurations — both entry points x ``comm`` x
-``eval`` x ``prefetch`` x 1/3/8 ranks x uniform/clustered/coincident
+``eval`` x prefetch on/off x 1/3/8 ranks x uniform/clustered/coincident
 clouds x rebalance x cold/warm cache, three force-only runs above the
 flat-collective limit (P=40, P=64, P=128) and bounded-cache runs — whose
 *modelled* outcome is pinned in ``tests/golden/parallel_pins.json``:
@@ -59,16 +59,17 @@ def _cloud(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _configs() -> dict[str, dict]:
     """name -> keyword description of one pinned run."""
     out: dict[str, dict] = {}
-    force_modes = [("async", "batched", True), ("async", "batched", False),
-                   ("blocking", "batched", True), ("async", "pergroup", True),
-                   ("blocking", "pergroup", True)]
+    # pf0 is the prefetch switched off (no waves), pf1 the default 8.
+    force_modes = [("async", "batched", 8), ("async", "batched", 0),
+                   ("blocking", "batched", 8), ("async", "pergroup", 8),
+                   ("blocking", "pergroup", 8)]
     for cloud in ("uniform", "clustered", "coincident"):
         for ranks in (1, 3, 8):
             modes = force_modes if ranks > 1 else [force_modes[0], force_modes[4]]
-            for comm, ev, prefetch in modes:
-                out[f"force-{comm}-{ev}-pf{int(prefetch)}-r{ranks}-{cloud}"] = dict(
+            for comm, ev, waves in modes:
+                out[f"force-{comm}-{ev}-pf{int(waves > 0)}-r{ranks}-{cloud}"] = dict(
                     entry="force", cloud=cloud, n=160, ranks=ranks,
-                    cfg=dict(comm=comm, eval=ev, prefetch=prefetch))
+                    cfg=dict(comm=comm, eval=ev, prefetch_rounds=waves))
         for ranks in (3, 8):
             for rebalance in (True, False):
                 for warm in (True, False):
@@ -81,7 +82,7 @@ def _configs() -> dict[str, dict]:
                 cfg=dict(comm="blocking"))
             out[f"nbody-async-pergroup-pf0-r{ranks}-{cloud}-rb1-warm"] = dict(
                 entry="nbody", cloud=cloud, n=160, ranks=ranks, rebalance=True, warm=True,
-                cfg=dict(eval="pergroup", prefetch=False))
+                cfg=dict(eval="pergroup", prefetch_rounds=0))
         out[f"nbody-async-batched-pf1-r1-{cloud}-rb1-warm"] = dict(
             entry="nbody", cloud=cloud, n=160, ranks=1, rebalance=True, warm=True, cfg=dict())
     for ranks in (40, 64, 128):  # tree collectives and the sparse request round
