@@ -6,9 +6,10 @@ Three legs of the same :func:`repro.core.parallel_nbody_run` problem:
    backend (the pre-batching configuration, still selectable via
    ``ParallelConfig(eval="pergroup")``);
 2. **optimized** — the CSR-pooled batched evaluator on the
-   ``multiprocess`` backend, run under ``wallclock.profile()`` so the
-   record carries the kernel/engine/comm/serialization/other share of
-   every elapsed second;
+   ``multiprocess`` backend, run under ``wallclock.profile()``; its
+   self seconds per span, rolled up through ``wallclock.bucket_of``,
+   give the kernel/engine/comm/serialization/other share of every
+   elapsed second;
 3. **check** — batched on serial numpy, to assert the multiprocess leg
    is *bit-identical* to serial before any speedup is reported.
 
@@ -30,7 +31,6 @@ import time
 import numpy as np
 
 from repro.core import ParallelConfig, parallel_nbody_run
-from repro.core.backend_wall import WallBackend
 from repro.core.procpool import MultiprocessBackend, resolve_pool_workers
 from repro.obs import self_seconds
 from repro.obs import wallclock as wc
@@ -55,14 +55,14 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
     mp = MultiprocessBackend()
     try:
         with wc.profile() as wall:
-            opt_s, opt = _leg(
-                pos, m, ranks, steps,
-                ParallelConfig(theta=theta, eps=eps, eval="batched",
-                               backend=WallBackend(mp)))
+            opt_s, opt = _leg(pos, m, ranks, steps,
+                              ParallelConfig(theta=theta, eps=eps, eval="batched", backend=mp))
     finally:
         mp.close()
     # The root span "other" closes last; the table must sum to it.
-    buckets, elapsed = self_seconds(wall), wall.spans[-1].duration
+    buckets, elapsed = dict.fromkeys(wc.BUCKETS, 0.0), wall.spans[-1].duration
+    for name, seconds in self_seconds(wall).items():
+        buckets[wc.bucket_of(name)] += seconds
 
     chk_s, chk = _leg(pos, m, ranks, steps,
                       ParallelConfig(theta=theta, eps=eps, eval="batched"))
@@ -80,7 +80,7 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
         "reference_s": ref_s,
         "optimized_s": opt_s,
         "check_s": chk_s,
-        "shares": {name: buckets.get(name, 0.0) / elapsed for name in wc.BUCKETS},
+        "shares": {name: seconds / elapsed for name, seconds in buckets.items()},
         "virtual_seconds": opt.sim.elapsed,
         "bit_identical": bit_identical,
         "partition_exact": partition_exact,

@@ -27,9 +27,14 @@ and hot scenarios are cache hits.  The pipeline:
    if one was (or it is stale), so a rerun of a finished campaign
    writes nothing.
 
-Dedupe/cache/resume/compute tallies go both into the returned
-:class:`CampaignReport` and into ``campaign.*`` counters on the
-:mod:`repro.obs` recorder passed as ``observer``.
+Dedupe/cache/resume/compute tallies go into the returned
+:class:`CampaignReport`.  Under :func:`repro.obs.wallclock.profile`
+the steps are wall spans: ``campaign.fingerprint``, one
+``campaign.compute`` per wait for the next finished shard (the shard's
+own run, when serial), ``campaign.store`` around the store reads and
+each ledger append, and ``campaign.finalize``.  They are opened here
+and never inside :func:`~repro.campaign.workers.run_shards`, since a
+span may not be held open across a generator's ``yield``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..obs import NULL, Recorder
+from ..obs import wallclock
 from .fingerprint import scenario_fingerprint_hex
 from .spec import ScenarioSpec, as_spec
 from .store import ResultStore
@@ -94,7 +99,6 @@ def run_campaign(
     store_dir: str,
     *,
     workers: int | None = None,
-    observer: Recorder = NULL,
     throttle: float = 0.0,
 ) -> CampaignReport:
     """Run (or resume) a campaign over ``catalog`` into ``store_dir``.
@@ -108,12 +112,12 @@ def run_campaign(
     t_wall = time.perf_counter()
     n_workers = resolve_workers(workers)
     specs = [as_spec(s) for s in catalog]
-    fps = [scenario_fingerprint_hex(s) for s in specs]
+    with wallclock.span("campaign.fingerprint", cat="campaign"):
+        fps = [scenario_fingerprint_hex(s) for s in specs]
 
     store = ResultStore(store_dir)
 
     report = CampaignReport(root=store_dir, total_shards=len(specs), workers=n_workers)
-    t0 = observer.now()
 
     # Unique shards in catalog-first-occurrence order; later duplicates
     # are dedupe hits against the first.
@@ -129,8 +133,9 @@ def run_campaign(
 
     # Known results: finalized store first, then the crash ledger of a
     # partially-run campaign.
-    cached = store.load_results()
-    ledger = store.load_ledger()
+    with wallclock.span("campaign.store", cat="campaign"):
+        cached = store.load_results()
+        ledger = store.load_ledger()
     known: dict[str, dict] = {}
     status: dict[str, str] = {}
     for fp in order:
@@ -146,26 +151,27 @@ def run_campaign(
     pending = [(fp, spec_by_fp[fp].to_dict()) for fp in order if fp not in known]
     seconds_by_fp: dict[str, float] = {}
 
-    for fp, record in run_shards(pending, workers=n_workers, throttle=throttle):
-        seconds = float(record.pop("seconds", 0.0))
-        seconds_by_fp[fp] = seconds
+    shards = run_shards(pending, workers=n_workers, throttle=throttle)
+    while True:
+        with wallclock.span("campaign.compute", cat="campaign"):
+            done = next(shards, None)
+        if done is None:
+            break
+        fp, record = done
+        seconds_by_fp[fp] = float(record.pop("seconds", 0.0))
         record["fingerprint"] = fp
         # One flushed line: this shard survives any crash from here on.
-        store.append_ledger(record)
+        with wallclock.span("campaign.store", cat="campaign"):
+            store.append_ledger(record)
         if "error" in record:
             status[fp] = "failed"
             report.failed += 1
             report.errors[fp] = record["error"]
-            observer.count("campaign.failed")
             continue
         known[fp] = record
         status[fp] = "computed"
         report.computed += 1
         report.computed_fingerprints.append(fp)
-        now = observer.now()
-        observer.add_span(f"shard:{record['kind']}", max(0.0, now - seconds), now,
-                          cat="campaign", args={"fingerprint": fp})
-        observer.count("campaign.computed")
 
     rows = []
     seen: set[str] = set()
@@ -184,13 +190,7 @@ def run_campaign(
     # Finalize: canonical results in catalog order (which retires the
     # ledger), the operational shard rows, and the query index; a file
     # that already holds its bytes is left alone.
-    store.finalize([known[fp] for fp in order if fp in known], rows)
-
-    observer.count("campaign.shards", report.total_shards)
-    observer.count("campaign.dedupe_hits", report.dedupe_hits)
-    observer.count("campaign.cache_hits", report.cache_hits)
-    observer.count("campaign.resume_hits", report.resume_hits)
-    observer.add_span("campaign", t0, observer.now(), cat="campaign",
-                      args={"shards": report.total_shards, "workers": n_workers})
+    with wallclock.span("campaign.finalize", cat="campaign"):
+        store.finalize([known[fp] for fp in order if fp in known], rows)
     report.seconds = time.perf_counter() - t_wall
     return report

@@ -52,6 +52,19 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
+#: Field -> (the range its run needs, as a test and in words), applied
+#: by every spec that has the field: a spec the run would reject is
+#: refused here, before it is fingerprinted or dispatched.
+_FIELD_RANGES = {
+    "box_mpc_h": (lambda v: v > 0, "positive"),
+    "h": (lambda v: v > 0, "positive"),
+    "omega_m": (lambda v: v > 0, "positive"),
+    "sigma8": (lambda v: v > 0, "positive"),
+    "omega0": (lambda v: v >= 0, "non-negative"),
+    "r0": (lambda v: v > 0, "positive"),
+    "n_target_neighbors": (lambda v: v >= 1, "at least 1"),
+}
+
 __all__ = [
     "ScenarioSpec",
     "CosmologySpec",
@@ -87,14 +100,18 @@ class ScenarioSpec:
         """Fields hold finite JSON scalars, a string only where the
         default is one (subclasses call this first): so ``to_dict`` can
         hand them out without copying, the fingerprint can encode them,
-        and the range checks compare numbers."""
+        and the range checks compare numbers.  A field named in
+        :data:`_FIELD_RANGES` must lie in its range."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             scalar = isinstance(value, (bool, int, str)) or (
                 isinstance(value, float) and math.isfinite(value))
-            if scalar and isinstance(value, str) == isinstance(f.default, str):
-                continue
             where = f"{type(self).__name__}.{f.name}"
+            if scalar and isinstance(value, str) == isinstance(f.default, str):
+                ok, want = _FIELD_RANGES.get(f.name, (None, ""))
+                if ok is None or ok(value):
+                    continue
+                raise ValueError(f"{where} must be {want}, got {value!r}")
             if not scalar:
                 got = repr(value) if isinstance(value, float) else type(value).__name__
                 raise ValueError(f"{where} must be a finite JSON scalar, got {got}")

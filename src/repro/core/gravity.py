@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import NULL
 from .keys import BoundingBox
 from .mac import OpeningAngleMAC
 from .traversal import DEFAULT_PAIR_CHUNK, InteractionCounts, compute_forces
@@ -98,7 +97,6 @@ def tree_accelerations(
     mac=None,
     backend=None,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
-    observer=NULL,
 ) -> GravityResult:
     """One-call hashed oct-tree gravity.
 
@@ -110,10 +108,7 @@ def tree_accelerations(
     """
     tree = build_tree(positions, masses, bucket_size=bucket_size, box=box)
     mac = mac if mac is not None else OpeningAngleMAC(theta)
-    res = compute_forces(
-        tree, mac=mac, eps=eps, G=G,
-        backend=backend, pair_chunk=pair_chunk, observer=observer,
-    )
+    res = compute_forces(tree, mac=mac, eps=eps, G=G, backend=backend, pair_chunk=pair_chunk)
     return GravityResult(res.accelerations, res.potentials, res.counts, tree)
 
 

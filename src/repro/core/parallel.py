@@ -67,7 +67,12 @@ Virtual time: compute segments charge the cost model with the real
 interaction counts (38 flops per particle-particle, 70 per
 particle-cell — the paper's accounting), so
 :class:`~repro.simmpi.engine.SimResult` timings are meaningful and feed
-the Table 6 benchmark.
+the Table 6 benchmark.  Wall time: under
+:func:`repro.obs.wallclock.profile` the kernels are the
+``gravity.kernel.cells`` / ``gravity.kernel.direct`` spans
+:func:`~repro.core.traversal.evaluate_rects` opens, a round's reply
+gather is ``core.parallel.admit``, and the rest of the rank program is
+the engine's ``simmpi.engine``.
 
 Resilience: the rank program optionally carries a
 :class:`~repro.resilience.checkpoint.Checkpointer`.  Right after the
@@ -115,7 +120,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs import Recorder
+from ..obs import wallclock
 from ..simmpi.api import MAX as MPI_MAX
 from ..simmpi.api import MIN as MPI_MIN
 from ..simmpi.cost import CostModel
@@ -145,7 +150,6 @@ from .domain import (
 )
 from .keys import MAX_LEVEL, ROOT_KEY, BoundingBox, keys_from_positions
 from .mac import OpeningAngleMAC
-from ..obs.wallclock import bucket as _wall_bucket
 from .traversal import (
     FLOPS_PER_CELL_INTERACTION,
     InteractionCounts,
@@ -654,7 +658,7 @@ class _Traversal:
         if not named:
             return np.empty(0, dtype=np.int64)
         table, frame, capacity = self.table, self.frame, self.config.cache_capacity
-        with _wall_bucket("serialization"):
+        with wallclock.span("core.parallel.admit"):
             batch = frame.arena.take(np.concatenate(named))
         rows = table.append(batch, REMOTE)
         under = np.searchsorted(frame.branch_los, key_spans(batch.key)[0], side="right") - 1
@@ -1169,13 +1173,10 @@ def _scatter_input(positions, masses, velocities, n_ranks: int, n_steps: int = 1
     ]
 
 
-def _gather(
-    sim: SimResult, n: int, observer: "Recorder | None"
-) -> tuple[ParallelRunResult, np.ndarray]:
+def _gather(sim: SimResult, n: int) -> tuple[ParallelRunResult, np.ndarray]:
     """Assemble the per-rank returns of :func:`_make_program` in input
     order: the run result, plus the potentials of the last force
-    evaluation.  Sums the ranks' ``comm`` stat dicts and optionally
-    publishes them as ``treecode.comm.*`` counters on the observer."""
+    evaluation.  Sums the ranks' ``comm`` stat dicts."""
     n_steps = len(sim.returns[0]["steps"])
     pos = np.zeros((n, 3))
     vel = np.zeros((n, 3))
@@ -1195,9 +1196,6 @@ def _gather(
         counts = counts.merged(InteractionCounts(*ret["counts"]))
         for k, v in ret["comm"].items():
             comm_stats[k] = comm_stats.get(k, 0.0) + float(v)
-    if observer is not None:
-        for k, v in comm_stats.items():
-            observer.count(f"treecode.comm.{k}", v)
     imbalance = [float(w.max() / w.mean()) if w.mean() > 0 else 1.0 for w in work]
     return ParallelRunResult(
         positions=pos,
@@ -1220,7 +1218,6 @@ def parallel_tree_accelerations(
     cost: CostModel | None = None,
     faults: FaultPlan | None = None,
     resilience: "ResilienceConfig | None" = None,
-    observer: "Recorder | None" = None,
     record_trace: bool = True,
     trace_sample: float = 1.0,
 ) -> ParallelGravityResult:
@@ -1252,13 +1249,11 @@ def parallel_tree_accelerations(
         returned result then carries the
         :class:`~repro.resilience.runner.ResilientResult` bookkeeping,
         and its forces are bit-for-bit the fault-free ones.
-    observer:
-        A :class:`~repro.obs.Recorder` receiving spans from the engine
-        plus aggregated ``treecode.comm.*`` counters.
     record_trace, trace_sample:
         Forwarded to the engine (fault-free path only): disable or
         decimate per-event trace retention so large-``n_ranks`` scaling
-        runs keep their memory bounded.  Physics is unaffected.
+        runs keep their memory bounded.  Physics is unaffected.  The
+        virtual-time trace is ``result.sim.observer``.
 
     Invariants: for a fixed ``n_ranks`` the returned accelerations are
     bit-identical across ``config.comm`` schedules, cache capacities,
@@ -1283,13 +1278,12 @@ def parallel_tree_accelerations(
             cost=cost,
             faults=faults,
             config=resilience,
-            observer=observer,
         )
         sim = resilient.sim
     else:
-        sim = run(_make_program(chunks, config), n_ranks, cost, observer=observer,
+        sim = run(_make_program(chunks, config), n_ranks, cost,
                   record_trace=record_trace, trace_sample=trace_sample)
-    out, potentials = _gather(sim, n, observer)
+    out, potentials = _gather(sim, n)
     return ParallelGravityResult(out.accelerations, potentials, out.counts, sim,
                                  resilience=resilient, comm=out.comm)
 
@@ -1304,7 +1298,6 @@ def parallel_nbody_run(
     dt: float,
     config: ParallelConfig | None = None,
     cost: CostModel | None = None,
-    observer: "Recorder | None" = None,
     cache_across_steps: bool = True,
     rebalance: bool = True,
     record_trace: bool = True,
@@ -1347,7 +1340,6 @@ def parallel_nbody_run(
     n, chunks = _scatter_input(positions, masses, velocities, n_ranks, n_steps, dt)
     sim = run(
         _make_program(chunks, config, n_steps, dt, cache_across_steps, rebalance),
-        n_ranks, cost, observer=observer,
-        record_trace=record_trace, trace_sample=trace_sample,
+        n_ranks, cost, record_trace=record_trace, trace_sample=trace_sample,
     )
-    return _gather(sim, n, observer)[0]
+    return _gather(sim, n)[0]

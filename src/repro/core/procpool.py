@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Sequence
 import multiprocessing
 import numpy as np
 
+from ..obs import wallclock
 from .backend import NumpyBackend, _rect_rows
 
 __all__ = [
@@ -229,9 +230,9 @@ _WORKER_BASE = NumpyBackend()
 
 def _run_pickled(fn, blob):
     """Worker trampoline: args travel as one explicitly-pickled blob so
-    the coordinator can *measure* marshalling (the wall-clock report's
-    serialization bucket) instead of hiding it in the executor's feeder
-    thread."""
+    the coordinator can *measure* marshalling (the
+    ``core.procpool.pickle`` wall span) instead of hiding it in the
+    executor's feeder thread."""
     return fn(*pickle.loads(blob))
 
 
@@ -320,16 +321,14 @@ class MultiprocessBackend(NumpyBackend):
         """Fan shard tasks out and add their rows into ``acc``/``pot``;
         returns False, adding nothing, when the pool path could not
         complete (caller then recomputes inline)."""
-        from ..obs.wallclock import bucket  # runtime import: no core->obs cycle
-
         pool = self._ensure_pool()
         try:
-            with bucket("serialization"):
+            with wallclock.span("core.procpool.pickle"):
                 blobs = [
                     (fn, pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL))
                     for args in shard_args
                 ]
-            with bucket("kernel"):
+            with wallclock.span("core.procpool.map"):
                 results = pool.map(_run_pickled, blobs, retries=1)
         except Exception:  # pragma: no cover - defensive
             self.close()

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..machine.specs import FLOPS_PER_INTERACTION
-from ..obs import NULL
+from ..obs import wallclock
 from .backend import NumpyBackend, get_backend
 from .celltable import DEAD, REMOTE, STUB, CellTable, csr_take
 from .mac import OpeningAngleMAC
@@ -217,7 +217,7 @@ def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=N
     return accepted, opened, parked, tests, passes, misses
 
 
-def build_interaction_lists(tree: Tree, mac=None, *, observer=NULL) -> InteractionLists:
+def build_interaction_lists(tree: Tree, mac=None) -> InteractionLists:
     """Walk the tree for all sink groups per frontier pass.
 
     Every leaf is a sink group and starts :func:`walk` at the root of
@@ -258,8 +258,8 @@ def build_interaction_lists(tree: Tree, mac=None, *, observer=NULL) -> Interacti
         mac_tests=mac_tests,
         passes=passes,
     )
-    observer.count("gravity.mac_tests", mac_tests)
-    observer.count("gravity.traversal_passes", passes)
+    wallclock.count("gravity.mac_tests", mac_tests)
+    wallclock.count("gravity.traversal_passes", passes)
     return lists
 
 
@@ -271,7 +271,7 @@ def leaf_particles(table: CellTable, offsets: np.ndarray, rows: np.ndarray):
 
 
 def evaluate_rects(kb, table: CellTable, starts, counts, cells, direct, eps2, G, acc, pot,
-                   pair_chunk=DEFAULT_PAIR_CHUNK, observer=NULL) -> None:
+                   pair_chunk=DEFAULT_PAIR_CHUNK) -> None:
     """Evaluate interaction lists as flat CSR rectangles: one cell and
     one direct kernel call for the whole batch, added into ``acc`` and
     ``pot``.
@@ -287,12 +287,12 @@ def evaluate_rects(kb, table: CellTable, starts, counts, cells, direct, eps2, G,
     """
     n, n_parts = len(table), table.n_parts
     pool3 = np.ascontiguousarray(table.ppos[:n_parts].T)
-    with observer.span("gravity.kernel.cells", cat="gravity", backend=kb.name):
+    with wallclock.span("gravity.kernel.cells", cat="gravity", backend=kb.name):
         kb.eval_cell_rects(
             pool3, starts, counts, *cells, np.ascontiguousarray(table.com[:n].T), table.mass[:n],
             np.ascontiguousarray(table.quad[:n].T), eps2, G, acc, pot, pair_chunk,
         )
-    with observer.span("gravity.kernel.direct", cat="gravity", backend=kb.name):
+    with wallclock.span("gravity.kernel.direct", cat="gravity", backend=kb.name):
         kb.eval_direct_rects(
             pool3, table.pmass[:n_parts], starts, counts, *direct, eps2, G, acc, pot, pair_chunk,
         )
@@ -307,7 +307,6 @@ def evaluate_interaction_lists(
     backend=None,
     exclude_self_potential: bool = True,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
-    observer=NULL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate batched interaction lists; returns (acc, pot) tree-order."""
     if eps < 0:
@@ -330,16 +329,16 @@ def evaluate_interaction_lists(
     evaluate_rects(
         kb, tree.table, tree.start[groups], tree.count[groups],
         (lists.cell_offsets, lists.cell_ids), leaf_particles(tree.table, *leaves),
-        eps2, G, acc, pot, pair_chunk, observer,
+        eps2, G, acc, pot, pair_chunk,
     )
 
     if exclude_self_potential and eps2 > 0.0:
         # Remove each particle's softened self-energy -G m / eps.
         pot += G * tree.masses / eps
 
-    observer.count("gravity.p2p", lists.counts.p2p)
-    observer.count("gravity.p2c", lists.counts.p2c)
-    observer.count("gravity.groups", lists.counts.groups)
+    wallclock.count("gravity.p2p", lists.counts.p2p)
+    wallclock.count("gravity.p2c", lists.counts.p2c)
+    wallclock.count("gravity.groups", lists.counts.groups)
     return acc, pot
 
 
@@ -352,7 +351,6 @@ def compute_forces(
     exclude_self_potential: bool = True,
     backend=None,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
-    observer=NULL,
 ) -> TraversalResult:
     """Gravitational accelerations and potentials for all particles.
 
@@ -363,13 +361,12 @@ def compute_forces(
     result converges to the direct O(N^2) sum as the MAC tightens.
     """
     kb = get_backend(backend)
-    with observer.span("gravity.compute_forces", cat="gravity", backend=kb.name):
-        with observer.span("gravity.traversal", cat="gravity"):
-            lists = build_interaction_lists(tree, mac, observer=observer)
+    with wallclock.span("gravity.compute_forces", cat="gravity", backend=kb.name):
+        with wallclock.span("gravity.traversal", cat="gravity"):
+            lists = build_interaction_lists(tree, mac)
         acc, pot = evaluate_interaction_lists(
             tree, lists, eps=eps, G=G, backend=kb,
-            exclude_self_potential=exclude_self_potential,
-            pair_chunk=pair_chunk, observer=observer,
+            exclude_self_potential=exclude_self_potential, pair_chunk=pair_chunk,
         )
 
     # Undo the Morton sort: return in the caller's original order.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import NULL, Recorder
+from ..obs import wallclock
 
 __all__ = ["HplResult", "lu_factor_blocked", "lu_solve", "hpl_flops", "run_hpl"]
 
@@ -86,28 +86,25 @@ class HplResult:
     passed: bool
 
 
-def run_hpl(
-    n: int = 512, block: int = 64, seed: int = 42, observer: Recorder | None = None
-) -> HplResult:
+def run_hpl(n: int = 512, block: int = 64, seed: int = 42) -> HplResult:
     """One HPL-style run: factor, solve, and check the scaled residual.
 
     The pass criterion is HPL's: ``||Ax-b||_inf / (eps ||A||_1 ||x||_1 n)``
-    below 16.  With ``observer``, the factor and solve phases are
-    recorded as nested wall-clock spans under ``hpl.run``, and the HPL
-    operation count lands in the ``hpl.flops`` counter.
+    below 16.  Under :func:`repro.obs.wallclock.profile`, the factor
+    and solve phases are nested wall-clock spans under ``hpl.run``, and
+    the HPL operation count lands in the ``hpl.flops`` counter.
     """
-    obs = observer if observer is not None else NULL
     rng = np.random.default_rng(seed)
     a0 = rng.random((n, n)) - 0.5
     b = rng.random(n) - 0.5
-    with obs.span("hpl.run", cat="bench", n=n, block=block):
+    with wallclock.span("hpl.run", cat="bench", n=n, block=block):
         t0 = time.perf_counter()
-        with obs.span("hpl.factor", cat="bench"):
+        with wallclock.span("hpl.factor", cat="bench"):
             lu, piv = lu_factor_blocked(a0.copy(), block)
-        with obs.span("hpl.solve", cat="bench"):
+        with wallclock.span("hpl.solve", cat="bench"):
             x = lu_solve(lu, piv, b)
         dt = time.perf_counter() - t0
-    obs.count("hpl.flops", hpl_flops(n))
+    wallclock.count("hpl.flops", hpl_flops(n))
     resid = np.abs(a0 @ x - b).max()
     scaled = resid / (np.finfo(np.float64).eps * np.abs(a0).sum(axis=1).max() * np.abs(x).sum() * n)
     return HplResult(n, dt, hpl_flops(n) / dt / 1e9, scaled, bool(scaled < 16.0))

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..obs import NULL, Recorder
+from ..obs import wallclock
 from .bt import run_bt
 from .cg import run_cg
 from .classes import problem, total_ops
@@ -76,21 +76,19 @@ class NpbReport:
         )
 
 
-def run_benchmark(
-    benchmark: str, klass: str = "S", observer: Recorder | None = None
-) -> NpbReport:
+def run_benchmark(benchmark: str, klass: str = "S") -> NpbReport:
     """Execute one mini-kernel and time it.
 
-    With ``observer``, the execution is recorded as a wall-clock span
-    (``npb.<BENCH>.<CLASS>``, cat ``bench``) plus ``npb.ops`` /
-    ``npb.verified`` counters, comparable across the whole suite.
+    Under :func:`repro.obs.wallclock.profile`, the execution is a
+    wall-clock span (``npb.<BENCH>.<CLASS>``, cat ``bench``) plus
+    ``npb.ops`` / ``npb.verified`` counters, comparable across the
+    whole suite.
     """
-    obs = observer if observer is not None else NULL
     benchmark = benchmark.upper()
     if benchmark not in RUNNERS:
         raise ValueError(f"unknown benchmark {benchmark!r}; choose from {sorted(RUNNERS)}")
     prob = problem(benchmark, klass)  # validates the class too
-    with obs.span(f"npb.{benchmark}.{klass}", cat="bench"):
+    with wallclock.span(f"npb.{benchmark}.{klass}", cat="bench"):
         t0 = time.perf_counter()
         result = RUNNERS[benchmark](klass)
         dt = time.perf_counter() - t0
@@ -100,16 +98,12 @@ def run_benchmark(
     steps_run = getattr(result, "steps_run", 0)
     if steps_run and steps_run != prob.niter:
         ops *= steps_run / prob.niter
-    obs.count("npb.ops", ops)
-    obs.count("npb.verified", int(bool(result.verified)))
+    wallclock.count("npb.ops", ops)
+    wallclock.count("npb.verified", int(bool(result.verified)))
     return NpbReport(benchmark, klass, dt, ops, bool(result.verified))
 
 
-def run_suite(
-    klass: str = "S",
-    benchmarks: tuple[str, ...] | None = None,
-    observer: Recorder | None = None,
-) -> list[NpbReport]:
+def run_suite(klass: str = "S", benchmarks: tuple[str, ...] | None = None) -> list[NpbReport]:
     """Run several benchmarks at one class; returns their reports."""
     names = tuple(RUNNERS) if benchmarks is None else tuple(b.upper() for b in benchmarks)
-    return [run_benchmark(b, klass, observer=observer) for b in names]
+    return [run_benchmark(b, klass) for b in names]

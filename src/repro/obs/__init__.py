@@ -1,12 +1,15 @@
 """repro.obs: the unified instrumentation layer.
 
-One vocabulary — :class:`~repro.obs.model.Span`,
-:class:`~repro.obs.model.Counter`, :class:`~repro.obs.model.Gauge`,
-collected by a :class:`~repro.obs.model.Recorder` — shared by every
-measured subsystem: SimMPI's engine (virtual-time compute / blocked /
-collective spans per rank), the parallel treecode's phases, the NPB
-and Linpack host harnesses, the resilience restart loop, and the
-``benchmarks/`` record emitter.
+One vocabulary — :class:`~repro.obs.model.Span` and
+:class:`~repro.obs.model.Counter`, collected by a
+:class:`~repro.obs.model.Recorder` — and one recorder per clock.
+Virtual time: SimMPI's engine records compute / blocked / collective
+spans per rank on the recorder it keeps for a traced run
+(``SimResult.observer``).  Wall time: the serial kernels, the engine
+loop, the parallel treecode, the process pool, the NPB and Linpack
+harnesses, the pipeline and the campaign record into the one recorder
+:func:`~repro.obs.wallclock.profile` installs, through
+:func:`~repro.obs.wallclock.span` and :func:`~repro.obs.wallclock.count`.
 
 Exporters turn one recorded run into every view this repo needs:
 
@@ -17,8 +20,9 @@ Exporters turn one recorded run into every view this repo needs:
 * :func:`~repro.obs.export.dumps_canonical` — byte-stable JSON for the
   golden-trace regression suite.
 
-When observation is off, the shared :data:`~repro.obs.model.NULL`
-recorder makes every hook a constant-time no-op.
+When nothing is installed, a wall span is a shared no-op context, and
+an untraced engine run records into the no-op
+:data:`~repro.obs.model.NULL` recorder.
 """
 
 from .analysis import (
@@ -56,7 +60,6 @@ from .history import (
 from .model import (
     NULL,
     Counter,
-    Gauge,
     NullRecorder,
     Recorder,
     Span,
@@ -70,12 +73,11 @@ from .report import (
     write_fleet_report,
     write_report,
 )
-from .wallclock import BUCKETS, bucket, format_report, profile
+from .wallclock import BUCKETS, format_report, profile
 
 __all__ = [
     "Span",
     "Counter",
-    "Gauge",
     "Recorder",
     "NullRecorder",
     "NULL",
@@ -111,7 +113,6 @@ __all__ = [
     "parse_gate_spec",
     # wall-clock attribution
     "BUCKETS",
-    "bucket",
     "profile",
     "format_report",
     # report

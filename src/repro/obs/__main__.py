@@ -41,19 +41,20 @@ Three subcommands drive the analysis stack from the shell:
 ``wallclock``
     Where did the wall-clock go: runs a small
     :func:`repro.core.parallel.parallel_nbody_run` under
-    :func:`repro.obs.wallclock.profile` with the kernel backend wrapped
-    in :class:`repro.core.backend_wall.WallBackend`, and prints the
-    bucket table (self seconds of the kernel / engine / comm /
-    serialization / other spans, an exact partition of elapsed wall
-    seconds), followed by the virtual-time critical path of the same
-    run under :class:`~repro.simmpi.cost.SpaceSimulatorCost`.  ``--json`` saves
-    the wall-clock spans as a Chrome trace (Perfetto shows it as a
-    flame view); ``--replay TRACE.json`` re-derives the table from a
-    saved trace instead of running.
+    :func:`repro.obs.wallclock.profile` and prints the per-span table
+    (self seconds of every span name, ``simmpi.engine``,
+    ``gravity.kernel.cells`` and the rest, an exact partition of
+    elapsed wall seconds), followed by the virtual-time critical path
+    of the same run under :class:`~repro.simmpi.cost.SpaceSimulatorCost`,
+    read from the run's own trace.  ``--json`` saves the wall-clock
+    spans as a Chrome trace (Perfetto shows it as a flame view);
+    ``--replay TRACE.json`` re-derives the table from a saved trace
+    instead of running.
 
 A trace or history argument that cannot be used (missing, not JSON, no
 ``traceEvents`` list, no span, no record) is one line on stderr naming
-the file and the reason, exit 2.
+the file and the reason, exit 2; so is a ``wallclock`` size flag below
+1, naming the flag.
 """
 
 from __future__ import annotations
@@ -274,31 +275,34 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
         print(wc.format_report(table))
         return 0
 
+    for flag in ("n", "ranks", "steps"):
+        if getattr(opts, flag) < 1:
+            _refuse(f"--{flag}", f"must be at least 1, got {getattr(opts, flag)}")
+    if opts.n < opts.ranks:
+        _refuse("--n", f"must be at least --ranks ({opts.ranks}), got {opts.n}")
+
     import numpy as np
 
     from ..core.backend import get_backend
-    from ..core.backend_wall import WallBackend
     from ..core.parallel import ParallelConfig, parallel_nbody_run
     from ..simmpi.cost import SpaceSimulatorCost
-    from .model import Recorder
 
     rng = np.random.default_rng(opts.seed)
     pos = rng.random((opts.n, 3))
-    kb = WallBackend(get_backend(opts.backend))
-    cfg = ParallelConfig(backend=kb, eval=opts.eval)
-    rec = Recorder()
+    kb = get_backend(opts.backend)
     with wc.profile() as wall:
-        parallel_nbody_run(
+        res = parallel_nbody_run(
             pos, n_ranks=opts.ranks, n_steps=opts.steps, dt=1e-3,
-            config=cfg, cost=SpaceSimulatorCost(), observer=rec,
+            config=ParallelConfig(backend=kb), cost=SpaceSimulatorCost(),
         )
     print(f"parallel_nbody_run: n={opts.n} ranks={opts.ranks} "
-          f"steps={opts.steps} backend={kb.name} eval={opts.eval}")
+          f"steps={opts.steps} backend={kb.name}")
     print()
     print(wc.format_report(self_seconds(wall)))
-    elapsed = max(s.t_end for s in rec.spans)
+    virtual = res.sim.observer
+    elapsed = max(s.t_end for s in virtual.spans)
     print()
-    print(format_critical_path(critical_path(rec, elapsed), max_rows=opts.max_rows))
+    print(format_critical_path(critical_path(virtual, elapsed), max_rows=opts.max_rows))
     if opts.json:
         with open(opts.json, "w") as fh:
             json.dump(chrome_trace(wall, process_name="wallclock",
@@ -394,14 +398,12 @@ def main(argv: list[str] | None = None) -> int:
                       help="per-shard pacing delay, for crash drills")
     p_fl.set_defaults(func=_cmd_fleet, usage_error=p_fl.error)
 
-    p_wc = sub.add_parser("wallclock", help="wall-clock bucket attribution report")
+    p_wc = sub.add_parser("wallclock", help="wall-clock self seconds per span")
     p_wc.add_argument("--n", type=int, default=4000, help="particles (default 4000)")
     p_wc.add_argument("--ranks", type=int, default=4, help="simulated ranks (default 4)")
     p_wc.add_argument("--steps", type=int, default=2, help="leapfrog steps (default 2)")
     p_wc.add_argument("--backend", default=None,
-                      help="kernel backend to wrap (default: REPRO_BACKEND or numpy)")
-    p_wc.add_argument("--eval", default="batched", choices=("batched", "pergroup"),
-                      help="force evaluation strategy (default batched)")
+                      help="kernel backend (default: REPRO_BACKEND or numpy)")
     p_wc.add_argument("--seed", type=int, default=11)
     p_wc.add_argument("--max-rows", type=int, default=10,
                       help="critical-path rows to print (default 10)")

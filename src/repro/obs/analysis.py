@@ -22,7 +22,7 @@ the paper's authors ran by hand on their per-rank timelines:
   summary statistics the paper's scaling sections reason with.
 * :func:`self_seconds` rolls any well-nested span list up to exclusive
   seconds per span name, the flame-graph "self" column; over the
-  wall-clock spans of :mod:`repro.obs.wallclock` it is the bucket table.
+  wall-clock spans of :mod:`repro.obs.wallclock` it is the per-span table.
 * :func:`attribute_phases` compares measured phase spans (key-sort,
   tree-build, traversal, force, NPB phases) against
   :class:`~repro.machine.perfmodel.PerfModel` predictions — a software

@@ -96,28 +96,6 @@ def chrome_trace(
                     "args": {"value": source.counters[name].value},
                 }
             )
-        for name in sorted(source.gauges):
-            g = source.gauges[name]
-            events.append(
-                {
-                    "name": name,
-                    "ph": "C",
-                    "cat": "gauge",
-                    "ts": t_end * 1e6,
-                    "pid": 0,
-                    "tid": 0,
-                    # Perfetto plots "value"; the min/max envelope and
-                    # sample count ride along for the round-trip (the
-                    # infinite empty-envelope sentinels are not JSON,
-                    # so an unsampled gauge exports value only).
-                    "args": (
-                        {"value": g.value, "lo": g.lo, "hi": g.hi,
-                         "samples": g.samples}
-                        if g.samples
-                        else {"value": g.value, "samples": 0}
-                    ),
-                }
-            )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -156,36 +134,24 @@ def parse_chrome_trace(doc: dict) -> list[Span]:
 def recorder_from_chrome_trace(doc: dict) -> Recorder:
     """Rebuild a full :class:`Recorder` from a Chrome trace document.
 
-    Spans come from :func:`parse_chrome_trace`; ``"ph": "C"`` events
-    written by :func:`chrome_trace` restore counters (``cat:
-    "counter"``) and gauges (``cat: "gauge"``, including the min/max
-    envelope and sample count) — the exporter's full inverse, so
-    ``analyze``/``report`` runs on a trace file see the same meters the
-    live run recorded.
+    Spans come from :func:`parse_chrome_trace`; the ``cat: "counter"``
+    events written by :func:`chrome_trace` restore the counters — the
+    exporter's full inverse, so ``analyze``/``report`` runs on a trace
+    file see the same meters the live run recorded.
     """
     rec = Recorder()
     rec.spans = parse_chrome_trace(doc)
     for ev in doc.get("traceEvents", []):
-        if ev.get("ph") != "C":
-            continue
-        args = ev.get("args", {})
-        if ev.get("cat") == "gauge":
-            g = rec.gauge(ev["name"])
-            g.value = float(args.get("value", 0.0))
-            g.samples = int(args.get("samples", 0))
-            if g.samples:
-                g.lo = float(args.get("lo", g.value))
-                g.hi = float(args.get("hi", g.value))
-        else:
-            rec.counter(ev["name"]).value = float(args.get("value", 0.0))
+        if ev.get("ph") == "C" and ev.get("cat") == "counter":
+            rec.counter(ev["name"]).value = float(ev.get("args", {}).get("value", 0.0))
     return rec
 
 
 def metrics(source: Recorder | Iterable[Span]) -> dict[str, float]:
     """Flatten a recorder into one ``name -> number`` dict.
 
-    Keys: ``counter.<name>``, ``gauge.<name>`` (plus ``.min``/``.max``),
-    and per span name ``span.<name>.count`` / ``span.<name>.total_s``.
+    Keys: ``counter.<name>``, and per span name ``span.<name>.count`` /
+    ``span.<name>.total_s``.
     """
     out: dict[str, float] = {}
     spans = _spans_of(source)
@@ -200,12 +166,6 @@ def metrics(source: Recorder | Iterable[Span]) -> dict[str, float]:
     if isinstance(source, Recorder):
         for name in sorted(source.counters):
             out[f"counter.{name}"] = source.counters[name].value
-        for name in sorted(source.gauges):
-            g = source.gauges[name]
-            out[f"gauge.{name}"] = g.value
-            if g.samples:
-                out[f"gauge.{name}.min"] = g.lo
-                out[f"gauge.{name}.max"] = g.hi
     return out
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .history import load_history
-from .model import NULL, Recorder
 
 __all__ = [
     "BENCH_ROOT_ENV",
@@ -265,7 +264,6 @@ def run_fleet(
     smoke: bool = True,
     workers: int | None = None,
     bench_dir: str | None = None,
-    observer: Recorder = NULL,
     throttle: float = 0.0,
     history: str | None = None,
 ) -> FleetRun:
@@ -306,11 +304,8 @@ def run_fleet(
     # fork/spawn) — so an explicit bench_dir must ride the env var.
     saved_root = os.environ.get(BENCH_ROOT_ENV)
     os.environ[BENCH_ROOT_ENV] = bench_dir
-    t0 = observer.now()
     try:
-        report = run_campaign(
-            catalog, campaign_dir, workers=workers, observer=observer, throttle=throttle,
-        )
+        report = run_campaign(catalog, campaign_dir, workers=workers, throttle=throttle)
     finally:
         if saved_root is None:
             os.environ.pop(BENCH_ROOT_ENV, None)
@@ -371,10 +366,6 @@ def run_fleet(
             if row["fleet"]["status"] == "computed":
                 harness.append_history(row, history)
 
-    observer.count("fleet.benches", len(rows))
-    observer.count("fleet.failed", len([r for r in rows if r["fleet"]["status"] == "failed"]))
-    observer.add_span("fleet", t0, observer.now(), cat="fleet",
-                      args={"id": fid, "mode": mode, "benches": len(rows)})
     return FleetRun(
         fleet_id=fid, mode=mode, out_dir=out_dir, ledger_path=ledger_path,
         rows=rows, campaign=report,

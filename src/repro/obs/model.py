@@ -1,6 +1,6 @@
-"""Core instrumentation model: spans, counters, gauges, recorders.
+"""Core instrumentation model: spans, counters, recorders.
 
-Every measured thing in this reproduction reduces to three primitives:
+Every measured thing in this reproduction reduces to two primitives:
 
 * :class:`Span` — a named interval ``[t_start, t_end]`` on a *track*
   (a simulated rank, a host thread, a job lane).  Spans nest: a
@@ -11,32 +11,33 @@ Every measured thing in this reproduction reduces to three primitives:
 * :class:`Counter` — a monotonically increasing total (bytes sent,
   interactions evaluated).  ``add`` rejects negative deltas so a
   counter read is always a valid rate numerator.
-* :class:`Gauge` — a last-value-wins sample (queue depth, residual).
 
-Two clocks coexist.  SimMPI components record spans in **virtual
-time** by passing explicit ``t_start``/``t_end`` to :meth:`Recorder.add_span`;
-host-side harnesses (NPB, Linpack) and the wall-clock buckets of
-:mod:`repro.obs.wallclock` use the context manager
-:meth:`Recorder.span`, which reads the recorder's wall clock relative
-to its origin.  Exporters (:mod:`repro.obs.export`) and analyses
-(:mod:`repro.obs.analysis`) don't care which — a span is a span, the
-one interval record of this package.
+Two clocks, one recorder each.  The SimMPI engine records spans in
+**virtual time** by passing explicit ``t_start``/``t_end`` to
+:meth:`Recorder.add_span`, on the recorder it creates for a traced run
+(``SimResult.observer``).  Everything else records **wall time**
+through :mod:`repro.obs.wallclock`, whose :func:`~repro.obs.wallclock.span`
+opens the context manager :meth:`Recorder.span` on the recorder
+:func:`~repro.obs.wallclock.profile` installed; it reads the
+recorder's clock relative to its origin.  Exporters
+(:mod:`repro.obs.export`) and analyses (:mod:`repro.obs.analysis`)
+don't care which — a span is a span, the one interval record of this
+package.
 
-Disabled instrumentation must cost nothing: :data:`NULL` is a shared
+An untraced engine run must cost nothing: :data:`NULL` is a shared
 :class:`NullRecorder` whose every method is a constant-time no-op, so
-hot paths can call ``obs.count(...)`` unconditionally.
+the engine can call ``observer.count(...)`` unconditionally.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 __all__ = [
     "Span",
     "Counter",
-    "Gauge",
     "Recorder",
     "NullRecorder",
     "NULL",
@@ -92,23 +93,6 @@ class Counter:
         self.value += delta
 
 
-@dataclass
-class Gauge:
-    """Last-value sample, with min/max envelope."""
-
-    name: str
-    value: float = 0.0
-    lo: float = float("inf")
-    hi: float = float("-inf")
-    samples: int = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.lo = min(self.lo, value)
-        self.hi = max(self.hi, value)
-        self.samples += 1
-
-
 class _SpanContext:
     """Open frame of ``Recorder.span``; records the span on exit."""
 
@@ -139,7 +123,7 @@ class _SpanContext:
 
 
 class Recorder:
-    """Collects spans, counters, and gauges for one observed activity.
+    """Collects spans and counters for one observed activity.
 
     ``clock`` supplies wall time for the context-manager span API; the
     recorder's origin is captured at construction so recorded times
@@ -147,14 +131,11 @@ class Recorder:
     via :meth:`add_span`.
     """
 
-    enabled: bool = True
-
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         self._origin = clock()
         self.spans: list[Span] = []
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self._stacks: dict[int, list[_SpanContext]] = {}
 
     # -- time -----------------------------------------------------------
@@ -180,7 +161,7 @@ class Recorder:
         """Context manager: a wall-clock span on this recorder's clock."""
         return _SpanContext(self, name, track, cat, args or None)
 
-    # -- counters and gauges --------------------------------------------
+    # -- counters -------------------------------------------------------
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
         if c is None:
@@ -189,24 +170,6 @@ class Recorder:
 
     def count(self, name: str, delta: float = 1.0) -> None:
         self.counter(name).add(delta)
-
-    def gauge(self, name: str, value: float | None = None) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name)
-        if value is not None:
-            g.set(value)
-        return g
-
-
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
 
 
 class _NullCounter:
@@ -217,31 +180,19 @@ class _NullCounter:
         pass
 
 
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpanContext()
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
 
 
 class NullRecorder(Recorder):
-    """Recorder whose every operation is a no-op: the disabled path.
+    """Recorder whose every operation is a no-op: the untraced engine.
 
-    Shared as :data:`NULL`; instrumented code holds a reference and
-    calls it unconditionally, paying one attribute lookup and an empty
-    call when observation is off.
+    Shared as :data:`NULL`; the engine holds a reference and calls it
+    unconditionally, paying one attribute lookup and an empty call when
+    its run is not traced.
     """
 
-    enabled = False
     spans: tuple = ()  # type: ignore[assignment]
     counters: dict = {}
-    gauges: dict = {}
 
     def __init__(self) -> None:  # no clock capture, no state
         pass
@@ -252,17 +203,11 @@ class NullRecorder(Recorder):
     def add_span(self, name, t_start, t_end, *, track=0, cat="", args=None) -> None:
         pass
 
-    def span(self, name, *, track=0, cat="", **args):
-        return _NULL_SPAN
-
     def counter(self, name):
         return _NULL_COUNTER
 
     def count(self, name, delta: float = 1.0) -> None:
         pass
-
-    def gauge(self, name, value=None):
-        return _NULL_GAUGE
 
 
 #: The shared disabled recorder.

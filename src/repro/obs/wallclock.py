@@ -1,37 +1,39 @@
 """Wall-clock attribution: where did the real time go?
 
 The discrete-event engine accounts *virtual* seconds exactly (and the
-PR-3 critical path partitions them over [0, elapsed] exactly); this
-module does the same for *real* seconds with the instrument the rest
-of :mod:`repro.obs` already uses.  :func:`profile` installs a
+critical path partitions them over [0, elapsed] exactly) on the
+recorder it keeps per traced run, ``SimResult.observer``.  This module
+is the one recorder of *real* seconds.  :func:`profile` installs a
 wall-clock :class:`~repro.obs.model.Recorder` as :data:`ACTIVE` under
-one root span named ``other``, and :func:`bucket` opens a span of the
-given name on it.  The bucket table is the *exclusive* ("self") seconds
-per span name (:func:`repro.obs.analysis.self_seconds`): every instant
-of the root span belongs to exactly one innermost span, so the table
-partitions elapsed time by construction, mirroring the critical-path
-invariant, and time under no bucket is the root's own: ``other``.
+one root span named ``other``; :func:`span` opens a span on it and
+:func:`count` adds to one of its counters.  No function takes a
+recorder: code records into whichever one is installed, and into none
+when nothing is.
 
-Buckets used by the instrumented call sites:
+Span names follow the layers they time: ``gravity.*``, ``sph.*``,
+``hpl.*`` and ``npb.*`` in the serial kernels and harnesses,
+``simmpi.engine`` (the event loop) and ``simmpi.dispatch`` (message
+matching and collective bookkeeping), ``core.parallel.admit`` (the
+gather that copies a round's replied cell records out of the step's
+arena), ``core.procpool.pickle`` / ``core.procpool.map`` (shard
+marshalling and execution), one ``pipeline.<stage>`` per pipeline
+stage plus ``pipeline.checkpoint``, and ``campaign.fingerprint`` /
+``campaign.compute`` / ``campaign.store`` / ``campaign.finalize``.
+The table is the *exclusive* ("self") seconds per span name
+(:func:`repro.obs.analysis.self_seconds`): every instant of the root
+span belongs to exactly one innermost span, so the table partitions
+elapsed time by construction, mirroring the critical-path invariant,
+and time under no span is the root's own: ``other``.
+:data:`BUCKET_PREFIXES` rolls span names up into the five coarse
+:data:`BUCKETS`, with ``other`` for any name no prefix claims.
 
-* ``kernel`` — batched force/SPH kernels (via
-  :class:`repro.core.backend_wall.WallBackend`) and multiprocess shard
-  execution.
-* ``engine`` — the SimMPI event loop: scheduling plus all rank host
-  code not claimed by a deeper bucket.
-* ``comm`` — engine-side message matching and collective bookkeeping.
-* ``serialization`` — the gather that copies a round's replied cell
-  records out of the step's arena, and process-pool argument
-  marshalling.
-* ``other`` — everything outside the instrumented regions (setup,
-  result assembly).
-
-A bucket must be exited in the frame that entered it.  Rank *programs*
-are coroutines the engine interleaves, so generator code must never
-hold a bucket across a yield: the recorder's per-track stack refuses
-it ("closed out of order").  The instrumentation therefore lives in
-the engine loop, the dispatch branches, and the kernel layer, all of
-which run to completion.
+A span must be exited in the frame that entered it.  Rank *programs*
+are coroutines the engine interleaves, and a generator may be resumed
+anywhere, so generator code must never hold a span across a yield:
+the recorder's per-track stack refuses it ("closed out of order").
+Spans therefore live in the engine loop, the dispatch branches, the
+kernel layer and the callers of generators, all of which run to
+completion.
 
 The spans are ordinary spans: they pass
 :func:`~repro.obs.model.validate_nesting`, and
@@ -41,7 +43,7 @@ flame view), from which the same table is re-derived.
 
 With no recorder installed, instrumented code pays nothing:
 
->>> with bucket("kernel"):      # nothing ACTIVE: a no-op context
+>>> with span("gravity.kernel.cells"):      # nothing ACTIVE: a no-op context
 ...     pass
 
 Install one (an injected fake clock makes the charges exact; the
@@ -50,15 +52,17 @@ recorder reads it once for its origin, then once per span edge):
 >>> from repro.obs.analysis import self_seconds
 >>> t = iter([10.0, 10.0, 11.0, 14.0, 15.0])
 >>> with profile(clock=lambda: next(t)) as rec:
-...     with bucket("kernel"):
+...     with span("gravity.kernel.cells"):
 ...         pass
 >>> self_seconds(rec)
-{'other': 2.0, 'kernel': 3.0}
+{'other': 2.0, 'gravity.kernel.cells': 3.0}
+>>> bucket_of("gravity.kernel.cells")
+'kernel'
 >>> print(format_report(self_seconds(rec)))
-bucket              seconds    share
-kernel             3.000000   60.00%
-other              2.000000   40.00%
-total              5.000000  100.00%
+span                            seconds    share
+gravity.kernel.cells           3.000000   60.00%
+other                          2.000000   40.00%
+total                          5.000000  100.00%
 """
 
 from __future__ import annotations
@@ -69,14 +73,36 @@ from typing import Mapping
 
 from .model import Recorder
 
-__all__ = ["BUCKETS", "ACTIVE", "profile", "bucket", "format_report"]
+__all__ = [
+    "BUCKETS", "BUCKET_PREFIXES", "ACTIVE", "profile", "span", "count", "bucket_of",
+    "format_report",
+]
 
-#: Canonical bucket names, in report order.  A span may carry any
-#: name; these are the ones the instrumented hot paths charge.
+#: The five coarse buckets, in report order.
 BUCKETS = ("kernel", "engine", "comm", "serialization", "other")
 
+#: Span-name prefix -> bucket, the first match wins; a name no prefix
+#: matches is ``other``.
+BUCKET_PREFIXES = (
+    ("simmpi.engine", "engine"),
+    ("simmpi.dispatch", "comm"),
+    ("core.parallel.admit", "serialization"),
+    ("core.procpool.pickle", "serialization"),
+    ("core.procpool.map", "kernel"),
+    ("pipeline.checkpoint", "serialization"),
+    ("campaign.store", "serialization"),
+    ("campaign.finalize", "serialization"),
+    ("campaign.compute", "kernel"),
+    ("pipeline.", "kernel"),
+    ("gravity.", "kernel"),
+    ("sph.", "kernel"),
+    ("hpl.", "kernel"),
+    ("npb.", "kernel"),
+)
+
 #: The installed wall-clock recorder, or None.  Hot paths consult it
-#: through :func:`bucket`, which costs one global load when inactive.
+#: through :func:`span` and :func:`count`, which cost one global load
+#: when inactive.
 ACTIVE: Recorder | None = None
 
 _INACTIVE = contextlib.nullcontext()
@@ -96,18 +122,30 @@ def profile(clock=time.perf_counter):
         ACTIVE = prev
 
 
-def bucket(name: str):
+def span(name: str, cat: str = "wall", **args):
     """A span on the active recorder; a shared no-op when none is."""
     rec = ACTIVE
-    return rec.span(name, cat="wall") if rec is not None else _INACTIVE
+    return rec.span(name, cat=cat, **args) if rec is not None else _INACTIVE
+
+
+def count(name: str, delta: float = 1.0) -> None:
+    """Add ``delta`` to a counter of the active recorder, if any."""
+    rec = ACTIVE
+    if rec is not None:
+        rec.count(name, delta)
+
+
+def bucket_of(name: str) -> str:
+    """The bucket :data:`BUCKET_PREFIXES` assigns a span name."""
+    return next((b for prefix, b in BUCKET_PREFIXES if name.startswith(prefix)), "other")
 
 
 def format_report(table: Mapping[str, float]) -> str:
-    """ASCII table of self seconds per bucket, largest first."""
+    """ASCII table of self seconds per span name, largest first."""
     total = sum(table.values())
-    lines = [f"{'bucket':<14} {'seconds':>12} {'share':>8}"]
+    lines = [f"{'span':<24} {'seconds':>14} {'share':>8}"]
     for name, s in sorted(table.items(), key=lambda kv: -kv[1]):
         share = 100.0 * s / total if total else 0.0
-        lines.append(f"{name:<14} {s:>12.6f} {share:>7.2f}%")
-    lines.append(f"{'total':<14} {total:>12.6f} {'100.00%':>8}")
+        lines.append(f"{name:<24} {s:>14.6f} {share:>7.2f}%")
+    lines.append(f"{'total':<24} {total:>14.6f} {'100.00%':>8}")
     return "\n".join(lines)

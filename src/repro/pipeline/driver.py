@@ -30,11 +30,10 @@ and a resume reads only the newest, so every commit prunes the epochs
 before it (``CheckpointStore.prune(keep_last=1)``): a finished run
 leaves one epoch directory.
 
-Instrumentation: each stage is a ``pipeline.<stage>`` span on the
-:mod:`repro.obs` observer, whose clock the caller chooses.  Under
-:func:`repro.obs.wallclock.profile` stage compute is also a ``kernel``
-span and checkpoint I/O a ``serialization`` span of the wall-clock
-recorder, so the run shows up in the bucket table.
+Instrumentation: under :func:`repro.obs.wallclock.profile` each
+executed stage is one ``pipeline.<stage>`` span of the wall-clock
+recorder (a resumed stage has none) and each checkpoint commit one
+``pipeline.checkpoint`` span, so the run shows up in the per-span table.
 
 >>> from repro.campaign.spec import PipelineSpec
 >>> spec = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2,
@@ -54,7 +53,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..obs import NULL, Recorder
 from ..obs import wallclock
 from .distributions import as_distribution
 from .products import (
@@ -128,10 +126,8 @@ def run_pipeline(
     spec,
     *,
     checkpoint_dir: str | None = None,
-    observer: Recorder = NULL,
     backend=None,
     stop_after: str | None = None,
-    trace: list | None = None,
 ) -> PipelineProducts | None:
     """Run (or resume) the five-stage pipeline for one scenario.
 
@@ -141,8 +137,7 @@ def run_pipeline(
     the newest one.  ``backend`` routes the FoF and P(k) kernels
     through :mod:`repro.core.backend`; ``stop_after`` halts after the
     named stage (checkpoint workflows and drills) and returns ``None``
-    unless the chain completed; ``trace``, if given, collects the names
-    of the stages actually executed (resumed stages are absent).
+    unless the chain completed.
     """
     from ..campaign.fingerprint import scenario_fingerprint_hex
 
@@ -157,13 +152,10 @@ def run_pipeline(
 
         ckpt = CheckpointStore(checkpoint_dir)
         start, state = _try_resume(ckpt, fingerprint)
-        if start:
-            observer.count("pipeline.resumed_stages", start)
 
     for index in range(start, len(PIPELINE_STAGES)):
         stage = PIPELINE_STAGES[index]
-        t0 = observer.now()
-        with wallclock.bucket("kernel"):
+        with wallclock.span(f"pipeline.{stage.name}", cat="pipeline", stage=stage.name):
             out = stage.run(spec, state, backend)
         missing = set(stage.outputs) - set(out)
         if missing:
@@ -171,14 +163,9 @@ def run_pipeline(
                 f"stage {stage.name!r} broke its contract: missing {sorted(missing)}"
             )
         state.update(out)
-        observer.add_span(f"pipeline.{stage.name}", t0, observer.now(),
-                          cat="pipeline", args={"stage": stage.name})
-        observer.count("pipeline.stages_run")
-        if trace is not None:
-            trace.append(stage.name)
         if ckpt is not None:
             arrays, scalars = _split_state(state)
-            with wallclock.bucket("serialization"):
+            with wallclock.span("pipeline.checkpoint", cat="pipeline"):
                 ckpt.write_rank(index, 0, arrays)
                 ckpt.commit(index, {
                     "stage": stage.name,
@@ -310,7 +297,6 @@ def run_ensemble(
     *,
     seed: int = 0,
     workers: int | None = None,
-    observer: Recorder = NULL,
     throttle: float = 0.0,
 ) -> EnsembleResult:
     """Draw ``n`` scenarios and run them as one campaign.
@@ -327,8 +313,7 @@ def run_ensemble(
     from ..campaign.store import ResultStore
 
     specs = draw_specs(base, distributions, n, seed=seed)
-    report = run_campaign(specs, store_dir, workers=workers,
-                          observer=observer, throttle=throttle)
+    report = run_campaign(specs, store_dir, workers=workers, throttle=throttle)
     by_fp = ResultStore(store_dir).load_results()
     fingerprints = [scenario_fingerprint_hex(s.to_dict()) for s in specs]
     results = [by_fp[fp]["result"] for fp in fingerprints if fp in by_fp]

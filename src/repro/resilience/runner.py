@@ -25,10 +25,9 @@ restarts, and a bit-identical final :class:`~repro.simmpi.engine.SimResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..machine.node import NodeSpec, SPACE_SIMULATOR_NODE
-from ..obs import NULL, Recorder
 from ..simmpi.cost import CostModel
 from ..simmpi.engine import SimResult, run
 from ..simmpi.faults import FaultPlan, RankFailedError
@@ -97,7 +96,6 @@ def run_resilient(
     faults: FaultPlan | None = None,
     config: ResilienceConfig,
     max_events: int = 50_000_000,
-    observer: Recorder | None = None,
 ) -> ResilientResult:
     """Run a checkpointing SimMPI job to completion under a fault plan.
 
@@ -106,13 +104,10 @@ def run_resilient(
     than the checkpoint cadence can absorb, which is itself a finding
     (see the bench's expected-runtime blow-up at tiny MTBF).
 
-    With ``observer``, the restart loop records job-level spans in
-    cumulative virtual time — one ``attempt-N`` span per launch and a
-    ``restart`` span for each repair/relaunch window — plus
-    ``resilience.*`` counters, so a Chrome trace shows the whole
-    checkpointed campaign, not just the surviving attempt.
+    The result's ``failures`` records every consumed crash (rank,
+    attempt, virtual time) and ``sim.observer`` holds the surviving
+    attempt's trace.
     """
-    obs = observer if observer is not None else NULL
     store = CheckpointStore(config.checkpoint_dir)
     plan = faults if faults is not None else FaultPlan()
     failures: list[FailureRecord] = []
@@ -146,16 +141,6 @@ def run_resilient(
                     cumulative_time_s=wall_s + crash.time,
                 )
             )
-            obs.add_span(
-                f"attempt-{attempt}", wall_s, wall_s + crash.time,
-                cat="attempt", args={"crashed_rank": crash.rank},
-            )
-            obs.add_span(
-                "restart", wall_s + crash.time,
-                wall_s + crash.time + config.restart_s, cat="restart",
-            )
-            obs.count("resilience.failures")
-            obs.count("resilience.lost_s", crash.time + config.restart_s)
             # The crashed attempt burned its virtual time up to the
             # crash, then the cluster sat in repair/relaunch; the fault
             # schedule advances past both (maintenance clears pending
@@ -164,8 +149,6 @@ def run_resilient(
             plan = plan.shifted(crash.time + config.restart_s)
             continue
         checkpoints += ckpt.checkpoints_written
-        obs.add_span(f"attempt-{attempt}", wall_s, wall_s + sim.elapsed, cat="attempt")
-        obs.count("resilience.checkpoints", checkpoints)
         return ResilientResult(
             sim=sim,
             attempts=attempt + 1,

@@ -51,8 +51,7 @@ from functools import reduce as _fold
 from typing import Any, Callable, Generator, Sequence
 
 from ..machine.perfmodel import Workload
-from ..obs import NULL, Recorder, Span
-from ..obs.wallclock import bucket as _wall_bucket
+from ..obs import NULL, Recorder, Span, wallclock
 from .api import (
     ANY_SOURCE,
     ANY_TAG,
@@ -141,12 +140,10 @@ class RankStats:
 class SimResult:
     """Outcome of a simulation: per-rank clocks, stats, return values.
 
-    ``observer`` is the :class:`~repro.obs.Recorder` that captured the
-    run's spans and counters (None when tracing was disabled and no
-    external observer was supplied); ``trace`` is the spans it held
-    when the run ended.  ``trace_sample``
-    records the span decimation the engine ran with (1.0 = every rank
-    traced).
+    ``observer`` is the :class:`~repro.obs.Recorder` the engine created
+    for a traced run, holding its virtual-time spans and counters (None
+    with ``record_trace=False``).  ``trace_sample`` records the span
+    decimation the engine ran with (1.0 = every rank traced).
     """
 
     clocks: list[float]
@@ -154,16 +151,11 @@ class SimResult:
     returns: list[Any]
     observer: Recorder | None = None
     trace_sample: float = 1.0
-    #: How many of ``observer``'s spans existed when the run ended (a
-    #: shared recorder may grow afterwards); 0 with ``record_trace=False``.
-    trace_spans: int = 0
 
     @property
     def trace(self) -> list[Span]:
         """The run's spans, in recording order (empty untraced)."""
-        if not self.trace_spans:
-            return []
-        return self.observer.spans[: self.trace_spans]
+        return self.observer.spans if self.observer is not None else []
 
     @property
     def elapsed(self) -> float:
@@ -260,10 +252,15 @@ class _RankState:
 class Engine:
     """Runs a set of rank programs to completion under a cost model.
 
-    ``trace_sample`` decimates per-rank span emission: at 0.25 only
-    every 4th rank (0, 4, 8, ...) emits compute/blocked spans, cutting
-    observer memory at large P while counters and virtual-time
-    accounting stay exact.  1.0 (the default) traces every rank.
+    ``record_trace`` gives the run its own virtual-time recorder,
+    ``observer``; without it the engine records into the no-op
+    :data:`~repro.obs.NULL`.  ``trace_sample`` decimates per-rank span
+    emission: at 0.25 only every 4th rank (0, 4, 8, ...) emits
+    compute/blocked spans, cutting observer memory at large P while
+    counters and virtual-time accounting stay exact.  1.0 (the default)
+    traces every rank.  Wall-clock spans (``simmpi.engine``,
+    ``simmpi.dispatch``) go to the recorder
+    :func:`repro.obs.wallclock.profile` installed, if any.
     """
 
     def __init__(
@@ -272,7 +269,6 @@ class Engine:
         cost: CostModel | None = None,
         record_trace: bool = True,
         faults: FaultPlan | None = None,
-        observer: Recorder | None = None,
         trace_sample: float = 1.0,
     ):
         if not programs:
@@ -284,22 +280,14 @@ class Engine:
         self.faults = faults
         if faults is not None:
             faults.validate_ranks(len(programs))
-        # Observation: an explicit observer wins; otherwise tracing
-        # allocates a private recorder, and disabled runs share the
-        # no-op NULL recorder (zero-cost hooks).
-        if observer is not None:
-            self.observer = observer
-        elif record_trace:
-            self.observer = Recorder()
-        else:
-            self.observer = NULL
+        # Untraced runs share the no-op NULL recorder (zero-cost hooks).
+        self.observer = Recorder() if record_trace else NULL
         self.eager_nbytes = getattr(self.cost, "eager_nbytes", DEFAULT_EAGER_NBYTES)
         self.size = len(programs)
         self.trace_sample = trace_sample
         stride = 1 if trace_sample >= 1.0 else max(1, round(1.0 / trace_sample))
         self._trace_stride = stride
-        observing = bool(getattr(self.observer, "enabled", True))
-        self._traced = [observing and (i % stride == 0) for i in range(self.size)]
+        self._traced = [record_trace and (i % stride == 0) for i in range(self.size)]
         self._seq = itertools.count()
         self._events: list[tuple[float, int, int, Any]] = []  # (time, seq, rank, value)
         self._ranks: list[_RankState] = []
@@ -382,7 +370,7 @@ class Engine:
         handler, comm = entry
         t = self._ranks[rank].clock
         if comm:
-            with _wall_bucket("comm"):
+            with wallclock.span("simmpi.dispatch"):
                 handler(self, rank, op, t)
         else:
             handler(self, rank, op, t)
@@ -874,10 +862,10 @@ class Engine:
         ranks = self._ranks
         counts = self._resume_counts
         pop = heapq.heappop
-        # Everything inside the event loop is charged to the "engine"
-        # wall-clock bucket unless a deeper section (comm dispatch,
-        # kernel backend, serialization) claims it first.
-        with _wall_bucket("engine"):
+        # Everything inside the event loop is charged to the
+        # "simmpi.engine" wall-clock span unless a deeper one (dispatch,
+        # kernels, the admit gather) claims it first.
+        with wallclock.span("simmpi.engine"):
             while events:
                 time, _, rank, value = pop(events)
                 if value is _CRASH:
@@ -902,13 +890,12 @@ class Engine:
             clocks=[s.clock for s in ranks],
             stats=[s.stats for s in ranks],
             returns=[s.return_value for s in ranks],
-            observer=self.observer if self.observer is not NULL else None,
+            observer=self.observer if self.record_trace else None,
             trace_sample=self.trace_sample,
-            trace_spans=len(self.observer.spans) if self.record_trace else 0,
         )
 
 
-#: ``type(op)`` -> (handler, charged to the "comm" wall bucket).
+#: ``type(op)`` -> (handler, timed by the "simmpi.dispatch" wall span).
 _HANDLERS: dict[type, tuple[Callable, bool]] = {
     Compute: (Engine._compute, False),
     Elapse: (Engine._elapse, False),
@@ -928,7 +915,6 @@ def run(
     cost: CostModel | None = None,
     max_events: int | None = None,
     faults: FaultPlan | None = None,
-    observer: Recorder | None = None,
     record_trace: bool = True,
     trace_sample: float = 1.0,
     max_events_per_rank: int | None = None,
@@ -939,9 +925,8 @@ def run(
     ``run([master, worker, worker])`` launches heterogeneous programs.
     With ``faults``, the run executes under an injected failure schedule
     and may raise :class:`~repro.simmpi.faults.RankFailedError`.
-    With ``observer``, the engine records its spans and counters into
-    the given :class:`~repro.obs.Recorder` instead of a private one.
-    ``trace_sample`` decimates span emission (see :class:`Engine`) and
+    With ``record_trace``, the result's ``observer`` holds the run's
+    spans and counters.  ``trace_sample`` decimates span emission (see :class:`Engine`) and
     ``max_events`` / ``max_events_per_rank`` size the event budget (see
     :meth:`Engine.run`).
     """
@@ -955,5 +940,5 @@ def run(
             raise ValueError("n_ranks disagrees with the number of programs")
     return Engine(
         programs, cost, record_trace=record_trace, faults=faults,
-        observer=observer, trace_sample=trace_sample,
+        trace_sample=trace_sample,
     ).run(max_events=max_events, max_events_per_rank=max_events_per_rank)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.backend import get_backend
 from ..core.tree import Tree, build_tree
-from ..obs import NULL
+from ..obs import wallclock
 from .kernel import SUPPORT_RADIUS, w_cubic
 from .neighbors import NeighborLists, find_neighbors
 
@@ -47,7 +47,6 @@ def density_sum(
     neighbors: NeighborLists | None = None,
     *,
     backend=None,
-    observer=NULL,
 ) -> tuple[np.ndarray, NeighborLists]:
     """Gather-form density over tree-order particles.
 
@@ -56,15 +55,15 @@ def density_sum(
     """
     kb = get_backend(backend)
     if neighbors is None:
-        neighbors = find_neighbors(tree, SUPPORT_RADIUS * h, backend=kb, observer=observer)
-    with observer.span("sph.density", cat="sph", backend=kb.name):
+        neighbors = find_neighbors(tree, SUPPORT_RADIUS * h, backend=kb)
+    with wallclock.span("sph.density", cat="sph", backend=kb.name):
         i_idx = np.repeat(np.arange(tree.n_particles), neighbors.counts())
         j_idx = neighbors.neighbors
         dr = tree.positions[i_idx] - tree.positions[j_idx]
         r = np.sqrt(np.einsum("ij,ij->i", dr, dr))
         w = w_cubic(r, h[i_idx])
         rho = kb.segment_sum(tree.masses[j_idx] * w, neighbors.offsets)
-        observer.count("sph.density_pairs", int(j_idx.shape[0]))
+        wallclock.count("sph.density_pairs", int(j_idx.shape[0]))
     return rho, neighbors
 
 
@@ -77,7 +76,6 @@ def adapt_smoothing(
     max_iters: int = 4,
     bucket_size: int = 16,
     backend=None,
-    observer=NULL,
 ) -> tuple[Tree, DensityResult]:
     """Iterate h toward the target neighbor count; returns (tree, result).
 
@@ -101,12 +99,12 @@ def adapt_smoothing(
     tree = build_tree(positions, masses, bucket_size=bucket_size)
     h = h[tree.order]
     for iterations in range(1, max_iters + 1):
-        neigh = find_neighbors(tree, SUPPORT_RADIUS * h, backend=backend, observer=observer)
+        neigh = find_neighbors(tree, SUPPORT_RADIUS * h, backend=backend)
         counts = neigh.counts()
         if iterations == max_iters or np.all(np.abs(counts - n_target) <= max(2, n_target // 5)):
             break
         # Move h toward the count target (cube-root rule), damped.
         factor = (n_target / np.maximum(counts, 1)) ** (1.0 / 3.0)
         h = h * np.clip(factor, 0.7, 1.5)
-    rho, _ = density_sum(tree, h, neigh, backend=backend, observer=observer)
+    rho, _ = density_sum(tree, h, neigh, backend=backend)
     return tree, DensityResult(rho, h, neigh, iterations)

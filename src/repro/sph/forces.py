@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.backend import get_backend
 from ..core.tree import Tree
-from ..obs import NULL
+from ..obs import wallclock
 from .kernel import dw_dr_cubic
 from .neighbors import NeighborLists, symmetric_pairs
 
@@ -65,7 +65,6 @@ def compute_sph_forces(
     h: np.ndarray,
     visc: ViscosityParams | None = None,
     backend=None,
-    observer=NULL,
 ) -> SphForces:
     """Evaluate the SPH equations of motion (all arrays tree-order).
 
@@ -120,7 +119,7 @@ def compute_sph_forces(
         + pi_ij
     )
     # Action on i, reaction on j (momentum conservation by construction).
-    with observer.span("sph.forces", cat="sph", backend=kb.name):
+    with wallclock.span("sph.forces", cat="sph", backend=kb.name):
         kernel_force = (term * dw)[:, None] * unit
         dv_dt = np.zeros((n, 3))
         kb.scatter_add(dv_dt, i_idx, -tree.masses[j_idx][:, None] * kernel_force)
@@ -133,7 +132,7 @@ def compute_sph_forces(
         du_dt = np.zeros(n)
         kb.scatter_add(du_dt, i_idx, 0.5 * tree.masses[j_idx] * x_pair)
         kb.scatter_add(du_dt, j_idx, 0.5 * tree.masses[i_idx] * x_pair)
-        observer.count("sph.force_pairs", int(i_idx.shape[0]))
+        wallclock.count("sph.force_pairs", int(i_idx.shape[0]))
 
     signal = sound_speed[i_idx] + sound_speed[j_idx] - np.minimum(mu, 0.0)
     max_signal = float(signal.max()) if signal.size else float(sound_speed.max())

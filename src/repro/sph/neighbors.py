@@ -38,7 +38,7 @@ from ..core.backend import get_backend
 from ..core.celltable import csr_take
 from ..core.traversal import DEFAULT_PAIR_CHUNK, csr_by_group, leaf_particles, walk
 from ..core.tree import Tree
-from ..obs import NULL
+from ..obs import wallclock
 
 __all__ = [
     "NeighborLists",
@@ -128,7 +128,6 @@ def find_neighbors(
     *,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
     backend=None,
-    observer=NULL,
 ) -> NeighborLists:
     """All particles within ``radii[i]`` of particle ``i`` (tree order).
 
@@ -146,7 +145,7 @@ def find_neighbors(
     if pair_chunk < 1:
         raise ValueError("pair_chunk must be positive")
     kb = get_backend(backend)
-    with observer.span("sph.neighbors", cat="sph"):
+    with wallclock.span("sph.neighbors", cat="sph"):
         table = tree.table
         groups = tree.leaf_ids
         n_groups = groups.shape[0]
@@ -211,8 +210,8 @@ def find_neighbors(
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(neigh_counts, out=offsets[1:])
         flat = np.concatenate(kept_j) if kept_j else np.empty(0, dtype=np.int64)
-        observer.count("sph.neighbor_mac_tests", mac_tests)
-        observer.count("sph.neighbor_candidates", int(ppg.sum()))
+        wallclock.count("sph.neighbor_mac_tests", mac_tests)
+        wallclock.count("sph.neighbor_candidates", int(ppg.sum()))
     return NeighborLists(offsets, flat, radii)
 
 

@@ -1,6 +1,6 @@
 """Unit tests for the campaign result store, obs wiring, and failure
 handling: the queryable-store contract (JSONL truth, sqlite
-accelerator), dedupe counters on the instrumentation recorder, and
+accelerator), dedupe tallies and the wall spans of a profiled run, and
 deterministic-failure shards becoming data instead of crashes.
 """
 
@@ -22,35 +22,31 @@ from repro.campaign import (
     spec_from_dict,
     sweep,
 )
-from repro.obs import Recorder
+from repro.obs import wallclock
 
 
 class TestObsCounters:
     def test_duplicate_specs_report_dedupe_hits(self, tmp_path):
-        """Acceptance: duplicate catalog entries → dedupe hits > 0 in
-        the obs counters, not just the report."""
-        rec = Recorder()
+        """Acceptance: duplicate catalog entries → dedupe hits > 0."""
         catalog = [ClusterSpec(n_nodes=64), ClusterSpec(n_nodes=64),
                    ClusterSpec(n_nodes=64), ClusterSpec(n_nodes=128)]
-        report = run_campaign(catalog, str(tmp_path / "c"), observer=rec)
-        assert report.dedupe_hits == 2
-        assert rec.counters["campaign.dedupe_hits"].value == 2
-        assert rec.counters["campaign.computed"].value == 2
-        assert rec.counters["campaign.shards"].value == 4
+        report = run_campaign(catalog, str(tmp_path / "c"))
+        assert (report.total_shards, report.dedupe_hits, report.computed) == (4, 2, 2)
 
     def test_cache_hits_counted_on_rerun(self, tmp_path):
         catalog = [ClusterSpec(n_nodes=16)]
         run_campaign(catalog, str(tmp_path / "c"))
-        rec = Recorder()
-        run_campaign(catalog, str(tmp_path / "c"), observer=rec)
-        assert rec.counters["campaign.cache_hits"].value == 1
+        report = run_campaign(catalog, str(tmp_path / "c"))
+        assert (report.cache_hits, report.computed) == (1, 0)
 
     def test_campaign_and_shard_spans_recorded(self, tmp_path):
-        rec = Recorder()
-        run_campaign([ClusterSpec(n_nodes=16)], str(tmp_path / "c"), observer=rec)
+        with wallclock.profile() as rec:
+            run_campaign([ClusterSpec(n_nodes=16), ClusterSpec(n_nodes=32)],
+                         str(tmp_path / "c"))
         names = [s.name for s in rec.spans]
-        assert "campaign" in names
-        assert "shard:cluster" in names
+        # one compute span per finished shard, plus the one that finds none left
+        assert names.count("campaign.compute") == 3
+        assert {"campaign.fingerprint", "campaign.store", "campaign.finalize"} <= set(names)
 
 
 class TestFailureShards:
@@ -295,6 +291,17 @@ class TestSpecsHoldJsonScalars:
                      "ClusterSpec.n_nodes must be a number, got '8'", id="str_for_number"),
         pytest.param({"kind": "bench", "bench": 7},
                      "BenchSpec.bench must be a string, got 7", id="number_for_str"),
+        pytest.param({"kind": "cosmology", "box_mpc_h": -1.0},
+                     "CosmologySpec.box_mpc_h must be positive, got -1.0", id="box"),
+        pytest.param({"kind": "cosmology", "sigma8": 0.0},
+                     "CosmologySpec.sigma8 must be positive, got 0.0", id="sigma8"),
+        pytest.param({"kind": "supernova", "omega0": -0.1},
+                     "SupernovaSpec.omega0 must be non-negative, got -0.1", id="omega0"),
+        pytest.param({"kind": "supernova", "r0": 0.0},
+                     "SupernovaSpec.r0 must be positive, got 0.0", id="r0"),
+        pytest.param({"kind": "pipeline", "n_target_neighbors": 0},
+                     "PipelineSpec.n_target_neighbors must be at least 1, got 0",
+                     id="neighbors"),
     ]
 
     @pytest.mark.parametrize("entry,message", REFUSED)

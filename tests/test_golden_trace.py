@@ -15,6 +15,7 @@ To bless an intentional change:
     PYTHONPATH=src python tests/test_golden_trace.py --regen
 """
 
+import contextlib
 import itertools
 import os
 
@@ -22,10 +23,10 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelConfig, parallel_tree_accelerations, tree_accelerations
-from repro.obs import NULL, NullRecorder, Recorder, chrome_trace, dumps_canonical, metrics
+from repro.obs import NULL, Recorder, chrome_trace, dumps_canonical, metrics, wallclock
 from repro.simmpi import Comm, SpaceSimulatorCost, run
 from repro.simmpi.trace import utilization
-from repro.sph import compute_sph_forces, density_sum, find_neighbors
+from repro.sph import compute_sph_forces, density_sum
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -62,33 +63,42 @@ def _treecode_scenario():
     ).sim
 
 
-def _serial_pipeline(observer) -> None:
+def _serial_pipeline() -> None:
     """Run the serial batched gravity + SPH hot paths once."""
     rng = np.random.default_rng(7)
     pos = rng.random((192, 3))
     masses = np.full(192, 1.0 / 192)
-    res = tree_accelerations(
-        pos, masses, theta=0.7, eps=0.02, bucket_size=16,
-        backend="numpy", observer=observer,
-    )
+    res = tree_accelerations(pos, masses, theta=0.7, eps=0.02, bucket_size=16, backend="numpy")
     tree = res.tree
     h = np.full(192, 0.12)
-    rho, neigh = density_sum(tree, h, backend="numpy", observer=observer)
+    rho, neigh = density_sum(tree, h, backend="numpy")
     rho = np.maximum(rho, 1e-9)
     pressure = rho ** (5.0 / 3.0)
     cs = np.sqrt(5.0 / 3.0 * pressure / rho)
     compute_sph_forces(
         tree, neigh, rho=rho, pressure=pressure, sound_speed=cs,
-        velocities=np.zeros((192, 3)), h=h,
-        backend="numpy", observer=observer,
+        velocities=np.zeros((192, 3)), h=h, backend="numpy",
     )
+
+
+@contextlib.contextmanager
+def _tick_recorder():
+    """A recorder on a deterministic tick clock, installed as the
+    ambient wall-clock recorder without ``profile()``'s root span, so
+    the serial kernels' spans are the whole trace."""
+    ticks = itertools.count()
+    rec = Recorder(clock=lambda: float(next(ticks)))
+    prev, wallclock.ACTIVE = wallclock.ACTIVE, rec
+    try:
+        yield rec
+    finally:
+        wallclock.ACTIVE = prev
 
 
 def _serial_kernels_scenario() -> dict[str, str]:
     """The batched kernel spans/counters on a deterministic tick clock."""
-    ticks = itertools.count()
-    rec = Recorder(clock=lambda: float(next(ticks)))
-    _serial_pipeline(rec)
+    with _tick_recorder() as rec:
+        _serial_pipeline()
     return {
         "trace": dumps_canonical(chrome_trace(rec, process_name="golden")),
         "metrics": dumps_canonical(metrics(rec)),
@@ -140,9 +150,8 @@ def test_golden_runs_are_deterministic():
 
 
 def test_serial_kernel_spans_present():
-    ticks = itertools.count()
-    rec = Recorder(clock=lambda: float(next(ticks)))
-    _serial_pipeline(rec)
+    with _tick_recorder() as rec:
+        _serial_pipeline()
     names = {s.name for s in rec.spans}
     assert {
         "gravity.compute_forces", "gravity.traversal",
@@ -160,18 +169,17 @@ def test_serial_kernel_spans_present():
         assert m[f"counter.{key}"] > 0, key
 
 
-def test_null_recorder_emits_nothing():
-    """The disabled path through the batched kernels records zero state."""
-    rec = NullRecorder()
-    _serial_pipeline(rec)
-    assert len(rec.spans) == 0
-    assert metrics(rec) == {}
-    # Only process metadata, never a kernel event.
-    assert all(ev["ph"] == "M" for ev in chrome_trace(rec)["traceEvents"])
-    # The default observer is the shared NULL singleton; the pipeline
-    # above (and every run before it) must not have leaked state into it.
-    _serial_pipeline(NULL)
-    assert len(NULL.spans) == 0 and NULL.counters == {} and NULL.gauges == {}
+def test_null_recorder_emits_nothing(monkeypatch):
+    """With no recorder installed, the batched kernels record nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("recorded with no recorder installed")
+
+    monkeypatch.setattr(Recorder, "span", refuse)
+    monkeypatch.setattr(Recorder, "count", refuse)
+    _serial_pipeline()
+    assert wallclock.ACTIVE is None
+    # The untraced engine's shared NULL recorder never holds state.
+    assert len(NULL.spans) == 0 and NULL.counters == {}
 
 
 def regen() -> None:

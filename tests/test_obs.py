@@ -8,7 +8,6 @@ from repro.obs import (
     DEFAULT_SYMBOLS,
     NULL,
     Counter,
-    Gauge,
     NullRecorder,
     Recorder,
     Span,
@@ -46,12 +45,6 @@ class TestCounterGauge:
         with pytest.raises(ValueError):
             c.add(-1)
 
-    def test_gauge_envelope(self):
-        g = Gauge("depth")
-        for v in (3.0, 1.0, 7.0):
-            g.set(v)
-        assert (g.value, g.lo, g.hi, g.samples) == (7.0, 1.0, 7.0, 3)
-
 
 class TestRecorder:
     def test_explicit_spans_virtual_time(self):
@@ -83,13 +76,12 @@ class TestRecorder:
         with pytest.raises(RuntimeError):
             a.__exit__(None, None, None)
 
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         rec = Recorder()
         rec.count("ops")
         rec.count("ops", 4)
-        rec.gauge("depth", 2.0)
         assert rec.counters["ops"].value == 5
-        assert rec.gauges["depth"].value == 2.0
+        assert rec.counter("ops") is rec.counters["ops"]
 
     def test_span_args_frozen_sorted(self):
         rec = Recorder()
@@ -100,19 +92,15 @@ class TestRecorder:
 class TestNullRecorder:
     def test_everything_is_a_noop(self):
         n = NullRecorder()
-        assert not n.enabled
-        with n.span("x", track=1, cat="compute", n=3):
-            n.count("c", 5)
-            n.gauge("g", 1.0)
-            n.add_span("y", 0, 1)
+        n.count("c", 5)
+        n.add_span("y", 0, 1, track=1, cat="compute")
         assert n.spans == ()
-        assert n.counters == {} and n.gauges == {}
+        assert n.counters == {}
         assert n.counter("c").value == 0.0
         assert n.now() == 0.0
 
     def test_shared_singleton(self):
         assert isinstance(NULL, NullRecorder)
-        assert NULL.span("a") is NULL.span("b")
         assert NULL.counter("a") is NULL.counter("b")
 
 
@@ -185,13 +173,8 @@ class TestMetrics:
         rec.add_span("load", 0.0, 1.0)
         rec.add_span("load", 2.0, 2.5)
         rec.count("ops", 10)
-        rec.gauge("depth", 3.0)
         m = metrics(rec)
-        assert m["span.load.count"] == 2
-        assert m["span.load.total_s"] == pytest.approx(1.5)
-        assert m["counter.ops"] == 10
-        assert m["gauge.depth"] == 3.0
-        assert m["gauge.depth.min"] == 3.0 and m["gauge.depth.max"] == 3.0
+        assert m == {"span.load.count": 2, "span.load.total_s": 1.5, "counter.ops": 10}
 
 
 class TestCanonicalDumps:

@@ -1,5 +1,5 @@
 """Tests for the ``python -m repro.obs`` CLI, the HTML report, and the
-counter/gauge round-trip through Chrome trace export (ISSUE 3).
+counter round-trip through Chrome trace export.
 """
 
 import json
@@ -9,9 +9,9 @@ import pytest
 from repro.obs import (
     Recorder,
     chrome_trace,
-    dumps_canonical,
     recorder_from_chrome_trace,
     svg_timeline,
+    wallclock,
     write_report,
 )
 from repro.obs.__main__ import main
@@ -37,32 +37,20 @@ def _history_lines(values, name="bench.demo"):
 
 
 class TestChromeRoundTrip:
-    def test_counters_and_gauges_survive(self):
+    def test_counters_survive(self):
         rec = Recorder()
         rec.add_span("work", 0.0, 1.0, track=0, cat="compute")
         rec.count("msgs", 3)
         rec.count("bytes", 1024)
-        g = rec.gauge("depth")
-        g.set(2.0)
-        g.set(7.0)
-        g.set(4.0)
-        back = recorder_from_chrome_trace(chrome_trace(rec))
+        doc = chrome_trace(rec)
+        # A counter-phase event of any other category is not a counter.
+        doc["traceEvents"].append({"name": "depth", "ph": "C", "cat": "gauge", "ts": 0.0,
+                                   "pid": 0, "tid": 0, "args": {"value": 4.0}})
+        back = recorder_from_chrome_trace(doc)
         assert back.spans == rec.spans
         assert {n: c.value for n, c in back.counters.items()} == {
             "msgs": 3.0, "bytes": 1024.0,
         }
-        gb = back.gauges["depth"]
-        assert (gb.value, gb.lo, gb.hi, gb.samples) == (4.0, 2.0, 7.0, 3)
-
-    def test_unsampled_gauge_round_trips_without_infinities(self):
-        rec = Recorder()
-        rec.add_span("w", 0.0, 0.5)
-        rec.gauge("never_set")  # lo/hi are the +-inf sentinels
-        doc = chrome_trace(rec)
-        dumps_canonical(doc)  # allow_nan=False: infinities would raise
-        gb = recorder_from_chrome_trace(doc).gauges["never_set"]
-        assert gb.samples == 0
-        assert gb.value == 0.0
 
     def test_counter_events_are_chrome_ph_c(self):
         rec = Recorder()
@@ -264,16 +252,19 @@ class TestWallclockCommand:
     @staticmethod
     def _table(out):
         lines = out.splitlines()
-        start = next(i for i, line in enumerate(lines) if line.startswith("bucket "))
+        start = next(i for i, line in enumerate(lines) if line.startswith("span "))
         stop = next(i for i, line in enumerate(lines) if line.startswith("total "))
         return lines[start:stop + 1]
 
     def test_prints_the_five_buckets(self, capsys):
+        # The table is per span name; through the prefix table its rows
+        # charge every one of the five buckets.
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        table = self._table(out)
-        assert sorted(line.split()[0] for line in table[1:-1]) == sorted(
-            ["kernel", "engine", "comm", "serialization", "other"])
+        names = [line.split()[0] for line in self._table(out)[1:-1]]
+        assert {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells",
+                "core.parallel.admit", "other"} <= set(names)
+        assert {wallclock.bucket_of(name) for name in names} == set(wallclock.BUCKETS)
         # The run has a cost model, so virtual time elapsed and the
         # critical-path block below the table is not dead code.
         path = out[out.index("critical path: "):]
@@ -287,6 +278,23 @@ class TestWallclockCommand:
         assert self._table(capsys.readouterr().out) == live
         # The file is an ordinary Chrome trace: the other verbs read it.
         assert main(["analyze", str(trace)]) == 0
+
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--ranks", "0"), ("--steps", "0"),
+                                            ("--n", "-5")])
+    def test_size_below_one_is_a_usage_error(self, flag, value, capsys):
+        args = {"--n": "300", "--ranks": "2", "--steps": "1", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["wallclock", *(part for item in args.items() for part in item)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{flag}: must be at least 1, got {value}\n"
+
+    def test_fewer_particles_than_ranks_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wallclock", "--n", "3", "--ranks", "4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "--n: must be at least --ranks (4), got 3\n"
 
 
 class TestFleetGateNeedsBaseline:

@@ -1,12 +1,15 @@
-"""Wall-clock attribution: buckets are spans, the table is self seconds.
+"""Wall-clock attribution: one recorder, spans named after layers, the
+table is self seconds.
 
 ``wallclock.profile()`` records ordinary :class:`repro.obs.Span`s on a
-wall-clock :class:`repro.obs.Recorder`, so everything here goes through
-the one span model: :func:`repro.obs.self_seconds` for the table,
+wall-clock :class:`repro.obs.Recorder`, and the code writes to it
+through ``wallclock.span`` / ``wallclock.count``: no function takes a
+recorder.  Everything here goes through the one span model:
+:func:`repro.obs.self_seconds` for the table,
 :func:`repro.obs.validate_nesting` for well-formedness and
 ``chrome_trace`` -> JSON -> ``parse_chrome_trace`` for persistence.  On
-every span list, synthetic (fake clock) or recorded from a live
-parallel run, the table must partition the root span exactly.
+every span list, synthetic (fake clock) or recorded from a live run of
+an entry point, the table must partition the root span exactly.
 """
 
 import json
@@ -14,9 +17,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaign import ClusterSpec, PipelineSpec, run_campaign
 from repro.core import ParallelConfig, parallel_nbody_run
-from repro.core.backend_wall import WallBackend
+from repro.core.procpool import MultiprocessBackend
 from repro.obs import (
+    NULL,
+    Recorder,
     Span,
     chrome_trace,
     parse_chrome_trace,
@@ -24,6 +30,7 @@ from repro.obs import (
     validate_nesting,
 )
 from repro.obs import wallclock as wc
+from repro.pipeline import STAGE_NAMES, run_pipeline
 
 from tests.test_obs_property import innermost_seconds
 
@@ -46,33 +53,34 @@ def _loaded(text: str):
 class TestProfilerUnit:
     def test_innermost_bucket_charging(self):
         with wc.profile(clock=_fake_clock([0.0, 1.0, 3.0, 6.0, 7.0, 10.0])) as rec:
-            with wc.bucket("engine"):      # other: 0..1
-                with wc.bucket("kernel"):  # engine: 1..3, kernel: 3..6
+            with wc.span("simmpi.engine"):          # other: 0..1
+                with wc.span("gravity.kernel.cells"):  # engine: 1..3, kernel: 3..6
                     pass
-                                           # engine: 6..7, other: 7..10
-        assert self_seconds(rec) == {"other": 4.0, "engine": 3.0, "kernel": 3.0}
+                                                      # engine: 6..7, other: 7..10
+        assert self_seconds(rec) == {
+            "other": 4.0, "simmpi.engine": 3.0, "gravity.kernel.cells": 3.0}
         assert rec.spans[-1].duration == 10.0
 
     def test_finalize_unwinds_open_buckets(self):
-        # An exception inside nested buckets closes them innermost
-        # first on its way out, and the partition still holds.
+        # An exception inside nested spans closes them innermost first
+        # on its way out, and the partition still holds.
         with pytest.raises(KeyError):
             with wc.profile(clock=_fake_clock([0.0, 1.0, 2.0, 5.0, 6.0, 8.0])) as rec:
-                with wc.bucket("engine"):
-                    with wc.bucket("comm"):
+                with wc.span("simmpi.engine"):
+                    with wc.span("simmpi.dispatch"):
                         raise KeyError("mid-flight")
         assert wc.ACTIVE is None
-        assert [s.name for s in rec.spans] == ["comm", "engine", "other"]
+        assert [s.name for s in rec.spans] == ["simmpi.dispatch", "simmpi.engine", "other"]
         table = self_seconds(rec)
-        assert table == {"other": 3.0, "engine": 2.0, "comm": 3.0}
+        assert table == {"other": 3.0, "simmpi.engine": 2.0, "simmpi.dispatch": 3.0}
         assert sum(table.values()) == rec.spans[-1].duration == 8.0
 
     def test_exit_without_enter_raises(self):
-        # What a bucket held across a generator yield amounts to: the
+        # What a span held across a generator yield amounts to: the
         # outer span closing while an inner one is still open.
         with wc.profile(clock=_fake_clock(range(10))):
-            outer = wc.bucket("engine")
-            inner = wc.bucket("kernel")
+            outer = wc.span("simmpi.engine")
+            inner = wc.span("gravity.kernel.cells")
             outer.__enter__()
             inner.__enter__()
             with pytest.raises(RuntimeError, match="closed out of order"):
@@ -82,27 +90,40 @@ class TestProfilerUnit:
 
     def test_bucket_noop_when_inactive(self):
         assert wc.ACTIVE is None
-        assert wc.bucket("kernel") is wc.bucket("engine")  # the shared null context
-        with wc.bucket("kernel"):
-            pass  # must not raise or record anything
+        assert wc.span("a") is wc.span("b", cat="x", n=1)  # the shared null context
+        with wc.span("gravity.kernel.cells"):
+            wc.count("gravity.p2p", 3)  # must not raise or record anything
+        assert wc.ACTIVE is None
 
     def test_profile_installs_and_restores_active(self):
         assert wc.ACTIVE is None
         with wc.profile() as rec:
             assert wc.ACTIVE is rec
-            with wc.bucket("kernel"):
-                pass
+            with wc.span("sph.density", cat="sph", backend="numpy"):
+                wc.count("sph.density_pairs", 5)
         assert wc.ACTIVE is None
-        assert [(s.name, s.cat) for s in rec.spans] == [("kernel", "wall"), ("other", "wall")]
+        assert [(s.name, s.cat, s.args) for s in rec.spans] == [
+            ("sph.density", "sph", (("backend", "numpy"),)), ("other", "wall", ())]
+        assert rec.counters["sph.density_pairs"].value == 5
+
+    def test_prefix_table(self):
+        assert [wc.bucket_of(name) for name in (
+            "simmpi.engine", "simmpi.dispatch", "core.parallel.admit",
+            "core.procpool.pickle", "core.procpool.map", "gravity.kernel.direct",
+            "pipeline.halos", "pipeline.checkpoint", "campaign.compute",
+            "campaign.fingerprint", "other", "unnamed")] == [
+            "engine", "comm", "serialization", "serialization", "kernel", "kernel",
+            "kernel", "serialization", "kernel", "other", "other", "other"]
+        assert {b for _, b in wc.BUCKET_PREFIXES} | {"other"} == set(wc.BUCKETS)
 
 
 def _synthetic():
     times = [0.0, 0.125, 0.25, 1.0, 1.5, 2.25, 4.0, 4.125]
     with wc.profile(clock=_fake_clock(times)) as rec:
-        with wc.bucket("engine"):
-            with wc.bucket("kernel"):
+        with wc.span("engine"):
+            with wc.span("kernel"):
                 pass
-            with wc.bucket("comm"):
+            with wc.span("comm"):
                 pass
     return rec
 
@@ -134,6 +155,13 @@ class TestExactPartition:
         assert self_seconds([]) == {}
 
 
+def _buckets(rec) -> dict:
+    out = dict.fromkeys(wc.BUCKETS, 0.0)
+    for name, seconds in self_seconds(rec).items():
+        out[wc.bucket_of(name)] += seconds
+    return out
+
+
 class TestGoldenTrace:
     """A live two-rank parallel run under ``profile()``: the spans the
     instrumented call sites really record."""
@@ -142,13 +170,13 @@ class TestGoldenTrace:
     def rec(self):
         pos = np.random.default_rng(11).random((600, 3))
         with wc.profile() as rec:
-            parallel_nbody_run(pos, n_ranks=2, n_steps=1, dt=1e-3,
-                               config=ParallelConfig(backend=WallBackend("numpy")))
+            parallel_nbody_run(pos, n_ranks=2, n_steps=1, dt=1e-3)
         return rec
 
     def test_fixture_schema(self, rec):
         validate_nesting(rec.spans)
-        assert {(s.cat, s.track) for s in rec.spans} == {("wall", 0)}
+        assert {s.track for s in rec.spans} == {0}
+        assert {s.cat for s in rec.spans} == {"wall", "gravity"}
         root = rec.spans[-1]
         assert root.name == "other"
         assert all(root.t_start <= s.t_start and s.t_end <= root.t_end for s in rec.spans)
@@ -159,17 +187,18 @@ class TestGoldenTrace:
         # Pinned against the interval-sampling oracle of the property
         # suite, which charges as an enter/exit event log would.
         table = self_seconds(rec)
-        assert set(table) == set(wc.BUCKETS)
+        assert set(table) == {"other", "simmpi.engine", "simmpi.dispatch", "core.parallel.admit",
+                              "gravity.kernel.cells", "gravity.kernel.direct"}
         assert table == innermost_seconds(rec.spans)
 
     def test_buckets_sum_exactly_to_elapsed(self, rec):
         assert sum(self_seconds(rec).values()) == rec.spans[-1].duration
+        assert sum(_buckets(rec).values()) == rec.spans[-1].duration
 
     def test_every_instrumented_bucket_charged(self, rec):
-        # A real multi-rank run: every hot-path bucket must have seen
-        # wall-clock, with the engine loop and kernels carrying the
-        # bulk of it.
-        table = self_seconds(rec)
+        # A real multi-rank run: every bucket must have seen wall-clock,
+        # with the engine loop and kernels carrying the bulk of it.
+        table = _buckets(rec)
         for name in wc.BUCKETS:
             assert table[name] > 0.0, name
         assert table["engine"] + table["kernel"] > 0.5 * sum(table.values())
@@ -179,3 +208,62 @@ class TestGoldenTrace:
         twice = _loaded(_saved(once))
         assert self_seconds(twice) == self_seconds(once) == self_seconds(rec)
         assert _saved(twice) == _saved(once)
+
+
+def _nbody(backend, tmp_path):
+    pos = np.random.default_rng(5).random((400, 3))
+    parallel_nbody_run(pos, n_ranks=2, n_steps=1, dt=1e-3,
+                       config=ParallelConfig(backend=backend))
+
+
+def _nbody_pooled(tmp_path):
+    # min_pairs=0 shards every rectangle call, so the pool really runs.
+    kb = MultiprocessBackend(workers=2, min_pairs=0)
+    try:
+        _nbody(kb, tmp_path)
+    finally:
+        kb.close()
+
+
+_FAST = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2, with_neutrinos=False)
+_CATALOG = [ClusterSpec(n_nodes=n) for n in (16, 32, 16, 64)]
+_CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "campaign.finalize"}
+
+#: Entry point -> (call, span names a profiled run must hold).
+ENTRY_POINTS = {
+    "nbody-numpy": (lambda tmp: _nbody("numpy", tmp),
+                    {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells"}),
+    "nbody-multiprocess": (_nbody_pooled,
+                           {"simmpi.engine", "core.procpool.pickle", "core.procpool.map"}),
+    "pipeline-checkpointed": (
+        lambda tmp: run_pipeline(_FAST, checkpoint_dir=str(tmp / "ck")),
+        {f"pipeline.{name}" for name in STAGE_NAMES} | {"pipeline.checkpoint", "sph.density"}),
+    "campaign-1": (lambda tmp: run_campaign(_CATALOG, str(tmp / "c"), workers=1), _CAMPAIGN),
+    "campaign-2": (lambda tmp: run_campaign(_CATALOG, str(tmp / "c"), workers=2), _CAMPAIGN),
+}
+
+
+class TestEntryPoints:
+    """Each entry point under ``profile()``: one recorder, well nested,
+    partitioned exactly, its layers named; without it, nothing."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_profiled_run_partitions_exactly(self, entry, tmp_path):
+        call, expected = ENTRY_POINTS[entry]
+        with wc.profile() as rec:
+            call(tmp_path)
+        validate_nesting(rec.spans)
+        root = rec.spans[-1]
+        assert root.name == "other"
+        assert sum(self_seconds(rec).values()) == root.duration
+        assert expected <= {s.name for s in rec.spans}
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_nothing_installed_records_nothing(self, entry, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a wall span was opened with no recorder installed")
+
+        monkeypatch.setattr(Recorder, "span", refuse)
+        ENTRY_POINTS[entry][0](tmp_path)
+        assert wc.ACTIVE is None
+        assert len(NULL.spans) == 0 and NULL.counters == {}

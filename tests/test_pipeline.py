@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import PipelineSpec, SPEC_KINDS, scenario_fingerprint_hex, spec_from_dict, sweep
-from repro.obs import Recorder
+from repro.obs import wallclock
 from repro.resilience.checkpoint import CheckpointStore
 from repro.pipeline import (
     Distribution,
@@ -37,6 +37,14 @@ from repro.pipeline import (
 
 FAST = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2,
                     with_neutrinos=False)
+
+
+def _run(spec, **kwargs):
+    """``run_pipeline`` under ``profile()``: its products, and the names
+    of the stages it executed, read from their ``pipeline.<stage>`` spans."""
+    with wallclock.profile() as rec:
+        products = run_pipeline(spec, **kwargs)
+    return products, [s.args_dict["stage"] for s in rec.spans if "stage" in s.args_dict]
 
 
 class TestDistributions:
@@ -163,6 +171,8 @@ class TestPipelineSpec:
         {"n_side": 3}, {"a_final": 0.05}, {"dlna": 0.0}, {"k_cut_fraction": 0.0},
         {"linking_length": 0.0}, {"min_members": 0}, {"pk_bins": 1},
         {"sn_particles": 4}, {"sn_steps": 0}, {"pressure_deficit": 1.5},
+        {"box_mpc_h": -1.0}, {"h": -0.7}, {"omega_m": 0.0}, {"sigma8": 0.0},
+        {"omega0": -5.0}, {"r0": -1.0}, {"n_target_neighbors": 0},
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -217,11 +227,11 @@ class TestRunPipeline:
         assert sum(products.mass_function.counts) == products.mass_function.n_halos
 
     def test_spans_and_counters(self):
-        obs = Recorder()
-        run_pipeline(FAST, observer=obs)
-        spans = {s.name for s in obs.spans}
-        assert {f"pipeline.{name}" for name in STAGE_NAMES} <= spans
-        assert obs.counters["pipeline.stages_run"].value == len(STAGE_NAMES)
+        with wallclock.profile() as rec:
+            run_pipeline(FAST)
+        stages = [s for s in rec.spans if s.cat == "pipeline"]
+        assert [s.name for s in stages] == [f"pipeline.{name}" for name in STAGE_NAMES]
+        assert [s.args_dict for s in stages] == [{"stage": name} for name in STAGE_NAMES]
 
     def test_unknown_stop_after_rejected(self):
         with pytest.raises(ValueError, match="unknown stage"):
@@ -235,22 +245,18 @@ class TestCheckpointResume:
         reference = run_pipeline(FAST).to_dict()
         for i, stop in enumerate(STAGE_NAMES[:-1]):
             ckpt_dir = str(tmp_path / f"ck_{stop}")
-            first = []
-            out = run_pipeline(FAST, checkpoint_dir=ckpt_dir, stop_after=stop,
-                               trace=first)
+            out, first = _run(FAST, checkpoint_dir=ckpt_dir, stop_after=stop)
             assert out is None
             assert first == list(STAGE_NAMES[:i + 1])
-            rest = []
-            resumed = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=rest)
+            resumed, rest = _run(FAST, checkpoint_dir=ckpt_dir)
             assert rest == list(STAGE_NAMES[i + 1:])
             assert resumed.to_dict() == reference
 
     def test_completed_run_resumes_to_noop_products(self, tmp_path):
         ckpt_dir = str(tmp_path / "ck")
         reference = run_pipeline(FAST, checkpoint_dir=ckpt_dir)
-        rerun_trace = []
-        again = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=rerun_trace)
-        assert rerun_trace == []  # nothing recomputed
+        again, rerun = _run(FAST, checkpoint_dir=ckpt_dir)
+        assert rerun == []  # nothing recomputed
         assert again.to_dict() == reference.to_dict()
 
     def test_foreign_checkpoints_are_ignored(self, tmp_path):
@@ -259,9 +265,8 @@ class TestCheckpointResume:
         ckpt_dir = str(tmp_path / "ck")
         run_pipeline(FAST, checkpoint_dir=ckpt_dir, stop_after="halos")
         other = dataclasses.replace(FAST, seed=7)
-        trace = []
-        products = run_pipeline(other, checkpoint_dir=ckpt_dir, trace=trace)
-        assert trace == list(STAGE_NAMES)  # clean start, no resume
+        products, stages = _run(other, checkpoint_dir=ckpt_dir)
+        assert stages == list(STAGE_NAMES)  # clean start, no resume
         assert products.to_dict() == run_pipeline(other).to_dict()
 
     @staticmethod
@@ -277,8 +282,7 @@ class TestCheckpointResume:
         ckpt_dir = str(tmp_path / "ck")
         assert run_pipeline(FAST, checkpoint_dir=ckpt_dir, stop_after="halos") is None
         assert self._epoch_dirs(ckpt_dir) == ["epoch_0002"]
-        rest = []
-        resumed = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=rest)
+        resumed, rest = _run(FAST, checkpoint_dir=ckpt_dir)
         assert rest == ["power", "supernova"]
         assert resumed.to_dict() == run_pipeline(FAST).to_dict()
 
@@ -290,22 +294,19 @@ class TestCheckpointResume:
             store.write_rank(epoch, 0, {"positions": np.zeros((2, 3))})
             store.commit(epoch, {"stage": stage, "scalars": {},
                                  "fingerprint": scenario_fingerprint_hex(other.to_dict())})
-        trace = []
-        products = run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=trace)
-        assert trace == list(STAGE_NAMES)  # clean start, no resume
+        products, stages = _run(FAST, checkpoint_dir=ckpt_dir)
+        assert stages == list(STAGE_NAMES)  # clean start, no resume
         assert products.to_dict() == run_pipeline(FAST).to_dict()
         assert self._epoch_dirs(ckpt_dir) == [f"epoch_{len(STAGE_NAMES) - 1:04d}"]
-        again = []
-        assert run_pipeline(FAST, checkpoint_dir=ckpt_dir, trace=again).to_dict() == \
-            products.to_dict()
-        assert again == []  # the epoch left behind is this spec's
+        again, rerun = _run(FAST, checkpoint_dir=ckpt_dir)
+        assert again.to_dict() == products.to_dict()
+        assert rerun == []  # the epoch left behind is this spec's
 
     def test_resume_counter(self, tmp_path):
         ckpt_dir = str(tmp_path / "ck")
         run_pipeline(FAST, checkpoint_dir=ckpt_dir, stop_after="structure")
-        obs = Recorder()
-        run_pipeline(FAST, checkpoint_dir=ckpt_dir, observer=obs)
-        assert obs.counters["pipeline.resumed_stages"].value == 2
+        _, stages = _run(FAST, checkpoint_dir=ckpt_dir)
+        assert stages == list(STAGE_NAMES[2:])  # two stages resumed, not rerun
 
 
 class TestEnsembleStatistics:
