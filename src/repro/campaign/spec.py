@@ -154,6 +154,7 @@ class CosmologySpec(ScenarioSpec):
     """One LCDM PM-cosmology realization (Section 4.3 workload)."""
 
     kind = "cosmology"
+    _lazy_modules = ("numpy.fft", "numpy.random")
 
     n_side: int = 4
     a_start: float = 0.05
@@ -301,7 +302,7 @@ class PipelineSpec(ScenarioSpec):
     # What the stage functions of ``pipeline/stages.py`` import when
     # called: the package imports nothing of the physics it drives.
     _lazy_modules = SupernovaSpec._lazy_modules + (
-        "repro.cosmology.background", "repro.cosmology.ics",
+        "numpy.fft", "repro.cosmology.background", "repro.cosmology.ics",
         "repro.cosmology.simulation", "repro.cosmology.fof",
         "repro.cosmology.correlation", "repro.sph.collapse",
     )

@@ -12,15 +12,15 @@ worker (SIGKILL, OOM) is retried once in a rebuilt pool before it too
 becomes an error record — never an exception out of the generator.
 
 Who imports what, when: the ``repro.campaign`` and ``repro.pipeline``
-packages import none of the physics they drive (no scipy, no
-``repro.cosmology``, no ``repro.sph``), so a catalog tool, a cached
-rerun and a run of closed-form shards pay for none of it, and a serial
-run imports it when its first shard does.  When :func:`run_shards` is
-about to fork a pool, and only then, the coordinator imports what the
-pending shards' kinds declare (:meth:`ScenarioSpec.preload
+packages import none of the physics they drive (no ``repro.cosmology``,
+no ``repro.sph``), so a catalog tool, a cached rerun and a run of
+closed-form shards pay for none of it, and a serial run imports it when
+its first shard does.  When :func:`run_shards` is about to fork a pool,
+and only then, the coordinator imports what the pending shards' kinds
+declare (:meth:`ScenarioSpec.preload
 <repro.campaign.spec.ScenarioSpec.preload>`) once, and every worker
-inherits it; left to themselves, fresh workers each import scipy, half
-the wall time of a small ensemble.
+inherits it; left to themselves, fresh workers would each import the
+same modules again.
 
 Worker count resolution, in priority order: explicit ``workers=``
 kwarg (an integer, never a ``bool``), the ``REPRO_CAMPAIGN_WORKERS``

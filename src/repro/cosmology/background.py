@@ -15,13 +15,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = ["Cosmology", "LCDM", "EDS"]
 
 #: Growth integrals kept per process: an ensemble asks for the same few
-#: ``(cosmology, a)`` in every scenario, and each is ~1500 ``e_of_a`` calls.
+#: ``(cosmology, a)`` in every scenario.
 GROWTH_MEMO_SIZE = 128
+
+#: Nodes and weights of the 32-point Gauss–Legendre rule on [-1, 1].
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+#: The time and growth integrals run over ``ln a`` in ``[ln a - LN_A_SPAN,
+#: ln a]``: below that the integrands (``~ a^1.5`` and ``~ a^2.5``) leave
+#: less than ``e^-45`` of the integral, so this is the integral from 0.
+LN_A_SPAN = 30.0
+LN_A_PANELS = 10
+
+
+def gauss_legendre(f, lo: float, hi: float, panels: int) -> float:
+    """``int_lo^hi f(x) dx`` by the 32-point Gauss–Legendre rule on
+    ``panels`` equal panels; ``f`` maps an array of abscissae to values."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = edges[:-1, None] + half * (1.0 + _GL_NODES)
+    return float(np.sum(half * _GL_WEIGHTS * f(x)))
 
 
 @dataclass(frozen=True)
@@ -64,8 +81,10 @@ class Cosmology:
         """Cosmic time at scale factor ``a`` (flat LCDM integral)."""
         if a <= 0:
             raise ValueError("scale factor must be positive")
-        integrand = lambda x: 1.0 / (x * self.e_of_a(x))
-        t, _ = quad(integrand, 1e-8, a)
+        # dt = da / (a H) = d(ln a) / H
+        lna = math.log(a)
+        t = gauss_legendre(lambda x: 1.0 / self.e_of_a(np.exp(x)),
+                           lna - LN_A_SPAN, lna, LN_A_PANELS)
         return t * self.hubble_time_gyr()
 
     def lookback_gyr(self, z: float) -> float:
@@ -94,9 +113,15 @@ class Cosmology:
 
 @lru_cache(maxsize=GROWTH_MEMO_SIZE)
 def _growth_integral(cosmology: Cosmology, upper: float) -> float:
-    """``int_0^upper da' / (a' E(a'))^3``, the quadrature of ``growth_factor``."""
-    val, _ = quad(lambda x: 1.0 / (x * cosmology.e_of_a(x)) ** 3, 1e-8, upper)
-    return val
+    """``int_0^upper da' / (a' E(a'))^3``, the quadrature of ``growth_factor``,
+    taken in ``ln a'`` (``da' = a' d(ln a')``)."""
+    lna = math.log(upper)
+
+    def integrand(x):
+        a = np.exp(x)
+        return 1.0 / (a * a * cosmology.e_of_a(a) ** 3)
+
+    return gauss_legendre(integrand, lna - LN_A_SPAN, lna, LN_A_PANELS)
 
 
 #: WMAP-era concordance cosmology, the paper's working model.

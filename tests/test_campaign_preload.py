@@ -48,6 +48,25 @@ def test_campaign_and_pipeline_packages_import_no_physics():
     assert heavy == []
 
 
+def test_a_cold_pipeline_and_pooled_campaign_load_no_scipy(tmp_path):
+    # Importing scipy raises here, in the workers too (they fork from
+    # this process), so a shard that needs it fails and is counted.
+    loaded = json.loads(fresh_interpreter(
+        "import dataclasses, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from repro.campaign import PipelineSpec, run_campaign\n"
+        "from repro.pipeline import run_pipeline\n"
+        f"spec = PipelineSpec(**{SMALL['pipeline']!r})\n"
+        "run_pipeline(spec)\n"
+        "catalog = [dataclasses.replace(spec, seed=seed) for seed in (1, 2, 3)]\n"
+        f"report = run_campaign(catalog, {str(tmp_path)!r}, workers=2)\n"
+        "assert (report.computed, report.failed) == (3, 0), report.errors\n"
+        "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+        "                        if name.startswith('scipy') and module is not None)))\n"
+    ))
+    assert loaded == []
+
+
 def test_small_scenarios_cover_every_kind_but_bench():
     assert set(SMALL) == set(SPEC_KINDS) - {"bench"}
 

@@ -1,5 +1,7 @@
 """Tests for cosmology background, power spectrum, and ICs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,125 @@ from repro.cosmology import (
     LCDM,
     Cosmology,
     PowerSpectrum,
+    background,
     bbks_transfer,
     gaussian_field,
+    power,
     tophat_window,
     zeldovich_ics,
 )
+
+OPEN_LAMBDA = Cosmology(omega_m=0.25, omega_l=0.75, sigma8=0.8, n_s=0.96)
+
+
+def _rel(value, exact):
+    return abs(value / exact - 1.0)
+
+
+def _lcdm_age_gyr(c, a):
+    """Flat LCDM age in closed form."""
+    x = math.sqrt(c.omega_l / c.omega_m) * a**1.5
+    return 2.0 / (3.0 * math.sqrt(c.omega_l)) * math.asinh(x) * c.hubble_time_gyr()
+
+
+def closed_form_error():
+    """Largest relative error of D(a) and t(a) against their closed forms:
+    EdS ``D = a`` and ``t = 2/3 t_H a^1.5``, and the flat-LCDM age."""
+    errors = [_rel(EDS.growth_factor(a), a) for a in (0.01, 0.1, 0.3, 0.7, 1.0, 2.0)]
+    errors += [_rel(EDS.age_gyr(a), 2.0 / 3.0 * EDS.hubble_time_gyr() * a**1.5)
+               for a in (0.1, 1.0)]
+    errors += [_rel(c.age_gyr(a), _lcdm_age_gyr(c, a))
+               for c in (LCDM, OPEN_LAMBDA) for a in (0.05, 0.5, 1.0, 2.0)]
+    return max(errors)
+
+
+def growth_quad_error():
+    """Largest relative error of the growth integral against a tight
+    adaptive quadrature of ``int_0^a da / (a E)^3`` in ``a`` itself."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    errors = []
+    for c in (LCDM, OPEN_LAMBDA, EDS):
+        for a in (0.05, 0.3, 1.0, 2.0):
+            exact, _ = quad(lambda x: (x * math.sqrt(c.omega_m / x**3 + c.omega_l)) ** -3,
+                            0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)
+            errors.append(_rel(background._growth_integral(c, a), exact))
+    return max(errors)
+
+
+def tophat_quad_error():
+    """Largest relative error of sigma^2(R), R in {1, 8, 20} Mpc/h,
+    against a tight adaptive quadrature over the same ln k range."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    errors = []
+    for c in (LCDM, OPEN_LAMBDA):
+        gamma, _ = power._shape_and_norm(c)
+        for r in (1.0, 8.0, 20.0):
+            def integrand(lnk):
+                k = np.array([math.exp(lnk)])
+                return float(k[0]**3 * bbks_transfer(k, gamma)[0] ** 2 * k[0]**c.n_s
+                             * tophat_window(k * r)[0] ** 2) / (2.0 * math.pi**2)
+
+            exact, _ = quad(integrand, math.log(1e-5), math.log(1e3),
+                            epsabs=0.0, epsrel=1e-12, limit=5000)
+            errors.append(_rel(power._tophat_variance(c.n_s, gamma, 1.0, r), exact))
+    return max(errors)
+
+
+_RULE = background.gauss_legendre
+
+
+def _rule_without_jacobian(f, lo, hi, panels):
+    """Planted bug: the rule with the half-width factor dropped."""
+    edges = np.linspace(lo, hi, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = edges[:-1, None] + half * (1.0 + background._GL_NODES)
+    return float(np.sum(background._GL_WEIGHTS * f(x)))
+
+
+def _rule_on_one_panel(f, lo, hi, panels):
+    """Planted bug: the panel count ignored."""
+    return _RULE(f, lo, hi, 1)
+
+
+@pytest.fixture
+def fresh_memos():
+    """The memoised integrals start and end empty, so no test sees
+    another's (or a planted bug's) values."""
+    memos = (background._growth_integral, power._shape_and_norm)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+class TestQuadratureOracles:
+    """The growth, age and sigma^2 integrals against closed forms and an
+    independent adaptive quadrature; each oracle trips on a planted bug."""
+
+    def test_closed_forms(self, fresh_memos):
+        assert closed_form_error() <= 1e-12
+
+    def test_growth_integral_against_quad(self, fresh_memos):
+        assert growth_quad_error() <= 1e-12
+
+    def test_tophat_variance_against_quad(self, fresh_memos):
+        assert tophat_quad_error() <= 1e-9
+
+    @pytest.mark.parametrize("bug", [_rule_without_jacobian, _rule_on_one_panel],
+                             ids=["no_jacobian", "one_panel"])
+    def test_a_planted_bug_trips_every_oracle(self, bug, monkeypatch, fresh_memos):
+        for module in (background, power):
+            monkeypatch.setattr(module, "gauss_legendre", bug)
+        assert closed_form_error() > 1e-6
+        assert growth_quad_error() > 1e-6
+        assert tophat_quad_error() > 1e-6
 
 
 class TestBackground:
     def test_eds_growth_is_scale_factor(self):
         for a in (0.1, 0.3, 0.7, 1.0):
-            assert EDS.growth_factor(a) == pytest.approx(a, rel=1e-4)
+            assert EDS.growth_factor(a) == pytest.approx(a, rel=1e-12)
 
     def test_lcdm_growth_suppressed(self):
         # Lambda suppresses late growth: D(a) > a for a < 1.
@@ -35,7 +145,7 @@ class TestBackground:
 
     def test_eds_age(self):
         # EdS: t0 = (2/3)/H0.
-        assert EDS.age_gyr() == pytest.approx(2.0 / 3.0 * EDS.hubble_time_gyr(), rel=1e-3)
+        assert EDS.age_gyr() == pytest.approx(2.0 / 3.0 * EDS.hubble_time_gyr(), rel=1e-12)
 
     def test_hubble_rate_limits(self):
         assert LCDM.e_of_a(1.0) == pytest.approx(1.0)
@@ -64,7 +174,9 @@ class TestBackground:
 class TestPowerSpectrum:
     def test_sigma8_normalization(self):
         ps = PowerSpectrum(LCDM)
-        assert np.sqrt(ps.sigma_r(8.0)) == pytest.approx(LCDM.sigma8, rel=1e-3)
+        # The amplitude's integral and this one differ only by the
+        # amplitude, so a converged rule agrees to rounding.
+        assert np.sqrt(ps.sigma_r(8.0)) == pytest.approx(LCDM.sigma8, rel=1e-12)
 
     def test_transfer_limits(self):
         # T -> 1 at large scales, falls steeply at small scales.
