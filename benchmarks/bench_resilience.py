@@ -36,12 +36,14 @@ MTBF_S = 1800.0              # engineered job MTBF: ~2 failures per run
 DUMP_S = 30.0                # engineered checkpoint dump cost
 RESTART_S = 120.0
 TAU_YOUNG_S = young_interval(DUMP_S / 3600.0, MTBF_S / 3600.0) * 3600.0
-#: The grid that resolves Young's minimum, a ~10 s sweep: the slow test
-#: ``test_resilience_young_minimum`` runs it.  The recorded sweep is
-#: its 3 x 3 corner, which shows the Monte-Carlo/analytic agreement but
-#: stops on the falling side of the curve.
+#: The grid that resolves Young's minimum, a 3-14 s sweep on a 2-vCPU
+#: host, most of it creating checkpoint files: the slow test
+#: ``test_resilience_young_minimum`` runs it (its comment gives the
+#: margins that set ``N_SEEDS``).  The recorded sweep is its 3 x 3
+#: corner, which shows the Monte-Carlo/analytic agreement but stops on
+#: the falling side of the curve.
 INTERVALS_S = (60.0, 120.0, 240.0, 360.0, 600.0, 1200.0, 1800.0)
-N_SEEDS = 25
+N_SEEDS = 5
 RECORDED_INTERVALS_S = INTERVALS_S[:3]
 RECORDED_SEEDS = 3
 

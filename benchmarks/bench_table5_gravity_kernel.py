@@ -7,8 +7,8 @@ paper's 38-flop accounting; (2) print the paper's eleven-processor
 survey with the derived micro-architecture interpretation (effective
 flops/cycle, implied sqrt+divide latency); (3) check the survey's
 qualitative claims — Karp wins big exactly where hardware sqrt is slow.
-The batched-vs-walker study at N=50k, host-timed and ~30 s, is the slow
-test ``test_table5_batched_beats_the_walker``.
+The batched-vs-walker study, host-timed, is the slow test
+``test_table5_batched_beats_the_walker`` (N=2 000, ~2 s).
 """
 
 import numpy as np

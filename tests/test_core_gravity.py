@@ -10,17 +10,7 @@ from repro.core import (
     total_energy,
     tree_accelerations,
 )
-
-
-def _plummer(n, seed=0):
-    """Plummer-sphere positions and equal masses (standard test model)."""
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    r = 1.0 / np.sqrt(u ** (-2.0 / 3.0) - 1.0)
-    r = np.clip(r, None, 10.0)
-    direction = rng.standard_normal((n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    return r[:, None] * direction, np.full(n, 1.0 / n)
+from tests.test_parallel_pins import _plummer
 
 
 class TestDirect:

@@ -15,9 +15,6 @@ distributions (fixed seeds throughout):
 * The periodic wrap ``wrap_unit`` (``x - floor(x)``) equals
   ``np.mod(x, 1.0)`` as ``uint64`` bits on hypothesis-drawn doubles and
   bit patterns plus an explicit edge list, and is NaN for NaN and +-inf.
-* ``fof._linked_pairs`` (per-axis wrap, slot map) returns the same
-  ``(a, b)`` arrays as an in-file copy of its ``searchsorted`` version,
-  on hash grids of 1, 2, 3, 5 and 64 cells a side.
 * Friends-of-friends catalogs are **bit-identical** — the
   min-label-propagation solver converges to the same component roots
   (the component-minimum index) the reference union-find produces.
@@ -345,72 +342,6 @@ def test_fof_chunk_seams_anywhere(monkeypatch, dist):
     pos = DISTRIBUTIONS[dist](200, seed=19)
     for linking_length in (0.2, 0.5):
         _assert_same_catalog(pos, None, linking_length=linking_length, min_members=1)
-
-
-def _linked_pairs_by_searchsorted(positions, link2, n_cells, order, cell_ids, starts, counts):
-    """``fof._linked_pairs`` as it stood before the slot map: 27 x occupied
-    neighbour ids by integer ``%``, found with ``searchsorted``.  Kept
-    verbatim as the oracle of the pair order."""
-    cz = cell_ids % n_cells
-    cy = (cell_ids // n_cells) % n_cells
-    cx = cell_ids // (n_cells * n_cells)
-    dx, dy, dz = np.array(fof_module._NEIGHBOR_OFFSETS).T[:, :, None]
-    nid = (
-        ((cx + dx) % n_cells) * n_cells + ((cy + dy) % n_cells)
-    ) * n_cells + ((cz + dz) % n_cells)  # (27, occupied)
-    off, ca = np.nonzero(nid >= cell_ids)  # each cell pair once
-    nid = nid[off, ca]
-    cb = np.minimum(np.searchsorted(cell_ids, nid), cell_ids.size - 1)
-    occupied = cell_ids[cb] == nid
-    ca, cb = np.divmod(
-        np.unique(ca[occupied] * cell_ids.size + cb[occupied]), cell_ids.size
-    )
-    sizes = counts[ca] * counts[cb]
-    ends = np.cumsum(sizes)
-    total = int(ends[-1])
-    pair_a = []
-    pair_b = []
-    for lo in range(0, total, DEFAULT_PAIR_CHUNK):
-        flat = np.arange(lo, min(lo + DEFAULT_PAIR_CHUNK, total))
-        k = np.searchsorted(ends, flat, side="right")
-        cell_a, cell_b = ca[k], cb[k]
-        row, col = np.divmod(flat - (ends[k] - sizes[k]), counts[cell_b])
-        ia = order[starts[cell_a] + row]
-        ib = order[starts[cell_b] + col]
-        d = positions[ia] - positions[ib]
-        d -= np.round(d)
-        keep = (d**2).sum(axis=-1) <= link2
-        keep &= (cell_a != cell_b) | (ia < ib)
-        pair_a.append(ia[keep])
-        pair_b.append(ib[keep])
-    return np.concatenate(pair_a), np.concatenate(pair_b)
-
-
-def _with_loner(pos):
-    """``pos`` plus one particle far from all others: a cell of one member."""
-    return np.concatenate([pos, [[0.77, 0.13, 0.41]]])
-
-
-@pytest.mark.parametrize("n_cells", [1, 2, 3, 5, 64])
-@pytest.mark.parametrize("load", ["uniform", "clustered", "loner"])
-def test_fof_linked_pairs_equal_the_searchsorted_version(n_cells, load):
-    """The slot map finds the neighbour cells ``searchsorted`` found, in
-    the same order, so ``(a, b)`` are the same arrays."""
-    pos = {"uniform": lambda: _uniform(2000, seed=41),
-           "clustered": lambda: _clustered(400, seed=42),
-           "loner": lambda: _with_loner(_single_cell(60, seed=43))}[load]()
-    # The hash grid has n_cells a side when the link is just under 1 / n_cells.
-    n = pos.shape[0]
-    linking_length = n ** (1.0 / 3.0) / (n_cells + 0.5)
-    prep = fof_module._prepare(pos, None, linking_length, 1)
-    _, _, link2, got_cells, _, cell_ids, _, counts = prep
-    assert got_cells == n_cells
-    if load == "loner" and n_cells > 1:
-        assert counts.min() == 1
-    a, b = fof_module._linked_pairs(prep[0], *prep[2:])
-    ref_a, ref_b = _linked_pairs_by_searchsorted(prep[0], *prep[2:])
-    assert ref_a.size > 0
-    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 def test_fof_dense_cell_temporaries_bounded():

@@ -1,5 +1,6 @@
 """Tests for cosmology background, power spectrum, and ICs."""
 
+import functools
 import math
 
 import numpy as np
@@ -42,36 +43,53 @@ def closed_form_error():
     return max(errors)
 
 
-def growth_quad_error():
-    """Largest relative error of the growth integral against a tight
-    adaptive quadrature of ``int_0^a da / (a E)^3`` in ``a`` itself."""
+@functools.cache
+def _growth_references():
+    """``(cosmology, a, int_0^a da / (a E)^3)`` by a tight adaptive
+    quadrature in ``a`` itself.  Rule-free, so computed once for every
+    test, planted bugs included."""
     quad = pytest.importorskip("scipy.integrate").quad
-    errors = []
-    for c in (LCDM, OPEN_LAMBDA, EDS):
-        for a in (0.05, 0.3, 1.0, 2.0):
-            exact, _ = quad(lambda x: (x * math.sqrt(c.omega_m / x**3 + c.omega_l)) ** -3,
-                            0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)
-            errors.append(_rel(background._growth_integral(c, a), exact))
-    return max(errors)
+    return [(c, a, quad(lambda x: (x * math.sqrt(c.omega_m / x**3 + c.omega_l)) ** -3,
+                        0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)[0])
+            for c in (LCDM, OPEN_LAMBDA, EDS) for a in (0.05, 0.3, 1.0, 2.0)]
 
 
-def tophat_quad_error():
-    """Largest relative error of sigma^2(R), R in {1, 8, 20} Mpc/h,
-    against a tight adaptive quadrature over the same ln k range."""
+@functools.cache
+def _tophat_references():
+    """``(cosmology, gamma, R, sigma^2(R))``, R in {1, 8, 20} Mpc/h, by a
+    tight adaptive quadrature over the rule's ln k range of the BBKS
+    spectrum and top-hat window written out in scalar ``math``.  The
+    integrand and ``gamma`` do not depend on the rule, so computed once."""
     quad = pytest.importorskip("scipy.integrate").quad
-    errors = []
+    out = []
     for c in (LCDM, OPEN_LAMBDA):
         gamma, _ = power._shape_and_norm(c)
         for r in (1.0, 8.0, 20.0):
             def integrand(lnk):
-                k = np.array([math.exp(lnk)])
-                return float(k[0]**3 * bbks_transfer(k, gamma)[0] ** 2 * k[0]**c.n_s
-                             * tophat_window(k * r)[0] ** 2) / (2.0 * math.pi**2)
+                k = math.exp(lnk)
+                q = k / gamma
+                t = (math.log1p(2.34 * q) / (2.34 * q)
+                     * (1.0 + 3.89 * q + (16.1 * q)**2 + (5.46 * q)**3 + (6.71 * q)**4) ** -0.25)
+                x = k * r
+                w = 1.0 - x * x / 10.0 if x < 1e-4 else 3.0 * (math.sin(x) - x * math.cos(x)) / x**3
+                return k**3 * k**c.n_s * (t * w) ** 2 / (2.0 * math.pi**2)
 
             exact, _ = quad(integrand, math.log(1e-5), math.log(1e3),
                             epsabs=0.0, epsrel=1e-12, limit=5000)
-            errors.append(_rel(power._tophat_variance(c.n_s, gamma, 1.0, r), exact))
-    return max(errors)
+            out.append((c, gamma, r, exact))
+    return out
+
+
+def growth_quad_error():
+    """Largest relative error of the growth integral against its references."""
+    return max(_rel(background._growth_integral(c, a), exact)
+               for c, a, exact in _growth_references())
+
+
+def tophat_quad_error():
+    """Largest relative error of sigma^2(R) against its references."""
+    return max(_rel(power._tophat_variance(c.n_s, gamma, 1.0, r), exact)
+               for c, gamma, r, exact in _tophat_references())
 
 
 _RULE = background.gauss_legendre

@@ -56,6 +56,16 @@ def _cloud(kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sites[rng.integers(0, 12, n)], masses
 
 
+def _plummer(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Plummer-sphere positions (radii clipped at 10) and equal masses."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    r = np.clip(1.0 / np.sqrt(u ** (-2.0 / 3.0) - 1.0), None, 10.0)
+    d = rng.standard_normal((n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return r[:, None] * d, np.full(n, 1.0 / n)
+
+
 def _configs() -> dict[str, dict]:
     """name -> keyword description of one pinned run."""
     out: dict[str, dict] = {}

@@ -121,48 +121,12 @@ class TestTimeline:
         assert art.count("rank") == 3
 
 
-def _utilization_reference(trace, elapsed, n_ranks):
-    """The original O(ranks x events) implementation, kept verbatim as
-    the oracle for the single-pass rewrite."""
-    if elapsed <= 0:
-        raise ValueError("elapsed must be positive")
-    out = []
-    for rank in range(n_ranks):
-        compute = sum(e.duration for e in trace if e.track == rank and e.cat == "compute")
-        blocked = sum(e.duration for e in trace
-                      if e.track == rank and e.cat in ("blocked", "collective"))
-        out.append({
-            "rank": rank,
-            "compute": compute / elapsed,
-            "blocked": blocked / elapsed,
-            "idle": max(1.0 - (compute + blocked) / elapsed, 0.0),
-        })
-    return out
-
-
 class TestUtilizationSinglePass:
-    """The single-pass utilization must equal the old rescan exactly."""
-
-    def test_matches_reference_on_engine_trace(self):
-        result = run(_staggered, 2, UniformCost(mflops=1000.0))
-        got = utilization(result.trace, result.elapsed, 2)
-        assert got == _utilization_reference(result.trace, result.elapsed, 2)
-
-    def test_matches_reference_on_synthetic_trace(self):
-        rng = np.random.default_rng(5)
-        trace = []
-        for _ in range(500):
-            t0 = float(rng.random())
-            cat = str(rng.choice(["compute", "blocked", "collective", "failed"]))
-            trace.append(Span(
-                cat, t0, t0 + float(rng.random()) * 0.1,
-                track=int(rng.integers(-1, 6)),  # includes out-of-range ranks
-                cat=cat,
-            ))
-        got = utilization(trace, 1.2, 4)
-        assert got == _utilization_reference(trace, 1.2, 4)
+    """The engine traces' utilization is pinned in ``tests/golden``
+    (``*_utilization.json``); here, what the one pass skips."""
 
     def test_out_of_range_ranks_ignored(self):
-        trace = [Span("compute", 0.0, 1.0, track=9, cat="compute")]
+        trace = [Span("compute", 0.0, 1.0, track=9, cat="compute"),
+                 Span("failed", 0.0, 0.5, track=0, cat="failed")]
         rows = utilization(trace, 1.0, 2)
-        assert all(r["compute"] == 0.0 for r in rows)
+        assert all(r["compute"] == r["blocked"] == 0.0 and r["idle"] == 1.0 for r in rows)
