@@ -5,21 +5,24 @@ Three legs of the same :func:`repro.core.parallel_nbody_run` problem:
 1. **reference** — the kept per-group evaluator on the serial numpy
    backend (the pre-batching configuration, still selectable via
    ``ParallelConfig(eval="pergroup")``);
-2. **optimized** — the CSR-pooled batched evaluator on the
-   ``multiprocess`` backend, run under ``wallclock.profile()``; its
-   self seconds per span, rolled up through ``wallclock.bucket_of``,
-   give the kernel/engine/comm/serialization/other share of every
-   elapsed second;
-3. **check** — batched on serial numpy, to assert the multiprocess leg
-   is *bit-identical* to serial before any speedup is reported.
+2. **optimized** — the CSR-pooled batched evaluator on the default
+   backend (numpy, a large kernel call split over threads), run under
+   ``wallclock.profile()``; its self seconds per span, rolled up
+   through ``wallclock.bucket_of``, give the
+   kernel/engine/comm/serialization/other share of every elapsed
+   second;
+3. **check** — batched on ``NumpyBackend(threads=1)``, to assert the
+   optimized leg is *bit-identical* to inline kernels before any
+   speedup is reported.
 
 The headline counters are ``wall_reference_s``, ``wall_optimized_s``,
 and their ratio ``speedup``, plus one ``bucket_*_share`` counter per
 attribution bucket and the two invariants the wallclock layer promises
 (``bit_identical``, ``partition_exact``) recorded as 0/1 gates.
-``params`` records ``cpu_count`` and the worker count so a speedup
-measured on a one-core host is read as what it is: the multiprocess
-backend falls back inline there, and the gain is the batched evaluator.
+``params`` records ``cpu_count`` and the worker count (the usable
+cores, the thread count of the default backend) so a speedup measured
+on a one-core host is read as what it is: every kernel call runs inline
+there, and the gain is the batched evaluator.
 
 ``--smoke`` shrinks N so the CI fleet finishes it in seconds; it
 reports under the distinct record name ``wallclock_smoke``.
@@ -31,7 +34,7 @@ import time
 import numpy as np
 
 from repro.core import ParallelConfig, parallel_nbody_run
-from repro.core.procpool import MultiprocessBackend, resolve_pool_workers
+from repro.core.backend import NumpyBackend, resolve_pool_workers
 from repro.obs import self_seconds
 from repro.obs import wallclock as wc
 
@@ -52,20 +55,17 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
     ref_s, ref = _leg(pos, m, ranks, steps,
                       ParallelConfig(theta=theta, eps=eps, eval="pergroup"))
 
-    mp = MultiprocessBackend()
-    try:
-        with wc.profile() as wall:
-            opt_s, opt = _leg(pos, m, ranks, steps,
-                              ParallelConfig(theta=theta, eps=eps, eval="batched", backend=mp))
-    finally:
-        mp.close()
+    with wc.profile() as wall:
+        opt_s, opt = _leg(pos, m, ranks, steps,
+                          ParallelConfig(theta=theta, eps=eps, eval="batched"))
     # The root span "other" closes last; the table must sum to it.
     buckets, elapsed = dict.fromkeys(wc.BUCKETS, 0.0), wall.spans[-1].duration
     for name, seconds in self_seconds(wall).items():
         buckets[wc.bucket_of(name)] += seconds
 
     chk_s, chk = _leg(pos, m, ranks, steps,
-                      ParallelConfig(theta=theta, eps=eps, eval="batched"))
+                      ParallelConfig(theta=theta, eps=eps, eval="batched",
+                                     backend=NumpyBackend(threads=1)))
 
     bit_identical = (
         np.array_equal(opt.positions, chk.positions)
@@ -88,7 +88,7 @@ def _measure(n: int, ranks: int, steps: int, seed: int) -> dict:
 
 
 def check(out) -> None:
-    assert out["bit_identical"], "multiprocess batched run diverged from serial batched run"
+    assert out["bit_identical"], "threaded batched run diverged from inline batched run"
     assert out["partition_exact"], "wallclock buckets do not partition elapsed"
 
 
@@ -113,8 +113,8 @@ BENCH = Bench(
     params={"cpu_count": os.cpu_count() or 1, "workers": resolve_pool_workers(None)},
     counters=_counters,
     virtual_seconds=lambda out: out["virtual_seconds"],
-    notes=lambda out: "pergroup/serial vs batched/multiprocess at N=1e5"
-    if out["n"] == 100_000 else "pergroup/serial vs batched/multiprocess; reduced N",
+    notes=lambda out: "pergroup/serial vs batched/threads at N=1e5"
+    if out["n"] == 100_000 else "pergroup/serial vs batched/threads; reduced N",
 )
 
 

@@ -83,7 +83,7 @@ def main() -> None:
                              "diagnosis of the 8-rank run")
     parser.add_argument("--backend", default=None,
                         help="kernel backend for the per-rank force kernels "
-                             "(numpy or multiprocess; default: "
+                             "(numpy, the one registered; default: "
                              "REPRO_BACKEND or numpy)")
     parser.add_argument("--comm", default="async", choices=("async", "blocking"),
                         help="communication schedule: latency-hiding batched "

@@ -14,8 +14,7 @@ Public surface:
   neighbour search;
 * :func:`~repro.core.gravity.direct_accelerations` — O(N^2) reference;
 * kernel backends (:mod:`~repro.core.backend`) — the batched hot loops
-  (``numpy``, and ``multiprocess``: the same arithmetic on a process
-  pool);
+  (``numpy``; a large rectangle call is split over threads);
 * MACs (:mod:`~repro.core.mac`), micro-kernels
   (:mod:`~repro.core.kernels`, the Table 5 benchmark), domain
   decomposition (:mod:`~repro.core.domain`, Figure 6), leapfrog

@@ -5,11 +5,8 @@ The treecode's value lives in its vectorizable inner loops — the
 processors is measured against.  This module puts those inner loops
 behind one interface, with one arithmetic: :class:`NumpyBackend`, dense
 vectorized kernels identical in arithmetic to the historical per-group
-walker.  The registry is a fixed two-name table:
-
-* ``numpy`` — the reference backend, and the default;
-* ``multiprocess`` — the same numpy arithmetic, its two rectangle
-  kernels sharded over an OS-process pool (built on first use).
+walker.  The registry holds one name, ``numpy``, the default.  Its two
+rectangle kernels split a large call over threads (see below).
 
 Selection: pass ``backend=`` (a name or a :class:`KernelBackend`
 instance) to any hot-path entry point, or set the ``REPRO_BACKEND``
@@ -62,17 +59,22 @@ accumulated in place):
   pairs with squared separation ``<= r2`` (the SPH neighbor distance
   filter; pure comparisons, exact on every backend).
 
-The ``multiprocess`` backend (see :mod:`repro.core.procpool`) shards
-the two rectangle kernels across an OS-process pool; everything else
-runs inline on :class:`NumpyBackend`.  Because each rectangle's per-sink
-result is independent of how rectangles are batched (padding is a
-function of the rectangle's own width only), the sharded evaluation is
-bit-identical to serial.
+:class:`NumpyBackend` splits a rectangle call of at least
+:attr:`NumpyBackend.SPLIT_PAIRS` evaluated pairs into contiguous runs of
+rectangles, one per thread, of roughly equal pair weight; numpy
+releases the GIL inside its ufuncs, so the runs use separate cores.
+Each rectangle's per-sink result is independent of how rectangles are
+batched (padding is a function of the rectangle's own width only) and
+sinks are disjoint across rectangles, so the split evaluation is
+bit-identical to an inline one.  Helper threads open no
+:mod:`~repro.obs.wallclock` span: the calling thread's kernel span
+covers the whole call.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
@@ -84,11 +86,26 @@ __all__ = [
     "get_backend",
     "DEFAULT_BACKEND",
     "BACKEND_ENV",
+    "resolve_pool_workers",
 ]
 
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy"
+
+
+def resolve_pool_workers(workers: int | None = None) -> int:
+    """Effective worker count (>= 1): ``workers``, else the cores this
+    process may run on (its CPU affinity where the platform reports
+    one, else ``os.cpu_count()``).  ``workers`` must be an integer (a
+    ``bool`` is not one: ``ValueError``); 0 and below mean 1."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    return max(1, int(workers))
 
 
 class KernelBackend:
@@ -175,10 +192,63 @@ def _chunk_rects(counts: np.ndarray, width: int, pair_chunk: int):
         lo = hi
 
 
+def _shard_bounds(counts: np.ndarray, widths: np.ndarray, shards: int) -> list[tuple[int, int]]:
+    """Split rectangles into <= ``shards`` contiguous runs of roughly
+    equal evaluated-pair weight that cover them all, never splitting a
+    rectangle."""
+    n = counts.shape[0]
+    cum = np.cumsum(counts * widths, dtype=np.float64)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, shards) / shards) + 1
+    edges = np.unique(np.concatenate(([0], np.minimum(cuts, n), [n]))).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
 class NumpyBackend(KernelBackend):
-    """Reference backend: dense vectorized NumPy kernels."""
+    """Reference backend: dense vectorized NumPy kernels.
+
+    ``threads`` caps the threads one rectangle call is split over:
+    ``None`` means the usable cores (:func:`resolve_pool_workers`),
+    ``1`` means inline.  The caller evaluates the first run itself; a
+    per-instance pool, created on the first split call and re-created
+    in a forked child (an inherited pool's threads do not exist there),
+    runs the rest.
+    """
 
     name = "numpy"
+
+    #: A rectangle call evaluating fewer (sink, source) pairs than this
+    #: runs inline: split over two threads, both kernels measured faster
+    #: only from about 2^20 pairs, and a direct call slower up to 2^19.
+    SPLIT_PAIRS = 1 << 21
+
+    def __init__(self, threads: int | None = None):
+        self.threads = resolve_pool_workers(threads)
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_pid = 0
+
+    def _split(self, kernel, starts, counts, offsets, ids) -> None:
+        """Run ``kernel(starts, counts, offsets, ids)`` over the
+        rectangles, split into runs over threads when the call is large
+        enough to pay for it."""
+        if ids.size == 0:
+            return
+        widths = np.diff(offsets)
+        if self.threads <= 1 or int(counts @ widths) < self.SPLIT_PAIRS:
+            kernel(starts, counts, offsets, ids)
+            return
+        runs = [(starts[lo:hi], counts[lo:hi], offsets[lo:hi + 1] - offsets[lo],
+                 ids[offsets[lo]:offsets[hi]])
+                for lo, hi in _shard_bounds(counts, widths, self.threads)]
+        if self._pool is None or self._pool_pid != os.getpid():
+            self._pool = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="repro-kernel")
+            self._pool_pid = os.getpid()
+        helpers = [self._pool.submit(kernel, *run) for run in runs[1:]]
+        try:
+            kernel(*runs[0])
+        finally:
+            wait(helpers)  # never return while a helper still writes acc/pot
+        for future in helpers:
+            future.result()
 
     def eval_cells_dense(self, sinks, com, mass, quad, eps2, G):
         """Monopole + quadrupole field of cells at sink positions."""
@@ -226,8 +296,14 @@ class NumpyBackend(KernelBackend):
         return acc.sum(axis=1), pot.sum(axis=1)
 
     def eval_cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
-        if cell_ids.size == 0:
-            return
+        self._split(lambda *rects: self._cell_rects(pos3, *rects, com3, mass, quad6, eps2, G, acc, pot, pair_chunk),
+                    starts, counts, offsets, cell_ids)
+
+    def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
+        self._split(lambda *rects: self._direct_rects(pos3, masses, *rects, eps2, G, acc, pot, pair_chunk),
+                    starts, counts, offsets, src_ids)
+
+    def _cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
         for sel, W in _pad_bins(widths):
             # W can exceed widths.max() (it pads *up*), so build the
@@ -329,9 +405,7 @@ class NumpyBackend(KernelBackend):
                 acc[pids, 2] += qrz.sum(axis=1)
                 pot[pids] -= gm2.sum(axis=1)
 
-    def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
-        if src_ids.size == 0:
-            return
+    def _direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
         for sel, W in _pad_bins(widths):
             col = np.arange(W, dtype=np.int64)  # per bin: W can exceed widths.max()
@@ -427,16 +501,7 @@ class NumpyBackend(KernelBackend):
 # -- registry -----------------------------------------------------------
 
 
-def _make_multiprocess() -> KernelBackend:
-    from .procpool import MultiprocessBackend  # procpool imports this module
-
-    return MultiprocessBackend()
-
-
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {
-    "multiprocess": _make_multiprocess,
-    "numpy": NumpyBackend,
-}
+_FACTORIES: dict[str, Callable[[], KernelBackend]] = {"numpy": NumpyBackend}
 _INSTANCES: dict[str, KernelBackend] = {}
 
 

@@ -205,8 +205,8 @@ class ParallelConfig:
         Force-evaluation strategy for completed walks: ``"batched"``
         (default) concatenates every ready group's interaction list
         into flat CSR rectangles and issues **one** cell and one
-        direct kernel call per round — the shape the ``multiprocess``
-        backend shards over a process pool; ``"pergroup"`` is the
+        direct kernel call per round — the shape the numpy backend
+        splits over threads when it is large; ``"pergroup"`` is the
         historical one-dense-call-per-group walker, kept as the
         differential reference.  Both charge identical virtual time
         (same flop/byte totals) and agree to float tolerance.

@@ -66,9 +66,11 @@ __all__ = [
 FLOPS_PER_CELL_INTERACTION = 70.0
 
 #: Default cap on expanded (sink, source) pairs held live per dense
-#: kernel evaluation.  Sized so the ~10 live (rows x width) temporaries
-#: (~100 B/pair) stay cache-resident — the kernels are memory-bound,
-#: and a chunk that spills to DRAM costs more than the batching saves.
+#: kernel evaluation.  A chunk's ~10 live (rows x width) temporaries
+#: (~100 B/pair) are over 5 MB at 2^16, more than a core's L2: the size
+#: is the measured balance between the Python overhead paid once per
+#: chunk (2^12-2^14 are slower) and the cost of spilling larger
+#: temporaries (2^17-2^18 are slower inline; EXPERIMENTS.md "WC").
 DEFAULT_PAIR_CHUNK = 1 << 16
 
 _NP_BACKEND = NumpyBackend()

@@ -15,10 +15,12 @@ Span names follow the layers they time: ``gravity.*``, ``sph.*``,
 ``simmpi.engine`` (the event loop) and ``simmpi.dispatch`` (message
 matching and collective bookkeeping), ``core.parallel.admit`` (the
 gather that copies a round's replied cell records out of the step's
-arena), ``core.procpool.pickle`` / ``core.procpool.map`` (shard
-marshalling and execution), one ``pipeline.<stage>`` per pipeline
-stage plus ``pipeline.checkpoint``, and ``campaign.fingerprint`` /
+arena), one ``pipeline.<stage>`` per pipeline stage plus
+``pipeline.checkpoint``, and ``campaign.fingerprint`` /
 ``campaign.compute`` / ``campaign.store`` / ``campaign.finalize``.
+Only the thread that installed the recorder opens spans: the helper
+threads a large gravity kernel call is split over open none, so the
+caller's ``gravity.kernel.*`` span covers the whole call.
 The table is the *exclusive* ("self") seconds per span name
 (:func:`repro.obs.analysis.self_seconds`): every instant of the root
 span belongs to exactly one innermost span, so the table partitions
@@ -87,8 +89,6 @@ BUCKET_PREFIXES = (
     ("simmpi.engine", "engine"),
     ("simmpi.dispatch", "comm"),
     ("core.parallel.admit", "serialization"),
-    ("core.procpool.pickle", "serialization"),
-    ("core.procpool.map", "kernel"),
     ("pipeline.checkpoint", "serialization"),
     ("campaign.store", "serialization"),
     ("campaign.finalize", "serialization"),

@@ -28,9 +28,13 @@ from repro.core import (
     tree_accelerations,
 )
 from repro.core.traversal import build_interaction_lists, evaluate_interaction_lists
+from tests.test_backend_threads import split_backend
 from tests.test_parallel_pins import _plummer
 
-BACKENDS = available_backends()
+#: Backend legs by test id: the registered backends, plus one forced to
+#: split every rectangle call over threads under the id the leg it
+#: replaced (the deleted process-pool backend) had.
+BACKENDS = {**{name: name for name in available_backends()}, "multiprocess": split_backend(2)}
 
 #: 99th-percentile relative acceleration error allowed per opening
 #: angle (generous multiples of measured behaviour, tight enough to
@@ -52,7 +56,7 @@ def _p99_rel_err(approx, exact):
     return float(np.percentile(err, 99))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS.values(), ids=BACKENDS)
 @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
 @pytest.mark.parametrize("theta", sorted(P99_BOUNDS))
 def test_backend_vs_direct(backend, dist, theta):
@@ -70,10 +74,10 @@ def test_backends_agree_exactly_on_counts(dist, theta):
     pos, m = DISTRIBUTIONS[dist](400, seed=5)
     tree = build_tree(pos, m, bucket_size=16)
     results = {
-        b: compute_forces(tree, mac=OpeningAngleMAC(theta), eps=0.02, backend=b)
-        for b in BACKENDS
+        name: compute_forces(tree, mac=OpeningAngleMAC(theta), eps=0.02, backend=b)
+        for name, b in BACKENDS.items()
     }
-    ref = results[BACKENDS[0]]
+    ref = results["numpy"]
     for b, res in results.items():
         assert res.counts == ref.counts, b
         # Backends share physics to near machine precision even though
@@ -131,7 +135,7 @@ class TestBackendRegistry:
         assert get_backend("numpy").name == "numpy"
 
     def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)  # CI's pool leg sets it
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)  # a caller's shell may set it
         assert get_backend(None).name == "numpy"
         inst = get_backend("numpy")
         assert get_backend(inst) is inst
@@ -153,7 +157,7 @@ class TestBackendRegistry:
         with pytest.raises(ValueError) as err:
             get_backend()
         assert str(err.value) == ("unknown kernel backend 'fortran-iv' (from $REPRO_BACKEND); "
-                                  "available: multiprocess, numpy")
+                                  "available: numpy")
         with pytest.raises(ValueError) as err:
             get_backend("fortran-iv")
         assert "REPRO_BACKEND" not in str(err.value)
@@ -253,7 +257,7 @@ class TestBatchedNeighborsVsReference:
     def _sets(lists):
         return [np.sort(lists.of(i)).tolist() for i in range(lists.n_particles)]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS.values(), ids=BACKENDS)
     @pytest.mark.parametrize("n,bucket", [(1, 32), (2, 32), (5, 4), (64, 8), (300, 16)])
     def test_neighbor_sets_match(self, n, bucket, backend):
         from repro.sph import find_neighbors, find_neighbors_reference
@@ -276,11 +280,11 @@ class TestBatchedNeighborsVsReference:
         pos = rng.random((200, 3))
         tree = build_tree(pos, np.full(200, 1.0 / 200), bucket_size=8)
         radii = rng.uniform(0.05, 0.25, 200)
-        ref = find_neighbors(tree, radii, backend=BACKENDS[0])
-        for b in BACKENDS[1:]:
+        ref = find_neighbors(tree, radii, backend="numpy")
+        for name, b in BACKENDS.items():
             got = find_neighbors(tree, radii, backend=b)
-            assert np.array_equal(got.offsets, ref.offsets), b
-            assert np.array_equal(got.neighbors, ref.neighbors), b
+            assert np.array_equal(got.offsets, ref.offsets), name
+            assert np.array_equal(got.neighbors, ref.neighbors), name
 
     def test_pair_chunk_invariance(self):
         from repro.sph import find_neighbors

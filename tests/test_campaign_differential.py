@@ -23,7 +23,8 @@ from repro.campaign import (
     run_campaign,
     sweep,
 )
-from repro.core.procpool import MultiprocessBackend, ProcPool, run_tasks
+from repro.core.backend import NumpyBackend
+from repro.core.procpool import ProcPool, run_tasks
 
 
 def sixteen_scenarios():
@@ -148,7 +149,7 @@ class TestWorkersMustBeAnInteger:
     def test_non_integer_refused_everywhere(self, tmp_path, bad):
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_campaign([ClusterSpec()], str(tmp_path / "c"), workers=bad)
-        for make in (ProcPool, MultiprocessBackend,
+        for make in (ProcPool, lambda workers: NumpyBackend(threads=workers),
                      lambda workers: run_tasks(abs, [(1,)], workers=workers)):
             with pytest.raises(ValueError, match="workers must be an integer"):
                 make(workers=bad)
@@ -157,6 +158,7 @@ class TestWorkersMustBeAnInteger:
     def test_integers_keep_their_meaning(self, given, resolved):
         assert resolve_workers(given) == resolved
         assert ProcPool(workers=given).workers == resolved
+        assert NumpyBackend(threads=given).threads == resolved
 
 
 class TestPooledRunMatchesCachedRerun:

@@ -43,7 +43,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.backend import available_backends
-from repro.core.procpool import MultiprocessBackend
 import repro.cosmology.fof as fof_module
 from repro.core.traversal import DEFAULT_PAIR_CHUNK
 from repro.cosmology import (
@@ -60,12 +59,15 @@ from repro.cosmology import (
     pair_counts_periodic_reference,
 )
 from repro.cosmology.pm import wrap_unit
+from tests.test_backend_threads import split_backend
 
-#: Registered backends plus a multiprocess instance forced to shard
-#: (min_pairs=0) with two workers, so the pool path is exercised even
-#: though cosmology's routed ops all run inline by design.
+#: Registered backends plus two instances forced to split every
+#: rectangle call over threads; cosmology's routed ops run inline on
+#: them by design.  Their ids are the ones the legs they replaced (the
+#: deleted process-pool backend, registered and forced) had.
 BACKENDS = list(available_backends()) + [
-    MultiprocessBackend(workers=2, min_pairs=0),
+    pytest.param(split_backend(2), id="multiprocess0"),
+    pytest.param(split_backend(3), id="multiprocess1"),
 ]
 
 SIZES = [0, 1, 2, 1000]

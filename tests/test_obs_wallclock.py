@@ -19,7 +19,6 @@ import pytest
 
 from repro.campaign import ClusterSpec, PipelineSpec, run_campaign
 from repro.core import ParallelConfig, parallel_nbody_run
-from repro.core.procpool import MultiprocessBackend
 from repro.obs import (
     NULL,
     Recorder,
@@ -32,6 +31,7 @@ from repro.obs import (
 from repro.obs import wallclock as wc
 from repro.pipeline import STAGE_NAMES, run_pipeline
 
+from tests.test_backend_threads import split_backend
 from tests.test_obs_property import innermost_seconds
 
 
@@ -108,11 +108,10 @@ class TestProfilerUnit:
 
     def test_prefix_table(self):
         assert [wc.bucket_of(name) for name in (
-            "simmpi.engine", "simmpi.dispatch", "core.parallel.admit",
-            "core.procpool.pickle", "core.procpool.map", "gravity.kernel.direct",
+            "simmpi.engine", "simmpi.dispatch", "core.parallel.admit", "gravity.kernel.direct",
             "pipeline.halos", "pipeline.checkpoint", "campaign.compute",
             "campaign.fingerprint", "other", "unnamed")] == [
-            "engine", "comm", "serialization", "serialization", "kernel", "kernel",
+            "engine", "comm", "serialization", "kernel",
             "kernel", "serialization", "kernel", "other", "other", "other"]
         assert {b for _, b in wc.BUCKET_PREFIXES} | {"other"} == set(wc.BUCKETS)
 
@@ -216,15 +215,6 @@ def _nbody(backend, tmp_path):
                        config=ParallelConfig(backend=backend))
 
 
-def _nbody_pooled(tmp_path):
-    # min_pairs=0 shards every rectangle call, so the pool really runs.
-    kb = MultiprocessBackend(workers=2, min_pairs=0)
-    try:
-        _nbody(kb, tmp_path)
-    finally:
-        kb.close()
-
-
 _FAST = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2, with_neutrinos=False)
 _CATALOG = [ClusterSpec(n_nodes=n) for n in (16, 32, 16, 64)]
 _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "campaign.finalize"}
@@ -233,8 +223,11 @@ _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "camp
 ENTRY_POINTS = {
     "nbody-numpy": (lambda tmp: _nbody("numpy", tmp),
                     {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells"}),
-    "nbody-multiprocess": (_nbody_pooled,
-                           {"simmpi.engine", "core.procpool.pickle", "core.procpool.map"}),
+    # Every kernel call split over threads (the id is the one of the
+    # process-pool backend this entry replaced): the helper threads
+    # open no span, so the table still partitions the root exactly.
+    "nbody-multiprocess": (lambda tmp: _nbody(split_backend(2), tmp),
+                           {"simmpi.engine", "gravity.kernel.cells", "gravity.kernel.direct"}),
     "pipeline-checkpointed": (
         lambda tmp: run_pipeline(_FAST, checkpoint_dir=str(tmp / "ck")),
         {f"pipeline.{name}" for name in STAGE_NAMES} | {"pipeline.checkpoint", "sph.density"}),

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelConfig, parallel_nbody_run, parallel_tree_accelerations
+from repro.core.backend import NumpyBackend
+from tests.test_backend_threads import split_backend
 
 
 def uniform_cube(n, seed=11):
@@ -92,8 +94,8 @@ class TestBatchedVsPergroupEval:
     virtual time — but it fuses per-group kernel calls into one call
     per ready-batch, so float sums associate differently.  Documented
     tolerance: ~1e-12 relative (fixed seeds); counts and the virtual
-    clock must still match exactly, and the multiprocess backend on the
-    batched path must be bit-identical to serial batched.
+    clock must still match exactly, and the batched path split over
+    threads must be bit-identical to serial batched.
     """
 
     @pytest.mark.parametrize("ranks", [2, 4, 7])
@@ -111,16 +113,10 @@ class TestBatchedVsPergroupEval:
                            rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("ranks", [2, 4])
-    def test_multiprocess_batched_bit_identical_to_serial(self, ranks):
-        from repro.core.procpool import MultiprocessBackend
-
+    def test_threaded_batched_bit_identical_to_serial(self, ranks):
         pos, m = clustered_sphere(600)
-        serial = _run(pos, m, ranks, eval="batched", backend="numpy")
-        mp = MultiprocessBackend(workers=2, min_pairs=0)
-        try:
-            sharded = _run(pos, m, ranks, eval="batched", backend=mp)
-        finally:
-            mp.close()
+        serial = _run(pos, m, ranks, eval="batched", backend=NumpyBackend(threads=1))
+        sharded = _run(pos, m, ranks, eval="batched", backend=split_backend(2))
         assert np.array_equal(sharded.accelerations, serial.accelerations)
         assert np.array_equal(sharded.potentials, serial.potentials)
         assert (sharded.counts.p2p, sharded.counts.p2c) == (

@@ -18,8 +18,9 @@ they were written at PR 16's commit, before the LRU order moved from a
 per-key registry into the table's ``used`` column (PR 17), which is the
 sequential LRU's order exactly.
 
-The pins hold under every kernel backend: ``multiprocess`` computes
-with the numpy kernels, so even the physics digest does not move.
+The pins hold with every kernel call split over threads (``-p
+tests.split_kernels``): a split call is bit-identical to an inline one,
+so even the physics digest does not move.
 
 To bless an intentional change:
 

@@ -1,18 +1,19 @@
-"""Property suite for the real-core pool and the multiprocess backend.
+"""Property suite for the real-core pool and the threaded kernels.
 
-Hypothesis drives the invariants the multiprocess execution layer
+Hypothesis drives the invariants the execution layer on real cores
 promises:
 
 * pool results are a pure function of the task list — invariant under
   worker count (1/2/4) and task-order permutation, with errors as data
   (an exception becomes an ``"error"`` :class:`TaskResult`, never an
   exception out of the pool);
-* the ``multiprocess`` kernel backend is **bit-identical** to its
-  serial base no matter the worker count, shard granularity
-  (``min_pairs``), or ``pair_chunk`` size;
+* the numpy backend's split rectangle kernels are **bit-identical** to
+  inline ones no matter the thread count, split threshold
+  (``SPLIT_PAIRS``), or ``pair_chunk`` size;
 * a worker killed with SIGKILL surfaces as an error entry for the task
   that killed it while every other task's result is delivered intact —
-  chaos costs a shard, never the merged result.
+  chaos costs a shard, never the merged result, and the rebuilt pool's
+  workers, splitting their forces over threads, match the parent's.
 """
 
 import os
@@ -24,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_tree, compute_forces
-from repro.core.procpool import MultiprocessBackend, ProcPool, run_tasks
+from repro.core.procpool import ProcPool, run_tasks
+from tests.test_backend_threads import split_backend
 
 # Pool startup dominates example runtime: keep the example counts low
 # and the pools shared across examples.
@@ -56,11 +58,8 @@ def pools():
 
 
 @pytest.fixture(scope="module")
-def mp_backends():
-    bs = {w: MultiprocessBackend(workers=w, min_pairs=0) for w in (1, 2, 4)}
-    yield bs
-    for b in bs.values():
-        b.close()
+def split_backends():
+    return {w: split_backend(w) for w in (1, 2, 4)}
 
 
 class TestPoolInvariants:
@@ -109,8 +108,8 @@ class TestPoolInvariants:
         assert [r.value for r in serial] == [r.value for r in pooled]
 
 
-class TestMultiprocessBackendBitIdentity:
-    """Sharded kernels == serial base, bit for bit, however sliced."""
+class TestThreadedBackendBitIdentity:
+    """Split kernels == inline kernels, bit for bit, however sliced."""
 
     @staticmethod
     def _forces(n, seed, backend, pair_chunk=1 << 18):
@@ -121,9 +120,9 @@ class TestMultiprocessBackendBitIdentity:
 
     @POOL_SETTINGS
     @given(n=st.integers(10, 150), seed=st.integers(0, 2**31))
-    def test_worker_count_invariance(self, mp_backends, n, seed):
+    def test_worker_count_invariance(self, split_backends, n, seed):
         ref = self._forces(n, seed, "numpy")
-        for w, backend in mp_backends.items():
+        for w, backend in split_backends.items():
             got = self._forces(n, seed, backend)
             assert got.counts == ref.counts, w
             assert np.array_equal(got.accelerations, ref.accelerations), w
@@ -135,24 +134,22 @@ class TestMultiprocessBackendBitIdentity:
         seed=st.integers(0, 2**31),
         pair_chunk=st.sampled_from([1, 17, 4096]),
     )
-    def test_pair_chunk_invariance(self, mp_backends, n, seed, pair_chunk):
+    def test_pair_chunk_invariance(self, split_backends, n, seed, pair_chunk):
         ref = self._forces(n, seed, "numpy")
-        got = self._forces(n, seed, mp_backends[2], pair_chunk=pair_chunk)
+        got = self._forces(n, seed, split_backends[2], pair_chunk=pair_chunk)
         assert got.counts == ref.counts
         assert np.array_equal(got.accelerations, ref.accelerations)
 
     @POOL_SETTINGS
     @given(n=st.integers(20, 120), seed=st.integers(0, 2**31),
-           min_pairs=st.sampled_from([0, 100, 1 << 30]))
-    def test_shard_threshold_invariance(self, n, seed, min_pairs):
-        backend = MultiprocessBackend(workers=2, min_pairs=min_pairs)
-        try:
-            ref = self._forces(n, seed, "numpy")
-            got = self._forces(n, seed, backend)
-            assert np.array_equal(got.accelerations, ref.accelerations)
-            assert np.array_equal(got.potentials, ref.potentials)
-        finally:
-            backend.close()
+           split_pairs=st.sampled_from([0, 100, 1 << 30]))
+    def test_shard_threshold_invariance(self, n, seed, split_pairs):
+        backend = split_backend(2)
+        backend.SPLIT_PAIRS = split_pairs
+        ref = self._forces(n, seed, "numpy")
+        got = self._forces(n, seed, backend)
+        assert np.array_equal(got.accelerations, ref.accelerations)
+        assert np.array_equal(got.potentials, ref.potentials)
 
 
 class TestWorkerDeath:
@@ -168,16 +165,24 @@ class TestWorkerDeath:
             assert results[x].value == 10 * x
 
     def test_sigkill_does_not_corrupt_backend_result(self):
-        # Kill workers mid-lifetime: the backend's pool goes through the
-        # broken→rebuild path and the forces computed afterwards must
-        # still be bit-identical to the serial base.
-        backend = MultiprocessBackend(workers=2, min_pairs=0)
-        try:
-            pool = backend._ensure_pool()
+        # Kill workers mid-lifetime: the pool goes through the
+        # broken->rebuild path, and the forces its fresh workers, forked
+        # after the parent split a call over threads, split over threads
+        # of their own must still be bit-identical to the parent's.
+        ref = TestThreadedBackendBitIdentity._forces(80, 5, _SPLIT)
+        with ProcPool(workers=2) as pool:
             list(pool.imap_unordered(_kill_if, [(3,), (3,)], retries=0))
-            ref = TestMultiprocessBackendBitIdentity._forces(80, 5, "numpy")
-            got = TestMultiprocessBackendBitIdentity._forces(80, 5, backend)
-            assert np.array_equal(got.accelerations, ref.accelerations)
-            assert np.array_equal(got.potentials, ref.potentials)
-        finally:
-            backend.close()
+            results = pool.map(_split_forces, [(80, 5)] * 2)
+        for r in results:
+            assert r.ok, r.error
+            assert np.array_equal(r.value[0], ref.accelerations)
+            assert np.array_equal(r.value[1], ref.potentials)
+
+
+#: Module level, so forked workers inherit it with its helper pool.
+_SPLIT = split_backend(2)
+
+
+def _split_forces(n: int, seed: int):
+    res = TestThreadedBackendBitIdentity._forces(n, seed, _SPLIT)
+    return res.accelerations, res.potentials
