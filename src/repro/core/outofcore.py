@@ -3,36 +3,41 @@
 *"Even larger simulations are possible using the out-of-core version
 of our code"* — Salmon & Warren's out-of-core method keeps the particle
 data on disk and the (much smaller) cell data in memory.  This module
-reproduces that decomposition:
+reproduces the streamed half of that decomposition:
 
 * particle positions and masses live in **memory-mapped files**;
-* keys are computed and sorted in bounded-memory chunks; the sorted
-  particles are written back to disk in Morton order;
-* the cell structure and multipoles are accumulated with **one
-  streaming pass** (cells are O(N / bucket) and stay resident);
-* forces are evaluated sink-chunk by sink-chunk: each chunk's group
-  walks consume resident cell data, and direct-interaction particles
-  are ranged-read from the memory map (Morton order makes every leaf a
-  contiguous on-disk run — the same locality argument as the parallel
-  code's).
+* the bounding box and the Morton keys are computed ``chunk`` rows at a
+  time, and the particles are rewritten to disk in Morton order a chunk
+  at a time (every leaf is then a contiguous on-disk run — the same
+  locality argument as the parallel code's);
+* the tree is built over the rewritten files, walked once by the one
+  batched walk (:func:`~repro.core.traversal.build_interaction_lists`)
+  and evaluated by the one evaluator
+  (:func:`~repro.core.traversal.evaluate_interaction_lists`).
 
-Peak resident set is O(cells + chunk), independent of N, which is the
-whole point; the test suite checks both the agreement with the
-in-core code and the bounded-residency accounting.
+What is resident: the tree holds every sorted position and mass in
+RAM, as the in-core code does, so the process keeps O(N) particles;
+only the passes above stream.  ``peak_resident_particles`` counts what
+one chunk's evaluation reads — the chunk's sink rows plus the largest
+direct-source list of a group in it — the particle working set of an
+evaluator that paged its sources from disk.  The forces are
+bit-identical to :func:`~repro.core.gravity.tree_accelerations` with
+the same ``theta``, ``eps`` and ``bucket_size``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .keys import BoundingBox, keys_from_positions
 from .mac import OpeningAngleMAC
-from .traversal import InteractionCounts, _eval_cells, _eval_direct
-from .tree import Tree, build_tree
+from .traversal import InteractionCounts, build_interaction_lists, evaluate_interaction_lists
+from .tree import build_tree
 
 __all__ = ["OutOfCoreParticles", "OutOfCoreResult", "out_of_core_accelerations"]
 
@@ -44,6 +49,8 @@ class OutOfCoreParticles:
     positions: np.memmap
     masses: np.memmap
     directory: str
+    #: :meth:`create` made ``directory`` itself, so :meth:`cleanup` removes it.
+    _owned: bool = field(default=False, init=False, repr=False)
 
     @classmethod
     def create(
@@ -56,28 +63,34 @@ class OutOfCoreParticles:
             raise ValueError("positions must be (N, 3)")
         if masses.shape != (positions.shape[0],):
             raise ValueError("masses must be (N,)")
+        owned = directory is None
         directory = directory or tempfile.mkdtemp(prefix="hot_ooc_")
         os.makedirs(directory, exist_ok=True)
         pos_path = os.path.join(directory, "positions.npy")
         mass_path = os.path.join(directory, "masses.npy")
         np.save(pos_path, positions)
         np.save(mass_path, masses)
-        return cls(
+        store = cls(
             positions=np.load(pos_path, mmap_mode="r+"),
             masses=np.load(mass_path, mmap_mode="r+"),
             directory=directory,
         )
+        store._owned = owned
+        return store
 
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
 
     def cleanup(self) -> None:
-        """Delete the backing files."""
+        """Delete the backing files, and the directory if :meth:`create`
+        made it."""
         for name in ("positions.npy", "masses.npy"):
             path = os.path.join(self.directory, name)
             if os.path.exists(path):
                 os.remove(path)
+        if self._owned:
+            shutil.rmtree(self.directory, ignore_errors=True)
 
 
 @dataclass
@@ -110,11 +123,12 @@ def out_of_core_accelerations(
     bucket_size: int = 32,
     chunk: int = 4096,
 ) -> OutOfCoreResult:
-    """Treecode forces with particles resident only in bounded chunks.
+    """Treecode forces over a disk-backed store.
 
-    The cell skeleton is built from an in-memory pass over *keys only*
-    plus streamed multipole accumulation; force evaluation reads sink
-    chunks and the (contiguous) source runs its group walks demand.
+    The bounding box, the keys and the Morton rewrite stream ``chunk``
+    rows at a time; the tree over the rewritten files is walked and
+    evaluated once.  ``chunk`` also sets the sink chunks that
+    ``peak_resident_particles`` and ``chunks_processed`` count.
     """
     if chunk < bucket_size:
         raise ValueError("chunk must be at least the bucket size")
@@ -122,113 +136,50 @@ def out_of_core_accelerations(
     if n == 0:
         raise ValueError("empty particle store")
 
-    # Pass 1 (streamed): global bounding box.
+    # Pass 1 (streamed): global bounding box, padded as the in-core
+    # code pads it.
     lo = np.full(3, np.inf)
     hi = np.full(3, -np.inf)
     for start in range(0, n, chunk):
         block = np.asarray(store.positions[start : start + chunk])
         lo = np.minimum(lo, block.min(axis=0))
         hi = np.maximum(hi, block.max(axis=0))
-    span = float((hi - lo).max()) or 1.0
-    box = BoundingBox(lo - 1e-6 * span, span * (1 + 2e-6))
+    box = BoundingBox.from_points(np.array([lo, hi]))
 
     # Pass 2 (streamed): keys; sort permutation kept in RAM (8 bytes/p,
     # the one array the original method also keeps in memory).
-    keys = _chunked_keys(store, box, chunk)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(_chunked_keys(store, box, chunk), kind="stable")
 
-    # Rewrite the on-disk particle data in Morton order, chunk by chunk.
-    sorted_store = OutOfCoreParticles.create(
-        np.empty((0, 3)), np.empty(0), directory=tempfile.mkdtemp(prefix="hot_ooc_sorted_")
-    )
-    sorted_store.cleanup()
-    pos_path = os.path.join(sorted_store.directory, "positions.npy")
-    mass_path = os.path.join(sorted_store.directory, "masses.npy")
-    pos_mm = np.lib.format.open_memmap(pos_path, mode="w+", dtype=np.float64, shape=(n, 3))
-    mass_mm = np.lib.format.open_memmap(mass_path, mode="w+", dtype=np.float64, shape=(n,))
-    for start in range(0, n, chunk):
-        sel = order[start : start + chunk]
-        pos_mm[start : start + chunk] = store.positions[sel]
-        mass_mm[start : start + chunk] = store.masses[sel]
-    pos_mm.flush()
-    mass_mm.flush()
+    # Rewrite the particles to disk in Morton order, chunk by chunk,
+    # and build the tree over the rewritten files (already sorted, so
+    # the tree's own order is the identity).
+    directory = tempfile.mkdtemp(prefix="hot_ooc_sorted_")
+    try:
+        pos_mm = np.lib.format.open_memmap(
+            os.path.join(directory, "positions.npy"), mode="w+", dtype=np.float64, shape=(n, 3))
+        mass_mm = np.lib.format.open_memmap(
+            os.path.join(directory, "masses.npy"), mode="w+", dtype=np.float64, shape=(n,))
+        for start in range(0, n, chunk):
+            sel = order[start : start + chunk]
+            pos_mm[start : start + chunk] = store.positions[sel]
+            mass_mm[start : start + chunk] = store.masses[sel]
+        tree = build_tree(pos_mm, mass_mm, bucket_size=bucket_size, box=box)
+    finally:
+        shutil.rmtree(directory)
 
-    # Build the cell skeleton from the sorted keys (cells stay in RAM).
-    # The positions/masses arguments are the memory maps; build_tree's
-    # multipole pass streams through them via NumPy's paging.
-    tree = build_tree_from_sorted(keys[order], pos_mm, mass_mm, box, bucket_size)
+    lists = build_interaction_lists(tree, OpeningAngleMAC(theta))
+    acc_sorted, pot_sorted = evaluate_interaction_lists(tree, lists, eps=eps, G=G)
 
-    mac = OpeningAngleMAC(theta)
-    eps2 = eps * eps
-    acc_sorted = np.empty((n, 3))
-    pot_sorted = np.empty(n)
-    counts = InteractionCounts()
-    peak_resident = 0
-    chunks = 0
-
-    from .traversal import _collect_lists
-
-    leaf_ids = tree.leaf_ids
-    leaf_starts = tree.start[leaf_ids]
-    for chunk_lo in range(0, n, chunk):
-        chunk_hi = min(chunk_lo + chunk, n)
-        resident = chunk_hi - chunk_lo
-        in_chunk = leaf_ids[(leaf_starts >= chunk_lo) & (leaf_starts < chunk_hi)]
-        for group in in_chunk:
-            sl = tree.particles_of(group)
-            sinks = np.asarray(pos_mm[sl])
-            cells, parts = _collect_lists(tree, int(group), mac)
-            ns = sinks.shape[0]
-            counts.groups += 1
-            a = np.zeros((ns, 3))
-            p = np.zeros(ns)
-            if cells.size:
-                ac, pc = _eval_cells(
-                    sinks, tree.com[cells], tree.mass[cells], tree.quad[cells], eps2, G
-                )
-                a += ac
-                p += pc
-                counts.p2c += ns * cells.size
-            own = np.arange(sl.start, sl.stop, dtype=np.int64)
-            all_parts = np.concatenate([parts, own]) if parts.size else own
-            src_pos = np.asarray(pos_mm[all_parts])
-            src_mass = np.asarray(mass_mm[all_parts])
-            resident = max(resident, chunk_hi - chunk_lo + all_parts.size)
-            ad, pd = _eval_direct(sinks, src_pos, src_mass, eps2, G)
-            a += ad
-            p += pd
-            counts.p2p += ns * all_parts.size
-            if eps2 > 0:
-                p += G * np.asarray(mass_mm[sl]) / eps
-            acc_sorted[sl] = a
-            pot_sorted[sl] = p
-        peak_resident = max(peak_resident, resident)
-        chunks += 1
+    # A sink chunk is the groups whose particle run starts in it; its
+    # working set is its rows plus the largest direct-source list of
+    # one of those groups.
+    n_src = np.diff(lists.direct_sources(tree.table)[0])
+    largest = np.zeros(-(-n // chunk), dtype=np.int64)
+    np.maximum.at(largest, tree.start[lists.groups] // chunk, n_src)
+    rows = np.minimum(chunk, n - chunk * np.arange(largest.size))
 
     acc = np.empty_like(acc_sorted)
     pot = np.empty_like(pot_sorted)
     acc[order] = acc_sorted
     pot[order] = pot_sorted
-    # Clean the sorted scratch files.
-    os.remove(pos_path)
-    os.remove(mass_path)
-    return OutOfCoreResult(acc, pot, counts, peak_resident, chunks)
-
-
-def build_tree_from_sorted(
-    sorted_keys: np.ndarray,
-    positions,
-    masses,
-    box: BoundingBox,
-    bucket_size: int,
-) -> Tree:
-    """Tree over already-Morton-sorted (possibly memory-mapped) data.
-
-    Reuses the in-core builder but skips its sort (identity
-    permutation) by construction; exposed separately so callers with
-    presorted disk data avoid a second pass.
-    """
-    tree = build_tree(np.asarray(positions), np.asarray(masses), bucket_size=bucket_size, box=box)
-    if not np.array_equal(tree.keys, sorted_keys):
-        raise AssertionError("sorted key mismatch between disk order and tree order")
-    return tree
+    return OutOfCoreResult(acc, pot, lists.counts, int((rows + largest).max()), largest.size)

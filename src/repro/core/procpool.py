@@ -5,10 +5,10 @@ where the campaign layer uses *real* cores.  :func:`run_tasks` /
 :class:`ProcPool` fan independent picklable tasks out over OS processes
 with **errors as data**: a task that raises becomes an ``"error"``
 :class:`TaskResult`, and a task whose worker dies (SIGKILL, OOM) is
-retried once in a fresh pool before it too becomes an error entry.  A
-dying worker can therefore never corrupt or abort the merged result —
-the exact contract the campaign runner and the hypothesis suite
-(``tests/test_procpool_property.py``) pin.  (The gravity kernels use
+retried alone in the rebuilt pool before it too becomes an error
+entry.  A dying worker can therefore never corrupt or abort the merged
+result — the exact contract the campaign runner and the hypothesis
+suite (``tests/test_procpool_property.py``) pin.  (The gravity kernels use
 the cores through threads instead: :class:`repro.core.backend.NumpyBackend`.)
 
 Pool size: the ``workers=`` argument, else the usable cores
@@ -19,6 +19,7 @@ runs inline (a pool of one is pure overhead).
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -66,8 +67,8 @@ class ProcPool:
     """Persistent OS-process pool that survives its workers.
 
     The executor is created lazily and rebuilt whenever a worker death
-    breaks it; tasks in flight at the break are retried (``retries``
-    per task) in the fresh pool.  ``fork`` start method where the
+    breaks it; tasks in flight at the break are retried one at a time
+    in the rebuilt pool (:meth:`imap_unordered`).  ``fork`` start method where the
     platform offers it: a worker starts with exactly the modules (and
     memo tables) its parent holds at the first pooled call, and imports
     for itself whatever a task needs beyond them.  The pool cannot know
@@ -119,54 +120,58 @@ class ProcPool:
     ) -> Iterator[TaskResult]:
         """Run ``fn(*args)`` per entry, yielding results as they finish.
 
-        A task exception yields an ``"error"`` result immediately.  A
-        broken pool (worker killed) rebuilds the executor and re-runs
-        every task that had no result yet; a task that breaks the pool
-        ``retries + 1`` times is reported as an error, so one poisoned
-        task cannot starve the rest.
+        A task exception yields an ``"error"`` result immediately.  At
+        most two tasks a worker are in flight.  A worker death breaks
+        the pool under every one of them, so they cannot be told apart:
+        they become suspects, the pool is rebuilt and the tasks not yet
+        submitted go on in it.  Then each suspect runs as the pool's
+        only task; only a task that breaks the pool while alone is
+        charged, and one charged ``retries + 1`` times is reported as
+        an error.  An innocent sibling is never blamed, and one
+        poisoned task cannot starve the rest.
         """
         args_list = list(args_list)
         if self.workers <= 1 or len(args_list) <= 1:
             yield from _run_inline(fn, args_list)
             return
-        todo = list(range(len(args_list)))
-        attempts = dict.fromkeys(todo, 0)
-        while todo:
+        queue = deque(range(len(args_list)))
+        suspects: list[int] = []
+        while queue:
             executor = self._ensure()
-            futures = {}
+            futures: dict = {}
             broken = False
-            try:
-                for i in todo:
-                    futures[executor.submit(fn, *args_list[i])] = i
-            except BrokenProcessPool:
-                broken = True
-            redo: list[int] = []
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            while futures or (queue and not broken):
+                while queue and not broken and len(futures) < 2 * self.workers:
+                    i = queue.popleft()
+                    try:
+                        futures[executor.submit(fn, *args_list[i])] = i
+                    except BrokenProcessPool:
+                        queue.appendleft(i)
+                        broken = True
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    i = futures[future]
+                    i = futures.pop(future)
                     try:
                         yield TaskResult(i, "ok", future.result())
                     except BrokenProcessPool:
                         broken = True
-                        redo.append(i)
+                        suspects.append(i)
                     except Exception as exc:  # noqa: BLE001
                         yield _error_result(i, exc)
-            unsubmitted = set(todo) - set(futures.values())
-            redo.extend(sorted(unsubmitted))
-            todo = []
-            for i in redo:
-                attempts[i] += 1
-                if attempts[i] > retries:
-                    yield TaskResult(
-                        i, "error", None,
-                        "BrokenProcessPool: worker died; retries exhausted",
-                    )
-                else:
-                    todo.append(i)
             if broken:
                 self._discard()
+        for i in sorted(suspects):
+            yield self._run_alone(fn, i, args_list[i], retries)
+
+    def _run_alone(self, fn: Callable, i: int, args: tuple, retries: int) -> TaskResult:
+        for _ in range(retries + 1):
+            try:
+                return TaskResult(i, "ok", self._ensure().submit(fn, *args).result())
+            except BrokenProcessPool:
+                self._discard()
+            except Exception as exc:  # noqa: BLE001
+                return _error_result(i, exc)
+        return TaskResult(i, "error", None, "BrokenProcessPool: worker died; retries exhausted")
 
     def map(
         self, fn: Callable, args_list: Sequence[tuple], *, retries: int = 1

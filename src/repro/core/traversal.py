@@ -9,18 +9,21 @@ accepted and the opened pairs.  It has three callers, which differ in
 the table, the group geometry, the rule and the order they sort the
 emitted pairs into (:func:`csr_by_group`):
 
-* :func:`build_interaction_lists`, the serial treecode, over
-  :attr:`Tree.table <repro.core.tree.Tree.table>` — the one-rank case
-  of the hashed table: nothing remote, so nothing parks;
+* :func:`build_interaction_lists`, over :attr:`Tree.table
+  <repro.core.tree.Tree.table>` — the one-rank case of the hashed
+  table: nothing remote, so nothing parks.  Its lists serve the serial
+  treecode, the out-of-core one (:mod:`repro.core.outofcore`) and the
+  vortex method's Biot–Savart sum (:mod:`repro.vortex`);
 * :func:`repro.sph.neighbors.find_neighbors`, over the same table with
   a rule that prunes instead of approximating;
 * ``_Traversal.advance_round`` of :mod:`repro.core.parallel`, over a
   rank's table, where a missing key parks the walk until it is fetched.
 
 :func:`evaluate_rects` likewise evaluates interaction lists for the
-serial and the parallel code: flat CSR rectangles, a handful of dense
-kernel calls through a pluggable :mod:`~repro.core.backend`, with pair
-expansion chunked so memory stays bounded at any N.
+serial, the out-of-core and the parallel code: flat CSR rectangles, a
+handful of dense kernel calls through a pluggable
+:mod:`~repro.core.backend`, with pair expansion chunked so memory stays
+bounded at any N.
 
 The historical one-group-at-a-time walker is kept verbatim as
 :func:`compute_forces_reference`: the differential-physics suite pins
@@ -130,6 +133,17 @@ class InteractionLists:
 
     def leaves_of(self, g: int) -> np.ndarray:
         return self.leaf_ids[self.leaf_offsets[g]:self.leaf_offsets[g + 1]]
+
+    def direct_sources(self, table: CellTable):
+        """Every group's direct sources as CSR lists of the table's
+        particle pool, ``(offsets, ids)``: its external leaves in list
+        order, then its own run, last (the reference walker's
+        convention)."""
+        everyone = np.arange(self.groups.shape[0], dtype=np.int64)
+        leaves = csr_by_group(
+            np.concatenate([np.repeat(everyone, np.diff(self.leaf_offsets)), everyone]),
+            np.concatenate([self.leaf_ids, self.groups]), self.groups.shape[0])
+        return leaf_particles(table, *leaves)
 
 
 def csr_by_group(g_idx: np.ndarray, items: np.ndarray, n_groups: int, tie=None):
@@ -320,17 +334,10 @@ def evaluate_interaction_lists(
     acc = np.zeros_like(tree.positions)
     pot = np.zeros(tree.n_particles)
 
-    # Direct sources: a group's external leaves in list order, then the
-    # group itself (its own run interacts directly, last — the
-    # reference walker's convention).
     groups = lists.groups
-    everyone = np.arange(groups.shape[0], dtype=np.int64)
-    leaves = csr_by_group(
-        np.concatenate([np.repeat(everyone, np.diff(lists.leaf_offsets)), everyone]),
-        np.concatenate([lists.leaf_ids, groups]), groups.shape[0])
     evaluate_rects(
         kb, tree.table, tree.start[groups], tree.count[groups],
-        (lists.cell_offsets, lists.cell_ids), leaf_particles(tree.table, *leaves),
+        (lists.cell_offsets, lists.cell_ids), lists.direct_sources(tree.table),
         eps2, G, acc, pot, pair_chunk,
     )
 
@@ -381,10 +388,11 @@ def compute_forces(
 
 # -- the historical one-group-at-a-time walker --------------------------
 #
-# Kept verbatim as the pinning reference: the differential suite holds
-# the batched path to within 1e-10 of this walker with bit-identical
-# counts, and a slow test of the Table 5 study measures the batched
-# speedup against it.
+# Kept verbatim as the pinning reference, and run by nothing else: the
+# differential suite holds the batched path to within 1e-10 of this
+# walker with bit-identical counts, the property suite holds the
+# batched lists equal to ``_collect_lists`` group by group, and a slow
+# test of the Table 5 study measures the batched speedup against it.
 
 
 def _collect_lists(tree: Tree, group: int, mac) -> tuple[np.ndarray, np.ndarray]:

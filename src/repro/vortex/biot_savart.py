@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.mac import OpeningAngleMAC
-from ..core.traversal import _collect_lists
+from ..core.traversal import build_interaction_lists
 from ..core.tree import Tree, build_tree
 
 __all__ = ["VortexSystem", "direct_velocities", "tree_velocities", "wl_kernel"]
@@ -174,13 +174,15 @@ def tree_velocities(
     tree = build_tree(positions, weights, bucket_size=bucket_size)
     alphas_sorted = alphas[tree.order]
     cell_alpha = _cell_circulations(tree, alphas_sorted)
-    mac = OpeningAngleMAC(theta)
+    lists = build_interaction_lists(tree, OpeningAngleMAC(theta))
+    # Near field: the particles of the opened leaves, then the group's own.
+    near_offsets, near = lists.direct_sources(tree.table)
 
     out = np.zeros((tree.n_particles, 3))
-    for group in tree.leaf_ids:
+    for g, group in enumerate(lists.groups):
         sl = tree.particles_of(group)
         sinks = tree.positions[sl]
-        cells, parts = _collect_lists(tree, group, mac)
+        cells = lists.cells_of(g)
         if cells.size:
             dr = sinks[:, None, :] - tree.com[cells][None, :, :]
             r2 = np.einsum("ijk,ijk->ij", dr, dr)
@@ -188,8 +190,7 @@ def tree_velocities(
             out[sl] += -_INV_4PI * np.einsum(
                 "ij,ijk->ik", k, _cross(dr, cell_alpha[cells][None, :, :])
             )
-        own = np.arange(sl.start, sl.stop, dtype=np.int64)
-        all_parts = np.concatenate([parts, own]) if parts.size else own
+        all_parts = near[near_offsets[g]:near_offsets[g + 1]]
         dr = sinks[:, None, :] - tree.positions[all_parts][None, :, :]
         r2 = np.einsum("ijk,ijk->ij", dr, dr)
         k = wl_kernel(r2, sigma)

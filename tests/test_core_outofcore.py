@@ -1,11 +1,12 @@
 """Tests for repro.core.outofcore: disk-backed force evaluation."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
-from repro.core import direct_accelerations, tree_accelerations
+from repro.core import direct_accelerations, outofcore, tree_accelerations
 from repro.core.outofcore import OutOfCoreParticles, out_of_core_accelerations
 
 
@@ -36,6 +37,12 @@ class TestStore:
         s.cleanup()
         assert not os.path.exists(os.path.join(s.directory, "positions.npy"))
 
+    def test_cleanup_removes_a_directory_it_made(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        s = OutOfCoreParticles.create(np.random.rand(10, 3), np.ones(10))
+        s.cleanup()
+        assert os.listdir(tmp_path) == []
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             OutOfCoreParticles.create(np.zeros((5, 2)), np.ones(5), str(tmp_path / "a"))
@@ -48,9 +55,10 @@ class TestOutOfCoreForces:
         s, pos, m = store
         ooc = out_of_core_accelerations(s, theta=0.5, eps=0.05, chunk=256)
         ic = tree_accelerations(pos, m, theta=0.5, eps=0.05)
-        # Identical tree, identical MAC: identical results.
-        assert np.allclose(ooc.accelerations, ic.accelerations, rtol=1e-12, atol=1e-14)
-        assert np.allclose(ooc.potentials, ic.potentials, rtol=1e-12, atol=1e-14)
+        # Identical tree, identical MAC, the same walk and evaluator:
+        # identical bits.
+        assert np.array_equal(ooc.accelerations, ic.accelerations)
+        assert np.array_equal(ooc.potentials, ic.potentials)
         assert ooc.counts.p2p == ic.counts.p2p
         assert ooc.counts.p2c == ic.counts.p2c
 
@@ -67,7 +75,8 @@ class TestOutOfCoreForces:
         s, _, _ = store
         a = out_of_core_accelerations(s, theta=0.6, eps=0.05, chunk=128)
         b = out_of_core_accelerations(s, theta=0.6, eps=0.05, chunk=1200)
-        assert np.allclose(a.accelerations, b.accelerations)
+        assert np.array_equal(a.accelerations, b.accelerations)
+        assert np.array_equal(a.potentials, b.potentials)
         assert a.chunks_processed > b.chunks_processed
 
     def test_chunk_accounting(self, store):
@@ -90,3 +99,35 @@ class TestOutOfCoreForces:
         s, _, _ = store
         with pytest.raises(ValueError):
             out_of_core_accelerations(s, chunk=4, bucket_size=32)
+        with pytest.raises(ValueError, match="softening"):
+            out_of_core_accelerations(s, eps=-0.1)
+
+
+class TestScratchFiles:
+    """The Morton-sorted scratch copy is removed, however the call ends."""
+
+    @pytest.fixture
+    def scratch(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        s = OutOfCoreParticles.create(rng.random((300, 3)), np.ones(300), str(tmp_path / "store"))
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp))
+        return s, temp
+
+    def test_nothing_left_after_a_call(self, scratch):
+        s, temp = scratch
+        out_of_core_accelerations(s, theta=0.6, eps=0.05, chunk=64)
+        assert os.listdir(temp) == []
+
+    def test_nothing_left_after_a_failed_call(self, scratch, monkeypatch):
+        s, temp = scratch
+
+        def fail(*args, **kwargs):
+            assert len(os.listdir(temp)) == 1  # the sorted files exist now
+            raise RuntimeError("tree build failed")
+
+        monkeypatch.setattr(outofcore, "build_tree", fail)
+        with pytest.raises(RuntimeError, match="tree build failed"):
+            out_of_core_accelerations(s, chunk=64)
+        assert os.listdir(temp) == []

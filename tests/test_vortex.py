@@ -1,5 +1,7 @@
 """Tests for repro.vortex: Biot-Savart on the tree."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,25 @@ class TestTree:
         perm = np.random.default_rng(0).permutation(200)
         u_p = tree_velocities(pos[perm], alphas[perm])
         assert np.allclose(u_p, u[perm])
+
+    @pytest.mark.parametrize("fixture, theta, digest", [
+        ("blob", 0.45, "95f339d284dfe15f8d83d9105bcf932b"),
+        ("blob", 0.8, "66048f1b4b2bb4029be39a5d6f6caf34"),
+        ("ring", 0.45, "16afb0e0fba6cfa33d6e4f35d8f938d5"),
+        ("ring", 0.8, "378e42a687757156918eacb7ea4cc0d3"),
+    ])
+    def test_pinned_bits(self, fixture, theta, digest):
+        # Written when the per-group lists came from the reference
+        # walker's ``_collect_lists``; the batched walk must reproduce
+        # its velocities bit for bit.
+        if fixture == "blob":
+            pos, alphas = _random_blob(900, seed=7)
+            sigma = 0.05
+        else:
+            ring = vortex_ring(400, sigma=0.1)
+            pos, alphas, sigma = ring.positions, ring.alphas, ring.sigma
+        u = tree_velocities(pos, alphas, sigma=sigma, theta=theta)
+        assert hashlib.blake2b(u.tobytes(), digest_size=16).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):
