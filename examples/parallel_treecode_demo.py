@@ -81,10 +81,6 @@ def main() -> None:
     parser.add_argument("--analyze", action="store_true",
                         help="print wait-state / load-balance / critical-path "
                              "diagnosis of the 8-rank run")
-    parser.add_argument("--backend", default=None,
-                        help="kernel backend for the per-rank force kernels "
-                             "(numpy, the one registered; default: "
-                             "REPRO_BACKEND or numpy)")
     parser.add_argument("--comm", default="async", choices=("async", "blocking"),
                         help="communication schedule: latency-hiding batched "
                              "requests (async, default) or the blocking "
@@ -94,7 +90,7 @@ def main() -> None:
     n = 4000
     pos, masses = cosmological_sphere(n)
     cfg = ParallelConfig(theta=0.8, eps=0.01, kernel_efficiency=1357.0 / 5060.0,
-                         backend=opts.backend, comm=opts.comm)
+                         comm=opts.comm)
     print(f"spherical cosmology problem: N = {n}, theta = {cfg.theta}, "
           f"comm = {cfg.comm}")
 

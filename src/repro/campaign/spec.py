@@ -190,7 +190,7 @@ class SupernovaSpec(ScenarioSpec):
     """One rotating core-collapse progenitor (Section 4.4 workload)."""
 
     kind = "supernova"
-    _lazy_modules = ("repro.core.multipole", "numpy.random", "numpy.ma")
+    _lazy_modules = ("numpy.random", "numpy.ma")
 
     n_particles: int = 48
     n_steps: int = 3

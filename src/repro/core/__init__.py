@@ -27,7 +27,6 @@ from .abm import ABMChannel
 from .backend import (
     KernelBackend,
     NumpyBackend,
-    available_backends,
     get_backend,
 )
 from .cellserver import (
@@ -138,7 +137,6 @@ __all__ = [
     "evaluate_interaction_lists",
     "KernelBackend",
     "NumpyBackend",
-    "available_backends",
     "get_backend",
     "GravityResult",
     "direct_accelerations",

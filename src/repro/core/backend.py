@@ -5,12 +5,12 @@ The treecode's value lives in its vectorizable inner loops — the
 processors is measured against.  This module puts those inner loops
 behind one interface, with one arithmetic: :class:`NumpyBackend`, dense
 vectorized kernels identical in arithmetic to the historical per-group
-walker.  The registry holds one name, ``numpy``, the default.  Its two
-rectangle kernels split a large call over threads (see below).
+walker.  Its two rectangle kernels split a large call over threads
+(see below).
 
-Selection: pass ``backend=`` (a name or a :class:`KernelBackend`
-instance) to any hot-path entry point, or set the ``REPRO_BACKEND``
-environment variable; the default is ``numpy``.  Every backend must
+Selection: every hot-path entry point takes ``backend=``, a
+:class:`KernelBackend` instance; the default, ``None``, is one shared
+:class:`NumpyBackend` (:func:`get_backend`).  Every backend must
 satisfy the differential-physics suite
 (``tests/test_backend_differential.py``): accelerations within tight
 bounds of direct summation at every MAC setting, and
@@ -75,23 +75,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "available_backends",
     "get_backend",
-    "DEFAULT_BACKEND",
-    "BACKEND_ENV",
     "resolve_pool_workers",
 ]
-
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV = "REPRO_BACKEND"
-DEFAULT_BACKEND = "numpy"
 
 
 def resolve_pool_workers(workers: int | None = None) -> int:
@@ -498,35 +490,19 @@ class NumpyBackend(KernelBackend):
         return np.einsum("ij,ij->i", d, d) <= r2
 
 
-# -- registry -----------------------------------------------------------
+# -- selection ----------------------------------------------------------
 
 
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {"numpy": NumpyBackend}
-_INSTANCES: dict[str, KernelBackend] = {}
+_SHARED = NumpyBackend()
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends :func:`get_backend` resolves, sorted."""
-    return tuple(sorted(_FACTORIES))
-
-
-def get_backend(backend: "str | KernelBackend | None" = None) -> KernelBackend:
-    """Resolve a backend choice to an instance.
-
-    ``None`` consults ``$REPRO_BACKEND`` and falls back to ``numpy``;
-    a :class:`KernelBackend` instance passes through unchanged.
-    """
-    if isinstance(backend, KernelBackend):
-        return backend
-    name, source = backend, ""
+def get_backend(backend: KernelBackend | None = None) -> KernelBackend:
+    """The backend a call runs on: the shared :class:`NumpyBackend` for
+    ``None``, else ``backend`` itself, which must be a
+    :class:`KernelBackend` instance (anything else is a ``ValueError``
+    naming it)."""
     if backend is None:
-        name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-        source = f" (from ${BACKEND_ENV})"  # the default itself always resolves
-    name = name.lower()
-    if name not in _FACTORIES:
-        raise ValueError(f"unknown kernel backend {name!r}{source}; "
-                         f"available: {', '.join(available_backends())}")
-    inst = _INSTANCES.get(name)
-    if inst is None:
-        inst = _INSTANCES[name] = _FACTORIES[name]()
-    return inst
+        return _SHARED
+    if not isinstance(backend, KernelBackend):
+        raise ValueError(f"not a kernel backend: {backend!r}")
+    return backend

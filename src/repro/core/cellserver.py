@@ -8,6 +8,9 @@ particles themselves.  :class:`CellServer` implements that service with
 prefix sums over the Morton-sorted local particles: any cell is a
 contiguous run, so its record is O(log N) searchsorted plus O(1)
 arithmetic, with no explicit tree stored at all.
+:meth:`CellServer.subtree` is the bulk form, a tree level at a time,
+and the one cell builder of the package: a rank's own cells, and from
+the root key the whole serial tree of :func:`~repro.core.tree.build_tree`.
 
 This is the data-plane half of the paper's "request and receive data
 from other processors using the global key name space"; the control
@@ -44,6 +47,9 @@ __all__ = [
 ]
 
 _PLACEHOLDER = 1 << (3 * KEY_BITS)
+
+#: The packed symmetric pairs ``(xx, yy, zz, xy, xz, yz)`` as column indices.
+_A, _B = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
 
 
 def content_fingerprint(chunks, digest_size: int = 16) -> bytes:
@@ -229,16 +235,10 @@ class CellServer:
         np.cumsum(self.masses, out=self._cm[1:])
         self._cmx = np.zeros((n + 1, 3))
         np.cumsum(self.masses[:, None] * self.positions, axis=0, out=self._cmx[1:])
-        second = np.empty((n, 6))
-        p = self.positions
-        second[:, 0] = self.masses * p[:, 0] * p[:, 0]
-        second[:, 1] = self.masses * p[:, 1] * p[:, 1]
-        second[:, 2] = self.masses * p[:, 2] * p[:, 2]
-        second[:, 3] = self.masses * p[:, 0] * p[:, 1]
-        second[:, 4] = self.masses * p[:, 0] * p[:, 2]
-        second[:, 5] = self.masses * p[:, 1] * p[:, 2]
         self._cs = np.zeros((n + 1, 6))
-        np.cumsum(second, axis=0, out=self._cs[1:])
+        np.cumsum(self.masses[:, None] * self.positions[:, _A] * self.positions[:, _B], axis=0,
+                  out=self._cs[1:])
+        self._grid = None  # the particles' integer coordinates, on first use by ``subtree``
 
     @property
     def n_particles(self) -> int:
@@ -331,10 +331,33 @@ class CellServer:
 
         The bulk form of :meth:`record`: row for row the same numbers,
         bit for bit, computed a tree level at a time (the non-empty
-        roots first, in the order given).  A leaf's particles are its
-        run ``pstart``/``pn`` of this server's own arrays, which the
-        batch carries as its pool without copying them.
+        roots first, in the order given, then their children level by
+        level, each level in the order of its parents).  A leaf's
+        particles are its run ``pstart``/``pn`` of this server's own
+        arrays, which the batch carries as its pool without copying
+        them.  This is the one place a cell's moments are computed from
+        its particles; the serial :func:`~repro.core.tree.build_tree`
+        is this from the root key.
+
+        Every moment is a difference of prefix sums over the cell's
+        run.  The quadrupole is the traceless one about the centre of
+        mass, packed in symmetric order ``(xx, yy, zz, xy, xz, yz)``:
+
+        .. math::
+
+            Q_{ij} = \\sum_k m_k \\left(3\\, r_{k,i} r_{k,j} - r_k^2\\,
+            \\delta_{ij}\\right), \\qquad r_k = x_k - X_\\mathrm{com}
+
+        ``bmax`` is a conservative bound on the distance from the centre
+        of mass to any particle of the cell: the cell's half-diagonal
+        plus the centre of mass's offset from the cell's geometric
+        centre (taken from the cell key), which the multipole
+        acceptance criterion uses.  A massless cell's centre of mass is
+        its first particle.
         """
+        if self._grid is None:
+            self._grid = np.stack([_undilate3(self.keys >> np.uint64(axis)) for axis in range(3)],
+                                  axis=1)
         keys = np.ascontiguousarray(roots, dtype=np.uint64)
         s, e = self._runs(keys)
         levels: list[dict[str, np.ndarray]] = []
@@ -343,20 +366,16 @@ class CellServer:
             keys, s, e = keys[live], s[live], e[live]
             level = key_levels(keys)
             mass = self._cm[e] - self._cm[s]
-            raw2 = self._cs[e] - self._cs[s]
             com = self.positions[s]
             np.divide(self._cmx[e] - self._cmx[s], mass[:, None], out=com,
                       where=(mass > 0)[:, None])
-            quad = np.empty((keys.size, 6))
-            for i, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
-                quad[:, i] = raw2[:, i] - mass * com[:, a] * com[:, b]
+            quad = self._cs[e] - self._cs[s] - mass[:, None] * com[:, _A] * com[:, _B]
             trace = quad[:, 0] + quad[:, 1] + quad[:, 2]
             quad[:, :3] = 3.0 * quad[:, :3] - trace[:, None]
             quad[:, 3:] *= 3.0
-            up = (KEY_BITS - level).astype(np.uint64)
-            body = (keys - (np.uint64(1) << (3 * level).astype(np.uint64))) << (np.uint64(3) * up)
-            cell = np.stack([_undilate3(body >> np.uint64(axis)) >> up for axis in range(3)],
-                            axis=1)
+            # A cell's integer corner: any of its particles' coordinates,
+            # cut to the cell's level.
+            cell = self._grid[s] >> (KEY_BITS - level).astype(np.uint64)[:, None]
             size = self.box.size / (np.uint64(1) << level.astype(np.uint64)).astype(np.float64)
             center = self.box.corner + (cell.astype(np.float64) + 0.5) * size[:, None]
             leaf = (e - s <= self.bucket_size) | (level >= MAX_LEVEL)

@@ -103,8 +103,9 @@ def tree_accelerations(
     Parameters mirror the serial HOT code: ``theta`` is the Barnes–Hut
     opening angle (accuracy knob), ``eps`` the Plummer softening,
     ``bucket_size`` the leaf capacity.  Pass a custom ``mac`` to use a
-    different acceptance criterion, and ``backend`` (name, instance, or
-    ``None`` for ``$REPRO_BACKEND``/numpy) to pick the kernel backend.
+    different acceptance criterion, and ``backend`` (a
+    :class:`~repro.core.backend.KernelBackend`, or ``None`` for the
+    shared numpy one) to pick the kernel backend.
     """
     tree = build_tree(positions, masses, bucket_size=bucket_size, box=box)
     mac = mac if mac is not None else OpeningAngleMAC(theta)

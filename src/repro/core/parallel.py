@@ -133,7 +133,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (resilience -> core)
     from ..resilience.checkpoint import Checkpointer
     from ..resilience.runner import ResilienceConfig, ResilientResult
 from .abm import ABMChannel
-from .backend import get_backend
+from .backend import KernelBackend, get_backend
 from .cellserver import CellServer, cover_interval, key_levels, key_spans
 from .celltable import (
     DEAD, REMOTE, SILENT, STUB, CellBatch, CellRows, CellTable, KeyBatch, csr_take, row_dots,
@@ -200,7 +200,7 @@ class ParallelConfig:
     max_rounds:
         Safety bound on traversal request/reply rounds.
     backend:
-        Kernel backend name (``None`` -> ``$REPRO_BACKEND``/numpy).
+        Kernel backend instance (``None``: the shared numpy one).
     eval:
         Force-evaluation strategy for completed walks: ``"batched"``
         (default) concatenates every ready group's interaction list
@@ -233,8 +233,8 @@ class ParallelConfig:
     oversample: int = 16
     kernel_efficiency: float = 0.25  # fraction of peak the inner loop sustains
     max_rounds: int = 200
-    #: Kernel backend name (``None`` -> ``$REPRO_BACKEND``/numpy).
-    backend: str | None = None
+    #: Kernel backend instance (``None``: the shared numpy one).
+    backend: KernelBackend | None = None
     eval: str = "batched"
     comm: str = "async"
     prefetch_rounds: int = 8
@@ -265,8 +265,7 @@ class ParallelConfig:
             raise ValueError("prefetch_rounds must be >= 0")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be positive or None")
-        if self.backend is not None:
-            get_backend(self.backend)  # fail fast on unknown names
+        get_backend(self.backend)  # fail fast on a non-backend
 
 
 @dataclass

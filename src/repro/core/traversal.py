@@ -46,7 +46,7 @@ import numpy as np
 
 from ..machine.specs import FLOPS_PER_INTERACTION
 from ..obs import wallclock
-from .backend import NumpyBackend, get_backend
+from .backend import get_backend
 from .celltable import DEAD, REMOTE, STUB, CellTable, csr_take
 from .mac import OpeningAngleMAC
 from .tree import Tree
@@ -75,8 +75,6 @@ FLOPS_PER_CELL_INTERACTION = 70.0
 #: chunk (2^12-2^14 are slower) and the cost of spilling larger
 #: temporaries (2^17-2^18 are slower inline; EXPERIMENTS.md "WC").
 DEFAULT_PAIR_CHUNK = 1 << 16
-
-_NP_BACKEND = NumpyBackend()
 
 
 @dataclass
@@ -321,7 +319,6 @@ def evaluate_interaction_lists(
     eps: float = 0.0,
     G: float = 1.0,
     backend=None,
-    exclude_self_potential: bool = True,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate batched interaction lists; returns (acc, pot) tree-order."""
@@ -341,7 +338,7 @@ def evaluate_interaction_lists(
         eps2, G, acc, pot, pair_chunk,
     )
 
-    if exclude_self_potential and eps2 > 0.0:
+    if eps2 > 0.0:
         # Remove each particle's softened self-energy -G m / eps.
         pot += G * tree.masses / eps
 
@@ -357,7 +354,6 @@ def compute_forces(
     mac=None,
     eps: float = 0.0,
     G: float = 1.0,
-    exclude_self_potential: bool = True,
     backend=None,
     pair_chunk: int = DEFAULT_PAIR_CHUNK,
 ) -> TraversalResult:
@@ -373,10 +369,8 @@ def compute_forces(
     with wallclock.span("gravity.compute_forces", cat="gravity", backend=kb.name):
         with wallclock.span("gravity.traversal", cat="gravity"):
             lists = build_interaction_lists(tree, mac)
-        acc, pot = evaluate_interaction_lists(
-            tree, lists, eps=eps, G=G, backend=kb,
-            exclude_self_potential=exclude_self_potential, pair_chunk=pair_chunk,
-        )
+        acc, pot = evaluate_interaction_lists(tree, lists, eps=eps, G=G, backend=kb,
+                                              pair_chunk=pair_chunk)
 
     # Undo the Morton sort: return in the caller's original order.
     acc_out = np.empty_like(acc)
@@ -432,12 +426,12 @@ def _collect_lists(tree: Tree, group: int, mac) -> tuple[np.ndarray, np.ndarray]
 
 def _eval_cells(sinks, com, mass, quad, eps2, G):
     """Monopole + quadrupole field of cells at sink positions."""
-    return _NP_BACKEND.eval_cells_dense(sinks, com, mass, quad, eps2, G)
+    return get_backend().eval_cells_dense(sinks, com, mass, quad, eps2, G)
 
 
 def _eval_direct(sinks, sources, src_mass, eps2, G):
     """Plummer-softened direct sum; zero-distance pairs contribute 0."""
-    return _NP_BACKEND.eval_direct_dense(sinks, sources, src_mass, eps2, G)
+    return get_backend().eval_direct_dense(sinks, sources, src_mass, eps2, G)
 
 
 def compute_forces_reference(
@@ -446,11 +440,8 @@ def compute_forces_reference(
     mac=None,
     eps: float = 0.0,
     G: float = 1.0,
-    exclude_self_potential: bool = True,
 ) -> TraversalResult:
     """The pre-batching walker: one sink group per frontier walk."""
-    if tree.mass is None:
-        raise ValueError("tree has no multipoles; build with with_multipoles=True")
     if eps < 0:
         raise ValueError("softening must be non-negative")
     mac = mac if mac is not None else OpeningAngleMAC()
@@ -478,7 +469,7 @@ def compute_forces_reference(
         acc[sl] += a
         pot[sl] += p
         counts.p2p += ns * all_parts.size
-        if exclude_self_potential and eps2 > 0.0:
+        if eps2 > 0.0:
             # Remove each particle's softened self-energy -G m / eps.
             pot[sl] += G * tree.masses[sl] / eps
 

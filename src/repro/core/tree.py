@@ -2,29 +2,32 @@
 
 The build follows the hashed oct-tree recipe: particles are sorted by
 Morton key, after which every tree cell corresponds to a *contiguous
-run* of the particle array (the defining property of Z-order).  Cells
-are produced top-down by splitting runs at octant boundaries (found
-with ``searchsorted`` — no per-particle Python work), stopping when a
-run fits in a leaf bucket.  :attr:`Tree.table` enters every cell into a
-hashed :class:`~repro.core.celltable.CellTable` under its Morton key:
-the table the gravity walk and the SPH neighbour search run over (row =
-cell id, a child reached through ``child_row``), the same structure a
-rank of the parallel code keeps, with nothing remote in it.
+run* of the particle array (the defining property of Z-order).  The
+cells themselves come from the parallel code's bulk builder,
+:meth:`~repro.core.cellserver.CellServer.subtree` from the root key: one
+tree level at a time, a cell's run split at its octant boundaries with
+``searchsorted`` and its moments taken as differences of prefix sums,
+stopping where a run fits in a leaf bucket.  A serial tree is the
+one-rank case of the parallel code's virtual global tree, cell for cell
+and bit for bit.  :attr:`Tree.table` enters every cell into a hashed
+:class:`~repro.core.celltable.CellTable` under its Morton key: the table
+the gravity walk and the SPH neighbour search run over (row = cell id, a
+child reached through ``child_row``), the same structure a rank of the
+parallel code keeps, with nothing remote in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .cellserver import CellServer, key_levels
 from .celltable import CellBatch, CellTable
 from .keys import MAX_LEVEL, ROOT_KEY, BoundingBox, keys_from_positions
 
 __all__ = ["Tree", "build_tree"]
-
-_U = np.uint64
 
 
 @dataclass
@@ -35,10 +38,14 @@ class Tree:
     positions back to the caller's original indexing
     (``positions[i] == original_positions[order[i]]``).
 
-    Cell arrays are indexed by cell id (root = 0).  Children of a cell
-    are contiguous: ``first_child : first_child + n_children``.
-    Multipole arrays (``mass``, ``com``, ``quad``, ``bmax``) are filled
-    by :func:`repro.core.multipole.compute_multipoles`.
+    Cell arrays are indexed by cell id.  Cells are numbered one tree
+    level at a time: the root is 0, then every level-1 cell, then every
+    level-2 cell, each level in key order.  Children of a cell are
+    contiguous: ``first_child : first_child + n_children``.  The cell
+    columns are those of ``cells``, the builder's
+    :class:`~repro.core.celltable.CellBatch` (the same arrays, not
+    copies); ``parent``, ``first_child`` and ``level`` are derived from
+    it.
     """
 
     # particle data, Morton-sorted
@@ -50,33 +57,29 @@ class Tree:
     bucket_size: int
 
     # cell topology
-    cell_keys: np.ndarray = field(default=None)
-    level: np.ndarray = field(default=None)
-    start: np.ndarray = field(default=None)
-    count: np.ndarray = field(default=None)
-    parent: np.ndarray = field(default=None)
-    first_child: np.ndarray = field(default=None)
-    n_children: np.ndarray = field(default=None)
+    cell_keys: np.ndarray
+    level: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    parent: np.ndarray
+    first_child: np.ndarray
+    n_children: np.ndarray
 
-    # multipoles (filled post-build)
-    mass: np.ndarray = field(default=None)
-    com: np.ndarray = field(default=None)
-    quad: np.ndarray = field(default=None)
-    bmax: np.ndarray = field(default=None)
+    # multipoles
+    mass: np.ndarray
+    com: np.ndarray
+    quad: np.ndarray
+    bmax: np.ndarray
+
+    cells: CellBatch
 
     @cached_property
     def table(self) -> CellTable:
         """The cells as the one-rank :class:`CellTable` every walk runs
-        over, seeded on first use over the tree's own arrays (row = cell
+        over, seeded on first use over the builder's batch (row = cell
         id; the children of a cell are the rows after it, so every
         cell but the root is one child slot, in id order)."""
-        if self.mass is None:
-            raise ValueError("tree has no multipoles; build with with_multipoles=True")
-        return CellTable.over(CellBatch(
-            key=self.cell_keys, count=self.count, mass=self.mass, com=self.com, quad=self.quad,
-            bmax=self.bmax, leaf=self.is_leaf, cstart=self.first_child - 1, cn=self.n_children,
-            child_key=self.cell_keys[1:], pstart=self.start,
-            pn=np.where(self.is_leaf, self.count, 0), ppos=self.positions, pmass=self.masses))
+        return CellTable.over(self.cells)
 
     @property
     def n_particles(self) -> int:
@@ -113,7 +116,7 @@ class Tree:
     def validate(self) -> None:
         """Structural invariants; raises AssertionError on violation.
 
-        Used by tests and by the parallel code's debug mode.
+        Used by tests.
         """
         assert self.cell_keys[0] == ROOT_KEY
         assert self.count[0] == self.n_particles
@@ -134,9 +137,8 @@ def build_tree(
     *,
     bucket_size: int = 32,
     box: BoundingBox | None = None,
-    with_multipoles: bool = True,
 ) -> Tree:
-    """Build an adaptive oct-tree (and optionally its multipoles).
+    """Build an adaptive oct-tree with its cell multipoles.
 
     Parameters
     ----------
@@ -149,6 +151,19 @@ def build_tree(
         tree: more cells but shorter direct-interaction lists.
     box:
         Key-space cube; computed from the points when omitted.
+
+    Cells are numbered level by level, and a cell's children are
+    contiguous ids.  Two pairs of particles in opposite octants of the
+    root, split apart at level 2:
+
+    >>> pos = [[0.1, 0.1, 0.1], [0.3, 0.1, 0.1], [0.7, 0.9, 0.9], [0.9, 0.9, 0.9]]
+    >>> tree = build_tree(np.array(pos), bucket_size=1)
+    >>> tree.level.tolist()
+    [0, 1, 1, 2, 2, 2, 2]
+    >>> tree.parent.tolist()
+    [-1, 0, 0, 1, 1, 2, 2]
+    >>> tree.first_child[:3].tolist(), tree.n_children[:3].tolist()
+    ([1, 3, 5], [2, 2, 2])
     """
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
@@ -175,61 +190,12 @@ def build_tree(
     positions = positions[order]
     masses = masses[order]
 
-    # Top-down subdivision.  Each stack entry is a cell whose particle
-    # run [s, e) is known; children are discovered by octant boundaries
-    # inside the run.
-    cell_keys: list[int] = [ROOT_KEY]
-    level: list[int] = [0]
-    start: list[int] = [0]
-    count: list[int] = [n]
-    parent: list[int] = [-1]
-    first_child: list[int] = [0]
-    n_children: list[int] = [0]
-
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        if count[c] <= bucket_size or level[c] >= MAX_LEVEL:
-            continue  # leaf
-        s, e = start[c], start[c] + count[c]
-        child_level = level[c] + 1
-        shift = _U(3 * (MAX_LEVEL - child_level))
-        run = keys[s:e] >> shift
-        # Octant boundaries within the sorted run.
-        boundaries = np.searchsorted(run, (_U(cell_keys[c]) << _U(3)) + np.arange(9, dtype=np.uint64))
-        first_child[c] = len(cell_keys)
-        for octant in range(8):
-            lo, hi = int(boundaries[octant]), int(boundaries[octant + 1])
-            if lo == hi:
-                continue
-            child_id = len(cell_keys)
-            cell_keys.append((cell_keys[c] << 3) | octant)
-            level.append(child_level)
-            start.append(s + lo)
-            count.append(hi - lo)
-            parent.append(c)
-            first_child.append(0)
-            n_children.append(0)
-            n_children[c] += 1
-            stack.append(child_id)
-
-    tree = Tree(
-        positions=positions,
-        masses=masses,
-        keys=keys,
-        order=order,
-        box=box,
-        bucket_size=bucket_size,
-        cell_keys=np.array(cell_keys, dtype=np.uint64),
-        level=np.array(level, dtype=np.int64),
-        start=np.array(start, dtype=np.int64),
-        count=np.array(count, dtype=np.int64),
-        parent=np.array(parent, dtype=np.int64),
-        first_child=np.array(first_child, dtype=np.int64),
-        n_children=np.array(n_children, dtype=np.int64),
+    cells = CellServer(keys, positions, masses, box, bucket_size=bucket_size).subtree([ROOT_KEY])
+    return Tree(
+        positions=positions, masses=masses, keys=keys, order=order, box=box,
+        bucket_size=bucket_size, cell_keys=cells.key, level=key_levels(cells.key).astype(np.int64),
+        start=cells.pstart, count=cells.count,
+        parent=np.concatenate(([-1], np.repeat(np.arange(len(cells)), cells.cn))),
+        first_child=cells.cstart + 1, n_children=cells.cn, mass=cells.mass, com=cells.com,
+        quad=cells.quad, bmax=cells.bmax, cells=cells,
     )
-    if with_multipoles:
-        from .multipole import compute_multipoles
-
-        compute_multipoles(tree)
-    return tree

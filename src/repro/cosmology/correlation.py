@@ -6,7 +6,7 @@ against the analytic random expectation, and the density power
 spectrum measured from the particles on a grid (used to validate the
 initial conditions against the input linear spectrum).
 
-The binning hot loops route through the kernel-backend registry.  Pair
+The binning hot loops route through the kernel backend.  Pair
 counts are integers, and the ``searchsorted`` + ``bincount_sum`` fast
 path assigns every separation to the same bin as ``np.histogram``
 (including the closed last bin), so :func:`pair_counts_periodic` is

@@ -14,8 +14,8 @@ the eight CIC corners of every particle, ``[8, N]`` each, corner-major
 in the reference loops' order.  ``PMSolver.accelerations`` builds it
 once a call and hands it to both halves, which sit at the same
 positions; ``cic_deposit`` and ``cic_interpolate`` called alone build
-their own.  The deposit is **one** ``bincount_sum`` (kernel-backend
-registry, :mod:`repro.core.backend`) over the flattened stencil:
+their own.  The deposit is **one** ``bincount_sum`` (kernel backend,
+:mod:`repro.core.backend`) over the flattened stencil:
 ``np.bincount`` and ``np.add.at`` both accumulate sequentially in input
 order and the stencil keeps the reference's corner-major order, so it
 is bit-identical to :func:`cic_deposit_reference`.  The interpolation

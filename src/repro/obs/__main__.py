@@ -289,7 +289,7 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(opts.seed)
     pos = rng.random((opts.n, 3))
-    kb = get_backend(opts.backend)
+    kb = get_backend()
     with wc.profile() as wall:
         res = parallel_nbody_run(
             pos, n_ranks=opts.ranks, n_steps=opts.steps, dt=1e-3,
@@ -402,8 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     p_wc.add_argument("--n", type=int, default=4000, help="particles (default 4000)")
     p_wc.add_argument("--ranks", type=int, default=4, help="simulated ranks (default 4)")
     p_wc.add_argument("--steps", type=int, default=2, help="leapfrog steps (default 2)")
-    p_wc.add_argument("--backend", default=None,
-                      help="kernel backend (default: REPRO_BACKEND or numpy)")
     p_wc.add_argument("--seed", type=int, default=11)
     p_wc.add_argument("--max-rows", type=int, default=10,
                       help="critical-path rows to print (default 10)")

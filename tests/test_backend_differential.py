@@ -1,6 +1,6 @@
 """Differential-physics suite pinning the kernel backends.
 
-Every registered backend is held to the same physics: accelerations
+Every backend leg is held to the same physics: accelerations
 within tight 99th-percentile bounds of direct summation across a MAC
 theta sweep on Plummer and uniform-box distributions, interaction
 counts identical across backends (they are a property of the traversal,
@@ -19,7 +19,6 @@ import pytest
 from repro.core import (
     AbsoluteErrorMAC,
     OpeningAngleMAC,
-    available_backends,
     build_tree,
     compute_forces,
     compute_forces_reference,
@@ -27,14 +26,16 @@ from repro.core import (
     get_backend,
     tree_accelerations,
 )
+from repro.core.backend import NumpyBackend
+from repro.core.parallel import ParallelConfig
 from repro.core.traversal import build_interaction_lists, evaluate_interaction_lists
 from tests.test_backend_threads import split_backend
 from tests.test_parallel_pins import _plummer
 
-#: Backend legs by test id: the registered backends, plus one forced to
-#: split every rectangle call over threads under the id the leg it
+#: Backend legs by test id: the shared default backend, plus one forced
+#: to split every rectangle call over threads under the id the leg it
 #: replaced (the deleted process-pool backend) had.
-BACKENDS = {**{name: name for name in available_backends()}, "multiprocess": split_backend(2)}
+BACKENDS = {"numpy": get_backend(None), "multiprocess": split_backend(2)}
 
 #: 99th-percentile relative acceleration error allowed per opening
 #: angle (generous multiples of measured behaviour, tight enough to
@@ -131,36 +132,22 @@ class TestBatchedVsReferenceWalker:
 
 class TestBackendRegistry:
     def test_numpy_always_present(self):
-        assert "numpy" in BACKENDS
-        assert get_backend("numpy").name == "numpy"
-
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)  # a caller's shell may set it
+        assert isinstance(get_backend(None), NumpyBackend)
         assert get_backend(None).name == "numpy"
-        inst = get_backend("numpy")
+
+    def test_default_resolution(self):
+        assert get_backend() is get_backend(None)  # one shared instance
+        inst = split_backend(2)
         assert get_backend(inst) is inst
 
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend()
-
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("fortran-iv")
-
-    def test_unknown_env_name_says_where_it_came_from(self, monkeypatch):
-        # A leftover export, such as the name of a deleted backend.
-        monkeypatch.setenv("REPRO_BACKEND", "Fortran-IV")
-        with pytest.raises(ValueError) as err:
-            get_backend()
-        assert str(err.value) == ("unknown kernel backend 'fortran-iv' (from $REPRO_BACKEND); "
-                                  "available: numpy")
-        with pytest.raises(ValueError) as err:
-            get_backend("fortran-iv")
-        assert "REPRO_BACKEND" not in str(err.value)
+        # Backends are instances: a name, even the default's, is refused.
+        for value in ("fortran-iv", "numpy", NumpyBackend):
+            with pytest.raises(ValueError) as err:
+                get_backend(value)
+            assert str(err.value) == f"not a kernel backend: {value!r}"
+        with pytest.raises(ValueError, match="not a kernel backend: 'numpy'"):
+            ParallelConfig(backend="numpy")
 
 
 class TestEdgeCases:
@@ -280,7 +267,7 @@ class TestBatchedNeighborsVsReference:
         pos = rng.random((200, 3))
         tree = build_tree(pos, np.full(200, 1.0 / 200), bucket_size=8)
         radii = rng.uniform(0.05, 0.25, 200)
-        ref = find_neighbors(tree, radii, backend="numpy")
+        ref = find_neighbors(tree, radii)
         for name, b in BACKENDS.items():
             got = find_neighbors(tree, radii, backend=b)
             assert np.array_equal(got.offsets, ref.offsets), name
@@ -303,6 +290,6 @@ class TestBatchedNeighborsVsReference:
 def test_tree_accelerations_backend_kwarg():
     pos, m = _plummer(200, seed=12)
     a = tree_accelerations(pos, m, eps=0.01)
-    b = tree_accelerations(pos, m, eps=0.01, backend="numpy")
+    b = tree_accelerations(pos, m, eps=0.01, backend=split_backend(2))
     assert np.array_equal(a.accelerations, b.accelerations)
     assert a.counts == b.counts

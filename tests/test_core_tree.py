@@ -1,12 +1,11 @@
-"""Tests for repro.core.tree and multipole: oct-tree construction."""
+"""Tests for repro.core.tree: oct-tree construction and cell moments."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BoundingBox, build_interaction_lists, build_tree
-from repro.sph import find_neighbors
+from repro.core import BoundingBox, CellServer, build_tree
 
 UNIT_BOX = BoundingBox(np.zeros(3), 1.0)
 
@@ -92,17 +91,6 @@ class TestBuild:
         kids = table.child_row[table.cstart[0]:table.cstart[0] + table.cn[0]]
         assert np.array_equal(kids, tree.children_of(0))
 
-    @pytest.mark.parametrize("walker", [
-        build_interaction_lists,
-        lambda tree: find_neighbors(tree, np.full(tree.n_particles, 0.1)),
-    ], ids=["build_interaction_lists", "find_neighbors"])
-    def test_walks_refuse_a_tree_without_multipoles(self, walker):
-        pos, m = _cloud(50, seed=5)
-        tree = build_tree(pos, m, bucket_size=8, with_multipoles=False)
-        with pytest.raises(ValueError, match="tree has no multipoles; build with "
-                                             "with_multipoles=True"):
-            walker(tree)
-
     def test_morton_order_output(self):
         pos, m = _cloud(100, seed=5)
         tree = build_tree(pos, m, box=UNIT_BOX)
@@ -130,6 +118,42 @@ class TestBuild:
         tree = build_tree(pos, bucket_size=bucket, box=UNIT_BOX)
         tree.validate()
         assert int(tree.count[tree.leaf_ids].sum()) == n
+
+
+def _drawn_cloud(kind, n, seed):
+    """A cloud of one of four shapes: ``uniform``, ``clustered``,
+    ``sites`` (every particle on one of five points, so leaves overflow
+    at the deepest level, some massless) and ``lattice`` (points of an
+    eighth-spaced grid, every one on the faces of the cells that hold
+    it)."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return _cloud(n, seed)
+    if kind == "clustered":
+        return _cloud(n, seed, centrally_condensed=True)
+    if kind == "sites":
+        pos = rng.random((5, 3))[rng.integers(0, 5, n)]
+        m = rng.random(n)
+        m[::4] = 0.0
+        return pos, m
+    return rng.integers(0, 8, (n, 3)) / 8.0, rng.random(n) + 0.1
+
+
+@given(st.sampled_from(["uniform", "clustered", "sites", "lattice"]), st.integers(1, 300),
+       st.sampled_from([1, 8, 32]), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_every_cell_is_its_cellserver_record_bit_for_bit(kind, n, bucket, seed):
+    pos, m = _drawn_cloud(kind, n, seed)
+    tree = build_tree(pos, m, bucket_size=bucket, box=UNIT_BOX if kind == "lattice" else None)
+    server = CellServer(tree.keys, tree.positions, tree.masses, tree.box, bucket)
+    for c, key in enumerate(tree.cell_keys.tolist()):
+        rec = server.record(key)
+        assert (rec.count, rec.is_leaf, rec.children) == (
+            tree.count[c], tree.is_leaf[c], tuple(tree.cell_keys[tree.children_of(c)].tolist()))
+        for name, ours, spec in (("mass", tree.mass[c], rec.mass), ("com", tree.com[c], rec.com),
+                                 ("quad", tree.quad[c], rec.quad),
+                                 ("bmax", tree.bmax[c], rec.bmax)):
+            assert np.asarray(ours).tobytes() == np.asarray(spec).tobytes(), (name, key)
 
 
 class TestMultipoles:

@@ -1,7 +1,7 @@
 """Differential suite pinning the cosmology hot paths to their references.
 
 Every batched fast path added for the kernel-backend routing is held to
-its ``*_reference`` twin, per registered backend, across particle
+its ``*_reference`` twin, per backend leg, across particle
 counts N in {0, 1, 2, 1000} and uniform / clustered / single-cell
 distributions (fixed seeds throughout):
 
@@ -42,7 +42,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.backend import available_backends
+from repro.core.backend import get_backend
 import repro.cosmology.fof as fof_module
 from repro.core.traversal import DEFAULT_PAIR_CHUNK
 from repro.cosmology import (
@@ -61,11 +61,11 @@ from repro.cosmology import (
 from repro.cosmology.pm import wrap_unit
 from tests.test_backend_threads import split_backend
 
-#: Registered backends plus two instances forced to split every
+#: The shared default backend plus two instances forced to split every
 #: rectangle call over threads; cosmology's routed ops run inline on
 #: them by design.  Their ids are the ones the legs they replaced (the
 #: deleted process-pool backend, registered and forced) had.
-BACKENDS = list(available_backends()) + [
+BACKENDS = [get_backend(None),
     pytest.param(split_backend(2), id="multiprocess0"),
     pytest.param(split_backend(3), id="multiprocess1"),
 ]

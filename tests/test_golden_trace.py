@@ -68,16 +68,16 @@ def _serial_pipeline() -> None:
     rng = np.random.default_rng(7)
     pos = rng.random((192, 3))
     masses = np.full(192, 1.0 / 192)
-    res = tree_accelerations(pos, masses, theta=0.7, eps=0.02, bucket_size=16, backend="numpy")
+    res = tree_accelerations(pos, masses, theta=0.7, eps=0.02, bucket_size=16)
     tree = res.tree
     h = np.full(192, 0.12)
-    rho, neigh = density_sum(tree, h, backend="numpy")
+    rho, neigh = density_sum(tree, h)
     rho = np.maximum(rho, 1e-9)
     pressure = rho ** (5.0 / 3.0)
     cs = np.sqrt(5.0 / 3.0 * pressure / rho)
     compute_sph_forces(
         tree, neigh, rho=rho, pressure=pressure, sound_speed=cs,
-        velocities=np.zeros((192, 3)), h=h, backend="numpy",
+        velocities=np.zeros((192, 3)), h=h,
     )
 
 

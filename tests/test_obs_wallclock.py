@@ -221,7 +221,7 @@ _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "camp
 
 #: Entry point -> (call, span names a profiled run must hold).
 ENTRY_POINTS = {
-    "nbody-numpy": (lambda tmp: _nbody("numpy", tmp),
+    "nbody-numpy": (lambda tmp: _nbody(None, tmp),
                     {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells"}),
     # Every kernel call split over threads (the id is the one of the
     # process-pool backend this entry replaced): the helper threads

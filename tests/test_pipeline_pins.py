@@ -12,14 +12,12 @@ loads (box-face and wrap coordinates, every particle coincident, fewer
 particles than cells).  Floats are hex strings, arrays blake2b digests
 of their bytes, so "the same answer" means the same bits.
 
-The numpy kernels are pinned: ``backend="numpy"`` where a call takes
-one; the pipeline's structure and supernova stages run the process
-default, whose arithmetic is numpy's too.  ``tests/golden/pipeline_pins.json`` was
-written at the parent of PR 23, before the CIC stencil, the single
-density sum and the size-class halo reduction; its ``degenerate``
-entries were added before the floor-based wrap and the FoF slot map
-replaced ``np.mod`` and ``searchsorted``.  To bless an intentional
-change:
+Every call runs on the one kernel backend, numpy's.
+``tests/golden/pipeline_pins.json`` was written before the CIC stencil,
+the single density sum and the size-class halo reduction; its
+``degenerate`` entries were added before the floor-based wrap and the
+FoF slot map replaced ``np.mod`` and ``searchsorted``.  To bless an
+intentional change:
 
     PYTHONPATH=src python -m tests.test_pipeline_pins --regen
 """
@@ -53,7 +51,7 @@ def _hex(value):
 
 
 def _observe_pipeline(name: str) -> dict:
-    summary = run_pipeline(PipelineSpec(**PIPELINES[name]), backend="numpy").summary()
+    summary = run_pipeline(PipelineSpec(**PIPELINES[name])).summary()
     return {key: _hex(value) for key, value in sorted(summary.items())}
 
 
@@ -63,7 +61,7 @@ def _observe_pm() -> dict:
     pos = rng.random((700, 3)) * 1.4 - 0.2
     pos[0], pos[1] = (0.0, 1.0, 0.5), (1.0 - 2.0**-53, 0.25, 0.0)
     weights = 0.5 + rng.random(700)
-    solver = PMSolver(12, backend="numpy")
+    solver = PMSolver(12)
     return {"unweighted": _digest([solver.accelerations(pos)]),
             "weighted": _digest([solver.accelerations(pos, weights)]),
             "delta": _digest([solver.density_contrast(pos, weights)])}
@@ -73,8 +71,7 @@ def _observe_smoothing() -> dict:
     out = {}
     for max_iters in (1, 4):
         pos, masses, _ = polytrope_particles(300, seed=2304)
-        tree, dens = adapt_smoothing(pos, masses, n_target=24, max_iters=max_iters,
-                                     backend="numpy")
+        tree, dens = adapt_smoothing(pos, masses, n_target=24, max_iters=max_iters)
         out[f"max_iters{max_iters}"] = {
             "rho": _digest([dens.rho]), "h": _digest([dens.h]),
             "offsets": _digest([dens.neighbors.offsets]),
@@ -94,7 +91,7 @@ def _observe_fof() -> dict:
     blobs = [c + 0.004 * rng.standard_normal((k, 3)) for c, k in zip(centres, sizes)]
     pos = np.concatenate(blobs + [rng.random((400, 3))])
     masses = 0.5 + rng.random(pos.shape[0])
-    res = friends_of_friends(pos, masses, linking_length=0.2, min_members=2, backend="numpy")
+    res = friends_of_friends(pos, masses, linking_length=0.2, min_members=2)
     return {
         "n_halos": res.n_halos,
         "sizes": [h.n_members for h in res.halos],
@@ -125,10 +122,9 @@ def _observe_degenerate() -> dict:
     out = {}
     for name, pos in _degenerate_loads().items():
         masses = 0.5 + np.random.default_rng(2307).random(pos.shape[0])
-        res = friends_of_friends(pos, masses, linking_length=0.2, min_members=1,
-                                 backend="numpy")
+        res = friends_of_friends(pos, masses, linking_length=0.2, min_members=1)
         out[name] = {
-            "pm": _digest([PMSolver(8, backend="numpy").accelerations(pos)]),
+            "pm": _digest([PMSolver(8).accelerations(pos)]),
             "fof_sizes": [h.n_members for h in res.halos],
             "fof_mass": [float(h.mass).hex() for h in res.halos],
             "fof_center": _digest([h.center for h in res.halos]),
@@ -206,9 +202,9 @@ def test_degenerate_refuses_non_finite(bad):
     pos = np.random.default_rng(2308).random((20, 3))
     pos[7, 1] = bad
     with pytest.raises(ValueError, match="positions must be finite"):
-        PMSolver(8, backend="numpy").accelerations(pos)
+        PMSolver(8).accelerations(pos)
     with pytest.raises(ValueError, match="positions must be finite"):
-        friends_of_friends(pos, backend="numpy")
+        friends_of_friends(pos)
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ class TestThreadedBackendBitIdentity:
     @POOL_SETTINGS
     @given(n=st.integers(10, 150), seed=st.integers(0, 2**31))
     def test_worker_count_invariance(self, split_backends, n, seed):
-        ref = self._forces(n, seed, "numpy")
+        ref = self._forces(n, seed, None)
         for w, backend in split_backends.items():
             got = self._forces(n, seed, backend)
             assert got.counts == ref.counts, w
@@ -135,7 +135,7 @@ class TestThreadedBackendBitIdentity:
         pair_chunk=st.sampled_from([1, 17, 4096]),
     )
     def test_pair_chunk_invariance(self, split_backends, n, seed, pair_chunk):
-        ref = self._forces(n, seed, "numpy")
+        ref = self._forces(n, seed, None)
         got = self._forces(n, seed, split_backends[2], pair_chunk=pair_chunk)
         assert got.counts == ref.counts
         assert np.array_equal(got.accelerations, ref.accelerations)
@@ -146,7 +146,7 @@ class TestThreadedBackendBitIdentity:
     def test_shard_threshold_invariance(self, n, seed, split_pairs):
         backend = split_backend(2)
         backend.SPLIT_PAIRS = split_pairs
-        ref = self._forces(n, seed, "numpy")
+        ref = self._forces(n, seed, None)
         got = self._forces(n, seed, backend)
         assert np.array_equal(got.accelerations, ref.accelerations)
         assert np.array_equal(got.potentials, ref.potentials)

@@ -6,17 +6,21 @@ configurations (uniform / clustered / twelve-site / all-coincident /
 single-particle clouds, ``bucket_size`` 1, 8 and 32, both acceptance
 criteria, ``eps`` 0 and 0.05) a blake2b digest of
 ``tree_accelerations``' accelerations and potentials, its
-:class:`~repro.core.traversal.InteractionCounts`, and a digest of every
-:class:`~repro.core.traversal.InteractionLists` array with
-``mac_tests`` and ``passes``; and for three trees a digest of
-``find_neighbors``' ``offsets`` and ``neighbors``.  All of it is a pure
-function of the walk's emission order and of the order of the float
-sums, so a change to how the tree is walked must not move any of it.
+:class:`~repro.core.traversal.InteractionCounts`, a digest of the
+:class:`~repro.core.traversal.InteractionLists` by cell key (every
+group in ascending key: its key, its accepted cells, a zero separator,
+its external leaves, each in list order) with ``mac_tests`` and
+``passes``; and for three trees a digest of ``find_neighbors``'
+``offsets`` and ``neighbors``.  All of it is a pure function of the
+walk's emission order and of the order of the float sums, so a change
+to how the tree is walked must not move any of it; naming cells by key
+rather than by row keeps the lists pin indifferent to how the tree
+numbers its cells.
 
-The numpy kernels are pinned (``backend="numpy"``), whatever
-``$REPRO_BACKEND`` says.  ``tests/golden/serial_pins.json`` was written
-at the parent of PR 21, before the serial walk moved onto the
-``CellTable`` frontier.  To bless an intentional change:
+``tests/golden/serial_pins.json`` was written before the serial walk
+moved onto the ``CellTable`` frontier, and its ``lists`` values
+re-expressed by key (same code, same lists) before the tree's cells
+were renumbered level by level.  To bless an intentional change:
 
     PYTHONPATH=src python -m tests.test_serial_pins --regen
 """
@@ -32,6 +36,9 @@ from repro.core.traversal import build_interaction_lists
 from repro.sph.neighbors import find_neighbors
 from tests.test_parallel_pins import _cloud as _parallel_cloud
 from tests.test_parallel_pins import _digest
+
+#: Not a cell key (the root is 1): ends a group's accepted cells.
+_SEPARATOR = np.zeros(1, dtype=np.uint64)
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                          "serial_pins.json")
@@ -82,14 +89,18 @@ NEIGHBORS = {
 def _observe_gravity(spec: dict) -> dict:
     pos, masses = _cloud(spec["cloud"], spec["n"])
     res = tree_accelerations(pos, masses, bucket_size=spec["bucket"], mac=_mac(spec["mac"]),
-                             eps=spec["eps"], backend="numpy")
+                             eps=spec["eps"])
     lists = build_interaction_lists(res.tree, _mac(spec["mac"]))
+    keys = res.tree.cell_keys
+    by_key = []
+    for g in np.argsort(keys[lists.groups], kind="stable"):
+        by_key += [keys[lists.groups[g:g + 1]], keys[lists.cells_of(g)], _SEPARATOR,
+                   keys[lists.leaves_of(g)]]
     return {
         "acc": _digest([res.accelerations]),
         "pot": _digest([res.potentials]),
         "counts": [res.counts.p2p, res.counts.p2c, res.counts.groups],
-        "lists": _digest([lists.groups, lists.cell_offsets, lists.cell_ids, lists.leaf_offsets,
-                          lists.leaf_ids]),
+        "lists": _digest(by_key),
         "list_counts": [lists.counts.p2p, lists.counts.p2c, lists.counts.groups],
         "mac_tests": lists.mac_tests,
         "passes": lists.passes,
@@ -101,7 +112,7 @@ def _observe_neighbors(spec: dict) -> dict:
     tree = build_tree(pos, masses, bucket_size=spec["bucket"])
     # Per-particle radii, so the group reach is not one constant.
     radii = spec["radius"] * (0.5 + np.random.default_rng(7).random(spec["n"]))
-    lists = find_neighbors(tree, radii, backend="numpy")
+    lists = find_neighbors(tree, radii)
     return {"offsets": _digest([lists.offsets]), "neighbors": _digest([lists.neighbors]),
             "total": int(lists.neighbors.size)}
 
