@@ -14,11 +14,13 @@ harnesses, the pipeline and the campaign record into the one recorder
 Exporters turn one recorded run into every view this repo needs:
 
 * :func:`~repro.obs.export.chrome_trace` — Chrome ``trace_event`` JSON
-  for Perfetto / ``chrome://tracing``;
+  for Perfetto / ``chrome://tracing``, which is the timeline view;
 * :func:`~repro.obs.export.metrics` — a flat ``name -> number`` dict;
-* :func:`~repro.obs.ascii_art.render_spans` — the classic ASCII Gantt;
 * :func:`~repro.obs.export.dumps_canonical` — byte-stable JSON for the
   golden-trace regression suite.
+
+The text report of a trace is ``python -m repro.obs analyze`` (the
+``format_*`` renderers of :mod:`repro.obs.analysis`).
 
 When nothing is installed, a wall span is a shared no-op context, and
 an untraced engine run records into the no-op
@@ -37,7 +39,6 @@ from .analysis import (
     self_seconds,
     wait_summary,
 )
-from .ascii_art import DEFAULT_SYMBOLS, render_spans
 from .export import (
     canonical_floats,
     chrome_trace,
@@ -65,14 +66,6 @@ from .model import (
     Span,
     validate_nesting,
 )
-from .report import (
-    fleet_report,
-    html_report,
-    svg_sparkline,
-    svg_timeline,
-    write_fleet_report,
-    write_report,
-)
 from .wallclock import BUCKETS, format_report, profile
 
 __all__ = [
@@ -88,8 +81,6 @@ __all__ = [
     "metrics",
     "dumps_canonical",
     "canonical_floats",
-    "render_spans",
-    "DEFAULT_SYMBOLS",
     # analysis
     "WAIT_CAUSES",
     "WaitState",
@@ -115,11 +106,4 @@ __all__ = [
     "BUCKETS",
     "profile",
     "format_report",
-    # report
-    "html_report",
-    "fleet_report",
-    "svg_timeline",
-    "svg_sparkline",
-    "write_report",
-    "write_fleet_report",
 ]

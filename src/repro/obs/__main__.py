@@ -1,18 +1,16 @@
 """``python -m repro.obs`` — trace analysis & regression tracking CLI.
 
-Three subcommands drive the analysis stack from the shell:
+Its subcommands drive the analysis stack from the shell:
 
 ``analyze TRACE.json``
-    Wait-state breakdown, per-rank load balance, and the critical path
-    of a Chrome-trace file written by :func:`repro.obs.chrome_trace`
-    (e.g. ``examples/parallel_treecode_demo.py --trace``).  With
+    The one text report of a run: wait-state breakdown, per-rank load
+    balance, the critical path and the counters of a Chrome-trace file
+    written by :func:`repro.obs.chrome_trace` (e.g.
+    ``examples/parallel_treecode_demo.py --trace``).  The timeline is
+    the trace file itself, opened in Perfetto.  With
     ``--predict pred.json``, adds the perf-model attribution table;
     predictions map phase names to seconds or Workload fields
     (``{"force": {"flops": 1e9, "mem_bytes": 2e8}}``).
-
-``report TRACE.json -o out.html``
-    The same analyses as one self-contained HTML file (inline SVG
-    timeline, no external assets) — openable straight from disk.
 
 ``compare HISTORY.jsonl``
     The rolling-baseline gate over a history JSONL (written by
@@ -25,13 +23,13 @@ Three subcommands drive the analysis stack from the shell:
     Run the whole benchmark suite (or ``--bench`` subsets) as one
     campaign (:mod:`repro.obs.fleet`): content-fingerprinted dedupe,
     crash-safe resume, ``--workers`` parallelism, one ``fleet.jsonl``
-    ledger line per bench.  ``--baseline`` + ``--gate`` runs the same
-    gate with several metrics over the committed history, which is
-    the gate CI keys off (a gate without a baseline that holds records
-    is exit 2 before any bench runs); ``--history`` appends the freshly
-    computed records to a history file; ``--html`` writes the
-    self-contained fleet report.  Exits 1 on a failed bench or a gate
-    regression.
+    ledger line per bench.  Prints the run summary as JSON, then the
+    suite table (:func:`repro.obs.fleet.format_suite`).  ``--baseline``
+    + ``--gate`` runs the same gate with several metrics over the
+    committed history and prints its tables, which is the gate CI keys
+    off (a gate without a baseline that holds records is exit 2 before
+    any bench runs); ``--history`` appends the freshly computed records
+    to a history file.  Exits 1 on a failed bench or a gate regression.
 
 ``validate FILE.jsonl [...]``
     Strict schema check of record files (``benchmarks/baseline.jsonl``,
@@ -51,10 +49,11 @@ Three subcommands drive the analysis stack from the shell:
     ``--replay TRACE.json`` re-derives the table from a saved trace
     instead of running.
 
-A trace or history argument that cannot be used (missing, not JSON, no
-``traceEvents`` list, no span, no record) is one line on stderr naming
-the file and the reason, exit 2; so is a ``wallclock`` size flag below
-1, naming the flag.
+A trace, history or predictions argument that cannot be used (missing,
+not JSON, no ``traceEvents`` list, no span, no record, not a mapping of
+phase to prediction) is one line on stderr naming the file and the
+reason, exit 2, before anything is printed; so is a ``wallclock`` size
+flag below 1, naming the flag.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ from .history import (
     load_history,
     parse_gate_spec,
 )
-from .report import write_report
 
 
 def _refuse(path: str, reason: str):
@@ -125,24 +123,30 @@ def _load_records(path: str) -> list[dict]:
     return entries
 
 
-def _one_gate(opts: argparse.Namespace):
-    entries = _load_records(opts.history)
-    gate = MetricGate(opts.metric, opts.threshold)
-    return compare_history(entries, (gate,), window=opts.window)
-
-
-def _load_predictions(path: str | None) -> dict[str, Any] | None:
-    if path is None:
-        return None
-    with open(path) as fh:
-        pred = json.load(fh)
+def _attribution(path: str, rec, threshold: float) -> list[dict[str, Any]]:
+    """The attribution rows of a predictions file over ``rec`` (none for
+    an empty object); a file that is not a JSON object of usable
+    predictions is refused."""
+    try:
+        with open(path) as fh:
+            pred = json.load(fh)
+    except OSError as exc:
+        _refuse(path, exc.strerror)
+    except ValueError as exc:
+        _refuse(path, f"not JSON ({exc})")
     if not isinstance(pred, dict):
-        raise SystemExit(f"{path}: predictions must be a JSON object")
-    return pred
+        _refuse(path, "predictions must be a JSON object of phase -> prediction")
+    try:
+        return attribute_phases(rec, pred, threshold=threshold) if pred else []
+    except (TypeError, ValueError) as exc:
+        _refuse(path, f"unusable prediction ({type(exc).__name__}: {exc})")
 
 
 def _cmd_analyze(opts: argparse.Namespace) -> int:
     rec, elapsed = _load_trace(opts.trace)
+    attribution = None
+    if opts.predict is not None:
+        attribution = _attribution(opts.predict, rec, opts.threshold)
     print(f"{opts.trace}: {len(rec.spans)} spans, elapsed {elapsed:.6g}s")
     print()
     print(format_wait_summary(wait_summary(rec)))
@@ -150,12 +154,9 @@ def _cmd_analyze(opts: argparse.Namespace) -> int:
     print(format_imbalance(load_imbalance(rec, elapsed)))
     print()
     print(format_critical_path(critical_path(rec, elapsed), max_rows=opts.max_rows))
-    predictions = _load_predictions(opts.predict)
-    if predictions:
+    if attribution:
         print()
-        print(format_attribution(
-            attribute_phases(rec, predictions, threshold=opts.threshold)
-        ))
+        print(format_attribution(attribution))
     if rec.counters:
         print()
         print("counters: " + ", ".join(
@@ -164,26 +165,8 @@ def _cmd_analyze(opts: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(opts: argparse.Namespace) -> int:
-    rec, elapsed = _load_trace(opts.trace)
-    history_text = None
-    if opts.history:
-        history_text = format_comparison_report(_one_gate(opts))
-    path = write_report(
-        opts.output,
-        rec,
-        title=opts.title or f"repro.obs report: {opts.trace}",
-        elapsed=elapsed,
-        predictions=_load_predictions(opts.predict),
-        history_text=history_text,
-    )
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_fleet(opts: argparse.Namespace) -> int:
-    from .fleet import build_registry, run_fleet
-    from .report import write_fleet_report
+    from .fleet import build_registry, format_suite, run_fleet
 
     if opts.list:
         registry = build_registry(opts.bench_dir)
@@ -198,11 +181,7 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
     if gated and not opts.baseline:
         opts.usage_error("--gate / --gate-spec compare the run against "
                          "--baseline HISTORY.jsonl, and none was given")
-    baseline = []
-    if gated:
-        baseline = _load_records(opts.baseline)
-    elif opts.baseline:
-        baseline = load_history(opts.baseline)
+    baseline = _load_records(opts.baseline) if gated else []
 
     run = run_fleet(
         opts.bench or None,
@@ -218,6 +197,9 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
         print(f"FAILED {record['fleet']['bench']}: "
               f"{record['fleet'].get('error', '?')}", file=sys.stderr)
 
+    print()
+    print(format_suite(run.rows))
+
     multi = None
     if gated:
         gates = (
@@ -228,13 +210,6 @@ def _cmd_fleet(opts: argparse.Namespace) -> int:
         multi = compare_history(baseline + live, gates, window=opts.window)
         print()
         print(format_comparison_report(multi))
-
-    if opts.html:
-        path = write_fleet_report(
-            opts.html, run.rows, history=baseline, multi=multi,
-            title=f"fleet {run.fleet_id[:12]} ({run.mode})",
-        )
-        print(f"wrote {path}")
 
     if not run.ok:
         return 1
@@ -312,7 +287,8 @@ def _cmd_wallclock(opts: argparse.Namespace) -> int:
 
 
 def _cmd_compare(opts: argparse.Namespace) -> int:
-    report = _one_gate(opts)
+    gate = MetricGate(opts.metric, opts.threshold)
+    report = compare_history(_load_records(opts.history), (gate,), window=opts.window)
     if opts.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -336,18 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     p_an.add_argument("--max-rows", type=int, default=20,
                       help="critical-path rows to print (default 20)")
     p_an.set_defaults(func=_cmd_analyze)
-
-    p_rep = sub.add_parser("report", help="self-contained HTML report")
-    p_rep.add_argument("trace", help="Chrome trace_event JSON input")
-    p_rep.add_argument("-o", "--output", required=True, help="HTML output path")
-    p_rep.add_argument("--title", default=None)
-    p_rep.add_argument("--predict", metavar="PRED.json", default=None)
-    p_rep.add_argument("--history", metavar="HISTORY.jsonl", default=None,
-                       help="also embed a bench-history comparison")
-    p_rep.add_argument("--metric", default="seconds")
-    p_rep.add_argument("--threshold", type=float, default=0.05)
-    p_rep.add_argument("--window", type=int, default=5)
-    p_rep.set_defaults(func=_cmd_report)
 
     p_cmp = sub.add_parser("compare", help="bench-history regression gate")
     p_cmp.add_argument("history", help="history.jsonl (fleet --history, bench --history)")
@@ -378,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fl.add_argument("--list", action="store_true",
                       help="print the registry and exit")
     p_fl.add_argument("--baseline", metavar="HISTORY.jsonl", default=None,
-                      help="longitudinal history for gates and sparklines")
+                      help="longitudinal history the gates compare against")
     p_fl.add_argument("--gate", action="store_true",
                       help="run the default regression gates against "
                            "--baseline (exit 1 on regression)")
@@ -389,8 +353,6 @@ def main(argv: list[str] | None = None) -> int:
                            "counters.cellcache.hit_rate:0.1:higher")
     p_fl.add_argument("--window", type=int, default=5,
                       help="rolling-baseline window (default 5)")
-    p_fl.add_argument("--html", metavar="OUT.html", default=None,
-                      help="also write the self-contained fleet report")
     p_fl.add_argument("--history", metavar="PATH", default=None,
                       help="append freshly computed records to this history "
                            "file")

@@ -273,25 +273,38 @@ def load_imbalance(
 
     ``imbalance`` is the classic ``max/mean - 1`` of per-rank compute
     time (0 means perfectly balanced); ``sigma_s`` its population
-    standard deviation.  A zero-elapsed or empty run reports all-zero
-    fractions — never a division error.
+    standard deviation.  A span that lies wholly inside an earlier span
+    on its track is already counted by it and adds nothing; partially
+    overlapping spans are summed.  A zero-elapsed or empty run reports
+    all-zero fractions — never a division error.
     """
     spans = _spans_of(source)
     if elapsed is None:
         elapsed = max((s.t_end for s in spans), default=0.0)
     if n_tracks is None:
         n_tracks = max((s.track + 1 for s in spans), default=0)
+    nested = set()
+    reach: dict[int, float] = {}  # latest end of the spans seen per track
+    for i in sorted(range(len(spans)),
+                    key=lambda i: (spans[i].track, spans[i].t_start, -spans[i].t_end)):
+        s = spans[i]
+        if s.t_end <= reach.get(s.track, float("-inf")):
+            nested.add(i)
+        else:
+            reach[s.track] = s.t_end
     compute = [0.0] * n_tracks
     blocked = [0.0] * n_tracks
     t_finish = [0.0] * n_tracks
-    for s in spans:
+    for i, s in enumerate(spans):
         if not 0 <= s.track < n_tracks:
+            continue
+        t_finish[s.track] = max(t_finish[s.track], s.t_end)
+        if i in nested:
             continue
         if s.cat in _WAIT_CATS:
             blocked[s.track] += s.duration
         elif s.cat != "failed":
             compute[s.track] += s.duration
-        t_finish[s.track] = max(t_finish[s.track], s.t_end)
     safe = elapsed if elapsed > 0 else 1.0
     ranks = [
         {

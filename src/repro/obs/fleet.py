@@ -27,9 +27,9 @@ is the one process that writes the ledger and, when given
 (each bench prints its report and record) is swallowed in the worker;
 the coordinator owns all reporting.
 
-The read side: :func:`load_fleet` for the ledger,
-:func:`repro.obs.history.compare_history` for the multi-metric
-gate, and :func:`repro.obs.report.fleet_report` for the HTML view.
+The read side: :func:`load_fleet` for the ledger, :func:`format_suite`
+for its text table, and :func:`repro.obs.history.compare_history` for
+the multi-metric gate.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "build_registry",
     "default_bench_dir",
     "fleet_id",
+    "format_suite",
     "load_fleet",
     "run_bench_scenario",
     "run_fleet",
@@ -201,8 +202,7 @@ def fleet_id(catalog: Iterable, smoke: bool) -> str:
     """Deterministic 32-hex id of a fleet: content of its catalog.
 
     Same catalog + same mode -> same id, across machines and runs —
-    the fleet analogue of a scenario fingerprint, and what makes the
-    HTML report and golden-file tests reproducible.
+    the fleet analogue of a scenario fingerprint.
     """
     from ..campaign.fingerprint import canonical_json
     from ..campaign.spec import as_spec
@@ -381,3 +381,40 @@ def load_fleet(path: str) -> list[dict]:
     the ``python -m repro.obs validate`` verb's job.
     """
     return [r for r in load_history(path) if isinstance(r.get("fleet"), dict)]
+
+
+def format_suite(rows: Iterable[Mapping]) -> str:
+    """The suite table of fleet ledger rows: per bench its status, tags,
+    wall and virtual seconds, and the engine's blocked seconds (the
+    ``wait.<cause>_s`` counters) with the cause that dominates them.
+    The title line counts the benches, and the failed ones if any."""
+    from ..analysis.tables import format_table
+
+    rows = list(rows)
+    table = []
+    for row in rows:
+        meta = row["fleet"]
+        waits = {
+            key[len("wait."):-len("_s")]: float(value)
+            for key, value in row.get("counters", {}).items()
+            if key.startswith("wait.") and key.endswith("_s")
+        }
+        blocked = sum(waits.values())
+        virtual = float(row.get("virtual_seconds", 0.0))
+        table.append([
+            row.get("name", meta["bench"]),
+            meta["status"],
+            ",".join(meta.get("tags", ())),
+            float(row["seconds"]),
+            virtual if virtual > 0 else "-",
+            blocked if waits else "-",
+            max(waits, key=waits.__getitem__) if blocked > 0 else "-",
+        ])
+    n_failed = sum(1 for row in rows if row["fleet"]["status"] == "failed")
+    title = f"suite: {len(rows)} bench(es)"
+    if n_failed:
+        title += f", {n_failed} FAILED"
+    return format_table(
+        ["bench", "status", "tags", "wall s", "virtual s", "blocked s", "dominant wait"],
+        table, title,
+    )

@@ -14,18 +14,21 @@ Usage::
     result = run(program, 8, cost)
     print(render_timeline(result.trace, result.elapsed))
 
-For richer views (Perfetto-loadable Chrome traces, flat metrics) use
-``result.observer`` with :func:`repro.obs.chrome_trace` /
-:func:`repro.obs.metrics`.
+For the full timeline (a Chrome trace that Perfetto draws) and the
+text report use ``result.observer`` with :func:`repro.obs.chrome_trace`
+and ``python -m repro.obs analyze``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..obs import DEFAULT_SYMBOLS, Span, render_spans
+from ..obs import Span
 
 __all__ = ["render_timeline", "utilization"]
+
+#: Category -> timeline glyph of the rank activity the engine records.
+_GLYPHS = {"compute": "#", "blocked": ".", "collective": ".", "failed": "X"}
 
 
 def utilization(spans: Iterable[Span], elapsed: float, n_ranks: int) -> list[dict]:
@@ -67,10 +70,33 @@ def render_timeline(
 ) -> str:
     """ASCII Gantt chart: '#' compute, '.' blocked, 'X' crash, ' ' idle.
 
-    Spans of other categories (a shared recorder may hold some) are not
-    rank activity and are left out.
+    Compute overwrites a cell a wait already marked, so a cell holding
+    both reads as compute.  Spans of other categories (a shared
+    recorder may hold some) are not rank activity and are left out.
     """
-    return render_spans(
-        [s for s in spans if s.cat in DEFAULT_SYMBOLS],
-        elapsed, n_tracks=n_ranks, width=width,
-    )
+    spans = [s for s in spans if s.cat in _GLYPHS]
+    if not spans:
+        return "(empty trace)"
+    if elapsed <= 0:
+        raise ValueError("elapsed must be positive")
+    if width < 10:
+        raise ValueError("width must be >= 10")
+    if n_ranks is None:
+        n_ranks = max(s.track for s in spans) + 1
+    lines = [f"timeline ({elapsed:.3g}s virtual, '#'=compute '.'=blocked 'X'=crash):"]
+    for rank in range(n_ranks):
+        row = [" "] * width
+        for s in spans:
+            if s.track != rank:
+                continue
+            lo = int(s.t_start / elapsed * width)
+            if s.cat == "failed":
+                row[min(lo, width - 1)] = "X"
+                continue
+            ch = _GLYPHS[s.cat]
+            hi = max(int(s.t_end / elapsed * width), lo + 1)
+            for i in range(lo, min(hi, width)):
+                if row[i] == " " or ch == "#":
+                    row[i] = ch
+        lines.append(f"rank {rank:3d} |{''.join(row)}|")
+    return "\n".join(lines)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs import (
-    DEFAULT_SYMBOLS,
     NULL,
     Counter,
     NullRecorder,
@@ -15,9 +14,9 @@ from repro.obs import (
     dumps_canonical,
     metrics,
     parse_chrome_trace,
-    render_spans,
     validate_nesting,
 )
+from repro.simmpi.trace import render_timeline
 
 
 class TestSpan:
@@ -195,13 +194,15 @@ class TestCanonicalDumps:
 
 
 class TestRenderSpans:
+    """The ASCII Gantt chart of a span list, drawn by ``render_timeline``."""
+
     def test_basic_rendering(self):
         spans = [
             Span("compute", 0.0, 0.5, track=0, cat="compute"),
             Span("recv", 0.5, 1.0, track=0, cat="blocked"),
             Span("compute", 0.0, 1.0, track=1, cat="compute"),
         ]
-        out = render_spans(spans, 1.0, n_tracks=2, width=12)
+        out = render_timeline(spans, 1.0, n_ranks=2, width=12)
         lines = out.splitlines()
         assert "timeline" in lines[0]
         assert lines[1].startswith("rank   0 |")
@@ -209,12 +210,18 @@ class TestRenderSpans:
         assert set(lines[2].split("|")[1]) == {"#"}
 
     def test_empty_and_validation(self):
-        assert render_spans([], 1.0, n_tracks=1) == "(empty trace)"
+        assert render_timeline([], 1.0, n_ranks=1) == "(empty trace)"
+        span = Span("s", 0, 1, track=0, cat="compute")
         with pytest.raises(ValueError):
-            render_spans([Span("s", 0, 1)], 0.0, n_tracks=1)
+            render_timeline([span], 0.0, n_ranks=1)
         with pytest.raises(ValueError):
-            render_spans([Span("s", 0, 1)], 1.0, n_tracks=1, width=5)
+            render_timeline([span], 1.0, n_ranks=1, width=5)
 
     def test_symbols_table(self):
-        assert DEFAULT_SYMBOLS["compute"] == "#"
-        assert DEFAULT_SYMBOLS["failed"] == "X"
+        spans = [
+            Span("compute", 0.0, 1.0, track=0, cat="compute"),
+            Span("crash", 0.0, 0.0, track=1, cat="failed"),
+        ]
+        rows = render_timeline(spans, 1.0, width=10).splitlines()[1:]
+        assert rows[0] == "rank   0 |" + "#" * 10 + "|"
+        assert rows[1] == "rank   1 |X" + " " * 9 + "|"

@@ -299,6 +299,25 @@ class TestLoadImbalance:
         assert stats["imbalance"] == pytest.approx(1.0 / 0.4375 - 1.0, rel=1e-6)
         assert stats["blocked_frac"] > 0.4  # three ranks waited ~0.75s
 
+    def test_nested_spans_are_counted_once(self):
+        # A wall-clock trace nests: the run span holds the kernel span,
+        # which used to be counted a second time (busy frac 2).
+        spans = [Span("npb.EP.W", 0.0, 0.7), Span("kernel", 0.1, 0.6),
+                 Span("kernel", 0.2, 0.3), Span("tail", 0.7, 1.0)]
+        (row,) = load_imbalance(spans, elapsed=1.0)["ranks"]
+        assert row["compute_s"] == pytest.approx(1.0)
+        assert row["compute_frac"] <= 1.0
+        (row,) = load_imbalance(spans[:2], elapsed=0.7)["ranks"]
+        assert row["compute_s"] == 0.7 and row["compute_frac"] == 1.0
+
+    def test_partial_overlaps_are_summed(self):
+        spans = [Span("a", 0.0, 0.6), Span("b", 0.5, 1.0),
+                 Span("c", 0.0, 0.5, track=1), Span("d", 0.0, 0.5, track=1)]
+        rows = load_imbalance(spans, elapsed=1.0)["ranks"]
+        assert rows[0]["compute_s"] == pytest.approx(1.1)
+        # An identical span lies wholly inside the first one.
+        assert rows[1]["compute_s"] == 0.5
+
     def test_empty_source_is_all_zero(self):
         stats = load_imbalance([], elapsed=0.0, n_tracks=2)
         assert stats["imbalance"] == 0.0

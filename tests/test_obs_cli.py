@@ -1,8 +1,9 @@
-"""Tests for the ``python -m repro.obs`` CLI, the HTML report, and the
-counter round-trip through Chrome trace export.
+"""Tests for the ``python -m repro.obs`` CLI and the counter round-trip
+through Chrome trace export.
 """
 
 import json
+import re
 
 import pytest
 
@@ -10,9 +11,7 @@ from repro.obs import (
     Recorder,
     chrome_trace,
     recorder_from_chrome_trace,
-    svg_timeline,
     wallclock,
-    write_report,
 )
 from repro.obs.__main__ import main
 from repro.simmpi import Comm, UniformCost, run
@@ -100,42 +99,6 @@ class TestAnalyzeCommand:
             main(["analyze", trace_file, "--predict", str(bad)])
 
 
-class TestReportCommand:
-    def test_report_is_self_contained_html(self, trace_file, tmp_path, capsys):
-        out_path = tmp_path / "report.html"
-        hist = tmp_path / "history.jsonl"
-        hist.write_text(_history_lines([1.0] * 5))
-        assert main([
-            "report", trace_file, "-o", str(out_path),
-            "--title", "golden run", "--history", str(hist),
-        ]) == 0
-        html = out_path.read_text()
-        assert html.lower().startswith("<!doctype html>")
-        assert "golden run" in html
-        assert "<svg" in html and "Critical path" in html
-        assert "bench history" in html
-        # Self-contained: no external fetches of any kind.
-        assert "http://" not in html.replace("http://www.w3.org", "")
-        assert "https://" not in html
-        assert "<script" not in html and "<link" not in html
-
-    def test_svg_timeline_has_lane_per_rank(self):
-        result = _simmpi_scenario()
-        svg = svg_timeline(
-            result.observer.spans, elapsed=result.elapsed,
-            path=[],
-        )
-        for rank in range(4):
-            assert f"rank {rank}" in svg
-
-    def test_write_report_default_sections(self, tmp_path):
-        rec = Recorder()
-        rec.add_span("solo", 0.0, 1.0, track=0, cat="compute")
-        out = write_report(str(tmp_path / "r.html"), rec, title="t", elapsed=1.0)
-        html = open(out).read()
-        assert "Timeline" in html and "Load balance" in html
-
-
 class TestCompareCommand:
     def test_clean_history_exits_zero(self, tmp_path, capsys):
         hist = tmp_path / "h.jsonl"
@@ -182,16 +145,6 @@ class TestCompareCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"{hist}: ") and captured.err.count("\n") == 1
 
-    def test_report_refuses_a_history_without_records(self, trace_file, tmp_path, capsys):
-        hist = tmp_path / "h.jsonl"
-        hist.write_text("\n")
-        out = tmp_path / "r.html"
-        with pytest.raises(SystemExit) as exc:
-            main(["report", trace_file, "-o", str(out), "--history", str(hist)])
-        assert exc.value.code == 2
-        assert "holds no record" in capsys.readouterr().err
-        assert not out.exists()
-
 
 def _nesting_broken(path):
     rec = Recorder()
@@ -202,13 +155,12 @@ def _nesting_broken(path):
 
 
 class TestTraceLoaderRefuses:
-    """One reader for ``analyze``, ``report`` and ``wallclock --replay``:
-    a file it cannot use is one line on stderr naming it, exit 2."""
+    """One reader for ``analyze`` and ``wallclock --replay``: a file it
+    cannot use is one line on stderr naming it, exit 2."""
 
     VERBS = {
         "analyze": lambda f, tmp: ["analyze", f],
-        "report": lambda f, tmp: ["report", f, "-o", str(tmp / "out.html")],
-        "replay": lambda f, tmp: ["wallclock", "--replay", f],
+            "replay": lambda f, tmp: ["wallclock", "--replay", f],
     }
     BAD = {
         "missing": (None, "No such file"),
@@ -234,7 +186,28 @@ class TestTraceLoaderRefuses:
         assert captured.out == ""
         assert captured.err.startswith(f"{path}: ") and reason in captured.err
         assert captured.err.count("\n") == 1
-        assert not (tmp_path / "out.html").exists()
+
+    PREDICTIONS = {
+        "missing": (None, "No such file"),
+        "not-json": ("{force", "not JSON"),
+        "not-an-object": ("[1]", "must be a JSON object"),
+        "not-a-prediction": ('{"force": "abc"}', "unusable prediction"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(PREDICTIONS))
+    def test_unusable_predictions_are_exit_2(self, bad, trace_file, tmp_path, capsys):
+        # Refused before the analysis prints anything.
+        content, reason = self.PREDICTIONS[bad]
+        path = tmp_path / "pred.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", trace_file, "--predict", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{path}: ") and reason in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_replay_refuses_spans_that_do_not_nest(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -327,4 +300,9 @@ class TestFleetGateNeedsBaseline:
         rc = main(["fleet", "--bench", "table7_loki", "--out", str(tmp_path / "out"),
                    "--baseline", str(baseline), "--gate-spec", "virtual_seconds:0.15"])
         assert rc == 0
-        assert "FLEET GATE OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # The suite table, then the gate tables.
+        suite = out.index("suite: 1 bench(es)\n")
+        assert suite < out.index("bench history: metric=virtual_seconds")
+        assert re.search(r"^table7_loki +computed ", out[suite:], re.M)
+        assert "FLEET GATE OK" in out

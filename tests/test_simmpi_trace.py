@@ -97,8 +97,30 @@ class TestTimeline:
         assert "#" in lines[1]
         assert "." in lines[2]  # rank 1 spent time blocked
 
+    def test_glyph_per_category(self):
+        trace = [
+            Span("compute", 0.0, 0.5, track=0, cat="compute"),
+            Span("recv", 0.5, 1.0, track=0, cat="blocked"),
+            Span("compute", 0.0, 1.0, track=1, cat="compute"),
+            # Compute overwrites a wait on the same cells, never the reverse.
+            Span("barrier", 0.0, 1.0, track=2, cat="collective"),
+            Span("compute", 0.25, 0.5, track=2, cat="compute"),
+            Span("crash", 0.5, 0.5, track=3, cat="failed"),
+            # Not rank activity: a span of another category is left out.
+            Span("host", 0.0, 1.0, track=3, cat="wall"),
+        ]
+        assert render_timeline(trace, 1.0, width=12).splitlines() == [
+            "timeline (1s virtual, '#'=compute '.'=blocked 'X'=crash):",
+            "rank   0 |######......|",
+            "rank   1 |############|",
+            "rank   2 |...###......|",
+            "rank   3 |      X     |",
+        ]
+
     def test_empty_trace(self):
         assert render_timeline([], 1.0) == "(empty trace)"
+        other = [Span("host", 0.0, 1.0, track=0, cat="wall")]
+        assert render_timeline(other, 1.0) == "(empty trace)"
 
     def test_validation(self):
         result = run(_staggered, 2, UniformCost(mflops=1000.0))
