@@ -27,9 +27,16 @@ This module reassembles the full HOT pipeline of Section 4.2:
    arena of every rank's own cells; the receiver copies a whole
    round's replies into the same table in one gather, and parked
    groups resume.
-4. **Evaluation** — interaction lists are evaluated by the serial
-   code's rectangle evaluator
-   (:func:`repro.core.traversal.evaluate_rects`) over the rank's table.
+4. **Evaluation** — a batch of completed walks is charged to the
+   rank's virtual clock at once and queued as a rectangle job
+   (:class:`~repro.core.traversal.RectJob`: its lists and views of the
+   rank's table).  No clock and no control flow reads a force before
+   the rank returns it, so the queue is shared by every rank of the
+   run, and a rank that finishes its traversal evaluates everything
+   queued so far with the serial code's rectangle evaluator
+   (:func:`repro.core.traversal.evaluate_rects`): one cell and one
+   direct kernel call per :data:`~repro.core.traversal.JOIN_ROWS` rows
+   of the queued jobs, bit for bit the sums of one call a job.
 
 Two communication schedules drive step 3, selected by
 ``ParallelConfig.comm``:
@@ -69,8 +76,9 @@ particle-cell — the paper's accounting), so
 :class:`~repro.simmpi.engine.SimResult` timings are meaningful and feed
 the Table 6 benchmark.  Wall time: under
 :func:`repro.obs.wallclock.profile` the kernels are the
-``gravity.kernel.cells`` / ``gravity.kernel.direct`` spans
-:func:`~repro.core.traversal.evaluate_rects` opens, a round's reply
+``gravity.kernel.cells`` / ``gravity.kernel.direct`` spans of the
+queue's flushes (at small ranks, one flush carries every rank's jobs,
+so the kernels cost one dispatch, not one a rank), a round's reply
 gather is ``core.parallel.admit``, and the rest of the rank program is
 the engine's ``simmpi.engine``.
 
@@ -153,6 +161,7 @@ from .mac import OpeningAngleMAC
 from .traversal import (
     FLOPS_PER_CELL_INTERACTION,
     InteractionCounts,
+    RectJob,
     csr_by_group,
     evaluate_rects,
     leaf_particles,
@@ -203,11 +212,13 @@ class ParallelConfig:
         Kernel backend instance (``None``: the shared numpy one).
     eval:
         Force-evaluation strategy for completed walks: ``"batched"``
-        (default) concatenates every ready group's interaction list
-        into flat CSR rectangles and issues **one** cell and one
-        direct kernel call per round — the shape the numpy backend
-        splits over threads when it is large; ``"pergroup"`` is the
-        historical one-dense-call-per-group walker, kept as the
+        (default) turns every ready group's interaction list into flat
+        CSR rectangles and queues them; the run's queue, every rank's
+        rounds together, is evaluated by **one** cell and one direct
+        kernel call (per ``JOIN_ROWS`` rows) before a rank returns its
+        forces — the shape the numpy backend splits over threads when
+        it is large; ``"pergroup"`` is the historical
+        one-dense-call-per-group walker, evaluated at once, kept as the
         differential reference.  Both charge identical virtual time
         (same flop/byte totals) and agree to float tolerance.
     comm:
@@ -485,6 +496,7 @@ class _Traversal:
         cache: dict[str, int],
         previous: "CellTable | None",
         valid: np.ndarray,
+        queue: list[RectJob],
     ):
         self.comm = comm
         self.config = config
@@ -495,6 +507,9 @@ class _Traversal:
         #: The remote-cache counters, which outlive the step: hits,
         #: misses, inserts, evictions, invalidated.
         self.cache = cache
+        #: The run's force queue, shared by every rank: the rectangle
+        #: jobs of completed walks, not evaluated yet.
+        self.queue = queue
         self.mac = OpeningAngleMAC(config.theta)
         self.eps2 = config.eps * config.eps
         # Interior domain boundaries, for the owner lookup (the end
@@ -737,21 +752,22 @@ class _Traversal:
         return self.tally(ready, np.diff(c_off)[ready], np.diff(s_off)[ready])
 
     def evaluate_batch(self, ready: np.ndarray) -> tuple[float, float]:
-        """Evaluate a batch of completed walks with the serial code's
-        rectangle evaluator (:func:`~repro.core.traversal.evaluate_rects`).
+        """Book a batch of completed walks and queue their rectangles
+        for the serial code's evaluator
+        (:func:`~repro.core.traversal.evaluate_rects`), which
+        :meth:`run` calls on the whole queue before it returns.
 
         A rectangle's per-sink result is independent of the batch it is
         evaluated in, and each sink group completes in exactly one
         batch, so accelerations stay bit-identical across comm
-        schedules, cache states, and round boundaries — the same
-        invariant the per-group path has.  (Sinks are pool indices too:
-        the rank's own particles open the table's particle pool.)
+        schedules, cache states, round boundaries and flushes — the
+        same invariant the per-group path has.  (Sinks are pool indices
+        too: the rank's own particles open the table's particle pool.)
         """
         cells, direct = self.ready_lists(ready)
-        charged = self.tally(ready, np.diff(cells[0])[ready], np.diff(direct[0])[ready])
-        evaluate_rects(self.kb, self.table, self.gstart, self.gn, cells, direct,
-                       self.eps2, self.config.G, self.acc, self.pot)
-        return charged
+        self.queue.append(RectJob.over(self.table, self.gstart, self.gn, cells, direct,
+                                       self.acc, self.pot))
+        return self.tally(ready, np.diff(cells[0])[ready], np.diff(direct[0])[ready])
 
     def evaluate_many(self, ready: np.ndarray):
         """Generator charging one labeled compute span for a batch of
@@ -908,6 +924,8 @@ class _Traversal:
             yield from self.traverse_async()
         else:
             yield from self.traverse_blocking()
+        jobs, self.queue[:] = self.queue[:], []
+        evaluate_rects(self.kb, jobs, self.eps2, self.config.G)
         return self.acc, self.pot, self.counts, self.work, self.stats
 
 
@@ -1028,6 +1046,7 @@ def _make_program(
     skips straight past decomposition to the traversal.
     """
     frame_memo: dict = {}
+    queue: list[RectJob] = []
 
     def program(comm):
         rank, size = comm.rank, comm.size
@@ -1079,7 +1098,7 @@ def _make_program(
             valid = np.array(list(unchanged), dtype=np.uint64)
             traversal = _Traversal(comm, config, kb, local, frame, splitters, cols["pos"],
                                    cols["mass"], cache, table if cache_across_steps else None,
-                                   valid)
+                                   valid, queue)
             table, held_fps = traversal.table, branch_fps
             acc, pot, counts, work, stats = yield from traversal.run()
             counts_total = counts_total.merged(counts)

@@ -20,10 +20,11 @@ emitted pairs into (:func:`csr_by_group`):
   rank's table, where a missing key parks the walk until it is fetched.
 
 :func:`evaluate_rects` likewise evaluates interaction lists for the
-serial, the out-of-core and the parallel code: flat CSR rectangles, a
-handful of dense kernel calls through a pluggable
-:mod:`~repro.core.backend`, with pair expansion chunked so memory stays
-bounded at any N.
+serial, the out-of-core and the parallel code: flat CSR rectangles
+(:class:`RectJob`: one for a serial tree, a whole queue of simulated
+ranks' batches joined into one for the parallel code), a handful of
+dense kernel calls through a pluggable :mod:`~repro.core.backend`, with
+pair expansion chunked so memory stays bounded at any N.
 
 The historical one-group-at-a-time walker is kept verbatim as
 :func:`compute_forces_reference`: the differential-physics suite pins
@@ -40,6 +41,7 @@ feed the Table 6 performance model with the same
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +56,7 @@ from .tree import Tree
 __all__ = [
     "InteractionCounts",
     "InteractionLists",
+    "RectJob",
     "TraversalResult",
     "build_interaction_lists",
     "compute_forces",
@@ -75,6 +78,12 @@ FLOPS_PER_CELL_INTERACTION = 70.0
 #: chunk (2^12-2^14 are slower) and the cost of spilling larger
 #: temporaries (2^17-2^18 are slower inline; EXPERIMENTS.md "WC").
 DEFAULT_PAIR_CHUNK = 1 << 16
+
+#: Most rows (table plus pool) :func:`evaluate_rects` joins into one
+#: kernel call.  Past it, joining saves no dispatch worth the copies
+#: and the chunk-sized kernel temporaries it costs (at 512 simulated
+#: ranks an unbounded join held 23 MB more at peak; EXPERIMENTS.md "SR").
+JOIN_ROWS = 1 << 14
 
 
 @dataclass
@@ -284,32 +293,92 @@ def leaf_particles(table: CellTable, offsets: np.ndarray, rows: np.ndarray):
     return np.concatenate(([0], np.cumsum(pn)))[offsets], csr_take(table.pstart[rows], pn)
 
 
-def evaluate_rects(kb, table: CellTable, starts, counts, cells, direct, eps2, G, acc, pot,
-                   pair_chunk=DEFAULT_PAIR_CHUNK) -> None:
-    """Evaluate interaction lists as flat CSR rectangles: one cell and
-    one direct kernel call for the whole batch, added into ``acc`` and
-    ``pot``.
+class RectJob(namedtuple("RectJob", "starts counts cells direct com mass quad ppos pmass acc pot")):
+    """Rectangles over one table and the ``acc``/``pot`` they add into.
 
     Rectangle ``i`` is the sink run ``starts[i] : starts[i] + counts[i]``
-    of the table's particle pool against ``cells = (offsets, rows)``,
-    its accepted cells, and ``direct = (offsets, ids)``, its direct
-    sources in the pool.  The kernels index the table's whole columns by
-    row, component-major (each component contiguous: every step of a
-    pair kernel is a contiguous ufunc, not a strided column access).  A
-    rectangle's per-sink result does not depend on the batch it is
-    evaluated in (backend contract).
+    of the particle pool ``ppos``/``pmass`` against ``cells = (offsets,
+    rows)``, its accepted cells (rows of ``com``/``mass``/``quad``), and
+    ``direct = (offsets, ids)``, its direct sources in the pool.  A
+    sink's ``acc``/``pot`` row is its pool index.  :meth:`over` takes
+    the columns as views of a table's rows so far: rows are only ever
+    appended, so a queued job still reads what it was built with.
     """
-    n, n_parts = len(table), table.n_parts
-    pool3 = np.ascontiguousarray(table.ppos[:n_parts].T)
+
+    __slots__ = ()
+
+    @classmethod
+    def over(cls, table: CellTable, starts, counts, cells, direct, acc, pot) -> "RectJob":
+        n, n_parts = len(table), table.n_parts
+        return cls(starts, counts, cells, direct, table.com[:n], table.mass[:n], table.quad[:n],
+                   table.ppos[:n_parts], table.pmass[:n_parts], acc, pot)
+
+
+def _joined(jobs: list[RectJob]) -> tuple[RectJob, list[np.ndarray], np.ndarray]:
+    """``jobs`` as one job: each job's table and pool behind the last
+    one's, its lists shifted to match, over ``acc``/``pot`` buffers that
+    hold every sink's current value.  Returns ``(job, sinks, pool)``:
+    each job's rectangles' sinks that have a source, and its pool
+    offset."""
+    cat = np.concatenate
+    pool = np.cumsum([0] + [j.pmass.shape[0] for j in jobs])
+    rows = np.cumsum([0] + [j.mass.shape[0] for j in jobs])
+    live = [(np.diff(j.cells[0]) > 0) | (np.diff(j.direct[0]) > 0) for j in jobs]
+    sinks = [csr_take(j.starts[ok], j.counts[ok]) for j, ok in zip(jobs, live)]
+    acc, pot = np.zeros((pool[-1], 3)), np.zeros(pool[-1])
+    for j, s, p in zip(jobs, sinks, pool):
+        acc[s + p], pot[s + p] = j.acc[s], j.pot[s]
+
+    def lists(name, shift):
+        offsets, ids = zip(*(getattr(j, name) for j in jobs))
+        base = np.cumsum([0] + [i.size for i in ids])
+        return (cat([o[:-1] + b for o, b in zip(offsets, base)] + [base[-1:]]),
+                cat([i + s for i, s in zip(ids, shift)]))
+
+    def column(name):
+        # Joined component-major, (k, n): the kernels' component-major
+        # copy of the (n, k) column is then this array itself.
+        parts = [getattr(j, name) for j in jobs]
+        out = np.empty(parts[0].shape[1:] + (sum(map(len, parts)),))
+        return cat([part.T for part in parts], axis=-1, out=out).T
+
+    return RectJob(cat([j.starts + p for j, p in zip(jobs, pool)]), cat([j.counts for j in jobs]),
+                   lists("cells", rows), lists("direct", pool),
+                   *map(column, ("com", "mass", "quad", "ppos", "pmass")), acc, pot), sinks, pool
+
+
+def evaluate_rects(kb, jobs: list[RectJob], eps2, G, pair_chunk=DEFAULT_PAIR_CHUNK) -> None:
+    """Evaluate every job's rectangles (:class:`RectJob`) with one cell
+    and one direct kernel call, added into each job's ``acc`` and
+    ``pot``; jobs of more than :data:`JOIN_ROWS` rows in all are halved
+    until they are not, or are one job.
+
+    One job is evaluated in place.  Several are joined into one first
+    and every sink's sums are copied back: a rectangle's per-sink
+    result does not depend on the batch it is evaluated in (backend
+    contract), so the bits are those of one call per job.  Jobs may
+    share ``acc``/``pot`` if each sink has sources in at most one of
+    their rectangles.  The kernels index the columns by row,
+    component-major (each component contiguous: every step of a pair
+    kernel is a contiguous ufunc, not a strided column access).
+    """
+    if not jobs:
+        return
+    if len(jobs) > 1 and sum(len(j.mass) + len(j.pmass) for j in jobs) > JOIN_ROWS:
+        for part in (jobs[:len(jobs) // 2], jobs[len(jobs) // 2:]):
+            evaluate_rects(kb, part, eps2, G, pair_chunk)
+        return
+    job, sinks, pool = _joined(jobs) if len(jobs) > 1 else (jobs[0], [], [])
+    pool3 = np.ascontiguousarray(job.ppos.T)
     with wallclock.span("gravity.kernel.cells", cat="gravity", backend=kb.name):
-        kb.eval_cell_rects(
-            pool3, starts, counts, *cells, np.ascontiguousarray(table.com[:n].T), table.mass[:n],
-            np.ascontiguousarray(table.quad[:n].T), eps2, G, acc, pot, pair_chunk,
-        )
+        kb.eval_cell_rects(pool3, job.starts, job.counts, *job.cells,
+                           np.ascontiguousarray(job.com.T), job.mass,
+                           np.ascontiguousarray(job.quad.T), eps2, G, job.acc, job.pot, pair_chunk)
     with wallclock.span("gravity.kernel.direct", cat="gravity", backend=kb.name):
-        kb.eval_direct_rects(
-            pool3, table.pmass[:n_parts], starts, counts, *direct, eps2, G, acc, pot, pair_chunk,
-        )
+        kb.eval_direct_rects(pool3, job.pmass, job.starts, job.counts, *job.direct, eps2, G,
+                             job.acc, job.pot, pair_chunk)
+    for j, s, p in zip(jobs, sinks, pool):
+        j.acc[s], j.pot[s] = job.acc[s + p], job.pot[s + p]
 
 
 def evaluate_interaction_lists(
@@ -332,11 +401,9 @@ def evaluate_interaction_lists(
     pot = np.zeros(tree.n_particles)
 
     groups = lists.groups
-    evaluate_rects(
-        kb, tree.table, tree.start[groups], tree.count[groups],
-        (lists.cell_offsets, lists.cell_ids), lists.direct_sources(tree.table),
-        eps2, G, acc, pot, pair_chunk,
-    )
+    cells, direct = (lists.cell_offsets, lists.cell_ids), lists.direct_sources(tree.table)
+    job = RectJob.over(tree.table, tree.start[groups], tree.count[groups], cells, direct, acc, pot)
+    evaluate_rects(kb, [job], eps2, G, pair_chunk)
 
     if eps2 > 0.0:
         # Remove each particle's softened self-energy -G m / eps.

@@ -5,8 +5,11 @@ is the interchange target: every span becomes a complete ``"ph": "X"``
 event with ``tid`` = track (per-rank lanes), ``ts``/``dur`` in
 microseconds, and the exact second-resolution interval duplicated into
 ``args`` so consumers never lose precision to the microsecond
-convention.  :func:`parse_chrome_trace` inverts the export — the
-round-trip is property-tested.
+convention.  The interval is its two ends, not a start and a length:
+rounding each end alone is monotone, so a canonical dump keeps every
+nesting exact, where a rounded start plus a rounded length can end a
+span after the next one starts.  :func:`parse_chrome_trace` inverts
+the export — the round-trip is property-tested.
 
 :func:`dumps_canonical` renders any JSON-able object byte-stably:
 floats are normalized to 9 significant digits (absorbing formatting
@@ -68,7 +71,7 @@ def chrome_trace(
             }
         )
     for s in sorted(spans, key=lambda s: (s.t_start, s.track, s.name, s.t_end)):
-        args = {"dur_s": s.t_end - s.t_start, "t_start_s": s.t_start}
+        args = {"t_end_s": s.t_end, "t_start_s": s.t_start}
         args.update(s.args_dict)
         events.append(
             {
@@ -107,7 +110,8 @@ def parse_chrome_trace(doc: dict) -> list[Span]:
     """Rebuild spans from a Chrome trace document (the export inverse).
 
     Only ``"ph": "X"`` events carry spans; the exact-seconds ``args``
-    fields written by :func:`chrome_trace` are preferred over the
+    fields written by :func:`chrome_trace` (``t_start_s`` and
+    ``t_end_s``; ``dur_s`` in older files) are preferred over the
     microsecond ``ts``/``dur`` when present.
     """
     spans: list[Span] = []
@@ -117,12 +121,13 @@ def parse_chrome_trace(doc: dict) -> list[Span]:
         args = dict(ev.get("args", {}))
         t0 = args.pop("t_start_s", ev["ts"] / 1e6)
         dur = args.pop("dur_s", ev.get("dur", 0.0) / 1e6)
+        t1 = args.pop("t_end_s", t0 + dur)
         cat = ev.get("cat", "")
         spans.append(
             Span(
                 name=ev["name"],
                 t_start=t0,
-                t_end=t0 + dur,
+                t_end=t1,
                 track=ev.get("tid", 0),
                 cat="" if cat == "span" else cat,
                 args=tuple(sorted(args.items())),

@@ -67,7 +67,7 @@ def _rank(capacity=None, cache=None, previous=None, valid=()) -> _Traversal:
     return _Traversal(
         SimpleNamespace(rank=0, size=2), ParallelConfig(cache_capacity=capacity), None,
         CellBatch.empty(), FRAME, [key_interval(8)[0], key_interval(9)[0], END_PKEY],
-        np.zeros((0, 3)), np.zeros(0), cache, previous, np.array(valid, dtype=np.uint64))
+        np.zeros((0, 3)), np.zeros(0), cache, previous, np.array(valid, dtype=np.uint64), [])
 
 
 def _resident(rank: _Traversal) -> list[int]:

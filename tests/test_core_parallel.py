@@ -319,6 +319,9 @@ class TestRequestBatchWireSize:
         # Per-rank bytes and the Chrome trace of a half-sampled run, as
         # measured at the commit before request batches became arrays and
         # a request's ``match`` was built for traced owners only (PR 22).
+        # The hash is of the export that carries each span's two ends
+        # (``t_end_s``, not ``dur_s``); the start-and-length export of
+        # this run hashes to ccf200e8e2c623529f34a9def12d3aba.
         pos = np.random.default_rng(2003).random((160, 3))
         plain = parallel_tree_accelerations(
             pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=False)
@@ -330,4 +333,4 @@ class TestRequestBatchWireSize:
         assert {s.track for s in traced.sim.trace} == {0, 2, 4, 6}
         doc = dumps_canonical(chrome_trace(traced.sim.observer, process_name="pin"))
         assert hashlib.blake2b(doc.encode(), digest_size=16).hexdigest() == (
-            "ccf200e8e2c623529f34a9def12d3aba")
+            "8d327f31b648c0c4f7f8740c9d6401e0")

@@ -10,9 +10,13 @@ Five invariants, driven by Hypothesis:
 * every span an engine run records in virtual time lies inside
   ``[0, SimResult.elapsed]`` for random rank programs;
 * ``self_seconds`` of any well-nested forest equals an interval-sampling
-  oracle, sums to the root durations and ignores span order.
+  oracle, sums to the root durations and ignores span order, also after
+  a Chrome round trip through a canonical (9-digit) dump, as the
+  committed golden traces are.
 """
 
+import json
+import os
 from collections import Counter as Multiset
 
 import pytest
@@ -24,11 +28,14 @@ from repro.obs import (
     Span,
     canonical_floats,
     chrome_trace,
+    dumps_canonical,
     parse_chrome_trace,
     self_seconds,
     validate_nesting,
 )
 from repro.simmpi import Comm, UniformCost, run
+
+from tests.test_golden_trace import GOLDEN_DIR
 
 # -- strategies ------------------------------------------------------------
 
@@ -103,6 +110,15 @@ def innermost_seconds(span_list):
     return out
 
 
+def _roots(span_list):
+    """Durations of the spans no other span on their track contains."""
+    roots = []
+    for s in sorted(span_list, key=lambda s: (s.track, s.t_start, -s.t_end)):
+        if not roots or roots[-1].track != s.track or roots[-1].t_end <= s.t_start:
+            roots.append(s)
+    return [s.duration for s in roots]
+
+
 # -- properties ------------------------------------------------------------
 
 
@@ -134,6 +150,34 @@ class TestSelfSeconds:
         shuffled = list(rec.spans)
         rng.shuffle(shuffled)
         assert self_seconds(shuffled) == table
+
+    @pytest.mark.parametrize("scenario", ["simmpi_4rank", "treecode_small"])
+    def test_accepts_the_committed_engine_traces(self, scenario):
+        with open(os.path.join(GOLDEN_DIR, f"{scenario}_trace.json")) as fh:
+            spans = parse_chrome_trace(json.load(fh))
+        table = self_seconds(spans)
+        assert sum(table.values()) == pytest.approx(sum(_roots(spans)), rel=1e-12)
+        assert min(table.values()) >= 0.0
+
+    @given(nesting_programs(), nesting_programs(),
+           st.floats(min_value=1e-6, max_value=1e3), st.floats(min_value=0.0, max_value=1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_nesting_survives_a_canonical_dump(self, ops0, ops1, scale, offset):
+        # Span edges at arbitrary decimal times, each rounded to 9
+        # significant digits on the way through the dump; every other
+        # tick is merged into the next, so spans touch, as an engine's
+        # do (one ends where the next starts).
+        rec = Recorder(clock=lambda: 0.0)
+        for track, ops in enumerate((ops0, ops1)):
+            _play(rec, ops, track)
+
+        def at(tick):
+            return (tick // 2) * scale + offset
+
+        moved = [Span(s.name, at(s.t_start), at(s.t_end), s.track) for s in rec.spans]
+        back = parse_chrome_trace(json.loads(dumps_canonical(chrome_trace(moved))))
+        table = self_seconds(back)
+        assert sum(table.values()) == pytest.approx(sum(_roots(back)), rel=1e-12, abs=1e-12)
 
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=4, max_size=4, unique=True).map(sorted))

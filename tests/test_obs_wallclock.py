@@ -223,11 +223,10 @@ _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "camp
 ENTRY_POINTS = {
     "nbody-numpy": (lambda tmp: _nbody(None, tmp),
                     {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells"}),
-    # Every kernel call split over threads (the id is the one of the
-    # process-pool backend this entry replaced): the helper threads
-    # open no span, so the table still partitions the root exactly.
-    "nbody-multiprocess": (lambda tmp: _nbody(split_backend(2), tmp),
-                           {"simmpi.engine", "gravity.kernel.cells", "gravity.kernel.direct"}),
+    # Every kernel call split over threads: the helper threads open no
+    # span, so the table still partitions the root exactly.
+    "nbody-threads": (lambda tmp: _nbody(split_backend(2), tmp),
+                      {"simmpi.engine", "gravity.kernel.cells", "gravity.kernel.direct"}),
     "pipeline-checkpointed": (
         lambda tmp: run_pipeline(_FAST, checkpoint_dir=str(tmp / "ck")),
         {f"pipeline.{name}" for name in STAGE_NAMES} | {"pipeline.checkpoint", "sph.density"}),
