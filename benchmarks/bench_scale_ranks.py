@@ -7,7 +7,7 @@ calculation — decomposition sort, branch allgather, latency-hiding
 traversal, evaluation — through the discrete-event engine at rank
 counts up to 2560 in a single process, the scale the PR-7 engine
 refactor (indexed matching, tree collectives, sparse request rounds,
-sampled tracing) exists to make routine.
+the scale-aware event budget) exists to make routine.
 
 The workload is deliberately communication-dominated: two particles
 per rank keeps the arithmetic trivial, so what the record measures is

@@ -1237,7 +1237,6 @@ def parallel_tree_accelerations(
     faults: FaultPlan | None = None,
     resilience: "ResilienceConfig | None" = None,
     record_trace: bool = True,
-    trace_sample: float = 1.0,
 ) -> ParallelGravityResult:
     """Run one parallel treecode force calculation on a simulated cluster.
 
@@ -1267,11 +1266,11 @@ def parallel_tree_accelerations(
         returned result then carries the
         :class:`~repro.resilience.runner.ResilientResult` bookkeeping,
         and its forces are bit-for-bit the fault-free ones.
-    record_trace, trace_sample:
-        Forwarded to the engine (fault-free path only): disable or
-        decimate per-event trace retention so large-``n_ranks`` scaling
-        runs keep their memory bounded.  Physics is unaffected.  The
-        virtual-time trace is ``result.sim.observer``.
+    record_trace:
+        Forwarded to the engine (fault-free path only): ``False`` keeps
+        no trace, so large-``n_ranks`` scaling runs keep their memory
+        bounded.  Physics is unaffected.  The virtual-time trace is
+        ``result.sim.observer``.
 
     Invariants: for a fixed ``n_ranks`` the returned accelerations are
     bit-identical across ``config.comm`` schedules, cache capacities,
@@ -1299,8 +1298,7 @@ def parallel_tree_accelerations(
         )
         sim = resilient.sim
     else:
-        sim = run(_make_program(chunks, config), n_ranks, cost,
-                  record_trace=record_trace, trace_sample=trace_sample)
+        sim = run(_make_program(chunks, config), n_ranks, cost, record_trace=record_trace)
     out, potentials = _gather(sim, n)
     return ParallelGravityResult(out.accelerations, potentials, out.counts, sim,
                                  resilience=resilient, comm=out.comm)
@@ -1319,7 +1317,6 @@ def parallel_nbody_run(
     cache_across_steps: bool = True,
     rebalance: bool = True,
     record_trace: bool = True,
-    trace_sample: float = 1.0,
 ) -> ParallelRunResult:
     """Integrate an N-body system for ``n_steps`` kick–drift steps.
 
@@ -1358,6 +1355,6 @@ def parallel_nbody_run(
     n, chunks = _scatter_input(positions, masses, velocities, n_ranks, n_steps, dt)
     sim = run(
         _make_program(chunks, config, n_steps, dt, cache_across_steps, rebalance),
-        n_ranks, cost, record_trace=record_trace, trace_sample=trace_sample,
+        n_ranks, cost, record_trace=record_trace,
     )
     return _gather(sim, n)[0]

@@ -22,6 +22,7 @@ Real codes fall between; ``overlap_fraction`` interpolates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .node import NodeSpec
@@ -54,8 +55,9 @@ class Workload:
     overlap_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.flops < 0 or self.mem_bytes < 0:
-            raise ValueError("flops and mem_bytes must be non-negative")
+        if not (0.0 <= self.flops < math.inf and 0.0 <= self.mem_bytes < math.inf):
+            raise ValueError("flops and mem_bytes must be finite and non-negative, "
+                             f"got {self.flops!r}, {self.mem_bytes!r}")
         if not 0.0 < self.flop_efficiency <= 1.0:
             raise ValueError(f"flop_efficiency must be in (0, 1], got {self.flop_efficiency}")
         if not 0.0 <= self.overlap_fraction <= 1.0:

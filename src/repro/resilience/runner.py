@@ -95,7 +95,6 @@ def run_resilient(
     cost: CostModel | None = None,
     faults: FaultPlan | None = None,
     config: ResilienceConfig,
-    max_events: int = 50_000_000,
 ) -> ResilientResult:
     """Run a checkpointing SimMPI job to completion under a fault plan.
 
@@ -106,7 +105,8 @@ def run_resilient(
 
     The result's ``failures`` records every consumed crash (rank,
     attempt, virtual time) and ``sim.observer`` holds the surviving
-    attempt's trace.
+    attempt's trace.  Each attempt runs under the engine's default
+    event budget, the one the same job gets without faults.
     """
     store = CheckpointStore(config.checkpoint_dir)
     plan = faults if faults is not None else FaultPlan()
@@ -130,7 +130,7 @@ def run_resilient(
         )
         programs = program_factory(ckpt)
         try:
-            sim = run(programs, n_ranks, cost, max_events=max_events, faults=plan)
+            sim = run(programs, n_ranks, cost, faults=plan)
         except RankFailedError as crash:
             checkpoints += ckpt.checkpoints_written
             failures.append(

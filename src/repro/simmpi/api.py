@@ -20,7 +20,7 @@ the parallel treecode reads like an MPI code.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "Compute",
     "Elapse",
     "Now",
-    "Probe",
     "CollectiveOp",
     "Barrier",
     "Bcast",
@@ -136,8 +135,7 @@ class Request:
     the received payload for irecv.
     """
 
-    __slots__ = ("rank", "kind", "seq", "complete_time", "value", "cancelled", "match",
-                 "waiters")
+    __slots__ = ("rank", "kind", "seq", "complete_time", "value", "match", "waiters")
 
     def __init__(self, rank: int, kind: str, seq: int):
         self.rank = rank
@@ -145,7 +143,6 @@ class Request:
         self.seq = seq
         self.complete_time: float | None = None
         self.value: Any = None
-        self.cancelled = False
         #: Matching metadata stamped by the engine when the transfer
         #: completes: peer rank, tag, post times — what the wait-state
         #: analyzer needs to reconstruct happens-before edges.  ``None``
@@ -243,20 +240,6 @@ class Now(Op):
 
 
 @dataclass(frozen=True)
-class Probe(Op):
-    """Nonblockingly check for a matchable incoming message.
-
-    Returns ``(source, tag, nbytes)`` if a send is already posted that a
-    recv with this signature would match, else ``None``.  This is the
-    hook the treecode's ABM layer uses to service data requests while
-    its own traversal continues.
-    """
-
-    source: int
-    tag: int
-
-
-@dataclass(frozen=True)
 class CollectiveOp(Op):
     """Common shape of all collectives: matched across the whole comm."""
 
@@ -310,7 +293,6 @@ class Comm:
 
     rank: int
     size: int
-    _stats: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.rank < self.size:
@@ -322,6 +304,12 @@ class Comm:
         if not 0 <= peer < self.size:
             raise ValueError(f"peer rank {peer} out of range for size {self.size}")
 
+    def _check_send(self, dest: int, tag: int) -> None:
+        if not 0 <= dest < self.size:
+            raise ValueError(f"peer rank {dest} out of range for size {self.size}")
+        if tag < 0:
+            raise ValueError(f"send tag must be non-negative (ANY_TAG is for receives), got {tag}")
+
     # -- point to point -------------------------------------------------
     def send(self, payload: Any, dest: int, tag: int = 0,
              nbytes: int | None = None) -> Send:
@@ -331,7 +319,7 @@ class Comm:
         escape hatch for deeply nested payloads whose recursive size
         walk would dominate (tree-collective protocol messages carry
         their running size this way)."""
-        self._check_peer(dest)
+        self._check_send(dest, tag)
         return Send(dest, tag, payload, _wire_nbytes(payload, nbytes))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Recv:
@@ -345,7 +333,7 @@ class Comm:
         """Nonblocking send; yields a :class:`Request` to wait on later.
         Messages between a (sender, receiver, tag) triple match FIFO.
         ``nbytes`` overrides the estimated wire size (see :meth:`send`)."""
-        self._check_peer(dest)
+        self._check_send(dest, tag)
         return Isend(dest, tag, payload, _wire_nbytes(payload, nbytes))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Irecv:
@@ -362,12 +350,6 @@ class Comm:
         """Block until every request completes; yields the list of
         received values in the order the requests were given."""
         return Waitall(tuple(requests))
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Probe:
-        """Nonblocking check for a matchable message; yields
-        ``(source, tag, nbytes)`` or ``None`` without receiving."""
-        self._check_peer(source, wildcard_ok=True)
-        return Probe(source, tag)
 
     # -- local time -----------------------------------------------------
     def compute(

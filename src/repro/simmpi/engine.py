@@ -23,8 +23,8 @@ pending operations; waiters register on the requests they wait for and
 are woken by completion, never polled; collectives rendezvous
 incrementally (arrival count, running straggler max) instead of
 re-deriving group state per arrival; and all per-operation records use
-``__slots__``.  ``trace_sample=`` decimates per-rank span emission so
-observability cost stays bounded at large P (see :class:`Engine`).
+``__slots__``.  ``record_trace=False`` keeps observability memory at
+zero for the largest runs (see :class:`Engine`).
 
 Time accounting: each rank carries its own clock; a resumed rank's
 blocked interval is charged to ``blocked_s`` so benches can separate
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce as _fold
@@ -63,7 +64,6 @@ from .api import (
     Isend,
     Now,
     Op,
-    Probe,
     Recv,
     Request,
     Send,
@@ -141,16 +141,14 @@ class SimResult:
     """Outcome of a simulation: per-rank clocks, stats, return values.
 
     ``observer`` is the :class:`~repro.obs.Recorder` the engine created
-    for a traced run, holding its virtual-time spans and counters (None
-    with ``record_trace=False``).  ``trace_sample`` records the span
-    decimation the engine ran with (1.0 = every rank traced).
+    for a traced run, holding every rank's virtual-time spans and the
+    run's counters (None with ``record_trace=False``).
     """
 
     clocks: list[float]
     stats: list[RankStats]
     returns: list[Any]
     observer: Recorder | None = None
-    trace_sample: float = 1.0
 
     @property
     def trace(self) -> list[Span]:
@@ -253,13 +251,10 @@ class Engine:
     """Runs a set of rank programs to completion under a cost model.
 
     ``record_trace`` gives the run its own virtual-time recorder,
-    ``observer``; without it the engine records into the no-op
-    :data:`~repro.obs.NULL`.  ``trace_sample`` decimates per-rank span
-    emission: at 0.25 only every 4th rank (0, 4, 8, ...) emits
-    compute/blocked spans, cutting observer memory at large P while
-    counters and virtual-time accounting stay exact.  1.0 (the default)
-    traces every rank.  Wall-clock spans (``simmpi.engine``,
-    ``simmpi.dispatch``) go to the recorder
+    ``observer``, holding every rank's compute and blocked spans; without
+    it the engine records into the no-op :data:`~repro.obs.NULL`, and
+    virtual time, counters and returns are the same.  Wall-clock spans
+    (``simmpi.engine``, ``simmpi.dispatch``) go to the recorder
     :func:`repro.obs.wallclock.profile` installed, if any.
     """
 
@@ -269,12 +264,9 @@ class Engine:
         cost: CostModel | None = None,
         record_trace: bool = True,
         faults: FaultPlan | None = None,
-        trace_sample: float = 1.0,
     ):
         if not programs:
             raise ValueError("at least one rank program is required")
-        if not 0.0 < trace_sample <= 1.0:
-            raise ValueError(f"trace_sample must be in (0, 1], got {trace_sample}")
         self.cost = cost if cost is not None else ZeroCost()
         self.record_trace = record_trace
         self.faults = faults
@@ -284,10 +276,6 @@ class Engine:
         self.observer = Recorder() if record_trace else NULL
         self.eager_nbytes = getattr(self.cost, "eager_nbytes", DEFAULT_EAGER_NBYTES)
         self.size = len(programs)
-        self.trace_sample = trace_sample
-        stride = 1 if trace_sample >= 1.0 else max(1, round(1.0 / trace_sample))
-        self._trace_stride = stride
-        self._traced = [record_trace and (i % stride == 0) for i in range(self.size)]
         self._seq = itertools.count()
         self._events: list[tuple[float, int, int, Any]] = []  # (time, seq, rank, value)
         self._ranks: list[_RankState] = []
@@ -330,7 +318,7 @@ class Engine:
             raise RuntimeError(f"resume of finished rank {rank}")
         if state.blocked_since is not None:
             state.stats.blocked_s += max(time - state.blocked_since, 0.0)
-            if time > state.blocked_since and self._traced[rank]:
+            if time > state.blocked_since and self.record_trace:
                 why = state.blocked_on
                 self.observer.add_span(
                     why or "blocked",
@@ -356,9 +344,9 @@ class Engine:
         state = self._ranks[rank]
         state.blocked_since = state.clock
         state.blocked_on = why
-        # Classification metadata feeds the blocked span; untraced
-        # ranks never emit one, so skip building the dict for them.
-        state.blocked_args = (dict(args) if args else {}) if self._traced[rank] else None
+        # Classification metadata feeds the blocked span; an untraced
+        # run never emits one, so skip building the dict.
+        state.blocked_args = (dict(args) if args else {}) if self.record_trace else None
 
     # -- operation dispatch ----------------------------------------------
     def _dispatch(self, rank: int, op: Op) -> None:
@@ -380,18 +368,19 @@ class Engine:
         if self.faults is not None:
             dt *= self.faults.compute_factor(rank, t)
         self._ranks[rank].stats.compute_s += dt
-        if dt > 0 and self._traced[rank]:
+        if dt > 0 and self.record_trace:
             self.observer.add_span(
                 op.label or "compute", t, t + dt, track=rank, cat="compute"
             )
         self._schedule(t + dt, rank)
 
     def _elapse(self, rank: int, op: Elapse, t: float) -> None:
-        if op.seconds < 0:
-            self._throw(rank, ValueError("cannot elapse negative time"))
+        if not 0.0 <= op.seconds < math.inf:
+            self._throw(rank, ValueError(
+                f"elapse seconds must be finite and non-negative, got {op.seconds!r}"))
             return
         self._ranks[rank].stats.compute_s += op.seconds
-        if op.seconds > 0 and self._traced[rank]:
+        if op.seconds > 0 and self.record_trace:
             self.observer.add_span(
                 op.label or "elapse", t, t + op.seconds, track=rank, cat="compute"
             )
@@ -571,14 +560,13 @@ class Engine:
         # what post time, satisfied this operation (the happens-before
         # edge of the message).  ``t_peer`` is always the *other* side's
         # post time, so a late peer reads as t_peer > the wait's start.
-        # Its only reader is a traced owner's blocked span (_fire_waiter).
-        if self._traced[recv.dst]:
+        # Its only reader is a traced run's blocked span (_fire_waiter).
+        if self.record_trace:
             recv.request.match = {
                 "req_kind": "recv", "peer": send.src, "tag": send.tag,
                 "seq": send.seq, "nbytes": send.nbytes,
                 "t_peer": send.t_posted, "t_self": recv.t_posted,
             }
-        if self._traced[send.src]:
             send.request.match = {
                 "req_kind": "send", "peer": recv.dst, "tag": send.tag,
                 "seq": send.seq, "nbytes": send.nbytes,
@@ -594,43 +582,6 @@ class Engine:
             # Rendezvous: sender is released when the transfer lands.
             send.request.complete_time = t_done
             self._notify_completion(send.request)
-
-    def _probe(self, rank: int, op: Probe) -> tuple[int, int, int] | None:
-        sends = self._sends[rank]
-        if not sends:
-            return None
-        best: _SendRec | None = None
-        if op.source != ANY_SOURCE:
-            by_tag = sends.get(op.source)
-            if not by_tag:
-                return None
-            if op.tag != ANY_TAG:
-                dq = by_tag.get(op.tag)
-                if dq:
-                    best = dq[0]
-            else:
-                for dq in by_tag.values():
-                    head = dq[0]
-                    if best is None or head.seq < best.seq:
-                        best = head
-        else:
-            for by_tag in sends.values():
-                if op.tag != ANY_TAG:
-                    dq = by_tag.get(op.tag)
-                    if not dq:
-                        continue
-                    head = dq[0]
-                else:
-                    head = None
-                    for dq in by_tag.values():
-                        h = dq[0]
-                        if head is None or h.seq < head.seq:
-                            head = h
-                if head is not None and (best is None or head.seq < best.seq):
-                    best = head
-        if best is None:
-            return None
-        return (best.src, best.tag, best.nbytes)
 
     # -- waiting ----------------------------------------------------------
     def _post_wait(self, rank: int, requests: tuple[Request, ...], t: float, single: bool) -> None:
@@ -780,14 +731,10 @@ class Engine:
         raise ValueError(f"unknown collective kind {kind!r}")
 
     # -- event budget diagnostics ------------------------------------------
-    def _resolve_event_budget(
-        self, max_events: int | None, max_events_per_rank: int | None
-    ) -> int:
-        if max_events_per_rank is not None:
-            return max_events_per_rank * self.size
-        if max_events is not None:
-            return max_events
-        return max(DEFAULT_MAX_EVENTS, DEFAULT_EVENTS_PER_RANK * self.size)
+    def _resolve_event_budget(self, max_events: int | None) -> int:
+        if max_events is None:
+            return max(DEFAULT_MAX_EVENTS, DEFAULT_EVENTS_PER_RANK * self.size)
+        return _positive_int("max_events", max_events)
 
     def _event_budget_error(self, cap: int) -> EventBudgetError:
         counts = self._resume_counts
@@ -828,28 +775,22 @@ class Engine:
             f"{diagnostic['pending_recvs']} recv(s), "
             f"{diagnostic['collectives_in_flight']} collective(s) in flight. "
             "Runaway simulation? If the workload is genuinely this large, "
-            "raise max_events or max_events_per_rank."
+            "raise max_events."
         )
         return EventBudgetError(msg, diagnostic)
 
     # -- main loop ----------------------------------------------------------
-    def run(
-        self,
-        max_events: int | None = None,
-        *,
-        max_events_per_rank: int | None = None,
-    ) -> SimResult:
+    def run(self, max_events: int | None = None) -> SimResult:
         """Run to completion; returns the :class:`SimResult`.
 
         The event budget is scale-aware: by default it is
         ``max(50_000_000, 250_000 * n_ranks)`` so big simulations get
-        budget proportional to their size.  An explicit ``max_events``
-        sets the total cap directly; ``max_events_per_rank`` wins over
-        both and caps at ``max_events_per_rank * n_ranks``.  Exhausting
-        the budget raises :class:`EventBudgetError` with per-rank
-        diagnostics instead of an opaque failure.
+        budget proportional to their size.  ``max_events``, a positive
+        integer, sets the total cap instead (``ValueError`` otherwise).
+        Exhausting the budget raises :class:`EventBudgetError` with
+        per-rank diagnostics instead of an opaque failure.
         """
-        cap = self._resolve_event_budget(max_events, max_events_per_rank)
+        cap = self._resolve_event_budget(max_events)
         if self.faults is not None:
             # Armed before the t=0 resumes so a crash sorts ahead of any
             # rank activity at the same virtual time.
@@ -891,7 +832,6 @@ class Engine:
             stats=[s.stats for s in ranks],
             returns=[s.return_value for s in ranks],
             observer=self.observer if self.record_trace else None,
-            trace_sample=self.trace_sample,
         )
 
 
@@ -904,7 +844,6 @@ _HANDLERS: dict[type, tuple[Callable, bool]] = {
     **dict.fromkeys((Recv, Irecv), (Engine._post_recv, True)),
     Wait: (lambda self, rank, op, t: self._post_wait(rank, (op.request,), t, True), True),
     Waitall: (lambda self, rank, op, t: self._post_wait(rank, op.requests, t, False), True),
-    Probe: (lambda self, rank, op, t: self._schedule(t, rank, self._probe(rank, op)), True),
     CollectiveOp: (Engine._post_collective, True),
 }
 
@@ -916,8 +855,6 @@ def run(
     max_events: int | None = None,
     faults: FaultPlan | None = None,
     record_trace: bool = True,
-    trace_sample: float = 1.0,
-    max_events_per_rank: int | None = None,
 ) -> SimResult:
     """Convenience front door: run one program SPMD-style or a list MPMD-style.
 
@@ -926,19 +863,26 @@ def run(
     With ``faults``, the run executes under an injected failure schedule
     and may raise :class:`~repro.simmpi.faults.RankFailedError`.
     With ``record_trace``, the result's ``observer`` holds the run's
-    spans and counters.  ``trace_sample`` decimates span emission (see :class:`Engine`) and
-    ``max_events`` / ``max_events_per_rank`` size the event budget (see
-    :meth:`Engine.run`).
+    spans and counters, and ``max_events`` sizes the event budget (see
+    :meth:`Engine.run`).  ``n_ranks`` and ``max_events`` must be
+    positive integers (``ValueError`` naming the argument otherwise).
     """
+    if n_ranks is not None:
+        _positive_int("n_ranks", n_ranks)
     if callable(program):
-        if n_ranks is None or n_ranks <= 0:
+        if n_ranks is None:
             raise ValueError("SPMD launch requires a positive n_ranks")
         programs: Sequence = [program] * n_ranks
     else:
         programs = list(program)
         if n_ranks is not None and n_ranks != len(programs):
             raise ValueError("n_ranks disagrees with the number of programs")
-    return Engine(
-        programs, cost, record_trace=record_trace, faults=faults,
-        trace_sample=trace_sample,
-    ).run(max_events=max_events, max_events_per_rank=max_events_per_rank)
+    return Engine(programs, cost, record_trace=record_trace, faults=faults).run(max_events)
+
+
+def _positive_int(name: str, value: Any) -> int:
+    """``value`` if it is an integer (not a ``bool``) of at least 1,
+    else a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

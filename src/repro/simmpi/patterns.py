@@ -1,40 +1,37 @@
-"""Composite communication patterns built from SimMPI point-to-point.
+"""The collectives SimMPI's programs call, one implementation a size regime.
 
-The engine provides collectives as primitives (cost-modeled
-analytically); this module provides the same operations *composed from
-p2p messages*, as real MPI implementations do internally.  They serve
-three purposes: richer building blocks for rank programs (``sendrecv``,
-halo exchanges), cross-checks that the analytic collective cost model
-is in the right neighborhood of an explicit algorithm, and executable
-documentation of the classic algorithms (binomial-tree broadcast,
-ring allgather, pairwise-exchange alltoall).
+The engine provides collectives as primitives whose cost is modelled
+analytically.  Above :data:`FLAT_COLLECTIVE_MAX` ranks that model loses
+the network's log-depth structure, so this module also composes the
+collectives the programs use from point-to-point messages, as real MPI
+implementations do: binomial-tree ``tree_gather``/``tree_reduce``/
+``tree_bcast``/``tree_allreduce`` and a recursive-doubling
+``tree_allgather``.  Their returns are bit-identical to the engine's
+flat collectives: reductions gather payloads up the tree and fold **in
+rank order at the root**, exactly like the flat left-fold, so
+floating-point non-associativity can never make the two disagree.
 
-Two families coexist here:
+:func:`allreduce` and :func:`allgather` choose between the engine
+primitive and the tree algorithm by group size alone (flat at or below
+:data:`FLAT_COLLECTIVE_MAX` ranks, tree above).  They take no algorithm
+option: a program that wants one fixed algorithm calls the ``comm.*``
+primitive or the ``tree_*`` function by name.
+:func:`batched_request_reply` is the HOT library's latency-hiding
+request round (paper section 4.2).
 
-* the classic teaching patterns (``ring_allgather``, ``binomial_bcast``,
-  ``pairwise_alltoall``) with O(P) round structure, and
-* the scalable **tree collectives** (``tree_gather``/``tree_reduce``/
-  ``tree_allreduce``/``tree_bcast``/``tree_allgather``/``tree_scatter``/
-  ``tree_barrier``) with O(log P) depth, built for the 1000+-rank runs.
-  Their results are bit-identical to the engine's flat collectives —
-  reductions gather payloads up a binomial tree and fold **in rank
-  order at the root**, exactly like the flat left-fold, so floating-
-  point non-associativity can never make the two disagree.
+All are generator functions, delegated to with ``yield from`` inside a
+rank program run by :func:`~repro.simmpi.run`:
 
-The ``allreduce``/``reduce``/``bcast``/``gather``/``allgather``/
-``scatter``/``barrier`` wrappers select between the engine primitive
-and the tree algorithm by group size alone (flat at or below
-:data:`FLAT_COLLECTIVE_MAX` ranks, tree above), so rank programs write
-one call and get the scalable algorithm only where it pays.  They take
-no algorithm option: a program that wants one fixed algorithm calls the
-``comm.*`` primitive or the ``tree_*`` function by name.
-
-All are generator functions to be delegated with ``yield from`` inside
-a rank program::
-
-    data = yield from patterns.sendrecv(comm, my_block, dest, source)
-    everything = yield from patterns.ring_allgather(comm, my_block)
-    total = yield from patterns.allreduce(comm, my_part)  # auto flat/tree
+>>> from repro.simmpi import run
+>>> def program(comm):
+...     total = yield from allreduce(comm, comm.rank)
+...     ranks = yield from allgather(comm, comm.rank)
+...     asks = [[comm.rank] if p != comm.rank else None for p in range(comm.size)]
+...     replies, _ = yield from batched_request_reply(
+...         comm, asks, lambda peer, batch: [10 * x for x in batch])
+...     return total, ranks, replies
+>>> run(program, 3).returns[1]
+(3, [0, 1, 2], [[10], None, [10]])
 """
 
 from __future__ import annotations
@@ -42,99 +39,33 @@ from __future__ import annotations
 from functools import reduce as _fold
 from typing import Any, Callable, Generator
 
-from .api import ANY_SOURCE, SUM, Comm, payload_nbytes
+from .api import SUM, Comm, payload_nbytes
 
 __all__ = [
-    "sendrecv",
-    "ring_shift",
-    "ring_allgather",
-    "binomial_bcast",
-    "pairwise_alltoall",
     "batched_request_reply",
     "tree_gather",
     "tree_reduce",
     "tree_bcast",
     "tree_allreduce",
     "tree_allgather",
-    "tree_scatter",
-    "tree_barrier",
     "allreduce",
-    "reduce",
-    "bcast",
-    "gather",
     "allgather",
-    "scatter",
-    "barrier",
     "FLAT_COLLECTIVE_MAX",
 ]
 
-#: Group size at or below which the auto-selecting collective wrappers
-#: use the engine's flat primitive; above it they switch to the tree
-#: algorithms.  Small groups keep the analytically-costed primitive
+#: Group size at or below which :func:`allreduce` and :func:`allgather`
+#: use the engine's flat primitive and :func:`batched_request_reply`
+#: its dense round; above it they switch to the tree algorithms and the
+#: sparse round.  Small groups keep the analytically-costed primitive
 #: (and its existing golden traces); large groups get O(log P) depth.
 FLAT_COLLECTIVE_MAX = 32
 
-#: Default tags of the :func:`batched_request_reply` message streams.
-#: Requests and replies between the same pair of ranks are in flight
-#: simultaneously; distinct tags keep the two streams from matching
-#: each other while FIFO ordering disambiguates successive rounds.
+#: Default tag of the :func:`batched_request_reply` requests; replies
+#: travel on the next tag.  Requests and replies between the same pair
+#: of ranks are in flight simultaneously; distinct tags keep the two
+#: streams from matching each other while FIFO ordering disambiguates
+#: successive rounds.
 REQUEST_TAG = 7_101
-REPLY_TAG = 7_102
-
-
-def sendrecv(
-    comm: Comm, payload: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
-) -> Generator:
-    """Simultaneous send+receive (deadlock-free by construction)."""
-    req = yield comm.isend(payload, dest, tag)
-    data = yield comm.recv(source, tag)
-    yield comm.wait(req)
-    return data
-
-
-def ring_shift(comm: Comm, payload: Any, shift: int = 1, tag: int = 0) -> Generator:
-    """Pass ``payload`` ``shift`` ranks to the right; receive from the left."""
-    if comm.size == 1:
-        return payload
-    dest = (comm.rank + shift) % comm.size
-    source = (comm.rank - shift) % comm.size
-    data = yield from sendrecv(comm, payload, dest, source, tag)
-    return data
-
-
-def ring_allgather(comm: Comm, payload: Any, tag: int = 1_000) -> Generator:
-    """Ring allgather: size-1 shifts, each forwarding the newest block.
-
-    Returns the list of every rank's payload in rank order — the same
-    contract as ``comm.allgather`` but executed message by message.
-    """
-    size, rank = comm.size, comm.rank
-    blocks: list[Any] = [None] * size
-    blocks[rank] = payload
-    current = (rank, payload)
-    for step in range(size - 1):
-        current = yield from sendrecv(
-            comm, current, (rank + 1) % size, (rank - 1) % size, tag + step
-        )
-        blocks[current[0]] = current[1]
-    return blocks
-
-
-def binomial_bcast(comm: Comm, payload: Any, root: int = 0, tag: int = 2_000) -> Generator:
-    """Binomial-tree broadcast: log2(P) rounds of doubling senders."""
-    size, rank = comm.size, comm.rank
-    rel = (rank - root) % size
-    data = payload if rank == root else None
-    mask = 1
-    while mask < size:
-        if rel < mask:
-            partner = rel | mask
-            if partner < size:
-                yield comm.send(data, dest=(partner + root) % size, tag=tag)
-        elif rel < 2 * mask:
-            data = yield comm.recv(source=((rel ^ mask) + root) % size, tag=tag)
-        mask <<= 1
-    return data
 
 
 def batched_request_reply(
@@ -248,21 +179,6 @@ def batched_request_reply(
     return replies, overlap_result
 
 
-def pairwise_alltoall(comm: Comm, blocks: list[Any], tag: int = 3_000) -> Generator:
-    """Pairwise-exchange alltoall: P-1 rounds of XOR/offset partners."""
-    size, rank = comm.size, comm.rank
-    if len(blocks) != size:
-        raise ValueError("one block per destination rank required")
-    out: list[Any] = [None] * size
-    out[rank] = blocks[rank]
-    for step in range(1, size):
-        dest = (rank + step) % size
-        source = (rank - step) % size
-        received = yield from sendrecv(comm, blocks[dest], dest, source, tag + step)
-        out[source] = received
-    return out
-
-
 # -- tree collectives ---------------------------------------------------
 #
 # All tree collectives are *collective calls*: every rank of the comm
@@ -274,15 +190,13 @@ def pairwise_alltoall(comm: Comm, blocks: list[Any], tag: int = 3_000) -> Genera
 # is never performed.
 
 #: Base tags of the tree-collective message streams (distinct from the
-#: classic patterns at 1000/2000/3000 and the request/reply pair at
-#: 7101/7102; FIFO ordering disambiguates successive calls).
+#: request/reply pair at 7101/7102; FIFO ordering disambiguates
+#: successive calls).
 TREE_GATHER_TAG = 5_100
 TREE_REDUCE_TAG = 5_150
 TREE_ALLREDUCE_TAG = 5_200
 TREE_BCAST_TAG = 5_250
 TREE_ALLGATHER_TAG = 5_300
-TREE_SCATTER_TAG = 5_400
-TREE_BARRIER_TAG = 5_500
 
 #: Per-entry framing overhead charged on tree protocol messages.
 _FRAME_NBYTES = 16
@@ -333,19 +247,18 @@ def tree_reduce(comm: Comm, payload: Any, root: int = 0, op: Callable = SUM,
 
 
 def tree_bcast(comm: Comm, payload: Any, root: int = 0,
-               tag: int = TREE_BCAST_TAG, nbytes: int | None = None) -> Generator:
+               tag: int = TREE_BCAST_TAG) -> Generator:
     """Binomial-tree broadcast with sized protocol messages.
 
-    Same round structure as :func:`binomial_bcast`, but the payload's
-    wire size is computed once at the root and forwarded with the
-    message, so broadcasting a P-entry list costs O(P) size accounting
-    instead of O(P^2).  Every rank returns the same payload object.
+    log2(P) rounds of doubling senders.  The payload's wire size is
+    computed once at the root and forwarded with the message, so
+    broadcasting a P-entry list costs O(P) size accounting instead of
+    O(P^2).  Every rank returns the same payload object.
     """
     size, rank = comm.size, comm.rank
     rel = (rank - root) % size
     if rank == root:
-        data = payload
-        nb = payload_nbytes(payload) if nbytes is None else int(nbytes)
+        data, nb = payload, payload_nbytes(payload)
     else:
         data, nb = None, 0
     mask = 1
@@ -405,61 +318,6 @@ def tree_allgather(comm: Comm, payload: Any,
     return list(everything)
 
 
-def tree_scatter(comm: Comm, items: "list[Any] | None", root: int = 0,
-                 tag: int = TREE_SCATTER_TAG) -> Generator:
-    """Binomial-tree scatter; matches ``comm.scatter`` (same objects).
-
-    The root splits its item list into contiguous relative-rank block
-    ranges and sends each subtree its half, halving at every level;
-    each rank ends with exactly its own item.
-    """
-    size, rank = comm.size, comm.rank
-    rel = (rank - root) % size
-    if rank == root:
-        if items is None or len(items) != size:
-            raise ValueError("scatter root must supply one item per rank")
-        blocks = {i: items[(i + root) % size] for i in range(size)}
-        sizes = {i: payload_nbytes(blocks[i]) for i in range(size)}
-        top = 1
-        while top < size:
-            top <<= 1
-    else:
-        b = rel & -rel  # lowest set bit: the level this rank receives at
-        parent = ((rel ^ b) + root) % size
-        blocks, sizes = yield comm.recv(source=parent, tag=tag)
-        top = b
-    mask = top >> 1
-    while mask:
-        child = rel | mask
-        if child != rel and child < size:
-            span = range(child, min(child + mask, size))
-            sub = {i: blocks.pop(i) for i in span}
-            sub_sizes = {i: sizes.pop(i) for i in span}
-            nb = sum(sub_sizes.values())
-            yield comm.send((sub, sub_sizes), dest=(child + root) % size,
-                            tag=tag, nbytes=nb + _FRAME_NBYTES * len(sub))
-        mask >>= 1
-    return blocks[rel]
-
-
-def tree_barrier(comm: Comm, tag: int = TREE_BARRIER_TAG) -> Generator:
-    """Dissemination barrier: ceil(log2(P)) rounds, any group size.
-
-    Round ``k`` exchanges a token with the ranks ``2^k`` away in both
-    directions; after the last round every rank transitively heard
-    from every other, which is exactly the barrier guarantee.
-    """
-    size, rank = comm.size, comm.rank
-    mask, step = 1, 0
-    while mask < size:
-        dest = (rank + mask) % size
-        source = (rank - mask) % size
-        yield from sendrecv(comm, None, dest, source, tag + step)
-        mask <<= 1
-        step += 1
-    return None
-
-
 # -- automatic algorithm selection --------------------------------------
 
 def _flat(comm: Comm) -> bool:
@@ -478,33 +336,6 @@ def allreduce(comm: Comm, payload: Any, op: Callable = SUM) -> Generator:
     return result
 
 
-def reduce(comm: Comm, payload: Any, root: int = 0, op: Callable = SUM) -> Generator:
-    """Size-selected reduce-to-root (bit-identical to ``comm.reduce``)."""
-    if _flat(comm):
-        result = yield comm.reduce(payload, root=root, op=op)
-    else:
-        result = yield from tree_reduce(comm, payload, root=root, op=op)
-    return result
-
-
-def bcast(comm: Comm, payload: Any, root: int = 0) -> Generator:
-    """Size-selected broadcast (same object delivered to every rank)."""
-    if _flat(comm):
-        result = yield comm.bcast(payload, root=root)
-    else:
-        result = yield from tree_bcast(comm, payload, root=root)
-    return result
-
-
-def gather(comm: Comm, payload: Any, root: int = 0) -> Generator:
-    """Size-selected gather-to-root (rank-ordered list at the root)."""
-    if _flat(comm):
-        result = yield comm.gather(payload, root=root)
-    else:
-        result = yield from tree_gather(comm, payload, root=root)
-    return result
-
-
 def allgather(comm: Comm, payload: Any) -> Generator:
     """Size-selected allgather (fresh rank-ordered list on every rank).
 
@@ -519,19 +350,3 @@ def allgather(comm: Comm, payload: Any) -> Generator:
     return result
 
 
-def scatter(comm: Comm, items: "list[Any] | None", root: int = 0) -> Generator:
-    """Size-selected scatter (each rank gets exactly its own item)."""
-    if _flat(comm):
-        result = yield comm.scatter(items, root=root)
-    else:
-        result = yield from tree_scatter(comm, items, root=root)
-    return result
-
-
-def barrier(comm: Comm) -> Generator:
-    """Size-selected barrier (flat primitive vs dissemination rounds)."""
-    if _flat(comm):
-        yield comm.barrier()
-    else:
-        yield from tree_barrier(comm)
-    return None

@@ -316,21 +316,19 @@ class TestRequestBatchWireSize:
         assert payload_nbytes(batch) == payload_nbytes(keys.tolist()) == 16 * n
 
     def test_modelled_bytes_and_sampled_trace_pinned(self):
-        # Per-rank bytes and the Chrome trace of a half-sampled run, as
-        # measured at the commit before request batches became arrays and
-        # a request's ``match`` was built for traced owners only (PR 22).
-        # The hash is of the export that carries each span's two ends
-        # (``t_end_s``, not ``dur_s``); the start-and-length export of
-        # this run hashes to ccf200e8e2c623529f34a9def12d3aba.
+        # Per-rank bytes as measured before request batches became arrays,
+        # and the hash of the Chrome trace of every rank (the export that
+        # carries each span's two ends, ``t_end_s``) as computed before
+        # per-rank trace sampling was removed.
         pos = np.random.default_rng(2003).random((160, 3))
         plain = parallel_tree_accelerations(
             pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=False)
         assert [s.bytes_sent for s in plain.sim.stats] == [
             9288, 14776, 9048, 18976, 14008, 18992, 18656, 17520]
         traced = parallel_tree_accelerations(
-            pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=True, trace_sample=0.5)
+            pos, n_ranks=8, cost=SpaceSimulatorCost(), record_trace=True)
         assert traced.sim.elapsed.hex() == plain.sim.elapsed.hex() == "0x1.2fd249d3a3d6fp-7"
-        assert {s.track for s in traced.sim.trace} == {0, 2, 4, 6}
+        assert {s.track for s in traced.sim.trace} == set(range(8))
         doc = dumps_canonical(chrome_trace(traced.sim.observer, process_name="pin"))
         assert hashlib.blake2b(doc.encode(), digest_size=16).hexdigest() == (
-            "8d327f31b648c0c4f7f8740c9d6401e0")
+            "ff37823c8fa568f6283b4279a3ccfea1")

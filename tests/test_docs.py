@@ -1,11 +1,11 @@
 """The documentation stays true: every bench script PAPER_MAP.md names
 exists, every bench script is mapped, the EXPERIMENTS.md codes it
 references are real headings, README links every doc, every relative
-markdown link resolves, the public pipeline/campaign/wallclock
-docstring examples pass as doctests, the latest code-line row of
-EXPERIMENTS.md is what ``tools/code_lines.py`` counts, every CHANGES.md
-entry is short and points at EXPERIMENTS.md, and EXPERIMENTS.md's
-contents list its headings."""
+markdown link resolves, the public pipeline/campaign/wallclock/
+collective-pattern docstring examples pass as doctests, the latest
+code-line row of EXPERIMENTS.md is what ``tools/code_lines.py``
+counts, every CHANGES.md entry is short and points at EXPERIMENTS.md,
+and EXPERIMENTS.md's contents list its headings."""
 
 import doctest
 import importlib
@@ -33,6 +33,7 @@ DOCTESTED_MODULES = [
     "repro.pipeline.stages",
     "repro.campaign.spec",
     "repro.obs.wallclock",
+    "repro.simmpi.patterns",
 ]
 
 

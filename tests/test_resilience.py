@@ -25,10 +25,12 @@ from repro.resilience import (
     sample_fault_plan,
 )
 from repro.simmpi import (
+    EventBudgetError,
     FaultEvent,
     FaultPlan,
     RankFailedError,
     UniformCost,
+    engine,
     run,
 )
 
@@ -325,6 +327,19 @@ class TestRunner:
             f.cumulative_time_s for f in b.failures
         ]
         assert a.wall_s == b.wall_s and a.sim.clocks == b.sim.clocks
+
+    def test_event_budget_is_the_fault_free_one(self, tmp_path, monkeypatch):
+        # A job under faults gets the budget the same job gets without
+        # them: the engine's scale-aware default, shrunk here so that it
+        # binds (P x 10 events, above the flat floor).
+        monkeypatch.setattr(engine, "DEFAULT_MAX_EVENTS", 1)
+        monkeypatch.setattr(engine, "DEFAULT_EVENTS_PER_RANK", 10)
+        cfg = ResilienceConfig(checkpoint_dir=str(tmp_path), node=FAST_NODE)
+        with pytest.raises(EventBudgetError) as plain:
+            run(stepper()(Checkpointer(CheckpointStore(str(tmp_path / "plain")), 4)), 4, COST)
+        with pytest.raises(EventBudgetError) as resilient:
+            run_resilient(stepper(), 4, cost=COST, faults=FaultPlan(), config=cfg)
+        assert plain.value.diagnostic["cap"] == resilient.value.diagnostic["cap"] == 40
 
     def test_gives_up_after_max_restarts(self, tmp_path):
         # A crash every 5 s against 10 s steps: no checkpoint can land.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.simmpi import (
     ANY_SOURCE,
+    ANY_TAG,
     MAX,
     Comm,
     DeadlockError,
@@ -14,6 +15,7 @@ from repro.simmpi import (
     payload_nbytes,
     run,
 )
+from repro.simmpi.engine import Engine
 
 
 class TestPointToPoint:
@@ -111,33 +113,22 @@ class TestPointToPoint:
 
         assert run(prog, 2).returns[1] == ["x", "y"]
 
-    def test_probe_sees_pending_message(self):
-        def prog(comm):
-            if comm.rank == 0:
-                yield comm.send(b"data", dest=1, tag=9)
-                yield comm.barrier()
-                return None
-            yield comm.barrier()
-            info = yield comm.probe()
-            yield comm.recv(source=0, tag=9)
-            return info
-
-        src, tag, nbytes = run(prog, 2).returns[1]
-        assert (src, tag, nbytes) == (0, 9, 4)
-
-    def test_probe_empty_returns_none(self):
-        def prog(comm):
-            info = yield comm.probe()
-            return info
-
-        assert run(prog, 1).returns[0] is None
-
     def test_invalid_peer_rejected(self):
         comm = Comm(rank=0, size=2)
         with pytest.raises(ValueError):
             comm.send(1, dest=2)
         with pytest.raises(ValueError):
             comm.recv(source=5)
+
+    def test_negative_send_tag_rejected(self):
+        # ANY_TAG (-1) is a receive wildcard; no message carries it.
+        comm = Comm(rank=0, size=2)
+        for send in (comm.send, comm.isend):
+            with pytest.raises(ValueError, match="send tag"):
+                send(1, dest=1, tag=ANY_TAG)
+            with pytest.raises(ValueError, match="send tag"):
+                send(1, dest=1, tag=-5)
+        assert comm.recv(source=1, tag=ANY_TAG).tag == ANY_TAG
 
 
 class TestCollectives:
@@ -264,6 +255,43 @@ class TestErrors:
         with pytest.raises(ValueError):
             run(prog)
 
+    @pytest.mark.parametrize("n_ranks", [True, False, 2.0, "2", 0, -3])
+    def test_bad_n_ranks_refused_by_name(self, n_ranks):
+        def prog(comm):
+            yield comm.barrier()
+
+        with pytest.raises(ValueError, match="n_ranks"):
+            run(prog, n_ranks)
+        with pytest.raises(ValueError, match="n_ranks"):
+            run([prog, prog], n_ranks)
+
+    @pytest.mark.parametrize("max_events", [0, -5, True, 2.5, "10"])
+    def test_bad_max_events_refused_by_name(self, max_events):
+        def prog(comm):
+            yield comm.barrier()
+
+        with pytest.raises(ValueError, match="max_events"):
+            run(prog, 2, max_events=max_events)
+        with pytest.raises(ValueError, match="max_events"):
+            Engine([prog]).run(max_events)
+
+    @pytest.mark.parametrize("charge", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_compute_refused(self, charge):
+        for kwargs in ({"flops": charge}, {"flops": 1.0, "mem_bytes": charge}):
+            def prog(comm):
+                yield comm.compute(**kwargs)
+
+            with pytest.raises(ValueError, match="finite"):
+                run(prog, 1, UniformCost())
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_non_finite_elapse_refused(self, seconds):
+        def prog(comm):
+            yield comm.elapse(seconds)
+
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run(prog, 1)
+
 
 class TestVirtualTime:
     def test_compute_advances_clock(self):
@@ -345,15 +373,14 @@ class TestVirtualTime:
         def prog(comm):
             rng = np.random.default_rng(comm.rank)
             total = 0.0
+            sent_to = [0] * comm.size
             for i in range(5):
                 partner = int(rng.integers(0, comm.size))
+                sent_to[partner] += 1
                 yield comm.isend(float(comm.rank + i), dest=partner, tag=i)
-            yield comm.barrier()
-            while True:
-                info = yield comm.probe()
-                if info is None:
-                    break
-                total += yield comm.recv(source=info[0], tag=info[1])
+            incoming = yield comm.alltoall(sent_to)
+            for _ in range(sum(incoming)):
+                total += yield comm.recv()
             value = yield comm.allreduce(total)
             return value
 

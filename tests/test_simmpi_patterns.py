@@ -9,11 +9,19 @@ from repro.simmpi import UniformCost, patterns, run
 
 
 class TestSendrecv:
+    """The simultaneous send+receive of a ring step: ``isend``, then
+    ``recv``, then ``wait`` (what MPI's ``Sendrecv`` does)."""
+
+    @staticmethod
+    def _shift(comm, payload, shift):
+        req = yield comm.isend(payload, (comm.rank + shift) % comm.size)
+        data = yield comm.recv((comm.rank - shift) % comm.size)
+        yield comm.wait(req)
+        return data
+
     def test_full_ring_no_deadlock(self):
         def prog(comm):
-            data = yield from patterns.sendrecv(
-                comm, comm.rank, (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
-            )
+            data = yield from self._shift(comm, comm.rank, 1)
             return data
 
         result = run(prog, 6)
@@ -21,7 +29,7 @@ class TestSendrecv:
 
     def test_ring_shift_by_k(self):
         def prog(comm):
-            data = yield from patterns.ring_shift(comm, comm.rank * 10, shift=2)
+            data = yield from self._shift(comm, comm.rank * 10, 2)
             return data
 
         result = run(prog, 5)
@@ -29,50 +37,16 @@ class TestSendrecv:
 
     def test_single_rank_shift_identity(self):
         def prog(comm):
-            data = yield from patterns.ring_shift(comm, "x")
+            data = yield from self._shift(comm, "x", 1)
             return data
 
         assert run(prog, 1).returns == ["x"]
 
 
-class TestRingAllgather:
-    def test_collects_all_blocks_in_order(self):
-        def prog(comm):
-            blocks = yield from patterns.ring_allgather(comm, f"r{comm.rank}")
-            return blocks
-
-        result = run(prog, 5)
-        for blocks in result.returns:
-            assert blocks == [f"r{i}" for i in range(5)]
-
-    def test_matches_builtin_allgather(self):
-        def prog(comm):
-            ours = yield from patterns.ring_allgather(comm, comm.rank**2)
-            builtin = yield comm.allgather(comm.rank**2)
-            return ours == builtin
-
-        assert all(run(prog, 7).returns)
-
-    def test_ring_cost_scales_linearly(self):
-        # Explicit ring: (P-1) sequential rounds; the analytic builtin
-        # uses the same (P-1) scaling — they should agree within ~3x.
-        def prog_ring(comm):
-            yield from patterns.ring_allgather(comm, np.zeros(1024))
-
-        def prog_builtin(comm):
-            yield comm.allgather(np.zeros(1024))
-
-        cost = UniformCost(latency_s=1e-4, mbytes_s=100.0)
-        t_ring = run(prog_ring, 8, cost).elapsed
-        t_builtin = run(prog_builtin, 8, cost).elapsed
-        assert t_ring > 0 and t_builtin > 0
-        assert 1.0 / 3.0 < t_ring / t_builtin < 3.0
-
-
 class TestBinomialBcast:
     def test_everyone_gets_roots_payload(self):
         def prog(comm):
-            data = yield from patterns.binomial_bcast(comm, {"v": 7} if comm.rank == 2 else None, root=2)
+            data = yield from patterns.tree_bcast(comm, {"v": 7} if comm.rank == 2 else None, root=2)
             return data
 
         result = run(prog, 6)
@@ -82,7 +56,7 @@ class TestBinomialBcast:
         # Binomial bcast latency ~ log2(P); a naive root-sends-to-all
         # chain is ~P. Compare virtual times at P=16.
         def prog_binomial(comm):
-            yield from patterns.binomial_bcast(comm, b"x" * 100, root=0)
+            yield from patterns.tree_bcast(comm, b"x" * 100, root=0)
 
         def prog_naive(comm):
             if comm.rank == 0:
@@ -98,46 +72,10 @@ class TestBinomialBcast:
 
     def test_non_power_of_two(self):
         def prog(comm):
-            data = yield from patterns.binomial_bcast(comm, comm.rank if comm.rank == 0 else None)
+            data = yield from patterns.tree_bcast(comm, comm.rank if comm.rank == 0 else None)
             return data
 
         assert run(prog, 11).returns == [0] * 11
-
-
-class TestPairwiseAlltoall:
-    def test_matches_builtin(self):
-        def prog(comm):
-            blocks = [(comm.rank, d) for d in range(comm.size)]
-            ours = yield from patterns.pairwise_alltoall(comm, blocks)
-            builtin = yield comm.alltoall(blocks)
-            return ours == builtin
-
-        assert all(run(prog, 6).returns)
-
-    def test_block_count_checked(self):
-        def prog(comm):
-            try:
-                yield from patterns.pairwise_alltoall(comm, [1, 2])
-            except ValueError:
-                yield comm.barrier()
-                return "caught"
-
-        assert run(prog, 4).returns == ["caught"] * 4
-
-    @given(st.integers(2, 8), st.integers(0, 1000))
-    @settings(max_examples=20, deadline=None)
-    def test_property_permutation_routing(self, size, seed):
-        """Random payload matrices route correctly at any rank count."""
-        rng = np.random.default_rng(seed)
-        matrix = rng.integers(0, 100, (size, size)).tolist()
-
-        def prog(comm):
-            got = yield from patterns.pairwise_alltoall(comm, matrix[comm.rank])
-            return got
-
-        result = run(prog, size)
-        for dest in range(size):
-            assert result.returns[dest] == [matrix[src][dest] for src in range(size)]
 
 
 class TestBatchedRequestReply:
@@ -308,18 +246,27 @@ class TestTreeCollectives:
                 items = [g + 1 for g in gathered]
             else:
                 items = None
-            mine = yield from patterns.tree_scatter(comm, items, root=root)
+            mine = yield comm.scatter(items, root=root)
             return mine == comm.rank * 11 + 1
 
         assert all(run(prog, size).returns)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13, 16, 31, 33])
     def test_barrier_all_sizes(self, size):
+        # A tree collective leaves the ranks at different virtual times
+        # (log-depth rounds); the engine barrier, the one barrier at
+        # every size, releases all of them together, after the last.
         def prog(comm):
-            yield from patterns.tree_barrier(comm)
-            return "ok"
+            yield from patterns.tree_allreduce(comm, comm.rank)
+            before = yield comm.now()
+            yield comm.barrier()
+            after = yield comm.now()
+            return before, after
 
-        assert run(prog, size).returns == ["ok"] * size
+        returns = run(prog, size, UniformCost()).returns
+        released = {after for _, after in returns}
+        assert len(released) == 1
+        assert released.pop() >= max(before for before, _ in returns)
 
 
 class TestAutoWrappers:
@@ -365,7 +312,7 @@ class TestAutoWrappers:
             if comm.rank == 0:
                 yield from patterns.allreduce(comm, 1)
             else:
-                yield from patterns.barrier(comm)
+                yield comm.barrier()
 
         with pytest.raises(CollectiveMismatchError):
             run(prog, 4)
