@@ -5,7 +5,7 @@ Public surface:
 * key arithmetic (:mod:`~repro.core.keys`) — Morton keys with the
   Warren–Salmon placeholder-bit convention;
 * :class:`~repro.core.hashtable.KeyHashTable` — the key -> cell map that
-  names the method;
+  names the method: a dict behind a batch interface;
 * :func:`~repro.core.tree.build_tree` /
   :func:`~repro.core.gravity.tree_accelerations` — serial treecode: the
   one-rank case of the hashed cell table

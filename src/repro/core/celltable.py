@@ -52,6 +52,13 @@ _RUNS = (("cstart", np.int64, ()), ("cn", np.int64, ()),
          ("pstart", np.int64, ()), ("pn", np.int64, ()))
 _POOLS = (("child_key", np.uint64, ()), ("ppos", np.float64, (3,)), ("pmass", np.float64, ()))
 
+#: A :class:`CellTable`'s columns in the three groups that grow
+#: together: one entry per row, per child slot, per leaf particle.
+_ROWS = _FIELDS + _RUNS + (("kind", np.int8, ()), ("prefetched", np.bool_, ()),
+                           ("branch", np.uint64, ()), ("used", np.int64, ()))
+_KIDS = _POOLS[:1] + (("child_row", np.int64, ()),)
+_PARTS = _POOLS[1:]
+
 
 def csr_take(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat indices of the runs ``[starts[i], starts[i] + counts[i])``, in order."""
@@ -168,15 +175,18 @@ class CellTable(CellBatch):
     """One rank's cells of one step: a growable :class:`CellBatch` plus
     the key -> row hash index.
 
-    Rows are only ever appended; a key appended again (the real record
-    of a :data:`STUB` arriving) re-points the index at the new row and
-    marks the old one :data:`DEAD`.  A rank appends its own cells
-    first, so that its own particles open the particle pool and fetched
-    ones land behind them.  ``kind`` is
-    the row's meaning to the cache counters, ``prefetched`` marks rows a
-    prefetch wave brought in and no walk has used yet, and ``child_row``
-    caches, beside ``child_key``, the row each child key was last found
-    at (-1: not yet).
+    Rows are only ever appended, each column group (rows, child slots,
+    leaf particles) grown at most once per :meth:`append`.  A key
+    appended again (the real record of a :data:`STUB` arriving, or a
+    key a reply repeats) re-points the index at the new row and marks
+    the old one :data:`DEAD`, in the one pass over the batch's keys
+    that indexes it, so the live rows are exactly the rows not
+    :data:`DEAD`.  A rank appends its own cells first, so that its own
+    particles open the particle pool and fetched ones land behind them.
+    ``kind`` is the row's meaning to the cache counters, ``prefetched``
+    marks rows a prefetch wave brought in and no walk has used yet, and
+    ``child_row`` caches, beside ``child_key``, the row each child key
+    was last found at (-1: not yet).
 
     The table is also the remote-cell cache.  Its content is
     :meth:`fetched`; two columns carry what a cache keeps per entry, and
@@ -208,20 +218,21 @@ class CellTable(CellBatch):
                  "index")
 
     def __init__(self):
-        extra = (("kind", np.int8, ()), ("prefetched", np.bool_, ()), ("branch", np.uint64, ()),
-                 ("used", np.int64, ()), ("child_row", np.int64, ()))
-        for name, dtype, shape in _FIELDS + _RUNS + _POOLS + extra:
+        for name, dtype, shape in _ROWS + _KIDS + _PARTS:
             setattr(self, name, np.empty((16,) + shape, dtype=dtype))
         self.n = self.n_kids = self.n_parts = 0
-        self.index = KeyHashTable(capacity=512)  # grows; a thousand ranks hold one each
+        self.index = KeyHashTable()
 
     @classmethod
     def over(cls, batch: CellBatch) -> "CellTable":
         """The table of one complete tree: its columns *are* the batch's
         arrays (nothing is copied, so a write to either is seen through
-        both), every row :data:`SILENT` and every child key the batch
-        holds resolved to its row.  This is the serial code's table: the
-        one-rank case, with nothing remote to catch."""
+        both) and every row :data:`SILENT`.  The batch is numbered as
+        :func:`~repro.core.tree.build_tree` numbers cells: the children
+        of a cell are the rows after it, so child slot ``i`` is row
+        ``i + 1`` and every child resolves without a lookup.  This is
+        the serial code's table: the one-rank case, with nothing remote
+        to catch."""
         table = cls()
         for name in CellBatch.__slots__:
             setattr(table, name, getattr(batch, name))
@@ -229,42 +240,45 @@ class CellTable(CellBatch):
         for name in ("kind", "prefetched", "branch", "used"):
             setattr(table, name, np.zeros(table.n, dtype=getattr(table, name).dtype))
         table.index.insert(batch.key, np.arange(table.n, dtype=np.int64))
-        rows, found = table.index.lookup(batch.child_key)
-        table.child_row = np.where(found, rows, -1)
+        table.child_row = np.arange(1, table.n, dtype=np.int64)
         return table
 
     def __len__(self) -> int:
         return self.n
 
-    def _extend(self, name: str, used: int, count: int, new) -> None:
-        col = getattr(self, name)
-        if used + count > col.shape[0]:
-            grown = np.empty((max(used + count, 2 * col.shape[0]),) + col.shape[1:],
-                             dtype=col.dtype)
+    def _reserve(self, group, used: int, need: int) -> None:
+        """Grow every column of ``group`` (they share a length) to hold
+        ``need`` entries, keeping the first ``used``."""
+        if need <= getattr(self, group[0][0]).shape[0]:
+            return
+        for name, _, _ in group:
+            col = getattr(self, name)
+            grown = np.empty((max(need, 2 * col.shape[0]),) + col.shape[1:], dtype=col.dtype)
             grown[:used] = col[:used]
             setattr(self, name, grown)
-            col = grown
-        col[used:used + count] = new
 
     def append(self, batch: CellBatch, kind) -> np.ndarray:
         """Add ``batch`` as new rows of the given kind(s); returns the rows."""
-        n, count = self.n, len(batch)
-        for name, _, _ in _FIELDS + _RUNS:
-            self._extend(name, n, count, getattr(batch, name))
-        self.cstart[n:n + count] += self.n_kids
-        self.pstart[n:n + count] += self.n_parts
-        for name, fill in (("kind", kind), ("prefetched", False), ("branch", 0), ("used", 0)):
-            self._extend(name, n, count, fill)
-        self._extend("child_key", self.n_kids, len(batch.child_key), batch.child_key)
-        self._extend("child_row", self.n_kids, len(batch.child_key), -1)
-        self._extend("ppos", self.n_parts, len(batch.pmass), batch.ppos)
-        self._extend("pmass", self.n_parts, len(batch.pmass), batch.pmass)
-        self.n += count
-        self.n_kids += len(batch.child_key)
-        self.n_parts += len(batch.pmass)
-        self.kill(batch.key)  # a key has one live row: this one supersedes
-        rows = np.arange(n, n + count, dtype=np.int64)
-        self.index.insert(batch.key, rows)
+        n, k, p = self.n, self.n_kids, self.n_parts
+        end, k_end, p_end = n + len(batch), k + len(batch.child_key), p + len(batch.pmass)
+        self._reserve(_ROWS, n, end)
+        self._reserve(_KIDS, k, k_end)
+        self._reserve(_PARTS, p, p_end)
+        for name, _, _ in _FIELDS:
+            getattr(self, name)[n:end] = getattr(batch, name)
+        np.add(batch.cstart, k, out=self.cstart[n:end])
+        np.add(batch.pstart, p, out=self.pstart[n:end])
+        self.cn[n:end], self.pn[n:end] = batch.cn, batch.pn
+        self.kind[n:end], self.prefetched[n:end], self.branch[n:end], self.used[n:end] = (
+            kind, False, 0, 0)
+        self.child_key[k:k_end], self.child_row[k:k_end] = batch.child_key, -1
+        self.ppos[p:p_end], self.pmass[p:p_end] = batch.ppos, batch.pmass
+        self.n, self.n_kids, self.n_parts = end, k_end, p_end
+        rows = np.arange(n, end, dtype=np.int64)
+        # A key has one live row: the index moves to the new one, and
+        # the row it leaves (an older copy, or an earlier one of the
+        # same batch) is retired in the same pass.
+        self.kind[self.index.insert(batch.key, rows)] = DEAD
         return rows
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +289,9 @@ class CellTable(CellBatch):
 
     def fetched(self) -> np.ndarray:
         """Rows of the remote cells held: the cache's content.  A row
-        counts while it is :data:`REMOTE` and the index points at it (of
-        one key twice in a reply, the later copy is the live one).
+        counts while it is :data:`REMOTE`: one the index no longer points
+        at is :data:`DEAD` (of one key twice in a reply, the later copy
+        is the live one), and so is one killed or evicted.
 
         >>> own, reply = CellBatch.empty(2), CellBatch.empty(3)
         >>> own.key[:], reply.key[:] = (8, 9), (72, 73, 72)
@@ -290,8 +305,7 @@ class CellTable(CellBatch):
         >>> table.fetched()
         array([4])
         """
-        rows = np.flatnonzero(self.kind[:self.n] == REMOTE)
-        return rows[self.index.lookup(self.key[rows])[0] == rows]
+        return np.flatnonzero(self.kind[:self.n] == REMOTE)
 
     def kill(self, keys) -> None:
         """Forget keys (evicted, superseded): their rows stay, marked

@@ -637,7 +637,7 @@ class _Traversal:
         return np.minimum(np.searchsorted(self.cuts, key_spans(keys)[0], side="right"),
                           self.comm.size - 1)
 
-    def serve_batch(self, requester: int, batch: KeyBatch) -> CellRows | None:
+    def serve_batch(self, requester: int, batch: KeyBatch | None) -> CellRows | None:
         """Name the arena rows of the requested cells: a rank's own
         cells open its table, so its row ``i`` is arena row ``base + i``."""
         if not batch:
@@ -649,10 +649,12 @@ class _Traversal:
         rows += self.frame.base[self.comm.rank]
         return CellRows(rows, int(self.frame.row_nbytes[rows].sum()))
 
-    def request_lists(self, keys: np.ndarray) -> list[KeyBatch]:
+    def request_lists(self, keys: np.ndarray) -> list[KeyBatch | None]:
         """One sorted request batch per owner for the distinct, sorted
-        ``keys``, counted into the request/batch statistics."""
-        reqs = [KeyBatch(keys[:0])] * self.comm.size
+        ``keys`` (``None`` for an owner asked nothing: it costs what an
+        empty batch does, 0 bytes), counted into the request/batch
+        statistics."""
+        reqs: list[KeyBatch | None] = [None] * self.comm.size
         owners = self.owners_of(keys)
         order = np.argsort(owners, kind="stable")
         firsts = np.flatnonzero(np.diff(owners[order], prepend=-1)).tolist()

@@ -34,6 +34,8 @@ DOCTESTED_MODULES = [
     "repro.campaign.spec",
     "repro.obs.wallclock",
     "repro.simmpi.patterns",
+    "repro.core.hashtable",
+    "repro.core.celltable",
 ]
 
 

@@ -149,6 +149,17 @@ def test_neighbors_pinned(name):
         "`PYTHONPATH=src python -m tests.test_serial_pins --regen`")
 
 
+@pytest.mark.parametrize("name", sorted({**GRAVITY, **NEIGHBORS}))
+def test_child_rows_are_the_key_lookup(name):
+    # `Tree.table` resolves child slot i to row i + 1 by the tree's
+    # numbering, without a lookup: it must be what the lookup says.
+    spec = {**GRAVITY, **NEIGHBORS}[name]
+    pos, masses = _cloud(spec["cloud"], spec["n"])
+    table = build_tree(pos, masses, bucket_size=spec["bucket"]).table
+    rows, found = table.index.lookup(table.child_key[:table.n_kids])
+    assert found.all() and np.array_equal(table.child_row, rows)
+
+
 if __name__ == "__main__":
     import sys
 
