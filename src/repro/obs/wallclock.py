@@ -15,7 +15,10 @@ Span names follow the layers they time: ``gravity.*``, ``sph.*``,
 ``simmpi.engine`` (the event loop) and ``simmpi.dispatch`` (message
 matching and collective bookkeeping), ``core.parallel.admit`` (the
 gather that copies a round's replied cell records out of the step's
-arena), one ``pipeline.<stage>`` per pipeline stage plus
+arena), one ``core.parallel.<label>`` per compute label of the rank
+programs (their own host work between yields, which the engine times;
+the ``engine`` bucket, as before the split), one ``pipeline.<stage>``
+per pipeline stage plus
 ``pipeline.checkpoint``, and ``campaign.fingerprint`` /
 ``campaign.compute`` / ``campaign.store`` / ``campaign.finalize``.
 Only the thread that installed the recorder opens spans: the helper
@@ -89,6 +92,7 @@ BUCKET_PREFIXES = (
     ("simmpi.engine", "engine"),
     ("simmpi.dispatch", "comm"),
     ("core.parallel.admit", "serialization"),
+    ("core.parallel.", "engine"),
     ("pipeline.checkpoint", "serialization"),
     ("campaign.store", "serialization"),
     ("campaign.finalize", "serialization"),
@@ -143,9 +147,10 @@ def bucket_of(name: str) -> str:
 def format_report(table: Mapping[str, float]) -> str:
     """ASCII table of self seconds per span name, largest first."""
     total = sum(table.values())
-    lines = [f"{'span':<24} {'seconds':>14} {'share':>8}"]
+    w = max(24, *map(len, table)) if table else 24
+    lines = [f"{'span':<{w}} {'seconds':>14} {'share':>8}"]
     for name, s in sorted(table.items(), key=lambda kv: -kv[1]):
         share = 100.0 * s / total if total else 0.0
-        lines.append(f"{name:<24} {s:>14.6f} {share:>7.2f}%")
-    lines.append(f"{'total':<24} {total:>14.6f} {'100.00%':>8}")
+        lines.append(f"{name:<{w}} {s:>14.6f} {share:>7.2f}%")
+    lines.append(f"{'total':<{w}} {total:>14.6f} {'100.00%':>8}")
     return "\n".join(lines)
