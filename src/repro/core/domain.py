@@ -13,8 +13,9 @@ The rank-local halves of the parallel sample sort the treecode runs
 over SimMPI live here too: :func:`key_sort` orders a rank's columns
 along the curve, :func:`sample_splitters` draws its splitter sample,
 :func:`pick_splitters` turns the allgathered samples into the
-key-space boundaries every rank agrees on, and :func:`piece_bounds`
-cuts a rank's sorted keys at them for the exchange (the collectives
+key-space boundaries every rank agrees on, :func:`splitter_cuts` puts
+them in one array, and :func:`piece_bounds` cuts a rank's sorted keys
+at them for the exchange (the collectives
 themselves stay in :mod:`repro.core.parallel`).  :func:`splitter_candidates` and
 :func:`merge_splitter_candidates` move those boundaries between
 timesteps from measured work.  :func:`morton_traversal_order_2d`
@@ -24,6 +25,8 @@ produces the self-similar load-balancing curve of Figure 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "key_sort",
     "sample_splitters",
     "pick_splitters",
+    "splitter_cuts",
     "piece_bounds",
     "splitter_candidates",
     "merge_splitter_candidates",
@@ -180,31 +184,38 @@ def sample_splitters(sorted_keys: np.ndarray, n_pieces: int, oversample: int = 3
     return sorted_keys[np.linspace(0, n - 1, k).astype(np.int64)]
 
 
-def _clamp_monotone(splitters: list[int]) -> list[int]:
-    """Force a splitter list non-decreasing (an inversion becomes an empty range)."""
-    for i in range(1, len(splitters)):
-        splitters[i] = max(splitters[i], splitters[i - 1])
-    return splitters
-
-
-def pick_splitters(samples: list[np.ndarray], n_pieces: int) -> list[int]:
+def pick_splitters(samples: Sequence[np.ndarray], n_pieces: int) -> tuple[int, ...]:
     """Agreed key-space boundaries from every rank's :func:`sample_splitters`.
 
-    Returns the length ``n_pieces + 1`` monotone list
-    ``[MIN_PKEY, s_1, …, END_PKEY]``; piece ``p`` owns keys in
-    ``[s_p, s_{p+1})``.  Duplicate samples give empty ranges.
+    Returns the length ``n_pieces + 1`` monotone tuple
+    ``(MIN_PKEY, s_1, …, END_PKEY)`` of Python ints; piece ``p`` owns
+    keys in ``[s_p, s_{p+1})``.  Duplicate samples give empty ranges.
+
+    >>> keys = np.array([MIN_PKEY + k for k in (5, 1, 9, 3)], dtype=np.uint64)
+    >>> [s - MIN_PKEY for s in pick_splitters([keys[:2], keys[2:]], 2)[:-1]]
+    [0, 5]
     """
     merged = np.sort(np.concatenate(samples))
     if merged.size == 0:
         raise ValueError("no particles anywhere")
-    picks = (np.arange(1, n_pieces) * merged.size) // n_pieces
-    return _clamp_monotone([MIN_PKEY, *(int(merged[p]) for p in picks), END_PKEY])
+    picks = merged[(np.arange(1, n_pieces) * merged.size) // n_pieces]
+    inner = np.maximum.accumulate(np.maximum(picks, np.uint64(MIN_PKEY)))
+    return (MIN_PKEY, *inner.tolist(), END_PKEY)
 
 
-def piece_bounds(sorted_keys: np.ndarray, splitters: list[int]) -> np.ndarray:
-    """Indices cutting ``sorted_keys`` at the splitters: piece ``p`` of a
-    rank's sorted particles is ``[b[p], b[p+1])``, bound for rank ``p``."""
-    cuts = np.array([min(s, END_PKEY - 1) for s in splitters[1:-1]], dtype=np.uint64)
+def splitter_cuts(splitters: Sequence[int]) -> np.ndarray:
+    """The interior splitters as one read-only uint64 array, what
+    :func:`piece_bounds` and an owner lookup search: ``s_1 … s_{P-1}``,
+    an end sentinel among them clamped to the last key."""
+    cuts = np.minimum(np.array(splitters[1:-1], dtype=object), END_PKEY - 1).astype(np.uint64)
+    cuts.flags.writeable = False
+    return cuts
+
+
+def piece_bounds(sorted_keys: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Indices cutting ``sorted_keys`` at the :func:`splitter_cuts`:
+    piece ``p`` of a rank's sorted particles is ``[b[p], b[p+1])``,
+    bound for rank ``p``."""
     inner = np.searchsorted(sorted_keys, cuts, side="left")
     return np.concatenate([[0], inner, [sorted_keys.shape[0]]]).astype(np.int64)
 
@@ -275,8 +286,8 @@ def splitter_candidates(
 
 
 def merge_splitter_candidates(
-    old_splitters: list[int], proposals: list[dict[int, int]]
-) -> list[int]:
+    old_splitters: Sequence[int], proposals: Sequence[dict[int, int]]
+) -> tuple[int, ...]:
     """Combine per-rank proposals into a full monotone splitter list.
 
     ``old_splitters`` is the current length-``P+1`` list (sentinels at
@@ -286,14 +297,16 @@ def merge_splitter_candidates(
     pathological proposal can never invert two domains.
 
     >>> merge_splitter_candidates([0, 25, 50, 100], [{1: 31}, {}])
-    [0, 31, 50, 100]
+    (0, 31, 50, 100)
+    >>> merge_splitter_candidates([0, 25, 50, 100], [{1: 60}])  # 50 clamps up
+    (0, 60, 60, 100)
     """
     new = list(old_splitters)
-    for prop in proposals:
+    for prop in filter(None, proposals):
         for b, key in prop.items():
             if 0 < b < len(new) - 1:
                 new[b] = int(key)
-    return _clamp_monotone(new)
+    return tuple(accumulate(new, max))
 
 
 def morton_traversal_order_2d(positions: np.ndarray, box: BoundingBox | None = None) -> np.ndarray:

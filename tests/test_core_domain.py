@@ -137,14 +137,14 @@ class TestSamplingAndCurve:
         assert splitters[0] == 2**63 and splitters[-1] == 2**64 and len(splitters) == 5
         assert np.all(np.abs(np.diff(np.searchsorted(keys, np.array(splitters[1:-1], dtype=np.uint64))) - 250) < 40)
         same = pick_splitters([np.full(8, keys[3])] * 2, 3)
-        assert same == [2**63, int(keys[3]), int(keys[3]), 2**64]
+        assert same == (2**63, int(keys[3]), int(keys[3]), 2**64)
 
     def test_sample_splitters_empty(self):
         out = sample_splitters(np.empty(0, dtype=np.uint64), 4)
         assert out.size == 0
         # An empty rank's sample drops out of the agreement; none at all refuses.
         one = pick_splitters([out, np.array([2**63 + 7], dtype=np.uint64)], 2)
-        assert one == [2**63, 2**63 + 7, 2**64]
+        assert one == (2**63, 2**63 + 7, 2**64)
         with pytest.raises(ValueError, match="no particles"):
             pick_splitters([out, out], 2)
 

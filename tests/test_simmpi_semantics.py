@@ -266,7 +266,7 @@ class TestCollectiveAgreement:
             return (total, everything)
 
         result = run(prog, 4, cost=COST)
-        assert result.returns == [(6, [0, 1, 2, 3])] * 4
+        assert result.returns == [(6, (0, 1, 2, 3))] * 4
 
     def test_missing_collective_participant_deadlocks(self):
         """One rank skipping a collective is a hang, not a hidden pass."""

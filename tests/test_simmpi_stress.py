@@ -97,7 +97,7 @@ class TestRandomMatchedTraffic:
             for r in range(rounds):
                 acc += yield comm.allreduce(comm.rank + r)
                 blocks = yield comm.allgather(comm.rank)
-                assert blocks == list(range(comm.size))
+                assert blocks == tuple(range(comm.size))
                 yield comm.barrier()
             return acc
 
