@@ -43,7 +43,7 @@ stays bounded without a knob.
 
 Neither rule sees a flipped digit inside a ``result`` value: the
 fingerprint covers the spec only.  Line checksums for both files are
-ROADMAP hardening item (c).
+ROADMAP item 3.
 """
 
 from __future__ import annotations
