@@ -23,8 +23,7 @@ The text report of a trace is ``python -m repro.obs analyze`` (the
 ``format_*`` renderers of :mod:`repro.obs.analysis`).
 
 When nothing is installed, a wall span is a shared no-op context, and
-an untraced engine run records into the no-op
-:data:`~repro.obs.model.NULL` recorder.
+an untraced engine run records into no recorder at all.
 """
 
 from .analysis import (
@@ -59,9 +58,7 @@ from .history import (
     robust_baseline,
 )
 from .model import (
-    NULL,
     Counter,
-    NullRecorder,
     Recorder,
     Span,
     validate_nesting,
@@ -72,8 +69,6 @@ __all__ = [
     "Span",
     "Counter",
     "Recorder",
-    "NullRecorder",
-    "NULL",
     "validate_nesting",
     "chrome_trace",
     "parse_chrome_trace",

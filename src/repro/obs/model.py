@@ -24,9 +24,8 @@ recorder's clock relative to its origin.  Exporters
 don't care which — a span is a span, the one interval record of this
 package.
 
-An untraced engine run must cost nothing: :data:`NULL` is a shared
-:class:`NullRecorder` whose every method is a constant-time no-op, so
-the engine can call ``observer.count(...)`` unconditionally.
+An untraced engine run has no recorder at all: the engine touches
+its ``observer`` only in a traced run.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
     "Span",
     "Counter",
     "Recorder",
-    "NullRecorder",
-    "NULL",
     "validate_nesting",
 ]
 
@@ -170,48 +167,6 @@ class Recorder:
 
     def count(self, name: str, delta: float = 1.0) -> None:
         self.counter(name).add(delta)
-
-
-class _NullCounter:
-    __slots__ = ()
-    value = 0.0
-
-    def add(self, delta: float = 1.0) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter()
-
-
-class NullRecorder(Recorder):
-    """Recorder whose every operation is a no-op: the untraced engine.
-
-    Shared as :data:`NULL`; the engine holds a reference and calls it
-    unconditionally, paying one attribute lookup and an empty call when
-    its run is not traced.
-    """
-
-    spans: tuple = ()  # type: ignore[assignment]
-    counters: dict = {}
-
-    def __init__(self) -> None:  # no clock capture, no state
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def add_span(self, name, t_start, t_end, *, track=0, cat="", args=None) -> None:
-        pass
-
-    def counter(self, name):
-        return _NULL_COUNTER
-
-    def count(self, name, delta: float = 1.0) -> None:
-        pass
-
-
-#: The shared disabled recorder.
-NULL = NullRecorder()
 
 
 def _spans_of(source: Recorder | Iterable[Span]) -> list[Span]:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelConfig, parallel_tree_accelerations, tree_accelerations
-from repro.obs import NULL, Recorder, chrome_trace, dumps_canonical, metrics, wallclock
+from repro.obs import Recorder, chrome_trace, dumps_canonical, metrics, wallclock
 from repro.simmpi import Comm, SpaceSimulatorCost, run
 from repro.simmpi.trace import utilization
 from repro.sph import compute_sph_forces, density_sum
@@ -178,8 +178,6 @@ def test_null_recorder_emits_nothing(monkeypatch):
     monkeypatch.setattr(Recorder, "count", refuse)
     _serial_pipeline()
     assert wallclock.ACTIVE is None
-    # The untraced engine's shared NULL recorder never holds state.
-    assert len(NULL.spans) == 0 and NULL.counters == {}
 
 
 def regen() -> None:

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL,
     Counter,
-    NullRecorder,
     Recorder,
     Span,
     chrome_trace,
@@ -86,21 +84,6 @@ class TestRecorder:
         rec = Recorder()
         rec.add_span("s", 0, 1, args={"b": 2, "a": 1})
         assert rec.spans[0].args == (("a", 1), ("b", 2))
-
-
-class TestNullRecorder:
-    def test_everything_is_a_noop(self):
-        n = NullRecorder()
-        n.count("c", 5)
-        n.add_span("y", 0, 1, track=1, cat="compute")
-        assert n.spans == ()
-        assert n.counters == {}
-        assert n.counter("c").value == 0.0
-        assert n.now() == 0.0
-
-    def test_shared_singleton(self):
-        assert isinstance(NULL, NullRecorder)
-        assert NULL.counter("a") is NULL.counter("b")
 
 
 class TestValidateNesting:
