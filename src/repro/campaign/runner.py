@@ -14,13 +14,16 @@ and hot scenarios are cache hits.  The pipeline:
    OS-process pool (:mod:`repro.campaign.workers`).
 4. **Ledger** every completion: one appended, flushed line of
    ``ledger.jsonl`` (:meth:`repro.campaign.store.ResultStore.append_ledger`),
-   the very line ``results.jsonl`` will carry.  A coordinator killed
+   the very line ``results.jsonl`` will carry: the record keeps it.
+   The campaign holds one handle, opened at its first append and
+   closed however the shard loop ends.  A coordinator killed
    mid-line leaves an unterminated tail that resume ignores and the
-   next append cuts off; every terminated line whose fingerprint still
-   names its spec is never recomputed.
+   next campaign's first append cuts off; every terminated line whose
+   fingerprint still names its spec is never recomputed.
 5. **Finalize** the store
    (:meth:`repro.campaign.store.ResultStore.finalize`): canonical
-   ``results.jsonl`` in catalog order (bit-identical across
+   ``results.jsonl`` in catalog order, from the lines the records
+   carry, never encoded again (bit-identical across
    serial/pooled/resumed runs) — at which point the ledger is removed —
    then operational ``shards.jsonl`` and the sqlite query index.  Each
    file is replaced only if its bytes differ and the index rebuilt only
@@ -40,13 +43,13 @@ span may not be held open across a generator's ``yield``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
 from ..obs import wallclock
 from .fingerprint import scenario_fingerprint_hex
 from .spec import ScenarioSpec, as_spec
-from .store import ResultStore
+from .store import Record, ResultStore
 from .workers import resolve_workers, run_shards
 
 __all__ = ["CampaignReport", "run_campaign"]
@@ -71,27 +74,15 @@ class CampaignReport:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of catalog entries served without computing."""
-        if self.total_shards == 0:
-            return 0.0
+        """Fraction of catalog entries served without computing (0 for none)."""
         hits = self.dedupe_hits + self.cache_hits + self.resume_hits
-        return hits / self.total_shards
+        return hits / max(self.total_shards, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "total_shards": self.total_shards,
-            "unique": self.unique,
-            "computed": self.computed,
-            "dedupe_hits": self.dedupe_hits,
-            "cache_hits": self.cache_hits,
-            "resume_hits": self.resume_hits,
-            "failed": self.failed,
-            "hit_rate": self.hit_rate,
-            "seconds": self.seconds,
-            "workers": self.workers,
-            "errors": dict(self.errors),
-        }
+        """Every field but ``computed_fingerprints``, plus ``hit_rate``."""
+        d = asdict(self)
+        del d["computed_fingerprints"]
+        return {**d, "hit_rate": self.hit_rate}
 
 
 def run_campaign(
@@ -152,26 +143,28 @@ def run_campaign(
     seconds_by_fp: dict[str, float] = {}
 
     shards = run_shards(pending, workers=n_workers, throttle=throttle)
-    while True:
-        with wallclock.span("campaign.compute", cat="campaign"):
-            done = next(shards, None)
-        if done is None:
-            break
-        fp, record = done
-        seconds_by_fp[fp] = float(record.pop("seconds", 0.0))
-        record["fingerprint"] = fp
-        # One flushed line: this shard survives any crash from here on.
-        with wallclock.span("campaign.store", cat="campaign"):
-            store.append_ledger(record)
-        if "error" in record:
-            status[fp] = "failed"
-            report.failed += 1
-            report.errors[fp] = record["error"]
-            continue
-        known[fp] = record
-        status[fp] = "computed"
-        report.computed += 1
-        report.computed_fingerprints.append(fp)
+    with store.appending():  # one ledger handle, opened by the first shard
+        while True:
+            with wallclock.span("campaign.compute", cat="campaign"):
+                done = next(shards, None)
+            if done is None:
+                break
+            fp, record = done
+            seconds_by_fp[fp] = float(record.pop("seconds", 0.0))
+            record = Record(record, fingerprint=fp)
+            # One flushed line: this shard survives any crash from here
+            # on, and the record carries that line to ``results.jsonl``.
+            with wallclock.span("campaign.store", cat="campaign"):
+                store.append_ledger(record)
+            if "error" in record:
+                status[fp] = "failed"
+                report.failed += 1
+                report.errors[fp] = record["error"]
+                continue
+            known[fp] = record
+            status[fp] = "computed"
+            report.computed += 1
+            report.computed_fingerprints.append(fp)
 
     rows = []
     seen: set[str] = set()

@@ -28,8 +28,20 @@ inodes and mtimes alone and syncs nothing; whenever ``results.jsonl``
 A campaign *in progress* also holds ``ledger.jsonl``, the crash
 ledger: each completed shard appends exactly the line ``results.jsonl``
 will later carry, a failed shard the same shape with ``error`` in place
-of ``result``, so ``tail -f ledger.jsonl`` is the live view.  The two
-files are read by opposite rules.  The ledger *heals*:
+of ``result``, so ``tail -f ledger.jsonl`` is the live view.  A
+campaign appends through one handle (:meth:`ResultStore.appending`),
+flushed after every line.
+
+**A line is encoded once, then carried.**  Every record the store
+reads or appends is a :class:`Record` carrying its line: the line
+``load_results`` read, the line ``load_ledger`` validated, the line
+``append_ledger`` encoded for a computed shard.  That line is the one
+``results.jsonl`` gets, so :meth:`ResultStore.canonical_result_line`
+runs only for a record that arrives without one (a plain ``dict``
+handed to :meth:`ResultStore.write_results`), and a rerun of a finished
+campaign encodes no result line and writes nothing.
+
+The files are read by opposite rules.  The ledger *heals*:
 :meth:`ResultStore.load_ledger` returns only newline-terminated lines
 that parse, carry a ``result`` and whose spec still has their ``kind``
 and re-fingerprints to their ``fingerprint``; anything else is skipped
@@ -38,20 +50,24 @@ last newline is cut off before the next append.  The finalized files
 *refuse*:
 :meth:`ResultStore.load_results` and :meth:`ResultStore.load_shards`
 raise ``ValueError`` naming file and line on the first damaged one.
-The ledger is removed once ``results.jsonl`` is in place, so disk
-stays bounded without a knob.
+``results.jsonl`` is the store's own output, so a line of it that
+parses and carries the keys is trusted and taken verbatim: a line
+re-serialised by hand (other spacing, other key order) is carried
+through every later run, not rewritten.  The ledger is removed once
+``results.jsonl`` is in place, so disk stays bounded without a knob.
 
-Neither rule sees a flipped digit inside a ``result`` value: the
-fingerprint covers the spec only.  Line checksums for both files are
-ROADMAP item 3.
+Neither rule sees a flipped digit inside a ``result`` value (the
+fingerprint covers the spec only), nor a results line re-serialised by
+hand.  Line checksums for both files are ROADMAP item 3.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
-from typing import Any, Iterable, Mapping
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping
 
 from .fingerprint import canonical_json, scenario_fingerprint_hex
 
@@ -61,6 +77,14 @@ __all__ = ["ResultStore", "SHARD_STATUSES"]
 SHARD_STATUSES = ("computed", "dedupe", "resumed", "cached", "failed")
 
 _RESULT_KEYS = ("fingerprint", "kind", "spec", "result")
+
+
+class Record(dict):
+    """A row that carries ``line``, the bytes (newline included) it was
+    read as, or for a result record the line it was first encoded to:
+    no line is encoded twice.  ``dict`` equality ignores it."""
+
+    line: bytes | None = None
 
 
 class ResultStore:
@@ -73,13 +97,16 @@ class ResultStore:
         self.shards_path = os.path.join(root, "shards.jsonl")
         self.ledger_path = os.path.join(root, "ledger.jsonl")
         self.db_path = os.path.join(root, "index.sqlite")
+        self._holding = False  # inside :meth:`appending`
+        self._ledger: BinaryIO | None = None
 
     @staticmethod
-    def _load_finalized(path: str, keys: tuple[str, ...]) -> list[dict]:
-        """Rows of a finalized JSONL file ([] if absent).  Refuses with
-        a ``ValueError`` naming path and line number on the first line
-        that is not a JSON object carrying every one of ``keys``."""
-        rows: list[dict] = []
+    def _load_finalized(path: str, keys: tuple[str, ...]) -> list[Record]:
+        """Rows of a finalized JSONL file ([] if absent), each carrying
+        its line.  Refuses with a ``ValueError`` naming path and line
+        number on the first line that is not a JSON object carrying
+        every one of ``keys``."""
+        rows: list[Record] = []
         if not os.path.exists(path):
             return rows
         with open(path, "rb") as fh:
@@ -95,6 +122,8 @@ class ResultStore:
                         f"{path}:{lineno}: damaged line ({type(exc).__name__}: {exc}); "
                         "finalized campaign files are not healed"
                     ) from exc
+                row = Record(row)
+                row.line = line if line.endswith(b"\n") else line + b"\n"
                 rows.append(row)
         return rows
 
@@ -108,6 +137,17 @@ class ResultStore:
         they can never leak into the bit-identity surface.
         """
         return canonical_json({k: record[k] for k in _RESULT_KEYS})
+
+    @classmethod
+    def _result_line(cls, record: Mapping) -> bytes:
+        """The line ``record`` carries, else its canonical line (which a
+        :class:`Record` then carries)."""
+        line = getattr(record, "line", None)
+        if line is None:
+            line = cls.canonical_result_line(record).encode("ascii") + b"\n"
+            if isinstance(record, Record):
+                record.line = line
+        return line
 
     @staticmethod
     def _replace(path: str, data: bytes, *, sync: bool) -> bool:
@@ -130,41 +170,60 @@ class ResultStore:
         return True
 
     def _put_results(self, records: Iterable[Mapping]) -> bool:
-        data = "".join(self.canonical_result_line(r) + "\n" for r in records)
-        changed = self._replace(self.results_path, data.encode("ascii"), sync=True)
+        data = b"".join(self._result_line(r) for r in records)
+        changed = self._replace(self.results_path, data, sync=True)
         if os.path.exists(self.ledger_path):
             os.remove(self.ledger_path)
         return changed
 
     def write_results(self, records: Iterable[Mapping]) -> str:
-        """Make ``results.jsonl`` hold ``records`` (atomically: temp +
-        ``fsync`` + ``os.replace``, unless it already holds those
-        bytes), then drop the crash ledger it supersedes."""
+        """Make ``results.jsonl`` hold ``records``, one line each (the
+        line a :class:`Record` carries, else the canonical one;
+        atomically: temp + ``fsync`` + ``os.replace``, unless it already
+        holds those bytes), then drop the crash ledger it supersedes."""
         self._put_results(records)
         return self.results_path
 
     def load_results(self) -> dict[str, dict]:
-        """Finalized results keyed by fingerprint hex ({} if none)."""
+        """Finalized results keyed by fingerprint hex ({} if none), each
+        a :class:`Record` carrying the line it was read as."""
         return {r["fingerprint"]: r
                 for r in self._load_finalized(self.results_path, _RESULT_KEYS)}
 
     # -- crash ledger ----------------------------------------------------
+    @contextlib.contextmanager
+    def appending(self) -> Iterator["ResultStore"]:
+        """Inside, :meth:`append_ledger` keeps one handle: opened at the
+        first append, closed on the way out, whatever ends the block."""
+        self._holding = True
+        try:
+            yield self
+        finally:
+            self._holding = False
+            if self._ledger is not None:
+                self._ledger.close()
+                self._ledger = None
+
     def append_ledger(self, record: Mapping) -> None:
         """Append one finished shard as one flushed line: the
         ``results.jsonl`` line if it carries ``result``, else the same
-        shape with ``error``.  A killed writer's fragment after the
-        last newline is cut off first, never glued to the new line."""
+        shape with ``error``.  Opening the ledger cuts a killed
+        writer's fragment after the last newline, so it is never glued
+        to the new line; every line is flushed before this returns, so
+        a pool forked while the handle is open inherits no buffer."""
         if "result" in record:
-            line = self.canonical_result_line(record)
+            line = self._result_line(record)
         else:
-            line = canonical_json({k: record[k] for k in (*_RESULT_KEYS[:3], "error")})
-        with open(self.ledger_path, "ab+") as fh:
-            if fh.tell():
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    fh.seek(0)
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
-            fh.write(line.encode("ascii") + b"\n")
+            fields = {k: record[k] for k in (*_RESULT_KEYS[:3], "error")}
+            line = canonical_json(fields).encode("ascii") + b"\n"
+        # Outside :meth:`appending`, this one append is a block of its own.
+        with contextlib.nullcontext() if self._holding else self.appending():
+            if self._ledger is None:
+                self._ledger = open(self.ledger_path, "ab+")
+                self._ledger.seek(0)
+                self._ledger.truncate(self._ledger.read().rfind(b"\n") + 1)
+            self._ledger.write(line)
+            self._ledger.flush()
 
     def load_ledger(self) -> dict[str, dict]:
         """Ledger records that can be trusted, keyed by fingerprint hex.
@@ -188,6 +247,8 @@ class ResultStore:
                 spec = record["spec"]
                 if ("result" in record and record["kind"] == spec["kind"]
                         and scenario_fingerprint_hex(spec) == record["fingerprint"]):
+                    record = Record(record)
+                    record.line = line + b"\n"
                     out[record["fingerprint"]] = record
             except Exception:  # noqa: BLE001 — any damage means recompute
                 continue

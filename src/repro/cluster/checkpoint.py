@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..machine.node import NodeSpec, SPACE_SIMULATOR_NODE
 from .reliability import SS_COMPONENTS, ComponentPopulation
@@ -146,24 +147,34 @@ class CheckpointPlan:
     restart_hours: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1 or self.work_hours <= 0 or self.state_bytes_per_node <= 0:
-            raise ValueError("invalid checkpoint plan")
+        """Refuse a field no derived number could be right for (NaN
+        fails every test), naming it: the numbers below are cached."""
+        for name, ok, want in (
+            ("n_nodes", self.n_nodes >= 1, ">= 1"),
+            ("work_hours", 0 < self.work_hours < math.inf, "> 0 and finite"),
+            ("state_bytes_per_node", 0 < self.state_bytes_per_node < math.inf, "> 0 and finite"),
+            ("restart_hours", 0 <= self.restart_hours < math.inf, ">= 0 and finite"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"CheckpointPlan.{name} must be {want}, got {getattr(self, name)!r}")
 
-    @property
+    # The plan is frozen, so each number is worked out once, on first use.
+    @cached_property
     def dump_hours(self) -> float:
         """Checkpoint cost with the paper's parallel-local-disk I/O."""
         seconds = self.node.disk.write_time_s(self.state_bytes_per_node / 1e6)
         return seconds / 3600.0
 
-    @property
+    @cached_property
     def mtbf_hours(self) -> float:
         return job_mtbf_hours(self.n_nodes)
 
-    @property
+    @cached_property
     def optimal_interval_hours(self) -> float:
         return young_interval(self.dump_hours, self.mtbf_hours)
 
-    @property
+    @cached_property
     def expected_wall_hours(self) -> float:
         return expected_runtime(
             self.work_hours, self.dump_hours, self.mtbf_hours,
