@@ -21,6 +21,40 @@ from .power import PowerSpectrum
 __all__ = ["InitialConditions", "zeldovich_ics", "gaussian_field"]
 
 
+def _white_modes(grid: int, box_mpc_h: float, seed: int, k_cut_fraction: float):
+    """``(wk, (kx, ky, kz), k, kf)``: the seeded unit-variance modes and
+    the k-grid, shared by the fields of every scale factor of one seed."""
+    if grid < 4 or box_mpc_h <= 0:
+        raise ValueError("grid >= 4 and positive box size required")
+    if not 0 < k_cut_fraction <= 1.0:
+        raise ValueError("k_cut_fraction must be in (0, 1]")
+    rng = np.random.default_rng(seed)
+    kf = 2.0 * np.pi / box_mpc_h  # fundamental mode, h/Mpc
+    k1 = np.fft.fftfreq(grid) * grid * kf
+    kv = np.meshgrid(k1, k1, k1, indexing="ij")
+    k = np.sqrt(kv[0]**2 + kv[1]**2 + kv[2]**2)
+    # White Gaussian modes with Hermitian symmetry via real-field FFT.
+    white = rng.standard_normal((grid, grid, grid))
+    return np.fft.fftn(white) / grid**1.5, kv, k, kf
+
+
+def _delta_k(modes, power: PowerSpectrum, a: float, k_cut_fraction: float) -> np.ndarray:
+    """delta_k at scale factor ``a``: the modes scaled by sqrt(P k-volume)."""
+    wk, _, k, kf = modes
+    pk = power(np.maximum(k, 1e-10).ravel(), a).reshape(k.shape)
+    pk[0, 0, 0] = 0.0
+    pk[k > k_cut_fraction * (kf * k.shape[0] / 2.0)] = 0.0  # above the cut of Nyquist
+    return wk * (np.sqrt(pk * (kf / (2.0 * np.pi)) ** 3) * k.shape[0]**3)
+
+
+def _displacement(modes, dk: np.ndarray, box_mpc_h: float) -> np.ndarray:
+    """psi_k = -i k / k^2 delta_k, converted to box units."""
+    _, kv, k, _ = modes
+    k2 = k**2
+    k2[0, 0, 0] = 1.0
+    return np.stack([np.real(np.fft.ifftn(1j * kx / k2 * dk)) / box_mpc_h for kx in kv])
+
+
 def gaussian_field(
     grid: int,
     box_mpc_h: float,
@@ -39,33 +73,9 @@ def gaussian_field(
     Nyquist — the standard IC hygiene that keeps all seeded power in
     the band where a PM integrator evolves it accurately.
     """
-    if grid < 4 or box_mpc_h <= 0:
-        raise ValueError("grid >= 4 and positive box size required")
-    if not 0 < k_cut_fraction <= 1.0:
-        raise ValueError("k_cut_fraction must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    kf = 2.0 * np.pi / box_mpc_h  # fundamental mode, h/Mpc
-    k1 = np.fft.fftfreq(grid) * grid * kf
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-    k = np.sqrt(kx**2 + ky**2 + kz**2)
-    # White Gaussian modes with Hermitian symmetry via real-field FFT.
-    white = rng.standard_normal((grid, grid, grid))
-    wk = np.fft.fftn(white) / grid**1.5  # unit-variance complex modes
-    pk = power(np.maximum(k, 1e-10).ravel(), a).reshape(k.shape)
-    pk[0, 0, 0] = 0.0
-    k_nyquist = kf * grid / 2.0
-    pk[k > k_cut_fraction * k_nyquist] = 0.0
-    amplitude = np.sqrt(pk * (kf / (2.0 * np.pi)) ** 3) * grid**3
-    dk = wk * amplitude / box_mpc_h**0  # delta_k, dimensionless
-    delta = np.real(np.fft.ifftn(dk))
-    # Displacement: psi_k = -i k / k^2 delta_k, converted to box units.
-    k2 = k**2
-    k2[0, 0, 0] = 1.0
-    psi = np.empty((3, grid, grid, grid))
-    for axis, kv in enumerate((kx, ky, kz)):
-        psik = 1j * kv / k2 * dk
-        psi[axis] = np.real(np.fft.ifftn(psik)) / box_mpc_h  # Mpc/h -> box units
-    return delta, psi
+    modes = _white_modes(grid, box_mpc_h, seed, k_cut_fraction)
+    dk = _delta_k(modes, power, a, k_cut_fraction)
+    return np.real(np.fft.ifftn(dk)), _displacement(modes, dk, box_mpc_h)
 
 
 @dataclass
@@ -117,7 +127,9 @@ def zeldovich_ics(
         raise ValueError("a_start must be in (0, 1)")
     power = PowerSpectrum(cosmology)
     grid = n_side  # displacement grid matched to the particle lattice
-    _, psi = gaussian_field(grid, box_mpc_h, power, 1.0, seed, k_cut_fraction)  # at a=1
+    # One draw of the white modes serves psi at a=1 and delta at a_start.
+    modes = _white_modes(grid, box_mpc_h, seed, k_cut_fraction)
+    psi = _displacement(modes, _delta_k(modes, power, 1.0, k_cut_fraction), box_mpc_h)
     d = cosmology.growth_factor(a_start)
     f = cosmology.growth_rate(a_start)
     lattice = _lattice(n_side)
@@ -125,5 +137,5 @@ def zeldovich_ics(
     disp = np.stack([psi[i].ravel() for i in range(3)], axis=1)
     positions = wrap_unit(lattice + d * disp)
     velocities = f * d * disp  # dx/dlna = f D psi
-    delta, _ = gaussian_field(grid, box_mpc_h, power, a_start, seed, k_cut_fraction)
+    delta = np.real(np.fft.ifftn(_delta_k(modes, power, a_start, k_cut_fraction)))
     return InitialConditions(positions, velocities, a_start, box_mpc_h, cosmology, delta)

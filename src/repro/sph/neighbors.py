@@ -24,13 +24,23 @@ historical per-group walker is kept as
 emission order, the reference by its stack order).
 
 The result is a CSR-style neighbor list (offsets + flat indices, both
-in *tree order*), which the density and force loops consume with pure
-array arithmetic.
+in *tree order*, plus the squared separation ``d2`` of every listed
+pair, by the distance filter's own arithmetic), which the density and force
+loops consume with pure array arithmetic.
+
+A search at larger radii is a *skin*, as in a Verlet list: its lists
+answer any smaller radii without a walk.  :meth:`NeighborLists.within`
+filters each list by ``d2 <= radii[i]**2``, and the result is bit for
+bit the search at ``radii`` — a larger reach only adds cells to each
+group's walk frontier, keeping the relative order of the rest, so the
+smaller search's candidates are a subsequence of the larger's, and the
+filter is the same comparison on the same bits.  ``adapt_smoothing``
+searches once at a skin and filters every iteration from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +65,8 @@ class NeighborLists:
     offsets: np.ndarray  # (N+1,)
     neighbors: np.ndarray  # flat indices, tree order
     search_radii: np.ndarray  # (N,) radii used
+    d2: np.ndarray  # squared separation of each listed pair
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_particles(self) -> int:
@@ -67,6 +79,16 @@ class NeighborLists:
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    def within(self, radii: np.ndarray) -> "NeighborLists":
+        """The lists of a search at ``radii``, no radius above
+        ``search_radii``, cut from these without a walk: each list
+        filtered by the search's own ``d2 <= radii[i]**2``, in order."""
+        if np.any(radii > self.search_radii):
+            raise ValueError("radii beyond the search radii need a new search")
+        keep = self.d2 <= np.repeat(radii * radii, self.counts())
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return NeighborLists(kept[self.offsets], self.neighbors[keep], radii, self.d2[keep])
+
 
 def symmetric_pairs(lists: "NeighborLists") -> tuple[np.ndarray, np.ndarray]:
     """Unique unordered interaction pairs (i < j) from gather lists.
@@ -75,15 +97,20 @@ def symmetric_pairs(lists: "NeighborLists") -> tuple[np.ndarray, np.ndarray]:
     *asymmetric* (i may see j inside 2h_i while j does not see i inside
     2h_j).  Conservative SPH sums need each pair exactly once, acting
     on both members — the union of both directions, deduplicated.
+    Computed once per ``lists`` (read-only arrays, cached on it).
     """
-    n = lists.n_particles
-    i_idx = np.repeat(np.arange(n, dtype=np.int64), lists.counts())
-    j_idx = lists.neighbors
-    keep = i_idx != j_idx
-    a = np.minimum(i_idx[keep], j_idx[keep])
-    b = np.maximum(i_idx[keep], j_idx[keep])
-    packed = np.unique(a * np.int64(n) + b)
-    return packed // n, packed % n
+    if lists._pairs is None:
+        n = lists.n_particles
+        i_idx = np.repeat(np.arange(n, dtype=np.int64), lists.counts())
+        j_idx = lists.neighbors
+        keep = i_idx != j_idx
+        a = np.minimum(i_idx[keep], j_idx[keep])
+        b = np.maximum(i_idx[keep], j_idx[keep])
+        packed = np.unique(a * np.int64(n) + b)
+        lists._pairs = (packed // n, packed % n)
+        for half in lists._pairs:
+            half.flags.writeable = False
+    return lists._pairs
 
 
 def _candidate_leaves(tree: Tree, center: np.ndarray, radius: float) -> list[int]:
@@ -189,6 +216,7 @@ def find_neighbors(
         np.cumsum(ppg, out=cum_p[1:])
         neigh_counts = np.zeros(n, dtype=np.int64)
         kept_j: list[np.ndarray] = []
+        kept_d2: list[np.ndarray] = []
         pos = tree.positions
         r2 = radii * radii
         lo = 0
@@ -203,16 +231,20 @@ def find_neighbors(
             i_pair = np.repeat(np.arange(s0, s1), nc_sink)
             j_pair = cand_flat[csr_take(np.repeat(cand_off_s[lo:hi], g_cnt_s[lo:hi]), nc_sink)]
             within = kb.pair_within(pos, i_pair, j_pair, np.repeat(r2[s0:s1], nc_sink))
-            ik = i_pair[within]
+            ik, jk = i_pair[within], j_pair[within]
             neigh_counts += kb.bincount_sum(ik, None, n)
-            kept_j.append(j_pair[within])
+            kept_j.append(jk)
+            # pair_within's arithmetic again, on the kept pairs only.
+            dk = pos.take(ik, axis=0) - pos.take(jk, axis=0)
+            kept_d2.append(np.einsum("ij,ij->i", dk, dk))
             lo = hi
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(neigh_counts, out=offsets[1:])
         flat = np.concatenate(kept_j) if kept_j else np.empty(0, dtype=np.int64)
+        d2 = np.concatenate(kept_d2) if kept_d2 else np.empty(0)
         wallclock.count("sph.neighbor_mac_tests", mac_tests)
         wallclock.count("sph.neighbor_candidates", int(ppg.sum()))
-    return NeighborLists(offsets, flat, radii)
+    return NeighborLists(offsets, flat, radii, d2)
 
 
 def find_neighbors_reference(tree: Tree, radii: np.ndarray) -> NeighborLists:
@@ -225,6 +257,7 @@ def find_neighbors_reference(tree: Tree, radii: np.ndarray) -> NeighborLists:
     radii = _validate_radii(tree, radii)
     n = tree.n_particles
     lists: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+    d2s: list[np.ndarray] = [np.empty(0)] * n
     for leaf in tree.leaf_ids:
         sl = tree.particles_of(leaf)
         sinks = tree.positions[sl]
@@ -239,8 +272,8 @@ def find_neighbors_reference(tree: Tree, radii: np.ndarray) -> NeighborLists:
         dist2 = np.einsum("ijk,ijk->ij", dr, dr)
         within = dist2 <= (r_group[:, None] ** 2)
         for row, i in enumerate(range(sl.start, sl.stop)):
-            lists[i] = cand[within[row]]
+            lists[i], d2s[i] = cand[within[row]], dist2[row][within[row]]
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[1:] = np.cumsum([lst.size for lst in lists])
     flat = np.concatenate(lists) if n else np.empty(0, dtype=np.int64)
-    return NeighborLists(offsets, flat, radii)
+    return NeighborLists(offsets, flat, radii, np.concatenate(d2s) if n else np.empty(0))

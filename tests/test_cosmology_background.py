@@ -18,6 +18,7 @@ from repro.cosmology import (
     tophat_window,
     zeldovich_ics,
 )
+from tests.test_parallel_pins import _digest
 
 OPEN_LAMBDA = Cosmology(omega_m=0.25, omega_l=0.75, sigma8=0.8, n_s=0.96)
 
@@ -272,6 +273,32 @@ class TestInitialConditions:
         full = zeldovich_ics(n_side=16, seed=7, k_cut_fraction=1.0)
         cut = zeldovich_ics(n_side=16, seed=7, k_cut_fraction=0.4)
         assert cut.delta_grid.std() < full.delta_grid.std()
+
+    #: blake2b digests of (positions, velocities, delta_grid), written
+    #: when ``zeldovich_ics`` drew the whole Gaussian field twice.
+    ICS_PINS = [
+        (dict(n_side=8, seed=5),
+         ("42a2001d3ec23fe6265daa33e2be7c63", "f3ac821a376d727ae6753a2ea41e45f2",
+          "758833836555cd2aadcc3abaed522ec3")),
+        (dict(n_side=12, seed=3, a_start=0.1, k_cut_fraction=0.5),
+         ("67ae5ca5bc414c098d468134f9c7f73b", "82513e958667e1eddb4b94ad4af5d897",
+          "f33a18b9f2d5cb34b1f30853272071a7")),
+        (dict(n_side=18, seed=701, box_mpc_h=100.0),
+         ("10978e353d0d805c73670e55300ad938", "76fa7db72d0c824a206212965bd1977d",
+          "012803d02722d67fc1015e64e1cdb51b")),
+    ]
+
+    @pytest.mark.parametrize("kwargs,pins", ICS_PINS, ids=["n8", "n12-cut", "n18"])
+    def test_ics_pinned(self, kwargs, pins):
+        ics = zeldovich_ics(**kwargs)
+        seen = tuple(_digest([a]) for a in (ics.positions, ics.velocities, ics.delta_grid))
+        assert seen == pins
+
+    def test_gaussian_field_pinned(self):
+        delta, psi = gaussian_field(16, 125.0, PowerSpectrum(LCDM), 0.5, seed=4,
+                                    k_cut_fraction=0.7)
+        assert (_digest([delta]), _digest([psi])) == (
+            "97808d387abc523596ab28bf8f2751ef", "aaa37336d1390cf1d4abf397cb54df8b")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -183,15 +183,22 @@ class TestAdaptSmoothingSumsOnce:
         assert np.array_equal(got.neighbors.neighbors, neigh.neighbors)
 
     def test_one_density_span_per_solve(self):
+        """One ``sph.neighbors`` span per search actually run: a solve
+        started from too large an ``h`` only shrinks inside its first
+        (skin) search; one started far too small outgrows it."""
         from repro.obs import wallclock
 
         pos, m = self._cloud(200, seed=43)
-        with wallclock.profile() as rec:
-            _, got = adapt_smoothing(pos, m, n_target=30, max_iters=4)
-        names = [s.name for s in rec.spans]
-        assert names.count("sph.density") == 1
-        assert names.count("sph.neighbors") == got.n_iterations == 4
-        assert rec.counters["sph.density_pairs"].value == got.neighbors.neighbors.size
+        h0 = initial_smoothing(pos, 30)
+        searches = []
+        for h in (3.0 * h0, 0.1 * h0):
+            with wallclock.profile() as rec:
+                _, got = adapt_smoothing(pos, m, h, n_target=30, max_iters=4)
+            names = [s.name for s in rec.spans]
+            assert names.count("sph.density") == 1 and got.n_iterations == 4
+            assert rec.counters["sph.density_pairs"].value == got.neighbors.neighbors.size
+            searches.append(names.count("sph.neighbors"))
+        assert searches[0] == 1 and 2 <= searches[1] <= 4
 
 
 class TestEos:
