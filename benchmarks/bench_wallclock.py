@@ -6,7 +6,7 @@ Three legs of the same :func:`repro.core.parallel_nbody_run` problem:
    backend (the pre-batching configuration, still selectable via
    ``ParallelConfig(eval="pergroup")``);
 2. **optimized** — the CSR-pooled batched evaluator on the default
-   backend (numpy, a large kernel call split over threads), run under
+   backend (numpy, a large force evaluation split over threads), run under
    ``wallclock.profile()``; its self seconds per span, rolled up
    through ``wallclock.bucket_of``, give the
    kernel/engine/comm/serialization/other share of every elapsed

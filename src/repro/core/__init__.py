@@ -14,7 +14,7 @@ Public surface:
   neighbour search;
 * :func:`~repro.core.gravity.direct_accelerations` — O(N^2) reference;
 * kernel backends (:mod:`~repro.core.backend`) — the batched hot loops
-  (``numpy``; a large rectangle call is split over threads);
+  (``numpy``; plain arithmetic, run on threads by the traversal);
 * MACs (:mod:`~repro.core.mac`), micro-kernels
   (:mod:`~repro.core.kernels`, the Table 5 benchmark), domain
   decomposition (:mod:`~repro.core.domain`, Figure 6), leapfrog

@@ -5,8 +5,9 @@ The treecode's value lives in its vectorizable inner loops — the
 processors is measured against.  This module puts those inner loops
 behind one interface, with one arithmetic: :class:`NumpyBackend`, dense
 vectorized kernels identical in arithmetic to the historical per-group
-walker.  Its two rectangle kernels split a large call over threads
-(see below).
+walker.  The kernels are plain arithmetic on the calling thread: the
+threads of a force evaluation are :mod:`repro.core.traversal`'s, which
+cuts the work into runs above the kernels (see below).
 
 Selection: every hot-path entry point takes ``backend=``, a
 :class:`KernelBackend` instance; the default, ``None``, is one shared
@@ -59,22 +60,22 @@ accumulated in place):
   pairs with squared separation ``<= r2`` (the SPH neighbor distance
   filter; pure comparisons, exact on every backend).
 
-:class:`NumpyBackend` splits a rectangle call of at least
-:attr:`NumpyBackend.SPLIT_PAIRS` evaluated pairs into contiguous runs of
-rectangles, one per thread, of roughly equal pair weight; numpy
-releases the GIL inside its ufuncs, so the runs use separate cores.
-Each rectangle's per-sink result is independent of how rectangles are
+``NumpyBackend(threads=)`` is the number of threads one force
+evaluation may use, ``1`` meaning inline everywhere.  The evaluators of
+:mod:`repro.core.traversal` read it: a large evaluation is cut into
+runs of rectangles (or of sink groups, walked per run), one per thread,
+each evaluated by plain calls of these kernels.  That is exact because
+each rectangle's per-sink result is independent of how rectangles are
 batched (padding is a function of the rectangle's own width only) and
-sinks are disjoint across rectangles, so the split evaluation is
-bit-identical to an inline one.  Helper threads open no
-:mod:`~repro.obs.wallclock` span: the calling thread's kernel span
-covers the whole call.
+sinks are disjoint across rectangles.  A backend with a ``threads``
+attribute above 1 must therefore take concurrent rectangle calls over
+disjoint sinks of one ``acc``/``pot``; one without it (a wrapper such
+as a timing proxy) is evaluated inline.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -184,63 +185,19 @@ def _chunk_rects(counts: np.ndarray, width: int, pair_chunk: int):
         lo = hi
 
 
-def _shard_bounds(counts: np.ndarray, widths: np.ndarray, shards: int) -> list[tuple[int, int]]:
-    """Split rectangles into <= ``shards`` contiguous runs of roughly
-    equal evaluated-pair weight that cover them all, never splitting a
-    rectangle."""
-    n = counts.shape[0]
-    cum = np.cumsum(counts * widths, dtype=np.float64)
-    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, shards) / shards) + 1
-    edges = np.unique(np.concatenate(([0], np.minimum(cuts, n), [n]))).tolist()
-    return list(zip(edges[:-1], edges[1:]))
-
-
 class NumpyBackend(KernelBackend):
     """Reference backend: dense vectorized NumPy kernels.
 
-    ``threads`` caps the threads one rectangle call is split over:
-    ``None`` means the usable cores (:func:`resolve_pool_workers`),
-    ``1`` means inline.  The caller evaluates the first run itself; a
-    per-instance pool, created on the first split call and re-created
-    in a forked child (an inherited pool's threads do not exist there),
-    runs the rest.
+    ``threads`` is the number of threads one force evaluation may use
+    (:mod:`repro.core.traversal` runs them): ``None`` means the usable
+    cores (:func:`resolve_pool_workers`), ``1`` means inline.  The
+    kernels themselves never start a thread.
     """
 
     name = "numpy"
 
-    #: A rectangle call evaluating fewer (sink, source) pairs than this
-    #: runs inline: split over two threads, both kernels measured faster
-    #: only from about 2^20 pairs, and a direct call slower up to 2^19.
-    SPLIT_PAIRS = 1 << 21
-
     def __init__(self, threads: int | None = None):
         self.threads = resolve_pool_workers(threads)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_pid = 0
-
-    def _split(self, kernel, starts, counts, offsets, ids) -> None:
-        """Run ``kernel(starts, counts, offsets, ids)`` over the
-        rectangles, split into runs over threads when the call is large
-        enough to pay for it."""
-        if ids.size == 0:
-            return
-        widths = np.diff(offsets)
-        if self.threads <= 1 or int(counts @ widths) < self.SPLIT_PAIRS:
-            kernel(starts, counts, offsets, ids)
-            return
-        runs = [(starts[lo:hi], counts[lo:hi], offsets[lo:hi + 1] - offsets[lo],
-                 ids[offsets[lo]:offsets[hi]])
-                for lo, hi in _shard_bounds(counts, widths, self.threads)]
-        if self._pool is None or self._pool_pid != os.getpid():
-            self._pool = ThreadPoolExecutor(self.threads - 1, thread_name_prefix="repro-kernel")
-            self._pool_pid = os.getpid()
-        helpers = [self._pool.submit(kernel, *run) for run in runs[1:]]
-        try:
-            kernel(*runs[0])
-        finally:
-            wait(helpers)  # never return while a helper still writes acc/pot
-        for future in helpers:
-            future.result()
 
     def eval_cells_dense(self, sinks, com, mass, quad, eps2, G):
         """Monopole + quadrupole field of cells at sink positions."""
@@ -288,14 +245,6 @@ class NumpyBackend(KernelBackend):
         return acc.sum(axis=1), pot.sum(axis=1)
 
     def eval_cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
-        self._split(lambda *rects: self._cell_rects(pos3, *rects, com3, mass, quad6, eps2, G, acc, pot, pair_chunk),
-                    starts, counts, offsets, cell_ids)
-
-    def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
-        self._split(lambda *rects: self._direct_rects(pos3, masses, *rects, eps2, G, acc, pot, pair_chunk),
-                    starts, counts, offsets, src_ids)
-
-    def _cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
         for sel, W in _pad_bins(widths):
             # W can exceed widths.max() (it pads *up*), so build the
@@ -397,7 +346,7 @@ class NumpyBackend(KernelBackend):
                 acc[pids, 2] += qrz.sum(axis=1)
                 pot[pids] -= gm2.sum(axis=1)
 
-    def _direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
+    def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
         for sel, W in _pad_bins(widths):
             col = np.arange(W, dtype=np.int64)  # per bin: W can exceed widths.max()

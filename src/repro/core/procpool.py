@@ -8,8 +8,8 @@ with **errors as data**: a task that raises becomes an ``"error"``
 retried alone in the rebuilt pool before it too becomes an error
 entry.  A dying worker can therefore never corrupt or abort the merged
 result — the exact contract the campaign runner and the hypothesis
-suite (``tests/test_procpool_property.py``) pin.  (The gravity kernels use
-the cores through threads instead: :class:`repro.core.backend.NumpyBackend`.)
+suite (``tests/test_procpool_property.py``) pin.  (A force evaluation uses
+the cores through threads instead: :mod:`repro.core.traversal`.)
 
 Pool size: the ``workers=`` argument, else the usable cores
 (:func:`resolve_pool_workers`, the one core-count rule of the package);

@@ -171,12 +171,16 @@ def build_tree(
     n = positions.shape[0]
     if n == 0:
         raise ValueError("cannot build a tree with no particles")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite")
     if masses is None:
         masses = np.full(n, 1.0 / n)
     else:
         masses = np.ascontiguousarray(masses, dtype=np.float64)
         if masses.shape != (n,):
             raise ValueError("masses must have shape (N,)")
+        if not np.all(np.isfinite(masses)):
+            raise ValueError("masses must be finite")
         if np.any(masses < 0):
             raise ValueError("masses must be non-negative")
     if bucket_size < 1:

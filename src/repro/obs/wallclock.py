@@ -22,8 +22,9 @@ per pipeline stage plus
 ``pipeline.checkpoint``, and ``campaign.fingerprint`` /
 ``campaign.compute`` / ``campaign.store`` / ``campaign.finalize``.
 Only the thread that installed the recorder opens spans: the helper
-threads a large gravity kernel call is split over open none, so the
-caller's ``gravity.kernel.*`` span covers the whole call.
+threads a large force evaluation is split over open none, and the
+caller's ``gravity.traversal`` and ``gravity.kernel.*`` spans time its
+own run (the wait for the helpers is the enclosing span's own time).
 The table is the *exclusive* ("self") seconds per span name
 (:func:`repro.obs.analysis.self_seconds`): every instant of the root
 span belongs to exactly one innermost span, so the table partitions

@@ -1,14 +1,16 @@
-"""pytest plugin: split every rectangle kernel call over threads.
+"""pytest plugin: split every force evaluation over threads.
 
-Loaded with ``-p tests.split_kernels``, it sets the numpy backend's
-split threshold to 0, so every call that evaluates a (sink, source)
-pair runs on threads (on a host with more than one usable core).  A
-split call is bit-identical to an inline one, so every suite must pass
-unchanged under it, pins included::
+Loaded with ``-p tests.split_kernels``, it sets the evaluators' split
+threshold (:data:`repro.core.traversal.SPLIT_SINKS`) to 0, so every
+force computation and every rectangle evaluation on a backend of more
+than one thread is cut into runs, one per thread, at any size (on a
+host with more than one usable core).  A split evaluation is
+bit-identical to an inline one, so every suite must pass unchanged
+under it, pins included::
 
     PYTHONPATH=src python -m pytest -p tests.split_kernels tests/test_parallel_pins.py
 """
 
-from repro.core.backend import NumpyBackend
+from repro.core import traversal
 
-NumpyBackend.SPLIT_PAIRS = 0
+traversal.SPLIT_SINKS = 0

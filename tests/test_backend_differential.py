@@ -13,6 +13,8 @@ Deliberately numpy+pytest only (no hypothesis), so every CI job that
 installs just those two can run it.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from repro.core import (
 from repro.core.backend import NumpyBackend
 from repro.core.parallel import ParallelConfig
 from repro.core.traversal import build_interaction_lists, evaluate_interaction_lists
-from tests.test_backend_threads import split_backend
+from tests.test_backend_threads import split_at_any_size, split_backend
 from tests.test_parallel_pins import _plummer
 
 #: Backend legs by test id: the shared default backend, plus one forced
@@ -51,6 +53,12 @@ def _uniform_box(n, seed=0):
 DISTRIBUTIONS = {"plummer": _plummer, "uniform": _uniform_box}
 
 
+def _forces(tree, backend, **kwargs):
+    """``compute_forces``, split at any size on the forced-threads leg."""
+    with split_at_any_size() if backend is BACKENDS["multiprocess"] else nullcontext():
+        return compute_forces(tree, backend=backend, **kwargs)
+
+
 def _p99_rel_err(approx, exact):
     scale = np.linalg.norm(exact, axis=1)
     err = np.linalg.norm(approx - exact, axis=1) / np.maximum(scale, 1e-300)
@@ -64,7 +72,7 @@ def test_backend_vs_direct(backend, dist, theta):
     pos, m = DISTRIBUTIONS[dist](600, seed=11)
     exact = direct_accelerations(pos, m, eps=0.01)
     tree = build_tree(pos, m, bucket_size=16)
-    res = compute_forces(tree, mac=OpeningAngleMAC(theta), eps=0.01, backend=backend)
+    res = _forces(tree, mac=OpeningAngleMAC(theta), eps=0.01, backend=backend)
     assert np.all(np.isfinite(res.accelerations))
     assert _p99_rel_err(res.accelerations, exact.accelerations) < P99_BOUNDS[theta]
 
@@ -75,7 +83,7 @@ def test_backends_agree_exactly_on_counts(dist, theta):
     pos, m = DISTRIBUTIONS[dist](400, seed=5)
     tree = build_tree(pos, m, bucket_size=16)
     results = {
-        name: compute_forces(tree, mac=OpeningAngleMAC(theta), eps=0.02, backend=b)
+        name: _forces(tree, mac=OpeningAngleMAC(theta), eps=0.02, backend=b)
         for name, b in BACKENDS.items()
     }
     ref = results["numpy"]
@@ -290,6 +298,7 @@ class TestBatchedNeighborsVsReference:
 def test_tree_accelerations_backend_kwarg():
     pos, m = _plummer(200, seed=12)
     a = tree_accelerations(pos, m, eps=0.01)
-    b = tree_accelerations(pos, m, eps=0.01, backend=split_backend(2))
+    with split_at_any_size():
+        b = tree_accelerations(pos, m, eps=0.01, backend=split_backend(2))
     assert np.array_equal(a.accelerations, b.accelerations)
     assert a.counts == b.counts

@@ -6,8 +6,13 @@ import pytest
 from repro.core import (
     AbsoluteErrorMAC,
     OpeningAngleMAC,
+    build_interaction_lists,
+    build_tree,
+    compute_forces,
     direct_accelerations,
+    evaluate_interaction_lists,
     total_energy,
+    traversal,
     tree_accelerations,
 )
 from tests.test_parallel_pins import _plummer
@@ -147,6 +152,29 @@ class TestTreeAccuracy:
             OpeningAngleMAC(theta=0.0)
         with pytest.raises(ValueError):
             AbsoluteErrorMAC(max_error=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.01])
+    def test_bad_softening_is_refused_before_any_walk(self, eps, monkeypatch):
+        tree = build_tree(np.random.default_rng(2).random((300, 3)))
+        lists = build_interaction_lists(tree)
+
+        def walked(*args):
+            raise AssertionError("walked before refusing eps")
+
+        monkeypatch.setattr(traversal, "_lists", walked)
+        monkeypatch.setattr(traversal, "_fork_join", walked)
+        with pytest.raises(ValueError, match="softening eps must be finite and non-negative"):
+            compute_forces(tree, eps=eps)
+        with pytest.raises(ValueError, match="softening eps must be finite and non-negative"):
+            evaluate_interaction_lists(tree, lists, eps=eps)
+        with pytest.raises(ValueError, match="softening eps must be finite and non-negative"):
+            tree_accelerations(tree.positions, eps=eps)
+
+    def test_nan_mass_is_refused_not_summed(self):
+        m = np.full(300, 1.0 / 300)
+        m[7] = np.nan
+        with pytest.raises(ValueError, match="masses must be finite"):
+            tree_accelerations(np.random.default_rng(2).random((300, 3)), m, eps=0.01)
 
 
 class TestEnergy:

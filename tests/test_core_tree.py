@@ -110,6 +110,20 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_tree(np.random.rand(5, 3), bucket_size=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_are_refused_by_name(self, bad):
+        pos = np.random.default_rng(1).random((6, 3))
+        pos[4, 1] = bad
+        with pytest.raises(ValueError, match="positions must be finite"):
+            build_tree(pos)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_masses_are_refused_by_name(self, bad):
+        m = np.full(6, 1.0 / 6)
+        m[2] = bad
+        with pytest.raises(ValueError, match="masses must be finite"):
+            build_tree(np.random.default_rng(1).random((6, 3)), m)
+
     @given(st.integers(1, 400), st.integers(1, 64), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_invariants_hold_for_random_builds(self, n, bucket, seed):

@@ -31,7 +31,7 @@ from repro.obs import wallclock as wc
 from repro.pipeline import STAGE_NAMES, run_pipeline
 from repro.simmpi import run as simmpi_run
 
-from tests.test_backend_threads import split_backend
+from tests.test_backend_threads import split_at_any_size, split_backend
 from tests.test_obs_property import innermost_seconds
 
 
@@ -242,6 +242,11 @@ def _nbody(backend, tmp_path):
                        config=ParallelConfig(backend=backend))
 
 
+def _nbody_split(tmp_path):
+    with split_at_any_size():
+        _nbody(split_backend(2), tmp_path)
+
+
 _FAST = PipelineSpec(n_side=4, a_final=0.2, sn_particles=16, sn_steps=2, with_neutrinos=False)
 _CATALOG = [ClusterSpec(n_nodes=n) for n in (16, 32, 16, 64)]
 _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "campaign.finalize"}
@@ -250,9 +255,9 @@ _CAMPAIGN = {"campaign.fingerprint", "campaign.compute", "campaign.store", "camp
 ENTRY_POINTS = {
     "nbody-numpy": (lambda tmp: _nbody(None, tmp),
                     {"simmpi.engine", "simmpi.dispatch", "gravity.kernel.cells"}),
-    # Every kernel call split over threads: the helper threads open no
-    # span, so the table still partitions the root exactly.
-    "nbody-threads": (lambda tmp: _nbody(split_backend(2), tmp),
+    # Every force evaluation split over threads: the helper threads open
+    # no span, so the table still partitions the root exactly.
+    "nbody-threads": (_nbody_split,
                       {"simmpi.engine", "gravity.kernel.cells", "gravity.kernel.direct"}),
     "pipeline-checkpointed": (
         lambda tmp: run_pipeline(_FAST, checkpoint_dir=str(tmp / "ck")),

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import ParallelConfig, parallel_nbody_run, parallel_tree_accelerations
 from repro.core.backend import NumpyBackend
-from tests.test_backend_threads import split_backend
+from tests.test_backend_threads import split_at_any_size, split_backend
 
 
 def uniform_cube(n, seed=11):
@@ -116,7 +116,8 @@ class TestBatchedVsPergroupEval:
     def test_threaded_batched_bit_identical_to_serial(self, ranks):
         pos, m = clustered_sphere(600)
         serial = _run(pos, m, ranks, eval="batched", backend=NumpyBackend(threads=1))
-        sharded = _run(pos, m, ranks, eval="batched", backend=split_backend(2))
+        with split_at_any_size():
+            sharded = _run(pos, m, ranks, eval="batched", backend=split_backend(2))
         assert np.array_equal(sharded.accelerations, serial.accelerations)
         assert np.array_equal(sharded.potentials, serial.potentials)
         assert (sharded.counts.p2p, sharded.counts.p2c) == (

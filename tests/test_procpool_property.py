@@ -7,9 +7,9 @@ promises:
   worker count (1/2/4) and task-order permutation, with errors as data
   (an exception becomes an ``"error"`` :class:`TaskResult`, never an
   exception out of the pool);
-* the numpy backend's split rectangle kernels are **bit-identical** to
+* force evaluations split over threads are **bit-identical** to
   inline ones no matter the thread count, split threshold
-  (``SPLIT_PAIRS``), or ``pair_chunk`` size;
+  (``SPLIT_SINKS``), or ``pair_chunk`` size;
 * a worker killed with SIGKILL surfaces as an error entry for the task
   that killed it while every other task's result is delivered intact —
   chaos costs a shard, never the merged result, and the rebuilt pool's
@@ -24,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_tree, compute_forces
+from repro.core import build_tree, compute_forces, traversal
+from repro.core.backend import NumpyBackend
 from repro.core.procpool import ProcPool, run_tasks
 from tests.test_backend_threads import split_backend
+
+INLINE = NumpyBackend(threads=1)
 
 # Pool startup dominates example runtime: keep the example counts low
 # and the pools shared across examples.
@@ -109,19 +112,21 @@ class TestPoolInvariants:
 
 
 class TestThreadedBackendBitIdentity:
-    """Split kernels == inline kernels, bit for bit, however sliced."""
+    """Split evaluations == inline ones, bit for bit, however sliced."""
 
     @staticmethod
-    def _forces(n, seed, backend, pair_chunk=1 << 18):
+    def _forces(n, seed, backend, pair_chunk=1 << 18, split_sinks=0):
         rng = np.random.default_rng(seed)
         pos = rng.random((n, 3))
         tree = build_tree(pos, np.full(n, 1.0 / n), bucket_size=8)
-        return compute_forces(tree, eps=0.01, backend=backend, pair_chunk=pair_chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traversal, "SPLIT_SINKS", split_sinks)
+            return compute_forces(tree, eps=0.01, backend=backend, pair_chunk=pair_chunk)
 
     @POOL_SETTINGS
     @given(n=st.integers(10, 150), seed=st.integers(0, 2**31))
     def test_worker_count_invariance(self, split_backends, n, seed):
-        ref = self._forces(n, seed, None)
+        ref = self._forces(n, seed, INLINE)
         for w, backend in split_backends.items():
             got = self._forces(n, seed, backend)
             assert got.counts == ref.counts, w
@@ -135,19 +140,17 @@ class TestThreadedBackendBitIdentity:
         pair_chunk=st.sampled_from([1, 17, 4096]),
     )
     def test_pair_chunk_invariance(self, split_backends, n, seed, pair_chunk):
-        ref = self._forces(n, seed, None)
+        ref = self._forces(n, seed, INLINE)
         got = self._forces(n, seed, split_backends[2], pair_chunk=pair_chunk)
         assert got.counts == ref.counts
         assert np.array_equal(got.accelerations, ref.accelerations)
 
     @POOL_SETTINGS
     @given(n=st.integers(20, 120), seed=st.integers(0, 2**31),
-           split_pairs=st.sampled_from([0, 100, 1 << 30]))
-    def test_shard_threshold_invariance(self, n, seed, split_pairs):
-        backend = split_backend(2)
-        backend.SPLIT_PAIRS = split_pairs
-        ref = self._forces(n, seed, None)
-        got = self._forces(n, seed, backend)
+           split_sinks=st.sampled_from([0, 100, 1 << 30]))
+    def test_shard_threshold_invariance(self, n, seed, split_sinks):
+        ref = self._forces(n, seed, INLINE)
+        got = self._forces(n, seed, split_backend(2), split_sinks=split_sinks)
         assert np.array_equal(got.accelerations, ref.accelerations)
         assert np.array_equal(got.potentials, ref.potentials)
 
@@ -167,8 +170,8 @@ class TestWorkerDeath:
     def test_sigkill_does_not_corrupt_backend_result(self):
         # Kill workers mid-lifetime: the pool goes through the
         # broken->rebuild path, and the forces its fresh workers, forked
-        # after the parent split a call over threads, split over threads
-        # of their own must still be bit-identical to the parent's.
+        # after the parent split an evaluation over threads, split over
+        # threads of their own must still be bit-identical to the parent's.
         ref = TestThreadedBackendBitIdentity._forces(80, 5, _SPLIT)
         with ProcPool(workers=2) as pool:
             list(pool.imap_unordered(_kill_if, [(3,), (3,)], retries=0))
@@ -179,7 +182,8 @@ class TestWorkerDeath:
             assert np.array_equal(r.value[1], ref.potentials)
 
 
-#: Module level, so forked workers inherit it with its helper pool.
+#: Module level, so forked workers inherit it, and the parent's helper
+#: pool with it.
 _SPLIT = split_backend(2)
 
 
