@@ -60,6 +60,18 @@ accumulated in place):
   pairs with squared separation ``<= r2`` (the SPH neighbor distance
   filter; pure comparisons, exact on every backend).
 
+A rectangle call of :class:`NumpyBackend` plans its chunks first
+(rectangles binned by padded width, each bin cut into chunks of at most
+``pair_chunk`` padded pairs) and allocates one flat float64 workspace:
+room for the kernel's live ``(rows, width)`` arrays, 12 for the cell
+kernel and 6 for the direct one, at its largest chunk.  Every chunk
+carves its arrays out of it and every step writes into them with
+``out=``, so no chunk allocates an array of that shape, which the OS
+would page in afresh on first touch, chunk after chunk (10-19 k minor
+faults per ``nbody_compute`` operation).  The workspace dies with the
+call: concurrent calls (one per run of a split evaluation) share
+nothing, and nothing holds one after its call returns.
+
 ``NumpyBackend(threads=)`` is the number of threads one force
 evaluation may use, ``1`` meaning inline everywhere.  The evaluators of
 :mod:`repro.core.traversal` read it: a large evaluation is cut into
@@ -173,7 +185,8 @@ def _rect_rows(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _chunk_rects(counts: np.ndarray, width: int, pair_chunk: int):
-    """Split rect indices into slices of <= pair_chunk padded pairs."""
+    """Split rect indices into slices of <= pair_chunk padded pairs:
+    ``(lo, hi, rows)``, ``rows`` the slice's sinks."""
     n = counts.shape[0]
     lo = 0
     budget = max(1, pair_chunk // max(width, 1))
@@ -181,8 +194,38 @@ def _chunk_rects(counts: np.ndarray, width: int, pair_chunk: int):
     while lo < n:
         hi = int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1
         hi = min(max(hi, lo + 1), n)
-        yield lo, hi
+        yield lo, hi, int(cum[hi] - cum[lo])
         lo = hi
+
+
+def _plan(widths: np.ndarray, counts: np.ndarray, pair_chunk: int, k: int):
+    """A rectangle call's chunks, ``[(sel, W, [(lo, hi, R), ...]), ...]``
+    by padded bin, and its workspace: room for ``k`` ``(R, W)`` arrays
+    of its largest chunk, which every chunk carves its arrays from."""
+    bins = [(sel, W, list(_chunk_rects(counts[sel], W, pair_chunk)))
+            for sel, W in _pad_bins(widths)]
+    return bins, np.empty(k * max((R * W for _, W, ch in bins for _, _, R in ch), default=0))
+
+
+def _padded(offsets, ids, widths, sub, col):
+    """The sources of rectangles ``sub``, ``(n_sub, len(col))``: padded
+    slots repeat the last real one; and the mask of the padded slots."""
+    wv = widths[sub]
+    return ids[offsets[sub][:, None] + np.minimum(col, wv[:, None] - 1)], col >= wv[:, None]
+
+
+def _expand(src, rows, out):
+    """``src[rows]``, written into ``out``: ``take`` with ``mode="clip"``
+    gathers straight into it (the default ``"raise"`` buffers ``out``
+    first, 3.5 times slower; the method skips ``np.take``'s dispatch)."""
+    return src.take(rows, axis=0, out=out, mode="clip")
+
+
+def _zeroed(col, ids, pad):
+    """``col[ids]`` with the padded slots zeroed."""
+    out = col[ids]
+    out[pad] = 0.0
+    return out
 
 
 class NumpyBackend(KernelBackend):
@@ -246,90 +289,76 @@ class NumpyBackend(KernelBackend):
 
     def eval_cell_rects(self, pos3, starts, counts, offsets, cell_ids, com3, mass, quad6, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
-        for sel, W in _pad_bins(widths):
+        bins, ws = _plan(widths, counts, pair_chunk, 12)
+        for sel, W, chunks in bins:
             # W can exceed widths.max() (it pads *up*), so build the
             # column index per bin: a rect's padded row length must be a
             # function of its own width only, or per-rect results would
             # depend on call composition through the reduction grouping.
             col = np.arange(W, dtype=np.int64)
-            for lo, hi in _chunk_rects(counts[sel], W, pair_chunk):
+            for lo, hi, R in chunks:
                 sub = sel[lo:hi]
-                wv = widths[sub]
                 # Gather per (rect, cell) once — amortized over the
                 # rect's sinks.  Padded slots repeat the last real cell
                 # with mass and quadrupole zeroed, so they contribute
                 # exact zeros (an accepted cell is never at zero
                 # distance: the MAC cannot accept one).
-                gi = offsets[sub][:, None] + np.minimum(col, wv[:, None] - 1)
-                cid = cell_ids[gi]
-                pad = col >= wv[:, None]
-                gm = mass[cid]
-                gm[pad] = 0.0
+                cid, pad = _padded(offsets, cell_ids, widths, sub, col)
+                gm = _zeroed(mass, cid, pad)
                 if G != 1.0:
                     gm *= G
-                qxx = quad6[0][cid]
-                qyy = quad6[1][cid]
-                qzz = quad6[2][cid]
-                qxy = quad6[3][cid]
-                qxz = quad6[4][cid]
-                qyz = quad6[5][cid]
-                for q in (qxx, qyy, qzz, qxy, qxz, qyz):
-                    q[pad] = 0.0
-                cx = com3[0][cid]
-                cy = com3[1][cid]
-                cz = com3[2][cid]
+                qxx, qyy, qzz, qxy, qxz, qyz = quad6
                 rows, pids = _rect_rows(starts[sub], counts[sub])
-                # (R, W) dense arithmetic, all contiguous.  Expand the
-                # cell stream first and subtract in place: a broadcast
-                # ufunc into a fresh output is several times slower
-                # than an equal-shape in-place one.
-                dx = cx[rows]
-                np.subtract(pos3[0][pids][:, None], dx, out=dx)
-                dy = cy[rows]
-                np.subtract(pos3[1][pids][:, None], dy, out=dy)
-                dz = cz[rows]
-                np.subtract(pos3[2][pids][:, None], dz, out=dz)
-                rs2 = dx * dx
-                rs2 += dy * dy
-                rs2 += dz * dz
+                # (R, W) dense arithmetic, all contiguous, every step
+                # written into a view of the call's workspace: a fresh
+                # (R, W) output costs a step several times over, as the
+                # OS pages it in on first touch, chunk after chunk.
+                dx, dy, dz, rs2, t, qxy2, qxz2, qyz2, qrx, qry, qrz, rqr = (
+                    ws[:12 * R * W].reshape(12, R, W))
+                for d, c, p in zip((dx, dy, dz), com3, pos3):
+                    _expand(c[cid], rows, d)
+                    np.subtract(p[pids][:, None], d, out=d)
+                np.multiply(dx, dx, out=rs2)
+                rs2 += np.multiply(dy, dy, out=t)
+                rs2 += np.multiply(dz, dz, out=t)
                 rs2 += eps2
-                inv_r = np.sqrt(rs2)
-                np.divide(1.0, inv_r, out=inv_r)
-                inv_r2 = np.divide(1.0, rs2, out=rs2)
-                inv_r3 = inv_r * inv_r2
-                inv_r5 = inv_r3 * inv_r2
-                inv_r7 = inv_r5 * inv_r2
-                gm2 = gm[rows]
                 # Qr vector and r.Qr scalar from the packed symmetric Q;
                 # the off-diagonal rows are each used twice, so expand
                 # them to (R, W) once.
-                qxy2 = qxy[rows]
-                qxz2 = qxz[rows]
-                qyz2 = qyz[rows]
-                qrx = qxx[rows] * dx
-                qrx += qxy2 * dy
-                qrx += qxz2 * dz
-                qry = qxy2 * dx
-                qry += qyy[rows] * dy
-                qry += qyz2 * dz
-                qrz = qxz2 * dx
-                qrz += qyz2 * dy
-                qrz += qzz[rows] * dz
-                rqr = qrx * dx
-                rqr += qry * dy
-                rqr += qrz * dz
+                for q, q2 in ((qxy, qxy2), (qxz, qxz2), (qyz, qyz2), (qxx, qrx)):
+                    _expand(_zeroed(q, cid, pad), rows, q2)
+                qrx *= dx
+                qrx += np.multiply(qxy2, dy, out=t)
+                qrx += np.multiply(qxz2, dz, out=t)
+                np.multiply(qxy2, dx, out=qry)
+                qry += np.multiply(_expand(_zeroed(qyy, cid, pad), rows, t), dy, out=t)
+                qry += np.multiply(qyz2, dz, out=t)
+                np.multiply(qxz2, dx, out=qrz)
+                qrz += np.multiply(qyz2, dy, out=t)
+                qrz += np.multiply(_expand(_zeroed(qzz, cid, pad), rows, t), dz, out=t)
+                np.multiply(qrx, dx, out=rqr)
+                rqr += np.multiply(qry, dy, out=t)
+                rqr += np.multiply(qrz, dz, out=t)
+                # The expanded quadrupole is spent: its room holds r^-1,3,5.
+                inv_r, inv_r3, inv_r5 = qxy2, qxz2, qyz2
+                np.sqrt(rs2, out=inv_r)
+                np.divide(1.0, inv_r, out=inv_r)
+                inv_r2 = np.divide(1.0, rs2, out=rs2)
+                np.multiply(inv_r, inv_r2, out=inv_r3)
+                np.multiply(inv_r3, inv_r2, out=inv_r5)
+                inv_r7 = np.multiply(inv_r5, inv_r2, out=t)
+                gm2 = _expand(gm, rows, rs2)
                 # a = -(gm r^-3 + 2.5 G rqr r^-7) dr + G r^-5 Qr
-                c1 = gm2 * inv_r3
-                c2 = rqr * inv_r7
+                c1 = np.multiply(gm2, inv_r3, out=inv_r3)
+                c2 = np.multiply(rqr, inv_r7, out=t)
                 c2 *= 2.5 * G
                 c1 += c2
                 np.negative(c1, out=c1)
-                inv_r5G = inv_r5
                 if G != 1.0:
-                    inv_r5G = inv_r5 * G
-                qrx *= inv_r5G
-                qry *= inv_r5G
-                qrz *= inv_r5G
+                    inv_r5 *= G
+                qrx *= inv_r5
+                qry *= inv_r5
+                qrz *= inv_r5
                 dx *= c1
                 qrx += dx
                 dy *= c1
@@ -338,7 +367,7 @@ class NumpyBackend(KernelBackend):
                 qrz += dz
                 # p = -gm r^-1 - 0.5 G rqr r^-5
                 gm2 *= inv_r
-                rqr *= inv_r5G
+                rqr *= inv_r5
                 rqr *= 0.5
                 gm2 += rqr
                 acc[pids, 0] += qrx.sum(axis=1)
@@ -348,34 +377,26 @@ class NumpyBackend(KernelBackend):
 
     def eval_direct_rects(self, pos3, masses, starts, counts, offsets, src_ids, eps2, G, acc, pot, pair_chunk):
         widths = np.diff(offsets)
-        for sel, W in _pad_bins(widths):
+        bins, ws = _plan(widths, counts, pair_chunk, 6)
+        for sel, W, chunks in bins:
             col = np.arange(W, dtype=np.int64)  # per bin: W can exceed widths.max()
-            for lo, hi in _chunk_rects(counts[sel], W, pair_chunk):
+            for lo, hi, R in chunks:
                 sub = sel[lo:hi]
-                wv = widths[sub]
                 # Padded slots repeat the last real source with mass
                 # zeroed: exact zero contribution (the zero-distance
                 # rule below covers an unsoftened coincident pad too).
-                gi = offsets[sub][:, None] + np.minimum(col, wv[:, None] - 1)
-                sid = src_ids[gi]
-                pad = col >= wv[:, None]
-                gm = masses[sid]
-                gm[pad] = 0.0
+                sid, pad = _padded(offsets, src_ids, widths, sub, col)
+                gm = _zeroed(masses, sid, pad)
                 if G != 1.0:
                     gm *= G
-                sx = pos3[0][sid]
-                sy = pos3[1][sid]
-                sz = pos3[2][sid]
                 rows, pids = _rect_rows(starts[sub], counts[sub])
-                dx = sx[rows]
-                np.subtract(pos3[0][pids][:, None], dx, out=dx)
-                dy = sy[rows]
-                np.subtract(pos3[1][pids][:, None], dy, out=dy)
-                dz = sz[rows]
-                np.subtract(pos3[2][pids][:, None], dz, out=dz)
-                rs2 = dx * dx
-                rs2 += dy * dy
-                rs2 += dz * dz
+                dx, dy, dz, rs2, t, inv_r = ws[:6 * R * W].reshape(6, R, W)
+                for d, p in zip((dx, dy, dz), pos3):
+                    _expand(p[sid], rows, d)
+                    np.subtract(p[pids][:, None], d, out=d)
+                np.multiply(dx, dx, out=rs2)
+                rs2 += np.multiply(dy, dy, out=t)
+                rs2 += np.multiply(dz, dz, out=t)
                 rs2 += eps2
                 # A pair at exactly zero softened distance is a
                 # self-interaction (or an unsoftened coincidence): it
@@ -388,14 +409,14 @@ class NumpyBackend(KernelBackend):
                         rs2[zero] = 1.0
                     else:
                         zero = None
-                inv_r = np.sqrt(rs2)
+                np.sqrt(rs2, out=inv_r)
                 np.divide(1.0, inv_r, out=inv_r)
                 inv_r3 = np.divide(inv_r, rs2, out=rs2)
                 if zero is not None:
                     inv_r[zero] = 0.0
                     inv_r3[zero] = 0.0
-                gm2 = gm[rows]
-                c = gm2 * inv_r3
+                gm2 = _expand(gm, rows, t)
+                c = np.multiply(gm2, inv_r3, out=inv_r3)
                 dx *= c
                 dy *= c
                 dz *= c

@@ -176,7 +176,8 @@ class CellTable(CellBatch):
     the key -> row hash index.
 
     Rows are only ever appended, each column group (rows, child slots,
-    leaf particles) grown at most once per :meth:`append`.  A key
+    leaf particles) grown at most once per :meth:`append`, which gathers
+    a batch's rows straight into the columns.  A key
     appended again (the real record of a :data:`STUB` arriving, or a
     key a reply repeats) re-points the index at the new row and marks
     the old one :data:`DEAD`, in the one pass over the batch's keys
@@ -257,29 +258,48 @@ class CellTable(CellBatch):
             grown[:used] = col[:used]
             setattr(self, name, grown)
 
-    def append(self, batch: CellBatch, kind) -> np.ndarray:
-        """Add ``batch`` as new rows of the given kind(s); returns the rows."""
+    def append(self, batch: CellBatch, kind, rows=None, with_particles: bool = True) -> np.ndarray:
+        """Add ``batch``'s ``rows`` as new rows of the given kind(s),
+        gathered straight into the table's columns; returns the new rows.
+        Without ``rows``, the whole batch, its pools as they are; with
+        them, their children and (unless ``with_particles`` is false)
+        their particles re-packed in row order."""
+        if rows is None:
+            cstart, cn, pstart, pn = batch.cstart, batch.cn, batch.pstart, batch.pn
+            kids = parts = None
+            sizes = len(batch), len(batch.child_key), len(batch.pmass)
+        else:
+            cn = batch.cn[rows]
+            pn = batch.pn[rows] if with_particles else np.zeros(len(rows), dtype=np.int64)
+            kids, parts = csr_take(batch.cstart[rows], cn), csr_take(batch.pstart[rows], pn)
+            cstart, pstart = np.cumsum(cn) - cn, np.cumsum(pn) - pn
+            sizes = len(rows), len(kids), len(parts)
         n, k, p = self.n, self.n_kids, self.n_parts
-        end, k_end, p_end = n + len(batch), k + len(batch.child_key), p + len(batch.pmass)
+        end, k_end, p_end = n + sizes[0], k + sizes[1], p + sizes[2]
         self._reserve(_ROWS, n, end)
         self._reserve(_KIDS, k, k_end)
         self._reserve(_PARTS, p, p_end)
-        for name, _, _ in _FIELDS:
-            getattr(self, name)[n:end] = getattr(batch, name)
-        np.add(batch.cstart, k, out=self.cstart[n:end])
-        np.add(batch.pstart, p, out=self.pstart[n:end])
-        self.cn[n:end], self.pn[n:end] = batch.cn, batch.pn
+        for name, at, to, picks in ([(name, n, end, rows) for name, _, _ in _FIELDS] + [
+                ("child_key", k, k_end, kids), ("ppos", p, p_end, parts),
+                ("pmass", p, p_end, parts)]):
+            column, out = getattr(batch, name), getattr(self, name)[at:to]
+            if picks is None:
+                out[...] = column
+            else:  # take with mode="clip" writes into the slice; "raise" buffers it
+                column.take(picks, axis=0, out=out, mode="clip")
+        np.add(cstart, k, out=self.cstart[n:end])
+        np.add(pstart, p, out=self.pstart[n:end])
+        self.cn[n:end], self.pn[n:end] = cn, pn
         self.kind[n:end], self.prefetched[n:end], self.branch[n:end], self.used[n:end] = (
             kind, False, 0, 0)
-        self.child_key[k:k_end], self.child_row[k:k_end] = batch.child_key, -1
-        self.ppos[p:p_end], self.pmass[p:p_end] = batch.ppos, batch.pmass
+        self.child_row[k:k_end] = -1
         self.n, self.n_kids, self.n_parts = end, k_end, p_end
-        rows = np.arange(n, end, dtype=np.int64)
+        new = np.arange(n, end, dtype=np.int64)
         # A key has one live row: the index moves to the new one, and
         # the row it leaves (an older copy, or an earlier one of the
         # same batch) is retired in the same pass.
-        self.kind[self.index.insert(batch.key, rows)] = DEAD
-        return rows
+        self.kind[self.index.insert(self.key[n:end], new)] = DEAD
+        return new
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, found)`` of a batch of keys; evicted rows are misses."""

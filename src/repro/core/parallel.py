@@ -389,8 +389,8 @@ class _Frame:
         #: Declared wire size of every arena row (see ``CellBatch.nbytes``).
         self.row_nbytes = 200 + 16 * arena.cn + 32 * arena.pn
         self.table = table = CellTable()
-        current = table.append(arena.take(csr_take(self.base, n_branches), with_particles=False),
-                               SILENT)
+        current = table.append(arena, SILENT, csr_take(self.base, n_branches),
+                               with_particles=False)
         owner = np.repeat(np.arange(len(published)), n_branches)
         while True:
             level = key_levels(table.key[current])
@@ -596,8 +596,8 @@ class _Traversal:
         """Copy rows of the shared tree top into the table (another
         rank's branch cell as a :data:`STUB`); returns their rows."""
         frame = self.frame
-        return self.table.append(frame.table.take(frows, with_particles=False),
-                                 np.where(frame.owner[frows] >= 0, STUB, SILENT))
+        return self.table.append(frame.table, np.where(frame.owner[frows] >= 0, STUB, SILENT),
+                                 frows, with_particles=False)
 
     def seed(self, previous: "CellTable | None", valid: np.ndarray) -> None:
         """Put in the table, before any walk, what can be had without a
@@ -626,7 +626,7 @@ class _Traversal:
             held = previous.fetched()
             rows = held[np.isin(previous.branch[held], valid)]
             self.cache["invalidated"] += held.size - rows.size
-            kept = table.append(previous.take(rows), REMOTE)
+            kept = table.append(previous, REMOTE, rows)
             table.branch[kept], table.used[kept] = previous.branch[rows], previous.used[rows]
         # Point every child key at its row in one lookup, so that the
         # walks ask again only for what is remote.
@@ -695,9 +695,8 @@ class _Traversal:
             return np.empty(0, dtype=np.int64)
         table, frame, capacity = self.table, self.frame, self.config.cache_capacity
         with wallclock.span("core.parallel.admit"):
-            batch = frame.arena.take(np.concatenate(named))
-        rows = table.append(batch, REMOTE)
-        under = np.searchsorted(frame.branch_los, key_spans(batch.key)[0], side="right") - 1
+            rows = table.append(frame.arena, REMOTE, np.concatenate(named))
+        under = np.searchsorted(frame.branch_los, key_spans(table.key[rows])[0], side="right") - 1
         table.branch[rows] = frame.table.key[frame.branch_rows[np.maximum(under, 0)]]
         table.used[rows] = self.tick + np.arange(rows.size)
         self.cache["inserts"] += rows.size

@@ -31,9 +31,9 @@ are plain arithmetic.  Over :data:`SPLIT_SINKS` sinks and more,
 :func:`compute_forces` cuts the leaf groups into one contiguous run per
 thread of the backend (``NumpyBackend(threads=)``), and each thread
 walks its run from the root and sums its forces; :func:`evaluate_rects`
-cuts its rectangles into runs of equal flops the same way.  There is one
-fork/join per call, the calling thread runs the first run, and a run
-never splits again.  Numpy releases the GIL inside a ufunc but not
+cuts its rectangles into runs of equal kernel time the same way.  There
+is one fork/join per call, the calling thread runs the first run, and a
+run never splits again.  Numpy releases the GIL inside a ufunc but not
 between two: two copies of one evaluation in two threads of a process
 each took 13-19% longer than alone, in two processes 2-10%.  Sinks are
 disjoint across runs and a rectangle's sums do not depend on its batch,
@@ -90,17 +90,18 @@ __all__ = [
 #: Flop convention for a cell (monopole+quadrupole) interaction.
 FLOPS_PER_CELL_INTERACTION = 70.0
 
-#: Default cap on expanded (sink, source) pairs held live per dense
-#: kernel evaluation.  A chunk's ~10 live (rows x width) temporaries
-#: (~100 B/pair) are over 5 MB at 2^16, more than a core's L2: the size
-#: is the measured balance between the Python overhead paid once per
-#: chunk (2^12-2^14 are slower) and the cost of spilling larger
-#: temporaries (2^17-2^18 are slower inline; EXPERIMENTS.md "WC").
+#: Default cap on expanded (sink, source) pairs per chunk of a dense
+#: kernel call.  A call's workspace holds its live (rows x width) arrays
+#: at its largest chunk, 12 of 8 B a pair for the cell kernel: 6.3 MB at
+#: 2^16, more than a core's L2.  The size is the measured balance between
+#: the Python overhead paid once per chunk (2^12-2^15 are slower, on two
+#: threads by a quarter at 2^15) and the spill of larger arrays (2^17-2^18
+#: are no faster and double the workspace; EXPERIMENTS.md "WC").
 DEFAULT_PAIR_CHUNK = 1 << 16
 
 #: Most rows (table plus pool) :func:`evaluate_rects` joins into one
 #: kernel call.  Past it, joining saves no dispatch worth the copies
-#: and the chunk-sized kernel temporaries it costs (at 512 simulated
+#: and the chunk-sized kernel workspace it costs (at 512 simulated
 #: ranks an unbounded join held 23 MB more at peak; EXPERIMENTS.md "SR").
 JOIN_ROWS = 1 << 14
 
@@ -114,6 +115,14 @@ JOIN_ROWS = 1 << 14
 #: but 1.04x when the 8-rank flush of 2 000 sinks was forced to split
 #: (EXPERIMENTS.md "WC").
 SPLIT_SINKS = 1 << 11
+
+#: Kernel time of a cell pair, in direct pairs: what :func:`evaluate_rects`
+#: weighs its runs by.  Both kernels inline at N = 12 000 took 50-53 ns a
+#: padded cell pair and 18-20 ns a padded direct pair, 2.65-2.89 times
+#: (EXPERIMENTS.md "WC").  Cut by the flop convention's 70/38, which
+#: stays the count of flops and virtual time, the second of two runs
+#: had 1.4-2.1% more kernel time than the first.
+CELL_PAIR_COST = 2.7
 
 
 @dataclass
@@ -446,7 +455,8 @@ def evaluate_rects(kb, jobs: list[RectJob], eps2, G, pair_chunk=DEFAULT_PAIR_CHU
     ``pot``; jobs of more than :data:`JOIN_ROWS` rows in all are halved
     until they are not, or are one job.  Over at least
     :data:`SPLIT_SINKS` sinks, the rectangles are cut into runs of
-    equal flops, one per thread, each of which evaluates both kernels.
+    equal kernel time (:data:`CELL_PAIR_COST`), one per thread, each of
+    which evaluates both kernels.
 
     One job is evaluated in place.  Several are joined into one first
     and every sink's sums are copied back: a rectangle's per-sink
@@ -462,10 +472,9 @@ def evaluate_rects(kb, jobs: list[RectJob], eps2, G, pair_chunk=DEFAULT_PAIR_CHU
             evaluate_rects(kb, part, eps2, G, pair_chunk)
         return
     job, sinks, pool = _joined(jobs) if len(jobs) > 1 else (jobs[0], [], [])
-    flops = job.counts * (FLOPS_PER_CELL_INTERACTION * np.diff(job.cells[0])
-                          + FLOPS_PER_INTERACTION * np.diff(job.direct[0]))
+    cost = job.counts * (CELL_PAIR_COST * np.diff(job.cells[0]) + np.diff(job.direct[0]))
     _fork_join([partial(_kernels, kb, job, _major(job), lo, hi, eps2, G, pair_chunk)
-                for lo, hi in _runs(kb, int(job.counts.sum()), flops)])
+                for lo, hi in _runs(kb, int(job.counts.sum()), cost)])
     for j, s, p in zip(jobs, sinks, pool):
         j.acc[s], j.pot[s] = job.acc[s + p], job.pot[s + p]
 
