@@ -155,7 +155,6 @@ def comm_health_counters(comm_stats: Mapping, waits_by_cause: Mapping) -> dict:
     out = {
         "cellcache.hits": hits,
         "cellcache.misses": misses,
-        "cellcache.evictions": comm_stats.get("cache_evictions", 0.0),
         "cellcache.hit_rate": hits / max(1.0, hits + misses),
     }
     out.update({f"wait.{cause}_s": s for cause, s in waits_by_cause.items()})

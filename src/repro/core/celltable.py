@@ -13,8 +13,8 @@ shared tree top it has looked at and every remote cell it has fetched,
 indexed by a :class:`~repro.core.hashtable.KeyHashTable`.  A batched
 :meth:`CellTable.lookup` answers a whole traversal frontier at once and
 its miss mask *is* the non-local catch.  The table is the remote-cell
-cache too: which fetched cells are resident, how recently each was used
-and under which branch of its owner's it was fetched are columns of it.
+cache too: which fetched cells are resident and under which branch of
+its owner's each was fetched are columns of it.
 
 Children and leaf particles are CSR runs (``cstart``/``cn`` into
 ``child_key``, ``pstart``/``pn`` into ``ppos``/``pmass``).  A cell known
@@ -38,7 +38,7 @@ __all__ = ["CellBatch", "CellRows", "CellTable", "csr_take", "row_dots", "row_no
 #: What a lookup hit on a row means to the remote-cache counters: a
 #: local or shared-top cell (not counted), a fetched copy (a hit), a
 #: remote branch known by its multipole only (a miss: its real record
-#: is still on its owner), a superseded or evicted row (not found).
+#: is still on its owner), a superseded row (not found).
 SILENT, REMOTE, STUB, DEAD = 0, 1, 2, 3
 
 #: The columns of a cell record proper, the CSR runs of its children and
@@ -55,7 +55,7 @@ _POOLS = (("child_key", np.uint64, ()), ("ppos", np.float64, (3,)), ("pmass", np
 #: A :class:`CellTable`'s columns in the three groups that grow
 #: together: one entry per row, per child slot, per leaf particle.
 _ROWS = _FIELDS + _RUNS + (("kind", np.int8, ()), ("prefetched", np.bool_, ()),
-                           ("branch", np.uint64, ()), ("used", np.int64, ()))
+                           ("branch", np.uint64, ()))
 _KIDS = _POOLS[:1] + (("child_row", np.int64, ()),)
 _PARTS = _POOLS[1:]
 
@@ -189,34 +189,20 @@ class CellTable(CellBatch):
     ``child_row`` caches, beside ``child_key``, the row each child key
     was last found at (-1: not yet).
 
-    The table is also the remote-cell cache.  Its content is
-    :meth:`fetched`; two columns carry what a cache keeps per entry, and
-    each stands in for a per-key structure by an equivalence:
-
-    *Recency.*  ``used`` is a tick of the rank's recency clock:
-    admission stamps a reply batch in order and, under a capacity
-    bound, a walk visit re-stamps the rows it hits.  Eviction kills the
-    ``over`` fetched rows of smallest tick in one go.  A sequential LRU
-    that evicts one entry per insertion, with no visit in between,
-    drops exactly its ``over`` oldest entries, so resident set, order
-    and eviction count are the sequential cache's.  (One case counts
-    lower: a reply that repeats a key, as the blocking reference's do,
-    supersedes the earlier copy, where the sequential cache might have
-    evicted it in between and evicted again to re-admit it.  Finding
-    those takes every repeat's LRU stack distance, a per-key pass; the
-    resident set and order are the same either way.)
-
-    *Validity.*  ``branch`` is the key of the owner's branch cell that
-    covers the row.  Every live fetched row under a branch carries that
-    branch's *current* data fingerprint (``CellServer.branch_fingerprint``:
-    the row was fetched under it, or carried over a step because it had
-    not changed), so a fingerprint per row would be redundant: the rows
-    valid in the next step are those whose ``branch`` keeps its
-    fingerprint, the rest are invalidated.
+    The table is also the remote-cell cache, an unbounded one: nothing
+    is evicted.  Its content is :meth:`fetched`; one column carries what
+    a cache keeps per entry and stands in for a per-key fingerprint by
+    an equivalence.  ``branch`` is the key of the owner's branch cell
+    that covers the row.  Every live fetched row under a branch carries
+    that branch's *current* data fingerprint
+    (``CellServer.branch_fingerprint``: the row was fetched under it, or
+    carried over a step because it had not changed), so a fingerprint
+    per row would be redundant: the rows valid in the next step are
+    those whose ``branch`` keeps its fingerprint, the rest are
+    invalidated.
     """
 
-    __slots__ = ("n", "n_kids", "n_parts", "kind", "prefetched", "branch", "used", "child_row",
-                 "index")
+    __slots__ = ("n", "n_kids", "n_parts", "kind", "prefetched", "branch", "child_row", "index")
 
     def __init__(self):
         for name, dtype, shape in _ROWS + _KIDS + _PARTS:
@@ -238,7 +224,7 @@ class CellTable(CellBatch):
         for name in CellBatch.__slots__:
             setattr(table, name, getattr(batch, name))
         table.n, table.n_kids, table.n_parts = len(batch), len(batch.child_key), len(batch.pmass)
-        for name in ("kind", "prefetched", "branch", "used"):
+        for name in ("kind", "prefetched", "branch"):
             setattr(table, name, np.zeros(table.n, dtype=getattr(table, name).dtype))
         table.index.insert(batch.key, np.arange(table.n, dtype=np.int64))
         table.child_row = np.arange(1, table.n, dtype=np.int64)
@@ -290,8 +276,7 @@ class CellTable(CellBatch):
         np.add(cstart, k, out=self.cstart[n:end])
         np.add(pstart, p, out=self.pstart[n:end])
         self.cn[n:end], self.pn[n:end] = cn, pn
-        self.kind[n:end], self.prefetched[n:end], self.branch[n:end], self.used[n:end] = (
-            kind, False, 0, 0)
+        self.kind[n:end], self.prefetched[n:end], self.branch[n:end] = kind, False, 0
         self.child_row[k:k_end] = -1
         self.n, self.n_kids, self.n_parts = end, k_end, p_end
         new = np.arange(n, end, dtype=np.int64)
@@ -302,7 +287,7 @@ class CellTable(CellBatch):
         return new
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, found)`` of a batch of keys; evicted rows are misses."""
+        """``(rows, found)`` of a batch of keys; superseded rows are misses."""
         rows, found = self.index.lookup(keys)
         found &= self.kind[rows] != DEAD
         return rows, found
@@ -310,8 +295,8 @@ class CellTable(CellBatch):
     def fetched(self) -> np.ndarray:
         """Rows of the remote cells held: the cache's content.  A row
         counts while it is :data:`REMOTE`: one the index no longer points
-        at is :data:`DEAD` (of one key twice in a reply, the later copy
-        is the live one), and so is one killed or evicted.
+        at is :data:`DEAD`, superseded by a later copy of its key (of
+        one key twice in a reply, the later copy is the live one).
 
         >>> own, reply = CellBatch.empty(2), CellBatch.empty(3)
         >>> own.key[:], reply.key[:] = (8, 9), (72, 73, 72)
@@ -321,14 +306,9 @@ class CellTable(CellBatch):
         array([2, 3, 4])
         >>> table.fetched()
         array([3, 4])
-        >>> table.kill([73])
+        >>> table.append(reply, REMOTE, np.array([1]))  # 73 again
+        array([5])
         >>> table.fetched()
-        array([4])
+        array([4, 5])
         """
         return np.flatnonzero(self.kind[:self.n] == REMOTE)
-
-    def kill(self, keys) -> None:
-        """Forget keys (evicted, superseded): their rows stay, marked
-        :data:`DEAD`."""
-        rows, found = self.index.lookup(np.asarray(keys, dtype=np.uint64))
-        self.kind[rows[found]] = DEAD

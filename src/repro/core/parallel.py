@@ -52,9 +52,9 @@ Two communication schedules drive step 3, selected by
     requests are on the wire, the rank *evaluates the force kernels of
     every group that already completed its walk* — computation covers
     communication.  Fetched cells stay resident across rounds (and,
-    in the multi-step driver, timesteps): the table is the cache, its
-    ``used`` and ``branch`` columns the recency order and the validity
-    stamps.  A locally-essential-tree prefetch of up to
+    in the multi-step driver, timesteps): the table is the cache, an
+    unbounded one, and its ``branch`` column the validity stamps.  A
+    locally-essential-tree prefetch of up to
     :attr:`ParallelConfig.prefetch_rounds` waves (``0`` switches it off)
     MAC-tests the domain boundary to bulk-fetch likely-needed cells
     before the walk starts.
@@ -148,7 +148,7 @@ from .abm import ABMChannel
 from .backend import KernelBackend, get_backend
 from .cellserver import CellServer, key_levels, key_spans, occupied_cover
 from .celltable import (
-    DEAD, REMOTE, SILENT, STUB, CellBatch, CellRows, CellTable, KeyBatch, csr_take, row_dots,
+    REMOTE, SILENT, STUB, CellBatch, CellRows, CellTable, KeyBatch, csr_take, row_dots,
     row_norms,
 )
 from .domain import (
@@ -188,6 +188,10 @@ FLOPS_PER_MAC_TEST = 12.0
 #: waves use ``_FETCH_TAG + 10`` so traces distinguish the phases).
 _FETCH_TAG = 7_200
 
+#: Request rounds a traversal can need: one per tree level below the
+#: root (derived in :meth:`_Traversal.traverse_async`).
+_MAX_ROUNDS = MAX_LEVEL
+
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -210,8 +214,6 @@ class ParallelConfig:
     kernel_efficiency:
         Fraction of machine peak the force inner loops sustain; scales
         every modeled compute charge (Table 6 calibration knob).
-    max_rounds:
-        Safety bound on traversal request/reply rounds.
     backend:
         Kernel backend instance (``None``: the shared numpy one).
     eval:
@@ -234,11 +236,6 @@ class ParallelConfig:
         Maximum waves of the locally-essential-tree prefetch before the
         walk (``"async"`` schedule only; each wave descends one tree
         level along the domain boundary).  ``0`` switches it off.
-    cache_capacity:
-        Bound on the remote cells a rank's table holds at once (the
-        least recently used are evicted); ``None`` is unbounded.  Must
-        comfortably exceed a round's working set or eviction thrash
-        will stretch (never corrupt) the traversal.
     """
 
     theta: float = 0.6
@@ -247,13 +244,11 @@ class ParallelConfig:
     bucket_size: int = 32
     oversample: int = 16
     kernel_efficiency: float = 0.25  # fraction of peak the inner loop sustains
-    max_rounds: int = 200
     #: Kernel backend instance (``None``: the shared numpy one).
     backend: KernelBackend | None = None
     eval: str = "batched"
     comm: str = "async"
     prefetch_rounds: int = 8
-    cache_capacity: int | None = None
 
     def __post_init__(self) -> None:
         OpeningAngleMAC(self.theta)  # the MAC owns the rule for theta
@@ -261,13 +256,11 @@ class ParallelConfig:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if not math.isfinite(self.G):
             raise ValueError(f"G must be finite, got {self.G}")
-        for name in ("bucket_size", "oversample", "max_rounds", "prefetch_rounds",
-                     "cache_capacity"):
+        for name in ("bucket_size", "oversample", "prefetch_rounds"):
             value = getattr(self, name)
-            integer = hasattr(value, "__index__") and not isinstance(value, bool)
-            if not integer and (value, name) != (None, "cache_capacity"):
+            if not hasattr(value, "__index__") or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("bucket_size", "oversample", "max_rounds"):
+        for name in ("bucket_size", "oversample"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.kernel_efficiency <= 1:
@@ -278,8 +271,6 @@ class ParallelConfig:
             raise ValueError("comm must be 'async' or 'blocking'")
         if self.prefetch_rounds < 0:
             raise ValueError("prefetch_rounds must be >= 0")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be positive or None")
         get_backend(self.backend)  # fail fast on a non-backend
 
 
@@ -294,8 +285,8 @@ class ParallelGravityResult:
     #: Restart bookkeeping when the run executed under a fault plan.
     resilience: "ResilientResult | None" = None
     #: Aggregated communication-layer statistics (requests, batches,
-    #: rounds, cache hit/miss/eviction counters, prefetch accuracy),
-    #: summed over ranks.
+    #: rounds, cache hit/miss/insert/invalidation counters, prefetch
+    #: accuracy), summed over ranks.
     comm: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -523,7 +514,7 @@ class _Traversal:
         self.pos = pos
         self.mass = mass
         #: The remote-cache counters, which outlive the step: hits,
-        #: misses, inserts, evictions, invalidated.
+        #: misses, inserts, invalidated.
         self.cache = cache
         #: The run's force queue, shared by every rank: the rectangle
         #: jobs of completed walks, not evaluated yet.
@@ -627,25 +618,17 @@ class _Traversal:
             rows = held[np.isin(previous.branch[held], valid)]
             self.cache["invalidated"] += held.size - rows.size
             kept = table.append(previous, REMOTE, rows)
-            table.branch[kept], table.used[kept] = previous.branch[rows], previous.used[rows]
+            table.branch[kept] = previous.branch[rows]
         # Point every child key at its row in one lookup, so that the
         # walks ask again only for what is remote.
         rows, found = table.lookup(table.child_key[:table.n_kids])
         table.child_row[:table.n_kids] = np.where(found, rows, -1)
 
-    @property
-    def tick(self) -> int:
-        """The recency clock: one tick a hit, one a cell admitted."""
-        return self.cache["hits"] + self.cache["inserts"]
-
     def hit(self, rows: np.ndarray) -> None:
-        """Book walk visits to fetched rows: cache hits, recency, and
-        the first use of what a prefetch wave brought in."""
+        """Book walk visits to fetched rows: cache hits and the first
+        use of what a prefetch wave brought in."""
         if rows.size:
             table = self.table
-            if self.config.cache_capacity is not None:  # unbounded: recency is never read
-                # (a row visited twice keeps the tick of its last visit)
-                table.used[rows] = self.tick + np.arange(rows.size)
             self.cache["hits"] += rows.size
             used = rows[table.prefetched[rows]]
             if used.size:
@@ -687,25 +670,17 @@ class _Traversal:
 
     def admit(self, replies: list) -> np.ndarray:
         """Copy every replied row out of the arena into the table, in
-        one gather, stamped with its covering branch and, in order, the
-        recency clock; evict what then exceeds the capacity.  Returns
-        the new rows."""
+        one gather, stamped with its covering branch.  Returns the new
+        rows."""
         named = [r.rows for r in replies if r is not None and len(r)]
         if not named:
             return np.empty(0, dtype=np.int64)
-        table, frame, capacity = self.table, self.frame, self.config.cache_capacity
+        table, frame = self.table, self.frame
         with wallclock.span("core.parallel.admit"):
             rows = table.append(frame.arena, REMOTE, np.concatenate(named))
         under = np.searchsorted(frame.branch_los, key_spans(table.key[rows])[0], side="right") - 1
         table.branch[rows] = frame.table.key[frame.branch_rows[np.maximum(under, 0)]]
-        table.used[rows] = self.tick + np.arange(rows.size)
         self.cache["inserts"] += rows.size
-        if capacity is not None:
-            held = table.fetched()
-            if held.size > capacity:
-                oldest = np.argsort(table.used[held], kind="stable")[:held.size - capacity]
-                table.kind[held[oldest]] = DEAD
-                self.cache["evictions"] += oldest.size
         return rows
 
     def charge(self, label: str, flops: float, mem_bytes: float = 0.0):
@@ -898,9 +873,20 @@ class _Traversal:
 
     def traverse_async(self):
         """Latency-hiding main loop: per-owner deduplicated request
-        batches in flight while completed walks evaluate their forces."""
+        batches in flight while completed walks evaluate their forces.
+
+        The walks need at most ``_MAX_ROUNDS`` = ``MAX_LEVEL`` = 21
+        request rounds, on either schedule.  A round admits every key
+        its walks parked on and nothing is evicted, so a walk resumes on
+        a row the table holds and parks again, if at all, below it: a
+        level deeper at least.  The first round parks at level 1 or
+        deeper (the root is in the shared tree top), so round ``r``
+        parks at level ``r`` or deeper, and no cell is deeper than
+        ``MAX_LEVEL``.  A round beyond that means a reply went missing:
+        ``RuntimeError``.
+        """
         wg, wkey, shut = self.start()
-        for rounds in range(1, self.config.max_rounds + 2):
+        for rounds in range(1, _MAX_ROUNDS + 2):
             wg, wkey, ready = yield from self.advance_round(wg, wkey, shut)
             shut = None
             blocked = yield from mpi_patterns.allreduce(self.comm, int(self.pending.sum()))
@@ -922,7 +908,7 @@ class _Traversal:
         abm = ABMChannel(self.comm, lambda src, items: self.serve_batch(
             src, KeyBatch(np.array(items, dtype=np.uint64))))
         wg, wkey, shut = self.start()
-        for _ in range(self.config.max_rounds + 1):
+        for _ in range(_MAX_ROUNDS + 1):
             wg, wkey, ready = yield from self.advance_round(wg, wkey, shut)
             shut = None
             # Per walk, not deduplicated across walks: the reference
@@ -1105,7 +1091,7 @@ def _make_program(
                     },
                 )
 
-        cache = dict.fromkeys(("hits", "misses", "inserts", "evictions", "invalidated"), 0)
+        cache = dict.fromkeys(("hits", "misses", "inserts", "invalidated"), 0)
         table, held_fps = None, {}  # the previous step's table and fingerprints
         counts_total = InteractionCounts()
         stats_total: dict[str, float] = {}

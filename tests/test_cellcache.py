@@ -1,13 +1,13 @@
 """Tests for the remote-cell cache of the parallel treecode.
 
 The cache is the rank's :class:`~repro.core.celltable.CellTable` itself
-(``fetched()``, the ``used`` and ``branch`` columns) under the rank-side
+(``fetched()`` and the ``branch`` column) under the rank-side
 bookkeeping of ``_Traversal.hit`` (what the shared walk,
 ``repro.core.traversal.walk``, reports its visits of fetched rows to) /
 ``admit`` / ``seed``; a reply is a :class:`~repro.core.celltable.CellRows`
-naming rows of the shared frame's arena.  The bounded
-LRU it replaced, ``repro.core.cellcache.CellCache``, is kept here word
-for word as the model the table is held against.
+naming rows of the shared frame's arena.  The sequential cache it
+replaced, ``repro.core.cellcache.CellCache``, is kept here, cut to its
+unbounded paths, as the model the table is held against.
 """
 
 from collections import OrderedDict
@@ -30,7 +30,7 @@ from repro.core.celltable import CellBatch, CellRows
 from repro.core.domain import END_PKEY
 from repro.core.parallel import _Frame, _Published, _Traversal
 
-COUNTERS = ("hits", "misses", "inserts", "evictions", "invalidated")
+COUNTERS = ("hits", "misses", "inserts", "invalidated")
 
 #: Rank 0 owns the first octant, rank 1 the other seven: its branch
 #: cells are the level-1 keys 9..15, and the cells fetched from it the
@@ -59,22 +59,21 @@ def _reply(keys) -> CellRows:
     return CellRows(rows, int(FRAME.row_nbytes[rows].sum()))
 
 
-def _rank(capacity=None, cache=None, previous=None, valid=()) -> _Traversal:
+def _rank(cache=None, previous=None, valid=()) -> _Traversal:
     """Rank 0 of 2 at the start of a step, before any walk: what the
     rank program builds, minus the engine (rank 0 has no particles, so
     nothing here ever walks)."""
     cache = dict.fromkeys(COUNTERS, 0) if cache is None else cache
     return _Traversal(
-        SimpleNamespace(rank=0, size=2), ParallelConfig(cache_capacity=capacity), None,
+        SimpleNamespace(rank=0, size=2), ParallelConfig(), None,
         CellBatch.empty(), FRAME, [key_interval(8)[0], key_interval(9)[0], END_PKEY],
         np.zeros((0, 3)), np.zeros(0), cache, previous, np.array(valid, dtype=np.uint64), [])
 
 
 def _resident(rank: _Traversal) -> list[int]:
-    """Keys of the fetched cells held, least recently used first."""
-    table = rank.table
-    rows = table.fetched()
-    return table.key[rows[np.argsort(table.used[rows], kind="stable")]].tolist()
+    """Keys of the fetched cells held, in row order: the order of their
+    last admission."""
+    return rank.table.key[rank.table.fetched()].tolist()
 
 
 def _visit(rank: _Traversal, keys) -> None:
@@ -83,7 +82,7 @@ def _visit(rank: _Traversal, keys) -> None:
     rank.hit(rows)
 
 
-class TestLRUSemantics:
+class TestCacheCounters:
     def test_get_hit_miss_counters(self):
         rank = _rank()
         rank.admit([_reply([72, 73])])
@@ -98,34 +97,20 @@ class TestLRUSemantics:
         assert comm["cache_misses"] >= comm["requests"] == comm["cache_inserts"] > 0
         assert comm["cache_hits"] > 0
 
-    def test_capacity_evicts_lru(self):
-        rank = _rank(capacity=2)
-        rank.admit([_reply([72, 73])])
-        _visit(rank, [72])  # 72 becomes most recently used
-        rank.admit([_reply([74])])
-        assert _resident(rank) == [72, 74]  # 73 was LRU
-        assert rank.table.lookup(np.array([72, 73, 74], dtype=np.uint64))[1].tolist() == [
-            True, False, True]
-        assert rank.cache["evictions"] == 1
-
     def test_reinsert_refreshes_without_evicting(self):
-        rank = _rank(capacity=2)
+        rank = _rank()
         rank.admit([_reply([72, 73])])
         rank.admit([_reply([72])])
-        assert _resident(rank) == [73, 72] and rank.cache["evictions"] == 0
+        assert _resident(rank) == [73, 72]  # the second copy supersedes the first
         assert rank.cache["inserts"] == 3
 
     def test_peek_touches_nothing(self):
-        rank = _rank(capacity=2)
+        rank = _rank()
         rank.admit([_reply([72, 73])])
-        rank.table.lookup(np.array([72], dtype=np.uint64))  # must NOT refresh 72's recency
+        rank.table.lookup(np.array([72], dtype=np.uint64))  # not a visit: no hit
         rank.admit([_reply([74])])
-        assert _resident(rank) == [73, 74]
+        assert _resident(rank) == [72, 73, 74]
         assert rank.cache["hits"] == 0 and rank.cache["misses"] == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError, match="cache_capacity"):
-            ParallelConfig(cache_capacity=0)
 
     def test_clear_preserves_counters(self):
         rank = _rank()
@@ -151,42 +136,28 @@ class TestInvalidation:
         config = ParallelConfig(bucket_size=8)
         comm = parallel_tree_accelerations(pos, n_ranks=3, config=config).comm
         assert comm["cache_size"] == comm["cache_inserts"] > 0
-        config = ParallelConfig(bucket_size=8, cache_capacity=16, max_rounds=2000)
-        comm = parallel_tree_accelerations(pos, n_ranks=3, config=config).comm
-        assert comm["cache_evictions"] > 0
-        assert comm["cache_size"] == comm["cache_inserts"] - comm["cache_evictions"] <= 3 * 16
 
 
 class _ModelCache:
     """``repro.core.cellcache.CellCache`` as deleted in PR 17, verbatim
-    but for the docstrings and the methods the treecode never called."""
+    but for the docstrings, the methods the treecode never called and
+    the capacity bound (the table is unbounded)."""
 
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive (or None for unbounded)")
-        self.capacity = capacity
+    def __init__(self):
         self._entries: OrderedDict = OrderedDict()
-        self.stats = {"hits": 0, "misses": 0, "inserts": 0, "evictions": 0, "invalidated": 0}
+        self.stats = {"hits": 0, "misses": 0, "inserts": 0, "invalidated": 0}
 
     def keys(self):
         return self._entries.keys()
 
     def touch(self, keys):
         self.stats["hits"] += len(keys)
-        if self.capacity is not None:
-            for key in keys:
-                self._entries.move_to_end(key)
 
     def insert(self, key, record, branch_key, fingerprint):
-        evicted = None
         if key in self._entries:
             self._entries.move_to_end(key)
-        elif self.capacity is not None and len(self._entries) >= self.capacity:
-            evicted = self._entries.popitem(last=False)[0]
-            self.stats["evictions"] += 1
         self._entries[key] = (record, branch_key, fingerprint)
         self.stats["inserts"] += 1
-        return evicted
 
     def retain_valid(self, branch_fingerprints):
         stale = [
@@ -202,15 +173,14 @@ class _ModelCache:
         self._entries.clear()
 
 
-@given(capacity=st.one_of(st.none(), st.integers(1, 12)), data=st.data())
+@given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_table_is_the_sequential_lru(capacity, data):
+def test_table_is_the_sequential_lru(data):
     """Random admit / visit / step sequences through the table and
     through the sequential cache it replaced: same resident keys in the
-    same recency order after every operation, same five counters."""
-    model, rank = _ModelCache(capacity), _rank(capacity)
+    same order after every operation, same four counters."""
+    model, rank = _ModelCache(), _rank()
     fps = {b: b"0" for b in BRANCHES}
-    exact = True  # until a reply re-admits a key the bounded cache had to evict on the way
     for _ in range(data.draw(st.integers(1, 12), label="operations")):
         held = list(model.keys())
         op = data.draw(st.sampled_from(["admit", "admit", "visit", "step"]), label="op")
@@ -220,13 +190,9 @@ def test_table_is_the_sequential_lru(capacity, data):
             fresh = data.draw(st.booleans(), label="fresh")
             keys = data.draw(st.lists(REMOTE_KEYS.filter(lambda k: not fresh or k not in held),
                                       max_size=30, unique=fresh), label="reply")
-            exact &= fresh or capacity is None
-            before = _resident(rank)
-            evicted = [model.insert(k, None, k >> 3, fps.get(k >> 3, b"")) for k in keys]
+            for k in keys:
+                model.insert(k, None, k >> 3, fps.get(k >> 3, b""))
             rank.admit([_reply(keys)] if keys else [None])
-            if fresh:  # eviction order: oldest first, the reply's own head after the held ones
-                gone = [k for k in before + keys if k not in _resident(rank)]
-                assert gone == [k for k in evicted if k is not None]
         elif op == "visit" and held:
             keys = data.draw(st.lists(st.sampled_from(held), max_size=20), label="visited")
             model.touch(keys)
@@ -238,18 +204,13 @@ def test_table_is_the_sequential_lru(capacity, data):
                    for b, f in zip(BRANCHES, fate) if f != "x"}
             if data.draw(st.booleans(), label="carry over"):
                 model.retain_valid(new)
-                rank = _rank(capacity, rank.cache, rank.table,
-                             list(dict(new.items() & fps.items())))
+                rank = _rank(rank.cache, rank.table, list(dict(new.items() & fps.items())))
             else:
                 model.clear()
-                rank = _rank(capacity, rank.cache)
+                rank = _rank(rank.cache)
             fps = new
         assert _resident(rank) == list(model.keys())
-        assert rank.table.fetched().size <= (capacity or np.inf)
-        seen, want = dict(rank.cache), dict(model.stats)
-        if not exact:  # superseded, not evicted and re-admitted: see CHANGES.md, PR 17
-            assert seen.pop("evictions") <= want.pop("evictions")
-        assert seen == want
+        assert rank.cache == model.stats
 
 
 def _server(pos, masses, box):

@@ -1,10 +1,9 @@
 """``CellTable`` against a plain-Python model of it.
 
 Random sequences of what a rank does to its table (append batches whose
-keys repeat within and across batches, of one kind or of mixed kinds;
-kill keys; evict the oldest fetched rows by marking them ``DEAD``, as
-``_Traversal.admit`` does) are run on a table and on a model made of a
-dict and lists.  After every step the table must answer as the model
+keys repeat within and across batches, of one kind or of mixed kinds, so
+that later copies supersede earlier ones and leave them ``DEAD``) are
+run on a table and on a model made of a dict and lists.  After every step the table must answer as the model
 does: ``lookup`` of every key, ``fetched()``, the child rows a walk
 resolves (``child_row``, re-asked where stale, as ``traversal.walk``
 does), and every appended row's record, children and particles.
@@ -22,22 +21,18 @@ KINDS = st.sampled_from([SILENT, REMOTE, STUB])
 
 
 class Model:
-    """What the table should hold: every row's key, kind, record and
-    recency stamp, and the key -> live row map."""
+    """What the table should hold: every row's key, kind and record,
+    and the key -> live row map."""
 
     def __init__(self):
         self.rows = []  # (key, kind, mass, child keys, particle masses)
-        self.used = []
         self.index = {}
         self.dead = set()
-        self.tick = 0
 
     def append(self, records, kinds):
         for record, kind in zip(records, kinds):
             row = len(self.rows)
             self.rows.append((record[0], kind, *record[1:]))
-            self.used.append(self.tick)
-            self.tick += 1
             if record[0] in self.index:
                 self.dead.add(self.index[record[0]])
             self.index[record[0]] = row
@@ -45,11 +40,6 @@ class Model:
     def live(self, key):
         row = self.index.get(key)
         return None if row is None or row in self.dead else row
-
-    def kill(self, keys):
-        for key in keys:
-            if key in self.index:
-                self.dead.add(self.index[key])
 
     def fetched(self):
         return [row for row, (key, kind, *_) in enumerate(self.rows)
@@ -104,41 +94,21 @@ def _check(table: CellTable, model: Model):
 
 
 RECORD = st.tuples(KEYS, st.lists(KEYS, max_size=3), st.lists(st.integers(1, 99), max_size=2))
-STEP = st.one_of(
-    st.tuples(st.just("append"), st.lists(RECORD, max_size=5),
-              st.one_of(KINDS, st.lists(KINDS, min_size=5, max_size=5))),
-    st.tuples(st.just("kill"), st.lists(KEYS, max_size=3)),
-    st.tuples(st.just("evict"), st.integers(0, 4)),
-)
+STEP = st.tuples(st.lists(RECORD, max_size=5),
+                 st.one_of(KINDS, st.lists(KINDS, min_size=5, max_size=5)))
 
 
 @given(st.lists(STEP, max_size=10))
 @settings(max_examples=60, deadline=None)
 def test_table_answers_as_its_model(steps):
     table, model, serial = CellTable(), Model(), 0
-    for step in steps:
-        if step[0] == "append":
-            records = []
-            for key, kids, parts in step[1]:
-                serial += 1
-                records.append((key, float(serial), kids, [float(p) for p in parts]))
-            mixed = isinstance(step[2], list)
-            kinds = step[2][:len(records)] if mixed else [step[2]] * len(records)
-            rows = table.append(_batch(records),
-                                np.array(kinds, dtype=np.int8) if mixed else step[2])
-            table.used[rows] = model.tick + np.arange(rows.size)
-            model.append([(k, m, tuple(ks), tuple(ps)) for k, m, ks, ps in records], kinds)
-        elif step[0] == "kill":
-            table.kill(step[1])
-            model.kill(step[1])
-        else:
-            # Eviction as admit does it: the oldest fetched rows over a
-            # capacity are marked DEAD, the index keeps pointing at them.
-            held = table.fetched()
-            if held.size > step[1]:
-                oldest = np.argsort(table.used[held], kind="stable")[:held.size - step[1]]
-                table.kind[held[oldest]] = DEAD
-            held = model.fetched()
-            oldest = sorted(held, key=lambda row: model.used[row])[:max(len(held) - step[1], 0)]
-            model.dead.update(oldest)
+    for batch, kind in steps:
+        records = []
+        for key, kids, parts in batch:
+            serial += 1
+            records.append((key, float(serial), kids, [float(p) for p in parts]))
+        mixed = isinstance(kind, list)
+        kinds = kind[:len(records)] if mixed else [kind] * len(records)
+        table.append(_batch(records), np.array(kinds, dtype=np.int8) if mixed else kind)
+        model.append([(k, m, tuple(ks), tuple(ps)) for k, m, ks, ps in records], kinds)
         _check(table, model)

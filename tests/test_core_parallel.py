@@ -217,18 +217,15 @@ class TestParallelCorrectness:
         ("G", [float("nan"), float("inf")]),
         ("bucket_size", [0, 2.5, "8", None, True]),
         ("oversample", [0, 16.0, True]),
-        ("max_rounds", [0, 1.5, True]),
         ("kernel_efficiency", [0.0, 1.5]),
         ("prefetch_rounds", [-1, 1.5, None, True, False]),
-        ("cache_capacity", [0, 64.0, "all", True]),
     ])
     def test_config_validation_names_the_field(self, field, values):
         for value in values:
             with pytest.raises(ValueError, match=field):
                 ParallelConfig(**{field: value})
-        # Anything with an __index__ but a bool is an integer; None
-        # means unbounded.
-        ParallelConfig(bucket_size=np.int64(8), prefetch_rounds=0, cache_capacity=None)
+        # Anything with an __index__ but a bool is an integer.
+        ParallelConfig(bucket_size=np.int64(8), prefetch_rounds=0)
 
     def test_no_cell_records_outlive_a_run(self):
         # The frame memo belongs to the program builder: after two

@@ -59,15 +59,6 @@ class TestAsyncVsBlockingBitIdentity:
         b = _run(pos, m, 4, comm="blocking")
         assert np.array_equal(a.accelerations, b.accelerations)
 
-    def test_tight_cache_capacity_still_identical(self):
-        # A small cache forces evictions and re-fetches; results must
-        # not change, only the amount of traffic.
-        pos, m = clustered_sphere(600)
-        tight = _run(pos, m, 4, comm="async", cache_capacity=64, max_rounds=2000)
-        roomy = _run(pos, m, 4, comm="async")
-        assert np.array_equal(tight.accelerations, roomy.accelerations)
-        assert tight.comm["requests"] >= roomy.comm["requests"]
-
     def test_async_batches_fewer_requests(self):
         # Deduplicated per-owner batching + prefetch must not send more
         # request items than the blocking path's per-walk requests.

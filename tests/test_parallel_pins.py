@@ -2,21 +2,14 @@
 
 A matrix of small configurations — both entry points x ``comm`` x
 ``eval`` x prefetch on/off x 1/3/8 ranks x uniform/clustered/coincident
-clouds x rebalance x cold/warm cache, three force-only runs above the
-flat-collective limit (P=40, P=64, P=128) and bounded-cache runs — whose
-*modelled* outcome is pinned in ``tests/golden/parallel_pins.json``:
-virtual seconds (hex), message and byte totals, interaction counts, the
-full summed ``comm`` statistics and a blake2b digest of the physics.
+clouds x rebalance x cold/warm cache, and three force-only runs above
+the flat-collective limit (P=40, P=64, P=128) — whose *modelled*
+outcome is pinned in ``tests/golden/parallel_pins.json``: virtual
+seconds (hex), message and byte totals, interaction counts, the full
+summed ``comm`` statistics and a blake2b digest of the physics.
 All of it is a pure function of the event sequence the rank programs
 yield and of the order of the float sums, so a change meant only to make
 ``repro.core.parallel`` faster on the host must not move any of it.
-
-The two bounded-cache entries of PR 16 pin physics only.  The ``-full``,
-``-still`` and ``-creep`` entries (bounded async runs, all carry-over
-regimes: everything invalidated, nothing, some) pin the whole record:
-they were written at PR 16's commit, before the LRU order moved from a
-per-key registry into the table's ``used`` column (PR 17), which is the
-sequential LRU's order exactly.
 
 The pins hold with every kernel call split over threads (``-p
 tests.split_kernels``): a split call is bit-identical to an inline one,
@@ -35,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelConfig, parallel_nbody_run, parallel_tree_accelerations
+from repro.core.parallel import _MAX_ROUNDS, _Traversal
 from repro.simmpi import SpaceSimulatorCost
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
@@ -99,27 +93,6 @@ def _configs() -> dict[str, dict]:
     for ranks in (40, 64, 128):  # tree collectives and the sparse request round
         out[f"force-async-batched-pf1-r{ranks}-uniform"] = dict(
             entry="force", cloud="uniform", n=3 * ranks, ranks=ranks, cfg=dict())
-    out["force-async-batched-pf1-r4-clustered-cap48"] = dict(
-        entry="force", cloud="clustered", n=300, ranks=4, physics_only=True,
-        cfg=dict(cache_capacity=48, max_rounds=2000))
-    out["nbody-async-batched-pf1-r3-uniform-rb1-warm-cap32"] = dict(
-        entry="nbody", cloud="uniform", n=160, ranks=3, rebalance=True, warm=True,
-        physics_only=True, cfg=dict(cache_capacity=32, max_rounds=2000))
-    # Bounded caches on the async schedule, full record.
-    for cloud, ranks, cap in (("clustered", 4, 48), ("uniform", 8, 32)):
-        bounded = dict(cloud=cloud, n=300, ranks=ranks,
-                       cfg=dict(cache_capacity=cap, max_rounds=2000))
-        out[f"force-async-batched-pf1-r{ranks}-{cloud}-cap{cap}-full"] = dict(
-            entry="force", **bounded)
-        for warm in (True, False):
-            out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb1-{'warm' if warm else 'cold'}"
-                f"-cap{cap}-full"] = dict(entry="nbody", rebalance=True, warm=warm, **bounded)
-        # Carry-over that survives: nothing moves (recency order crosses
-        # the step), and a dt so small that only some branches change.
-        out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb0-warm-cap{cap}-still"] = dict(
-            entry="nbody", rebalance=False, warm=True, dt=0.0, **bounded)
-        out[f"nbody-async-batched-pf1-r{ranks}-{cloud}-rb1-warm-cap{cap}-creep"] = dict(
-            entry="nbody", rebalance=True, warm=True, dt=1e-9, **bounded)
     out["nbody-async-batched-pf1-r4-uniform-rb1-warm-creep"] = dict(
         entry="nbody", cloud="uniform", n=300, ranks=4, rebalance=True, warm=True, dt=1e-9,
         cfg=dict())
@@ -155,18 +128,14 @@ def _digest(physics) -> str:
 
 def _observe(spec: dict) -> dict:
     res, physics = _run(spec)
-    out = {
+    return {
         "counts": [res.counts.p2p, res.counts.p2c, res.counts.groups],
         "digest": _digest(physics),
+        "elapsed": res.sim.elapsed.hex(),
+        "msgs": sum(s.msgs_sent for s in res.sim.stats),
+        "bytes": sum(s.bytes_sent for s in res.sim.stats),
+        "comm": {k: res.comm[k] for k in sorted(res.comm)},
     }
-    if not spec.get("physics_only"):
-        out.update(
-            elapsed=res.sim.elapsed.hex(),
-            msgs=sum(s.msgs_sent for s in res.sim.stats),
-            bytes=sum(s.bytes_sent for s in res.sim.stats),
-            comm={k: res.comm[k] for k in sorted(res.comm)},
-        )
-    return out
 
 
 def _pins() -> dict:
@@ -188,9 +157,39 @@ def test_pinned(name):
         "`PYTHONPATH=src python tests/test_parallel_pins.py --regen`")
 
 
-def test_bounded_cache_replays_identically():
-    spec = dict(CONFIGS["force-async-batched-pf1-r4-clustered-cap48"], physics_only=False)
-    assert _observe(spec) == _observe(spec)
+@pytest.mark.parametrize("name", ["force-async-batched-pf0-r8-coincident",
+                                  "force-blocking-batched-pf1-r8-coincident"])
+def test_request_rounds_bound(name, monkeypatch):
+    """The coincident cloud, whose leaves sit at the deepest level,
+    needs a few of the ``_MAX_ROUNDS`` request rounds derived in
+    ``_Traversal.traverse_async`` (with no prefetch to fetch ahead); a
+    rank whose replies are dropped is refused once its walks have
+    passed ``_MAX_ROUNDS + 1`` times."""
+    spec = CONFIGS[name]
+    run, admit, advance = _Traversal.run, _Traversal.admit, _Traversal.advance_round
+    rounds, walks = [], []
+
+    def recording(self):
+        out = yield from run(self)
+        rounds.append(out[-1]["rounds"])
+        return out
+
+    monkeypatch.setattr(_Traversal, "run", recording)
+    _run(spec)
+    assert 0 < 2 * max(rounds) <= _MAX_ROUNDS
+
+    def lossy(self, replies):
+        return np.empty(0, dtype=np.int64) if self.comm.rank == 0 else admit(self, replies)
+
+    def counting(self, *args):
+        walks.append(self.comm.rank)
+        return advance(self, *args)
+
+    monkeypatch.setattr(_Traversal, "admit", lossy)
+    monkeypatch.setattr(_Traversal, "advance_round", counting)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _run(spec)
+    assert walks.count(0) == _MAX_ROUNDS + 1  # the last round finds its keys still missing
 
 
 def regen() -> None:
