@@ -8,9 +8,11 @@ publishes (all of its own cells; the step's arena concatenates every
 rank's), and what a receiver copies out of the arena in one gather.  A
 reply to a request is a :class:`CellRows`: the arena rows of the cells
 asked for, named rather than copied.  :class:`CellTable` is the one
-growable batch a rank keeps per step: its own cells, the part of the
-shared tree top it has looked at and every remote cell it has fetched,
-indexed by a :class:`~repro.core.hashtable.KeyHashTable`.  A batched
+growable batch a rank keeps per step: its own cells and every remote
+cell it has fetched, indexed by a
+:class:`~repro.core.hashtable.KeyHashTable`; the shared top of the
+tree (every rank's branch cells and the cells above them) is one
+read-only table of the step that every rank reads in place.  A batched
 :meth:`CellTable.lookup` answers a whole traversal frontier at once and
 its miss mask *is* the non-local catch.  The table is the remote-cell
 cache too: which fetched cells are resident and under which branch of
@@ -35,10 +37,11 @@ from .hashtable import KeyHashTable
 __all__ = ["CellBatch", "CellRows", "CellTable", "csr_take", "row_dots", "row_norms",
            "SILENT", "REMOTE", "STUB", "DEAD"]
 
-#: What a lookup hit on a row means to the remote-cache counters: a
-#: local or shared-top cell (not counted), a fetched copy (a hit), a
-#: remote branch known by its multipole only (a miss: its real record
-#: is still on its owner), a superseded row (not found).
+#: What a visit to a row means to the remote-cache counters: a local
+#: or shared-top cell (not counted), a fetched copy (a hit), another
+#: rank's branch cell in the shared top, known by its multipole only (a
+#: miss: its real record is still on its owner), a superseded row (not
+#: found).
 SILENT, REMOTE, STUB, DEAD = 0, 1, 2, 3
 
 #: The columns of a cell record proper, the CSR runs of its children and
@@ -178,8 +181,8 @@ class CellTable(CellBatch):
     Rows are only ever appended, each column group (rows, child slots,
     leaf particles) grown at most once per :meth:`append`, which gathers
     a batch's rows straight into the columns.  A key
-    appended again (the real record of a :data:`STUB` arriving, or a
-    key a reply repeats) re-points the index at the new row and marks
+    appended again (a key a reply repeats, or one fetched twice)
+    re-points the index at the new row and marks
     the old one :data:`DEAD`, in the one pass over the batch's keys
     that indexes it, so the live rows are exactly the rows not
     :data:`DEAD`.  A rank appends its own cells first, so that its own
@@ -233,14 +236,22 @@ class CellTable(CellBatch):
     def __len__(self) -> int:
         return self.n
 
+    def freeze(self) -> None:
+        """Make every column read-only: a table many readers share."""
+        for name, _, _ in _ROWS + _KIDS + _PARTS:
+            getattr(self, name).flags.writeable = False
+
     def _reserve(self, group, used: int, need: int) -> None:
         """Grow every column of ``group`` (they share a length) to hold
-        ``need`` entries, keeping the first ``used``."""
+        ``need`` entries, keeping the first ``used``: to what is asked,
+        or half again what the columns hold, which keeps a table
+        that grows by many small appends (a rank's replies, round after
+        round) from copying itself each time."""
         if need <= getattr(self, group[0][0]).shape[0]:
             return
         for name, _, _ in group:
             col = getattr(self, name)
-            grown = np.empty((max(need, 2 * col.shape[0]),) + col.shape[1:], dtype=col.dtype)
+            grown = np.empty((max(need, col.shape[0] * 3 // 2),) + col.shape[1:], dtype=col.dtype)
             grown[:used] = col[:used]
             setattr(self, name, grown)
 

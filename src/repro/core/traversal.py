@@ -203,7 +203,7 @@ def csr_by_group(g_idx: np.ndarray, items: np.ndarray, n_groups: int, tie=None):
 
 
 def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=None,
-         resolve=None, hit=lambda rows: None):
+         resolve=None, hit=lambda rows: None, kind=None):
     """The one tree walk: advance a ``(group, row)`` frontier over
     ``table`` as far as the table allows, one tree level per pass.
 
@@ -215,12 +215,19 @@ def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=N
     the first pass.  An accepted cell leaves the frontier, a rejected
     leaf that holds its particles is opened, a rejected cell is replaced
     by its children through ``child_row``.  What the table cannot
-    answer parks the walk on a key: a leaf known by its multipole only,
-    or a child key that ``resolve(keys) -> (rows, found)`` (default: the
-    table's own lookup) does not find.  ``hit(rows)`` is told of every
-    visit to a fetched (:data:`REMOTE`) row.  A table that holds its
-    whole tree (:attr:`Tree.table`) has no such rows and every child
+    answer parks the walk on a key: a leaf known by its multipole only
+    (a :data:`STUB`), or a child key that ``resolve(keys) -> (rows,
+    found)`` (default: the table's own lookup) does not find; a child it
+    finds is remembered in ``child_row``, and a read-only table resolves
+    no child.  ``hit(rows)`` is told of every visit to a fetched
+    (:data:`REMOTE`) row.  A table that holds
+    its whole tree (:attr:`Tree.table`) has no such rows and every child
     resolved: nothing parks, nothing is looked up.
+
+    ``kind``, if given, is what each row is to this walk in place of the
+    table's ``kind``: the parallel code walks the shared, read-only tree
+    top with it, where a cell one rank owns or has fetched is a
+    :data:`STUB` to every other rank.
 
     Returns ``(accepted, opened, parked, tests, passes, misses)``: the
     accepted and the opened ``(group, row)`` pairs and the parked
@@ -230,13 +237,14 @@ def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=N
     """
     grow, centre, bound = groups
     resolve = resolve or table.lookup
+    kinds = table.kind if kind is None else kind
     none = np.empty(0, dtype=np.int64)
     accepted, opened, parked = [(none, none)], [(none, none)], [(none, none.astype(np.uint64))]
     tests = passes = misses = 0
     while g.size:
         passes += 1
         tests += g.size
-        kind = table.kind[r]
+        kind = kinds[r]
         hit(r[kind == REMOTE])
         misses += np.count_nonzero(kind == STUB)
         # take and compress, not fancy and boolean indexing: the same
@@ -249,7 +257,7 @@ def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=N
         ok &= r != grow[g]  # never approximate the group by itself
         accepted.append((g.compress(ok), r.compress(ok)))
         g, r = g.compress(~ok), r.compress(~ok)
-        leaf, held = table.leaf[r], table.pn[r] > 0
+        leaf, held = table.leaf[r], kinds[r] != STUB
         whole = leaf & held
         opened.append((g.compress(whole), r.compress(whole)))
         # A remote leaf known only by its multipole: the rule wants it
@@ -266,13 +274,14 @@ def walk(table: CellTable, groups, rule, g: np.ndarray, r: np.ndarray, *, shut=N
         slots = csr_take(table.cstart[r], n_kids)
         g = np.repeat(g, n_kids)
         r = table.child_row[slots]
-        stale = (r < 0) | (table.kind[r] == DEAD)
-        if stale.any():
-            ask = np.unique(slots[stale])
-            rows, there = resolve(table.child_key[ask])
-            table.child_row[ask] = np.where(there, rows, -1)
-            r = table.child_row[slots]
-            lost = r < 0
+        lost = (r < 0) | (kinds[r] == DEAD)
+        if lost.any():
+            if table.child_row.flags.writeable:  # a shared table resolves no child
+                ask = np.unique(slots[lost])
+                rows, there = resolve(table.child_key[ask])
+                table.child_row[ask] = np.where(there, rows, -1)
+                r = table.child_row[slots]
+                lost = r < 0
             parked.append((g[lost], table.child_key[slots[lost]]))
             misses += np.count_nonzero(lost)
             g, r = g[~lost], r[~lost]
@@ -331,7 +340,8 @@ def leaf_particles(table: CellTable, offsets: np.ndarray, rows: np.ndarray):
     return np.concatenate(([0], np.cumsum(pn)))[offsets], csr_take(table.pstart[rows], pn)
 
 
-class RectJob(namedtuple("RectJob", "starts counts cells direct com mass quad ppos pmass acc pot")):
+class RectJob(namedtuple("RectJob", "starts counts cells direct com mass quad ppos pmass acc pot "
+                                    "top", defaults=(None,))):
     """Rectangles over one table and the ``acc``/``pot`` they add into.
 
     Rectangle ``i`` is the sink run ``starts[i] : starts[i] + counts[i]``
@@ -341,48 +351,57 @@ class RectJob(namedtuple("RectJob", "starts counts cells direct com mass quad pp
     sink's ``acc``/``pot`` row is its pool index.  :meth:`over` takes
     the columns as views of a table's rows so far: rows are only ever
     appended, so a queued job still reads what it was built with.
+    ``top`` is a second table's ``(com, mass, quad)`` that a negative
+    cell row ``~i`` names (row ``i``): the parallel code's shared tree
+    top, one tuple that every rank's jobs read where it is.
     """
 
     __slots__ = ()
 
     @classmethod
-    def over(cls, table: CellTable, starts, counts, cells, direct, acc, pot) -> "RectJob":
+    def over(cls, table: CellTable, starts, counts, cells, direct, acc, pot,
+             top=None) -> "RectJob":
         n, n_parts = len(table), table.n_parts
         return cls(starts, counts, cells, direct, table.com[:n], table.mass[:n], table.quad[:n],
-                   table.ppos[:n_parts], table.pmass[:n_parts], acc, pot)
+                   table.ppos[:n_parts], table.pmass[:n_parts], acc, pot, top)
 
 
 def _joined(jobs: list[RectJob]) -> tuple[RectJob, list[np.ndarray], np.ndarray]:
-    """``jobs`` as one job: each job's table and pool behind the last
-    one's, its lists shifted to match, over ``acc``/``pot`` buffers that
-    hold every sink's current value.  Returns ``(job, sinks, pool)``:
-    each job's rectangles' sinks that have a source, and its pool
-    offset."""
+    """``jobs`` as one job: their ``top`` once (the jobs of one flush
+    share it, or have none), then each job's table and pool behind the
+    last one's, its lists shifted to match, over ``acc``/``pot`` buffers
+    that hold every sink's current value.  Returns ``(job, sinks,
+    pool)``: each job's rectangles' sinks that have a source, and its
+    pool offset."""
     cat = np.concatenate
+    top = [] if jobs[0].top is None else [jobs[0].top]
+    blocks = top + [(j.com, j.mass, j.quad) for j in jobs]
+    rows = np.cumsum([0] + [b[1].shape[0] for b in blocks])
     pool = np.cumsum([0] + [j.pmass.shape[0] for j in jobs])
-    rows = np.cumsum([0] + [j.mass.shape[0] for j in jobs])
     live = [(np.diff(j.cells[0]) > 0) | (np.diff(j.direct[0]) > 0) for j in jobs]
     sinks = [csr_take(j.starts[ok], j.counts[ok]) for j, ok in zip(jobs, live)]
     acc, pot = np.zeros((pool[-1], 3)), np.zeros(pool[-1])
     for j, s, p in zip(jobs, sinks, pool):
         acc[s + p], pot[s + p] = j.acc[s], j.pot[s]
 
-    def lists(name, shift):
-        offsets, ids = zip(*(getattr(j, name) for j in jobs))
+    def lists(pairs):
+        offsets, ids = zip(*pairs)
         base = np.cumsum([0] + [i.size for i in ids])
-        return (cat([o[:-1] + b for o, b in zip(offsets, base)] + [base[-1:]]),
-                cat([i + s for i, s in zip(ids, shift)]))
+        return cat([o[:-1] + b for o, b in zip(offsets, base)] + [base[-1:]]), cat(ids)
 
-    def column(name):
+    def column(parts):
         # Joined component-major, (k, n): the kernels' component-major
         # copy of the (n, k) column is then this array itself.
-        parts = [getattr(j, name) for j in jobs]
         out = np.empty(parts[0].shape[1:] + (sum(map(len, parts)),))
         return cat([part.T for part in parts], axis=-1, out=out).T
 
     return RectJob(cat([j.starts + p for j, p in zip(jobs, pool)]), cat([j.counts for j in jobs]),
-                   lists("cells", rows), lists("direct", pool),
-                   *map(column, ("com", "mass", "quad", "ppos", "pmass")), acc, pot), sinks, pool
+                   lists([(o, np.where(i < 0, ~i, i + r))
+                          for (o, i), r in zip((j.cells for j in jobs), rows[len(top):])]),
+                   lists([(o, i + p) for (o, i), p in zip((j.direct for j in jobs), pool)]),
+                   *(column([b[k] for b in blocks]) for k in range(3)),
+                   column([j.ppos for j in jobs]), column([j.pmass for j in jobs]), acc, pot
+                   ), sinks, pool
 
 
 def _runs(kb, sinks: int, weights: np.ndarray) -> list[tuple[int, int]]:
@@ -471,7 +490,8 @@ def evaluate_rects(kb, jobs: list[RectJob], eps2, G, pair_chunk=DEFAULT_PAIR_CHU
         for part in (jobs[:len(jobs) // 2], jobs[len(jobs) // 2:]):
             evaluate_rects(kb, part, eps2, G, pair_chunk)
         return
-    job, sinks, pool = _joined(jobs) if len(jobs) > 1 else (jobs[0], [], [])
+    alone = len(jobs) == 1 and jobs[0].top is None
+    job, sinks, pool = (jobs[0], [], []) if alone else _joined(jobs)
     cost = job.counts * (CELL_PAIR_COST * np.diff(job.cells[0]) + np.diff(job.direct[0]))
     _fork_join([partial(_kernels, kb, job, _major(job), lo, hi, eps2, G, pair_chunk)
                 for lo, hi in _runs(kb, int(job.counts.sum()), cost)])

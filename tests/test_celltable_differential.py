@@ -24,7 +24,7 @@ from repro.core import (
     keys_from_positions,
 )
 from repro.core.cellserver import CellRecord, key_interval, key_spans
-from repro.core.celltable import REMOTE, SILENT, CellBatch, CellTable, row_norms
+from repro.core.celltable import REMOTE, SILENT, STUB, CellBatch, CellTable, row_norms
 from repro.core.parallel import _Frame, _Published
 from repro.simmpi import payload_nbytes
 
@@ -187,7 +187,15 @@ def test_frame_equals_cell_by_cell_aggregation(ranks, n, bucket, seed, coinciden
     assert all(_same(row, spec[row.key]) for row in rows)
     owners = {rec.key: rank for rank, b in enumerate(batches) for rec in _records(b)}
     assert [owners.get(r.key, -1) for r in rows] == frame.owner.tolist()
-    assert frame.table.key[frame.parent].tolist() == [max(r.key >> 3, ROOT_KEY) for r in rows]
+    # Every child an aggregated cell has is a frame row, linked; a
+    # branch cell's children are no frame rows.
+    table = frame.table
+    at = {key: row for row, key in enumerate(table.key[:len(table)].tolist())}
+    linked = [at.get(k, -1) for k in table.child_key[:table.n_kids].tolist()]
+    assert table.child_row[:table.n_kids].tolist() == linked
+    assert all(k in at for owner, k in zip(np.repeat(frame.owner, table.cn[:len(table)]),
+                                           table.child_key[:table.n_kids].tolist()) if owner < 0)
+    assert table.kind[:len(table)].tolist() == np.where(frame.owner >= 0, STUB, SILENT).tolist()
 
 
 def test_key_spans_is_the_vector_key_interval():
