@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
+    SHARD_STATUSES,
     ClusterSpec,
     CosmologySpec,
     ResultStore,
@@ -201,6 +202,38 @@ class TestDamagedFinalizedFiles:
             store.load_shards()
         with pytest.raises(ValueError, match=where):
             store.status()
+
+
+def _row(index, status, seconds, error=None):
+    """One ``shards.jsonl`` row as the runner builds it."""
+    row = {"index": index, "fingerprint": f"{index:032x}", "kind": "cluster",
+           "status": status, "seconds": seconds}
+    if error is not None:
+        row["error"] = error
+    return row
+
+
+class TestShardRowBytes:
+    """``shards.jsonl`` holds each row as ``json.dumps(row, sort_keys=True)``
+    encodes it, one line a row: pinned before the store shared one
+    encoder, so the rows' bytes never moved."""
+
+    @pytest.mark.parametrize("rows", [
+        [_row(i, status, 0.0) for i, status in enumerate(SHARD_STATUSES)],
+        [_row(0, "computed", None), _row(1, "computed", 1.7976931348623157e308),
+         _row(2, "cached", 123456789.125), _row(3, "resumed", 5e-324)],
+        [_row(0, "failed", 0.25, "ValueError: omega_m + omega_l != 1"),
+         _row(1, "failed", 1e12, "d\u00e9j\u00e0 vu \u4e16\U0001f680 \"q\"\n\ttab\\"),
+         _row(2, "dedupe", 0.0)],
+    ], ids=["every_status", "seconds", "error_text"])
+    def test_rows_are_the_json_dumps_lines(self, tmp_path, rows):
+        store = ResultStore(str(tmp_path / "c"))
+        store.write_shards(rows)
+        with open(store.shards_path, "rb") as fh:
+            data = fh.read()
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        assert data == want.encode("ascii")
+        assert store.load_shards() == rows
 
 
 class TestResultStoreQuery:
