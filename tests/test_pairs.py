@@ -2,6 +2,7 @@
 
 import doctest
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,47 @@ def test_row_counts_pairs_won_and_median_gap():
         "10/10 (-7.0%) | better |")
     assert pairs.declared("wall_s") == (True, 0.25)
     assert pairs.declared("work_per_s") == (False, 0.25)
+
+
+def _sample(wall_s, host_scale):
+    """One perfbench run as ``_perfbench`` returns it."""
+    return {"wall_s": wall_s, "work_per_s": 1.0 / wall_s, "cpu_s": 0.9 * wall_s,
+            "peak_rss_mb": 61.5, "setup_s": 0.3, "host_scale": host_scale}
+
+
+def test_record_holds_every_sample_and_row():
+    pairs = _pairs()
+    seeds = list(range(1701, 1711))
+    change_wall = [x * 0.7 for x in PARENT]
+    samples = [[_sample(x, 0.9) for x in PARENT], [_sample(x, 0.8) for x in change_wall]]
+    record = pairs.bench_record(("a" * 40, "b" * 40), "campaign_io", seeds, samples,
+                                "wall_s", 12.5)
+    assert json.loads(json.dumps(record)) == record  # plain JSON
+    assert {k: record[k] for k in ("parent", "change", "working_tree", "workload", "seeds",
+                                   "metric", "steal_s", "verdict")} == {
+        "parent": "a" * 40, "change": "b" * 40, "working_tree": False,
+        "workload": "campaign_io", "seeds": seeds, "metric": "wall_s", "steal_s": 12.5,
+        "verdict": "better"}
+    assert [p["seed"] for p in record["pairs"]] == seeds
+    assert [p["first"] for p in record["pairs"]] == ["parent", "change"] * 5
+    assert [p["parent"] for p in record["pairs"]] == samples[0]
+    assert [p["change"] for p in record["pairs"]] == samples[1]
+    # One row per end-to-end metric, in BENCHMARK.json's order; host_scale is none.
+    rows = {r.pop("metric"): r for r in record["rows"]}
+    assert list(rows) == ["wall_s", "work_per_s", "cpu_s", "peak_rss_mb", "setup_s"]
+    assert rows["wall_s"] == pairs.stats(PARENT, change_wall, True, 0.25)
+    assert rows["wall_s"]["parent"] == pytest.approx(
+        {"q1": 0.20025, "median": 0.2025, "q3": 0.20475})
+    assert (rows["wall_s"]["won"], rows["wall_s"]["pairs"]) == (10, 10)
+    assert rows["wall_s"]["gap"] == pytest.approx(-0.3)
+    assert rows["work_per_s"]["verdict"] == "better"   # higher is better
+    assert rows["peak_rss_mb"]["verdict"] == "same"
+    assert rows["peak_rss_mb"]["won"] == 0
+
+
+def test_steal_seconds_read_or_none():
+    steal = _pairs()._steal_s()
+    assert steal is None or steal >= 0.0
 
 
 def test_doctests():
