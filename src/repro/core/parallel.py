@@ -82,8 +82,9 @@ the Table 6 benchmark.  Wall time: under
 ``gravity.kernel.cells`` / ``gravity.kernel.direct`` spans of the
 queue's flushes (at small ranks, one flush carries every rank's jobs,
 so the kernels cost one dispatch, not one a rank), a round's reply
-gather is ``core.parallel.admit``, and the rest of the rank program is
-the engine's ``simmpi.engine``.
+gather is ``core.parallel.admit``, a rank's table set up for a step
+is ``core.parallel.table``, and the rest of the rank program is the
+engine's ``simmpi.engine``.
 
 Resilience: the rank program optionally carries a
 :class:`~repro.resilience.checkpoint.Checkpointer`.  Right after the
@@ -1152,9 +1153,12 @@ def _make_program(
             # under a branch whose fingerprint did not change stays.
             unchanged = dict(branch_fps.items() & held_fps.items())
             valid = np.array(list(unchanged), dtype=np.uint64)
-            traversal = _Traversal(comm, config, kb, local, frame, cuts, cols["pos"],
-                                   cols["mass"], cache, table if cache_across_steps else None,
-                                   valid, queue)
+            # Its own span: the resume this runs in ends on the prefetch's
+            # first charge, which would otherwise book the table's setup.
+            with wallclock.span("core.parallel.table"):
+                traversal = _Traversal(comm, config, kb, local, frame, cuts, cols["pos"],
+                                       cols["mass"], cache,
+                                       table if cache_across_steps else None, valid, queue)
             table, held_fps = traversal.table, branch_fps
             acc, pot, counts, work, stats = yield from traversal.run()
             counts_total = counts_total.merged(counts)

@@ -15,7 +15,8 @@ Span names follow the layers they time: ``gravity.*``, ``sph.*``,
 ``simmpi.engine`` (the event loop) and ``simmpi.dispatch`` (message
 matching and collective bookkeeping), ``core.parallel.admit`` (the
 gather that copies a round's replied cell records out of the step's
-arena), one ``core.parallel.<label>`` per compute label of the rank
+arena), ``core.parallel.table`` (a rank's table set up for a step),
+one ``core.parallel.<label>`` per compute label of the rank
 programs (their own host work between yields, which the engine times;
 the ``engine`` bucket, as before the split), one ``pipeline.<stage>``
 per pipeline stage plus

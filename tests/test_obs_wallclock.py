@@ -13,12 +13,14 @@ an entry point, the table must partition the root span exactly.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro.campaign import ClusterSpec, PipelineSpec, run_campaign
 from repro.core import ParallelConfig, parallel_nbody_run
+from repro.core import parallel as core_parallel
 from repro.obs import (
     Recorder,
     Span,
@@ -214,8 +216,27 @@ class TestGoldenTrace:
             "key-sort", "exchange-sort", "tree-build", "prefetch", "traversal", "force",
             "integrate")}
         assert set(table) == {"other", "simmpi.engine", "simmpi.dispatch", "core.parallel.admit",
-                              "gravity.kernel.cells", "gravity.kernel.direct"} | labels
+                              "core.parallel.table", "gravity.kernel.cells",
+                              "gravity.kernel.direct"} | labels
         assert table == innermost_seconds(rec.spans)
+
+    def test_table_setup_is_not_the_prefetch(self, monkeypatch):
+        # A rank's table is built in the resume that ends on the
+        # prefetch's first charge; its own span keeps that label clean.
+        init = core_parallel._Traversal.__init__
+
+        def slow_init(self, comm, *args):
+            if comm.rank == 0:
+                time.sleep(0.03)
+            init(self, comm, *args)
+
+        monkeypatch.setattr(core_parallel._Traversal, "__init__", slow_init)
+        pos = np.random.default_rng(11).random((200, 3))
+        with wc.profile() as rec:
+            parallel_nbody_run(pos, n_ranks=2, n_steps=1, dt=1e-3)
+        table = self_seconds(rec)
+        assert table["core.parallel.table"] >= 0.03 > table["core.parallel.prefetch"]
+        assert wc.bucket_of("core.parallel.table") == "engine"
 
     def test_buckets_sum_exactly_to_elapsed(self, rec):
         assert sum(self_seconds(rec).values()) == rec.spans[-1].duration
