@@ -5,8 +5,10 @@ names: a request is a scenario spec, a campaign is a catalog of them,
 and hot scenarios are cache hits.  The pipeline:
 
 1. **Fingerprint** every catalog entry
-   (:func:`repro.campaign.fingerprint.scenario_fingerprint_hex`).
-   Duplicate specs collapse to one shard (*dedupe hits*).
+   (:func:`repro.campaign.fingerprint.scenario_fingerprint_hex`): a
+   spec object computes its fingerprint once and keeps it, so a rerun
+   of the same catalog objects encodes none of them again.  Duplicate
+   specs collapse to one shard (*dedupe hits*).
 2. **Reuse** everything already known: finalized results in the store
    (*cache hits*, cross-campaign) and the crash ledger of a
    partially-run campaign (*resume hits*, intra-campaign).

@@ -78,6 +78,9 @@ SHARD_STATUSES = ("computed", "dedupe", "resumed", "cached", "failed")
 
 _RESULT_KEYS = ("fingerprint", "kind", "spec", "result")
 
+#: ``json.dumps(row, sort_keys=True)`` without a new encoder per row.
+_encode_row = json.JSONEncoder(sort_keys=True).encode
+
 
 class Record(dict):
     """A row that carries ``line``, the bytes (newline included) it was
@@ -256,7 +259,7 @@ class ResultStore:
 
     # -- operational record ---------------------------------------------
     def _put_shards(self, rows: Iterable[Mapping]) -> bool:
-        data = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        data = "".join(_encode_row(row) + "\n" for row in rows)
         return self._replace(self.shards_path, data.encode("ascii"), sync=False)
 
     def write_shards(self, rows: Iterable[Mapping]) -> str:
