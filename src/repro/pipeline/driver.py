@@ -315,7 +315,7 @@ def run_ensemble(
     specs = draw_specs(base, distributions, n, seed=seed)
     report = run_campaign(specs, store_dir, workers=workers, throttle=throttle)
     by_fp = ResultStore(store_dir).load_results()
-    fingerprints = [scenario_fingerprint_hex(s.to_dict()) for s in specs]
+    fingerprints = [scenario_fingerprint_hex(s) for s in specs]
     results = [by_fp[fp]["result"] for fp in fingerprints if fp in by_fp]
     stats = ensemble_statistics([r["summary"] for r in results])
     return EnsembleResult(report=report, specs=specs, fingerprints=fingerprints,
