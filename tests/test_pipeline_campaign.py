@@ -53,6 +53,7 @@ class TestHundredScenarioEnsemble:
         assert ens.report.computed == 0
         assert ens.report.cache_hits == 96
         assert len(ens.results) == 96
+        assert ens.fingerprints == [vars(s)["fingerprint"].hex() for s in ens.specs]
 
         # every scenario produced the three product families
         for result in ens.results:
