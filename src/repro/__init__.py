@@ -15,17 +15,12 @@ figure.
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "machine",
-    "network",
-    "simmpi",
-    "core",
-    "stream",
-    "linpack",
-    "nas",
-    "spec",
-    "sph",
-    "cosmology",
-    "cluster",
-    "analysis",
-]
+from ._namespace import namespace
+
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".": (
+        "analysis", "bem", "campaign", "cluster", "core", "cosmology", "galaxy", "linpack",
+        "machine", "nas", "network", "obs", "pipeline", "resilience", "simmpi", "spec", "sph",
+        "stream", "vortex",
+    ),
+})

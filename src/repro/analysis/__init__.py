@@ -1,13 +1,8 @@
 """Reporting helpers and the experiment registry."""
 
-from .experiments import EXPERIMENTS, Experiment, by_id
-from .tables import comparison_rows, format_comparison, format_table
+from .._namespace import namespace
 
-__all__ = [
-    "format_table",
-    "format_comparison",
-    "comparison_rows",
-    "Experiment",
-    "EXPERIMENTS",
-    "by_id",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".experiments": ("Experiment", "EXPERIMENTS", "by_id"),
+    ".tables": ("format_table", "format_comparison", "comparison_rows"),
+})

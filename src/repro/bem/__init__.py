@@ -6,18 +6,11 @@ tree-accelerated matrix-free matvecs — the fourth of the paper's
 boundary integrals).
 """
 
-from .laplace import (
-    PanelSurface,
-    exterior_potential,
-    single_layer_matvec,
-    solve_dirichlet,
-    sphere_panels,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "PanelSurface",
-    "sphere_panels",
-    "single_layer_matvec",
-    "solve_dirichlet",
-    "exterior_potential",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".laplace": (
+        "PanelSurface", "sphere_panels", "single_layer_matvec", "solve_dirichlet",
+        "exterior_potential",
+    ),
+})

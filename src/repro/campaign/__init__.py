@@ -19,54 +19,17 @@ Quickstart::
 Or from the shell: ``python -m repro.campaign --help``.
 """
 
-from .fingerprint import (
-    canonical_json,
-    canonical_json_bytes,
-    scenario_fingerprint,
-    scenario_fingerprint_hex,
-)
-from .runner import CampaignReport, run_campaign
-from .spec import (
-    SPEC_KINDS,
-    BenchSpec,
-    ClusterSpec,
-    CosmologySpec,
-    PipelineSpec,
-    ScenarioSpec,
-    SupernovaSpec,
-    load_catalog,
-    save_catalog,
-    spec_from_dict,
-    sweep,
-)
-from .store import SHARD_STATUSES, ResultStore
-from .workers import WORKERS_ENV, execute_shard, resolve_workers
+from .._namespace import namespace
 
-__all__ = [
-    # specs / catalogs
-    "ScenarioSpec",
-    "CosmologySpec",
-    "SupernovaSpec",
-    "ClusterSpec",
-    "BenchSpec",
-    "PipelineSpec",
-    "SPEC_KINDS",
-    "spec_from_dict",
-    "load_catalog",
-    "save_catalog",
-    "sweep",
-    # fingerprints
-    "canonical_json",
-    "canonical_json_bytes",
-    "scenario_fingerprint",
-    "scenario_fingerprint_hex",
-    # store
-    "ResultStore",
-    "SHARD_STATUSES",
-    # execution
-    "CampaignReport",
-    "run_campaign",
-    "WORKERS_ENV",
-    "resolve_workers",
-    "execute_shard",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".fingerprint": (
+        "canonical_json", "canonical_json_bytes", "scenario_fingerprint", "scenario_fingerprint_hex",
+    ),
+    ".runner": ("CampaignReport", "run_campaign"),
+    ".spec": (
+        "ScenarioSpec", "CosmologySpec", "SupernovaSpec", "ClusterSpec", "BenchSpec",
+        "PipelineSpec", "SPEC_KINDS", "spec_from_dict", "load_catalog", "save_catalog", "sweep",
+    ),
+    ".store": ("ResultStore", "SHARD_STATUSES"),
+    ".workers": ("WORKERS_ENV", "resolve_workers", "execute_shard"),
+})

@@ -3,14 +3,15 @@
 The campaign engine's dedupe, resume, and result store all key on one
 identity: the fingerprint of a scenario spec.  It generalizes
 :meth:`repro.core.cellserver.CellServer.branch_fingerprint` — the same
-digest primitive (:func:`repro.core.cellserver.content_fingerprint`,
-16-byte blake2b) applied to *canonical JSON* instead of particle
-bytes.  Canonical means: keys sorted recursively, compact separators,
-ASCII-only, no NaN/Infinity — so the digest depends on scenario
-content alone, never on dict insertion order, interpreter hash
-randomization, or which process computed it.  Two campaigns submitted
-years apart address the same cache entry iff they describe the same
-physics.
+digest (16-byte blake2b, as
+:func:`repro.core.cellserver.content_fingerprint` computes it) applied
+to *canonical JSON* instead of particle bytes, computed here with
+:mod:`hashlib` so that the campaign layer loads no numpy.  Canonical
+means: keys sorted recursively, compact separators, ASCII-only, no
+NaN/Infinity — so the digest depends on scenario content alone, never
+on dict insertion order, interpreter hash randomization, or which
+process computed it.  Two campaigns submitted years apart address the
+same cache entry iff they describe the same physics.
 
 Fingerprints are exposed in two forms: raw 16-byte digests and
 32-char lowercase hex for JSONL/sqlite rows and log lines.
@@ -18,10 +19,9 @@ Fingerprints are exposed in two forms: raw 16-byte digests and
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Mapping
-
-from ..core.cellserver import content_fingerprint
 
 __all__ = [
     "canonical_json",
@@ -56,10 +56,8 @@ def canonical_json_bytes(obj: Any) -> bytes:
 def _digest(d: Mapping) -> bytes:
     """The fingerprint of a spec's dict form: what
     :attr:`~repro.campaign.spec.ScenarioSpec.fingerprint` computes."""
-    return content_fingerprint([
-        b"repro.campaign.scenario/v%d:" % ENCODING_VERSION,
-        canonical_json_bytes(d),
-    ])
+    prefix = b"repro.campaign.scenario/v%d:" % ENCODING_VERSION
+    return hashlib.blake2b(prefix + canonical_json_bytes(d), digest_size=16).digest()
 
 
 def scenario_fingerprint(spec: "ScenarioSpec | Mapping") -> bytes:

@@ -15,9 +15,11 @@ Who imports what, when: the ``repro.campaign`` and ``repro.pipeline``
 packages import none of the physics they drive (no ``repro.cosmology``,
 no ``repro.sph``), so a catalog tool, a cached rerun and a run of
 closed-form shards pay for none of it, and a serial run imports it when
-its first shard does.  When :func:`run_shards` is about to fork a pool,
-and only then, the coordinator imports what the pending shards' kinds
-declare (:meth:`ScenarioSpec.preload
+its first shard does.  The campaign layer itself loads no numpy either:
+no numpy is loaded until a shard runs, so a cached rerun and a
+``status`` run without it.  When :func:`run_shards` is about to fork a
+pool, and only then, the coordinator imports what the pending shards'
+kinds declare (:meth:`ScenarioSpec.preload
 <repro.campaign.spec.ScenarioSpec.preload>`) once, and every worker
 inherits it; left to themselves, fresh workers would each import the
 same modules again.

@@ -6,76 +6,23 @@ power budget, nine months of component-failure statistics, the TOP500
 ranking context, and the Moore's-law price/performance analysis.
 """
 
-from .bom import LOKI_BOM, SPACE_SIMULATOR_BOM, BillOfMaterials, LineItem
-from .checkpoint import (
-    CheckpointPlan,
-    expected_runtime,
-    job_mtbf_hours,
-    young_interval,
-)
-from .moore import (
-    LOKI_NPB_CLASS_B_16P,
-    NBODY_LOKI_VS_SS,
-    SS_NPB_CLASS_B_16P,
-    YEARS_LOKI_TO_SS,
-    NBodyComparison,
-    disk_dollars_per_gb,
-    moore_factor,
-    npb_improvement_ratios,
-    npb_price_performance_vs_moore,
-    ram_dollars_per_mb,
-)
-from .power import SPACE_SIMULATOR_POWER, PowerBudget
-from .reliability import (
-    INSTALL_DEFECTS,
-    SERVICE_FAILURES_9MO,
-    SS_COMPONENTS,
-    ComponentPopulation,
-    FailureModel,
-    SimulatedLife,
-)
-from .top500 import (
-    SS_LINPACK_APR2003,
-    SS_LINPACK_NOV2002,
-    TOP500_JUN2003,
-    TOP500_NOV2002,
-    Top500Anchor,
-    estimate_rank,
-    price_per_mflops_cents,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "LineItem",
-    "BillOfMaterials",
-    "SPACE_SIMULATOR_BOM",
-    "LOKI_BOM",
-    "PowerBudget",
-    "SPACE_SIMULATOR_POWER",
-    "ComponentPopulation",
-    "FailureModel",
-    "SimulatedLife",
-    "SS_COMPONENTS",
-    "INSTALL_DEFECTS",
-    "SERVICE_FAILURES_9MO",
-    "moore_factor",
-    "disk_dollars_per_gb",
-    "ram_dollars_per_mb",
-    "npb_improvement_ratios",
-    "npb_price_performance_vs_moore",
-    "NBodyComparison",
-    "NBODY_LOKI_VS_SS",
-    "LOKI_NPB_CLASS_B_16P",
-    "SS_NPB_CLASS_B_16P",
-    "YEARS_LOKI_TO_SS",
-    "Top500Anchor",
-    "TOP500_NOV2002",
-    "TOP500_JUN2003",
-    "estimate_rank",
-    "price_per_mflops_cents",
-    "SS_LINPACK_NOV2002",
-    "SS_LINPACK_APR2003",
-    "CheckpointPlan",
-    "job_mtbf_hours",
-    "young_interval",
-    "expected_runtime",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".bom": ("LineItem", "BillOfMaterials", "SPACE_SIMULATOR_BOM", "LOKI_BOM"),
+    ".checkpoint": ("CheckpointPlan", "job_mtbf_hours", "young_interval", "expected_runtime"),
+    ".moore": (
+        "moore_factor", "disk_dollars_per_gb", "ram_dollars_per_mb", "npb_improvement_ratios",
+        "npb_price_performance_vs_moore", "NBodyComparison", "NBODY_LOKI_VS_SS",
+        "LOKI_NPB_CLASS_B_16P", "SS_NPB_CLASS_B_16P", "YEARS_LOKI_TO_SS",
+    ),
+    ".power": ("PowerBudget", "SPACE_SIMULATOR_POWER"),
+    ".reliability": (
+        "ComponentPopulation", "FailureModel", "SimulatedLife", "SS_COMPONENTS", "INSTALL_DEFECTS",
+        "SERVICE_FAILURES_9MO",
+    ),
+    ".top500": (
+        "Top500Anchor", "TOP500_NOV2002", "TOP500_JUN2003", "estimate_rank",
+        "price_per_mflops_cents", "SS_LINPACK_NOV2002", "SS_LINPACK_APR2003",
+    ),
+})

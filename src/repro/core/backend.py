@@ -87,30 +87,15 @@ as a timing proxy) is evaluated inline.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .procpool import resolve_pool_workers
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "get_backend",
-    "resolve_pool_workers",
 ]
-
-
-def resolve_pool_workers(workers: int | None = None) -> int:
-    """Effective worker count (>= 1): ``workers``, else the cores this
-    process may run on (its CPU affinity where the platform reports
-    one, else ``os.cpu_count()``).  ``workers`` must be an integer (a
-    ``bool`` is not one: ``ValueError``); 0 and below mean 1."""
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    return max(1, int(workers))
 
 
 class KernelBackend:
@@ -233,7 +218,7 @@ class NumpyBackend(KernelBackend):
 
     ``threads`` is the number of threads one force evaluation may use
     (:mod:`repro.core.traversal` runs them): ``None`` means the usable
-    cores (:func:`resolve_pool_workers`), ``1`` means inline.  The
+    cores (:func:`~repro.core.procpool.resolve_pool_workers`), ``1`` means inline.  The
     kernels themselves never start a thread.
     """
 

@@ -61,9 +61,10 @@ def content_fingerprint(chunks, digest_size: int = 16) -> bytes:
     ``hash()``, there is no per-process randomization — so a fingerprint
     can name work across restarts.  :meth:`CellServer.branch_fingerprint`
     applies it to a branch cell's particle data for cache invalidation;
-    :func:`repro.campaign.fingerprint.scenario_fingerprint` applies it
-    to canonical scenario JSON so identical simulation requests dedupe
-    to cache hits.
+    :func:`repro.campaign.fingerprint.scenario_fingerprint` computes the
+    same digest of canonical scenario JSON (with :mod:`hashlib` alone,
+    so the campaign layer loads no numpy), so identical simulation
+    requests dedupe to cache hits.
 
     Only the concatenated content matters, not the chunk boundaries —
     callers that need boundary sensitivity (none today) must frame

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 import multiprocessing
-
-from .backend import resolve_pool_workers
+import os
 
 __all__ = [
     "TaskResult",
@@ -35,6 +34,20 @@ __all__ = [
     "resolve_pool_workers",
     "run_tasks",
 ]
+
+
+def resolve_pool_workers(workers: int | None = None) -> int:
+    """Effective worker count (>= 1): ``workers``, else the cores this
+    process may run on (its CPU affinity where the platform reports
+    one, else ``os.cpu_count()``).  ``workers`` must be an integer (a
+    ``bool`` is not one: ``ValueError``); 0 and below mean 1."""
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if isinstance(workers, bool) or not hasattr(workers, "__index__"):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    return max(1, int(workers))
 
 
 @dataclass(frozen=True)

@@ -7,51 +7,20 @@ finding, clustering statistics, and the performance model of the
 paper's 134-million-particle production run.
 """
 
-from .background import EDS, LCDM, Cosmology
-from .correlation import (
-    correlation_function,
-    measured_power_spectrum,
-    measured_power_spectrum_reference,
-    pair_counts_periodic,
-    pair_counts_periodic_reference,
-)
-from .fof import FofResult, Halo, friends_of_friends, friends_of_friends_reference
-from .ics import InitialConditions, gaussian_field, zeldovich_ics
-from .pm import (
-    PMSolver,
-    cic_deposit,
-    cic_deposit_reference,
-    cic_interpolate,
-    cic_interpolate_reference,
-)
-from .power import PowerSpectrum, bbks_transfer, tophat_window
-from .simulation import PAPER_RUN, ComovingSimulation, CosmologyRunModel
+from .._namespace import namespace
 
-__all__ = [
-    "Cosmology",
-    "LCDM",
-    "EDS",
-    "PowerSpectrum",
-    "bbks_transfer",
-    "tophat_window",
-    "InitialConditions",
-    "zeldovich_ics",
-    "gaussian_field",
-    "PMSolver",
-    "cic_deposit",
-    "cic_deposit_reference",
-    "cic_interpolate",
-    "cic_interpolate_reference",
-    "ComovingSimulation",
-    "CosmologyRunModel",
-    "PAPER_RUN",
-    "Halo",
-    "FofResult",
-    "friends_of_friends",
-    "friends_of_friends_reference",
-    "pair_counts_periodic",
-    "pair_counts_periodic_reference",
-    "correlation_function",
-    "measured_power_spectrum",
-    "measured_power_spectrum_reference",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".background": ("Cosmology", "LCDM", "EDS"),
+    ".correlation": (
+        "pair_counts_periodic", "pair_counts_periodic_reference", "correlation_function",
+        "measured_power_spectrum", "measured_power_spectrum_reference",
+    ),
+    ".fof": ("Halo", "FofResult", "friends_of_friends", "friends_of_friends_reference"),
+    ".ics": ("InitialConditions", "zeldovich_ics", "gaussian_field"),
+    ".pm": (
+        "PMSolver", "cic_deposit", "cic_deposit_reference", "cic_interpolate",
+        "cic_interpolate_reference",
+    ),
+    ".power": ("PowerSpectrum", "bbks_transfer", "tophat_window"),
+    ".simulation": ("ComovingSimulation", "CosmologyRunModel", "PAPER_RUN"),
+})

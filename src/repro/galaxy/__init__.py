@@ -1,19 +1,10 @@
 """Galactic dynamics: dissipationless halo collapse (Section 4.1, ref [18])."""
 
-from .halo import (
-    axis_ratios,
-    cold_collapse_ics,
-    density_profile,
-    half_mass_radius,
-    spin_alignment,
-    virial_ratio,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "cold_collapse_ics",
-    "virial_ratio",
-    "density_profile",
-    "axis_ratios",
-    "spin_alignment",
-    "half_mass_radius",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".halo": (
+        "cold_collapse_ics", "virial_ratio", "density_profile", "axis_ratios", "spin_alignment",
+        "half_mass_radius",
+    ),
+})

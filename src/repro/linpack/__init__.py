@@ -1,25 +1,11 @@
 """Linpack: real blocked LU kernel + cluster HPL model (Fig 3, Table 2)."""
 
-from .hpl import HplResult, hpl_flops, lu_factor_blocked, lu_solve, run_hpl
-from .model import (
-    PAPER_LAM_GFLOPS,
-    PAPER_MPICH_GFLOPS,
-    SS_NODE_LINPACK_GFLOPS,
-    ClusterHplModel,
-    calibrated_space_simulator_model,
-    predicted_mpich_gflops,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "HplResult",
-    "hpl_flops",
-    "lu_factor_blocked",
-    "lu_solve",
-    "run_hpl",
-    "ClusterHplModel",
-    "calibrated_space_simulator_model",
-    "predicted_mpich_gflops",
-    "SS_NODE_LINPACK_GFLOPS",
-    "PAPER_LAM_GFLOPS",
-    "PAPER_MPICH_GFLOPS",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".hpl": ("HplResult", "hpl_flops", "lu_factor_blocked", "lu_solve", "run_hpl"),
+    ".model": (
+        "ClusterHplModel", "calibrated_space_simulator_model", "predicted_mpich_gflops",
+        "SS_NODE_LINPACK_GFLOPS", "PAPER_LAM_GFLOPS", "PAPER_MPICH_GFLOPS",
+    ),
+})

@@ -14,51 +14,17 @@ XPC node (see DESIGN.md, substitution table).  It provides:
   historical machine catalog.
 """
 
-from .clocking import (
-    NORMAL,
-    OVERCLOCK,
-    SLOW_CPU,
-    SLOW_MEM,
-    TABLE2_CONFIGS,
-    TABLE2_MEASURED,
-    ClockConfig,
-    WorkloadProfile,
-    fit_workload,
-    table2_profiles,
-)
-from .node import LOKI_NODE, SPACE_SIMULATOR_NODE, DiskSpec, NicSpec, NodeSpec
-from .perfmodel import PerfModel, Workload
-from .specs import (
-    ASCI_Q_NODE,
-    FLOPS_PER_INTERACTION,
-    TABLE5_PROCESSORS,
-    TABLE6_MACHINES,
-    MachineRecord,
-    ProcessorSpec,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "NodeSpec",
-    "DiskSpec",
-    "NicSpec",
-    "SPACE_SIMULATOR_NODE",
-    "LOKI_NODE",
-    "ClockConfig",
-    "WorkloadProfile",
-    "fit_workload",
-    "table2_profiles",
-    "NORMAL",
-    "SLOW_MEM",
-    "SLOW_CPU",
-    "OVERCLOCK",
-    "TABLE2_CONFIGS",
-    "TABLE2_MEASURED",
-    "PerfModel",
-    "Workload",
-    "ProcessorSpec",
-    "MachineRecord",
-    "TABLE5_PROCESSORS",
-    "TABLE6_MACHINES",
-    "ASCI_Q_NODE",
-    "FLOPS_PER_INTERACTION",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".clocking": (
+        "ClockConfig", "WorkloadProfile", "fit_workload", "table2_profiles", "NORMAL", "SLOW_MEM",
+        "SLOW_CPU", "OVERCLOCK", "TABLE2_CONFIGS", "TABLE2_MEASURED",
+    ),
+    ".node": ("NodeSpec", "DiskSpec", "NicSpec", "SPACE_SIMULATOR_NODE", "LOKI_NODE"),
+    ".perfmodel": ("PerfModel", "Workload"),
+    ".specs": (
+        "ProcessorSpec", "MachineRecord", "TABLE5_PROCESSORS", "TABLE6_MACHINES", "ASCI_Q_NODE",
+        "FLOPS_PER_INTERACTION",
+    ),
+})

@@ -6,71 +6,22 @@ definitions with operation accounting, and the parallel performance
 model that regenerates Tables 3-4 and the scaling Figures 4-5.
 """
 
-from .bt import AdiResult, adi_step_tridiagonal, run_bt
-from .cg import CgResult, cg_solve, make_matrix, run_cg
-from .classes import BENCHMARKS, CLASSES, NpbProblem, problem, total_ops
-from .ep import EpResult, run_ep
-from .ft import FtResult, run_ft
-from .harness import RUNNERS, NpbReport, run_benchmark, run_suite
-from .is_ import IsResult, rank_keys, run_is
-from .lu import LuResult, run_lu, ssor_solve
-from .mg import MgResult, run_mg, v_cycle
-from .perf import (
-    Q_MEASURED_C64,
-    Q_MEASURED_D256,
-    Q_NETWORK,
-    SS_MEASURED_C64,
-    SS_MEASURED_D256,
-    SS_NETWORK,
-    SS_SERIAL_MOPS,
-    NetworkParams,
-    NpbPerfModel,
-    asci_q_npb_model,
-    space_simulator_npb_model,
-)
-from .sp import adi_step_pentadiagonal, run_sp
+from .._namespace import namespace
 
-__all__ = [
-    "BENCHMARKS",
-    "CLASSES",
-    "NpbProblem",
-    "problem",
-    "total_ops",
-    "run_bt",
-    "run_sp",
-    "run_lu",
-    "run_mg",
-    "run_cg",
-    "run_ft",
-    "run_is",
-    "run_ep",
-    "AdiResult",
-    "CgResult",
-    "LuResult",
-    "MgResult",
-    "FtResult",
-    "IsResult",
-    "EpResult",
-    "adi_step_tridiagonal",
-    "adi_step_pentadiagonal",
-    "ssor_solve",
-    "v_cycle",
-    "cg_solve",
-    "make_matrix",
-    "rank_keys",
-    "NetworkParams",
-    "NpbPerfModel",
-    "space_simulator_npb_model",
-    "asci_q_npb_model",
-    "SS_NETWORK",
-    "Q_NETWORK",
-    "SS_SERIAL_MOPS",
-    "SS_MEASURED_C64",
-    "Q_MEASURED_C64",
-    "SS_MEASURED_D256",
-    "Q_MEASURED_D256",
-    "NpbReport",
-    "run_benchmark",
-    "run_suite",
-    "RUNNERS",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".bt": ("run_bt", "AdiResult", "adi_step_tridiagonal"),
+    ".cg": ("run_cg", "CgResult", "cg_solve", "make_matrix"),
+    ".classes": ("BENCHMARKS", "CLASSES", "NpbProblem", "problem", "total_ops"),
+    ".ep": ("run_ep", "EpResult"),
+    ".ft": ("run_ft", "FtResult"),
+    ".harness": ("NpbReport", "run_benchmark", "run_suite", "RUNNERS"),
+    ".is_": ("run_is", "IsResult", "rank_keys"),
+    ".lu": ("run_lu", "LuResult", "ssor_solve"),
+    ".mg": ("run_mg", "MgResult", "v_cycle"),
+    ".perf": (
+        "NetworkParams", "NpbPerfModel", "space_simulator_npb_model", "asci_q_npb_model",
+        "SS_NETWORK", "Q_NETWORK", "SS_SERIAL_MOPS", "SS_MEASURED_C64", "Q_MEASURED_C64",
+        "SS_MEASURED_D256", "Q_MEASURED_D256",
+    ),
+    ".sp": ("run_sp", "adi_step_pentadiagonal"),
+})

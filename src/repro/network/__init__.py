@@ -7,56 +7,19 @@ latencies) and the Section 3.1 backplane measurements (6000 Mbit/s
 cross-module, 8 Gbit/s trunk).
 """
 
-from .netpipe import NetpipePoint, NetpipeSummary, message_sizes, summarize, sweep
-from .stacks import (
-    FIGURE2_STACKS,
-    LAM,
-    LAM_O,
-    MPICH2_092,
-    MPICH_125,
-    TCP,
-    MessagingStack,
-)
-from .switch import (
-    FASTIRON_800,
-    FASTIRON_1500,
-    SPACE_SIMULATOR_FABRIC,
-    FabricModel,
-    Flow,
-    PortLocation,
-    SwitchSpec,
-)
-from .topology import (
-    bisection_flows,
-    cross_module_flows,
-    effective_pairwise_mbits,
-    hypercube_pairs,
-    pair_flows,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "MessagingStack",
-    "TCP",
-    "LAM",
-    "LAM_O",
-    "MPICH2_092",
-    "MPICH_125",
-    "FIGURE2_STACKS",
-    "NetpipePoint",
-    "NetpipeSummary",
-    "message_sizes",
-    "sweep",
-    "summarize",
-    "SwitchSpec",
-    "FabricModel",
-    "Flow",
-    "PortLocation",
-    "FASTIRON_1500",
-    "FASTIRON_800",
-    "SPACE_SIMULATOR_FABRIC",
-    "hypercube_pairs",
-    "pair_flows",
-    "cross_module_flows",
-    "bisection_flows",
-    "effective_pairwise_mbits",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".netpipe": ("NetpipePoint", "NetpipeSummary", "message_sizes", "sweep", "summarize"),
+    ".stacks": (
+        "MessagingStack", "TCP", "LAM", "LAM_O", "MPICH2_092", "MPICH_125", "FIGURE2_STACKS",
+    ),
+    ".switch": (
+        "SwitchSpec", "FabricModel", "Flow", "PortLocation", "FASTIRON_1500", "FASTIRON_800",
+        "SPACE_SIMULATOR_FABRIC",
+    ),
+    ".topology": (
+        "hypercube_pairs", "pair_flows", "cross_module_flows", "bisection_flows",
+        "effective_pairwise_mbits",
+    ),
+})

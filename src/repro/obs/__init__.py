@@ -26,79 +26,22 @@ When nothing is installed, a wall span is a shared no-op context, and
 an untraced engine run records into no recorder at all.
 """
 
-from .analysis import (
-    WAIT_CAUSES,
-    PathSegment,
-    WaitState,
-    attribute_phases,
-    classify_waits,
-    critical_path,
-    critical_path_summary,
-    load_imbalance,
-    self_seconds,
-    wait_summary,
-)
-from .export import (
-    canonical_floats,
-    chrome_trace,
-    dumps_canonical,
-    metrics,
-    parse_chrome_trace,
-    recorder_from_chrome_trace,
-)
-from .history import (
-    DEFAULT_FLEET_GATES,
-    BenchComparison,
-    ComparisonReport,
-    MetricGate,
-    compare_history,
-    format_comparison_report,
-    load_history,
-    parse_gate_spec,
-    robust_baseline,
-)
-from .model import (
-    Counter,
-    Recorder,
-    Span,
-    validate_nesting,
-)
-from .wallclock import BUCKETS, format_report, profile
+from .._namespace import namespace
 
-__all__ = [
-    "Span",
-    "Counter",
-    "Recorder",
-    "validate_nesting",
-    "chrome_trace",
-    "parse_chrome_trace",
-    "recorder_from_chrome_trace",
-    "metrics",
-    "dumps_canonical",
-    "canonical_floats",
-    # analysis
-    "WAIT_CAUSES",
-    "WaitState",
-    "PathSegment",
-    "classify_waits",
-    "wait_summary",
-    "critical_path",
-    "critical_path_summary",
-    "load_imbalance",
-    "self_seconds",
-    "attribute_phases",
-    # history / regression gate
-    "BenchComparison",
-    "ComparisonReport",
-    "MetricGate",
-    "DEFAULT_FLEET_GATES",
-    "load_history",
-    "robust_baseline",
-    "compare_history",
-    "format_comparison_report",
-    "parse_gate_spec",
-    # wall-clock attribution
-    "BUCKETS",
-    "profile",
-    "format_report",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".analysis": (
+        "WAIT_CAUSES", "WaitState", "PathSegment", "classify_waits", "wait_summary",
+        "critical_path", "critical_path_summary", "load_imbalance", "self_seconds",
+        "attribute_phases",
+    ),
+    ".export": (
+        "chrome_trace", "parse_chrome_trace", "recorder_from_chrome_trace", "metrics",
+        "dumps_canonical", "canonical_floats",
+    ),
+    ".history": (
+        "BenchComparison", "ComparisonReport", "MetricGate", "DEFAULT_FLEET_GATES", "load_history",
+        "robust_baseline", "compare_history", "format_comparison_report", "parse_gate_spec",
+    ),
+    ".model": ("Span", "Counter", "Recorder", "validate_nesting"),
+    ".wallclock": ("BUCKETS", "profile", "format_report"),
+})

@@ -34,64 +34,21 @@ See ``docs/USER_GUIDE.md`` for the walkthrough and
 ``docs/COOKBOOK.md`` for recipes.
 """
 
-from ..campaign.spec import PipelineSpec
-from .distributions import (
-    DISTRIBUTION_KINDS,
-    Distribution,
-    Fixed,
-    Grid,
-    Normal,
-    Uniform,
-    as_distribution,
-    distribution_from_dict,
-)
-from .driver import (
-    EnsembleResult,
-    draw_specs,
-    ensemble_statistics,
-    run_campaign_scenario,
-    run_ensemble,
-    run_pipeline,
-)
-from .products import (
-    HMF_BIN_EDGES,
-    HaloMassFunction,
-    LightCurve,
-    MatterPowerSpectrum,
-    PipelineProducts,
-    summaries_of,
-)
-from .stages import PIPELINE_STAGES, STAGE_NAMES, Stage, chain_seed
+from .._namespace import namespace
 
-__all__ = [
-    # driver
-    "run_pipeline",
-    "run_campaign_scenario",
-    "draw_specs",
-    "run_ensemble",
-    "ensemble_statistics",
-    "EnsembleResult",
-    # spec (registered with the campaign engine)
-    "PipelineSpec",
-    # stages
-    "Stage",
-    "PIPELINE_STAGES",
-    "STAGE_NAMES",
-    "chain_seed",
-    # products
-    "HMF_BIN_EDGES",
-    "HaloMassFunction",
-    "MatterPowerSpectrum",
-    "LightCurve",
-    "PipelineProducts",
-    "summaries_of",
-    # distributions
-    "Distribution",
-    "Fixed",
-    "Uniform",
-    "Normal",
-    "Grid",
-    "DISTRIBUTION_KINDS",
-    "distribution_from_dict",
-    "as_distribution",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    "..campaign.spec": ("PipelineSpec",),
+    ".distributions": (
+        "Distribution", "Fixed", "Uniform", "Normal", "Grid", "DISTRIBUTION_KINDS",
+        "distribution_from_dict", "as_distribution",
+    ),
+    ".driver": (
+        "run_pipeline", "run_campaign_scenario", "draw_specs", "run_ensemble",
+        "ensemble_statistics", "EnsembleResult",
+    ),
+    ".products": (
+        "HMF_BIN_EDGES", "HaloMassFunction", "MatterPowerSpectrum", "LightCurve",
+        "PipelineProducts", "summaries_of",
+    ),
+    ".stages": ("Stage", "PIPELINE_STAGES", "STAGE_NAMES", "chain_seed"),
+})

@@ -42,17 +42,10 @@ Quick example::
     )
 """
 
-from .checkpoint import Checkpointer, CheckpointStore
-from .runner import FailureRecord, ResilienceConfig, ResilientResult, run_resilient
-from .sampling import node_crash_rate_per_hour, sample_fault_plan
+from .._namespace import namespace
 
-__all__ = [
-    "Checkpointer",
-    "CheckpointStore",
-    "FailureRecord",
-    "ResilienceConfig",
-    "ResilientResult",
-    "run_resilient",
-    "node_crash_rate_per_hour",
-    "sample_fault_plan",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".checkpoint": ("Checkpointer", "CheckpointStore"),
+    ".runner": ("FailureRecord", "ResilienceConfig", "ResilientResult", "run_resilient"),
+    ".sampling": ("node_crash_rate_per_hour", "sample_fault_plan"),
+})

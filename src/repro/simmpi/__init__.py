@@ -24,56 +24,18 @@ Quick example::
     assert result.returns == [6, 6, 6, 6]
 """
 
-from .api import (
-    ANY_SOURCE,
-    ANY_TAG,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    Comm,
-    Request,
-    payload_nbytes,
-)
-from . import patterns
-from .cost import CostModel, SpaceSimulatorCost, UniformCost, ZeroCost
-from .engine import (
-    CollectiveMismatchError,
-    DeadlockError,
-    Engine,
-    EventBudgetError,
-    RankStats,
-    SimResult,
-    run,
-)
-from .faults import FaultEvent, FaultPlan, RankFailedError
-from .trace import render_timeline, utilization
+from .._namespace import namespace
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "SUM",
-    "PROD",
-    "MAX",
-    "MIN",
-    "Comm",
-    "Request",
-    "payload_nbytes",
-    "CostModel",
-    "ZeroCost",
-    "UniformCost",
-    "SpaceSimulatorCost",
-    "Engine",
-    "run",
-    "SimResult",
-    "RankStats",
-    "DeadlockError",
-    "CollectiveMismatchError",
-    "EventBudgetError",
-    "FaultEvent",
-    "FaultPlan",
-    "RankFailedError",
-    "patterns",
-    "render_timeline",
-    "utilization",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".api": (
+        "ANY_SOURCE", "ANY_TAG", "SUM", "PROD", "MAX", "MIN", "Comm", "Request", "payload_nbytes",
+    ),
+    ".": ("patterns",),
+    ".cost": ("CostModel", "ZeroCost", "UniformCost", "SpaceSimulatorCost"),
+    ".engine": (
+        "Engine", "run", "SimResult", "RankStats", "DeadlockError", "CollectiveMismatchError",
+        "EventBudgetError",
+    ),
+    ".faults": ("FaultEvent", "FaultPlan", "RankFailedError"),
+    ".trace": ("render_timeline", "utilization"),
+})

@@ -7,68 +7,20 @@ diffusion neutrino transport, and the rotating core-collapse setup and
 driver that reproduce the Figure 8 angular-momentum diagnostic.
 """
 
-from .collapse import (
-    CollapseConfig,
-    CollapseHistory,
-    CollapseSimulation,
-    add_rotation,
-    angular_momentum_by_angle,
-    cone_vs_equator_angular_momentum,
-    lane_emden,
-    polytrope_particles,
-)
-from .density import DensityResult, adapt_smoothing, density_sum, initial_smoothing
-from .eos import HybridCollapseEOS, IdealGas, Polytrope
-from .forces import SphForces, ViscosityParams, compute_sph_forces
-from .kernel import SUPPORT_RADIUS, dw_dr_cubic, kernel_self_value, w_cubic
-from .neighbors import NeighborLists, find_neighbors, find_neighbors_reference
-from .hydro import HydroSimulation, sod_tube_particles
-from .neutrino import FldParams, NeutrinoStep, flux_limiter, neutrino_step
-from .riemann import (
-    SOD_LEFT,
-    SOD_RIGHT,
-    RiemannState,
-    sample,
-    sod_solution,
-    solve_star,
-)
+from .._namespace import namespace
 
-__all__ = [
-    "SUPPORT_RADIUS",
-    "w_cubic",
-    "dw_dr_cubic",
-    "kernel_self_value",
-    "NeighborLists",
-    "find_neighbors",
-    "find_neighbors_reference",
-    "DensityResult",
-    "density_sum",
-    "adapt_smoothing",
-    "initial_smoothing",
-    "IdealGas",
-    "Polytrope",
-    "HybridCollapseEOS",
-    "ViscosityParams",
-    "SphForces",
-    "compute_sph_forces",
-    "FldParams",
-    "NeutrinoStep",
-    "flux_limiter",
-    "neutrino_step",
-    "lane_emden",
-    "polytrope_particles",
-    "add_rotation",
-    "angular_momentum_by_angle",
-    "cone_vs_equator_angular_momentum",
-    "CollapseConfig",
-    "CollapseHistory",
-    "CollapseSimulation",
-    "HydroSimulation",
-    "sod_tube_particles",
-    "RiemannState",
-    "SOD_LEFT",
-    "SOD_RIGHT",
-    "solve_star",
-    "sample",
-    "sod_solution",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".collapse": (
+        "lane_emden", "polytrope_particles", "add_rotation", "angular_momentum_by_angle",
+        "cone_vs_equator_angular_momentum", "CollapseConfig", "CollapseHistory",
+        "CollapseSimulation",
+    ),
+    ".density": ("DensityResult", "density_sum", "adapt_smoothing", "initial_smoothing"),
+    ".eos": ("IdealGas", "Polytrope", "HybridCollapseEOS"),
+    ".forces": ("ViscosityParams", "SphForces", "compute_sph_forces"),
+    ".kernel": ("SUPPORT_RADIUS", "w_cubic", "dw_dr_cubic", "kernel_self_value"),
+    ".neighbors": ("NeighborLists", "find_neighbors", "find_neighbors_reference"),
+    ".hydro": ("HydroSimulation", "sod_tube_particles"),
+    ".neutrino": ("FldParams", "NeutrinoStep", "flux_limiter", "neutrino_step"),
+    ".riemann": ("RiemannState", "SOD_LEFT", "SOD_RIGHT", "solve_star", "sample", "sod_solution"),
+})

@@ -6,16 +6,9 @@ Biot-Savart induction for vortex particles (the method of the paper's
 reference [9], Ploumans, Winckelmans, Salmon, Leonard & Warren 2002).
 """
 
-from .biot_savart import VortexSystem, direct_velocities, tree_velocities, wl_kernel
-from .ring import ring_centroid, ring_radius, ring_speed_kelvin, vortex_ring
+from .._namespace import namespace
 
-__all__ = [
-    "VortexSystem",
-    "direct_velocities",
-    "tree_velocities",
-    "wl_kernel",
-    "vortex_ring",
-    "ring_speed_kelvin",
-    "ring_centroid",
-    "ring_radius",
-]
+__all__, __getattr__, __dir__ = namespace(__name__, {
+    ".biot_savart": ("VortexSystem", "direct_velocities", "tree_velocities", "wl_kernel"),
+    ".ring": ("vortex_ring", "ring_speed_kelvin", "ring_centroid", "ring_radius"),
+})
